@@ -2,13 +2,20 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench bench-smoke chaos-smoke fleet-smoke threads-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
+.PHONY: build test loc bench bench-smoke chaos-smoke fleet-smoke threads-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
 
 build:
 	$(CARGO) build --release
 
+# --no-fail-fast: one red test binary must not hide every later suite.
 test:
-	$(CARGO) test -q
+	$(CARGO) test -q --no-fail-fast
+
+# Non-blank, non-comment Rust lines per crate, tests/benches/examples and
+# trailing `mod tests` blocks excluded — the number a "net-negative" PR
+# is measured by (`scripts/loc.sh <other-checkout>` for the other side).
+loc:
+	sh scripts/loc.sh
 
 # Full benchmark run (slow; regenerates BENCH_*.json at the repo root).
 bench:

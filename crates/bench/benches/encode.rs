@@ -103,7 +103,7 @@ fn bench_encode_tiling(c: &mut Criterion) {
 }
 
 /// Threads×codes scaling of the partitioned batch executor: a batch of
-/// independent stripes encoded through `encode_batch` (partition map +
+/// independent stripes encoded through `run_partitioned` (partition map,
 /// per-worker ledger shards) at 1, 2 and 4 workers, for every code at
 /// p = 13. On a 1-core host the curve is flat by construction — the
 /// partitioned path collapses to the inline serial path — so the table
@@ -130,8 +130,11 @@ fn bench_encode_batch_threads(c: &mut Criterion) {
                 BenchmarkId::new(&name, format!("t{threads}")),
                 &threads,
                 |b, &threads| {
+                    let map = raid_array::PartitionMap::build(BATCH, threads);
                     b.iter(|| {
-                        raid_array::encode_batch(code.as_ref(), &mut stripes, threads);
+                        raid_array::run_partitioned(&map, 0, &mut stripes, threads, |_, _, s| {
+                            code.encode(s)
+                        });
                         std::hint::black_box(&stripes);
                     })
                 },

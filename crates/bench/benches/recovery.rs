@@ -8,7 +8,7 @@ use hv_code::HvCode;
 use raid_bench::codes::evaluated;
 use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
 use raid_core::schedule::double_failure_schedule;
-use raid_core::{ArrayCode, Stripe};
+use raid_core::{ArrayCode, Cell, Stripe};
 
 const ELEMENT: usize = 4096;
 
@@ -73,7 +73,8 @@ fn bench_batch_rebuild(c: &mut Criterion) {
             s
         })
         .collect();
-    let lost = [0usize, layout.cols() / 2];
+    let lost: Vec<Cell> =
+        [0usize, layout.cols() / 2].iter().flat_map(|&c| layout.cells_in_col(c)).collect();
     group.throughput(Throughput::Bytes(
         (stripes * 2 * layout.rows() * ELEMENT) as u64,
     ));
@@ -82,9 +83,15 @@ fn bench_batch_rebuild(c: &mut Criterion) {
             BenchmarkId::new("hv_double_rebuild_threads", threads),
             &threads,
             |b, &threads| {
+                let map = raid_array::PartitionMap::build(stripes, threads);
                 b.iter(|| {
                     let mut batch = pristine.clone();
-                    raid_array::rebuild_batch(&code, &mut batch, &lost, threads).unwrap();
+                    raid_array::run_partitioned(&map, 0, &mut batch, threads, |_, _, s| {
+                        for &cell in &lost {
+                            s.erase(cell);
+                        }
+                        code.decode(s, &lost).map(drop).unwrap();
+                    });
                     std::hint::black_box(&batch);
                 })
             },

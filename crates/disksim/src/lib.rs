@@ -26,7 +26,6 @@ pub mod array;
 pub mod profile;
 pub mod queue;
 pub mod recovery;
-pub mod stats;
 
 pub use array::{DiskArray, DiskError, ErrorClass};
 pub use profile::DiskProfile;

@@ -4,7 +4,7 @@
 //! The cache absorbs element writes per stripe and defers the parity
 //! update until flush time, when every dirty element of a stripe is
 //! batched into **one** lowered operation (see
-//! [`raid_core::plan::write::plan_batched_write`]). Co-located dirty
+//! [`crate::lower::stripe_write_op`]). Co-located dirty
 //! elements then share their parity reads and writes — the HV paper's
 //! shared-parity structure turned into an I/O win — and the single
 //! lowered op rides the pipeline's undo journal, so a coalesced flush is
@@ -17,10 +17,6 @@
 //! must go through.
 
 use std::collections::BTreeMap;
-
-use raid_core::layout::Layout;
-use raid_core::plan::write::{WriteMode, WritePlan};
-use raid_core::Cell;
 
 /// Write-back cache tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,75 +212,6 @@ impl StripeCache {
             .map(|(&s, _)| s)
             .collect()
     }
-}
-
-/// Orders parity cells so that no parity is emitted before a pending
-/// parity that appears among its chain members (parity-into-parity
-/// cascades, e.g. RDP).
-pub(crate) fn ordered_parities(layout: &Layout, parities: &[Cell]) -> Vec<Cell> {
-    let mut pending: Vec<Cell> = parities.to_vec();
-    let mut ordered = Vec::with_capacity(pending.len());
-    while !pending.is_empty() {
-        let mut progressed = false;
-        let mut next = Vec::new();
-        for &p in &pending {
-            let chain = layout.chain(layout.chain_of_parity(p).expect("parity owns chain"));
-            if chain.members.iter().any(|m| pending.contains(m) && *m != p) {
-                next.push(p);
-            } else {
-                ordered.push(p);
-                progressed = true;
-            }
-        }
-        assert!(progressed, "cyclic parity dependency during write");
-        pending = next;
-    }
-    ordered
-}
-
-/// Builds the XOR steps that renew a [`WritePlan`]'s parities over a
-/// double-height scratch: old values in the lower `rows` rows, new values
-/// in the upper. This one lowering serves both the volume's direct
-/// partial writes and the cache's coalesced flushes, and is what
-/// `raid-verify` proves symbolically for arbitrary dirty sets.
-///
-/// * [`WriteMode::Rmw`] — new parity = old parity ⊕ (old ⊕ new) of every
-///   touched member;
-/// * [`WriteMode::Reconstruct`] / [`WriteMode::FullStripe`] — new parity
-///   = XOR of members' new values, untouched members contributing their
-///   (read or cache-filled) old value.
-pub fn batched_write_steps(
-    layout: &Layout,
-    plan: &WritePlan,
-    mode: WriteMode,
-) -> Vec<(Cell, Vec<Cell>)> {
-    let rows = layout.rows();
-    let up = |c: Cell| Cell::new(c.row + rows, c.col);
-    let touched = |m: &Cell| plan.data_writes.contains(m) || plan.parity_writes.contains(m);
-    ordered_parities(layout, &plan.parity_writes)
-        .into_iter()
-        .map(|p| {
-            let chain = layout.chain(layout.chain_of_parity(p).expect("parity owns chain"));
-            let mut srcs = Vec::new();
-            match mode {
-                WriteMode::Rmw => {
-                    srcs.push(p);
-                    for m in &chain.members {
-                        if touched(m) {
-                            srcs.push(*m);
-                            srcs.push(up(*m));
-                        }
-                    }
-                }
-                WriteMode::Reconstruct | WriteMode::FullStripe => {
-                    for m in &chain.members {
-                        srcs.push(if touched(m) { up(*m) } else { *m });
-                    }
-                }
-            }
-            (up(p), srcs)
-        })
-        .collect()
 }
 
 #[cfg(test)]

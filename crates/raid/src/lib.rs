@@ -7,8 +7,10 @@
 //! updates, serves degraded reads while disks are failed, and rebuilds one
 //! or two failed disks.
 //!
-//! Every operation lowers into the single [`pipeline::IoPipeline`]: element
-//! reads, a compiled [`raid_core::XorPlan`], element writes. The pipeline
+//! Every operation is lowered by [`lower`] — the one module that builds
+//! [`pipeline::LoweredOp`]s — into the single [`pipeline::IoPipeline`]:
+//! element reads, a compiled [`raid_core::XorPlan`], element writes. The
+//! pipeline
 //! executes that form against the backend, hands the identical per-disk
 //! [`raid_core::io::RequestSet`] to the timing simulator when one is
 //! attached, and absorbs it into the [`raid_core::io::IoLedger`] — so data
@@ -20,9 +22,8 @@
 //! traditional balancing technique the paper contrasts with parity
 //! spreading). [`partition`] splits the stripe space into contiguous
 //! owned ranges with work-stealing workers and per-worker ledger shards;
-//! [`batch`] runs encode/decode XOR kernels for batches of independent
-//! stripes on those partitioned workers; [`replay`] drives a volume +
-//! simulator pair from workload traces. [`cache`] adds the write-back
+//! [`replay`] drives a volume + simulator pair from workload traces.
+//! [`cache`] adds the write-back
 //! stripe cache that coalesces co-located element writes into single
 //! journal-atomic flushes sharing parity I/O.
 
@@ -32,10 +33,10 @@
 pub mod addr;
 pub mod audit;
 pub mod backend;
-pub mod batch;
 pub mod cache;
 pub mod chaos;
 pub mod health;
+pub mod lower;
 pub mod mttr;
 pub mod partition;
 pub mod pipeline;
@@ -48,8 +49,7 @@ pub use backend::{
     DiskBackend, DiskCompletion, DiskRequest, Fault, FaultPoint, FaultyBackend, FileBackend,
     JournalEntry, JournalRecovery, MemBackend, RebuildCheckpoint, VolumeMeta,
 };
-pub use batch::{encode_batch, rebuild_batch};
-pub use cache::{batched_write_steps, CacheConfig};
+pub use cache::CacheConfig;
 pub use chaos::{ChaosConfig, ChaosReport};
 pub use health::{
     HealthMonitor, HealthState, RebuildThrottle, RecoveryAction, RetryPolicy, ThrottleConfig,

@@ -21,12 +21,20 @@
 //! crate forbids it) and results land indexed by stripe, so output order
 //! is deterministic regardless of who executed what.
 
-use crate::batch::effective_threads;
 use raid_core::io::LedgerShard;
 use raid_core::Stripe;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Clamps a requested worker count to something sane for a batch of
+/// `stripes` independent stripes spread over `partitions` owned ranges:
+/// at least 1, at most one worker per stripe, and never more workers
+/// than partitions — requesting 8 threads on a 4-partition volume gets
+/// 4 workers, not 4 busy ones plus 4 idling.
+fn effective_threads(requested: usize, stripes: usize, partitions: usize) -> usize {
+    requested.max(1).min(stripes.max(1)).min(partitions.max(1))
+}
 
 /// One contiguous stripe range `[start, end)` owned by one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,6 +278,19 @@ mod tests {
     use super::*;
     use raid_core::io::IoLedger;
     use raid_core::ArrayCode;
+
+    #[test]
+    fn effective_threads_clamps() {
+        assert_eq!(effective_threads(0, 10, 10), 1);
+        assert_eq!(effective_threads(4, 2, 4), 2);
+        assert_eq!(effective_threads(4, 0, 4), 1);
+        // More threads than partitions must not spawn idle workers.
+        assert_eq!(effective_threads(8, 100, 4), 4);
+        // A 1-core host builds 1-partition maps: any request collapses
+        // to the inline serial path, spawning nothing.
+        assert_eq!(effective_threads(8, 100, 1), 1);
+        assert_eq!(effective_threads(usize::MAX, 100, 1), 1);
+    }
 
     #[test]
     fn build_covers_every_stripe_once() {

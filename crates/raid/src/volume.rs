@@ -2,9 +2,10 @@
 //! and reconstruction over any array code, executed through the unified
 //! I/O pipeline.
 //!
-//! Every operation is **lowered** per touched stripe into a
-//! [`LoweredOp`] — element reads, a compiled [`XorPlan`], element writes —
-//! and executed by the [`IoPipeline`] against a pluggable
+//! Every operation is **lowered** per touched stripe by [`crate::lower`]
+//! into a [`crate::pipeline::LoweredOp`] — element reads, a compiled
+//! [`raid_core::XorPlan`], element writes — and executed by the
+//! [`IoPipeline`] against a pluggable
 //! [`DiskBackend`]. The pipeline hands the identical per-disk
 //! [`raid_core::io::RequestSet`] to the timing simulator (when attached)
 //! and to the cumulative [`IoLedger`], so data movement, simulated time,
@@ -15,44 +16,21 @@ use std::fmt;
 use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskError};
-use raid_core::decoder;
 use raid_core::io::{IoLedger, LedgerShard};
-use raid_core::layout::Layout;
-use raid_core::plan::degraded::{plan_degraded_read, plan_degraded_read_multi};
-use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
-use raid_core::plan::write::{plan_batched_write, plan_partial_write, write_cost, WriteMode};
-use raid_core::{ArrayCode, Cell, ChainId, Stripe, XorPlan};
+use raid_core::{ArrayCode, Cell, Stripe};
 
 use crate::addr::Addressing;
 use crate::backend::{DiskBackend, FaultyBackend, MemBackend, RebuildCheckpoint};
-use crate::cache::{batched_write_steps, CacheConfig, StripeCache};
+use crate::cache::{CacheConfig, StripeCache};
 use crate::health::{HealthMonitor, HealthState, RecoveryAction};
+use crate::lower;
 use crate::partition::PartitionMap;
-use crate::pipeline::{DiskAddr, IoPipeline, LoweredOp};
+use crate::pipeline::{DiskAddr, IoPipeline};
 
 /// Hard cap on recovery attempts per operation — a backstop against a
 /// fault source that never clears (the health policy normally escalates
 /// long before this).
 const MAX_OP_ATTEMPTS: usize = 64;
-
-/// Lowers `(lost cell, repair chain)` choices — the shape shared by the
-/// degraded-read and single-disk recovery planners — into a compiled
-/// [`XorPlan`]: each cell is rebuilt as the XOR of the other cells of its
-/// chosen chain.
-fn compile_chain_repairs(layout: &Layout, repairs: &[(Cell, ChainId)]) -> XorPlan {
-    let sources: Vec<Vec<Cell>> = repairs
-        .iter()
-        .map(|(cell, chain)| {
-            layout.chain(*chain).cells().filter(|c| c != cell).collect()
-        })
-        .collect();
-    XorPlan::from_steps(
-        layout.rows(),
-        layout.cols(),
-        repairs.iter().zip(&sources).map(|((cell, _), src)| (*cell, src.as_slice())),
-    )
-    .optimized()
-}
 
 /// Errors from volume operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -817,43 +795,14 @@ impl RaidVolume {
             })
             .collect();
         let failed_cols = self.failed_cols(stripe_idx);
-        let mut lost: Vec<Cell> =
-            failed_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
-        lost.extend(cells.iter().copied());
-        let Ok(decode_plan) = decoder::plan_decode(layout, &lost) else {
+        let addr = self.addr_fn(stripe_idx);
+        let Some(op) = lower::decode_op(layout, &failed_cols, &cells, &cells, &addr) else {
             // Bad sectors + failed columns exceed the code's erasure
             // capability: unrecoverable in place.
             return Err(VolumeError::Backend(DiskError::LatentSector {
                 disk: d0,
                 index: i0,
             }));
-        };
-        let mut reads = Vec::new();
-        for col in 0..layout.cols() {
-            if failed_cols.contains(&col) {
-                continue;
-            }
-            for cell in layout.cells_in_col(col) {
-                if !cells.contains(&cell) {
-                    reads.push((cell, self.addr_of(stripe_idx, cell)));
-                }
-            }
-        }
-        let mut data_writes = Vec::new();
-        let mut parity_writes = Vec::new();
-        for &cell in &cells {
-            let target = (cell, self.addr_of(stripe_idx, cell));
-            if layout.is_data(cell) {
-                data_writes.push(target);
-            } else {
-                parity_writes.push(target);
-            }
-        }
-        let op = LoweredOp {
-            reads,
-            plan: Some(XorPlan::compile_decode(layout, &decode_plan).optimized()),
-            data_writes,
-            parity_writes,
         };
         let mut scratch = Stripe::for_layout(layout, self.element_size);
         self.pipeline.execute(&op, &mut scratch)?;
@@ -875,12 +824,16 @@ impl RaidVolume {
         Some((a.disk, a.index))
     }
 
+    /// The address function of stripe `stripe` handed to [`lower`]; it
+    /// copies what it needs, so it does not keep `self` borrowed.
+    fn addr_fn(&self, stripe: usize) -> impl Fn(Cell) -> DiskAddr {
+        let (addressing, rows) = (self.addressing, self.code.layout().rows());
+        move |cell| lower::cell_addr(&addressing, rows, stripe, cell)
+    }
+
     /// The backend address of `cell` in stripe `stripe`.
     fn addr_of(&self, stripe: usize, cell: Cell) -> DiskAddr {
-        DiskAddr {
-            disk: self.addressing.physical_disk(stripe, cell.col),
-            index: stripe * self.code.layout().rows() + cell.row,
-        }
+        self.addr_fn(stripe)(cell)
     }
 
     /// Whether `disk` must be treated as failed for operations touching
@@ -909,14 +862,10 @@ impl RaidVolume {
 
     /// Writes `len` data elements starting at linear element `start`.
     ///
-    /// On a healthy array each touched stripe lowers to one pipeline op:
-    /// the cheaper of read-modify-write and reconstruct-write (no reads at
-    /// all for a covering write), with the parity math compiled into an
-    /// [`XorPlan`] over a double-height scratch (old values below, new
-    /// values above). While disks are failed the write is served in
-    /// **degraded mode**: decode the stripe, patch, re-encode, rewrite the
-    /// surviving columns. A disk failing mid-write is rolled back by the
-    /// pipeline and the operation replans degraded automatically.
+    /// Each touched stripe goes through [`Self::store_stripe`], straight
+    /// from `data` (or, with the cache on, is absorbed and stored at flush
+    /// time by the same lowering). A disk failing mid-write is rolled back
+    /// by the pipeline and the operation replans degraded automatically.
     ///
     /// Returns the operation's I/O ledger (the old "receipt").
     ///
@@ -940,18 +889,22 @@ impl RaidVolume {
         if self.cache.is_some() {
             return self.write_cached(start, len, data);
         }
+        self.with_recovery(|v| v.try_write(start, len, data))
+    }
+
+    /// Runs `attempt` under the health policy: a backend error goes
+    /// through [`Self::recover`] (retry, latent repair, adopt the dead
+    /// disk) and the attempt is replanned against the new state, up to
+    /// [`MAX_OP_ATTEMPTS`] times.
+    fn with_recovery<T>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self) -> Result<T, VolumeError>,
+    ) -> Result<T, VolumeError> {
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            let attempt = if self.failed.is_empty() {
-                self.try_write_healthy(start, len, data)
-            } else {
-                self.try_write_degraded(start, len, data)
-            };
-            match attempt {
-                Err(VolumeError::Backend(e)) if attempts < MAX_OP_ATTEMPTS => {
-                    self.recover(e)?;
-                }
+            match attempt(self) {
+                Err(VolumeError::Backend(e)) if attempts < MAX_OP_ATTEMPTS => self.recover(e)?,
                 other => {
                     if other.is_ok() {
                         self.health.note_op_ok();
@@ -960,6 +913,83 @@ impl RaidVolume {
                 }
             }
         }
+    }
+
+    /// One uncached write attempt: each touched stripe stores its segment
+    /// straight from the caller's buffer.
+    fn try_write(
+        &mut self,
+        start: usize,
+        len: usize,
+        data: &[u8],
+    ) -> Result<IoLedger, VolumeError> {
+        let es = self.element_size;
+        let mut receipt = IoLedger::new(self.disks());
+        let mut rest = data;
+        for seg in self.addressing.split(start, len) {
+            let (bytes, tail) = rest.split_at(seg.len * es);
+            rest = tail;
+            let dirty: Vec<(usize, &[u8])> = (seg.start..).zip(bytes.chunks_exact(es)).collect();
+            self.store_stripe(seg.stripe, &dirty, |_| None, &mut receipt)?;
+        }
+        Ok(receipt)
+    }
+
+    /// Stores the `dirty` `(ordinal, new bytes)` elements (ascending) of
+    /// one stripe — the one write lowering behind both
+    /// [`RaidVolume::write`] and the cache flush. On a healthy array it
+    /// is a single journal-atomic op: the cheaper of
+    /// read-modify-write and reconstruct-write, or a read-free full-stripe
+    /// write, over a double-height scratch (old values below, new above);
+    /// old values `clean` holds are preset (cache hits) instead of read.
+    /// Otherwise: decode the stripe from its survivors, patch, re-encode,
+    /// rewrite the surviving columns in one op.
+    fn store_stripe<'a>(
+        &mut self,
+        stripe: usize,
+        dirty: &[(usize, &[u8])],
+        clean: impl Fn(usize) -> Option<&'a [u8]>,
+        receipt: &mut IoLedger,
+    ) -> Result<(), VolumeError> {
+        let code = Arc::clone(&self.code);
+        let layout = code.layout();
+        let addr = self.addr_fn(stripe);
+        let ordinals: Vec<usize> = dirty.iter().map(|&(ord, _)| ord).collect();
+
+        if self.failed.is_empty() {
+            // Scratch first: allocated after the lowering's small vectors,
+            // a 64 KiB-element stripe's 18 MiB scratch cost +40 % page
+            // faults and wall time per full-stripe write (measured).
+            let mut scratch = Stripe::zeroed(2 * layout.rows(), layout.cols(), self.element_size);
+            let lower::StripeWrite { op, fills } =
+                lower::stripe_write_op(layout, &ordinals, |ord| clean(ord).is_some(), &addr);
+            for (&(cell, _), &(_, bytes)) in op.data_writes.iter().zip(dirty) {
+                scratch.set_element(cell, bytes);
+            }
+            for &(ord, cell) in &fills {
+                scratch.set_element(cell, clean(ord).expect("fills are clean-resident"));
+            }
+            receipt.absorb(&self.pipeline.execute(&op, &mut scratch)?);
+            self.pipeline.ledger_mut().note_cache_hits(fills.len() as u64);
+            receipt.note_cache_hits(fills.len() as u64);
+            return Ok(());
+        }
+
+        // Any failed disk sends every stripe down this path, also the
+        // ones a rebuild in progress has already passed (their
+        // `failed_cols` is empty: read all, decode nothing, re-encode).
+        let failed_cols = self.failed_cols(stripe);
+        let fetch = lower::decode_op(layout, &failed_cols, &[], &[], &addr)
+            .ok_or(VolumeError::TooManyFailures { failed: failed_cols.len() })?;
+        let mut scratch = Stripe::for_layout(layout, self.element_size);
+        receipt.absorb(&self.pipeline.execute(&fetch, &mut scratch)?);
+        let cells: Vec<Cell> = ordinals.iter().map(|&ord| layout.data_cells()[ord]).collect();
+        for (&cell, &(_, bytes)) in cells.iter().zip(dirty) {
+            scratch.set_element(cell, bytes);
+        }
+        let store = lower::encode_store_op(layout, &failed_cols, &cells, &addr);
+        receipt.absorb(&self.pipeline.execute(&store, &mut scratch)?);
+        Ok(())
     }
 
     /// Absorbs a write into the stripe cache (no disk I/O), then enforces
@@ -1088,348 +1118,33 @@ impl RaidVolume {
         Ok(shard)
     }
 
-    /// Flushes one stripe's dirty elements as a single coalesced lowered
-    /// op (healthy) or a decode-patch-reencode pair (degraded), with the
-    /// volume's standard retry/recovery policy. On success the entry is
-    /// marked clean and stays resident; on error the dirty data is
-    /// preserved in the cache.
+    /// Flushes one stripe's dirty elements through [`Self::store_stripe`]
+    /// — every dirty element of the stripe in one coalesced store, so
+    /// co-located elements share parity I/O — with the volume's standard
+    /// retry/recovery policy. On success the entry is marked clean and
+    /// stays resident; on error the dirty data is preserved in the cache.
     fn flush_stripe(&mut self, stripe: usize) -> Result<IoLedger, VolumeError> {
-        let Some(entry) = self.cache.as_mut().expect("cache enabled").take(stripe) else {
-            return Ok(IoLedger::new(self.disks()));
+        let mut result = Ok(IoLedger::new(self.disks()));
+        let Some(mut entry) = self.cache.as_mut().expect("cache enabled").take(stripe) else {
+            return result;
         };
-        if !entry.is_dirty() {
-            self.cache.as_mut().expect("cache enabled").put_back(stripe, entry);
-            return Ok(IoLedger::new(self.disks()));
-        }
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            let attempt = if self.failed.is_empty() {
-                self.try_flush_healthy(stripe, &entry)
-            } else {
-                self.try_flush_degraded(stripe, &entry)
-            };
-            match attempt {
-                Ok(receipt) => {
-                    let mut entry = entry;
-                    entry.mark_clean();
-                    self.cache.as_mut().expect("cache enabled").put_back(stripe, entry);
-                    self.pipeline.ledger_mut().note_cache_flush();
-                    self.health.note_op_ok();
-                    let mut receipt = receipt;
-                    receipt.note_cache_flush();
-                    return Ok(receipt);
-                }
-                Err(VolumeError::Backend(e)) if attempts < MAX_OP_ATTEMPTS => {
-                    if let Err(fatal) = self.recover(e) {
-                        self.cache.as_mut().expect("cache enabled").put_back(stripe, entry);
-                        return Err(fatal);
-                    }
-                }
-                Err(e) => {
-                    self.cache.as_mut().expect("cache enabled").put_back(stripe, entry);
-                    return Err(e);
-                }
+        if entry.is_dirty() {
+            let dirty: Vec<(usize, &[u8])> =
+                entry.dirty_ordinals().into_iter().map(|ord| (ord, entry.element(ord))).collect();
+            let clean = |ord| entry.is_clean(ord).then(|| entry.element(ord));
+            result = self.with_recovery(|v| {
+                let mut receipt = IoLedger::new(v.disks());
+                v.store_stripe(stripe, &dirty, clean, &mut receipt)?;
+                Ok(receipt)
+            });
+            if let Ok(receipt) = &mut result {
+                entry.mark_clean();
+                self.pipeline.ledger_mut().note_cache_flush();
+                receipt.note_cache_flush();
             }
         }
-    }
-
-    /// One healthy coalesced-flush attempt: every dirty element of the
-    /// stripe batched into **one** lowered op through the batched write
-    /// planner, so co-located dirty elements share parity I/O and the
-    /// whole flush commits atomically under the pipeline's undo journal.
-    ///
-    /// Mode selection is cache-aware: reconstruct-mode source reads whose
-    /// data is resident **clean** in the cache are filled from memory
-    /// instead of disk (counted as cache hits), which can flip the
-    /// RMW/reconstruct decision in reconstruct's favor.
-    fn try_flush_healthy(
-        &mut self,
-        stripe: usize,
-        entry: &crate::cache::StripeEntry,
-    ) -> Result<IoLedger, VolumeError> {
-        let code = Arc::clone(&self.code);
-        let layout = code.layout();
-        let rows = layout.rows();
-        let data_cells = layout.data_cells();
-        let dirty = entry.dirty_ordinals();
-        let plan = plan_batched_write(layout, &dirty);
-        let cost = write_cost(layout, &plan);
-
-        // Split reconstruct reads into cache fills (clean resident data)
-        // and true disk reads.
-        let mut cache_fills: Vec<(usize, Cell)> = Vec::new();
-        let mut recon_disk_reads: Vec<Cell> = Vec::new();
-        for &c in &cost.reconstruct_reads {
-            match data_cells.iter().position(|&d| d == c) {
-                Some(ord) if entry.is_clean(ord) => cache_fills.push((ord, c)),
-                _ => recon_disk_reads.push(c),
-            }
-        }
-        let mode = if cost.reconstruct_reads.is_empty() {
-            WriteMode::FullStripe
-        } else if recon_disk_reads.len() < cost.rmw_reads.len() {
-            WriteMode::Reconstruct
-        } else {
-            WriteMode::Rmw
-        };
-
-        // Scratch: old values in the lower half, new values above.
-        let up = |c: Cell| Cell::new(c.row + rows, c.col);
-        let mut scratch = Stripe::zeroed(2 * rows, layout.cols(), self.element_size);
-        for (&ord, &cell) in dirty.iter().zip(&plan.data_writes) {
-            scratch.set_element(up(cell), entry.element(ord));
-        }
-        let reads: &[Cell] = match mode {
-            WriteMode::Rmw => &cost.rmw_reads,
-            WriteMode::Reconstruct | WriteMode::FullStripe => {
-                // Cache-resident old values land in the lower half just as
-                // if they had been read.
-                for &(ord, cell) in &cache_fills {
-                    scratch.set_element(cell, entry.element(ord));
-                }
-                &recon_disk_reads
-            }
-        };
-
-        let steps = batched_write_steps(layout, &plan, mode);
-        let op = LoweredOp {
-            reads: reads.iter().map(|&c| (c, self.addr_of(stripe, c))).collect(),
-            plan: Some(
-                XorPlan::from_steps(
-                    2 * rows,
-                    layout.cols(),
-                    steps.iter().map(|(t, s)| (*t, s.as_slice())),
-                )
-                .optimized(),
-            ),
-            data_writes: plan
-                .data_writes
-                .iter()
-                .map(|&c| (up(c), self.addr_of(stripe, c)))
-                .collect(),
-            parity_writes: plan
-                .parity_writes
-                .iter()
-                .map(|&c| (up(c), self.addr_of(stripe, c)))
-                .collect(),
-        };
-        let mut receipt = IoLedger::new(self.disks());
-        let rs = self.pipeline.execute(&op, &mut scratch)?;
-        receipt.absorb(&rs);
-        if mode != WriteMode::Rmw && !cache_fills.is_empty() {
-            let n = cache_fills.len() as u64;
-            self.pipeline.ledger_mut().note_cache_hits(n);
-            receipt.note_cache_hits(n);
-        }
-        Ok(receipt)
-    }
-
-    /// One degraded coalesced-flush attempt, mirroring the degraded write
-    /// path: op A decodes the stripe from every surviving element, the
-    /// dirty elements are patched into the decoded image, op B re-encodes
-    /// and rewrites the surviving columns in one (journal-atomic) op.
-    fn try_flush_degraded(
-        &mut self,
-        stripe: usize,
-        entry: &crate::cache::StripeEntry,
-    ) -> Result<IoLedger, VolumeError> {
-        if self.failed.len() > 2 {
-            return Err(VolumeError::TooManyFailures { failed: self.failed.len() });
-        }
-        let code = Arc::clone(&self.code);
-        let layout = code.layout();
-        let failed_cols = self.failed_cols(stripe);
-        let lost: Vec<Cell> =
-            failed_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
-
-        let mut reads = Vec::new();
-        for col in 0..layout.cols() {
-            if failed_cols.contains(&col) {
-                continue;
-            }
-            for cell in layout.cells_in_col(col) {
-                reads.push((cell, self.addr_of(stripe, cell)));
-            }
-        }
-        let decode_plan = decoder::plan_decode(layout, &lost)
-            .expect("RAID-6 code repairs up to two columns");
-        let fetch = LoweredOp {
-            reads,
-            plan: Some(XorPlan::compile_decode(layout, &decode_plan).optimized()),
-            ..Default::default()
-        };
-        let mut scratch = Stripe::for_layout(layout, self.element_size);
-        let mut receipt = IoLedger::new(self.disks());
-        let rs = self.pipeline.execute(&fetch, &mut scratch)?;
-        receipt.absorb(&rs);
-
-        let data_cells = layout.data_cells();
-        let dirty = entry.dirty_ordinals();
-        for &ord in &dirty {
-            scratch.set_element(data_cells[ord], entry.element(ord));
-        }
-
-        let mut data_writes = Vec::new();
-        for &ord in &dirty {
-            let cell = data_cells[ord];
-            if !failed_cols.contains(&cell.col) {
-                data_writes.push((cell, self.addr_of(stripe, cell)));
-            }
-        }
-        let mut parity_writes = Vec::new();
-        for col in 0..layout.cols() {
-            if failed_cols.contains(&col) {
-                continue;
-            }
-            for parity in layout.parities_in_col(col) {
-                parity_writes.push((parity, self.addr_of(stripe, parity)));
-            }
-        }
-        let store = LoweredOp {
-            reads: Vec::new(),
-            plan: Some(layout.encode_plan().clone()),
-            data_writes,
-            parity_writes,
-        };
-        let rs = self.pipeline.execute(&store, &mut scratch)?;
-        receipt.absorb(&rs);
-        Ok(receipt)
-    }
-
-    /// One healthy-write attempt: every segment lowers to a single
-    /// RMW/reconstruct pipeline op.
-    fn try_write_healthy(
-        &mut self,
-        start: usize,
-        len: usize,
-        data: &[u8],
-    ) -> Result<IoLedger, VolumeError> {
-        let code = Arc::clone(&self.code);
-        let layout = code.layout();
-        let rows = layout.rows();
-        let mut receipt = IoLedger::new(self.disks());
-        let mut offset = 0usize;
-        for seg in self.addressing.split(start, len) {
-            let plan = plan_partial_write(layout, seg.start, seg.len);
-            let cost = write_cost(layout, &plan);
-            let reads: &[Cell] = match cost.cheaper {
-                WriteMode::Rmw => &cost.rmw_reads,
-                WriteMode::Reconstruct | WriteMode::FullStripe => &cost.reconstruct_reads,
-            };
-
-            // Scratch: old values in the lower half, new values above.
-            let up = |c: Cell| Cell::new(c.row + rows, c.col);
-            let mut scratch = Stripe::zeroed(2 * rows, layout.cols(), self.element_size);
-            for (k, &cell) in plan.data_writes.iter().enumerate() {
-                let at = (offset + k) * self.element_size;
-                scratch.set_element(up(cell), &data[at..at + self.element_size]);
-            }
-
-            let steps = batched_write_steps(layout, &plan, cost.cheaper);
-
-            let op = LoweredOp {
-                reads: reads.iter().map(|&c| (c, self.addr_of(seg.stripe, c))).collect(),
-                plan: Some(XorPlan::from_steps(
-                    2 * rows,
-                    layout.cols(),
-                    steps.iter().map(|(t, s)| (*t, s.as_slice())),
-                )),
-                data_writes: plan
-                    .data_writes
-                    .iter()
-                    .map(|&c| (up(c), self.addr_of(seg.stripe, c)))
-                    .collect(),
-                parity_writes: plan
-                    .parity_writes
-                    .iter()
-                    .map(|&c| (up(c), self.addr_of(seg.stripe, c)))
-                    .collect(),
-            };
-            let rs = self.pipeline.execute(&op, &mut scratch)?;
-            receipt.absorb(&rs);
-            offset += seg.len;
-        }
-        Ok(receipt)
-    }
-
-    /// One degraded-write attempt per the reconstruct-patch-reencode
-    /// strategy: op A decodes the stripe from every surviving element, op
-    /// B re-encodes and rewrites the surviving columns.
-    fn try_write_degraded(
-        &mut self,
-        start: usize,
-        len: usize,
-        data: &[u8],
-    ) -> Result<IoLedger, VolumeError> {
-        if self.failed.len() > 2 {
-            return Err(VolumeError::TooManyFailures { failed: self.failed.len() });
-        }
-        let code = Arc::clone(&self.code);
-        let layout = code.layout();
-        let mut receipt = IoLedger::new(self.disks());
-        let mut offset = 0usize;
-        for seg in self.addressing.split(start, len) {
-            let failed_cols = self.failed_cols(seg.stripe);
-            let lost: Vec<Cell> =
-                failed_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
-
-            // Op A: fetch every surviving element, decode the lost ones.
-            let mut reads = Vec::new();
-            for col in 0..layout.cols() {
-                if failed_cols.contains(&col) {
-                    continue;
-                }
-                for cell in layout.cells_in_col(col) {
-                    reads.push((cell, self.addr_of(seg.stripe, cell)));
-                }
-            }
-            let decode_plan = decoder::plan_decode(layout, &lost)
-                .expect("RAID-6 code repairs up to two columns");
-            let fetch = LoweredOp {
-                reads,
-                plan: Some(XorPlan::compile_decode(layout, &decode_plan).optimized()),
-                ..Default::default()
-            };
-            let mut scratch = Stripe::for_layout(layout, self.element_size);
-            let rs = self.pipeline.execute(&fetch, &mut scratch)?;
-            receipt.absorb(&rs);
-
-            // Patch the data elements in the decoded image.
-            let cells = &layout.data_cells()[seg.start..seg.start + seg.len];
-            for (k, &cell) in cells.iter().enumerate() {
-                let at = (offset + k) * self.element_size;
-                scratch.set_element(cell, &data[at..at + self.element_size]);
-            }
-
-            // Op B: re-encode and store the surviving columns; failed
-            // columns stay lost until the next rebuild.
-            let mut data_writes = Vec::new();
-            for &cell in cells {
-                if !failed_cols.contains(&cell.col) {
-                    data_writes.push((cell, self.addr_of(seg.stripe, cell)));
-                }
-            }
-            let mut parity_writes = Vec::new();
-            for col in 0..layout.cols() {
-                if failed_cols.contains(&col) {
-                    continue;
-                }
-                for parity in layout.parities_in_col(col) {
-                    parity_writes.push((parity, self.addr_of(seg.stripe, parity)));
-                }
-            }
-            let store = LoweredOp {
-                reads: Vec::new(),
-                plan: Some(layout.encode_plan().clone()),
-                data_writes,
-                parity_writes,
-            };
-            let rs = self.pipeline.execute(&store, &mut scratch)?;
-            receipt.absorb(&rs);
-            offset += seg.len;
-        }
-        Ok(receipt)
+        self.cache.as_mut().expect("cache enabled").put_back(stripe, entry);
+        result
     }
 
     /// Reads `len` data elements starting at `start`, serving through
@@ -1448,31 +1163,7 @@ impl RaidVolume {
         if self.cache.is_some() {
             return self.read_cached(start, len);
         }
-        self.read_retrying(start, len)
-    }
-
-    /// The uncached read loop: one [`RaidVolume::try_read`] attempt per
-    /// recovery-policy round.
-    fn read_retrying(
-        &mut self,
-        start: usize,
-        len: usize,
-    ) -> Result<(Vec<u8>, IoLedger), VolumeError> {
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            match self.try_read(start, len) {
-                Err(VolumeError::Backend(e)) if attempts < MAX_OP_ATTEMPTS => {
-                    self.recover(e)?;
-                }
-                other => {
-                    if other.is_ok() {
-                        self.health.note_op_ok();
-                    }
-                    return other;
-                }
-            }
-        }
+        self.with_recovery(|v| v.try_read(start, len))
     }
 
     /// A read through the stripe cache: resident elements (dirty or
@@ -1524,7 +1215,7 @@ impl RaidVolume {
                 }
                 let run_len = k - run_start;
                 let linear = seg.stripe * per + seg.start + run_start;
-                let (bytes, rs) = self.read_retrying(linear, run_len)?;
+                let (bytes, rs) = self.with_recovery(|v| v.try_read(linear, run_len))?;
                 let at = (offset + run_start) * es;
                 out[at..at + run_len * es].copy_from_slice(&bytes);
                 receipt.merge(&rs);
@@ -1545,6 +1236,7 @@ impl RaidVolume {
         Ok((out, receipt))
     }
 
+    /// One uncached read attempt, one op per touched stripe.
     fn try_read(&mut self, start: usize, len: usize) -> Result<(Vec<u8>, IoLedger), VolumeError> {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
@@ -1552,58 +1244,13 @@ impl RaidVolume {
         let mut out = Vec::with_capacity(len * self.element_size);
 
         for seg in self.addressing.split(start, len) {
-            let requested: Vec<Cell> =
-                layout.data_cells()[seg.start..seg.start + seg.len].to_vec();
+            let requested = &layout.data_cells()[seg.start..seg.start + seg.len];
             let failed_cols = self.failed_cols(seg.stripe);
-            let any_lost = requested.iter().any(|c| failed_cols.contains(&c.col));
-
-            let op = if !any_lost {
-                LoweredOp::read_only(
-                    requested.iter().map(|&c| (c, self.addr_of(seg.stripe, c))).collect(),
-                )
-            } else {
-                match failed_cols.len() {
-                    1 => {
-                        let plan = plan_degraded_read(layout, failed_cols[0], &requested);
-                        LoweredOp {
-                            reads: plan
-                                .fetched
-                                .iter()
-                                .map(|&c| (c, self.addr_of(seg.stripe, c)))
-                                .collect(),
-                            plan: Some(compile_chain_repairs(layout, &plan.repairs)),
-                            ..Default::default()
-                        }
-                    }
-                    2 => {
-                        // Double-degraded read: reconstruct only the
-                        // requested cells' dependency slice.
-                        let plan = plan_degraded_read_multi(layout, &failed_cols, &requested)
-                            .expect("RAID-6 code repairs any two columns");
-                        LoweredOp {
-                            reads: plan
-                                .fetched
-                                .iter()
-                                .map(|&c| (c, self.addr_of(seg.stripe, c)))
-                                .collect(),
-                            plan: Some(
-                                XorPlan::from_steps(
-                                    layout.rows(),
-                                    layout.cols(),
-                                    plan.steps.iter().map(|s| (s.target, s.sources.as_slice())),
-                                )
-                                .optimized(),
-                            ),
-                            ..Default::default()
-                        }
-                    }
-                    n => return Err(VolumeError::TooManyFailures { failed: n }),
-                }
-            };
+            let op = lower::read_op(layout, &failed_cols, requested, &self.addr_fn(seg.stripe))
+                .ok_or(VolumeError::TooManyFailures { failed: failed_cols.len() })?;
             let mut scratch = Stripe::for_layout(layout, self.element_size);
-            let rs = self.pipeline.execute(&op, &mut scratch)?;
-            receipt.absorb(&rs);
-            for &cell in &requested {
+            receipt.absorb(&self.pipeline.execute(&op, &mut scratch)?);
+            for &cell in requested {
                 out.extend_from_slice(scratch.element(cell));
             }
         }
@@ -1767,51 +1414,21 @@ impl RaidVolume {
     ) -> Result<IoLedger, VolumeError> {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
-        let write_cols: BTreeSet<usize> = task_disks
-            .iter()
-            .map(|&d| self.addressing.logical_col(idx, d))
-            .collect();
+        let write_cols: BTreeSet<usize> =
+            task_disks.iter().map(|&d| self.addressing.logical_col(idx, d)).collect();
+        let write_back: Vec<Cell> =
+            write_cols.iter().flat_map(|&col| layout.cells_in_col(col)).collect();
         let failed_cols = self.failed_cols(idx);
-        let mut receipt = IoLedger::new(self.disks());
-
-        let (reads, plan) = if failed_cols.len() == 1 {
-            let plan = plan_single_disk_recovery(layout, failed_cols[0], SearchStrategy::Auto);
-            let reads: Vec<(Cell, DiskAddr)> =
-                plan.reads.iter().map(|&c| (c, self.addr_of(idx, c))).collect();
-            (reads, compile_chain_repairs(layout, &plan.choices))
+        let addr = self.addr_fn(idx);
+        let op = if let [col] = failed_cols[..] {
+            lower::recover_column_op(layout, col, &write_back, &addr)
         } else {
-            let lost: Vec<Cell> =
-                failed_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
-            let decode_plan = decoder::plan_decode(layout, &lost)
-                .map_err(|_| VolumeError::TooManyFailures { failed: failed_cols.len() })?;
-            let mut reads = Vec::new();
-            for col in 0..layout.cols() {
-                if failed_cols.contains(&col) {
-                    continue;
-                }
-                for cell in layout.cells_in_col(col) {
-                    reads.push((cell, self.addr_of(idx, cell)));
-                }
-            }
-            (reads, XorPlan::compile_decode(layout, &decode_plan).optimized())
+            lower::decode_op(layout, &failed_cols, &[], &write_back, &addr)
+                .ok_or(VolumeError::TooManyFailures { failed: failed_cols.len() })?
         };
-
-        let mut data_writes = Vec::new();
-        let mut parity_writes = Vec::new();
-        for &col in &write_cols {
-            for cell in layout.cells_in_col(col) {
-                let target = (cell, self.addr_of(idx, cell));
-                if layout.is_data(cell) {
-                    data_writes.push(target);
-                } else {
-                    parity_writes.push(target);
-                }
-            }
-        }
-        let op = LoweredOp { reads, plan: Some(plan), data_writes, parity_writes };
         let mut scratch = Stripe::for_layout(layout, self.element_size);
-        let rs = self.pipeline.execute(&op, &mut scratch)?;
-        receipt.absorb(&rs);
+        let mut receipt = IoLedger::new(self.disks());
+        receipt.absorb(&self.pipeline.execute(&op, &mut scratch)?);
         Ok(receipt)
     }
 
@@ -1843,22 +1460,8 @@ impl RaidVolume {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
 
-        // One lowered op per stripe — data reads, the cached encode plan,
-        // all parity writes — submitted as a single partitioned batch.
-        let parities: Vec<Cell> = (0..layout.cols())
-            .flat_map(|col| layout.parities_in_col(col))
-            .collect();
-        let mut ops = Vec::with_capacity(self.stripes);
-        let mut scratches = Vec::with_capacity(self.stripes);
-        for idx in 0..self.stripes {
-            ops.push(LoweredOp {
-                reads: layout.data_cells().iter().map(|&c| (c, self.addr_of(idx, c))).collect(),
-                plan: Some(layout.encode_plan().clone()),
-                parity_writes: parities.iter().map(|&c| (c, self.addr_of(idx, c))).collect(),
-                ..Default::default()
-            });
-            scratches.push(Stripe::for_layout(layout, self.element_size));
-        }
+        let ops = lower::encode_batch(layout, &self.addressing, self.stripes);
+        let mut scratches = vec![Stripe::for_layout(layout, self.element_size); self.stripes];
         let map = self.map_for(threads);
         let (_, shards) = self.pipeline.execute_batch(&ops, &mut scratches, &map, threads)?;
         Ok(IoLedger::merge_shards(self.disks(), shards))
@@ -1880,58 +1483,12 @@ impl RaidVolume {
         if failed.is_empty() {
             return Ok(receipt);
         }
-        if failed.len() > 2 {
-            return Err(VolumeError::TooManyFailures { failed: failed.len() });
-        }
-        self.swap_in_spares(&failed)?;
         let code = Arc::clone(&self.code);
         let layout = code.layout();
-
-        // One lowered op per stripe — surviving-cell reads, the decode
-        // plan for that stripe's lost-column pattern, lost-column writes —
-        // submitted as a single partitioned batch. Decode plans are
-        // compiled once per pattern (with rotation the failed disks land
-        // on different logical columns per stripe).
-        let mut plan_cache: std::collections::BTreeMap<Vec<usize>, XorPlan> =
-            std::collections::BTreeMap::new();
-        let mut ops = Vec::with_capacity(self.stripes);
-        let mut scratches = Vec::with_capacity(self.stripes);
-        for idx in 0..self.stripes {
-            let mut lost_cols: Vec<usize> =
-                failed.iter().map(|&d| self.addressing.logical_col(idx, d)).collect();
-            lost_cols.sort_unstable();
-            let plan = plan_cache
-                .entry(lost_cols.clone())
-                .or_insert_with(|| {
-                    let lost: Vec<Cell> =
-                        lost_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
-                    let decode_plan = decoder::plan_decode(layout, &lost)
-                        .expect("RAID-6 code repairs up to two columns");
-                    XorPlan::compile_decode(layout, &decode_plan).optimized()
-                })
-                .clone();
-            let mut reads = Vec::new();
-            let mut data_writes = Vec::new();
-            let mut parity_writes = Vec::new();
-            for col in 0..layout.cols() {
-                if lost_cols.contains(&col) {
-                    for cell in layout.cells_in_col(col) {
-                        let target = (cell, self.addr_of(idx, cell));
-                        if layout.is_data(cell) {
-                            data_writes.push(target);
-                        } else {
-                            parity_writes.push(target);
-                        }
-                    }
-                } else {
-                    for cell in layout.cells_in_col(col) {
-                        reads.push((cell, self.addr_of(idx, cell)));
-                    }
-                }
-            }
-            ops.push(LoweredOp { reads, plan: Some(plan), data_writes, parity_writes });
-            scratches.push(Stripe::for_layout(layout, self.element_size));
-        }
+        let ops = lower::rebuild_batch(layout, &self.addressing, self.stripes, &failed)
+            .ok_or(VolumeError::TooManyFailures { failed: failed.len() })?;
+        self.swap_in_spares(&failed)?;
+        let mut scratches = vec![Stripe::for_layout(layout, self.element_size); self.stripes];
         let map = self.map_for(threads);
         let (_, shards) = self.pipeline.execute_batch(&ops, &mut scratches, &map, threads)?;
         receipt.merge(&IoLedger::merge_shards(self.disks(), shards));
@@ -1993,64 +1550,31 @@ impl RaidVolume {
     ///
     /// Returns [`VolumeError::TooManyFailures`] if any disk is failed.
     pub fn scrub(&mut self) -> Result<Vec<(usize, raid_core::scrub::ScrubReport)>, VolumeError> {
-        if !self.failed.is_empty() {
-            return Err(VolumeError::TooManyFailures { failed: self.failed.len() });
-        }
         self.pipeline.begin_op();
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            match self.try_scrub() {
-                Err(VolumeError::Backend(e)) if attempts < MAX_OP_ATTEMPTS => {
-                    self.recover(e)?;
-                    // Recovery may have degraded the array; scrubbing a
-                    // degraded volume cannot tell corruption from loss.
-                    if !self.failed.is_empty() {
-                        return Err(VolumeError::TooManyFailures { failed: self.failed.len() });
-                    }
-                }
-                other => {
-                    if other.is_ok() {
-                        self.health.note_op_ok();
-                    }
-                    return other;
-                }
-            }
-        }
+        self.with_recovery(Self::try_scrub)
     }
 
     /// One scrub attempt over every stripe (retried by [`RaidVolume::scrub`]).
     fn try_scrub(&mut self) -> Result<Vec<(usize, raid_core::scrub::ScrubReport)>, VolumeError> {
+        use raid_core::scrub::ScrubReport;
+        // Checked per attempt: recovery may have degraded the array, and
+        // scrubbing a degraded volume cannot tell corruption from loss.
+        if !self.failed.is_empty() {
+            return Err(VolumeError::TooManyFailures { failed: self.failed.len() });
+        }
         let code = Arc::clone(&self.code);
         let layout = code.layout();
         let mut findings = Vec::new();
         for idx in 0..self.stripes {
-            let mut reads = Vec::new();
-            for row in 0..layout.rows() {
-                for col in 0..layout.cols() {
-                    let cell = Cell::new(row, col);
-                    reads.push((cell, self.addr_of(idx, cell)));
-                }
-            }
-            let op = LoweredOp::read_only(reads);
+            let addr = self.addr_fn(idx);
             let mut scratch = Stripe::for_layout(layout, self.element_size);
-            self.pipeline.execute(&op, &mut scratch)?;
+            self.pipeline.execute(&lower::whole_stripe_read_op(layout, &addr), &mut scratch)?;
             let report = raid_core::scrub::scrub(&mut scratch, layout);
-            match &report {
-                raid_core::scrub::ScrubReport::Clean => {}
-                raid_core::scrub::ScrubReport::Repaired { cell } => {
-                    let target = (*cell, self.addr_of(idx, *cell));
-                    let repair = if layout.is_data(*cell) {
-                        LoweredOp { data_writes: vec![target], ..Default::default() }
-                    } else {
-                        LoweredOp { parity_writes: vec![target], ..Default::default() }
-                    };
-                    self.pipeline.execute(&repair, &mut scratch)?;
-                    findings.push((idx, report));
-                }
-                raid_core::scrub::ScrubReport::Unlocalizable { .. } => {
-                    findings.push((idx, report));
-                }
+            if let ScrubReport::Repaired { cell } = report {
+                self.pipeline.execute(&lower::cell_write_op(layout, cell, &addr), &mut scratch)?;
+            }
+            if report != ScrubReport::Clean {
+                findings.push((idx, report));
             }
         }
         Ok(findings)
@@ -2125,10 +1649,10 @@ impl RaidVolume {
     }
 
     fn check_range(&self, start: usize, len: usize) -> Result<(), VolumeError> {
-        if start + len > self.data_elements() {
-            return Err(VolumeError::OutOfRange { start, len, capacity: self.data_elements() });
+        match start.checked_add(len) {
+            Some(end) if end <= self.data_elements() => Ok(()),
+            _ => Err(VolumeError::OutOfRange { start, len, capacity: self.data_elements() }),
         }
-        Ok(())
     }
 }
 
@@ -2148,7 +1672,7 @@ impl Drop for RaidVolume {
 mod tests {
     use super::*;
     use hv_code::HvCode;
-    use raid_baselines::{HCode, RdpCode, XCode};
+    use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
 
     fn volume(rotate: bool) -> RaidVolume {
         RaidVolume::with_rotation(Arc::new(HvCode::new(7).unwrap()), 4, 16, rotate)
@@ -2269,6 +1793,12 @@ mod tests {
         assert!(matches!(
             v.write(0, &[1, 2, 3]),
             Err(VolumeError::BadBufferLength { .. })
+        ));
+        // `start + len` must not overflow its way past the bound.
+        assert!(matches!(v.read(usize::MAX, 2), Err(VolumeError::OutOfRange { .. })));
+        assert!(matches!(
+            v.write(usize::MAX, &[0; 2 * 16]),
+            Err(VolumeError::OutOfRange { .. })
         ));
         assert!(matches!(v.fail_disk(99), Err(VolumeError::NoSuchDisk { disk: 99 })));
         v.fail_disk(0).unwrap();
@@ -2747,6 +2277,63 @@ mod tests {
         let (a, _) = plain.read(0, n).unwrap();
         let (b, _) = cached.read(0, n).unwrap();
         assert_eq!(a, b);
+
+        // One lowering behind both entry points: a single write costs the
+        // same I/O whether it goes straight to disk or through a cold
+        // cache and its flush, and leaves the same bytes on every disk.
+        let image = |v: &mut RaidVolume| -> Vec<u8> {
+            let mut bytes = Vec::new();
+            for d in (0..v.disks()).filter(|d| !v.failed.contains(d)) {
+                for i in 0..v.pipeline.backend().elements_per_disk() {
+                    let mut buf = [0u8; 4];
+                    v.pipeline.backend_mut().read(d, i, &mut buf).unwrap();
+                    bytes.extend_from_slice(&buf);
+                }
+            }
+            bytes
+        };
+        // Every contiguous (start, len) at p = 5 and 7; at p = 13 (~10k
+        // ranges per code and state, minutes in a debug build) a lattice
+        // with strides coprime to every code's row length.
+        for (p, start_step, len_step) in [(5usize, 1, 1), (7, 1, 1), (13, 11, 17)] {
+            let codes: Vec<Arc<dyn ArrayCode>> = vec![
+                Arc::new(HvCode::new(p).unwrap()),
+                Arc::new(RdpCode::new(p).unwrap()),
+                Arc::new(EvenOddCode::new(p).unwrap()),
+                Arc::new(XCode::new(p).unwrap()),
+                Arc::new(HCode::new(p).unwrap()),
+                Arc::new(HdpCode::new(p).unwrap()),
+                Arc::new(PCode::new(p).unwrap()),
+                Arc::new(LiberationCode::new(p).unwrap()),
+            ];
+            for code in codes {
+                for failures in [&[][..], &[1], &[0, 2]] {
+                    let mut plain = RaidVolume::in_memory(Arc::clone(&code), 1, 4);
+                    let mut cached = RaidVolume::in_memory(Arc::clone(&code), 1, 4);
+                    for v in [&mut plain, &mut cached] {
+                        v.write(0, &pattern(v.data_elements() * 4, 7)).unwrap();
+                        failures.iter().for_each(|&d| v.fail_disk(d).unwrap());
+                    }
+                    let per = plain.data_elements();
+                    for start in (0..per).step_by(start_step) {
+                        for len in (1..=per - start).step_by(len_step) {
+                            let what =
+                                format!("{} p={p} {failures:?} [{start}, +{len})", code.name());
+                            let buf = pattern(len * 4, (start * 31 + len) as u8);
+                            let direct = plain.write(start, &buf).unwrap();
+                            cached.enable_cache(CacheConfig::default());
+                            assert_eq!(cached.write(start, &buf).unwrap().total(), 0, "{what}");
+                            let flushed = cached.disable_cache().unwrap();
+                            assert_eq!(direct.reads(), flushed.reads(), "{what}");
+                            assert_eq!(direct.data_writes(), flushed.data_writes(), "{what}");
+                            assert_eq!(direct.parity_writes(), flushed.parity_writes(), "{what}");
+                            assert_eq!(direct.writes(), flushed.writes(), "{what}");
+                        }
+                    }
+                    assert_eq!(image(&mut plain), image(&mut cached), "{} p={p}", code.name());
+                }
+            }
+        }
     }
 
     #[test]

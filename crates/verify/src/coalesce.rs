@@ -1,14 +1,15 @@
-//! Symbolic proof that coalesced write-back cache flushes are correct.
+//! Symbolic proof that the volume's stripe-write lowering is correct.
 //!
-//! The stripe cache (`raid_array::cache`) flushes a dirty stripe as one
-//! `LoweredOp` whose XOR program is built by
-//! [`raid_array::batched_write_steps`] over a **double-height** grid:
-//! rows `0..R` hold the stripe's *old* element values, and the upper
-//! half holds the *new* values — `up(m)` for each dirty data cell `m` is
-//! preset from the cache, and each touched parity `p` is computed into
-//! `up(p)`. This module proves, in the same GF(2) symbolic domain as
-//! [`crate::plan_check`], that for every touched parity the optimized
-//! flush program computes exactly the right linear combination:
+//! Every healthy stripe write — an uncached `write` and a coalesced cache
+//! flush alike — is the one `LoweredOp` [`lower::stripe_write_op`]
+//! returns, whose XOR program runs over a **double-height** grid: rows
+//! `0..R` hold the stripe's *old* element values, and the upper half
+//! holds the *new* values — `up(m)` for each dirty data cell `m` is
+//! preset by the caller, and each touched parity `p` is computed into
+//! `up(p)`. This module takes exactly that op, under rotation-free
+//! addressing, and proves in the same GF(2) symbolic domain as
+//! [`crate::plan_check`] that for every touched parity its program
+//! computes exactly the right linear combination:
 //!
 //! * **RMW**: `up(p) = p ⊕ Σ_dirty (m ⊕ up(m))` — the incremental
 //!   parity-delta identity, with cascaded parities (a chain whose member
@@ -16,20 +17,22 @@
 //! * **Reconstruct / full-stripe**: `up(p) = Σ_members (dirty ? up(m) : m)`
 //!   — direct re-encode from the post-write stripe.
 //!
-//! Equality against the independently-derived expectation also proves
-//! the program never reads an *uninitialized* upper-half scratch cell:
-//! any such read would leak a basis vector the expectation cannot
-//! contain. Both the raw step list and its `xopt`-optimized form are
-//! checked, so a failure localizes blame to the step builder or the
-//! optimizer.
+//! Which of the two the lowering chose is read off the op itself (only
+//! RMW reads the cells it overwrites). Equality against the
+//! independently-derived expectation also proves the program never reads
+//! an *uninitialized* upper-half scratch cell: any such read would leak a
+//! basis vector the expectation cannot contain. The volume runs the plan
+//! as lowered — no `xopt` pass — so that is the one form proven.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use raid_array::batched_write_steps;
-use raid_core::plan::write::{plan_batched_write, WriteMode, WritePlan};
-use raid_core::{Cell, Layout, XorPlan};
+use raid_array::lower;
+use raid_array::pipeline::LoweredOp;
+use raid_core::plan::write::{WriteMode, WritePlan};
+use raid_core::{Cell, Layout};
 
+use crate::hazard::unrotated;
 use crate::symbolic::{SymExpr, SymState};
 
 /// A failed coalesced-flush proof.
@@ -39,8 +42,6 @@ pub struct CoalesceError {
     pub mode: WriteMode,
     /// Dirty data ordinals of the failing flush.
     pub ordinals: Vec<usize>,
-    /// Which compiled form failed (`"steps"` or `"optimized"`).
-    pub stage: &'static str,
     /// Parity cell whose computed value deviates.
     pub parity: Cell,
     /// The symbolic equation, rendered.
@@ -51,9 +52,9 @@ impl fmt::Display for CoalesceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "coalesced flush ({:?}, dirty {:?}, {} form) computes the wrong \
+            "coalesced flush ({:?}, dirty {:?}) computes the wrong \
              value for parity {}: {}",
-            self.mode, self.ordinals, self.stage, self.parity, self.detail
+            self.mode, self.ordinals, self.parity, self.detail
         )
     }
 }
@@ -120,9 +121,67 @@ fn expected_exprs(layout: &Layout, plan: &WritePlan, mode: WriteMode) -> Vec<(Ce
     out
 }
 
-/// Proves one coalesced flush: the step list for `ordinals` under `mode`,
-/// and its optimized form, both compute every touched parity's expected
-/// expression over the double-height grid.
+/// The op [`lower::stripe_write_op`] returns for `ordinals`, with every
+/// other element clean-resident or none, and the write it implements.
+fn lowered(
+    layout: &Layout,
+    ordinals: &[usize],
+    resident: bool,
+) -> (LoweredOp, WritePlan, WriteMode) {
+    let rows = layout.rows();
+    let id = unrotated(layout);
+    let addr = |c| lower::cell_addr(&id, rows, 0, c);
+    let op = lower::stripe_write_op(layout, ordinals, |_| resident, &addr).op;
+    let down = |&(c, _): &(Cell, _)| Cell::new(c.row - rows, c.col);
+    let plan = WritePlan {
+        data_writes: op.data_writes.iter().map(down).collect(),
+        parity_writes: op.parity_writes.iter().map(down).collect(),
+    };
+    // Only RMW reads the old values of the cells it overwrites.
+    let rmw = op.reads.iter().any(|(c, _)| plan.data_writes.contains(c));
+    let mode = if rmw { WriteMode::Rmw } else { WriteMode::Reconstruct };
+    (op, plan, mode)
+}
+
+/// Checks that `op`'s program computes every touched parity's expected
+/// expression under `mode` over the double-height grid.
+fn check(
+    layout: &Layout,
+    op: &LoweredOp,
+    plan: &WritePlan,
+    mode: WriteMode,
+) -> Result<(), CoalesceError> {
+    let (rows, cols) = (layout.rows(), layout.cols());
+    let mut state = SymState::identity(2 * rows, cols);
+    let program = op.plan.as_ref().expect("a stripe write carries a plan");
+    state.execute(program).expect("shape fixed by construction");
+    for (p, want) in &expected_exprs(layout, plan, mode) {
+        let got = state.expr(Cell::new(p.row + rows, p.col));
+        if got != want {
+            let n = 2 * rows * cols;
+            return Err(CoalesceError {
+                mode,
+                ordinals: plan
+                    .data_writes
+                    .iter()
+                    .filter_map(|&c| layout.data_ordinal(c))
+                    .collect(),
+                parity: *p,
+                detail: format!(
+                    "computed {} but the write algebra requires {}",
+                    got.render(cols, n),
+                    want.render(cols, n)
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Proves one stripe write: the op the volume would issue for the dirty
+/// `ordinals` — with every other element clean-resident in the cache
+/// (`resident`) or none — computes every touched parity's expected
+/// expression. Returns the mode the lowering chose.
 ///
 /// # Errors
 ///
@@ -132,41 +191,13 @@ fn expected_exprs(layout: &Layout, plan: &WritePlan, mode: WriteMode) -> Vec<(Ce
 ///
 /// Panics if `ordinals` is empty or out of range for the layout (caller
 /// bug, mirroring `plan_batched_write`).
-pub fn prove_batched_flush(
+pub fn prove_stripe_write(
     layout: &Layout,
     ordinals: &[usize],
-    mode: WriteMode,
-) -> Result<(), CoalesceError> {
-    let (rows, cols) = (layout.rows(), layout.cols());
-    let plan = plan_batched_write(layout, ordinals);
-    let expected = expected_exprs(layout, &plan, mode);
-    let steps = batched_write_steps(layout, &plan, mode);
-    let raw = XorPlan::from_steps(2 * rows, cols, steps.iter().map(|(t, s)| (*t, s.as_slice())));
-    let opt = raw.clone().optimized();
-
-    for (stage, compiled) in [("steps", &raw), ("optimized", &opt)] {
-        let mut state = SymState::identity(2 * rows, cols);
-        state.execute(compiled).expect("shape fixed by construction");
-        for (p, want) in &expected {
-            let up_p = Cell::new(p.row + rows, p.col);
-            let got = state.expr(up_p);
-            if got != want {
-                let n = 2 * rows * cols;
-                return Err(CoalesceError {
-                    mode,
-                    ordinals: ordinals.to_vec(),
-                    stage,
-                    parity: *p,
-                    detail: format!(
-                        "computed {} but the write algebra requires {}",
-                        got.render(cols, n),
-                        want.render(cols, n)
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
+    resident: bool,
+) -> Result<WriteMode, CoalesceError> {
+    let (op, plan, mode) = lowered(layout, ordinals, resident);
+    check(layout, &op, &plan, mode).map(|()| mode)
 }
 
 /// Dirty-ordinal subsets worth proving for a layout: the boundary
@@ -183,9 +214,10 @@ fn probe_subsets(layout: &Layout) -> Vec<Vec<usize>> {
     subsets
 }
 
-/// Proves every probe subset under both partial-write modes (the
-/// full-stripe case rides on `Reconstruct`, which compiles identically).
-/// Returns the number of (subset, mode) proofs that ran.
+/// Proves every probe subset both cold (nothing resident: the uncached
+/// write and the first flush) and warm (everything else clean-resident,
+/// which steers the lowering to reconstruct). Returns the number of
+/// proofs that ran.
 ///
 /// # Errors
 ///
@@ -193,8 +225,8 @@ fn probe_subsets(layout: &Layout) -> Vec<Vec<usize>> {
 pub fn prove_layout_flushes(layout: &Layout) -> Result<usize, CoalesceError> {
     let mut proofs = 0;
     for subset in probe_subsets(layout) {
-        for mode in [WriteMode::Rmw, WriteMode::Reconstruct] {
-            prove_batched_flush(layout, &subset, mode)?;
+        for resident in [false, true] {
+            prove_stripe_write(layout, &subset, resident)?;
             proofs += 1;
         }
     }
@@ -219,33 +251,27 @@ mod tests {
     }
 
     #[test]
-    fn rmw_singleton_matches_partial_write_semantics() {
-        let code = build("hv", 5).unwrap();
+    fn both_write_modes_are_reached_and_proven() {
+        let code = build("hv", 7).unwrap();
         let layout = code.layout();
-        // A single dirty element under RMW is exactly the classic
-        // read-modify-write path the healthy write planner uses.
-        prove_batched_flush(layout, &[3], WriteMode::Rmw).unwrap();
+        // A lone dirty element with a cold cache is the classic
+        // read-modify-write; with the rest of the stripe resident the
+        // lowering reconstructs instead.
+        assert_eq!(prove_stripe_write(layout, &[3], false).unwrap(), WriteMode::Rmw);
+        assert_eq!(prove_stripe_write(layout, &[3], true).unwrap(), WriteMode::Reconstruct);
     }
 
     #[test]
     fn a_sabotaged_expectation_is_rejected() {
-        // Guard the prover itself: flipping the mode between compilation
-        // and expectation must be caught (RMW and reconstruct programs are
-        // different linear maps whenever some member is untouched).
+        // Guard the prover itself: checking the lowered program against
+        // the other mode's algebra must be caught (RMW and reconstruct
+        // programs are different linear maps whenever some member is
+        // untouched).
         let code = build("rdp", 5).unwrap();
         let layout = code.layout();
-        let plan = plan_batched_write(layout, &[0]);
-        let expected = expected_exprs(layout, &plan, WriteMode::Rmw);
-        let steps = batched_write_steps(layout, &plan, WriteMode::Reconstruct);
-        let raw = XorPlan::from_steps(
-            2 * layout.rows(),
-            layout.cols(),
-            steps.iter().map(|(t, s)| (*t, s.as_slice())),
-        );
-        let mut state = SymState::identity(2 * layout.rows(), layout.cols());
-        state.execute(&raw).unwrap();
-        let (p, want) = &expected[0];
-        let got = state.expr(Cell::new(p.row + layout.rows(), p.col));
-        assert_ne!(got, want, "mode mixup must be distinguishable");
+        let (op, plan, mode) = lowered(layout, &[0], true);
+        assert_eq!(mode, WriteMode::Reconstruct);
+        let err = check(layout, &op, &plan, WriteMode::Rmw).unwrap_err();
+        assert_eq!(err.ordinals, vec![0]);
     }
 }

@@ -33,10 +33,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
+use raid_array::lower;
 use raid_array::partition::PartitionMap;
 use raid_array::pipeline::{DiskAddr, LoweredOp};
-use raid_core::decoder;
-use raid_core::{Cell, Layout, XorPlan};
+use raid_array::Addressing;
+use raid_core::Layout;
 
 /// A proven partition-disjointness violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -292,67 +293,32 @@ pub fn audit_partition_hazards(
     Ok(HazardReport { ops: ops.len(), disks, partitions })
 }
 
-/// The backend address of `cell` in stripe `stripe` under the identity
-/// (rotation-free) addressing — the same `index = stripe·rows + row`
-/// packing `RaidVolume::addr_of` uses. Rotation permutes only the disk
-/// column, never the index, so disjointness proven here carries over to
-/// every rotated placement.
-fn model_addr(layout: &Layout, stripe: usize, cell: Cell) -> DiskAddr {
-    DiskAddr { disk: cell.col, index: stripe * layout.rows() + cell.row }
+/// Rotation-free addressing for `layout`. Rotation permutes only the disk
+/// column, never the index, so disjointness proven under it carries over
+/// to every rotated placement.
+pub(crate) fn unrotated(layout: &Layout) -> Addressing {
+    Addressing::new(layout.num_data_cells(), layout.cols(), false)
 }
 
-/// The lowered batch `RaidVolume::encode_all` submits, reconstructed
-/// from the layout alone: per stripe, data-cell reads, the cached encode
-/// plan, and every parity write.
-pub fn model_encode_batch(layout: &Layout, stripes: usize) -> Vec<LoweredOp> {
-    let parities: Vec<Cell> =
-        (0..layout.cols()).flat_map(|col| layout.parities_in_col(col)).collect();
-    (0..stripes)
-        .map(|idx| LoweredOp {
-            reads: layout
-                .data_cells()
-                .iter()
-                .map(|&c| (c, model_addr(layout, idx, c)))
-                .collect(),
-            plan: Some(layout.encode_plan().clone()),
-            parity_writes: parities.iter().map(|&c| (c, model_addr(layout, idx, c))).collect(),
-            ..Default::default()
-        })
-        .collect()
+/// The batch `RaidVolume::encode_all` submits over `stripes` stripes.
+pub fn lowered_encode_batch(layout: &Layout, stripes: usize) -> Vec<LoweredOp> {
+    lower::encode_batch(layout, &unrotated(layout), stripes)
 }
 
-/// The lowered batch `RaidVolume::rebuild_all` submits for `lost_cols`:
-/// per stripe, surviving-cell reads, the optimized decode plan, and
-/// lost-column writes.
+/// The batch `RaidVolume::rebuild_all` submits for the failed disks
+/// `lost_cols`.
 ///
 /// # Panics
 ///
 /// Panics if `lost_cols` is not decodable (more than two columns, or out
-/// of range) — caller bug, mirroring the volume.
-pub fn model_rebuild_batch(layout: &Layout, stripes: usize, lost_cols: &[usize]) -> Vec<LoweredOp> {
-    let lost: Vec<Cell> = lost_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
-    let decode = decoder::plan_decode(layout, &lost).expect("RAID-6 repairs up to two columns");
-    let plan = XorPlan::compile_decode(layout, &decode).optimized();
-    (0..stripes)
-        .map(|idx| {
-            let mut reads = Vec::new();
-            let mut data_writes = Vec::new();
-            let mut parity_writes = Vec::new();
-            for col in 0..layout.cols() {
-                for cell in layout.cells_in_col(col) {
-                    let target = (cell, model_addr(layout, idx, cell));
-                    if !lost_cols.contains(&col) {
-                        reads.push(target);
-                    } else if layout.is_data(cell) {
-                        data_writes.push(target);
-                    } else {
-                        parity_writes.push(target);
-                    }
-                }
-            }
-            LoweredOp { reads, plan: Some(plan.clone()), data_writes, parity_writes }
-        })
-        .collect()
+/// of range) — caller bug.
+pub fn lowered_rebuild_batch(
+    layout: &Layout,
+    stripes: usize,
+    lost_cols: &[usize],
+) -> Vec<LoweredOp> {
+    lower::rebuild_batch(layout, &unrotated(layout), stripes, lost_cols)
+        .expect("RAID-6 repairs up to two columns")
 }
 
 /// Summary of one layout's clean hazard proofs.
@@ -379,16 +345,16 @@ const MODEL_PARTITIONS: usize = 3;
 ///
 /// # Errors
 ///
-/// The first [`HazardError`] across any modeled batch.
+/// The first [`HazardError`] across any batch.
 pub fn prove_layout_hazard_free(layout: &Layout) -> Result<HazardSummary, HazardError> {
     let map = PartitionMap::build(MODEL_STRIPES, MODEL_PARTITIONS);
     let disks = layout.cols();
     let encode_report =
-        audit_partition_hazards(&map, &model_encode_batch(layout, MODEL_STRIPES), disks)?;
+        audit_partition_hazards(&map, &lowered_encode_batch(layout, MODEL_STRIPES), disks)?;
     let last = layout.cols() - 1;
     let mut batches = 1;
     for lost in [vec![0], vec![last], vec![0, last], vec![0, 1]] {
-        let ops = model_rebuild_batch(layout, MODEL_STRIPES, &lost);
+        let ops = lowered_rebuild_batch(layout, MODEL_STRIPES, &lost);
         audit_partition_hazards(&map, &ops, disks)?;
         batches += 1;
     }
@@ -420,7 +386,7 @@ mod tests {
     fn overlapping_partition_write_is_named() {
         let code = layout_of("hv", 5);
         let layout = code.layout();
-        let mut ops = model_encode_batch(layout, MODEL_STRIPES);
+        let mut ops = lowered_encode_batch(layout, MODEL_STRIPES);
         let map = PartitionMap::build(MODEL_STRIPES, MODEL_PARTITIONS);
         // Sabotage: the last stripe's first parity write aliases stripe
         // 0's address — a cross-partition write/write collision.
@@ -443,7 +409,7 @@ mod tests {
     fn cross_op_read_of_written_address_is_named() {
         let code = layout_of("hv", 5);
         let layout = code.layout();
-        let mut ops = model_encode_batch(layout, MODEL_STRIPES);
+        let mut ops = lowered_encode_batch(layout, MODEL_STRIPES);
         let map = PartitionMap::build(MODEL_STRIPES, MODEL_PARTITIONS);
         // Sabotage: stripe 1 reads a parity address stripe 0 writes.
         let victim = ops[0].parity_writes[0].1;
@@ -464,7 +430,7 @@ mod tests {
         // only *cross-op* read/write overlap breaks phase separation.
         let code = layout_of("hv", 5);
         let layout = code.layout();
-        let mut ops = model_encode_batch(layout, 2);
+        let mut ops = lowered_encode_batch(layout, 2);
         let (cell, addr) = ops[0].parity_writes[0];
         ops[0].reads.push((cell, addr));
         let map = PartitionMap::build(2, 2);
@@ -474,7 +440,7 @@ mod tests {
     #[test]
     fn op_count_mismatch_is_rejected() {
         let code = layout_of("hv", 5);
-        let ops = model_encode_batch(code.layout(), 3);
+        let ops = lowered_encode_batch(code.layout(), 3);
         let map = PartitionMap::build(4, 2);
         assert!(matches!(
             audit_partition_hazards(&map, &ops, code.layout().cols()),

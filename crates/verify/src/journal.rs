@@ -28,7 +28,7 @@ use std::fmt;
 use raid_array::pipeline::{DiskAddr, LoweredOp};
 use raid_core::Layout;
 
-use crate::hazard::{model_encode_batch, model_rebuild_batch};
+use crate::hazard::{lowered_encode_batch, lowered_rebuild_batch};
 use crate::symbolic::SymExpr;
 
 /// Which journaling protocol to prove.
@@ -435,9 +435,9 @@ const MODEL_STRIPES: usize = 3;
 pub fn prove_layout_journal(layout: &Layout) -> Result<JournalSummary, JournalError> {
     let last = layout.cols() - 1;
     let batches = [
-        model_encode_batch(layout, MODEL_STRIPES),
-        model_rebuild_batch(layout, MODEL_STRIPES, &[0]),
-        model_rebuild_batch(layout, MODEL_STRIPES, &[0, last]),
+        lowered_encode_batch(layout, MODEL_STRIPES),
+        lowered_rebuild_batch(layout, MODEL_STRIPES, &[0]),
+        lowered_rebuild_batch(layout, MODEL_STRIPES, &[0, last]),
     ];
     let mut summary = JournalSummary { batches: 0, crash_points: 0 };
     for ops in &batches {
@@ -471,7 +471,7 @@ mod tests {
     #[test]
     fn dropped_undo_record_names_the_crash_and_address() {
         let code = build("hv", 5).unwrap();
-        let ops = model_encode_batch(code.layout(), MODEL_STRIPES);
+        let ops = lowered_encode_batch(code.layout(), MODEL_STRIPES);
         // Drop the undo record of write 3: every crash prefix that has
         // already stored write 3 (crash index >= 4) replays to a state
         // still holding the new value at its address.
@@ -494,7 +494,7 @@ mod tests {
     #[test]
     fn dropped_undo_record_is_caught_per_op_too() {
         let code = build("hv", 5).unwrap();
-        let ops = model_encode_batch(code.layout(), MODEL_STRIPES);
+        let ops = lowered_encode_batch(code.layout(), MODEL_STRIPES);
         let err = prove_batch_atomicity(&ops, JournalMode::PerOp, JournalCoverage::DropEntry(0))
             .unwrap_err();
         assert!(
@@ -507,7 +507,7 @@ mod tests {
     fn rebuild_batches_prove_in_both_modes() {
         let code = build("rdp", 5).unwrap();
         let layout = code.layout();
-        let ops = model_rebuild_batch(layout, MODEL_STRIPES, &[0, 1]);
+        let ops = lowered_rebuild_batch(layout, MODEL_STRIPES, &[0, 1]);
         for mode in [JournalMode::WholeBatch, JournalMode::PerOp] {
             let proof = prove_batch_atomicity(&ops, mode, JournalCoverage::Full)
                 .unwrap_or_else(|e| panic!("{mode}: {e}"));
@@ -518,7 +518,7 @@ mod tests {
     #[test]
     fn crash_points_cover_every_write_prefix() {
         let code = build("hv", 5).unwrap();
-        let ops = model_encode_batch(code.layout(), 2);
+        let ops = lowered_encode_batch(code.layout(), 2);
         let writes: usize =
             ops.iter().map(|o| o.data_writes.len() + o.parity_writes.len()).sum();
         let whole =

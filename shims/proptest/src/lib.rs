@@ -127,8 +127,10 @@ macro_rules! prop_oneof {
     };
 }
 
-/// Declares property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running `cases` random cases.
+/// Declares property tests: each `#[test] fn name(pat in strategy, ...)
+/// { body }` becomes a test running `cases` random cases. As upstream, the
+/// caller's own `#[test]` is what registers it; the macro adds none, so a
+/// property is one test.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -150,7 +152,6 @@ macro_rules! __proptest_impl {
        fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __config: $crate::test_runner::ProptestConfig = $cfg;
                 let mut __rng = $crate::test_runner::TestRng::for_test(stringify!($name));

@@ -1,5 +1,7 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hv_code::HvCode;
@@ -35,4 +37,33 @@ pub fn payload(len: usize, seed: u64) -> Vec<u8> {
             (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u8
         })
         .collect()
+}
+
+/// A scratch directory under the system temp dir that no other test —
+/// in this process or another — shares, removed on drop (so also when
+/// the test fails).
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Reserves `<tmp>/<tag>-<pid>-<n>` with `n` unique per process. The
+    /// directory itself is not created: `FileBackend::create` does that.
+    pub fn new(tag: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+
+    /// The reserved path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }

@@ -16,11 +16,11 @@ fn code() -> Arc<dyn ArrayCode> {
 
 #[test]
 fn chaos_hundred_episodes_per_backend_zero_violations() {
-    let dir = std::env::temp_dir().join(format!("hvraid_chaos_accept_{}", std::process::id()));
+    let dir = integration::TempDir::new("hvraid_chaos_accept");
     let cfg = ChaosConfig {
         seed: 0xACCE_97ED,
         episodes: 100,
-        dir: Some(dir.clone()),
+        dir: Some(dir.path().to_path_buf()),
         crash_sweeps: true,
         ..ChaosConfig::default()
     };
@@ -28,7 +28,6 @@ fn chaos_hundred_episodes_per_backend_zero_violations() {
         Ok(report) => report,
         Err(failure) => panic!("{failure}"),
     };
-    let _ = std::fs::remove_dir_all(&dir);
 
     // 100 in-memory + 100 file-backed episodes, all verified end-to-end.
     assert_eq!(report.episodes, 200);

@@ -247,12 +247,9 @@ proptest! {
                 // cached volume, drop it with every stripe dirty, reopen
                 // uncached, and the bytes must have made it to disk.
                 let layout = code.layout();
-                let dir = std::env::temp_dir().join(format!(
-                    "hv-cacheprop-{}-{p}-{}",
-                    code.name().replace(|c: char| !c.is_ascii_alphanumeric(), "_"),
-                    std::process::id(),
-                ));
-                let be = FileBackend::create(&dir, layout.cols(), stripes * layout.rows(), element)
+                let dir = integration::TempDir::new("hv-cacheprop");
+                let dir = dir.path();
+                let be = FileBackend::create(dir, layout.cols(), stripes * layout.rows(), element)
                     .unwrap();
                 let mut fv =
                     RaidVolume::new(Arc::clone(&code), stripes, element, Box::new(be)).unwrap();
@@ -260,12 +257,10 @@ proptest! {
                 fv.write(0, &truth).unwrap();
                 prop_assert!(fv.cache_dirty_stripes() > 0, "drop test needs dirty state");
                 drop(fv);
-                let be = FileBackend::open(&dir).unwrap();
+                let be = FileBackend::open(dir).unwrap();
                 let mut fv = RaidVolume::open(Arc::clone(&code), Box::new(be), false).unwrap();
                 let (persisted, _) = fv.read(0, cap).unwrap();
                 prop_assert_eq!(&truth, &persisted, "{} p={p} lost dirty cache on drop", code.name());
-                drop(fv);
-                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     }

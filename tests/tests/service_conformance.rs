@@ -155,15 +155,15 @@ proptest! {
 fn crash_during_coalesced_dispatch_recovers_untorn() {
     let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
     let layout = code.layout();
-    let dir = std::env::temp_dir().join(format!("hvraid_svc_crash_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = integration::TempDir::new("hvraid_svc_crash");
+    let dir = dir.path();
     let epd = STRIPES * layout.rows();
     let writers = 3usize;
 
     for k in (1u64..).step_by(7).take(24) {
         // Fresh baseline volume on disk.
         let capacity = {
-            let be = FileBackend::create(&dir, layout.cols(), epd, ELEMENT).expect("create");
+            let be = FileBackend::create(dir, layout.cols(), epd, ELEMENT).expect("create");
             let mut v = RaidVolume::new(Arc::clone(&code), STRIPES, ELEMENT, Box::new(be))
                 .expect("baseline volume");
             let capacity = v.data_elements();
@@ -175,7 +175,7 @@ fn crash_during_coalesced_dispatch_recovers_untorn() {
 
         // Serve over a backend that crashes at op k, mid dispatch.
         {
-            let be = FileBackend::open(&dir).expect("reopen");
+            let be = FileBackend::open(dir).expect("reopen");
             let faulty = FaultyBackend::new(Box::new(be), Vec::new())
                 .with_faults([Fault::CrashAtOp { at_op: k }]);
             let vol = RaidVolume::new(Arc::clone(&code), STRIPES, ELEMENT, Box::new(faulty))
@@ -200,7 +200,7 @@ fn crash_during_coalesced_dispatch_recovers_untorn() {
         }
 
         // Recover: journal replay/rollback, then parity + containment.
-        let be = FileBackend::open(&dir).expect("recover");
+        let be = FileBackend::open(dir).expect("recover");
         let mut v = RaidVolume::open(Arc::clone(&code), Box::new(be), false).expect("open");
         assert!(v.verify_all(), "crash at op {k}: parity inconsistent after recovery");
         let (bytes, _) = v.read(0, capacity).expect("read after recovery");
@@ -215,5 +215,4 @@ fn crash_during_coalesced_dispatch_recovers_untorn() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 
 use raid_array::partition::PartitionMap;
 use raid_verify::hazard::{
-    audit_partition_hazards, model_encode_batch, prove_layout_hazard_free, HazardError,
+    audit_partition_hazards, lowered_encode_batch, prove_layout_hazard_free, HazardError,
 };
 use raid_verify::journal::{
     prove_batch_atomicity, prove_layout_journal, JournalCoverage, JournalError, JournalMode,
@@ -50,7 +50,7 @@ fn overlapping_partition_write_is_rejected_naming_the_address_range() {
     let code = raid_verify::build("hv", 5).unwrap();
     let layout = code.layout();
     let map = PartitionMap::build(5, 3); // ranges [0,2) [2,4) [4,5)
-    let mut ops = model_encode_batch(layout, 5);
+    let mut ops = lowered_encode_batch(layout, 5);
 
     // Make the last stripe's op (partition 2) also write the first
     // stripe's first parity address (partition 0).
@@ -79,7 +79,7 @@ fn stale_cross_op_read_is_rejected_naming_both_ops() {
     let code = raid_verify::build("hv", 5).unwrap();
     let layout = code.layout();
     let map = PartitionMap::build(5, 3);
-    let mut ops = model_encode_batch(layout, 5);
+    let mut ops = lowered_encode_batch(layout, 5);
 
     // Op 3 now reads an address op 0 writes.
     let (cell, addr) = ops[0].parity_writes[0];
@@ -104,7 +104,7 @@ fn stale_cross_op_read_is_rejected_naming_both_ops() {
 fn dropped_undo_record_is_rejected_naming_the_crash_index() {
     let code = raid_verify::build("hv", 5).unwrap();
     let layout = code.layout();
-    let ops = model_encode_batch(layout, 3);
+    let ops = lowered_encode_batch(layout, 3);
     let (_, dropped_addr) = ops[0].parity_writes[0];
 
     for mode in [JournalMode::WholeBatch, JournalMode::PerOp] {
