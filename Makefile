@@ -22,7 +22,9 @@ bench:
 	$(CARGO) bench -p raid-bench
 
 # One iteration per benchmark: verifies every bench target runs end to end
-# (and that the BENCH_*.json files are emitted) in seconds, not minutes.
+# in seconds, not minutes. The single-iteration BENCH_*.json reports land
+# under target/bench-smoke/ (raid_bench::report::bench_report_path), never
+# over the committed repo-root baselines — only `make bench` refreshes those.
 # Then the optimizer regression gate: the plan optimizer must keep saving
 # at least 10% of the specification's encode XOR reads for the cascaded
 # codes (RDP, HDP, EVENODD) at p = 13, and must never cost any code reads
@@ -64,9 +66,10 @@ fleet-smoke:
 	$(CARGO) test -q -p integration --test reliability_invariants
 
 # Backend conformance under the partitioned executor: the same suite at
-# 2 and 4 worker threads (HV_THREADS pins the volume's partition count
-# and the file backend's I/O pool). On a 1-core host this degenerates to
-# the serial path — the point is that the answers never change.
+# 2 and 4 worker threads (HV_THREADS pins the volume's partition count and
+# the XOR workers of the batch paths — backend I/O is always issued in op
+# order on the caller's thread). The point is that the answers never
+# change with the worker count.
 threads-smoke:
 	HV_THREADS=2 $(CARGO) test -q -p integration --test backend_conformance
 	HV_THREADS=4 $(CARGO) test -q -p integration --test backend_conformance
@@ -75,8 +78,8 @@ threads-smoke:
 # ThreadSanitizer over the partitioned-executor determinism suite.
 # -Zsanitizer=thread needs a nightly toolchain with rust-src; skipped with
 # a notice when unavailable (e.g. offline containers) — the exhaustive
-# schedule models (`hvraid lint --schedules`) still prove the cursor,
-# ledger-merge, and disk-queue protocols race-free without it.
+# schedule models (`hvraid lint --schedules`) still prove the cursor and
+# ledger-merge protocols race-free without it.
 tsan-smoke:
 	@if $(CARGO) +nightly --version >/dev/null 2>&1 && \
 		rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then \
@@ -122,13 +125,13 @@ miri:
 test-kernel-audit:
 	RUSTFLAGS="--cfg kernel_audit" $(CARGO) test -q -p raid-math
 
-# The pre-merge gate: release build, full test suite, the static-analysis
-# lint gate (clippy + miri + symbolic proofs), then a bench smoke run that
-# refreshes BENCH_degraded.json (and the other BENCH_*.json files) with
-# current degraded-read throughput numbers.
+# The pre-merge gate: release build, full test suite (`make test`, so one
+# red binary cannot hide the later suites), the static-analysis lint gate
+# (clippy + miri + symbolic proofs), the smoke campaigns, then a bench
+# smoke run (every bench target still runs; committed baselines untouched).
 verify:
 	$(CARGO) build --release
-	$(CARGO) test -q
+	$(MAKE) test
 	$(MAKE) lint
 	$(MAKE) threads-smoke
 	$(MAKE) tsan-smoke

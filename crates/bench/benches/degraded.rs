@@ -119,7 +119,7 @@ fn main() {
     };
     let hv_single = mb_s("degraded_read", "HV_Code/13");
     let hv_double = mb_s("double_degraded_read", "HV_Code/7");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_degraded.json");
+    let path = raid_bench::report::bench_report_path("BENCH_degraded.json");
     let notes = [
         ("element_bytes", ELEMENT.to_string()),
         ("stripes", STRIPES.to_string()),
@@ -131,7 +131,7 @@ fn main() {
         ),
         ("xor_backend", raid_math::xor::active_backend().name().to_string()),
     ];
-    write_bench_json(std::path::Path::new(path), &records, &notes)
+    write_bench_json(&path, &records, &notes)
         .expect("write BENCH_degraded.json");
-    eprintln!("wrote {path} (HV degraded read at p=13: {hv_single} MB/s)");
+    eprintln!("wrote {} (HV degraded read at p=13: {hv_single} MB/s)", path.display());
 }

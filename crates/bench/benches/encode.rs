@@ -342,7 +342,7 @@ fn main() {
         (Some(t1), Some(tn)) if tn > 0.0 => format!("{:.2}", t1 / tn),
         _ => "n/a".to_string(),
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_encode.json");
+    let path = raid_bench::report::bench_report_path("BENCH_encode.json");
     let mut notes: Vec<(&str, String)> = vec![
         ("element_bytes", ELEMENT.to_string()),
         (
@@ -375,6 +375,9 @@ fn main() {
         ),
     ];
     notes.extend(xor_reads.iter().map(|(k, v)| (k.as_str(), v.clone())));
-    write_bench_json(std::path::Path::new(path), &records, &notes).expect("write BENCH_encode.json");
-    eprintln!("wrote {path} (hv plan speedup vs seed scalar path at p=17: {vs_seed}x)");
+    write_bench_json(&path, &records, &notes).expect("write BENCH_encode.json");
+    eprintln!(
+        "wrote {} (hv plan speedup vs seed scalar path at p=17: {vs_seed}x)",
+        path.display()
+    );
 }

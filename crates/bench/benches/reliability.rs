@@ -106,8 +106,8 @@ fn main() {
     );
     notes.push(("qos_rebuild_hv", qos_note.clone()));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_reliability.json");
-    write_bench_json(std::path::Path::new(path), &records, &notes)
+    let path = raid_bench::report::bench_report_path("BENCH_reliability.json");
+    write_bench_json(&path, &records, &notes)
         .expect("write BENCH_reliability.json");
-    eprintln!("wrote {path} (qos_rebuild_hv: {qos_note})");
+    eprintln!("wrote {} (qos_rebuild_hv: {qos_note})", path.display());
 }

@@ -193,11 +193,12 @@ fn main() {
         .collect();
     notes.extend(lat.iter().map(|(k, v)| (k.as_str(), v.clone())));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    write_bench_json(std::path::Path::new(path), &records, &notes)
+    let path = raid_bench::report::bench_report_path("BENCH_service.json");
+    write_bench_json(&path, &records, &notes)
         .expect("write BENCH_service.json");
     eprintln!(
-        "wrote {path} (io/op passthrough {:.2} -> coalesced {:.2}, -{saving:.1}%)",
+        "wrote {} (io/op passthrough {:.2} -> coalesced {:.2}, -{saving:.1}%)",
+        path.display(),
         pass.io_per_op(),
         coal.io_per_op()
     );

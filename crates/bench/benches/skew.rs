@@ -117,8 +117,8 @@ fn main() {
         .collect();
     notes.extend(io.iter().map(|(k, v)| (k.as_str(), v.clone())));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_skew.json");
-    write_bench_json(std::path::Path::new(path), &records, &notes)
+    let path = raid_bench::report::bench_report_path("BENCH_skew.json");
+    write_bench_json(&path, &records, &notes)
         .expect("write BENCH_skew.json");
-    eprintln!("wrote {path} ({})", io.iter().map(|(k, v)| format!("{k}: {v}")).collect::<Vec<_>>().join("; "));
+    eprintln!("wrote {} ({})", path.display(), io.iter().map(|(k, v)| format!("{k}: {v}")).collect::<Vec<_>>().join("; "));
 }

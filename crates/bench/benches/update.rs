@@ -160,12 +160,13 @@ fn main() {
         .collect();
     notes.extend(rendered.iter().map(|(k, v)| (k.as_str(), v.clone())));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_update.json");
-    write_bench_json(std::path::Path::new(path), &records, &notes)
+    let path = raid_bench::report::bench_report_path("BENCH_update.json");
+    write_bench_json(&path, &records, &notes)
         .expect("write BENCH_update.json");
     eprintln!(
-        "wrote {path} (HV parity writes per small write: {hv_parity}; \
+        "wrote {} (HV parity writes per small write: {hv_parity}; \
          minimal among evaluated codes: {hv_minimal}; Table-II total I/O \
-         {uncached} uncached -> {cached} cached, -{reduction_pct:.1}%)"
+         {uncached} uncached -> {cached} cached, -{reduction_pct:.1}%)",
+        path.display()
     );
 }

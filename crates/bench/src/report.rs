@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// A simple named table: one header row plus data rows of equal width.
 #[derive(Debug, Clone)]
@@ -134,6 +134,19 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Where a bench binary writes report `name` (e.g. `BENCH_encode.json`):
+/// the repo root for a full `make bench` — the committed baselines — but
+/// `target/bench-smoke/` under `RAID_BENCH_SMOKE=1`, whose single cold
+/// iteration per benchmark must not overwrite them.
+pub fn bench_report_path(name: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    if std::env::var("RAID_BENCH_SMOKE").is_ok_and(|v| v == "1") {
+        root.join("target/bench-smoke").join(name)
+    } else {
+        root.join(name)
+    }
 }
 
 /// Writes benchmark records as a machine-readable JSON report.

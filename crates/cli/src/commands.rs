@@ -113,7 +113,8 @@ commands:
                                            itemizes per-partition disk footprints,
                                            --journal itemizes crash-prefix counts,
                                            --schedules exhaustively model-checks the
-                                           executor's concurrent protocols
+                                           executor's concurrent protocols (work-stealing
+                                           cursor, ledger-shard merge)
 
 codes: hv rdp evenodd xcode hcode hdp pcode liberation";
 
@@ -1365,9 +1366,10 @@ mod tests {
             "lint", "--code", "hv", "--p", "5", "--schedules",
         ])
         .unwrap();
-        for model in ["cursor", "merge", "queue"] {
+        for model in ["cursor", "merge"] {
             assert!(out.contains(&format!("schedules: {model}")), "{model}: {out}");
         }
+        assert_eq!(out.matches("schedules: ").count(), 2, "{out}");
         assert!(out.contains("interleavings explored"), "{out}");
     }
 

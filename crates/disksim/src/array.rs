@@ -5,6 +5,7 @@ use std::fmt;
 use raid_core::io::RequestSet;
 
 use crate::profile::DiskProfile;
+use crate::queue::DiskQueues;
 
 /// Error returned when I/O targets an unusable disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +98,6 @@ impl std::error::Error for DiskError {}
 
 #[derive(Debug, Clone)]
 struct Disk {
-    /// Simulated time at which this disk finishes its current queue.
-    free_at_ms: f64,
     /// Total busy time, for utilization stats.
     busy_ms: f64,
     /// Requests served.
@@ -130,7 +129,8 @@ impl BatchRecord {
     }
 }
 
-/// A simulated disk array with per-disk FIFO queues.
+/// A simulated disk array with per-disk FIFO queues ([`DiskQueues`],
+/// issued at the array's own serializing clock).
 ///
 /// The clock advances only through [`DiskArray::run_batch`]: a batch models
 /// a set of element requests issued at the same instant (the controller
@@ -151,6 +151,7 @@ impl BatchRecord {
 pub struct DiskArray {
     profile: DiskProfile,
     disks: Vec<Disk>,
+    queues: DiskQueues,
     now_ms: f64,
     log: Vec<BatchRecord>,
     logging: bool,
@@ -158,13 +159,15 @@ pub struct DiskArray {
 
 impl DiskArray {
     /// Creates an array of `disks` identical disks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `disks` is zero.
     pub fn new(disks: usize, profile: DiskProfile) -> Self {
         DiskArray {
             profile,
-            disks: vec![
-                Disk { free_at_ms: 0.0, busy_ms: 0.0, served: 0, failed: false };
-                disks
-            ],
+            disks: vec![Disk { busy_ms: 0.0, served: 0, failed: false }; disks],
+            queues: DiskQueues::new(disks, profile),
             now_ms: 0.0,
             log: Vec::new(),
             logging: false,
@@ -268,27 +271,24 @@ impl DiskArray {
         }
         let service = self.profile.element_service_ms();
         let start = self.now_ms;
-        let mut makespan_end = start;
-        for (disk, &n) in self.disks.iter_mut().zip(&per_disk) {
+        let makespan = self.queues.issue(start, &per_disk);
+        for (d, (disk, &n)) in self.disks.iter_mut().zip(&per_disk).enumerate() {
             if n == 0 {
                 continue;
             }
-            let begin = disk.free_at_ms.max(start);
-            let end = begin + n as f64 * service;
-            disk.free_at_ms = end;
             disk.busy_ms += n as f64 * service;
             disk.served += n;
-            makespan_end = makespan_end.max(end);
+            // Serialize: the clock moves past the batch's slowest disk.
+            self.now_ms = self.now_ms.max(self.queues.busy_until_ms(d));
         }
-        self.now_ms = makespan_end;
         if self.logging {
             self.log.push(BatchRecord {
                 start_ms: start,
-                end_ms: makespan_end,
+                end_ms: self.now_ms,
                 io: requests.clone(),
             });
         }
-        Ok(makespan_end - start)
+        Ok(makespan)
     }
 
     /// Per-disk utilization over the elapsed simulated time (0 if idle).

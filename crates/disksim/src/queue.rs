@@ -1,10 +1,10 @@
 //! Concurrent-issue queueing: per-operation latency when several
 //! operations are in flight at the same instant.
 //!
-//! [`crate::array::DiskArray`] serializes batches — it advances its clock
-//! to each batch's makespan before the next one is issued, so two
-//! operations never contend and a batch's makespan is its *isolated*
-//! latency. That is the right model for throughput questions ("how long
+//! [`crate::array::DiskArray`] issues through these same queues but
+//! serializes batches — it advances its clock to each batch's makespan
+//! before the next one is issued, so two operations never contend and a
+//! batch's makespan is its *isolated* latency. That is the right model for throughput questions ("how long
 //! does this whole rebuild take?") but cannot express the fleet harness's
 //! QoS question: *how much does a rebuild burst issued in the same
 //! scheduling tick inflate a foreground write's latency?*

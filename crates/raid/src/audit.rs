@@ -212,9 +212,9 @@ pub fn audit_lowered(
     Ok(())
 }
 
-/// The [`RequestSet`] executing `op` must commit — derived from the op
-/// alone, without touching any backend. The pipeline debug-asserts its
-/// committed set equals this prediction, pinning ledger accounting to the
+/// The [`RequestSet`] executing `op` commits — derived from the op alone,
+/// without touching any backend. The pipeline times and absorbs exactly
+/// this set once the op's I/O succeeded, pinning ledger accounting to the
 /// IR rather than to execution side effects.
 pub fn predicted_request_set(op: &LoweredOp, disks: usize) -> RequestSet {
     let mut rs = RequestSet::new(disks);

@@ -74,43 +74,6 @@ impl RebuildCheckpoint {
     }
 }
 
-/// One element request of a batched submission — the io_uring-shaped
-/// "submission queue entry" of [`DiskBackend::submit_batch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiskRequest {
-    /// Read element `index` of `disk`.
-    Read {
-        /// Physical disk.
-        disk: usize,
-        /// Element index on that disk.
-        index: usize,
-    },
-    /// Write `data` (exactly [`DiskBackend::element_size`] bytes) to
-    /// element `index` of `disk`.
-    Write {
-        /// Physical disk.
-        disk: usize,
-        /// Element index on that disk.
-        index: usize,
-        /// The bytes to write.
-        data: Vec<u8>,
-    },
-}
-
-impl DiskRequest {
-    /// The disk this request addresses.
-    pub fn disk(&self) -> usize {
-        match self {
-            DiskRequest::Read { disk, .. } | DiskRequest::Write { disk, .. } => *disk,
-        }
-    }
-}
-
-/// One completed entry of a [`DiskBackend::submit_batch`] call:
-/// `Ok(Some(bytes))` for a served read, `Ok(None)` for a served write,
-/// `Err` for a per-request failure.
-pub type DiskCompletion = Result<Option<Vec<u8>>, DiskError>;
-
 /// The element read/write/fault surface of one disk array.
 pub trait DiskBackend: Send {
     /// Number of disks.
@@ -139,32 +102,6 @@ pub trait DiskBackend: Send {
     /// Returns [`DiskError`] for bad addresses, failed disks, or medium
     /// errors.
     fn write(&mut self, disk: usize, index: usize, data: &[u8]) -> Result<(), DiskError>;
-
-    /// Submits a batch of element requests and returns one completion per
-    /// request, in submission order. Nothing in the contract requires the
-    /// requests to be served sequentially — a backend may reorder or
-    /// parallelize internally — but completions always line up with their
-    /// submissions, and each request succeeds or fails on its own (a
-    /// failed entry never poisons its neighbors).
-    ///
-    /// The default implementation serves the batch sequentially through
-    /// [`DiskBackend::read`] / [`DiskBackend::write`], which keeps
-    /// op-count-triggered fault schedules deterministic; backends with a
-    /// real parallel substrate (see [`FileBackend`]) override it.
-    fn submit_batch(&mut self, batch: &[DiskRequest]) -> Vec<DiskCompletion> {
-        batch
-            .iter()
-            .map(|req| match req {
-                DiskRequest::Read { disk, index } => {
-                    let mut buf = vec![0u8; self.element_size()];
-                    self.read(*disk, *index, &mut buf).map(|()| Some(buf))
-                }
-                DiskRequest::Write { disk, index, data } => {
-                    self.write(*disk, *index, data).map(|()| None)
-                }
-            })
-            .collect()
-    }
 
     /// Marks `disk` failed: every subsequent request to it errors until
     /// [`DiskBackend::replace`].
@@ -380,9 +317,6 @@ pub struct FileBackend {
     files: Vec<File>,
     failed: Vec<bool>,
     recovered: Option<JournalRecovery>,
-    /// Worker threads for [`DiskBackend::submit_batch`]; defaults to the
-    /// host's logical core count, clamped per batch to the disks touched.
-    io_threads: usize,
 }
 
 const JOURNAL_MAGIC: &[u8; 4] = b"HVJ1";
@@ -508,7 +442,6 @@ impl FileBackend {
             files,
             failed: vec![false; disks],
             recovered: None,
-            io_threads: default_io_threads(),
         })
     }
 
@@ -552,7 +485,6 @@ impl FileBackend {
             files,
             failed,
             recovered: None,
-            io_threads: default_io_threads(),
         };
         backend.recover_journal()?;
         Ok(backend)
@@ -605,16 +537,6 @@ impl FileBackend {
         &self.dir
     }
 
-    /// Caps the worker threads [`DiskBackend::submit_batch`] may use
-    /// (`0` and `1` both mean sequential).
-    pub fn set_io_threads(&mut self, threads: usize) {
-        self.io_threads = threads.max(1);
-    }
-}
-
-/// Default `submit_batch` parallelism: one worker per logical core.
-fn default_io_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 impl DiskBackend for FileBackend {
@@ -650,92 +572,6 @@ impl DiskBackend for FileBackend {
         f.seek(SeekFrom::Start((index * self.element_size) as u64))
             .and_then(|_| f.write_all(data))
             .map_err(|_| DiskError::Io { disk })
-    }
-
-    /// Thread-pooled batch submission: requests are grouped per disk and
-    /// distinct disks are served concurrently with positioned I/O
-    /// (`pread`/`pwrite`, no shared seek cursor). Requests to the *same*
-    /// disk stay in submission order, so a read after a write in one
-    /// batch observes the write — the same ordering the sequential
-    /// default provides.
-    #[cfg(unix)]
-    fn submit_batch(&mut self, batch: &[DiskRequest]) -> Vec<DiskCompletion> {
-        use std::os::unix::fs::FileExt;
-        let es = self.element_size;
-        let mut results: Vec<Option<DiskCompletion>> =
-            (0..batch.len()).map(|_| None).collect();
-        // Per-disk queues of batch positions; bad addresses and failed
-        // disks complete inline, exactly like the sequential path.
-        let mut queues: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut by_disk: BTreeMap<usize, usize> = BTreeMap::new();
-        for (i, req) in batch.iter().enumerate() {
-            let (disk, index) = match req {
-                DiskRequest::Read { disk, index } => (*disk, *index),
-                DiskRequest::Write { disk, index, .. } => (*disk, *index),
-            };
-            if let Err(e) = check_addr(self.files.len(), self.elements_per_disk, disk, index)
-            {
-                results[i] = Some(Err(e));
-                continue;
-            }
-            if self.failed[disk] {
-                results[i] = Some(Err(DiskError::DiskFailed { disk }));
-                continue;
-            }
-            let q = *by_disk.entry(disk).or_insert_with(|| {
-                queues.push((disk, Vec::new()));
-                queues.len() - 1
-            });
-            queues[q].1.push(i);
-        }
-        let files = &self.files;
-        let serve = |i: usize| -> DiskCompletion {
-            let offset = |index: usize| (index * es) as u64;
-            match &batch[i] {
-                DiskRequest::Read { disk, index } => {
-                    let mut buf = vec![0u8; es];
-                    files[*disk]
-                        .read_exact_at(&mut buf, offset(*index))
-                        .map(|()| Some(buf))
-                        .map_err(|_| DiskError::Io { disk: *disk })
-                }
-                DiskRequest::Write { disk, index, data } => files[*disk]
-                    .write_all_at(data, offset(*index))
-                    .map(|()| None)
-                    .map_err(|_| DiskError::Io { disk: *disk }),
-            }
-        };
-        let workers = self.io_threads.clamp(1, queues.len().max(1));
-        let served: Vec<(usize, DiskCompletion)> = if workers <= 1 {
-            queues
-                .iter()
-                .flat_map(|(_, idxs)| idxs.iter().map(|&i| (i, serve(i))))
-                .collect()
-        } else {
-            let chunk = queues.len().div_ceil(workers);
-            let serve = &serve;
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = queues
-                    .chunks(chunk)
-                    .map(|qs| {
-                        s.spawn(move |_| {
-                            qs.iter()
-                                .flat_map(|(_, idxs)| idxs.iter().map(|&i| (i, serve(i))))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("submit_batch worker panicked"))
-                    .collect()
-            })
-            .expect("submit_batch scope failed")
-        };
-        for (i, completion) in served {
-            results[i] = Some(completion);
-        }
-        results.into_iter().map(|r| r.expect("request neither served nor rejected")).collect()
     }
 
     fn fail(&mut self, disk: usize) -> Result<(), DiskError> {
@@ -1085,28 +921,6 @@ impl DiskBackend for FaultyBackend {
         r
     }
 
-    /// Batched submission stays strictly sequential and per-request:
-    /// every entry goes through this wrapper's own `read`/`write` (one
-    /// `tick` each, faults applied individually), never the inner
-    /// backend's parallel path. This pins two properties chaos depends
-    /// on: op-count-triggered faults (`FaultPoint`, `CrashAtOp`) fire at
-    /// the same request whether the caller batched or not, and a fault
-    /// on one entry fails exactly that entry.
-    fn submit_batch(&mut self, batch: &[DiskRequest]) -> Vec<DiskCompletion> {
-        batch
-            .iter()
-            .map(|req| match req {
-                DiskRequest::Read { disk, index } => {
-                    let mut buf = vec![0u8; self.element_size()];
-                    self.read(*disk, *index, &mut buf).map(|()| Some(buf))
-                }
-                DiskRequest::Write { disk, index, data } => {
-                    self.write(*disk, *index, data).map(|()| None)
-                }
-            })
-            .collect()
-    }
-
     fn fail(&mut self, disk: usize) -> Result<(), DiskError> {
         self.guard_crash()?;
         self.inner.fail(disk)
@@ -1338,164 +1152,6 @@ mod tests {
         let b = FileBackend::open(&dir).unwrap();
         assert!(!b.is_failed(2), "replacement must clear the marker");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A mixed batch touching several disks, including one stale read
-    /// that a same-batch earlier write must satisfy.
-    fn sample_batch(es: usize) -> Vec<DiskRequest> {
-        vec![
-            DiskRequest::Write { disk: 0, index: 1, data: vec![0xAA; es] },
-            DiskRequest::Write { disk: 2, index: 0, data: vec![0xBB; es] },
-            DiskRequest::Read { disk: 0, index: 1 },
-            DiskRequest::Read { disk: 1, index: 3 },
-            DiskRequest::Read { disk: 2, index: 0 },
-        ]
-    }
-
-    fn assert_batch_completions(results: &[DiskCompletion], es: usize) {
-        assert_eq!(results.len(), 5);
-        assert_eq!(results[0], Ok(None));
-        assert_eq!(results[1], Ok(None));
-        assert_eq!(results[2], Ok(Some(vec![0xAA; es])), "read must see same-batch write");
-        assert_eq!(results[3], Ok(Some(vec![0u8; es])));
-        assert_eq!(results[4], Ok(Some(vec![0xBB; es])));
-    }
-
-    #[test]
-    fn submit_batch_default_matches_singles() {
-        let mut b = MemBackend::new(3, 4, 8);
-        let results = b.submit_batch(&sample_batch(8));
-        assert_batch_completions(&results, 8);
-        // Per-request failure isolation: a bad address fails alone.
-        let results = b.submit_batch(&[
-            DiskRequest::Read { disk: 9, index: 0 },
-            DiskRequest::Read { disk: 0, index: 1 },
-        ]);
-        assert_eq!(results[0], Err(DiskError::NoSuchDisk { disk: 9 }));
-        assert_eq!(results[1], Ok(Some(vec![0xAA; 8])));
-    }
-
-    #[test]
-    fn submit_batch_file_parallel_matches_sequential() {
-        let dir = std::env::temp_dir().join(format!("hvraid-sb-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
-        for threads in [1usize, 2, 4] {
-            b.set_io_threads(threads);
-            let results = b.submit_batch(&sample_batch(8));
-            assert_batch_completions(&results, 8);
-        }
-        // Failed disks and bad addresses complete per-request.
-        b.fail(1).unwrap();
-        b.set_io_threads(4);
-        let results = b.submit_batch(&[
-            DiskRequest::Read { disk: 1, index: 0 },
-            DiskRequest::Read { disk: 0, index: 99 },
-            DiskRequest::Read { disk: 2, index: 0 },
-        ]);
-        assert_eq!(results[0], Err(DiskError::DiskFailed { disk: 1 }));
-        assert_eq!(results[1], Err(DiskError::Io { disk: 0 }));
-        assert_eq!(results[2], Ok(Some(vec![0xBB; 8])));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn submit_batch_faulty_ticks_per_request() {
-        // A crash at op 3 must fail the 3rd batched request and every
-        // later one, while earlier entries complete — batching must not
-        // change where op-count faults land.
-        let mut b = FaultyBackend::new(Box::new(MemBackend::new(3, 4, 8)), Vec::new())
-            .with_faults([Fault::CrashAtOp { at_op: 3 }]);
-        let results = b.submit_batch(&sample_batch(8));
-        assert_eq!(results[0], Ok(None));
-        assert_eq!(results[1], Ok(None));
-        assert_eq!(results[2], Err(DiskError::Crashed));
-        assert_eq!(results[3], Err(DiskError::Crashed));
-        assert_eq!(results[4], Err(DiskError::Crashed));
-
-        // Transients hit individual reads inside a batch.
-        let mut b = FaultyBackend::new(Box::new(MemBackend::new(3, 4, 8)), Vec::new())
-            .with_faults([Fault::Transient { disk: 1, ops: 1 }]);
-        let results = b.submit_batch(&[
-            DiskRequest::Read { disk: 1, index: 0 },
-            DiskRequest::Read { disk: 1, index: 0 },
-        ]);
-        assert_eq!(results[0], Err(DiskError::Transient { disk: 1 }));
-        assert_eq!(results[1], Ok(Some(vec![0u8; 8])));
-        assert_eq!(b.ops(), 2);
-    }
-
-    #[test]
-    fn faulty_op_count_schedules_fire_identically_singly_and_batched() {
-        // The FaultyBackend deliberately keeps the strictly sequential
-        // default submit_batch so its op counter — the clock every
-        // schedule is expressed in — advances identically whether the
-        // caller issues requests one by one or as a batch. Sweep the
-        // trigger across every position of a 5-request workload, with a
-        // FaultPoint (disk death), a CrashAtOp, and sector-level faults
-        // in the mix, and require bit-identical outcomes.
-        let schedules: Vec<(Vec<FaultPoint>, Vec<Fault>)> = (1..=6)
-            .flat_map(|at| {
-                vec![
-                    (vec![FaultPoint { at_op: at, disk: 0 }], vec![]),
-                    (vec![], vec![Fault::CrashAtOp { at_op: at }]),
-                ]
-            })
-            .chain([
-                (vec![], vec![Fault::Transient { disk: 1, ops: 1 }]),
-                (vec![], vec![Fault::LatentSector { disk: 1, index: 3 }]),
-                (
-                    vec![FaultPoint { at_op: 4, disk: 2 }],
-                    vec![Fault::Transient { disk: 0, ops: 2 }],
-                ),
-            ])
-            .collect();
-        for (points, faults) in schedules {
-            let make = || {
-                FaultyBackend::new(Box::new(MemBackend::new(3, 4, 8)), points.clone())
-                    .with_faults(faults.iter().copied())
-            };
-            let batch = sample_batch(8);
-
-            let mut singly = make();
-            let single_results: Vec<DiskCompletion> = batch
-                .iter()
-                .map(|req| match req {
-                    DiskRequest::Read { disk, index } => {
-                        let mut buf = vec![0u8; 8];
-                        singly.read(*disk, *index, &mut buf).map(|()| Some(buf))
-                    }
-                    DiskRequest::Write { disk, index, data } => {
-                        singly.write(*disk, *index, data).map(|()| None)
-                    }
-                })
-                .collect();
-
-            let mut batched = make();
-            let batch_results = batched.submit_batch(&batch);
-
-            let label = format!("points {points:?} faults {faults:?}");
-            assert_eq!(single_results, batch_results, "{label}");
-            assert_eq!(singly.ops(), batched.ops(), "{label}: op clocks diverged");
-            assert_eq!(singly.crashed(), batched.crashed(), "{label}");
-            for disk in 0..3 {
-                assert_eq!(singly.is_failed(disk), batched.is_failed(disk), "{label}");
-            }
-            // Whatever reached the disks must match too: restart both
-            // "processes" and compare every element.
-            singly.clear_crash();
-            batched.clear_crash();
-            for disk in 0..3 {
-                for index in 0..4 {
-                    let mut a = vec![0u8; 8];
-                    let mut b = vec![0u8; 8];
-                    let ra = singly.read(disk, index, &mut a);
-                    let rb = batched.read(disk, index, &mut b);
-                    assert_eq!(ra, rb, "{label}: ({disk},{index})");
-                    assert_eq!(a, b, "{label}: bytes at ({disk},{index})");
-                }
-            }
-        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod volume;
 
 pub use addr::Addressing;
 pub use backend::{
-    DiskBackend, DiskCompletion, DiskRequest, Fault, FaultPoint, FaultyBackend, FileBackend,
+    DiskBackend, Fault, FaultPoint, FaultyBackend, FileBackend,
     JournalEntry, JournalRecovery, MemBackend, RebuildCheckpoint, VolumeMeta,
 };
 pub use cache::CacheConfig;

@@ -13,7 +13,7 @@ use disk_sim::{DiskArray, DiskError};
 use raid_core::io::{IoLedger, LedgerShard, RequestSet};
 use raid_core::{Cell, Stripe, XorPlan};
 
-use crate::backend::{DiskBackend, DiskRequest, JournalEntry};
+use crate::backend::{DiskBackend, JournalEntry};
 use crate::partition::{run_partitioned, PartitionMap};
 
 /// A flat element address on the backend.
@@ -62,9 +62,9 @@ pub struct IoPipeline {
     /// Simulated latency accumulated by the current operation (reset via
     /// [`IoPipeline::begin_op`]).
     op_latency_ms: f64,
-    /// Recycled pre-image buffers for the crash-journal write phase. Every
-    /// op used to allocate one fresh `Vec<u8>` per write target; the pool
-    /// caps steady-state allocation at the largest write set seen so far.
+    /// Recycled pre-image buffers for the crash-journal write phase:
+    /// steady-state allocation is capped at the largest single-op write
+    /// set seen so far (a batch returns no more than that).
     pre_image_pool: Vec<Vec<u8>>,
 }
 
@@ -149,9 +149,9 @@ impl IoPipeline {
         self.op_latency_ms
     }
 
-    /// Executes one lowered op: fetch reads into `scratch`, run the XOR
-    /// plan, store the writes, then commit the request set to the
-    /// simulator and ledger. Returns the committed set.
+    /// Executes one lowered op — the batch of one: fetch reads into
+    /// `scratch`, run the XOR plan, store the writes, then commit the
+    /// request set to the simulator and ledger. Returns the committed set.
     ///
     /// The write phase is atomic with respect to surviving disks: if a
     /// write fails mid-op, already-stored elements are restored from their
@@ -165,134 +165,19 @@ impl IoPipeline {
     /// Returns the backend's [`DiskError`]; nothing is committed to the
     /// simulator or ledger in that case.
     pub fn execute(&mut self, op: &LoweredOp, scratch: &mut Stripe) -> Result<RequestSet, DiskError> {
-        // Debug builds statically audit every op before touching the
-        // backend: structural defects in the IR (out-of-scratch cells,
-        // duplicate reads/writes, plan/scratch shape skew) are lowering
-        // bugs, and executing them would silently corrupt elements.
-        #[cfg(debug_assertions)]
-        if let Err(e) = crate::audit::audit_lowered(
-            op,
-            scratch.rows(),
-            scratch.cols(),
-            self.backend.disks(),
-            None,
-        ) {
-            panic!("lowered op failed static audit: {e}");
-        }
-
-        let mut rs = RequestSet::new(self.backend.disks());
-
-        for &(cell, addr) in &op.reads {
-            self.backend.read(addr.disk, addr.index, scratch.element_mut(cell))?;
-            rs.add_read(addr.disk);
-        }
-
-        if let Some(plan) = &op.plan {
-            plan.execute(scratch);
-        }
-
-        // Write phase, crash-consistently: first gather every target's
-        // pre-image (unaccounted internal reads), journal them durably,
-        // then apply the writes. A mid-phase disk death is rolled back in
-        // place from the pre-images; a crash leaves the journal behind for
-        // reopen-time rollback, so the multi-element update is atomic even
-        // across process death.
-        let es = self.backend.element_size();
-        let targets: Vec<(Cell, DiskAddr)> =
-            op.data_writes.iter().chain(&op.parity_writes).copied().collect();
-        let mut entries: Vec<JournalEntry> = Vec::with_capacity(targets.len());
-        let write_result = (|| -> Result<(), DiskError> {
-            for &(_, addr) in &targets {
-                let mut pre = self.pre_image_pool.pop().unwrap_or_default();
-                pre.resize(es, 0);
-                match self.backend.read(addr.disk, addr.index, &mut pre) {
-                    // A full-element read overwrites any recycled contents.
-                    Ok(()) => {}
-                    // An unreadable sector we are about to overwrite: the
-                    // write remaps it, and zeros are as good an undo image
-                    // as any for a sector that had no readable contents.
-                    Err(DiskError::LatentSector { .. }) => pre.fill(0),
-                    Err(e) => {
-                        self.pre_image_pool.push(pre);
-                        return Err(e);
-                    }
-                }
-                entries.push(JournalEntry { disk: addr.disk, index: addr.index, data: pre });
-            }
-            if !targets.is_empty() {
-                self.backend.journal_begin(&entries)?;
-            }
-            let mut failed: Option<(usize, DiskError)> = None;
-            for (i, &(cell, addr)) in targets.iter().enumerate() {
-                if let Err(e) = self.backend.write(addr.disk, addr.index, scratch.element(cell))
-                {
-                    failed = Some((i, e));
-                    break;
-                }
-            }
-            if let Some((written, e)) = failed {
-                // Roll the completed writes back in place. A rollback write
-                // to the disk that just died is fine to skip (its content
-                // is invalid until rebuilt); any other rollback failure —
-                // above all a crash — means the in-place undo is
-                // incomplete, so the journal must survive for reopen-time
-                // recovery.
-                let mut undo_ok = true;
-                for entry in entries[..written].iter().rev() {
-                    match self.backend.write(entry.disk, entry.index, &entry.data) {
-                        Ok(()) | Err(DiskError::DiskFailed { .. }) => {}
-                        Err(_) => undo_ok = false,
-                    }
-                }
-                if undo_ok && !targets.is_empty() {
-                    let _ = self.backend.journal_commit();
-                }
-                return Err(e);
-            }
-            if !targets.is_empty() {
-                // If the commit itself fails (crash between the last write
-                // and here), the journal survives and reopen rolls the
-                // whole op back — consistent with reporting the op as
-                // failed.
-                self.backend.journal_commit()?;
-            }
-            Ok(())
-        })();
-        // Return the pre-image buffers to the pool whatever happened:
-        // `journal_begin` made its own durable copy, and the in-place undo
-        // (if any) already ran above.
-        self.pre_image_pool.extend(entries.into_iter().map(|e| e.data));
-        write_result?;
-        for &(_, addr) in &op.data_writes {
-            rs.add_data_write(addr.disk);
-        }
-        for &(_, addr) in &op.parity_writes {
-            rs.add_parity_write(addr.disk);
-        }
-        debug_assert_eq!(
-            rs,
-            crate::audit::predicted_request_set(op, self.backend.disks()),
-            "committed request set diverged from the statically predicted one"
-        );
-
-        if let Some(sim) = &mut self.sim {
-            self.op_latency_ms += sim.run_requests(&rs)?;
-        }
-        self.ledger.absorb(&rs);
-        Ok(rs)
+        let batch = std::slice::from_mut(scratch);
+        let mut sets = self.run(std::slice::from_ref(op), batch, |s| run_plan(op, &mut s[0]))?;
+        Ok(sets.pop().expect("one request set per op"))
     }
 
     /// Executes one lowered op per stripe scratch under partitioned
-    /// ownership: reads are batched through
-    /// [`DiskBackend::submit_batch`], the XOR plans run on up to
-    /// `threads` partitioned workers (work-stealing for skew), and the
-    /// write phase commits under **one** undo journal covering the whole
-    /// batch — all-or-nothing, strictly stronger than committing each op
-    /// under its own journal. Accounting is shard-local: each worker
-    /// absorbs its ops' request sets into a private [`LedgerShard`];
-    /// on success the shards are merged (order-independently) into the
-    /// cumulative ledger and returned alongside the per-op request sets,
-    /// so callers can audit the merge against the receipts.
+    /// ownership: the XOR plans run on up to `threads` partitioned workers
+    /// (work-stealing for skew), and the write phase commits under **one**
+    /// undo journal covering the whole batch — all-or-nothing, strictly
+    /// stronger than committing each op under its own journal. Each worker
+    /// also absorbs its ops' request sets into a private [`LedgerShard`],
+    /// returned alongside the per-op request sets so callers can audit the
+    /// (order-independent) shard merge against the receipts.
     ///
     /// Byte-identical to looping [`IoPipeline::execute`] over the ops:
     /// phases touch the backend in op order, and stripes are independent
@@ -319,6 +204,37 @@ impl IoPipeline {
         assert_eq!(ops.len(), scratches.len(), "one scratch per op");
         assert_eq!(map.stripes(), ops.len(), "partition map does not fit the batch");
         let disks = self.backend.disks();
+        let mut shards = Vec::new();
+        let sets = self.run(ops, scratches, |scratches| {
+            (_, shards) = run_partitioned(map, disks, scratches, threads, |shard, i, scratch| {
+                run_plan(&ops[i], scratch);
+                shard.absorb(&crate::audit::predicted_request_set(&ops[i], disks));
+            });
+        })?;
+        debug_assert_eq!(
+            shards.iter().map(|s| s.total()).sum::<u64>(),
+            sets.iter().map(RequestSet::total).sum::<u64>(),
+            "shard totals diverged from the per-op receipts"
+        );
+        Ok((sets, shards))
+    }
+
+    /// The one executor behind both entry points. Every op's reads land in
+    /// its scratch, `compute` runs the plans, every op's writes are stored
+    /// under one undo journal ([`Self::store`]), and only then are the
+    /// request sets — derived from the ops alone — timed by the simulator
+    /// and absorbed into the ledger.
+    fn run(
+        &mut self,
+        ops: &[LoweredOp],
+        scratches: &mut [Stripe],
+        compute: impl FnOnce(&mut [Stripe]),
+    ) -> Result<Vec<RequestSet>, DiskError> {
+        let disks = self.backend.disks();
+        // Debug builds statically audit every op before touching the
+        // backend: structural defects in the IR (out-of-scratch cells,
+        // duplicate reads/writes, plan/scratch shape skew) are lowering
+        // bugs, and executing them would silently corrupt elements.
         #[cfg(debug_assertions)]
         for (op, scratch) in ops.iter().zip(scratches.iter()) {
             if let Err(e) =
@@ -328,98 +244,76 @@ impl IoPipeline {
             }
         }
 
-        // Phase 1 — every op's reads, one batched submission in op order.
-        let read_reqs: Vec<DiskRequest> = ops
-            .iter()
-            .flat_map(|op| {
-                op.reads
-                    .iter()
-                    .map(|&(_, a)| DiskRequest::Read { disk: a.disk, index: a.index })
-            })
-            .collect();
-        let mut completions = self.backend.submit_batch(&read_reqs).into_iter();
         for (op, scratch) in ops.iter().zip(scratches.iter_mut()) {
-            for &(cell, _) in &op.reads {
-                let bytes = completions
-                    .next()
-                    .expect("one completion per submitted read")?
-                    .expect("read completions carry bytes");
-                scratch.element_mut(cell).copy_from_slice(&bytes);
+            for &(cell, addr) in &op.reads {
+                self.backend.read(addr.disk, addr.index, scratch.element_mut(cell))?;
             }
         }
+        compute(scratches);
+        self.store(ops, scratches)?;
 
-        // Phase 2 — partitioned compute with shard-local accounting: the
-        // worker that runs an op's plan also absorbs its (statically
-        // predicted, later re-derived) request set into its own shard.
-        let (_, shards) =
-            run_partitioned(map, disks, scratches, threads, |shard, i, scratch| {
-                let op = &ops[i];
-                if let Some(plan) = &op.plan {
-                    plan.execute(scratch);
-                }
-                shard.absorb(&crate::audit::predicted_request_set(op, disks));
-            });
+        let sets: Vec<RequestSet> =
+            ops.iter().map(|op| crate::audit::predicted_request_set(op, disks)).collect();
+        if let Some(sim) = &mut self.sim {
+            for rs in &sets {
+                self.op_latency_ms += sim.run_requests(rs)?;
+            }
+        }
+        for rs in &sets {
+            self.ledger.absorb(rs);
+        }
+        Ok(sets)
+    }
 
-        // Phase 3 — the batch's write phase under a single undo journal:
-        // gather every target's pre-image (batched, unaccounted), journal
-        // them durably as one record, then submit the writes. Any failed
-        // entry rolls the whole batch back in place; a crash leaves the
-        // journal for reopen-time rollback of everything.
-        let targets: Vec<(Cell, DiskAddr)> = ops
+    /// The write phase, crash-consistently: gather every target's
+    /// pre-image (unaccounted internal reads), journal them durably as one
+    /// record, then apply the writes in target order. A mid-phase disk
+    /// death is rolled back in place from the pre-images; a crash leaves
+    /// the journal behind for reopen-time rollback, so the multi-element
+    /// update is atomic even across process death.
+    fn store(&mut self, ops: &[LoweredOp], scratches: &[Stripe]) -> Result<(), DiskError> {
+        let targets: Vec<(DiskAddr, &[u8])> = ops
             .iter()
-            .flat_map(|op| op.data_writes.iter().chain(&op.parity_writes).copied())
+            .zip(scratches)
+            .flat_map(|(op, scratch)| {
+                let cells = op.data_writes.iter().chain(&op.parity_writes);
+                cells.map(move |&(cell, addr)| (addr, scratch.element(cell)))
+            })
             .collect();
-        if !targets.is_empty() {
-            let pre_reqs: Vec<DiskRequest> = targets
-                .iter()
-                .map(|&(_, a)| DiskRequest::Read { disk: a.disk, index: a.index })
-                .collect();
-            let mut entries: Vec<JournalEntry> = Vec::with_capacity(targets.len());
-            for (completion, &(_, addr)) in
-                self.backend.submit_batch(&pre_reqs).into_iter().zip(&targets)
-            {
-                let data = match completion {
-                    Ok(bytes) => bytes.expect("read completions carry bytes"),
-                    // An unreadable sector about to be overwritten: the
-                    // write remaps it; zeros are as good an undo image as
-                    // any for a sector with no readable contents.
-                    Err(DiskError::LatentSector { .. }) => {
-                        vec![0; self.backend.element_size()]
+        if targets.is_empty() {
+            return Ok(());
+        }
+        let es = self.backend.element_size();
+        let mut entries: Vec<JournalEntry> = Vec::with_capacity(targets.len());
+        let result = (|| -> Result<(), DiskError> {
+            for &(addr, _) in &targets {
+                let mut pre = self.pre_image_pool.pop().unwrap_or_default();
+                pre.resize(es, 0);
+                match self.backend.read(addr.disk, addr.index, &mut pre) {
+                    // A full-element read overwrites any recycled contents.
+                    Ok(()) => {}
+                    // An unreadable sector we are about to overwrite: the
+                    // write remaps it, and zeros are as good an undo image
+                    // as any for a sector that had no readable contents.
+                    Err(DiskError::LatentSector { .. }) => pre.fill(0),
+                    Err(e) => {
+                        self.pre_image_pool.push(pre);
+                        return Err(e);
                     }
-                    Err(e) => return Err(e),
-                };
-                entries.push(JournalEntry { disk: addr.disk, index: addr.index, data });
+                }
+                entries.push(JournalEntry { disk: addr.disk, index: addr.index, data: pre });
             }
             self.backend.journal_begin(&entries)?;
-
-            let mut write_reqs: Vec<DiskRequest> = Vec::with_capacity(targets.len());
-            for (op, scratch) in ops.iter().zip(scratches.iter()) {
-                for &(cell, a) in op.data_writes.iter().chain(&op.parity_writes) {
-                    write_reqs.push(DiskRequest::Write {
-                        disk: a.disk,
-                        index: a.index,
-                        data: scratch.element(cell).to_vec(),
-                    });
-                }
-            }
-            let write_completions = self.backend.submit_batch(&write_reqs);
-            if let Some(first_err) = write_completions
-                .iter()
-                .find_map(|c| c.as_ref().err())
-                .cloned()
-            {
-                // Roll every *stored* element back in place, newest first.
-                // A rollback write to a disk that just died is fine to
-                // skip (its content is invalid until rebuilt); any other
-                // rollback failure means the in-place undo is incomplete,
-                // so the journal must survive for reopen-time recovery.
+            for (written, &(addr, bytes)) in targets.iter().enumerate() {
+                let Err(e) = self.backend.write(addr.disk, addr.index, bytes) else { continue };
+                // Roll the completed writes back in place. A rollback write
+                // to the disk that just died is fine to skip (its content
+                // is invalid until rebuilt); any other rollback failure —
+                // above all a crash — means the in-place undo is
+                // incomplete, so the journal must survive for reopen-time
+                // recovery.
                 let mut undo_ok = true;
-                for (entry, completion) in
-                    entries.iter().zip(&write_completions).rev()
-                {
-                    if completion.is_err() {
-                        continue;
-                    }
+                for entry in entries[..written].iter().rev() {
                     match self.backend.write(entry.disk, entry.index, &entry.data) {
                         Ok(()) | Err(DiskError::DiskFailed { .. }) => {}
                         Err(_) => undo_ok = false,
@@ -428,40 +322,94 @@ impl IoPipeline {
                 if undo_ok {
                     let _ = self.backend.journal_commit();
                 }
-                return Err(first_err);
+                return Err(e);
             }
-            self.backend.journal_commit()?;
-        }
+            // If the commit itself fails (crash between the last write and
+            // here), the journal survives and reopen rolls everything back
+            // — consistent with reporting the ops as failed.
+            self.backend.journal_commit()
+        })();
+        // Return pre-image buffers to the pool whatever happened
+        // (`journal_begin` made its own durable copy, and any in-place
+        // undo already ran) — but no more than the largest single op
+        // stored, so a batch does not pin a whole array's worth.
+        let keep = ops.iter().map(|op| op.data_writes.len() + op.parity_writes.len()).max();
+        self.pre_image_pool.extend(entries.into_iter().take(keep.unwrap_or(0)).map(|e| e.data));
+        result
+    }
+}
 
-        // Phase 4 — commit accounting: per-op request sets to the
-        // simulator in op order, the merged shards into the ledger once.
-        let mut sets = Vec::with_capacity(ops.len());
-        for op in ops {
-            let rs = crate::audit::predicted_request_set(op, disks);
-            if let Some(sim) = &mut self.sim {
-                self.op_latency_ms += sim.run_requests(&rs)?;
-            }
-            sets.push(rs);
-        }
-        let merged = IoLedger::merge_shards(disks, shards.clone());
-        debug_assert_eq!(
-            merged.total(),
-            sets.iter().map(RequestSet::total).sum::<u64>(),
-            "merged shard totals diverged from the per-op receipts"
-        );
-        self.ledger.merge(&merged);
-        Ok((sets, shards))
+/// Runs `op`'s XOR plan (if it has one) over its scratch.
+fn run_plan(op: &LoweredOp, scratch: &mut Stripe) {
+    if let Some(plan) = &op.plan {
+        plan.execute(scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FaultPoint, FaultyBackend, MemBackend};
+    use crate::backend::{
+        Fault, FaultPoint, FaultyBackend, FileBackend, JournalRecovery, MemBackend,
+    };
     use disk_sim::DiskProfile;
 
     fn addr(disk: usize, index: usize) -> DiskAddr {
         DiskAddr { disk, index }
+    }
+
+    /// One op through a public entry point.
+    type Entry = fn(&mut IoPipeline, &LoweredOp, &mut Stripe) -> Result<RequestSet, DiskError>;
+
+    fn via_batch(
+        pipe: &mut IoPipeline,
+        op: &LoweredOp,
+        scratch: &mut Stripe,
+    ) -> Result<RequestSet, DiskError> {
+        let map = PartitionMap::build(1, 1);
+        let (ops, scratches) = (std::slice::from_ref(op), std::slice::from_mut(scratch));
+        let (mut sets, _) = pipe.execute_batch(ops, scratches, &map, 1)?;
+        Ok(sets.pop().unwrap())
+    }
+
+    /// Both entry points share one executor, so every failure-protocol
+    /// test below runs through each.
+    const ENTRIES: [(&str, Entry); 2] =
+        [("execute", IoPipeline::execute), ("execute_batch", via_batch)];
+
+    /// A 1×3 scratch holding `[1;4]`, `[2;4]`, `[3;4]`, and the read-free
+    /// op storing its three cells to element 0 of disks 0, 1, 2.
+    fn three_writes() -> (LoweredOp, Stripe) {
+        let c = Cell::new;
+        let mut scratch = Stripe::zeroed(1, 3, 4);
+        for col in 0..3 {
+            scratch.set_element(c(0, col), &[col as u8 + 1; 4]);
+        }
+        let op = LoweredOp {
+            data_writes: vec![(c(0, 0), addr(0, 0)), (c(0, 1), addr(1, 0))],
+            parity_writes: vec![(c(0, 2), addr(2, 0))],
+            ..Default::default()
+        };
+        (op, scratch)
+    }
+
+    /// A fresh 3-disk file backend under a per-test, per-entry directory,
+    /// every element 0 preset to `[9;4]`.
+    fn seeded_file_backend(test: &str, entry: &str) -> (std::path::PathBuf, FileBackend) {
+        let dir = std::env::temp_dir()
+            .join(format!("hvraid-pipe-{test}-{entry}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut be = FileBackend::create(&dir, 3, 2, 4).unwrap();
+        for disk in 0..3 {
+            be.write(disk, 0, &[9; 4]).unwrap();
+        }
+        (dir, be)
+    }
+
+    fn element(backend: &mut dyn DiskBackend, disk: usize, index: usize) -> [u8; 4] {
+        let mut out = [0u8; 4];
+        backend.read(disk, index, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -483,9 +431,7 @@ mod tests {
         let rs = pipe.execute(&op, &mut scratch).unwrap();
         assert_eq!(rs.total_reads(), 2);
         assert_eq!(rs.parity_writes(), 1);
-        let mut out = [0u8; 4];
-        pipe.backend_mut().read(2, 0, &mut out).unwrap();
-        assert_eq!(out, [5, 6, 7, 0]);
+        assert_eq!(element(pipe.backend_mut(), 2, 0), [5, 6, 7, 0]);
         assert_eq!(pipe.ledger().total(), 3);
     }
 
@@ -518,47 +464,51 @@ mod tests {
             data_writes: vec![],
             parity_writes: vec![(c(0, 2), addr(2, index))],
         };
-        let seed = |pipe: &mut IoPipeline| {
+        let seeded = || {
+            let mut pipe = IoPipeline::new(Box::new(MemBackend::new(3, 2, 4)));
             pipe.backend_mut().write(0, 0, &[1, 2, 3, 4]).unwrap();
             pipe.backend_mut().write(1, 0, &[4, 4, 4, 4]).unwrap();
             pipe.backend_mut().write(0, 1, &[8, 8, 8, 8]).unwrap();
             pipe.backend_mut().write(1, 1, &[1, 0, 1, 0]).unwrap();
+            pipe.attach_sim(DiskArray::new(3, DiskProfile::savvio_10k()));
+            pipe
         };
 
-        let mut serial = IoPipeline::new(Box::new(MemBackend::new(3, 2, 4)));
-        seed(&mut serial);
+        let mut serial = seeded();
         let mut serial_sets = Vec::new();
         for index in 0..2 {
             let mut scratch = Stripe::zeroed(1, 3, 4);
             serial_sets.push(serial.execute(&make_op(index), &mut scratch).unwrap());
         }
 
-        let mut batched = IoPipeline::new(Box::new(MemBackend::new(3, 2, 4)));
-        seed(&mut batched);
+        let mut batched = seeded();
         let ops: Vec<LoweredOp> = (0..2).map(make_op).collect();
         let mut scratches = vec![Stripe::zeroed(1, 3, 4); 2];
-        let map = crate::partition::PartitionMap::build(2, 2);
+        let map = PartitionMap::build(2, 2);
         let (sets, shards) = batched.execute_batch(&ops, &mut scratches, &map, 2).unwrap();
 
         assert_eq!(sets, serial_sets);
         assert_eq!(batched.ledger(), serial.ledger());
         let merged = IoLedger::merge_shards(3, shards);
         assert_eq!(merged.total(), batched.ledger().total());
+        assert_eq!(batched.sim().unwrap().now_ms(), serial.sim().unwrap().now_ms());
+        assert_eq!(batched.op_latency_ms(), serial.op_latency_ms());
         // The backends hold identical bytes.
         for index in 0..2 {
-            let (mut a, mut b) = ([0u8; 4], [0u8; 4]);
-            serial.backend_mut().read(2, index, &mut a).unwrap();
-            batched.backend_mut().read(2, index, &mut b).unwrap();
-            assert_eq!(a, b);
+            assert_eq!(
+                element(serial.backend_mut(), 2, index),
+                element(batched.backend_mut(), 2, index)
+            );
         }
     }
 
     #[test]
     fn execute_batch_failed_write_rolls_back_whole_batch() {
-        // The batch performs 4 reads (phase 1) + 2 pre-image reads, then
-        // journals and writes; the fault fires on the second write
-        // (backend op 8 after the 1 setup write), so the first write must
-        // be rolled back to its pre-image and nothing committed.
+        // The batch performs 4 reads + 2 pre-image reads, then journals
+        // and writes; the fault fires on the first write (backend op 8
+        // after the 1 setup write) and kills the disk the second write
+        // targets, so the first write must be rolled back to its pre-image
+        // and nothing committed.
         let c = Cell::new;
         let inner = MemBackend::new(2, 2, 4);
         let mut faulty =
@@ -575,20 +525,18 @@ mod tests {
         let mut scratches = vec![Stripe::zeroed(1, 2, 4); 2];
         scratches[0].set_element(c(0, 0), &[1, 1, 1, 1]);
         scratches[1].set_element(c(0, 1), &[2, 2, 2, 2]);
-        let map = crate::partition::PartitionMap::build(2, 1);
+        let map = PartitionMap::build(2, 1);
         let err = pipe.execute_batch(&ops, &mut scratches, &map, 1).unwrap_err();
         assert_eq!(err, DiskError::DiskFailed { disk: 1 });
         // Disk 0's committed write was rolled back to its pre-image.
-        let mut out = [0u8; 4];
-        pipe.backend_mut().read(0, 0, &mut out).unwrap();
-        assert_eq!(out, [9, 9, 9, 9]);
+        assert_eq!(element(pipe.backend_mut(), 0, 0), [9, 9, 9, 9]);
         assert_eq!(pipe.ledger().total(), 0);
     }
 
     #[test]
     fn failed_write_rolls_back_previous_writes() {
         // Fault fires on the 4th backend op. The op below performs:
-        // read (1, after the setup write) + pre-image read on disk 0 (3) +
+        // read (2, after the setup write) + pre-image read on disk 0 (3) +
         // pre-image read on disk 1 (4 → FAULT): the write phase aborts
         // while gathering pre-images, before anything is stored.
         let inner = MemBackend::new(2, 1, 4);
@@ -612,11 +560,123 @@ mod tests {
         scratch.set_element(c(0, 0), &[1, 1, 1, 1]);
         let err = pipe.execute(&op, &mut scratch).unwrap_err();
         assert_eq!(err, DiskError::DiskFailed { disk: 1 });
-        // Disk 0's write was rolled back to its pre-image.
-        let mut out = [0u8; 4];
-        pipe.backend_mut().read(0, 0, &mut out).unwrap();
-        assert_eq!(out, [9, 9, 9, 9]);
+        // Disk 0 still holds its pre-existing value.
+        assert_eq!(element(pipe.backend_mut(), 0, 0), [9, 9, 9, 9]);
         // Nothing reached the ledger.
         assert_eq!(pipe.ledger().total(), 0);
+    }
+
+    #[test]
+    fn mid_write_disk_failure_rolls_back_and_commits_the_journal() {
+        for (name, run) in ENTRIES {
+            let (dir, be) = seeded_file_backend("dead", name);
+            // 3 pre-image reads, then writes: disk 1 dies as the second
+            // write (op 5) is issued, after disk 0's element was stored.
+            let faulty = FaultyBackend::new(Box::new(be), vec![FaultPoint { at_op: 5, disk: 1 }]);
+            let mut pipe = IoPipeline::new(Box::new(faulty));
+            let (op, mut scratch) = three_writes();
+            let err = run(&mut pipe, &op, &mut scratch).unwrap_err();
+            assert_eq!(err, DiskError::DiskFailed { disk: 1 }, "{name}");
+            // The stored element is back at its pre-image, the element
+            // after the failure was never touched, and the in-place undo
+            // was complete, so the journal is gone.
+            assert_eq!(element(pipe.backend_mut(), 0, 0), [9; 4], "{name}");
+            assert_eq!(element(pipe.backend_mut(), 2, 0), [9; 4], "{name}");
+            assert!(!dir.join("undo.journal").exists(), "{name}: journal left behind");
+            assert_eq!(pipe.ledger().total(), 0, "{name}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn crash_mid_write_leaves_the_journal_for_reopen() {
+        for (name, run) in ENTRIES {
+            let (dir, be) = seeded_file_backend("crash", name);
+            // 3 pre-image reads, one stored write, then the process dies
+            // on the second write (op 5): no in-place undo is possible.
+            let faulty = FaultyBackend::new(Box::new(be), Vec::new())
+                .with_faults([Fault::CrashAtOp { at_op: 5 }]);
+            let mut pipe = IoPipeline::new(Box::new(faulty));
+            let (op, mut scratch) = three_writes();
+            let err = run(&mut pipe, &op, &mut scratch).unwrap_err();
+            assert_eq!(err, DiskError::Crashed, "{name}");
+            assert_eq!(pipe.ledger().total(), 0, "{name}");
+            drop(pipe);
+            assert!(dir.join("undo.journal").exists(), "{name}: journal must survive a crash");
+            let mut reopened = FileBackend::open(&dir).unwrap();
+            assert_eq!(
+                reopened.recovered_journal(),
+                Some(JournalRecovery::RolledBack { elements: 3 }),
+                "{name}"
+            );
+            for disk in 0..3 {
+                assert_eq!(element(&mut reopened, disk, 0), [9; 4], "{name}: disk {disk}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn unreadable_pre_image_is_zero_filled_and_the_write_heals_it() {
+        let c = Cell::new;
+        for (name, run) in ENTRIES {
+            for disk_2_dies in [false, true] {
+                let mut inner = MemBackend::new(3, 2, 4);
+                for (disk, index) in [(0, 0), (1, 0), (2, 0), (2, 1)] {
+                    inner.write(disk, index, &[9; 4]).unwrap();
+                }
+                // Backend ops: warm-up pre-image read + write (1-2), three
+                // pre-image reads (3-5), then the writes (6-8) — disk 2
+                // can die exactly at its own.
+                let schedule =
+                    if disk_2_dies { vec![FaultPoint { at_op: 8, disk: 2 }] } else { vec![] };
+                let faulty = FaultyBackend::new(Box::new(inner), schedule)
+                    .with_faults([Fault::LatentSector { disk: 0, index: 0 }]);
+                let mut pipe = IoPipeline::new(Box::new(faulty));
+                // Warm-up: leaves a `[9;4]` buffer in the pool for the
+                // latent target's pre-image to recycle.
+                let warm_up = LoweredOp {
+                    data_writes: vec![(c(0, 0), addr(2, 1))],
+                    ..Default::default()
+                };
+                run(&mut pipe, &warm_up, &mut Stripe::zeroed(1, 1, 4)).unwrap();
+
+                let (op, mut scratch) = three_writes();
+                let result = run(&mut pipe, &op, &mut scratch);
+                let healed = element(pipe.backend_mut(), 0, 0);
+                if disk_2_dies {
+                    // Rolled back from the undo image: zeros, not the
+                    // recycled buffer's stale bytes.
+                    assert_eq!(result, Err(DiskError::DiskFailed { disk: 2 }), "{name}");
+                    assert_eq!(healed, [0; 4], "{name}");
+                    assert_eq!(element(pipe.backend_mut(), 1, 0), [9; 4], "{name}");
+                } else {
+                    assert!(result.is_ok(), "{name}: {result:?}");
+                    assert_eq!(healed, [1; 4], "{name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pre_image_pool_keeps_no_more_than_the_largest_single_op() {
+        // Four ops of two writes each: the batch journals eight
+        // pre-images but may keep only one op's worth for recycling.
+        let c = Cell::new;
+        let ops: Vec<LoweredOp> = (0..4)
+            .map(|index| LoweredOp {
+                data_writes: vec![(c(0, 0), addr(0, index))],
+                parity_writes: vec![(c(0, 1), addr(1, index))],
+                ..Default::default()
+            })
+            .collect();
+        let mut scratches = vec![Stripe::zeroed(1, 2, 4); 4];
+        let mut pipe = IoPipeline::new(Box::new(MemBackend::new(2, 4, 4)));
+        let map = PartitionMap::build(4, 2);
+        pipe.execute_batch(&ops, &mut scratches, &map, 2).unwrap();
+        assert_eq!(pipe.pre_image_pool.len(), 2);
+        // A single op recycles them and hands the same two back.
+        pipe.execute(&ops[0], &mut scratches[0]).unwrap();
+        assert_eq!(pipe.pre_image_pool.len(), 2);
     }
 }

@@ -13,15 +13,16 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskError};
-use raid_core::io::{IoLedger, LedgerShard};
+use raid_core::io::{IoLedger, LedgerShard, RequestSet};
 use raid_core::{ArrayCode, Cell, Stripe};
 
 use crate::addr::Addressing;
 use crate::backend::{DiskBackend, FaultyBackend, MemBackend, RebuildCheckpoint};
-use crate::cache::{CacheConfig, StripeCache};
+use crate::cache::{CacheConfig, StripeCache, StripeEntry};
 use crate::health::{HealthMonitor, HealthState, RecoveryAction};
 use crate::lower;
 use crate::partition::PartitionMap;
@@ -87,7 +88,10 @@ impl fmt::Display for VolumeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VolumeError::OutOfRange { start, len, capacity } => {
-                write!(f, "request [{start}, {}) exceeds capacity {capacity}", start + len)
+                // `check_range` rejects `start + len` overflows, so the sum
+                // may not be computed exactly here.
+                let end = start.saturating_add(*len);
+                write!(f, "request [{start}, {end}) exceeds capacity {capacity}")
             }
             VolumeError::BadBufferLength { expected, got } => {
                 write!(f, "buffer holds {got} bytes, expected {expected}")
@@ -1151,6 +1155,13 @@ impl RaidVolume {
     /// reconstruction when requested elements live on failed disks (the
     /// degraded read of the paper's Section V-B).
     ///
+    /// With the stripe cache on, resident elements (dirty or clean) are
+    /// served from memory as hits — dirty ones must be: the disks hold
+    /// their pre-flush values — and each run of missing elements goes to
+    /// the disks and populates the cache read-through as clean copies.
+    /// Cache off is the same loop with nothing resident and nothing
+    /// populated: every stripe segment is one missing run.
+    ///
     /// Returns the bytes and the operation's I/O ledger;
     /// `ledger.total_reads()` is the paper's `L'`.
     ///
@@ -1160,101 +1171,75 @@ impl RaidVolume {
     pub fn read(&mut self, start: usize, len: usize) -> Result<(Vec<u8>, IoLedger), VolumeError> {
         self.check_range(start, len)?;
         self.pipeline.begin_op();
-        if self.cache.is_some() {
-            return self.read_cached(start, len);
-        }
-        self.with_recovery(|v| v.try_read(start, len))
-    }
-
-    /// A read through the stripe cache: resident elements (dirty or
-    /// clean) are served from memory as hits; missing runs go through the
-    /// normal (possibly degraded) read path and populate the cache
-    /// read-through as clean copies. Dirty elements are always served
-    /// from the cache — the disks hold their pre-flush values.
-    fn read_cached(
-        &mut self,
-        start: usize,
-        len: usize,
-    ) -> Result<(Vec<u8>, IoLedger), VolumeError> {
         let es = self.element_size;
-        let per = self.addressing.data_per_stripe();
-        let mut out = vec![0u8; len * es];
+        let mut out = Vec::with_capacity(len * es);
         let mut receipt = IoLedger::new(self.disks());
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut offset = 0usize;
+        let (mut hits, mut misses) = (0u64, 0u64);
         for seg in self.addressing.split(start, len) {
-            self.cache.as_mut().expect("cached read needs a cache").promote(seg.stripe);
-            let mut k = 0usize;
-            while k < seg.len {
-                let resident = |v: &Self, i: usize| {
-                    v.cache
-                        .as_ref()
-                        .expect("cache enabled")
-                        .get(seg.stripe)
-                        .is_some_and(|e| e.is_present(seg.start + i))
-                };
-                if resident(self, k) {
-                    let entry = self
-                        .cache
-                        .as_ref()
-                        .expect("cache enabled")
-                        .get(seg.stripe)
-                        .expect("resident implies entry");
-                    let at = (offset + k) * es;
-                    out[at..at + es].copy_from_slice(entry.element(seg.start + k));
+            if let Some(cache) = &mut self.cache {
+                cache.promote(seg.stripe);
+            }
+            let mut ord = seg.start;
+            let end = seg.start + seg.len;
+            while ord < end {
+                if let Some(entry) = self.resident(seg.stripe, ord) {
+                    out.extend_from_slice(entry.element(ord));
                     hits += 1;
-                    k += 1;
+                    ord += 1;
                     continue;
                 }
-                // A run of non-resident elements: fetch through the
-                // normal lowering, then fill the cache read-through.
-                let run_start = k;
-                while k < seg.len && !resident(self, k) {
-                    k += 1;
+                let run_start = ord;
+                while ord < end && self.resident(seg.stripe, ord).is_none() {
+                    ord += 1;
                 }
-                let run_len = k - run_start;
-                let linear = seg.stripe * per + seg.start + run_start;
-                let (bytes, rs) = self.with_recovery(|v| v.try_read(linear, run_len))?;
-                let at = (offset + run_start) * es;
-                out[at..at + run_len * es].copy_from_slice(&bytes);
-                receipt.merge(&rs);
-                misses += run_len as u64;
-                let entry =
-                    self.cache.as_mut().expect("cache enabled").ensure(seg.stripe);
-                for i in 0..run_len {
-                    entry.fill(seg.start + run_start + i, &bytes[i * es..(i + 1) * es]);
+                let at = out.len();
+                let rs = self.with_recovery(|v| v.read_run(seg.stripe, run_start..ord, &mut out))?;
+                receipt.absorb(&rs);
+                if let Some(cache) = &mut self.cache {
+                    misses += (ord - run_start) as u64;
+                    let entry = cache.ensure(seg.stripe);
+                    for (ord, bytes) in (run_start..ord).zip(out[at..].chunks_exact(es)) {
+                        entry.fill(ord, bytes);
+                    }
                 }
             }
-            offset += seg.len;
         }
-        self.pipeline.ledger_mut().note_cache_hits(hits);
-        self.pipeline.ledger_mut().note_cache_misses(misses);
-        receipt.note_cache_hits(hits);
-        receipt.note_cache_misses(misses);
-        receipt.merge(&self.enforce_cache_budget()?);
+        if self.cache.is_some() {
+            self.pipeline.ledger_mut().note_cache_hits(hits);
+            self.pipeline.ledger_mut().note_cache_misses(misses);
+            receipt.note_cache_hits(hits);
+            receipt.note_cache_misses(misses);
+            receipt.merge(&self.enforce_cache_budget()?);
+        }
         Ok((out, receipt))
     }
 
-    /// One uncached read attempt, one op per touched stripe.
-    fn try_read(&mut self, start: usize, len: usize) -> Result<(Vec<u8>, IoLedger), VolumeError> {
+    /// The cache entry holding data ordinal `ord` of `stripe`, if resident.
+    fn resident(&self, stripe: usize, ord: usize) -> Option<&StripeEntry> {
+        self.cache.as_ref()?.get(stripe).filter(|e| e.is_present(ord))
+    }
+
+    /// One attempt at fetching data ordinals `run` of `stripe` from the
+    /// disks as one (possibly degraded) read op; appends the bytes to
+    /// `out` on success only.
+    fn read_run(
+        &mut self,
+        stripe: usize,
+        run: Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<RequestSet, VolumeError> {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
-        let mut receipt = IoLedger::new(self.disks());
-        let mut out = Vec::with_capacity(len * self.element_size);
-
-        for seg in self.addressing.split(start, len) {
-            let requested = &layout.data_cells()[seg.start..seg.start + seg.len];
-            let failed_cols = self.failed_cols(seg.stripe);
-            let op = lower::read_op(layout, &failed_cols, requested, &self.addr_fn(seg.stripe))
-                .ok_or(VolumeError::TooManyFailures { failed: failed_cols.len() })?;
-            let mut scratch = Stripe::for_layout(layout, self.element_size);
-            receipt.absorb(&self.pipeline.execute(&op, &mut scratch)?);
-            for &cell in requested {
-                out.extend_from_slice(scratch.element(cell));
-            }
+        let requested = &layout.data_cells()[run];
+        let failed_cols = self.failed_cols(stripe);
+        let op = lower::read_op(layout, &failed_cols, requested, &self.addr_fn(stripe))
+            .ok_or(VolumeError::TooManyFailures { failed: failed_cols.len() })?;
+        let mut scratch = Stripe::for_layout(layout, self.element_size);
+        let rs = self.pipeline.execute(&op, &mut scratch)?;
+        for &cell in requested {
+            out.extend_from_slice(scratch.element(cell));
         }
-        Ok((out, receipt))
+        Ok(rs)
     }
 
     /// Rebuilds every failed disk onto a blank spare (single-disk hybrid
@@ -1794,12 +1779,14 @@ mod tests {
             v.write(0, &[1, 2, 3]),
             Err(VolumeError::BadBufferLength { .. })
         ));
-        // `start + len` must not overflow its way past the bound.
-        assert!(matches!(v.read(usize::MAX, 2), Err(VolumeError::OutOfRange { .. })));
-        assert!(matches!(
-            v.write(usize::MAX, &[0; 2 * 16]),
-            Err(VolumeError::OutOfRange { .. })
-        ));
+        // `start + len` must not overflow its way past the bound — nor
+        // panic when the error is printed.
+        let overflows = [v.read(usize::MAX, 2).map(drop), v.write(usize::MAX, &[0; 2 * 16]).map(drop)];
+        for result in overflows {
+            let err = result.unwrap_err();
+            assert!(matches!(err, VolumeError::OutOfRange { start: usize::MAX, len: 2, .. }));
+            assert!(err.to_string().contains(&format!("[{0}, {0})", usize::MAX)), "{err}");
+        }
         assert!(matches!(v.fail_disk(99), Err(VolumeError::NoSuchDisk { disk: 99 })));
         v.fail_disk(0).unwrap();
         v.fail_disk(1).unwrap();

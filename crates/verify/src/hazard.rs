@@ -2,10 +2,10 @@
 //! never make two workers touch the same backend bytes.
 //!
 //! `IoPipeline::execute_batch` runs one `LoweredOp` per stripe in three
-//! backend phases: *all* reads are submitted as one batch, every plan
-//! executes in a private scratch stripe under `run_partitioned`, and
-//! *all* writes are journaled and submitted as one batch. Two distinct
-//! reorderings hide in that shape:
+//! backend phases: *all* reads land in their scratch stripes, every plan
+//! executes in its private scratch under `run_partitioned`, and *all*
+//! writes are journaled as one unit and stored. Two distinct reorderings
+//! hide in that shape:
 //!
 //! * **Across partitions** — the partition abstraction promises that
 //!   ranges are independent (`flush_partition(B)` may run while a rebuild
@@ -14,13 +14,11 @@
 //!   would depend on scheduling; if one read what another writes, its
 //!   input would. Both must be statically impossible.
 //! * **Across ops, within a batch** — phase separation hoists every read
-//!   before every write, and `FileBackend::submit_batch`'s per-disk
-//!   queues only preserve *per-disk submission* order. An op that reads
-//!   an address some *other* op writes would see the pre-batch value,
-//!   diverging from the serial op-by-op semantics of
-//!   `IoPipeline::execute`. (An op reading an address *it* writes is the
-//!   ordinary RMW shape and is fine — serial execution also reads before
-//!   writing within one op.)
+//!   before every write. An op that reads an address some *other* op
+//!   writes would see the pre-batch value, diverging from the serial
+//!   op-by-op semantics of `IoPipeline::execute`. (An op reading an
+//!   address *it* writes is the ordinary RMW shape and is fine — serial
+//!   execution also reads before writing within one op.)
 //!
 //! [`audit_partition_hazards`] proves both properties from the lowered
 //! ops alone — write/write disjointness across partitions, read/write

@@ -1,24 +1,26 @@
-//! Symbolic crash-consistency proof for the pipeline's undo journals.
+//! Symbolic crash-consistency proof for the pipeline's undo journal.
 //!
-//! Both pipeline entry points protect multi-element writes with an undo
-//! journal: [`IoPipeline::execute`] journals each op's write targets
-//! before storing them (`PerOp`), and `execute_batch` gathers the
-//! pre-images of **every** op's targets and journals the whole batch as
-//! one unit (`WholeBatch`). The chaos harness samples crash points at
-//! random; this module replaces sampling with a proof: over the same
-//! GF(2) symbolic domain as [`crate::symbolic`] — but with **backend
-//! addresses** as the basis instead of stripe cells — it replays the
-//! journal from *every* crash prefix of the write sequence and proves
-//! the result is exactly the pre-state or the post-state, per stripe
-//! (all-old-or-all-new), for all possible disk contents simultaneously.
+//! `IoPipeline` protects every multi-element write with one protocol:
+//! gather the pre-images of **all** the write targets of the ops it was
+//! handed, journal them as one record, store, commit. The ops stored
+//! under one journal are a *journal unit*: [`IoPipeline::execute`] runs
+//! units of one op, `execute_batch` runs the whole batch as one unit, and
+//! a unit's reads see the state the earlier units left. The chaos harness
+//! samples crash points at random; this module replaces sampling with a
+//! proof: over the same GF(2) symbolic domain as [`crate::symbolic`] —
+//! but with **backend addresses** as the basis instead of stripe cells —
+//! it replays the journal from *every* crash prefix of every unit's write
+//! sequence and proves the result is exactly the state with the earlier
+//! units applied and this unit absent, per stripe (all-old-or-all-new),
+//! for all possible disk contents simultaneously.
 //!
 //! The journal itself is modeled faithfully, not assumed correct: the
 //! entries are the addresses the protocol actually gathers, with
-//! pre-image *expressions* read at gather time (before any write in
-//! `WholeBatch`, at op start in `PerOp`). [`JournalCoverage::DropEntry`]
-//! lets tests knock one undo record out and watch the proof reject the
-//! exact crash prefixes that depend on it, naming the orphaned address
-//! — the machine-checkable version of "the journal covers every write".
+//! pre-image *expressions* read at gather time (at unit start, before any
+//! of the unit's writes). [`JournalCoverage::DropEntry`] lets tests knock
+//! one undo record out and watch the proof reject the exact crash
+//! prefixes that depend on it, naming the orphaned address — the
+//! machine-checkable version of "the journal covers every write".
 //!
 //! [`IoPipeline::execute`]: raid_array::pipeline::IoPipeline::execute
 
@@ -30,25 +32,6 @@ use raid_core::Layout;
 
 use crate::hazard::{lowered_encode_batch, lowered_rebuild_batch};
 use crate::symbolic::SymExpr;
-
-/// Which journaling protocol to prove.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalMode {
-    /// `IoPipeline::execute`: one journal per op, rolled back alone.
-    PerOp,
-    /// `IoPipeline::execute_batch`: the whole batch under one journal,
-    /// with all pre-images gathered before the first write.
-    WholeBatch,
-}
-
-impl fmt::Display for JournalMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalMode::PerOp => write!(f, "per-op"),
-            JournalMode::WholeBatch => write!(f, "whole-batch"),
-        }
-    }
-}
 
 /// Journal contents relative to the protocol's full coverage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +57,6 @@ pub enum JournalError {
     /// holding neither its pre- nor its post-state value — an undo
     /// record is missing or wrong.
     MissingUndo {
-        /// The protocol under proof.
-        mode: JournalMode,
         /// Crash position: writes completed before the crash.
         crash_index: usize,
         /// The address the journal fails to restore.
@@ -86,8 +67,6 @@ pub enum JournalError {
     /// After replay a stripe is torn: some of its addresses are old and
     /// some new.
     TornStripe {
-        /// The protocol under proof.
-        mode: JournalMode,
         /// Crash position: writes completed before the crash.
         crash_index: usize,
         /// The op (stripe index) left torn.
@@ -103,15 +82,15 @@ impl fmt::Display for JournalError {
             JournalError::Exec { op, detail } => {
                 write!(f, "op {op}: symbolic execution failed: {detail}")
             }
-            JournalError::MissingUndo { mode, crash_index, addr, detail } => write!(
+            JournalError::MissingUndo { crash_index, addr, detail } => write!(
                 f,
-                "{mode} journal replay from crash index {crash_index} does not restore \
+                "journal replay from crash index {crash_index} does not restore \
                  disk {} index {}: {detail}",
                 addr.disk, addr.index
             ),
-            JournalError::TornStripe { mode, crash_index, op, addr } => write!(
+            JournalError::TornStripe { crash_index, op, addr } => write!(
                 f,
-                "{mode} journal replay from crash index {crash_index} leaves stripe \
+                "journal replay from crash index {crash_index} leaves stripe \
                  {op} torn at disk {} index {}",
                 addr.disk, addr.index
             ),
@@ -143,7 +122,7 @@ struct SymBackend {
 
 impl SymBackend {
     /// The identity pre-state over every address `ops` touches.
-    fn pre_state(ops: &[LoweredOp]) -> Self {
+    fn pre_state<'a>(ops: impl Iterator<Item = &'a LoweredOp>) -> Self {
         let mut basis = BTreeMap::new();
         for op in ops {
             for (_, a) in
@@ -254,7 +233,6 @@ struct UndoRecord {
 /// result equals `want` at every address. `crash_index` counts writes
 /// completed; `base` is the state the unit started from.
 fn check_crash_prefix(
-    mode: JournalMode,
     base: &SymBackend,
     writes: &[(DiskAddr, SymExpr)],
     journal: &[UndoRecord],
@@ -282,7 +260,6 @@ fn check_crash_prefix(
         .expect("states differ at some address");
     let addr = DiskAddr { disk, index };
     Err(JournalError::MissingUndo {
-        mode,
         crash_index: global_offset + crash_index,
         addr,
         detail: format!(
@@ -293,141 +270,112 @@ fn check_crash_prefix(
     })
 }
 
-/// Proves all-crash-prefix atomicity of `ops` under `mode`, with the
-/// journal contents given by `coverage`.
+/// Proves all-crash-prefix atomicity of `units` — consecutive slices of
+/// one op sequence, each stored under its own journal — with the journal
+/// contents given by `coverage`.
 ///
-/// For `WholeBatch`: every crash prefix of the batch-wide write sequence
-/// must replay to exactly the batch pre-state (all-old), and the
-/// committed batch is exactly the post-state (all-new). For `PerOp`:
-/// every crash prefix of every op's write sequence must replay to the
-/// state with all earlier ops applied and this op absent — and each
-/// stripe must come out all-old or all-new, never torn.
+/// Every crash prefix of every unit's write sequence must replay to the
+/// state with all earlier units applied and this unit absent, and that
+/// state must be all-old-or-all-new per stripe, never torn. One unit
+/// holding the whole batch is `execute_batch`; units of one op are a loop
+/// of `execute`.
 ///
 /// # Errors
 ///
 /// The first [`JournalError`], naming the crash index and the address
 /// the journal fails to cover.
 pub fn prove_batch_atomicity(
-    ops: &[LoweredOp],
-    mode: JournalMode,
+    units: &[&[LoweredOp]],
     coverage: JournalCoverage,
 ) -> Result<JournalProof, JournalError> {
-    let pre = SymBackend::pre_state(ops);
-    let keep = |rec: &UndoRecord| match coverage {
-        JournalCoverage::Full => true,
-        JournalCoverage::DropEntry(i) => rec.write_index != i,
-    };
-    let mut crash_points = 0;
+    let pre = SymBackend::pre_state(units.iter().flat_map(|unit| unit.iter()));
 
-    match mode {
-        JournalMode::WholeBatch => {
-            // Phase separation: every pre-image is gathered (and the
-            // journal made durable) before the first write, so each undo
-            // record holds the batch pre-state value even when two ops
-            // write the same address.
-            let mut writes: Vec<(DiskAddr, SymExpr)> = Vec::new();
-            for (i, op) in ops.iter().enumerate() {
-                writes.extend(op_write_values(i, op, &pre)?);
-            }
-            let journal: Vec<UndoRecord> = writes
-                .iter()
-                .enumerate()
-                .map(|(j, (a, _))| UndoRecord {
-                    addr: *a,
-                    pre: pre.get(*a).clone(),
-                    write_index: j,
-                })
-                .filter(keep)
-                .collect();
-            for k in 0..=writes.len() {
-                check_crash_prefix(mode, &pre, &writes, &journal, k, 0, &pre)?;
-                crash_points += 1;
-            }
-            // Past the commit point the journal is discarded: the state
-            // is the full post-state, all-new by construction.
+    // Each unit's write sequence (`writers` holds the op index of every
+    // write). Phase separation: a unit gathers every pre-image and
+    // performs every read before its first write, so all its values are
+    // expressions over the state the earlier units left — even when two
+    // of its ops write the same address.
+    let mut post = pre.clone();
+    let mut unit_writes: Vec<Vec<(DiskAddr, SymExpr)>> = Vec::new();
+    let mut writers: Vec<Vec<usize>> = Vec::new();
+    let mut first_op = 0;
+    for unit in units {
+        let (mut writes, mut ops) = (Vec::new(), Vec::new());
+        for (i, op) in unit.iter().enumerate() {
+            let values = op_write_values(first_op + i, op, &post)?;
+            ops.extend(std::iter::repeat_n(first_op + i, values.len()));
+            writes.extend(values);
         }
-        JournalMode::PerOp => {
-            // Post-state per address, for the all-new side of the check.
-            let mut post = pre.clone();
-            let mut all_writes: Vec<Vec<(DiskAddr, SymExpr)>> = Vec::new();
-            for (i, op) in ops.iter().enumerate() {
-                let w = op_write_values(i, op, &post)?;
-                for (a, v) in &w {
-                    post.set(*a, v.clone());
-                }
-                all_writes.push(w);
-            }
-
-            let mut state = pre.clone();
-            let mut global_offset = 0;
-            for (i, writes) in all_writes.iter().enumerate() {
-                let journal: Vec<UndoRecord> = writes
-                    .iter()
-                    .enumerate()
-                    .map(|(j, (a, _))| UndoRecord {
-                        addr: *a,
-                        pre: state.get(*a).clone(),
-                        write_index: global_offset + j,
-                    })
-                    .filter(keep)
-                    .collect();
-                for k in 0..=writes.len() {
-                    // Rolling back op i must restore the state with ops
-                    // 0..i committed and op i absent…
-                    check_crash_prefix(
-                        mode,
-                        &state,
-                        writes,
-                        &journal,
-                        k,
-                        global_offset,
-                        &state,
-                    )?;
-                    crash_points += 1;
-                }
-                // …and that state is all-old-or-all-new per stripe:
-                // every earlier op's targets hold post values, every
-                // later op's (and op i's own) hold pre values.
-                for (j, w) in all_writes.iter().enumerate() {
-                    let uniform = if j < i { &post } else { &pre };
-                    for (a, _) in w {
-                        if state.get(*a) != uniform.get(*a) {
-                            return Err(JournalError::TornStripe {
-                                mode,
-                                crash_index: global_offset,
-                                op: j,
-                                addr: *a,
-                            });
-                        }
-                    }
-                }
-                for (a, v) in writes {
-                    state.set(*a, v.clone());
-                }
-                global_offset += writes.len();
-            }
+        for (a, v) in &writes {
+            post.set(*a, v.clone());
         }
+        first_op += unit.len();
+        unit_writes.push(writes);
+        writers.push(ops);
     }
 
-    Ok(JournalProof { crash_points, addresses: pre.nbasis(), ops: ops.len() })
+    let mut state = pre.clone();
+    let mut crash_points = 0;
+    let mut global_offset = 0;
+    for (u, writes) in unit_writes.iter().enumerate() {
+        let journal: Vec<UndoRecord> = writes
+            .iter()
+            .enumerate()
+            .map(|(j, (a, _))| UndoRecord {
+                addr: *a,
+                pre: state.get(*a).clone(),
+                write_index: global_offset + j,
+            })
+            .filter(|rec| coverage != JournalCoverage::DropEntry(rec.write_index))
+            .collect();
+        for k in 0..=writes.len() {
+            check_crash_prefix(&state, writes, &journal, k, global_offset, &state)?;
+            crash_points += 1;
+        }
+        // The state every rollback restores is all-old-or-all-new per
+        // stripe: every earlier unit's targets hold post values, this and
+        // every later unit's hold pre values. (Past a unit's commit point
+        // its journal is discarded and its targets are all-new by
+        // construction.)
+        for (v, (other, ops)) in unit_writes.iter().zip(&writers).enumerate() {
+            let uniform = if v < u { &post } else { &pre };
+            for ((a, _), &op) in other.iter().zip(ops) {
+                if state.get(*a) != uniform.get(*a) {
+                    let crash_index = global_offset;
+                    return Err(JournalError::TornStripe { crash_index, op, addr: *a });
+                }
+            }
+        }
+        for (a, v) in writes {
+            state.set(*a, v.clone());
+        }
+        global_offset += writes.len();
+    }
+
+    Ok(JournalProof { crash_points, addresses: pre.nbasis(), ops: first_op })
+}
+
+/// `ops` as units of one: the journal sequence of looping `execute`.
+pub fn units_of_one(ops: &[LoweredOp]) -> Vec<&[LoweredOp]> {
+    ops.chunks(1).collect()
 }
 
 /// Summary of one layout's journal proofs across modeled batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalSummary {
-    /// Batches proven ((encode + rebuilds) × both modes).
+    /// Proofs run ((encode + rebuilds) × {one unit, units of one}).
     pub batches: usize,
     /// Total crash prefixes proven across all batches.
     pub crash_points: usize,
 }
 
-/// Stripes per modeled batch: small, but enough that per-op and
+/// Stripes per modeled batch: small, but enough that one-op and
 /// whole-batch crash windows interleave multiple stripes.
 const MODEL_STRIPES: usize = 3;
 
-/// Proves all-crash-prefix atomicity, in both journal modes, for every
-/// batched path the volume lowers: `encode_all` and `rebuild_all` under
-/// one- and two-column loss.
+/// Proves all-crash-prefix atomicity for every batched path the volume
+/// lowers — `encode_all` and `rebuild_all` under one- and two-column
+/// loss — stored as one journal unit and as units of one op.
 ///
 /// # Errors
 ///
@@ -441,8 +389,8 @@ pub fn prove_layout_journal(layout: &Layout) -> Result<JournalSummary, JournalEr
     ];
     let mut summary = JournalSummary { batches: 0, crash_points: 0 };
     for ops in &batches {
-        for mode in [JournalMode::WholeBatch, JournalMode::PerOp] {
-            let proof = prove_batch_atomicity(ops, mode, JournalCoverage::Full)?;
+        for units in [vec![ops.as_slice()], units_of_one(ops)] {
+            let proof = prove_batch_atomicity(&units, JournalCoverage::Full)?;
             summary.batches += 1;
             summary.crash_points += proof.crash_points;
         }
@@ -475,9 +423,7 @@ mod tests {
         // Drop the undo record of write 3: every crash prefix that has
         // already stored write 3 (crash index >= 4) replays to a state
         // still holding the new value at its address.
-        let err =
-            prove_batch_atomicity(&ops, JournalMode::WholeBatch, JournalCoverage::DropEntry(3))
-                .unwrap_err();
+        let err = prove_batch_atomicity(&[&ops], JournalCoverage::DropEntry(3)).unwrap_err();
         let victim = ops[0].parity_writes[3].1; // writes 0..: op 0's parities first
         match &err {
             JournalError::MissingUndo { crash_index, addr, .. } => {
@@ -495,8 +441,8 @@ mod tests {
     fn dropped_undo_record_is_caught_per_op_too() {
         let code = build("hv", 5).unwrap();
         let ops = lowered_encode_batch(code.layout(), MODEL_STRIPES);
-        let err = prove_batch_atomicity(&ops, JournalMode::PerOp, JournalCoverage::DropEntry(0))
-            .unwrap_err();
+        let err =
+            prove_batch_atomicity(&units_of_one(&ops), JournalCoverage::DropEntry(0)).unwrap_err();
         assert!(
             matches!(err, JournalError::MissingUndo { crash_index: 1, .. }),
             "got {err}"
@@ -508,9 +454,9 @@ mod tests {
         let code = build("rdp", 5).unwrap();
         let layout = code.layout();
         let ops = lowered_rebuild_batch(layout, MODEL_STRIPES, &[0, 1]);
-        for mode in [JournalMode::WholeBatch, JournalMode::PerOp] {
-            let proof = prove_batch_atomicity(&ops, mode, JournalCoverage::Full)
-                .unwrap_or_else(|e| panic!("{mode}: {e}"));
+        for units in [vec![ops.as_slice()], units_of_one(&ops)] {
+            let proof = prove_batch_atomicity(&units, JournalCoverage::Full)
+                .unwrap_or_else(|e| panic!("{} unit(s): {e}", units.len()));
             assert_eq!(proof.ops, MODEL_STRIPES);
         }
     }
@@ -521,11 +467,9 @@ mod tests {
         let ops = lowered_encode_batch(code.layout(), 2);
         let writes: usize =
             ops.iter().map(|o| o.data_writes.len() + o.parity_writes.len()).sum();
-        let whole =
-            prove_batch_atomicity(&ops, JournalMode::WholeBatch, JournalCoverage::Full).unwrap();
+        let whole = prove_batch_atomicity(&[&ops], JournalCoverage::Full).unwrap();
         assert_eq!(whole.crash_points, writes + 1);
-        let per_op =
-            prove_batch_atomicity(&ops, JournalMode::PerOp, JournalCoverage::Full).unwrap();
-        assert_eq!(per_op.crash_points, writes + ops.len());
+        let singly = prove_batch_atomicity(&units_of_one(&ops), JournalCoverage::Full).unwrap();
+        assert_eq!(singly.crash_points, writes + ops.len());
     }
 }

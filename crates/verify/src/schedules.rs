@@ -1,17 +1,14 @@
 //! Exhaustive small-model checking of the executor's concurrent
 //! protocols, over the [`interleave`] explorer.
 //!
-//! PR 7's concurrency rests on three hand-rolled protocols, each guarded
-//! so far only by proptests that *sample* orderings:
+//! The partitioned executor rests on two hand-rolled protocols, each
+//! otherwise guarded only by proptests that *sample* orderings:
 //!
 //! * the **work-stealing cursor** of `run_partitioned` — per-partition
 //!   `AtomicUsize::fetch_add` claims plus a `Mutex` slot per stripe;
 //! * the **sharded ledger merge** — worker-private [`LedgerShard`]s
 //!   aggregated by [`IoLedger::merge_shards`], which promises
-//!   order-independent totals;
-//! * the **per-disk queue hand-off** of `FileBackend::submit_batch` —
-//!   requests bucketed per disk, each queue served in submission order,
-//!   queues interleaving freely against each other.
+//!   order-independent totals.
 //!
 //! Each is modeled here at loom granularity (one atomic transition per
 //! step) and checked against its *sequential* specification across
@@ -25,7 +22,6 @@
 //! scope by construction (and `make tsan-smoke` covers the real
 //! executable separately).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -35,7 +31,7 @@ use raid_core::io::{IoLedger, LedgerShard, RequestSet};
 /// A failed schedule exploration, tagged with the model that failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleError {
-    /// The model ("cursor", "merge", "queue").
+    /// The model ("cursor", "merge").
     pub model: &'static str,
     /// The explorer's counterexample or budget overflow.
     pub error: ExploreError,
@@ -259,121 +255,7 @@ impl Model for MergeModel {
 }
 
 // ---------------------------------------------------------------------------
-// Queue model: FileBackend's per-disk batch hand-off
-// ---------------------------------------------------------------------------
-
-/// One request of the modeled batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueReq {
-    Read { index: usize },
-    Write { index: usize, val: u8 },
-}
-
-/// `FileBackend::submit_batch`'s hand-off: the batch is bucketed into
-/// per-disk queues preserving submission order, and each queue is served
-/// by a worker with no cross-queue ordering at all (one served request =
-/// one atomic step — the file I/O for distinct elements is independent).
-/// Every interleaving must produce completions identical to serving the
-/// batch sequentially — in particular an in-batch read *after* a write
-/// to the same element must observe that write.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct QueueModel {
-    /// Per-disk queues: `(position in batch, request)`.
-    queues: Vec<Vec<(usize, QueueReq)>>,
-    /// Next unserved entry per queue.
-    heads: Vec<usize>,
-    /// Element contents, keyed `(disk, index)`.
-    elements: BTreeMap<(usize, usize), u8>,
-    /// One completion slot per batch entry (`Some(byte)` for reads,
-    /// `None` for writes) — filled as requests are served.
-    completions: Vec<Option<Option<u8>>>,
-}
-
-impl QueueModel {
-    fn new(disks: usize, batch: &[(usize, QueueReq)]) -> Self {
-        let mut queues = vec![Vec::new(); disks];
-        for (pos, &(disk, req)) in batch.iter().enumerate() {
-            queues[disk].push((pos, req));
-        }
-        QueueModel {
-            heads: vec![0; queues.len()],
-            queues,
-            elements: BTreeMap::new(),
-            completions: vec![None; batch.len()],
-        }
-    }
-
-    /// The sequential specification: the whole batch served in
-    /// submission order by one thread.
-    fn sequential(&self) -> Vec<Option<u8>> {
-        let mut elements: BTreeMap<(usize, usize), u8> = BTreeMap::new();
-        let mut flat: Vec<(usize, usize, QueueReq)> = self
-            .queues
-            .iter()
-            .enumerate()
-            .flat_map(|(d, q)| q.iter().map(move |&(pos, req)| (pos, d, req)))
-            .collect();
-        flat.sort_by_key(|&(pos, ..)| pos);
-        flat.into_iter()
-            .map(|(_, disk, req)| match req {
-                QueueReq::Read { index } => {
-                    Some(elements.get(&(disk, index)).copied().unwrap_or(0))
-                }
-                QueueReq::Write { index, val } => {
-                    elements.insert((disk, index), val);
-                    None
-                }
-            })
-            .collect()
-    }
-}
-
-impl Model for QueueModel {
-    fn threads(&self) -> usize {
-        self.queues.len()
-    }
-
-    fn done(&self, d: usize) -> bool {
-        self.heads[d] >= self.queues[d].len()
-    }
-
-    fn step(&mut self, d: usize) -> Result<(), String> {
-        let (pos, req) = self.queues[d][self.heads[d]];
-        self.heads[d] += 1;
-        let served = match req {
-            QueueReq::Read { index } => {
-                Some(self.elements.get(&(d, index)).copied().unwrap_or(0))
-            }
-            QueueReq::Write { index, val } => {
-                self.elements.insert((d, index), val);
-                None
-            }
-        };
-        if self.completions[pos].replace(served).is_some() {
-            return Err(format!("batch entry {pos} served twice"));
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        let got: Vec<Option<u8>> = self
-            .completions
-            .iter()
-            .map(|c| c.ok_or("unserved batch entry".to_string()))
-            .collect::<Result<_, _>>()?;
-        let want = self.sequential();
-        if got != want {
-            return Err(format!(
-                "per-disk queue hand-off diverged from sequential service: \
-                 got {got:?}, sequential {want:?}"
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The three gates
+// The two gates
 // ---------------------------------------------------------------------------
 
 fn run<M: Model>(
@@ -441,37 +323,14 @@ pub fn check_merge_model() -> Result<ModelResult, ScheduleError> {
     )
 }
 
-/// Exhaustively checks the per-disk queue hand-off, including in-batch
-/// read-after-write on the same element.
-///
-/// # Errors
-///
-/// The first counterexample schedule.
-pub fn check_queue_model() -> Result<ModelResult, ScheduleError> {
-    use QueueReq::{Read, Write};
-    // Disk 0: write, read-back (must observe the write), overwrite, read
-    // again; disk 1 and 2 interleave freely against it.
-    let batch = [
-        (0, Write { index: 0, val: 1 }),
-        (1, Write { index: 0, val: 9 }),
-        (0, Read { index: 0 }),
-        (2, Read { index: 5 }),
-        (0, Write { index: 0, val: 2 }),
-        (1, Read { index: 0 }),
-        (0, Read { index: 0 }),
-        (2, Write { index: 5, val: 7 }),
-    ];
-    run("queue", &[QueueModel::new(3, &batch)])
-}
-
-/// Runs all three protocol models exhaustively.
+/// Runs both protocol models exhaustively.
 ///
 /// # Errors
 ///
 /// The first [`ScheduleError`] (counterexample schedule or budget
 /// overflow).
 pub fn check_all_models() -> Result<Vec<ModelResult>, ScheduleError> {
-    Ok(vec![check_cursor_model()?, check_merge_model()?, check_queue_model()?])
+    Ok(vec![check_cursor_model()?, check_merge_model()?])
 }
 
 #[cfg(test)]
@@ -481,7 +340,7 @@ mod tests {
     #[test]
     fn all_models_pass_exhaustively() {
         let results = check_all_models().unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 2);
         for r in &results {
             assert!(r.schedules > 0, "{} explored nothing", r.model);
         }
@@ -528,12 +387,5 @@ mod tests {
         let err = explore(&Broken(CursorModel::new(vec![0..2], 2)), 100_000).unwrap_err();
         let ExploreError::Violation { detail, .. } = err else { panic!("expected violation") };
         assert!(detail.contains("claimed twice"), "{detail}");
-    }
-
-    #[test]
-    fn queue_model_spec_observes_in_batch_raw() {
-        use QueueReq::{Read, Write};
-        let m = QueueModel::new(1, &[(0, Write { index: 0, val: 5 }), (0, Read { index: 0 })]);
-        assert_eq!(m.sequential(), vec![None, Some(5)]);
     }
 }

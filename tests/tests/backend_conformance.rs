@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use integration::{all_codes, payload};
 use raid_array::{
-    DiskBackend, DiskRequest, FaultPoint, FaultyBackend, FileBackend, MemBackend, RaidVolume,
+    DiskBackend, FaultPoint, FaultyBackend, FileBackend, MemBackend, RaidVolume,
 };
 use raid_core::ArrayCode;
 
@@ -34,10 +34,7 @@ fn make_backend(kind: &str, label: &str, disks: usize, epd: usize) -> Box<dyn Di
         "file" => {
             let dir = std::env::temp_dir().join(format!("hvraid_conformance_{label}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let mut be =
-                FileBackend::create(dir, disks, epd, ELEMENT).expect("temp dir writable");
-            be.set_io_threads(env_threads());
-            Box::new(be)
+            Box::new(FileBackend::create(dir, disks, epd, ELEMENT).expect("temp dir writable"))
         }
         "faulty" => Box::new(FaultyBackend::new(
             Box::new(MemBackend::new(disks, epd, ELEMENT)),
@@ -159,42 +156,6 @@ fn two_injected_faults_still_serve_reads_for_every_code_and_prime() {
             v.rebuild().unwrap();
             assert!(v.verify_all(), "{name} p={p}: rebuild after injected faults");
         }
-    }
-}
-
-#[test]
-fn submit_batch_completions_conform_on_every_backend() {
-    let disks = 5;
-    let epd = 6;
-    for kind in BACKENDS {
-        let label = format!("sb_{kind}");
-        let mut be = make_backend(kind, &label, disks, epd);
-        for d in 0..disks {
-            be.write(d, 0, &[d as u8 + 1; ELEMENT]).unwrap();
-        }
-        let reqs = vec![
-            DiskRequest::Write { disk: 1, index: 2, data: vec![0xAB; ELEMENT] },
-            DiskRequest::Read { disk: 0, index: 0 },
-            // Read-after-write on the same disk within one batch: every
-            // backend must preserve per-disk submission order.
-            DiskRequest::Read { disk: 1, index: 2 },
-            DiskRequest::Write { disk: 3, index: 5, data: vec![0xCD; ELEMENT] },
-            DiskRequest::Read { disk: 3, index: 5 },
-            DiskRequest::Read { disk: 4, index: 0 },
-        ];
-        let comps = be.submit_batch(&reqs);
-        assert_eq!(comps.len(), reqs.len(), "{kind}: one completion per request");
-        assert!(matches!(comps[0], Ok(None)), "{kind}: write completes without bytes");
-        let bytes = |i: usize| comps[i].as_ref().unwrap().as_deref().unwrap().to_vec();
-        assert_eq!(bytes(1), vec![1u8; ELEMENT], "{kind}: read sees prior single write");
-        assert_eq!(bytes(2), vec![0xAB; ELEMENT], "{kind}: read-after-write in batch");
-        assert_eq!(bytes(4), vec![0xCD; ELEMENT], "{kind}: read-after-write in batch");
-        assert_eq!(bytes(5), vec![5u8; ELEMENT], "{kind}: untouched disk serves old data");
-        // The batch is durable: later single reads see the batch's writes.
-        let mut buf = vec![0u8; ELEMENT];
-        be.read(1, 2, &mut buf).unwrap();
-        assert_eq!(buf, vec![0xAB; ELEMENT], "{kind}: batch write is durable");
-        cleanup(kind, &label);
     }
 }
 

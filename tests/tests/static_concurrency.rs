@@ -9,14 +9,14 @@ use raid_verify::hazard::{
     audit_partition_hazards, lowered_encode_batch, prove_layout_hazard_free, HazardError,
 };
 use raid_verify::journal::{
-    prove_batch_atomicity, prove_layout_journal, JournalCoverage, JournalError, JournalMode,
+    prove_batch_atomicity, prove_layout_journal, units_of_one, JournalCoverage, JournalError,
 };
 use raid_verify::schedules::check_all_models;
 
 /// The headline acceptance check: all 8 codes × p ∈ {5, 7} prove both
 /// cross-partition footprint disjointness (every modeled batched path)
-/// and all-old-or-all-new crash atomicity (every crash prefix, both
-/// journal protocols). The full default-prime sweep runs in `make lint`
+/// and all-old-or-all-new crash atomicity (every crash prefix, stored as
+/// one journal unit and as units of one op). The full default-prime sweep runs in `make lint`
 /// via `hvraid lint --all --hazards --journal`.
 #[test]
 fn every_code_proves_hazard_freedom_and_crash_atomicity() {
@@ -99,7 +99,7 @@ fn stale_cross_op_read_is_rejected_naming_both_ops() {
 
 /// Acceptance criterion: a deliberately corrupted journal — one undo
 /// record dropped — fails the crash-prefix sweep, and the rejection names
-/// the crash index and the unrestorable address, in both protocols.
+/// the crash index and the unrestorable address, under either unit shape.
 #[test]
 fn dropped_undo_record_is_rejected_naming_the_crash_index() {
     let code = raid_verify::build("hv", 5).unwrap();
@@ -107,8 +107,8 @@ fn dropped_undo_record_is_rejected_naming_the_crash_index() {
     let ops = lowered_encode_batch(layout, 3);
     let (_, dropped_addr) = ops[0].parity_writes[0];
 
-    for mode in [JournalMode::WholeBatch, JournalMode::PerOp] {
-        let err = prove_batch_atomicity(&ops, mode, JournalCoverage::DropEntry(0))
+    for units in [vec![ops.as_slice()], units_of_one(&ops)] {
+        let err = prove_batch_atomicity(&units, JournalCoverage::DropEntry(0))
             .expect_err("a journal missing an undo record must not prove");
         match &err {
             JournalError::MissingUndo { crash_index, addr, .. } => {
@@ -117,7 +117,7 @@ fn dropped_undo_record_is_rejected_naming_the_crash_index() {
                 assert_eq!(*crash_index, 1, "{err}");
                 assert_eq!(*addr, dropped_addr, "{err}");
             }
-            other => panic!("{mode}: expected MissingUndo, got {other}"),
+            other => panic!("{} unit(s): expected MissingUndo, got {other}", units.len()),
         }
         let msg = err.to_string();
         assert!(msg.contains("crash index 1"), "{msg}");
@@ -125,14 +125,13 @@ fn dropped_undo_record_is_rejected_naming_the_crash_index() {
     }
 }
 
-/// The executor's three concurrent protocols — the work-stealing cursor,
-/// the ledger-shard merge, and the per-disk queue hand-off — pass
-/// exhaustive interleaving exploration.
+/// The executor's two concurrent protocols — the work-stealing cursor and
+/// the ledger-shard merge — pass exhaustive interleaving exploration.
 #[test]
 fn executor_protocols_pass_exhaustive_schedule_exploration() {
     let results = check_all_models().unwrap_or_else(|e| panic!("{e}"));
     let names: Vec<&str> = results.iter().map(|r| r.model).collect();
-    assert_eq!(names, ["cursor", "merge", "queue"]);
+    assert_eq!(names, ["cursor", "merge"]);
     for r in &results {
         assert!(r.configs > 0, "{}: no configurations", r.model);
         assert!(r.schedules > 1, "{}: exploration did not branch", r.model);
