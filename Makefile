@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test loc bench bench-smoke chaos-smoke fleet-smoke threads-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
+.PHONY: build test loc bench bench-ab bench-smoke chaos-smoke fleet-smoke threads-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
 
 build:
 	$(CARGO) build --release
@@ -20,6 +20,13 @@ loc:
 # Full benchmark run (slow; regenerates BENCH_*.json at the repo root).
 bench:
 	$(CARGO) bench -p raid-bench
+
+# N alternating parent/change pairs of one BENCHMARK.json workload, BASE
+# checked out into target/ab-base for the duration: each end-to-end
+# metric's two medians, quartiles and the pairs the working tree won.
+#   make bench-ab BASE=HEAD~1 W=five_code_small_ops [N=10]
+bench-ab:
+	sh scripts/ab.sh $(BASE) $(W) $(N)
 
 # One iteration per benchmark: verifies every bench target runs end to end
 # in seconds, not minutes. The single-iteration BENCH_*.json reports land

@@ -15,18 +15,46 @@ const STACK_GATHER: usize = 32;
 ///
 /// A `Stripe` knows nothing about which cells are data or parity — that is
 /// the [`Layout`]'s business — it is pure storage plus XOR plumbing.
+///
+/// A stripe is *dense* ([`Stripe::zeroed`]: every cell has a buffer) or
+/// *sparse* ([`Stripe::sparse`]: same indexing, only the named cells have
+/// one). Every access to a cell a sparse stripe does not hold panics naming
+/// the cell, in every build: an op that strays outside its declared
+/// footprint must not compute on a silent empty slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stripe {
     rows: usize,
     cols: usize,
     element_size: usize,
-    bufs: Vec<Vec<u8>>,
+    /// Row-major; `None` is a cell a sparse stripe does not materialise.
+    bufs: Vec<Option<Vec<u8>>>,
 }
 
 impl Stripe {
     /// Creates a zero-filled stripe.
     pub fn zeroed(rows: usize, cols: usize, element_size: usize) -> Self {
-        Stripe { rows, cols, element_size, bufs: vec![vec![0; element_size]; rows * cols] }
+        Stripe { rows, cols, element_size, bufs: vec![Some(vec![0; element_size]); rows * cols] }
+    }
+
+    /// Creates a `rows × cols` stripe that materialises only `cells`
+    /// (zero-filled; repeats are harmless). What an op that names its cells
+    /// up front allocates instead of the whole grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell is out of bounds.
+    pub fn sparse(
+        rows: usize,
+        cols: usize,
+        element_size: usize,
+        cells: impl IntoIterator<Item = Cell>,
+    ) -> Self {
+        let mut bufs = vec![None; rows * cols];
+        for cell in cells {
+            assert!(cell.row < rows && cell.col < cols, "{cell} out of bounds");
+            bufs[cell.index(cols)].get_or_insert_with(|| vec![0; element_size]);
+        }
+        Stripe { rows, cols, element_size, bufs }
     }
 
     /// Creates a stripe shaped for `layout`.
@@ -53,20 +81,24 @@ impl Stripe {
     ///
     /// # Panics
     ///
-    /// Panics if `cell` is out of bounds.
+    /// Panics if `cell` is out of bounds or not materialised.
     pub fn element(&self, cell: Cell) -> &[u8] {
         assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
-        &self.bufs[cell.index(self.cols)]
+        self.buf(cell.index(self.cols))
     }
 
     /// Write access to an element.
     ///
     /// # Panics
     ///
-    /// Panics if `cell` is out of bounds.
+    /// Panics if `cell` is out of bounds or not materialised.
     pub fn element_mut(&mut self, cell: Cell) -> &mut [u8] {
         assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
-        &mut self.bufs[cell.index(self.cols)]
+        let idx = cell.index(self.cols);
+        match &mut self.bufs[idx] {
+            Some(buf) => buf,
+            None => absent(idx, self.cols),
+        }
     }
 
     /// Overwrites an element.
@@ -74,7 +106,7 @@ impl Stripe {
     /// # Panics
     ///
     /// Panics if `data` is not exactly `element_size` bytes or `cell` is out
-    /// of bounds.
+    /// of bounds or not materialised.
     pub fn set_element(&mut self, cell: Cell, data: &[u8]) {
         assert_eq!(data.len(), self.element_size, "element size mismatch at {cell}");
         self.element_mut(cell).copy_from_slice(data);
@@ -213,38 +245,47 @@ impl Stripe {
     pub(crate) fn apply_indexed_xor(&mut self, dst: usize, srcs: &[u32]) {
         debug_assert!(!srcs.iter().any(|&s| s as usize == dst), "op reads its own target");
         // Detach the target so the sources can be borrowed from `bufs`.
-        let mut out = std::mem::take(&mut self.bufs[dst]);
+        let mut out = self.take_buf(dst);
         if srcs.len() <= STACK_GATHER {
             let mut stack: [&[u8]; STACK_GATHER] = [&[]; STACK_GATHER];
             for (slot, &s) in stack.iter_mut().zip(srcs) {
-                *slot = &self.bufs[s as usize];
+                *slot = self.buf(s as usize);
             }
             xor_gather_into(&mut out, &stack[..srcs.len()]);
         } else {
-            let gathered: Vec<&[u8]> =
-                srcs.iter().map(|&s| self.bufs[s as usize].as_slice()).collect();
+            let gathered: Vec<&[u8]> = srcs.iter().map(|&s| self.buf(s as usize)).collect();
             xor_gather_into(&mut out, &gathered);
         }
-        self.bufs[dst] = out;
+        self.put_buf(dst, out);
     }
 
     /// Detaches the buffer at linear index `idx` so tiled plan execution
     /// can borrow other buffers as sources while writing into it; pair
-    /// with [`Stripe::put_buf`].
+    /// with [`Stripe::put_buf`]. Panics if the cell is not materialised.
     pub(crate) fn take_buf(&mut self, idx: usize) -> Vec<u8> {
-        std::mem::take(&mut self.bufs[idx])
+        self.bufs[idx].take().unwrap_or_else(|| absent(idx, self.cols))
     }
 
     /// Re-attaches a buffer detached by [`Stripe::take_buf`].
     pub(crate) fn put_buf(&mut self, idx: usize, buf: Vec<u8>) {
-        self.bufs[idx] = buf;
+        self.bufs[idx] = Some(buf);
     }
 
     /// Borrows the buffer at linear index `idx` (tiled execution's source
-    /// view; `element` requires a [`Cell`]).
+    /// view; `element` requires a [`Cell`]). Panics if the cell is not
+    /// materialised.
     pub(crate) fn buf(&self, idx: usize) -> &[u8] {
-        &self.bufs[idx]
+        match &self.bufs[idx] {
+            Some(buf) => buf,
+            None => absent(idx, self.cols),
+        }
     }
+}
+
+/// The one panic every access to an unmaterialised cell ends in.
+#[cold]
+fn absent(idx: usize, cols: usize) -> ! {
+    panic!("{} is not materialised in this sparse stripe", Cell::from_index(idx, cols))
 }
 
 /// Topologically orders chains so that any chain whose members include
@@ -408,5 +449,70 @@ mod tests {
     fn element_bounds_checked() {
         let s = Stripe::zeroed(2, 2, 4);
         s.element(Cell::new(2, 0));
+    }
+
+    /// A 2×3 stripe holding only row 0.
+    fn row_zero_only(element_size: usize) -> Stripe {
+        Stripe::sparse(2, 3, element_size, (0..3).map(|col| Cell::new(0, col)))
+    }
+
+    #[test]
+    fn sparse_holds_exactly_the_named_cells() {
+        let c = Cell::new;
+        let mut s = Stripe::sparse(2, 3, 4, [c(0, 1), c(1, 2), c(0, 1)]);
+        assert_eq!((s.rows(), s.cols(), s.element_size()), (2, 3, 4));
+        s.set_element(c(1, 2), &[7; 4]);
+        assert_eq!(s.element(c(1, 2)), &[7; 4]);
+        assert_eq!(s.element(c(0, 1)), &[0; 4], "materialised cells start zeroed");
+        // With every cell named it is the dense stripe.
+        let every = (0..6).map(|i| Cell::from_index(i, 3));
+        assert_eq!(Stripe::sparse(2, 3, 4, every), Stripe::zeroed(2, 3, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn sparse_bounds_checked() {
+        Stripe::sparse(2, 3, 4, [Cell::new(0, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "E[1,0] is not materialised")]
+    fn element_of_an_absent_cell_panics() {
+        row_zero_only(4).element(Cell::new(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "E[1,1] is not materialised")]
+    fn element_mut_of_an_absent_cell_panics() {
+        row_zero_only(4).element_mut(Cell::new(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "E[1,2] is not materialised")]
+    fn set_element_of_an_absent_cell_panics() {
+        row_zero_only(4).set_element(Cell::new(1, 2), &[0; 4]);
+    }
+
+    /// `XorPlan::execute` of `target = XOR(sources)` on [`row_zero_only`],
+    /// through the flat and the tiled interpreter.
+    fn execute_on_row_zero(target: Cell, sources: &[Cell]) {
+        use raid_math::xor::L1_TILE_BYTES;
+        let plan = crate::xplan::XorPlan::from_steps(2, 3, [(target, sources)]);
+        for element_size in [4, L1_TILE_BYTES + 4] {
+            let run = || plan.execute(&mut row_zero_only(element_size));
+            let panic = std::panic::catch_unwind(run).expect_err("absent cell went unnoticed");
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains("E[1,1] is not materialised"), "{message}");
+        }
+    }
+
+    #[test]
+    fn plan_reading_an_absent_cell_panics() {
+        execute_on_row_zero(Cell::new(0, 2), &[Cell::new(0, 0), Cell::new(1, 1)]);
+    }
+
+    #[test]
+    fn plan_writing_an_absent_cell_panics() {
+        execute_on_row_zero(Cell::new(1, 1), &[Cell::new(0, 0), Cell::new(0, 1)]);
     }
 }

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 
+use raid_core::bitset::BitSet;
 use raid_core::decoder;
 use raid_core::layout::Layout;
 use raid_core::plan::degraded::{plan_degraded_read, plan_degraded_read_multi};
@@ -182,7 +183,14 @@ fn batched_write_steps(
 ) -> Vec<(Cell, Vec<Cell>)> {
     let rows = layout.rows();
     let up = |c: Cell| Cell::new(c.row + rows, c.col);
-    let touched = |m: &Cell| plan.data_writes.contains(m) || plan.parity_writes.contains(m);
+    // One bitmap per call: a `contains` scan of both write lists per chain
+    // member made the lowering quadratic in the dirty set.
+    let cols = layout.cols();
+    let mut written = BitSet::new(rows * cols);
+    for c in plan.data_writes.iter().chain(&plan.parity_writes) {
+        written.insert(c.index(cols));
+    }
+    let touched = |m: &Cell| written.contains(m.index(cols));
     ordered_parities(layout, &plan.parity_writes)
         .into_iter()
         .map(|p| {
@@ -238,7 +246,7 @@ pub fn stripe_write_op(
     let cost = write_cost(layout, &plan);
 
     let mut fills: Vec<(usize, Cell)> = Vec::new();
-    let mut reconstruct_reads: Vec<Cell> = Vec::new();
+    let mut reconstruct_reads: Vec<Cell> = Vec::with_capacity(cost.reconstruct_reads.len());
     for &c in &cost.reconstruct_reads {
         match layout.data_ordinal(c) {
             Some(ord) if is_clean(ord) => fills.push((ord, c)),
@@ -376,4 +384,283 @@ pub fn encode_batch(layout: &Layout, addressing: &Addressing, stripes: usize) ->
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use hv_code::HvCode;
+    use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
+    use raid_core::{ArrayCode, Stripe};
+
+    use super::*;
+    use crate::backend::{DiskBackend, MemBackend};
+    use crate::pipeline::IoPipeline;
+
+    const ES: usize = 4;
+    /// The ops under test address the last of these stripes, so rotation
+    /// and the stripe offset are both in play.
+    const STRIPES: usize = 3;
+
+    /// The `raid-verify` registry, which this crate cannot depend on.
+    fn registry(p: usize) -> Vec<Arc<dyn ArrayCode>> {
+        vec![
+            Arc::new(HvCode::new(p).unwrap()),
+            Arc::new(RdpCode::new(p).unwrap()),
+            Arc::new(EvenOddCode::new(p).unwrap()),
+            Arc::new(XCode::new(p).unwrap()),
+            Arc::new(HCode::new(p).unwrap()),
+            Arc::new(HdpCode::new(p).unwrap()),
+            Arc::new(PCode::new(p).unwrap()),
+            Arc::new(LiberationCode::new(p).unwrap()),
+        ]
+    }
+
+    fn all_cells(layout: &Layout) -> impl Iterator<Item = Cell> {
+        let cols = layout.cols();
+        (0..layout.num_cells()).map(move |i| Cell::from_index(i, cols))
+    }
+
+    fn pattern(seed: usize) -> [u8; ES] {
+        std::array::from_fn(|k| (seed * 31 + k * 7 + 1) as u8)
+    }
+
+    /// Two pipelines over identical backends: every op runs on a dense
+    /// zeroed scratch against one and on a sparse scratch over the op's
+    /// own footprint against the other, and the two must never differ.
+    struct Twin {
+        dense: IoPipeline,
+        sparse: IoPipeline,
+    }
+
+    impl Twin {
+        /// Backends holding `model` (a consistent stripe) in every stripe.
+        fn holding(layout: &Layout, addressing: &Addressing, model: &Stripe) -> Twin {
+            let mut backend = MemBackend::new(layout.cols(), STRIPES * layout.rows(), ES);
+            for stripe in 0..STRIPES {
+                for cell in all_cells(layout) {
+                    let at = cell_addr(addressing, layout.rows(), stripe, cell);
+                    backend.write(at.disk, at.index, model.element(cell)).unwrap();
+                }
+            }
+            Twin {
+                dense: IoPipeline::new(Box::new(backend.clone())),
+                sparse: IoPipeline::new(Box::new(backend)),
+            }
+        }
+
+        fn image(pipe: &mut IoPipeline) -> Vec<u8> {
+            let (disks, per_disk) = (pipe.backend().disks(), pipe.backend().elements_per_disk());
+            let mut bytes = vec![0u8; disks * per_disk * ES];
+            for (i, buf) in bytes.chunks_exact_mut(ES).enumerate() {
+                pipe.backend_mut().read(i / per_disk, i % per_disk, buf).unwrap();
+            }
+            bytes
+        }
+
+        /// Executes `op` both ways over `rows × cols` scratches preset
+        /// with `preset`; returns the sparse scratch. A footprint that
+        /// misses a cell the pipeline touches panics naming the cell.
+        fn execute(
+            &mut self,
+            op: &LoweredOp,
+            (rows, cols): (usize, usize),
+            preset: &[(Cell, &[u8])],
+            what: &str,
+        ) -> Stripe {
+            let mut dense = Stripe::zeroed(rows, cols, ES);
+            let mut sparse = Stripe::sparse(rows, cols, ES, op.footprint());
+            for &(cell, bytes) in preset {
+                dense.set_element(cell, bytes);
+                sparse.set_element(cell, bytes);
+            }
+            let on_dense = self.dense.execute(op, &mut dense).unwrap();
+            let on_sparse = self.sparse.execute(op, &mut sparse).unwrap();
+            assert_eq!(on_sparse, on_dense, "{what}: request sets differ");
+            for cell in op.footprint() {
+                assert_eq!(sparse.element(cell), dense.element(cell), "{what}: scratch {cell}");
+            }
+            assert_eq!(
+                Twin::image(&mut self.sparse),
+                Twin::image(&mut self.dense),
+                "{what}: backend images differ"
+            );
+            sparse
+        }
+
+        /// Zeroes the cells of columns `cols`, addressed by `addr`, on both
+        /// backends — what a swapped-in blank disk holds.
+        fn blank(&mut self, layout: &Layout, addr: &impl Fn(Cell) -> DiskAddr, cols: &[usize]) {
+            for cell in cols.iter().flat_map(|&col| layout.cells_in_col(col)) {
+                let at = addr(cell);
+                for pipe in [&mut self.dense, &mut self.sparse] {
+                    pipe.backend_mut().write(at.disk, at.index, &[0; ES]).unwrap();
+                }
+            }
+        }
+    }
+
+    /// A seeded, encoded stripe of `layout`.
+    fn seeded(layout: &Layout, seed: u64) -> Stripe {
+        let mut model = Stripe::for_layout(layout, ES);
+        model.fill_data_seeded(layout, seed);
+        model.encode(layout);
+        model
+    }
+
+    /// Dirty-set lattice over `n` data ordinals: contiguous runs (every
+    /// `(start, len)` for small stripes, coprime strides for large ones),
+    /// strided scatters, and everything-but-one.
+    fn dirty_sets(n: usize) -> Vec<Vec<usize>> {
+        let (start_step, len_step) = if n <= 40 { (1, 1) } else { (11, 17) };
+        let mut sets = Vec::new();
+        for start in (0..n).step_by(start_step) {
+            for len in (1..=n - start).step_by(len_step) {
+                sets.push((start..start + len).collect());
+            }
+        }
+        for stride in [2, 3, 5, 7] {
+            for first in 0..2 {
+                sets.push((first..n).step_by(stride).collect());
+            }
+        }
+        sets.push((0..n).collect());
+        sets.extend([0, n / 2, n - 1].map(|hole| (0..n).filter(|&o| o != hole).collect()));
+        sets
+    }
+
+    #[test]
+    fn stripe_write_on_its_footprint_matches_a_dense_scratch() {
+        for p in [5usize, 7, 13] {
+            for code in registry(p) {
+                let layout = code.layout();
+                let (rows, cols) = (layout.rows(), layout.cols());
+                let addressing = Addressing::new(layout.num_data_cells(), cols, true);
+                let addr = |c| cell_addr(&addressing, rows, STRIPES - 1, c);
+                let mut model = seeded(layout, p as u64);
+                let mut twin = Twin::holding(layout, &addressing, &model);
+                for (k, dirty) in dirty_sets(layout.num_data_cells()).into_iter().enumerate() {
+                    for rest_clean in [false, true] {
+                        let what = format!("{} p={p} clean={rest_clean} {dirty:?}", code.name());
+                        let is_clean = |ord| rest_clean && dirty.binary_search(&ord).is_err();
+                        let StripeWrite { op, fills } =
+                            stripe_write_op(layout, &dirty, is_clean, &addr);
+                        let fresh: Vec<[u8; ES]> =
+                            dirty.iter().map(|&ord| pattern(k + ord)).collect();
+                        let mut preset: Vec<(Cell, &[u8])> = op
+                            .data_writes
+                            .iter()
+                            .zip(&fresh)
+                            .map(|(&(cell, _), bytes)| (cell, &bytes[..]))
+                            .collect();
+                        for &(ord, cell) in &fills {
+                            preset.push((cell, model.element(layout.data_cells()[ord])));
+                        }
+                        twin.execute(&op, (2 * rows, cols), &preset, &what);
+
+                        // Whatever the mode, the stripe on disk stays a
+                        // code word holding the new bytes.
+                        let fetch = whole_stripe_read_op(layout, &addr);
+                        let after = twin.execute(&fetch, (rows, cols), &[], &what);
+                        assert_eq!(after.verify(layout), None, "{what}: parity broken");
+                        for (&ord, bytes) in dirty.iter().zip(&fresh) {
+                            assert_eq!(after.element(layout.data_cells()[ord]), bytes, "{what}");
+                        }
+                        model = after;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hv_write_footprints_are_six_cells_and_the_upper_half() {
+        use std::collections::BTreeSet;
+        let code = HvCode::new(13).unwrap();
+        let layout = code.layout();
+        let rows = layout.rows();
+        let addr = |c: Cell| DiskAddr { disk: c.col, index: c.row };
+        // §V-A: an update touches the element and its two parities — old
+        // and new value of each.
+        for ord in 0..layout.num_data_cells() {
+            let op = stripe_write_op(layout, &[ord], |_| false, &addr).op;
+            assert_eq!(op.footprint().collect::<BTreeSet<Cell>>().len(), 6, "ordinal {ord}");
+        }
+        // A full-stripe write reads nothing, so holds no old value.
+        let all: Vec<usize> = (0..layout.num_data_cells()).collect();
+        let cells: BTreeSet<Cell> =
+            stripe_write_op(layout, &all, |_| false, &addr).op.footprint().collect();
+        assert_eq!(cells.len(), layout.num_cells());
+        assert!(cells.iter().all(|c| c.row >= rows), "lower half materialised");
+    }
+
+    #[test]
+    fn every_lowered_op_runs_on_its_footprint() {
+        for p in [5usize, 7, 13] {
+            for code in registry(p) {
+                let layout = code.layout();
+                let shape = (layout.rows(), layout.cols());
+                let addressing = Addressing::new(layout.num_data_cells(), shape.1, true);
+                let target = STRIPES - 1;
+                let addr = |c| cell_addr(&addressing, shape.0, target, c);
+                let model = seeded(layout, 3 * p as u64);
+                let mut twin = Twin::holding(layout, &addressing, &model);
+                let whole: Vec<(Cell, &[u8])> =
+                    all_cells(layout).map(|c| (c, model.element(c))).collect();
+                let data = layout.data_cells();
+                let name = code.name();
+
+                // Reads: healthy, one and two failed columns, whole stripe.
+                let requested = &data[data.len() / 3..][..4];
+                for failed in [&[][..], &[requested[0].col], &[requested[0].col, shape.1 - 1]] {
+                    let what = format!("{name} p={p} read_op {failed:?}");
+                    let op = read_op(layout, failed, requested, &addr).expect(&what);
+                    let got = twin.execute(&op, shape, &[], &what);
+                    for &cell in requested {
+                        assert_eq!(got.element(cell), model.element(cell), "{what}: {cell}");
+                    }
+                }
+                let fetch = whole_stripe_read_op(layout, &addr);
+                assert_eq!(twin.execute(&fetch, shape, &[], "whole_stripe_read_op"), model);
+
+                // Stores of preset cells: scrub's repair, the degraded store.
+                for cell in [data[0], layout.chains()[0].parity] {
+                    let what = format!("{name} p={p} cell_write_op {cell}");
+                    let op = cell_write_op(layout, cell, &addr);
+                    twin.execute(&op, shape, &[(cell, model.element(cell))], &what);
+                }
+                for failed in [&[][..], &[0], &[1, shape.1 - 1]] {
+                    let what = format!("{name} p={p} encode_store_op {failed:?}");
+                    let op = encode_store_op(layout, failed, &data[..2], &addr);
+                    twin.execute(&op, shape, &whole, &what);
+                }
+
+                // Rebuilds onto blanked columns restore the stripe.
+                for lost in [&[0usize][..], &[1, shape.1 - 1]] {
+                    let what = format!("{name} p={p} decode_op {lost:?}");
+                    let cells: Vec<Cell> =
+                        lost.iter().flat_map(|&col| layout.cells_in_col(col)).collect();
+                    twin.blank(layout, &addr, lost);
+                    let op = decode_op(layout, lost, &[], &cells, &addr).expect(&what);
+                    twin.execute(&op, shape, &[], &what);
+                    assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");
+                }
+                let col = shape.1 / 2;
+                let what = format!("{name} p={p} recover_column_op {col}");
+                twin.blank(layout, &addr, &[col]);
+                let op = recover_column_op(layout, col, &layout.cells_in_col(col), &addr);
+                twin.execute(&op, shape, &[], &what);
+                assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");
+
+                // The batch builders, one op per stripe.
+                let what = format!("{name} p={p} batch");
+                let rebuild = rebuild_batch(layout, &addressing, STRIPES, &[0, 2]).expect(&what);
+                for op in rebuild.iter().chain(&encode_batch(layout, &addressing, STRIPES)) {
+                    twin.execute(op, shape, &[], &what);
+                }
+                assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");
+            }
+        }
+    }
 }

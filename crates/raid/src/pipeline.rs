@@ -11,6 +11,7 @@
 
 use disk_sim::{DiskArray, DiskError};
 use raid_core::io::{IoLedger, LedgerShard, RequestSet};
+use raid_core::xplan::PlanCell;
 use raid_core::{Cell, Stripe, XorPlan};
 
 use crate::backend::{DiskBackend, JournalEntry};
@@ -50,6 +51,24 @@ impl LoweredOp {
     /// True if the op issues no element requests at all.
     pub fn is_empty(&self) -> bool {
         self.reads.is_empty() && self.data_writes.is_empty() && self.parity_writes.is_empty()
+    }
+
+    /// Every scratch cell executing this op touches (a cell may repeat):
+    /// the cells its reads land in, the cells its writes store from, and
+    /// every grid cell its plan reads or writes (plan temps live outside
+    /// the scratch). A [`Stripe::sparse`] over these cells is a sufficient
+    /// scratch for [`IoPipeline::execute`].
+    pub fn footprint(&self) -> impl Iterator<Item = Cell> + '_ {
+        let io = self.reads.iter().chain(&self.data_writes).chain(&self.parity_writes);
+        let in_plan = self.plan.iter().flat_map(|plan| {
+            plan.step_views()
+                .flat_map(|step| std::iter::once(step.dst).chain(step.srcs.iter().copied()))
+                .filter_map(move |idx| match plan.plan_cell(idx) {
+                    PlanCell::Grid(cell) => Some(cell),
+                    PlanCell::Temp(_) => None,
+                })
+        });
+        io.map(|&(cell, _)| cell).chain(in_plan)
     }
 }
 
