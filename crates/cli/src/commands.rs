@@ -80,17 +80,14 @@ commands:
                                            back into the MTTDL model; --json is
                                            byte-identical for a fixed seed
   serve     --socket <path> [--code hv] [--p 5] [--stripes 16] [--element 64]
-            [--dir <dir>] [--coalesce true] [--queue-depth 256] [--workers 4]
-            [--partitions N]
+            [--dir <dir>] [--queue-depth 256] [--workers 4] [--partitions N]
                                            serve the volume as a concurrent block
                                            service on a unix socket (line protocol:
                                            HELLO/READ/WRITE/FLUSH/STATS/QUIT/
                                            SHUTDOWN); --dir persists to a file-backed
-                                           volume, reopening an existing one;
-                                           --coalesce false dispatches pass-through
-                                           (no write merging, cache off); runs until
-                                           a client sends SHUTDOWN, then drains,
-                                           flushes, and exits
+                                           volume, reopening an existing one; runs
+                                           until a client sends SHUTDOWN, then
+                                           drains, flushes, and exits
   connect   --socket <path> [--script <file>]
                                            scripted client session against a served
                                            volume (script from --script or stdin, one
@@ -935,7 +932,6 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
     };
 
     let cfg = ServiceConfig {
-        coalesce: parsed.get_or("coalesce", true)?,
         queue_depth: parsed.get_or("queue-depth", 256usize)?,
         partitions: parsed.flags.get("partitions").map(|v| v.parse()).transpose().map_err(
             |_| "bad value for --partitions".to_string(),
@@ -952,12 +948,10 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
     let stats = svc.stats();
     Ok(format!(
         "serve: shut down cleanly — {} ops from {} sessions, {} dispatch rounds, \
-         {} writes merged into {} runs, final flush complete ✔",
+         final flush complete ✔",
         stats.ops_total(),
         stats.tenants.len(),
         stats.rounds,
-        stats.merged_writes + stats.write_runs,
-        stats.write_runs,
     ))
 }
 

@@ -11,19 +11,17 @@
 //!   ([`ServiceError::Throttled`]);
 //! * queued ops drain under deficit-round-robin across tenants, so a hot
 //!   writer cannot starve a reader;
-//! * adjacent and overlapping writes in a batch coalesce into maximal
-//!   contiguous runs, dispatched grouped by owning partition into the
-//!   volume's write-back stripe cache — N tenants' small writes to one
-//!   stripe become one parity-sharing flush instead of N
-//!   read-modify-writes;
+//! * each drained batch is dispatched in arrival order into the volume's
+//!   write-back stripe cache, which is the one place writes merge — N
+//!   tenants' small writes to one stripe become one parity-sharing flush
+//!   instead of N read-modify-writes;
 //! * per-op enqueue→completion latency lands in the shared
 //!   [`raid_core::stats`] histograms, reported per tenant class by
 //!   [`metrics`] in Prometheus text format.
 //!
 //! `hvraid serve` / `hvraid connect` / `hvraid stats` expose it end to
-//! end; `crates/bench/benches/service.rs` drives the in-process handle
-//! with mixed Zipf tenants and pins the coalescing win in
-//! `BENCH_service.json`.
+//! end; `tests/tests/service_conformance.rs` pins its answers and the
+//! cache's I/O saving, and `hvbench`'s two service workloads time it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

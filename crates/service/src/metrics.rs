@@ -90,19 +90,7 @@ pub fn prometheus_text(stats: &ServiceStats) -> String {
     let _ = writeln!(out, "hvraid_service_queued_ops {}", stats.queued);
     header(&mut out, "hvraid_service_rounds_total", "Deficit-round-robin dispatch rounds.", "counter");
     let _ = writeln!(out, "hvraid_service_rounds_total {}", stats.rounds);
-    header(
-        &mut out,
-        "hvraid_service_merged_writes_total",
-        "Write ops absorbed into coalesced runs.",
-        "counter",
-    );
-    let _ = writeln!(out, "hvraid_service_merged_writes_total {}", stats.merged_writes);
-    header(
-        &mut out,
-        "hvraid_service_write_runs_total",
-        "Contiguous write runs submitted to the volume.",
-        "counter",
-    );
+    header(&mut out, "hvraid_service_write_runs_total", "Write ops dispatched to the volume.", "counter");
     let _ = writeln!(out, "hvraid_service_write_runs_total {}", stats.write_runs);
 
     header(&mut out, "hvraid_service_ops_total", "Ops completed per tenant.", "counter");

@@ -1,6 +1,5 @@
 //! The stripe-aware request scheduler: per-tenant queues drained by a
-//! flat-combining dispatcher that merges co-located writes before they
-//! reach the volume.
+//! flat-combining dispatcher into the volume's write-back stripe cache.
 //!
 //! # Architecture
 //!
@@ -11,9 +10,7 @@
 //! taking the dispatch lock and draining every queue — or parks on its
 //! op's completion slot while another thread combines. This
 //! flat-combining shape needs no dedicated dispatcher thread, so the
-//! in-process handle has zero idle cost, and it is exactly what makes
-//! coalescing work: while one thread executes against the volume, the
-//! other clients' ops pile up and are merged into the next batch.
+//! in-process handle has zero idle cost.
 //!
 //! Each combining round is **deficit-round-robin** across sessions: every
 //! session earns `drr_quantum` elements of credit per round and releases
@@ -22,19 +19,16 @@
 //! reader's small ops drain every round regardless of how deep the
 //! writer's queue is.
 //!
-//! The collected batch executes in arrival order, except that runs of
-//! *consecutive write ops* are staged element-by-element into a
-//! coalescing buffer: overlapping writes collapse (last writer wins,
-//! matching arrival order), adjacent writes fuse into maximal contiguous
-//! runs, and the runs are submitted grouped by the partition that owns
-//! their first stripe ([`raid_array::PartitionMap::owner_of`]) so each
-//! partition's work arrives contiguously at the volume, whose own flush
-//! path fans the dirty stripes out across partitions. A read or flush op
-//! is a barrier: the stage drains before it executes, so every op
-//! observes all writes admitted before it. Every run is attempted even
-//! when one fails, and each coalesced op is acked `Written` only if the
-//! run carrying its bytes actually succeeded — a degraded array fails
-//! the affected ops with the volume error, never silently.
+//! The collected batch is dispatched to the volume one op at a time, in
+//! arrival order. That order is the only ordering rule: one volume sees
+//! one sequence, so every op observes all writes released before it,
+//! across tenants, by construction. Merging co-located writes is the
+//! stripe cache's job ([`Service::new`] always attaches it): a write is
+//! absorbed in memory and the elements that land in one stripe share
+//! their parity updates when the stripe flushes — the scheduler stages
+//! nothing in front of it. An op the volume fails (a degraded array at
+//! its correction limit, say) completes with that volume error, never
+//! silently.
 //!
 //! Token buckets refill two ways: a fixed quantum per dispatch round
 //! (deterministic pacing under load) and a wall-clock quantum per
@@ -51,10 +45,16 @@
 //! Latency is recorded per op from enqueue to completion into a
 //! per-tenant [`Histogram`] ([`raid_core::stats`]), the same percentile
 //! definitions the fleet harness reports.
+//!
+//! A panic under the dispatch lock (a volume bug, a
+//! [`Service::with_volume`] callback) **closes** the service: every
+//! queued or in-flight op completes with [`ServiceError::Closed`] and
+//! later submissions are refused, instead of clients waiting on a
+//! combiner that no longer exists.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -105,12 +105,6 @@ impl fmt::Display for TenantClass {
 /// Tuning knobs for the service front-end.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Merge adjacent/overlapping writes per batch and route them through
-    /// the write-back stripe cache (`false` = pass-through dispatch: every
-    /// op hits the volume individually, cache off — the A/B baseline).
-    pub coalesce: bool,
-    /// Stripe cache geometry when coalescing (`None` = volume default).
-    pub cache: Option<CacheConfig>,
     /// Global cap on queued ops; admission beyond it returns
     /// [`ServiceError::Busy`].
     pub queue_depth: usize,
@@ -136,8 +130,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            coalesce: true,
-            cache: None,
             queue_depth: 256,
             drr_quantum: 64,
             bucket_capacity: 65_536,
@@ -205,6 +197,16 @@ enum OpKind {
     Flush,
 }
 
+/// Locks `m`, reading through poison: a poisoned lock carries nothing
+/// the service acts on. Sections over `shared` and the op slots are
+/// plain bookkeeping, and the ones that can unwind (the volume call, a
+/// `with_volume` callback) run under a [`Combiner`], which has closed
+/// the service before the lock is seen poisoned — and must itself be
+/// able to take these locks mid-unwind to do so.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One op's completion rendezvous between submitter and combiner.
 struct OpSlot {
     result: Mutex<Option<Result<OpOutput, ServiceError>>>,
@@ -217,22 +219,21 @@ impl OpSlot {
     }
 
     fn set(&self, res: Result<OpOutput, ServiceError>) {
-        let mut g = self.result.lock().expect("op slot poisoned");
-        *g = Some(res);
+        *locked(&self.result) = Some(res);
         self.cv.notify_all();
     }
 
     fn take(&self) -> Option<Result<OpOutput, ServiceError>> {
-        self.result.lock().expect("op slot poisoned").take()
+        locked(&self.result).take()
     }
 
     /// Sleeps until the slot is set (the combiner notifies on
     /// completion) or `timeout` elapses — the caller re-checks either
     /// way, so the timeout is a fallback bound, not a poll interval.
     fn wait_for(&self, timeout: Duration) {
-        let g = self.result.lock().expect("op slot poisoned");
+        let g = locked(&self.result);
         if g.is_none() {
-            let _ = self.cv.wait_timeout(g, timeout).expect("op slot poisoned");
+            drop(self.cv.wait_timeout(g, timeout));
         }
     }
 }
@@ -253,6 +254,37 @@ struct PendingOp {
     cost: u64,
     enqueued: Instant,
     slot: Arc<OpSlot>,
+}
+
+impl Drop for PendingOp {
+    /// An op dropped by an unwinding combiner never completed: fail it
+    /// rather than strand its submitter.
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.slot.set(Err(ServiceError::Closed));
+        }
+    }
+}
+
+/// The dispatch role: holds the flat-combining lock, and if the holder
+/// unwinds, closes the service and fails every queued op (dropping a
+/// [`PendingOp`] mid-panic completes it with [`ServiceError::Closed`])
+/// before the lock is released poisoned.
+struct Combiner<'a> {
+    svc: &'a Service,
+    _lock: MutexGuard<'a, ()>,
+}
+
+impl Drop for Combiner<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            let mut sh = locked(&self.svc.shared);
+            sh.closed = true;
+            sh.combining = false;
+            sh.queued = 0;
+            sh.sessions.iter_mut().for_each(|s| s.queue.clear());
+        }
+    }
 }
 
 struct SessionState {
@@ -334,7 +366,6 @@ struct Shared {
     queued: usize,
     rr: usize,
     rounds: u64,
-    merged_writes: u64,
     write_runs: u64,
     /// True while a combiner holds the dispatch lock *and* has not yet
     /// observed an empty queue under this mutex — while set, every
@@ -384,15 +415,14 @@ pub struct ServiceStats {
     pub cache_resident: usize,
     /// Dirty stripes in the cache.
     pub cache_dirty: usize,
-    /// Whether the scheduler merges writes.
-    pub coalesce: bool,
     /// Ops queued right now.
     pub queued: usize,
     /// Dispatch rounds run.
     pub rounds: u64,
-    /// Write ops absorbed into a merged run (ops in minus runs out).
+    /// Always 0 — the stripe cache does the merging; leaves with the next
+    /// `benchmark` PR, whose `sut.rs` still reads it.
     pub merged_writes: u64,
-    /// Contiguous write runs submitted to the volume.
+    /// Write ops dispatched to the volume.
     pub write_runs: u64,
     /// Per-tenant latency and throughput, aggregated per
     /// `(tenant, class)` across all sessions ever opened under that
@@ -412,17 +442,6 @@ impl ServiceStats {
     #[must_use]
     pub fn ops_total(&self) -> u64 {
         self.tenants.iter().map(|t| t.ops).sum()
-    }
-
-    /// Ledger-measured backend element I/Os per completed op
-    /// (reads + writes; 0 when no ops completed).
-    #[must_use]
-    pub fn io_per_op(&self) -> f64 {
-        let ops = self.ops_total();
-        if ops == 0 {
-            return 0.0;
-        }
-        self.ledger.total() as f64 / ops as f64
     }
 }
 
@@ -446,23 +465,14 @@ impl fmt::Debug for Service {
         f.debug_struct("Service")
             .field("data_elements", &self.data_elements)
             .field("element_size", &self.element_size)
-            .field("coalesce", &self.cfg.coalesce)
             .finish_non_exhaustive()
     }
 }
 
 impl Service {
-    /// Wraps `volume` in a service with the given scheduler config.
-    ///
-    /// Coalescing mode attaches the write-back stripe cache (volume
-    /// default geometry unless [`ServiceConfig::cache`] overrides it);
-    /// pass-through mode detaches it so every op dispatches individually
-    /// — the measured A/B baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if pass-through mode cannot flush an already-attached cache
-    /// (only possible on a faulty backend mid-failure).
+    /// Wraps `volume` in a service with the given scheduler config,
+    /// attaching the write-back stripe cache (default geometry) unless
+    /// the volume already carries one.
     #[must_use]
     pub fn new(mut volume: RaidVolume, cfg: ServiceConfig) -> Arc<Service> {
         let mut cfg = cfg;
@@ -474,12 +484,8 @@ impl Service {
         if let Some(p) = cfg.partitions {
             volume.set_partitions(Some(p));
         }
-        if cfg.coalesce {
-            if !volume.cache_enabled() {
-                volume.enable_cache(cfg.cache.unwrap_or_default());
-            }
-        } else if volume.cache_enabled() {
-            volume.disable_cache().expect("flushing cache for pass-through mode");
+        if !volume.cache_enabled() {
+            volume.enable_cache(CacheConfig::default());
         }
         let data_elements = volume.data_elements();
         let element_size = volume.element_size();
@@ -493,7 +499,6 @@ impl Service {
                 queued: 0,
                 rr: 0,
                 rounds: 0,
-                merged_writes: 0,
                 write_runs: 0,
                 combining: false,
                 next_epoch: 0,
@@ -511,7 +516,7 @@ impl Service {
     /// scheduler state or the DRR rotation).
     #[must_use]
     pub fn session(self: &Arc<Self>, tenant: &str, class: TenantClass) -> ServiceHandle {
-        let mut sh = self.lock_shared();
+        let mut sh = locked(&self.shared);
         sh.next_epoch += 1;
         let epoch = sh.next_epoch;
         let state = SessionState {
@@ -547,7 +552,7 @@ impl Service {
     /// slot. Idempotent; stale epochs and sessions with queued ops are
     /// ignored.
     fn retire(&self, session: usize, epoch: u64) {
-        let mut sh = self.lock_shared();
+        let mut sh = locked(&self.shared);
         let Shared { sessions, free, retired, .. } = &mut *sh;
         let Some(state) = sessions.get_mut(session) else { return };
         if !state.open || state.epoch != epoch || !state.queue.is_empty() {
@@ -572,20 +577,13 @@ impl Service {
         self.element_size
     }
 
-    fn lock_shared(&self) -> MutexGuard<'_, Shared> {
-        self.shared.lock().expect("scheduler state poisoned")
-    }
-
-    /// Snapshots service-wide and per-tenant counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an internal lock was poisoned by a previous panic.
+    /// Snapshots service-wide and per-tenant counters (also of a service
+    /// closed by a panic: the counters are what they were when it died).
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
         // Lock order: volume before shared, same as the dispatch path.
-        let vol = self.volume.lock().expect("volume poisoned");
-        let sh = self.lock_shared();
+        let vol = locked(&self.volume);
+        let sh = locked(&self.shared);
         // One entry per (tenant, class) label pair: retired sessions'
         // folded counters first (stable first-seen order), then every
         // live session merged in — so two connections HELLOing the same
@@ -616,10 +614,9 @@ impl Service {
             cache_enabled: vol.cache_enabled(),
             cache_resident: vol.cache_resident_stripes(),
             cache_dirty: vol.cache_dirty_stripes(),
-            coalesce: self.cfg.coalesce,
             queued: sh.queued,
             rounds: sh.rounds,
-            merged_writes: sh.merged_writes,
+            merged_writes: 0,
             write_runs: sh.write_runs,
             tenants,
             disks: vol.disks(),
@@ -634,30 +631,27 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns the volume error if the final flush fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an internal lock was poisoned by a previous panic.
+    /// Returns the volume error if the final flush fails, and
+    /// [`ServiceError::Closed`] if a panicked combiner already closed the
+    /// service — the volume was abandoned mid-op, so no clean flush is
+    /// claimed.
     pub fn shutdown(&self) -> Result<(), ServiceError> {
-        self.lock_shared().closed = true;
-        let _combine = self.combiner.lock().expect("combiner poisoned");
+        locked(&self.shared).closed = true;
+        let Ok(lock) = self.combiner.lock() else { return Err(ServiceError::Closed) };
+        let _combine = Combiner { svc: self, _lock: lock };
         self.drain();
-        let mut vol = self.volume.lock().expect("volume poisoned");
-        vol.flush()?;
+        locked(&self.volume).flush()?;
         Ok(())
     }
 
     /// Runs maintenance on the underlying volume (rebuild budget ticks,
     /// scrubs) without going through the scheduler. Test/CLI plumbing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the volume lock was poisoned.
+    /// If `f` panics the service closes, as for any panic under the
+    /// dispatch lock.
     pub fn with_volume<R>(&self, f: impl FnOnce(&mut RaidVolume) -> R) -> R {
-        let _combine = self.combiner.lock().expect("combiner poisoned");
+        let _combine = Combiner { svc: self, _lock: locked(&self.combiner) };
         self.drain();
-        f(&mut self.volume.lock().expect("volume poisoned"))
+        f(&mut locked(&self.volume))
     }
 
     // ---- submission -------------------------------------------------
@@ -692,7 +686,7 @@ impl Service {
     fn submit(&self, session: usize, epoch: u64, kind: OpKind) -> Result<OpOutput, ServiceError> {
         let cost = self.validate(&kind)?;
         let slot = {
-            let mut sh = self.lock_shared();
+            let mut sh = locked(&self.shared);
             if sh.closed {
                 return Err(ServiceError::Closed);
             }
@@ -737,15 +731,18 @@ impl Service {
             slot
         };
         // Give peer submitters a chance to enqueue before we fight for
-        // the combiner: on few-core hosts the submitting thread would
-        // otherwise re-take the combiner immediately and drain singleton
-        // batches, defeating write coalescing.
+        // the combiner. Kept on measurement, not on principle: removing
+        // it never won. hvbench `front_door_mixed` lost 5 of 6
+        // alternating pairs without it in ISSUE 16's prototype
+        // (`ops_per_s` 11 156 → 10 309, `p50_us` 168 → 181) and split
+        // 3/3 in PR 16's own (10 849 → 10 987); `handle_write_burst` did
+        // not move in either (13 812 → 14 023, 13 413 → 13 034).
         thread::yield_now();
         loop {
             if let Some(res) = slot.take() {
                 return res;
             }
-            if self.lock_shared().combining {
+            if locked(&self.shared).combining {
                 // An active combiner is guaranteed to complete our op
                 // (it clears the flag only after observing zero queued
                 // ops under the shared lock, which cannot happen while
@@ -754,13 +751,16 @@ impl Service {
                 slot.wait_for(COMBINER_FALLBACK);
                 continue;
             }
-            if let Ok(_combine) = self.combiner.try_lock() {
+            if let Ok(lock) = self.combiner.try_lock() {
+                let _combine = Combiner { svc: self, _lock: lock };
                 self.drain();
                 // Our op was queued before we took the lock, so the
                 // drain above necessarily completed it.
             } else {
                 // Combiner lock held but flag not yet visible (taken or
                 // released this instant) — brief pause, then re-check.
+                // A poisoned lock lands here too: its combiner failed
+                // our op before releasing it, so the re-check returns.
                 slot.wait_for(HANDOFF_RETRY);
             }
         }
@@ -793,7 +793,7 @@ impl Service {
     /// reads `combining == true` after enqueueing knows *this* combiner
     /// will drain its op.
     fn collect_round(&self) -> (Vec<PendingOp>, usize) {
-        let mut sh = self.lock_shared();
+        let mut sh = locked(&self.shared);
         if sh.queued == 0 {
             sh.combining = false;
             return (Vec::new(), 0);
@@ -832,99 +832,20 @@ impl Service {
         (batch, sh.queued)
     }
 
-    /// Executes one collected batch against the volume, coalescing
-    /// consecutive writes when configured.
+    /// Dispatches one collected batch to the volume, in arrival order.
     fn execute(&self, batch: Vec<PendingOp>) {
-        let mut vol = self.volume.lock().expect("volume poisoned");
-        let mut stage: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-        let mut staged_ops: Vec<PendingOp> = Vec::new();
+        let mut vol = locked(&self.volume);
         for op in batch {
-            match &op.kind {
-                OpKind::Write { addr, data } if self.cfg.coalesce => {
-                    let es = self.element_size;
-                    for (i, chunk) in data.chunks_exact(es).enumerate() {
-                        stage.insert(addr + i, chunk.to_vec());
-                    }
-                    staged_ops.push(op);
+            let result = match &op.kind {
+                OpKind::Read { addr, len } => {
+                    vol.read(*addr, *len).map(|(bytes, _)| OpOutput::Read(bytes))
                 }
-                _ => {
-                    self.flush_stage(&mut vol, &mut stage, &mut staged_ops);
-                    let result = match op.kind {
-                        OpKind::Read { addr, len } => {
-                            vol.read(addr, len).map(|(bytes, _)| OpOutput::Read(bytes))
-                        }
-                        OpKind::Write { addr, ref data } => vol
-                            .write(addr, data)
-                            .map(|_| OpOutput::Written { elements: data.len() / self.element_size }),
-                        OpKind::Flush => vol.flush().map(|_| OpOutput::Flushed),
-                    };
-                    self.complete(&op, result.map_err(ServiceError::from));
-                }
-            }
-        }
-        self.flush_stage(&mut vol, &mut stage, &mut staged_ops);
-    }
-
-    /// Submits the staged writes as maximal contiguous runs, grouped by
-    /// owning partition, then completes every staged op.
-    ///
-    /// Every run is attempted even after one fails — runs are
-    /// independent writes, and an op may only be acked `Written` if the
-    /// bytes it staged actually reached the volume. A staged op's range
-    /// is contiguous, so it lies entirely within one maximal run: the op
-    /// fails exactly when the run carrying it failed.
-    fn flush_stage(
-        &self,
-        vol: &mut RaidVolume,
-        stage: &mut BTreeMap<usize, Vec<u8>>,
-        staged_ops: &mut Vec<PendingOp>,
-    ) {
-        if stage.is_empty() {
-            debug_assert!(staged_ops.is_empty());
-            return;
-        }
-        // Extract maximal contiguous [start, start+n) runs; BTreeMap
-        // iteration is address order.
-        let mut runs: Vec<(usize, Vec<u8>)> = Vec::new();
-        for (addr, bytes) in std::mem::take(stage) {
-            match runs.last_mut() {
-                Some((start, buf)) if *start + buf.len() / self.element_size == addr => {
-                    buf.extend_from_slice(&bytes);
-                }
-                _ => runs.push((addr, bytes)),
-            }
-        }
-        // Dispatch each run to the partition owning its first stripe:
-        // sorting by owner keeps one partition's stripes contiguous in
-        // submission order, and the volume's flush path then executes
-        // the dirty stripes of different partitions in parallel.
-        let pmap = vol.partition_map();
-        let addressing = vol.addressing();
-        runs.sort_by_key(|(start, _)| (pmap.owner_of(addressing.stripe_of(*start)), *start));
-
-        let mut failed: Vec<(usize, usize, ServiceError)> = Vec::new();
-        for (start, buf) in &runs {
-            if let Err(e) = vol.write(*start, buf) {
-                let len = buf.len() / self.element_size;
-                failed.push((*start, *start + len, ServiceError::from(e)));
-            }
-        }
-        {
-            let mut sh = self.lock_shared();
-            sh.write_runs += runs.len() as u64;
-            sh.merged_writes += (staged_ops.len().saturating_sub(runs.len())) as u64;
-        }
-        for op in staged_ops.drain(..) {
-            let (addr, elements) = match &op.kind {
-                OpKind::Write { addr, data } => (*addr, data.len() / self.element_size),
-                _ => unreachable!("only writes are staged"),
+                OpKind::Write { addr, data } => vol
+                    .write(*addr, data)
+                    .map(|_| OpOutput::Written { elements: data.len() / self.element_size }),
+                OpKind::Flush => vol.flush().map(|_| OpOutput::Flushed),
             };
-            let result = match failed.iter().find(|(lo, hi, _)| addr < *hi && addr + elements > *lo)
-            {
-                Some((_, _, e)) => Err(e.clone()),
-                None => Ok(OpOutput::Written { elements }),
-            };
-            self.complete(&op, result);
+            self.complete(&op, result.map_err(ServiceError::from));
         }
     }
 
@@ -932,7 +853,7 @@ impl Service {
     fn complete(&self, op: &PendingOp, result: Result<OpOutput, ServiceError>) {
         let ns = u64::try_from(op.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         {
-            let mut sh = self.lock_shared();
+            let mut sh = locked(&self.shared);
             let state = &mut sh.sessions[op.session];
             state.hist.record(ns);
             state.ops += 1;
@@ -940,6 +861,7 @@ impl Service {
                 OpKind::Read { len, .. } => state.read_elements += *len as u64,
                 OpKind::Write { data, .. } => {
                     state.write_elements += (data.len() / self.element_size) as u64;
+                    sh.write_runs += 1;
                 }
                 OpKind::Flush => {}
             }
@@ -1037,17 +959,35 @@ mod tests {
         Service::new(RaidVolume::in_memory(code, 6, 8), cfg)
     }
 
-    /// Regression for acking unwritten data: when staged runs fail at
-    /// the volume, *every* op whose run failed must get the error —
-    /// including ops in runs after the first failure.
+    /// A batch of hand-built ops (session = position) with their slots,
+    /// for calling `execute` directly — no combiner timing.
+    fn batch_of(kinds: Vec<(usize, OpKind)>) -> (Vec<PendingOp>, Vec<Arc<OpSlot>>) {
+        let slots: Vec<_> = kinds.iter().map(|_| OpSlot::new()).collect();
+        let batch = kinds
+            .into_iter()
+            .zip(&slots)
+            .map(|((session, kind), slot)| PendingOp {
+                session,
+                kind,
+                cost: 1,
+                enqueued: Instant::now(),
+                slot: Arc::clone(slot),
+            })
+            .collect();
+        (batch, slots)
+    }
+
+    /// Regression for acking unwritten data: when the volume fails the
+    /// writes of a batch, *every* one of them must get the error —
+    /// including the ones after the first failure.
     #[test]
-    fn coalesced_batch_failure_fails_every_staged_op() {
+    fn every_write_of_a_failing_batch_gets_the_volume_error() {
         let svc = service(ServiceConfig::default());
         for i in 0..3 {
             let _ = svc.session(&format!("t{i}"), TenantClass::Writer);
         }
         // Park the volume at the correction limit with the fence armed:
-        // every run's write now fails with SpareExhausted.
+        // every write now fails with SpareExhausted.
         svc.with_volume(|v| {
             v.set_auto_heal(false);
             v.fail_disk(0).unwrap();
@@ -1055,22 +995,15 @@ mod tests {
             v.set_write_fence(true);
             assert!(v.write_fenced());
         });
-        // Three disjoint (non-adjacent) writes staged into one batch —
-        // three maximal runs — executed directly, no combiner timing.
+        // Three disjoint (non-adjacent) writes in one batch.
         let es = svc.element_size();
-        let mut batch = Vec::new();
-        let mut slots = Vec::new();
-        for (i, addr) in [0usize, 4, 8].into_iter().enumerate() {
-            let slot = OpSlot::new();
-            slots.push(Arc::clone(&slot));
-            batch.push(PendingOp {
-                session: i,
-                kind: OpKind::Write { addr, data: vec![0xA5; 2 * es] },
-                cost: 2,
-                enqueued: Instant::now(),
-                slot,
-            });
-        }
+        let (batch, slots) = batch_of(
+            [0usize, 4, 8]
+                .into_iter()
+                .enumerate()
+                .map(|(i, addr)| (i, OpKind::Write { addr, data: vec![0xA5; 2 * es] }))
+                .collect(),
+        );
         svc.execute(batch);
         for (i, slot) in slots.iter().enumerate() {
             let res = slot.take().expect("op completed");
@@ -1081,13 +1014,89 @@ mod tests {
         }
     }
 
+    /// Arrival order is the only ordering rule: reads of one address from
+    /// another tenant see exactly the writes released before them —
+    /// overlapping ones included — and a flush changes nothing a reader
+    /// sees.
+    #[test]
+    fn a_batch_dispatches_in_arrival_order_across_tenants() {
+        let svc = service(ServiceConfig::default());
+        for i in 0..3 {
+            let _ = svc.session(&format!("t{i}"), TenantClass::Mixed);
+        }
+        let es = svc.element_size();
+        let a = 5usize;
+        let (x, y) = (vec![0x11u8; es], vec![0x22u8; es]);
+        let (batch, slots) = batch_of(vec![
+            (0, OpKind::Write { addr: a, data: x.clone() }),
+            (1, OpKind::Read { addr: a, len: 1 }),
+            (2, OpKind::Write { addr: a - 1, data: y.repeat(3) }),
+            (1, OpKind::Read { addr: a, len: 1 }),
+            (0, OpKind::Flush),
+            (1, OpKind::Read { addr: a, len: 1 }),
+        ]);
+        svc.execute(batch);
+        let mut reads = Vec::new();
+        for (i, slot) in slots.iter().enumerate() {
+            match slot.take().unwrap_or_else(|| panic!("op {i} never completed")) {
+                Ok(OpOutput::Read(bytes)) => reads.push(bytes),
+                Ok(_) => {}
+                Err(e) => panic!("op {i} failed: {e}"),
+            }
+            assert!(slot.take().is_none(), "op {i} completed twice");
+        }
+        assert_eq!(reads, [x, y.clone(), y]);
+        assert_eq!(svc.stats().ops_total(), 6);
+    }
+
+    /// A panic under the dispatch lock closes the service: ops queued or
+    /// in flight fail with `Closed`, later ones are refused, and
+    /// `stats`/`shutdown` neither hang nor panic. (At the parent the
+    /// second client spun on a poisoned combiner forever.)
+    #[test]
+    fn a_panicked_combiner_closes_the_service() {
+        let svc = service(ServiceConfig::default());
+        let h = svc.session("t", TenantClass::Writer);
+        let es = svc.element_size();
+        // One op left queued by the panicking holder, one in its batch.
+        let (mut ops, slots) = batch_of(vec![
+            (0, OpKind::Write { addr: 0, data: vec![1; es] }),
+            (0, OpKind::Read { addr: 0, len: 1 }),
+        ]);
+        let panicker = {
+            let svc = Arc::clone(&svc);
+            thread::spawn(move || {
+                svc.with_volume(|_| {
+                    let _in_flight = ops.pop();
+                    // Held across the panic: `shared` is poisoned too.
+                    let mut sh = locked(&svc.shared);
+                    sh.sessions[0].queue.extend(ops);
+                    sh.queued = 1;
+                    sh.combining = true;
+                    panic!("injected combiner panic");
+                });
+            })
+        };
+        assert!(panicker.join().is_err());
+        for slot in &slots {
+            assert_eq!(slot.take().map(|r| r.map(|_| ())), Some(Err(ServiceError::Closed)));
+        }
+        assert!(!locked(&svc.shared).combining);
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || tx.send(h.write(0, &vec![2; es])));
+        let res = rx.recv_timeout(Duration::from_secs(5)).expect("client hung on a dead combiner");
+        assert_eq!(res, Err(ServiceError::Closed));
+        assert_eq!(svc.stats().queued, 0);
+        assert_eq!(svc.shutdown(), Err(ServiceError::Closed));
+    }
+
     /// Regression for permanent throttling: with no ops queued no
     /// dispatch round runs, so a rejected op must still see the bucket
     /// refill (wall-clock, at admission) for its retry to succeed.
     #[test]
     fn throttled_session_recovers_without_dispatch_rounds() {
         let svc = service(ServiceConfig {
-            coalesce: false,
             bucket_capacity: 8,
             bucket_refill: 1,
             refill_interval: Duration::from_millis(5),
@@ -1158,7 +1167,7 @@ mod tests {
             st.tenants.iter().all(|t| t.tenant != "metrics"),
             "zero-op sessions must not emit series"
         );
-        let slots = svc.lock_shared().sessions.len();
+        let slots = locked(&svc.shared).sessions.len();
         assert!(slots <= 4, "retired slots must be reused, got {slots} session slots");
     }
 }
