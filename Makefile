@@ -115,14 +115,14 @@ lint:
 	$(MAKE) miri
 	$(CARGO) run -q -p hvraid -- lint --all --hazards --journal --schedules
 
-# Miri over the unsafe XOR kernels, time-boxed. Skipped with a notice when
+# Miri over the unsafe XOR and hex kernels, time-boxed. Skipped with a notice when
 # the toolchain has no miri component (e.g. offline containers) — the
 # kernel_audit scalar-shadow mode and debug-assert bounds checks still
 # cover the kernels without it.
 miri:
 	@if $(CARGO) +nightly miri --version >/dev/null 2>&1; then \
 		MIRIFLAGS=-Zmiri-disable-isolation timeout 600 \
-			$(CARGO) +nightly miri test -p raid-math xor || exit 1; \
+			$(CARGO) +nightly miri test -p raid-math -- xor hex || exit 1; \
 	else \
 		echo "miri: nightly component unavailable, skipping (see 'make test-kernel-audit')"; \
 	fi

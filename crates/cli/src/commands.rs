@@ -80,7 +80,7 @@ commands:
                                            back into the MTTDL model; --json is
                                            byte-identical for a fixed seed
   serve     --socket <path> [--code hv] [--p 5] [--stripes 16] [--element 64]
-            [--dir <dir>] [--queue-depth 256] [--workers 4] [--partitions N]
+            [--dir <dir>] [--queue-depth 256] [--partitions N]
                                            serve the volume as a concurrent block
                                            service on a unix socket (line protocol:
                                            HELLO/READ/WRITE/FLUSH/STATS/QUIT/
@@ -939,10 +939,7 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
         ..ServiceConfig::default()
     };
     let svc = Service::new(volume, cfg);
-    let server_cfg = ServerConfig {
-        socket: std::path::PathBuf::from(socket),
-        workers: parsed.get_or("workers", 4usize)?,
-    };
+    let server_cfg = ServerConfig::new(socket);
     eprintln!("hvraid serve: listening on {socket} ({} p={p})", code.name());
     raid_service::serve(&svc, &server_cfg).map_err(|e| e.to_string())?;
     let stats = svc.stats();

@@ -11,6 +11,7 @@
 //! * [`gf256`] / [`gf2e`] — `GF(2^8)` and `GF(2^16)` table/carry-less
 //!   arithmetic used by the Reed–Solomon baselines.
 //! * [`xor`] — wide XOR kernels used by every XOR-based array code.
+//! * [`hex`] — hex text ⇄ bytes kernels, the block service's wire codec.
 //!
 //! # Examples
 //!
@@ -26,14 +27,15 @@
 //! # Ok::<(), raid_math::prime::NotPrimeError>(())
 //! ```
 
-// `deny` rather than `forbid`: the SIMD kernels in [`xor`] opt back in for
-// their intrinsics; every other module stays `unsafe`-free.
+// `deny` rather than `forbid`: the SIMD kernels in [`xor`] and [`hex`] opt
+// back in for their intrinsics; every other module stays `unsafe`-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::needless_range_loop, clippy::redundant_clone)]
 
 pub mod gf256;
 pub mod gf2e;
+pub mod hex;
 pub mod modp;
 pub mod prime;
 pub mod xor;

@@ -577,6 +577,18 @@ impl Service {
         self.element_size
     }
 
+    /// The most elements one op can carry and still be admitted: the
+    /// volume holds no more, and a fuller token bucket never exists.
+    pub(crate) fn max_op_elements(&self) -> usize {
+        self.data_elements.min(usize::try_from(self.cfg.bucket_capacity).unwrap_or(usize::MAX))
+    }
+
+    /// Sessions opened and not yet retired.
+    #[cfg(test)]
+    pub(crate) fn open_sessions(&self) -> usize {
+        locked(&self.shared).sessions.iter().filter(|s| s.open).count()
+    }
+
     /// Snapshots service-wide and per-tenant counters (also of a service
     /// closed by a panic: the counters are what they were when it died).
     #[must_use]
@@ -904,8 +916,13 @@ impl ServiceHandle {
     ///
     /// Same admission/volume errors as [`ServiceHandle::read`].
     pub fn write(&self, addr: usize, data: &[u8]) -> Result<usize, ServiceError> {
-        match self.svc.submit(self.session, self.epoch, OpKind::Write { addr, data: data.to_vec() })?
-        {
+        self.write_owned(addr, data.to_vec())
+    }
+
+    /// [`ServiceHandle::write`] of a buffer the caller is done with: the
+    /// socket server's decoded payload moves into the queue uncopied.
+    pub(crate) fn write_owned(&self, addr: usize, data: Vec<u8>) -> Result<usize, ServiceError> {
+        match self.svc.submit(self.session, self.epoch, OpKind::Write { addr, data })? {
             OpOutput::Written { elements } => Ok(elements),
             _ => unreachable!("write op returns write output"),
         }

@@ -1,5 +1,6 @@
 //! Concurrency conformance for the service front-end: N client threads
-//! hammering one `Service` must leave exactly the bytes a sequential
+//! hammering one `Service` — through in-process handles, and again over
+//! the real unix socket — must leave exactly the bytes a sequential
 //! `RaidVolume` replay leaves, for every registry code; a crash in the
 //! middle of a dispatch into the stripe cache must recover to a
 //! parity-consistent, untorn array through the write journal; and the
@@ -8,11 +9,12 @@
 use std::sync::Arc;
 
 use hv_code::HvCode;
-use integration::{all_codes, payload};
+use integration::{all_codes, payload, LineClient, ServedSocket};
 use proptest::prelude::*;
 use raid_array::{Fault, FaultyBackend, FileBackend, RaidVolume};
 use raid_core::ArrayCode;
-use raid_service::{Service, ServiceConfig, TenantClass};
+use raid_service::proto::{from_hex, to_hex};
+use raid_service::{Service, ServiceConfig, ServiceHandle, TenantClass};
 use raid_workloads::skew::zipf_write_trace;
 
 const THREADS: usize = 4;
@@ -50,16 +52,73 @@ fn ops_for(thread: usize, region: usize, seed: u64) -> Vec<Op> {
         .collect()
 }
 
+/// Where the clients of a run enter the service.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    Handles,
+    Socket,
+}
+
+/// One client's way in.
+enum Door {
+    Handle(ServiceHandle),
+    Socket(LineClient),
+}
+
+impl Door {
+    fn write(&mut self, addr: usize, data: &[u8]) {
+        let elements = data.len() / ELEMENT;
+        match self {
+            Door::Handle(h) => assert_eq!(h.write(addr, data).expect("service write"), elements),
+            Door::Socket(c) => assert_eq!(
+                c.exchange(&format!("WRITE {addr} {}", to_hex(data))),
+                format!("OK wrote {elements}")
+            ),
+        }
+    }
+
+    fn read(&mut self, addr: usize, len: usize) -> Vec<u8> {
+        match self {
+            Door::Handle(h) => h.read(addr, len).expect("service read"),
+            Door::Socket(c) => {
+                let reply = c.exchange(&format!("READ {addr} {len}"));
+                let hex = reply.strip_prefix("OK data ").unwrap_or_else(|| panic!("{reply}"));
+                from_hex(hex).expect("reply is hex")
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        match self {
+            Door::Handle(h) => h.flush().expect("service flush"),
+            Door::Socket(c) => assert_eq!(c.exchange("FLUSH"), "OK flushed"),
+        }
+    }
+}
+
 /// Drives the scripted mix through a service with `THREADS` concurrent
-/// clients, then returns the final volume contents.
-fn run_concurrent(code: Arc<dyn ArrayCode>, scripts: &[Vec<Op>]) -> Vec<u8> {
+/// clients — through handles, or over a live `serve` — then returns the
+/// final volume contents.
+fn run_concurrent(code: Arc<dyn ArrayCode>, scripts: &[Vec<Op>], via: Via) -> Vec<u8> {
     let vol = RaidVolume::in_memory(code, STRIPES, ELEMENT);
     let total = vol.data_elements();
     let region = total / THREADS;
     let svc = Service::new(vol, ServiceConfig::default());
+    let served = match via {
+        Via::Handles => None,
+        Via::Socket => Some(ServedSocket::start(&svc, "hvraid_svc_conformance")),
+    };
     std::thread::scope(|scope| {
         for (t, script) in scripts.iter().enumerate() {
-            let handle = svc.session(&format!("client{t}"), TenantClass::Mixed);
+            let mut door = match &served {
+                None => Door::Handle(svc.session(&format!("client{t}"), TenantClass::Mixed)),
+                Some(served) => {
+                    let mut client = served.client();
+                    let hello = client.exchange(&format!("HELLO client{t} mixed"));
+                    assert!(hello.starts_with("OK session"), "{hello}");
+                    Door::Socket(client)
+                }
+            };
             let base = t * region;
             scope.spawn(move || {
                 // Thread-local shadow of this client's region: reads
@@ -70,23 +129,25 @@ fn run_concurrent(code: Arc<dyn ArrayCode>, scripts: &[Vec<Op>]) -> Vec<u8> {
                         Op::Write { at, len, seed } => {
                             let data = payload(len * ELEMENT, seed);
                             shadow[at * ELEMENT..(at + len) * ELEMENT].copy_from_slice(&data);
-                            handle.write(base + at, &data).expect("service write");
+                            door.write(base + at, &data);
                         }
                         Op::Read { at, len } => {
-                            let got = handle.read(base + at, len).expect("service read");
                             assert_eq!(
-                                got,
+                                door.read(base + at, len),
                                 &shadow[at * ELEMENT..(at + len) * ELEMENT],
                                 "read through service diverged from program order"
                             );
                         }
-                        Op::Flush => handle.flush().expect("service flush"),
+                        Op::Flush => door.flush(),
                     }
                 }
             });
         }
     });
-    svc.shutdown().expect("shutdown flush");
+    match served {
+        Some(served) => served.shut_down(), // `serve` drains and flushes on its way out
+        None => svc.shutdown().expect("shutdown flush"),
+    }
     svc.with_volume(|v| {
         let (bytes, _) = v.read(0, total).expect("final read");
         assert!(v.verify_all(), "parity inconsistent after concurrent service run");
@@ -119,12 +180,15 @@ fn conformance(code: Arc<dyn ArrayCode>, seed: u64) {
     let region = RaidVolume::in_memory(Arc::clone(&code), STRIPES, ELEMENT).data_elements()
         / THREADS;
     let scripts: Vec<Vec<Op>> = (0..THREADS).map(|t| ops_for(t, region, seed)).collect();
-    let concurrent = run_concurrent(Arc::clone(&code), &scripts);
-    let sequential = run_sequential(code, &scripts);
-    assert_eq!(
-        concurrent, sequential,
-        "{name}: concurrent service bytes diverge from sequential replay (seed {seed})"
-    );
+    let sequential = run_sequential(Arc::clone(&code), &scripts);
+    for via in [Via::Handles, Via::Socket] {
+        assert_eq!(
+            run_concurrent(Arc::clone(&code), &scripts, via),
+            sequential,
+            "{name}: concurrent service bytes diverge from sequential replay \
+             (seed {seed}, via {via:?})"
+        );
+    }
 }
 
 #[test]
