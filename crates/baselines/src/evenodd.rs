@@ -11,7 +11,7 @@
 //! `d ≠ p−1`), which is why EVENODD's effective chains are long and its
 //! update complexity high — the paper cites it as a horizontally-balanced
 //! but update-expensive ancestor and excludes it from the headline figures;
-//! we implement it for the background comparison and extra benches.
+//! we implement it for the background comparison.
 
 use raid_core::layout::{Chain, ElementKind, ParityClass};
 use raid_core::{ArrayCode, Cell, Layout};

@@ -50,6 +50,8 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Prints each table and, under `--csv`, writes it; a failed write ends
+/// the run with a non-zero exit (`make repro-check` diffs these files).
 fn emit(tables: &[Table], opts: &Options) {
     for t in tables {
         println!("{}", t.render());
@@ -64,10 +66,10 @@ fn emit(tables: &[Table], opts: &Options) {
                 .replace(['.', '(', ')', ' '], "_");
             let path = dir.join(format!("{file}.csv"));
             if let Err(e) = t.write_csv(&path) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("  [csv] {}", path.display());
+                eprintln!("error: could not write {}: {e}", path.display());
+                std::process::exit(1);
             }
+            println!("  [csv] {}", path.display());
         }
     }
 }

@@ -22,8 +22,8 @@ pub fn evaluated(p: usize) -> Vec<Arc<dyn ArrayCode>> {
     ]
 }
 
-/// The extended roster (background-section codes included) used by the
-/// extra benches.
+/// The extended roster (background-section codes included) of the
+/// Section IV complexity table.
 ///
 /// # Panics
 ///

@@ -380,7 +380,7 @@ fn batch(parsed: &Parsed) -> Result<String, String> {
     let (code, p) = code_from(parsed, 13)?;
     let stripes = parsed.get_or("stripes", 256usize)?;
     let element = parsed.get_or("element", 4096usize)?;
-    let threads = parsed.get_or("threads", 1usize)?;
+    let threads = parsed.get_or("threads", 1usize)?.max(1);
     let backend = backend_from(parsed, &code, stripes, element)?;
     let mut volume = RaidVolume::new(Arc::clone(&code), stripes, element, backend)
         .map_err(|e| e.to_string())?;
@@ -749,7 +749,7 @@ fn lint(parsed: &Parsed) -> Result<String, String> {
     let opt = parsed.get_or("opt", false)?;
     // With --min-savings N (implies --opt), a code whose optimized encode
     // plan saves less than N percent of the specification's XOR reads
-    // fails the lint — the Makefile's bench-smoke regression gate.
+    // fails the lint — `make lint`'s optimizer regression gate.
     let min_savings: f64 = parsed.get_or("min-savings", -1.0f64)?;
     // The concurrency/crash auditors run inside every check_code call;
     // these flags additionally itemize their evidence per combination.
@@ -1082,13 +1082,15 @@ mod tests {
 
     #[test]
     fn batch_encodes_and_rebuilds() {
-        for threads in ["1", "4"] {
+        // `--threads 0` is clamped to 1 and the banner says so.
+        for (threads, effective) in [("0", 1), ("1", 1), ("4", 4)] {
             let out = run_line(&[
                 "batch", "--code", "hv", "--p", "7", "--stripes", "12", "--element", "64",
                 "--threads", threads,
             ])
             .unwrap();
             assert!(out.contains("12 stripes"), "{out}");
+            assert!(out.contains(&format!("{effective} thread(s)")), "{out}");
             assert!(out.contains("consistent after rebuild: yes"), "{out}");
         }
     }

@@ -13,7 +13,6 @@ use std::fmt;
 use raid_core::layout::{ElementKind, Layout, ParityClass};
 use raid_core::{ArrayCode, Cell, ChainId, Stripe, XorPlan};
 use raid_math::modp::{div_mod, half_mod, mul_mod};
-use raid_math::xor::xor_many_into;
 
 use crate::construction::HvCode;
 
@@ -98,41 +97,6 @@ impl DoubleRecovery {
     pub fn compile_optimized(&self, layout: &Layout) -> XorPlan {
         self.compile(layout).optimized()
     }
-}
-
-/// Computes one recovery chain's values against a read-only stripe view.
-///
-/// Sources that fall on a failed column are earlier steps of the *same*
-/// chain (Theorem 1; asserted by
-/// `steps_only_depend_on_survivors_and_earlier_steps_of_same_chain`), so
-/// each chain resolves them from its own local results and never reads
-/// another chain's writes — the property that makes chains safe to compute
-/// concurrently over a shared `&Stripe`.
-fn compute_chain_values(
-    stripe: &Stripe,
-    layout: &Layout,
-    chain: &[RecoveryStep],
-) -> Vec<(Cell, Vec<u8>)> {
-    let mut done: Vec<(Cell, Vec<u8>)> = Vec::with_capacity(chain.len());
-    for step in chain {
-        let mut acc = vec![0u8; stripe.element_size()];
-        {
-            let sources: Vec<&[u8]> = layout
-                .chain(step.chain)
-                .cells()
-                .filter(|&c| c != step.cell)
-                .map(|src| {
-                    done.iter()
-                        .find(|(c, _)| *c == src)
-                        .map(|(_, v)| v.as_slice())
-                        .unwrap_or_else(|| stripe.element(src))
-                })
-                .collect();
-            xor_many_into(&mut acc, &sources);
-        }
-        done.push((step.cell, acc));
-    }
-    done
 }
 
 /// Error from [`HvCode::double_recovery_plan`].
@@ -264,46 +228,6 @@ impl HvCode {
     ) -> Result<DoubleRecovery, DoubleRecoveryError> {
         let plan = self.double_recovery_plan(a, b)?;
         plan.compile_optimized(self.layout()).execute(stripe);
-        Ok(plan)
-    }
-
-    /// [`HvCode::repair_double_disk`] with the four Algorithm-1 chains
-    /// computed concurrently — the intra-stripe parallelism of the paper's
-    /// Fig. 9(b).
-    ///
-    /// Each chain runs on its own scoped thread against a shared read-only
-    /// view of the stripe, resolving lost sources from its thread-local
-    /// results (chains never read each other's cells — see
-    /// [`compute_chain_values`]); the values are merged into the stripe
-    /// after all chains join.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DoubleRecoveryError`] on invalid disk indices.
-    pub fn repair_double_disk_parallel(
-        &self,
-        stripe: &mut Stripe,
-        a: usize,
-        b: usize,
-    ) -> Result<DoubleRecovery, DoubleRecoveryError> {
-        let plan = self.double_recovery_plan(a, b)?;
-        let layout = self.layout();
-        let view: &Stripe = stripe;
-        let results: Vec<Vec<(Cell, Vec<u8>)>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = plan
-                .chains()
-                .iter()
-                .map(|chain| s.spawn(move |_| compute_chain_values(view, layout, chain)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("recovery chain thread panicked"))
-                .collect()
-        })
-        .expect("recovery scope");
-        for (cell, value) in results.into_iter().flatten() {
-            stripe.set_element(cell, &value);
-        }
         Ok(plan)
     }
 
@@ -565,34 +489,6 @@ mod tests {
                     broken.erase_col(f2);
                     c.repair_double_disk(&mut broken, f1, f2).unwrap();
                     assert_eq!(broken, pristine, "p={p} ({f1},{f2})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_repair_matches_serial_for_every_pair() {
-        for p in [5usize, 7, 11, 13] {
-            let c = code(p);
-            let mut s = raid_core::Stripe::for_layout(c.layout(), 24);
-            s.fill_data_seeded(c.layout(), 0xFACE + p as u64);
-            c.encode(&mut s);
-            let pristine = s.clone();
-            let n = p - 1;
-            for f1 in 0..n {
-                for f2 in (f1 + 1)..n {
-                    let mut serial = pristine.clone();
-                    serial.erase_col(f1);
-                    serial.erase_col(f2);
-                    c.repair_double_disk(&mut serial, f1, f2).unwrap();
-
-                    let mut parallel = pristine.clone();
-                    parallel.erase_col(f1);
-                    parallel.erase_col(f2);
-                    c.repair_double_disk_parallel(&mut parallel, f1, f2).unwrap();
-
-                    assert_eq!(parallel, pristine, "p={p} ({f1},{f2})");
-                    assert_eq!(parallel, serial, "p={p} ({f1},{f2})");
                 }
             }
         }

@@ -167,7 +167,7 @@ impl Stripe {
 
     /// The seed implementation of [`Stripe::encode`]: walks chains and
     /// allocates a scratch buffer per parity element. Kept as the reference
-    /// the compiled path is property-tested and benchmarked against.
+    /// the compiled path is property-tested against.
     ///
     /// # Panics
     ///

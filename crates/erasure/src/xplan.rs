@@ -403,8 +403,9 @@ impl XorPlan {
         self.execute_chunked(stripe, tiles(es));
     }
 
-    /// Whole-element per-op execution, bypassing tiling — the baseline the
-    /// benches compare [`XorPlan::execute`]'s tiled path against.
+    /// Whole-element per-op execution, bypassing tiling — the reference
+    /// the equivalence tests compare [`XorPlan::execute`]'s tiled path
+    /// against.
     ///
     /// # Panics
     ///

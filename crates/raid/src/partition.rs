@@ -213,10 +213,10 @@ where
     let results: Vec<Mutex<Option<T>>> = (0..slots.len()).map(|_| Mutex::new(None)).collect();
     let (work, cursors, slots, results) = (&work, &cursors, &slots, &results);
 
-    let shards = crossbeam::thread::scope(|s| {
+    let shards = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut shard = LedgerShard::new(w, disks);
                     // Own partitions first, then steal from the rest.
                     let owned = (0..map.len()).filter(|p| p % threads == w);
@@ -261,8 +261,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("partition worker panicked"))
             .collect::<Vec<LedgerShard>>()
-    })
-    .expect("partition scope failed");
+    });
 
     let collected = results
         .iter()
@@ -413,9 +412,9 @@ mod tests {
             let end = 3usize;
             let cursor = AtomicUsize::new(0);
             let claimed: Vec<AtomicUsize> = (0..end).map(|_| AtomicUsize::new(0)).collect();
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..stealers {
-                    s.spawn(|_| loop {
+                    s.spawn(|| loop {
                         // The exact claim protocol of `run_partitioned`.
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= end {
@@ -424,8 +423,7 @@ mod tests {
                         claimed[i].fetch_add(1, Ordering::Relaxed);
                     });
                 }
-            })
-            .unwrap();
+            });
             let final_cursor = cursor.load(Ordering::Relaxed);
             assert!(
                 (end + 1..=end + stealers).contains(&final_cursor),

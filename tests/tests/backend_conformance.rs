@@ -21,12 +21,11 @@ const STRIPES: usize = 2;
 /// of the conformance contract; injected faults get their own test below.
 const BACKENDS: [&str; 3] = ["mem", "file", "faulty"];
 
-/// Worker count for partitioned/batched paths, from `HV_THREADS` (the
-/// `make threads-smoke` knob). Defaults to 1: the plain run stays the
-/// plain run.
-fn env_threads() -> usize {
-    std::env::var("HV_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(1).max(1)
-}
+/// Worker counts every lifecycle runs under: the volume's pinned
+/// partition count and the XOR workers of the batch paths (backend I/O is
+/// always issued in op order on the caller's thread). 1 leaves the volume
+/// at its default; the answers must not change with the count.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 fn make_backend(kind: &str, label: &str, disks: usize, epd: usize) -> Box<dyn DiskBackend> {
     match kind {
@@ -51,78 +50,76 @@ fn cleanup(kind: &str, label: &str) {
     }
 }
 
-fn volume_on(code: &Arc<dyn ArrayCode>, kind: &str, label: &str) -> RaidVolume {
+fn volume_on(code: &Arc<dyn ArrayCode>, kind: &str, label: &str, threads: usize) -> RaidVolume {
     let layout = code.layout();
     let backend = make_backend(kind, label, layout.cols(), STRIPES * layout.rows());
     let mut v =
         RaidVolume::new(Arc::clone(code), STRIPES, ELEMENT, backend).expect("shape matches");
-    if env_threads() > 1 {
-        v.set_partitions(Some(env_threads()));
+    if threads > 1 {
+        v.set_partitions(Some(threads));
     }
     v
 }
 
-#[test]
-fn write_read_roundtrip_on_every_backend() {
+/// Runs `body` on a fresh volume for every code at p = 7 × backend ×
+/// worker count; `ctx` names the combination in assertion messages.
+fn on_every_volume(tag: &str, body: impl Fn(&mut RaidVolume, usize, &str)) {
     for code in all_codes(7) {
-        let name = code.name().to_string();
         for kind in BACKENDS {
-            let label = format!("rt_{kind}_{}", name.replace(' ', "_"));
-            let mut v = volume_on(&code, kind, &label);
-            let data = payload(v.data_elements() * ELEMENT, 3);
-            v.write(0, &data).unwrap();
-            assert!(v.verify_all(), "{name}/{kind}");
-            let (bytes, _) = v.read(0, v.data_elements()).unwrap();
-            assert_eq!(bytes, data, "{name}/{kind}: roundtrip");
-            // Partial overwrite stays consistent too.
-            let patch = payload(3 * ELEMENT, 17);
-            v.write(2, &patch).unwrap();
-            let (bytes, _) = v.read(2, 3).unwrap();
-            assert_eq!(bytes, patch, "{name}/{kind}: partial overwrite");
-            assert!(v.verify_all(), "{name}/{kind}: parity after overwrite");
-            cleanup(kind, &label);
+            for threads in THREADS {
+                let ctx = format!("{}/{kind}/t{threads}", code.name());
+                let label = format!("{tag}_{kind}_{}", code.name().replace(' ', "_"));
+                let mut v = volume_on(&code, kind, &label, threads);
+                body(&mut v, threads, &ctx);
+                cleanup(kind, &label);
+            }
         }
     }
+}
+
+#[test]
+fn write_read_roundtrip_on_every_backend() {
+    on_every_volume("rt", |v, _, ctx| {
+        let data = payload(v.data_elements() * ELEMENT, 3);
+        v.write(0, &data).unwrap();
+        assert!(v.verify_all(), "{ctx}");
+        let (bytes, _) = v.read(0, v.data_elements()).unwrap();
+        assert_eq!(bytes, data, "{ctx}: roundtrip");
+        // Partial overwrite stays consistent too.
+        let patch = payload(3 * ELEMENT, 17);
+        v.write(2, &patch).unwrap();
+        let (bytes, _) = v.read(2, 3).unwrap();
+        assert_eq!(bytes, patch, "{ctx}: partial overwrite");
+        assert!(v.verify_all(), "{ctx}: parity after overwrite");
+    });
 }
 
 #[test]
 fn degraded_read_equals_pre_failure_data_on_every_backend() {
-    for code in all_codes(7) {
-        let name = code.name().to_string();
-        for kind in BACKENDS {
-            let label = format!("dr_{kind}_{}", name.replace(' ', "_"));
-            let mut v = volume_on(&code, kind, &label);
-            let data = payload(v.data_elements() * ELEMENT, 5);
-            v.write(0, &data).unwrap();
-            v.fail_disk(1).unwrap();
-            v.fail_disk(v.disks() - 1).unwrap();
-            let (bytes, io) = v.read(0, v.data_elements()).unwrap();
-            assert_eq!(bytes, data, "{name}/{kind}: double-degraded read");
-            assert!(io.total_reads() > 0, "{name}/{kind}");
-            cleanup(kind, &label);
-        }
-    }
+    on_every_volume("dr", |v, _, ctx| {
+        let data = payload(v.data_elements() * ELEMENT, 5);
+        v.write(0, &data).unwrap();
+        v.fail_disk(1).unwrap();
+        v.fail_disk(v.disks() - 1).unwrap();
+        let (bytes, io) = v.read(0, v.data_elements()).unwrap();
+        assert_eq!(bytes, data, "{ctx}: double-degraded read");
+        assert!(io.total_reads() > 0, "{ctx}");
+    });
 }
 
 #[test]
 fn rebuild_restores_verification_on_every_backend() {
-    for code in all_codes(7) {
-        let name = code.name().to_string();
-        for kind in BACKENDS {
-            let label = format!("rb_{kind}_{}", name.replace(' ', "_"));
-            let mut v = volume_on(&code, kind, &label);
-            let data = payload(v.data_elements() * ELEMENT, 7);
-            v.write(0, &data).unwrap();
-            v.fail_disk(0).unwrap();
-            v.fail_disk(v.disks() / 2).unwrap();
-            assert!(!v.verify_all(), "{name}/{kind}: degraded must not verify");
-            v.rebuild().unwrap();
-            assert!(v.verify_all(), "{name}/{kind}: rebuild must restore parity");
-            let (bytes, _) = v.read(0, v.data_elements()).unwrap();
-            assert_eq!(bytes, data, "{name}/{kind}: post-rebuild read");
-            cleanup(kind, &label);
-        }
-    }
+    on_every_volume("rb", |v, _, ctx| {
+        let data = payload(v.data_elements() * ELEMENT, 7);
+        v.write(0, &data).unwrap();
+        v.fail_disk(0).unwrap();
+        v.fail_disk(v.disks() / 2).unwrap();
+        assert!(!v.verify_all(), "{ctx}: degraded must not verify");
+        v.rebuild().unwrap();
+        assert!(v.verify_all(), "{ctx}: rebuild must restore parity");
+        let (bytes, _) = v.read(0, v.data_elements()).unwrap();
+        assert_eq!(bytes, data, "{ctx}: post-rebuild read");
+    });
 }
 
 #[test]
@@ -161,49 +158,44 @@ fn two_injected_faults_still_serve_reads_for_every_code_and_prime() {
 
 #[test]
 fn partitioned_batch_ops_conform_on_every_backend() {
-    let threads = env_threads().max(2);
-    for code in all_codes(7) {
-        let name = code.name().to_string();
-        for kind in BACKENDS {
-            let label = format!("pb_{kind}_{}", name.replace(' ', "_"));
-            let mut v = volume_on(&code, kind, &label);
-            v.set_partitions(Some(threads));
-            let data = payload(v.data_elements() * ELEMENT, 29);
-            v.write(0, &data).unwrap();
-            let enc = v.encode_all(threads).unwrap();
-            assert_eq!(enc.data_writes(), 0, "{name}/{kind}: encode writes parities only");
-            assert!(v.verify_all(), "{name}/{kind}: partitioned encode keeps parity");
-            v.fail_disk(0).unwrap();
-            v.fail_disk(v.disks() - 1).unwrap();
-            let reb = v.rebuild_all(threads).unwrap();
-            assert!(reb.total_writes() > 0, "{name}/{kind}");
-            assert!(v.verify_all(), "{name}/{kind}: partitioned rebuild restores parity");
-            let (bytes, _) = v.read(0, v.data_elements()).unwrap();
-            assert_eq!(bytes, data, "{name}/{kind}: bytes survive partitioned rebuild");
-            cleanup(kind, &label);
-        }
-    }
+    on_every_volume("pb", |v, threads, ctx| {
+        v.set_partitions(Some(threads));
+        let data = payload(v.data_elements() * ELEMENT, 29);
+        v.write(0, &data).unwrap();
+        let enc = v.encode_all(threads).unwrap();
+        assert_eq!(enc.data_writes(), 0, "{ctx}: encode writes parities only");
+        assert!(v.verify_all(), "{ctx}: partitioned encode keeps parity");
+        v.fail_disk(0).unwrap();
+        v.fail_disk(v.disks() - 1).unwrap();
+        let reb = v.rebuild_all(threads).unwrap();
+        assert!(reb.total_writes() > 0, "{ctx}");
+        assert!(v.verify_all(), "{ctx}: partitioned rebuild restores parity");
+        let (bytes, _) = v.read(0, v.data_elements()).unwrap();
+        assert_eq!(bytes, data, "{ctx}: bytes survive partitioned rebuild");
+    });
 }
 
 #[test]
 fn file_backend_persists_across_reopen() {
     let code = all_codes(7).remove(0); // HV
     let label = "persist";
-    let mut v = volume_on(&code, "file", label);
-    let data = payload(v.data_elements() * ELEMENT, 23);
-    v.write(0, &data).unwrap();
-    v.fail_disk(2).unwrap();
-    drop(v);
+    for threads in THREADS {
+        let mut v = volume_on(&code, "file", label, threads);
+        let data = payload(v.data_elements() * ELEMENT, 23);
+        v.write(0, &data).unwrap();
+        v.fail_disk(2).unwrap();
+        drop(v);
 
-    // Reopen: geometry, contents, and the failure marker all survive.
-    let dir = std::env::temp_dir().join(format!("hvraid_conformance_{label}"));
-    let backend = FileBackend::open(&dir).unwrap();
-    let mut v = RaidVolume::open(Arc::clone(&code), Box::new(backend), false).unwrap();
-    assert_eq!(v.stripes(), STRIPES);
-    assert_eq!(v.failed_disks(), vec![2], "failure flag must persist");
-    let (bytes, _) = v.read(0, v.data_elements()).unwrap();
-    assert_eq!(bytes, data, "data must persist across reopen");
-    v.rebuild().unwrap();
-    assert!(v.verify_all());
-    cleanup("file", label);
+        // Reopen: geometry, contents, and the failure marker all survive.
+        let dir = std::env::temp_dir().join(format!("hvraid_conformance_{label}"));
+        let backend = FileBackend::open(&dir).unwrap();
+        let mut v = RaidVolume::open(Arc::clone(&code), Box::new(backend), false).unwrap();
+        assert_eq!(v.stripes(), STRIPES);
+        assert_eq!(v.failed_disks(), vec![2], "failure flag must persist");
+        let (bytes, _) = v.read(0, v.data_elements()).unwrap();
+        assert_eq!(bytes, data, "data must persist across reopen");
+        v.rebuild().unwrap();
+        assert!(v.verify_all());
+        cleanup("file", label);
+    }
 }
