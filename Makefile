@@ -31,10 +31,12 @@ RESTORE_LOCK = status=$$?; git checkout -q -- benchmark/Cargo.lock; exit $$statu
 bench:
 	$(HVBENCH) --seed 1 --out target/hvbench-out; $(RESTORE_LOCK)
 
-# N alternating parent/change pairs of one BENCHMARK.json workload, BASE
-# checked out into target/ab-base for the duration: each end-to-end
-# metric's two medians, quartiles and the pairs the working tree won.
-#   make bench-ab BASE=HEAD~1 W=five_code_small_ops [N=10]
+# N alternating parent/change pairs of one BENCHMARK.json workload (or of
+# each, W=all), BASE checked out into target/ab-base for the duration:
+# each end-to-end metric's two medians, quartiles, the pairs the working
+# tree won and the change of medians against the metric's bound — exits 1
+# if any row is WORSE than its bound or a run was not correct.
+#   make bench-ab BASE=HEAD~1 W=five_code_small_ops|all [N=10]
 bench-ab:
 	sh scripts/ab.sh $(BASE) $(W) $(N)
 

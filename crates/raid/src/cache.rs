@@ -15,6 +15,16 @@
 //! explicit `flush()`/drop barrier) lives in
 //! [`crate::volume::RaidVolume`], which owns the pipeline the flushes
 //! must go through.
+//!
+//! An entry is sized to what it holds, not to the stripe: one slot per
+//! data ordinal, allocated by the first write or read-through fill of
+//! that ordinal as a copy of the source bytes and overwritten in place
+//! afterwards. A small-write workload touches 1–4 of a stripe's 120
+//! elements (HV, p = 13) between creation and eviction, so a dense entry
+//! spent 480 KiB of `calloc` to keep 4–16 KiB. There is no buffer pool:
+//! an element-sized `malloc` is cheap, it was the stripe-sized memset
+//! that was not. The budget stays a count of stripes — the worst case
+//! (every slot held) is the dense entry's size.
 
 use std::collections::BTreeMap;
 
@@ -36,64 +46,82 @@ impl Default for CacheConfig {
 }
 
 /// One cached stripe: the data elements the cache has seen, with
-/// per-element presence and dirtiness.
+/// per-element dirtiness. Holding a slot *is* presence.
 #[derive(Debug, Clone)]
 pub(crate) struct StripeEntry {
-    data: Vec<u8>,
-    present: Vec<bool>,
-    dirty: Vec<bool>,
+    stripe: usize,
     element_size: usize,
+    /// One slot per data ordinal, allocated by its first `write`/`fill`.
+    slots: Vec<Option<Box<[u8]>>>,
+    dirty: Vec<bool>,
+    /// How many `dirty` bits are set.
+    dirty_elems: usize,
 }
 
 impl StripeEntry {
-    fn new(per_stripe: usize, element_size: usize) -> Self {
+    fn new(stripe: usize, per_stripe: usize, element_size: usize) -> Self {
         StripeEntry {
-            data: vec![0; per_stripe * element_size],
-            present: vec![false; per_stripe],
-            dirty: vec![false; per_stripe],
+            stripe,
             element_size,
+            slots: vec![None; per_stripe],
+            dirty: vec![false; per_stripe],
+            dirty_elems: 0,
         }
     }
 
-    /// The cached bytes of data ordinal `ord` (valid only when present).
+    /// The cached bytes of data ordinal `ord`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry holds no copy of `ord`.
     pub(crate) fn element(&self, ord: usize) -> &[u8] {
-        &self.data[ord * self.element_size..(ord + 1) * self.element_size]
+        match &self.slots[ord] {
+            Some(bytes) => bytes,
+            None => panic!("the cache holds no copy of stripe {} ordinal {ord}", self.stripe),
+        }
     }
 
     /// True if the cache holds a copy of ordinal `ord` (dirty or clean).
     pub(crate) fn is_present(&self, ord: usize) -> bool {
-        self.present[ord]
+        self.slots[ord].is_some()
     }
 
     /// True if the cached copy of `ord` matches the disks (present and
     /// not dirty) — safe to substitute for a disk read.
     pub(crate) fn is_clean(&self, ord: usize) -> bool {
-        self.present[ord] && !self.dirty[ord]
+        self.is_present(ord) && !self.dirty[ord]
+    }
+
+    /// Copies `bytes` into the slot of `ord`, allocating it on first use.
+    fn store(&mut self, ord: usize, bytes: &[u8]) {
+        assert_eq!(bytes.len(), self.element_size, "element size mismatch at ordinal {ord}");
+        match &mut self.slots[ord] {
+            Some(slot) => slot.copy_from_slice(bytes),
+            empty => *empty = Some(bytes.into()),
+        }
     }
 
     /// Stores new bytes for `ord`, marking it present **and dirty**.
     pub(crate) fn write(&mut self, ord: usize, bytes: &[u8]) {
-        self.data[ord * self.element_size..(ord + 1) * self.element_size]
-            .copy_from_slice(bytes);
-        self.present[ord] = true;
-        self.dirty[ord] = true;
+        self.store(ord, bytes);
+        if !self.dirty[ord] {
+            self.dirty[ord] = true;
+            self.dirty_elems += 1;
+        }
     }
 
     /// Stores bytes read from disk for `ord` (present, clean). A dirty
     /// copy is never downgraded — the cache is authoritative for it.
     pub(crate) fn fill(&mut self, ord: usize, bytes: &[u8]) {
-        if self.dirty[ord] {
-            return;
+        if !self.dirty[ord] {
+            self.store(ord, bytes);
         }
-        self.data[ord * self.element_size..(ord + 1) * self.element_size]
-            .copy_from_slice(bytes);
-        self.present[ord] = true;
     }
 
     /// Drops a clean cached copy of `ord` (out-of-band tampering hook).
     pub(crate) fn invalidate_clean(&mut self, ord: usize) {
         if !self.dirty[ord] {
-            self.present[ord] = false;
+            self.slots[ord] = None;
         }
     }
 
@@ -104,12 +132,13 @@ impl StripeEntry {
 
     /// True if any element is dirty.
     pub(crate) fn is_dirty(&self) -> bool {
-        self.dirty.iter().any(|&d| d)
+        self.dirty_elems > 0
     }
 
     /// Marks every element clean (a successful flush: disks now match).
     pub(crate) fn mark_clean(&mut self) {
         self.dirty.fill(false);
+        self.dirty_elems = 0;
     }
 }
 
@@ -148,33 +177,40 @@ impl StripeCache {
         self.entries.get(&stripe)
     }
 
+    /// Held element slots over every resident stripe.
+    pub(crate) fn resident_elements(&self) -> usize {
+        self.entries.values().map(|e| e.slots.iter().flatten().count()).sum()
+    }
+
     /// The entry for `stripe`, created empty if absent, promoted to
     /// most-recently-used either way.
     pub(crate) fn ensure(&mut self, stripe: usize) -> &mut StripeEntry {
-        self.promote(stripe);
         let (per, es) = (self.per_stripe, self.element_size);
-        self.entries.entry(stripe).or_insert_with(|| StripeEntry::new(per, es))
+        touch(&mut self.lru, stripe);
+        self.entries.entry(stripe).or_insert_with(|| StripeEntry::new(stripe, per, es))
     }
 
-    /// Moves `stripe` to the most-recently-used position.
+    /// Moves a resident `stripe` to the most-recently-used position; a
+    /// no-op for any other, so `lru` names exactly the resident stripes
+    /// (a read promotes before it knows its miss will be served).
     pub(crate) fn promote(&mut self, stripe: usize) {
-        self.lru.retain(|&s| s != stripe);
-        self.lru.push(stripe);
+        if self.entries.contains_key(&stripe) {
+            touch(&mut self.lru, stripe);
+        }
     }
 
     /// Removes and returns the entry (e.g. to flush it without holding a
-    /// borrow on the cache).
+    /// borrow on the cache). Its LRU position stays reserved for
+    /// [`StripeCache::put_back`], which must follow.
     pub(crate) fn take(&mut self, stripe: usize) -> Option<StripeEntry> {
         self.entries.remove(&stripe)
     }
 
-    /// Reinserts an entry taken with [`StripeCache::take`], keeping its
-    /// LRU position.
+    /// Reinserts an entry taken with [`StripeCache::take`], at the LRU
+    /// position it kept.
     pub(crate) fn put_back(&mut self, stripe: usize, entry: StripeEntry) {
+        assert!(self.lru.contains(&stripe), "put_back of stripe {stripe} without a take");
         self.entries.insert(stripe, entry);
-        if !self.lru.contains(&stripe) {
-            self.lru.push(stripe);
-        }
     }
 
     /// Drops `stripe` entirely (eviction).
@@ -201,7 +237,7 @@ impl StripeCache {
 
     /// The least-recently-used stripe of all.
     pub(crate) fn oldest(&self) -> Option<usize> {
-        self.lru.iter().copied().find(|s| self.entries.contains_key(s))
+        self.lru.first().copied()
     }
 
     /// Every stripe currently dirty, ascending.
@@ -214,13 +250,19 @@ impl StripeCache {
     }
 }
 
+/// Moves `stripe` to the most-recently-used end of `lru`.
+fn touch(lru: &mut Vec<usize>, stripe: usize) {
+    lru.retain(|&s| s != stripe);
+    lru.push(stripe);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn entry_tracks_presence_and_dirtiness() {
-        let mut e = StripeEntry::new(4, 8);
+        let mut e = StripeEntry::new(0, 4, 8);
         assert!(!e.is_present(0) && !e.is_dirty());
         e.write(1, &[7; 8]);
         assert!(e.is_present(1) && !e.is_clean(1) && e.is_dirty());
@@ -233,10 +275,58 @@ mod tests {
         e.fill(2, &[3; 8]);
         assert!(e.is_clean(2));
 
+        // Overwriting a dirty element does not count it twice.
+        e.write(1, &[8; 8]);
+        e.write(3, &[4; 8]);
+        assert_eq!((e.element(1), e.dirty_ordinals()), (&[8; 8][..], vec![1, 3]));
+
         e.mark_clean();
         assert!(!e.is_dirty() && e.is_clean(1));
         e.invalidate_clean(1);
         assert!(!e.is_present(1));
+        e.write(3, &[5; 8]);
+        e.invalidate_clean(3);
+        assert!(e.is_present(3) && e.is_dirty(), "a dirty copy outlives tampering");
+    }
+
+    #[test]
+    #[should_panic(expected = "no copy of stripe 9 ordinal 2")]
+    fn element_of_an_ordinal_the_entry_does_not_hold_panics() {
+        let mut e = StripeEntry::new(9, 4, 8);
+        e.write(1, &[7; 8]);
+        e.element(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "element size mismatch at ordinal 1")]
+    fn first_write_of_the_wrong_size_is_rejected() {
+        StripeEntry::new(0, 4, 8).write(1, &[7; 4]);
+    }
+
+    #[test]
+    fn lru_names_exactly_the_resident_stripes() {
+        fn agree(c: &StripeCache, after: &str) {
+            let mut lru = c.lru.clone();
+            lru.sort_unstable();
+            assert_eq!(lru, c.entries.keys().copied().collect::<Vec<_>>(), "after {after}");
+        }
+        let mut c = StripeCache::new(CacheConfig::default(), 2, 4);
+        // A read promotes before its miss is served; a miss that then
+        // fails must leave no trace.
+        c.promote(5);
+        agree(&c, "promote of an absent stripe");
+        assert_eq!(c.oldest(), None);
+        c.ensure(5).fill(0, &[1; 4]);
+        c.ensure(6).write(1, &[2; 4]);
+        agree(&c, "ensure");
+        assert_eq!(c.resident_elements(), 2);
+        let taken = c.take(5).unwrap();
+        c.put_back(5, taken);
+        agree(&c, "take -> put_back");
+        assert_eq!(c.oldest(), Some(5), "a round trip keeps the LRU position");
+        c.remove(5);
+        agree(&c, "remove");
+        assert_eq!((c.oldest(), c.resident_elements()), (Some(6), 1));
     }
 
     #[test]

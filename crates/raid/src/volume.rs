@@ -647,6 +647,12 @@ impl RaidVolume {
         self.cache.as_ref().map_or(0, StripeCache::len)
     }
 
+    /// Elements the cache holds a copy of, over every resident stripe —
+    /// its footprint in units of `element_size`; 0 without a cache.
+    pub fn cache_resident_elements(&self) -> usize {
+        self.cache.as_ref().map_or(0, StripeCache::resident_elements)
+    }
+
     /// Stripes with unflushed dirty data; 0 without a cache.
     pub fn cache_dirty_stripes(&self) -> usize {
         self.cache.as_ref().map_or(0, StripeCache::dirty_count)

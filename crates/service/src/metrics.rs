@@ -61,10 +61,18 @@ pub fn prometheus_text(stats: &ServiceStats) -> String {
     let _ = writeln!(out, "hvraid_cache_misses_total {}", stats.ledger.cache_misses());
     header(&mut out, "hvraid_cache_flushes_total", "Coalesced stripe flushes.", "counter");
     let _ = writeln!(out, "hvraid_cache_flushes_total {}", stats.ledger.cache_flushes());
-    header(&mut out, "hvraid_cache_evictions_total", "Clean-stripe evictions.", "counter");
+    header(
+        &mut out,
+        "hvraid_cache_evictions_total",
+        "Stripes evicted (dirty ones are flushed first).",
+        "counter",
+    );
     let _ = writeln!(out, "hvraid_cache_evictions_total {}", stats.ledger.cache_evictions());
     header(&mut out, "hvraid_cache_resident_stripes", "Stripes resident in the cache.", "gauge");
     let _ = writeln!(out, "hvraid_cache_resident_stripes {}", stats.cache_resident);
+    header(&mut out, "hvraid_cache_resident_bytes", "Bytes of cached element copies.", "gauge");
+    let resident_bytes = stats.cache_resident_elements * stats.element_size;
+    let _ = writeln!(out, "hvraid_cache_resident_bytes {resident_bytes}");
     header(&mut out, "hvraid_cache_dirty_stripes", "Dirty stripes awaiting flush.", "gauge");
     let _ = writeln!(out, "hvraid_cache_dirty_stripes {}", stats.cache_dirty);
 
@@ -169,6 +177,9 @@ mod tests {
         assert!(text.contains("hvraid_health_state{state=\"healthy\"} 1"));
         assert!(text.contains("hvraid_service_ops_total{tenant=\"t0\",class=\"writer\"} 2"));
         assert!(text.contains("hvraid_cache_flushes_total"));
+        // Two 16-byte elements written, flushed, still resident (clean).
+        assert!(text.contains("hvraid_cache_resident_stripes 1\n"));
+        assert!(text.contains("hvraid_cache_resident_bytes 32\n"));
         assert!(text.contains("quantile=\"0.99\""));
     }
 

@@ -413,6 +413,8 @@ pub struct ServiceStats {
     pub cache_enabled: bool,
     /// Stripes resident in the cache.
     pub cache_resident: usize,
+    /// Elements the cache holds a copy of, over every resident stripe.
+    pub cache_resident_elements: usize,
     /// Dirty stripes in the cache.
     pub cache_dirty: usize,
     /// Ops queued right now.
@@ -625,6 +627,7 @@ impl Service {
             failed_disks: vol.failed_disks(),
             cache_enabled: vol.cache_enabled(),
             cache_resident: vol.cache_resident_stripes(),
+            cache_resident_elements: vol.cache_resident_elements(),
             cache_dirty: vol.cache_dirty_stripes(),
             queued: sh.queued,
             rounds: sh.rounds,

@@ -1,17 +1,24 @@
 #!/bin/sh
-# Alternating parent/change pairs of one BENCHMARK.json workload
-# (choosing-metrics §8): checks BASE out into target/ab-base (a git
-# worktree, removed on exit), builds both hvbench binaries, runs N pairs —
-# pair i at seed i on both sides, odd pairs parent first, even pairs change
-# first — and prints each end-to-end metric's two medians, quartiles and
-# the pairs the change won (ties count for neither). It runs BENCHMARK.json's
-# own command in each checkout and edits nothing under benchmark/.
+# Alternating parent/change pairs of one BENCHMARK.json workload, or of
+# each of them in turn (WORKLOAD = all) (choosing-metrics §8): checks BASE
+# out into target/ab-base (a git worktree, removed on exit), builds both
+# hvbench binaries, runs N pairs — pair i at seed i on both sides, odd
+# pairs parent first, even pairs change first — and prints, per workload,
+# each end-to-end metric's two medians, quartiles, the pairs the change
+# won (ties count for neither) and the relative change of the medians
+# against the metric's bound in BENCHMARK.json: ok, or WORSE when the
+# change's median is worse than the parent's by more than the bound. It
+# runs BENCHMARK.json's own command in each checkout and edits nothing
+# under benchmark/ (cargo's rewrite of its Cargo.lock is undone on exit).
 #
-#   scripts/ab.sh BASE WORKLOAD [N]      (N defaults to 10)
+# Exit status: 0 when no row is WORSE; 1 when one is, or when a run's
+# result was not "correct": true (that aborts the series).
+#
+#   scripts/ab.sh BASE WORKLOAD|all [N]      (N defaults to 10)
 set -eu
 
-BASE=${1:?usage: scripts/ab.sh BASE WORKLOAD [N]}
-WORKLOAD=${2:?usage: scripts/ab.sh BASE WORKLOAD [N]}
+BASE=${1:?usage: scripts/ab.sh BASE WORKLOAD|all [N]}
+WORKLOADS=${2:?usage: scripts/ab.sh BASE WORKLOAD|all [N]}
 N=${3:-10}
 
 ROOT=$(git rev-parse --show-toplevel)
@@ -21,28 +28,33 @@ OUT=$ROOT/target/ab-out
 SECONDS_PER_RUN=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)
 # ["cargo", "run", …, "--"] → cargo run … --
 COMMAND=$(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' BENCHMARK.json | tr -d '",')
-grep -q "\"name\": \"$WORKLOAD\"" BENCHMARK.json || {
-    echo "ab: no workload \"$WORKLOAD\" in BENCHMARK.json" >&2
-    exit 2
-}
+if [ "$WORKLOADS" = all ]; then
+    WORKLOADS=$(sed -n '/"workloads"/,/\]/s/.*{"name": "\([a-z0-9_]*\)".*/\1/p' BENCHMARK.json)
+else
+    grep -q "{\"name\": \"$WORKLOADS\", \"why\"" BENCHMARK.json || {
+        echo "ab: no workload \"$WORKLOADS\" in BENCHMARK.json" >&2
+        exit 2
+    }
+fi
 
 mkdir -p target
 git worktree remove --force "$TREE" 2>/dev/null || true
-trap 'git worktree remove --force "$TREE" 2>/dev/null || true' EXIT
+trap 'git worktree remove --force "$TREE" 2>/dev/null || true
+      git checkout -q -- benchmark/Cargo.lock' EXIT
 trap 'exit 130' INT TERM
 git worktree add --quiet --detach "$TREE" "$BASE"
 rm -rf "$OUT"
-mkdir -p "$OUT"
 
-# One run of the benchmark's command in checkout $1 (its build under
-# target/ab-build/$2, so neither side ever rebuilds the other's binary);
-# the last line of its stdout — the result — goes to $OUT/$2.
+# One run of workload $4 by the benchmark's command in checkout $1 (its
+# build under target/ab-build/$2, so neither side ever rebuilds the
+# other's binary); the last line of its stdout — the result — goes to
+# $OUT/$4/$2.
 run() {
     line=$(cd "$1" && CARGO_TARGET_DIR="$ROOT/target/ab-build/$2" $COMMAND \
-        --workload "$WORKLOAD" --seed "$3" --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1)
+        --workload "$4" --seed "$3" --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1)
     case $line in
-    *'"correct": true'*) echo "$line" >> "$OUT/$2" ;;
-    *) echo "ab: $2 run at seed $3 failed: $line" >&2; exit 1 ;;
+    *'"correct": true'*) echo "$line" >> "$OUT/$4/$2" ;;
+    *) echo "ab: $2 run of $4 at seed $3 failed: $line" >&2; exit 1 ;;
     esac
 }
 
@@ -50,48 +62,70 @@ echo "ab: building $BASE (base) and the working tree (change)" >&2
 (cd "$TREE" && CARGO_TARGET_DIR="$ROOT/target/ab-build/base" $COMMAND --help > /dev/null)
 CARGO_TARGET_DIR="$ROOT/target/ab-build/change" $COMMAND --help > /dev/null
 
-i=1
-while [ "$i" -le "$N" ]; do
-    echo "ab: pair $i/$N" >&2
-    if [ $((i % 2)) -eq 1 ]; then
-        run "$TREE" base "$i"
-        run "$ROOT" change "$i"
-    else
-        run "$ROOT" change "$i"
-        run "$TREE" base "$i"
-    fi
-    i=$((i + 1))
+for workload in $WORKLOADS; do
+    mkdir -p "$OUT/$workload"
+    i=1
+    while [ "$i" -le "$N" ]; do
+        echo "ab: $workload pair $i/$N" >&2
+        if [ $((i % 2)) -eq 1 ]; then
+            run "$TREE" base "$i" "$workload"
+            run "$ROOT" change "$i" "$workload"
+        else
+            run "$ROOT" change "$i" "$workload"
+            run "$TREE" base "$i" "$workload"
+        fi
+        i=$((i + 1))
+    done
 done
 
-# Metric names and directions come from BENCHMARK.json's end_to_end rows
-# (one per line); values from the result lines, pair i on line i.
-echo "$WORKLOAD: $N pairs of ${SECONDS_PER_RUN} s, base = $BASE"
-sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)".*/\1 \2/p' BENCHMARK.json |
-    while read -r metric better; do
-        awk -v metric="$metric" -v better="$better" '
-            function value(line,    at) {
-                at = match(line, "\"" metric "\": \\{\"value\": [-+.eE0-9]+")
-                return substr(line, at + length(metric) + 14, RLENGTH - length(metric) - 14) + 0
-            }
-            # Nearest-rank quantile of the sorted v[1..n].
-            function quantile(v, n, q,    k) { k = int(q * n + 0.999999); return v[k < 1 ? 1 : k] }
-            function ascending(v, n,    a, b, t) {
-                for (a = 2; a <= n; a++)
-                    for (b = a; b > 1 && v[b - 1] > v[b]; b--) { t = v[b]; v[b] = v[b - 1]; v[b - 1] = t }
-            }
-            FNR == NR { base[FNR] = value($0); next }
-            { change[FNR] = value($0); n = FNR }
-            END {
+# One block per workload. Metric names, directions and bounds come from
+# BENCHMARK.json's end_to_end rows (one per line); values from the result
+# lines, pair i on line i. awk exits 1 if a row is WORSE.
+status=0
+for workload in $WORKLOADS; do
+    echo "$workload: $N pairs of ${SECONDS_PER_RUN} s, base = $BASE"
+    awk '
+        function field(line, key,    rest) {
+            rest = substr(line, index(line, "\"" key "\": ") + length(key) + 4)
+            sub(/^"/, "", rest); sub(/[",}].*/, "", rest)
+            return rest
+        }
+        function value(line, metric,    at) {
+            at = match(line, "\"" metric "\": \\{\"value\": [-+.eE0-9]+")
+            return substr(line, at + length(metric) + 14, RLENGTH - length(metric) - 14) + 0
+        }
+        # Nearest-rank quantile of the sorted v[1..n].
+        function quantile(v, n, q,    k) { k = int(q * n + 0.999999); return v[k < 1 ? 1 : k] }
+        function ascending(v, n,    a, b, t) {
+            for (a = 2; a <= n; a++)
+                for (b = a; b > 1 && v[b - 1] > v[b]; b--) { t = v[b]; v[b] = v[b - 1]; v[b - 1] = t }
+        }
+        FNR == 1 { file++ }
+        file == 1 && /"end_to_end"/ { rows = 1; next }
+        file == 1 && rows && /\]/ { rows = 0 }
+        file == 1 && rows {
+            name[++metrics] = field($0, "name"); better[metrics] = field($0, "better")
+            bound[metrics] = field($0, "bound") + 0
+        }
+        file > 1 { for (m = 1; m <= metrics; m++) run[file, m, FNR] = value($0, name[m]); n = FNR }
+        END {
+            for (m = 1; m <= metrics; m++) {
+                won = 0
                 for (k = 1; k <= n; k++) {
-                    d = change[k] - base[k]
-                    if (better == "lower") d = -d
-                    won += d > 0
+                    base[k] = run[2, m, k]; change[k] = run[3, m, k]
+                    won += (better[m] == "lower" ? change[k] < base[k] : change[k] > base[k])
                 }
                 ascending(base, n); ascending(change, n)
-                printf "  %-15s %-6s  base %11.4f [%11.4f, %11.4f]  change %11.4f [%11.4f, %11.4f]  change won %d/%d\n",
-                    metric, better,
-                    quantile(base, n, 0.5), quantile(base, n, 0.25), quantile(base, n, 0.75),
-                    quantile(change, n, 0.5), quantile(change, n, 0.25), quantile(change, n, 0.75),
-                    won, n
-            }' "$OUT/base" "$OUT/change"
-    done
+                b = quantile(base, n, 0.5); c = quantile(change, n, 0.5)
+                moved = b == 0 ? 0 : (c - b) / b
+                worse = (better[m] == "lower" ? moved : -moved) > bound[m]
+                failed += worse
+                printf "  %-15s %-6s  base %11.4f [%11.4f, %11.4f]  change %11.4f [%11.4f, %11.4f]  change won %2d/%d  %+7.1f %% (bound %2.0f %%) %s\n",
+                    name[m], better[m], b, quantile(base, n, 0.25), quantile(base, n, 0.75),
+                    c, quantile(change, n, 0.25), quantile(change, n, 0.75),
+                    won, n, 100 * moved, 100 * bound[m], worse ? "WORSE" : "ok"
+            }
+            exit failed > 0
+        }' BENCHMARK.json "$OUT/$workload/base" "$OUT/$workload/change" || status=1
+done
+exit $status

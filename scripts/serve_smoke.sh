@@ -14,7 +14,9 @@ VOL="$TMP/vol"
 $CARGO build -q --release -p hvraid
 HV=target/release/hvraid
 
-"$HV" serve --socket "$SOCK" --dir "$VOL" --p 5 --stripes 4 --element 16 &
+P=5
+ELEMENT=16
+"$HV" serve --socket "$SOCK" --dir "$VOL" --p $P --stripes 4 --element $ELEMENT &
 SERVE_PID=$!
 
 i=0
@@ -43,7 +45,17 @@ QUIT
 EOF
 "$HV" connect --socket "$SOCK" --script "$TMP/client.txt"
 
-"$HV" stats --socket "$SOCK" | grep -q '^hvraid_service_ops_total'
+"$HV" stats --socket "$SOCK" > "$TMP/stats.txt"
+grep -q '^hvraid_service_ops_total' "$TMP/stats.txt"
+# The cache holds what the script touched: more than nothing, and no more
+# than its resident stripes could (HV: (p - 1)(p - 3) data elements each).
+BYTES=$(sed -n 's/^hvraid_cache_resident_bytes //p' "$TMP/stats.txt")
+STRIPES=$(sed -n 's/^hvraid_cache_resident_stripes //p' "$TMP/stats.txt")
+if [ "${BYTES:-0}" -le 0 ] || [ "$BYTES" -gt $((STRIPES * (P - 1) * (P - 3) * ELEMENT)) ]; then
+    echo "serve-smoke: $BYTES cached bytes in $STRIPES resident stripes" >&2
+    kill "$SERVE_PID" 2>/dev/null || true
+    exit 1
+fi
 
 printf 'HELLO smoke2 reader\nSHUTDOWN\n' > "$TMP/down.txt"
 "$HV" connect --socket "$SOCK" --script "$TMP/down.txt"

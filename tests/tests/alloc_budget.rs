@@ -4,6 +4,10 @@
 //! is hvbench's — HV Code p = 13, 4 KiB elements, `MemBackend` — where
 //! the grid is 288 buffers (1.2 MiB) and a single-element update names 6.
 //!
+//! Of the cached path: a stripe-cache entry allocates the elements it is
+//! given, not the stripe's 120 (480 KiB), so a cold write, a read miss
+//! and an eviction-per-op trace cost the op's own bytes.
+//!
 //! And of the front door: parsing a `WRITE` line allocates its decoded
 //! payload and nothing else of size, a `READ` reply renders into a warm
 //! buffer without allocating, and a `WRITE` over a live connection costs
@@ -82,7 +86,11 @@ const ELEMENT: usize = 4096;
 const SMALL_OP: (usize, usize) = (80, 64 * 1024);
 
 fn volume() -> RaidVolume {
-    RaidVolume::in_memory(Arc::new(HvCode::new(P).unwrap()), STRIPES, ELEMENT)
+    volume_of(STRIPES)
+}
+
+fn volume_of(stripes: usize) -> RaidVolume {
+    RaidVolume::in_memory(Arc::new(HvCode::new(P).unwrap()), stripes, ELEMENT)
 }
 
 #[test]
@@ -118,6 +126,83 @@ fn flush_of_one_dirty_element_stays_within_the_single_element_budget() {
     assert!(calls <= SMALL_OP.0 && bytes <= SMALL_OP.1, "{calls} calls, {bytes} bytes");
     assert_eq!(v.ledger().cache_flushes(), 1);
     assert_eq!(v.read(130, 1).unwrap().0, data);
+}
+
+/// What a cached op may request: the element it keeps, plus 8 KiB for the
+/// new entry's slot and dirty tables (2 KiB for 120 ordinals), receipts
+/// and the LRU list. A dense entry was 480 KiB on top of this.
+///
+/// The four cached-path budgets, in requested bytes (parent `884cfff`,
+/// dense 480 KiB entries → this layout, one slot per held ordinal):
+///
+/// | case                                 | parent    | change  | budget   |
+/// |--------------------------------------|-----------|---------|----------|
+/// | (a) 1-element write, cold stripe     | 493 448   | 7 736   | 12 288   |
+/// | (b) 1-element read miss − cache-off  | 493 064   | 7 352   | 12 288   |
+/// | (c) resident 4-element read − output | 672       | 672     | < 4 096  |
+/// | (d) 1 000 evicting writes, per op    | 526 381   | 40 746  | 65 536   |
+///
+/// The cache-off read of (b) is 598 440 on both: `read_run`'s dense
+/// scratch, which is not this file's subject.
+///
+/// (a), (b) and (d) fail on the parent; (c) passes on both — a hit never
+/// created an entry — and fences that a hit copies out of its slots
+/// without staging an element anywhere.
+const CACHED_OP: usize = ELEMENT + 8 * 1024;
+
+fn cached_volume(stripes: usize) -> RaidVolume {
+    let mut v = volume_of(stripes);
+    v.enable_cache(CacheConfig::default());
+    v
+}
+
+#[test]
+fn cached_write_into_a_cold_stripe_allocates_its_element_not_the_stripe() {
+    let mut v = cached_volume(STRIPES);
+    let data = payload(ELEMENT, 7);
+    let (_, bytes) = allocated(|| drop(v.write(130, &data).unwrap()));
+    assert!(bytes <= CACHED_OP, "(a) {bytes} bytes for a cold 1-element write");
+    assert_eq!((v.cache_resident_stripes(), v.cache_resident_elements()), (1, 1));
+}
+
+#[test]
+fn cached_read_miss_allocates_one_element_more_than_the_uncached_read() {
+    let (mut v, mut plain) = (cached_volume(STRIPES), volume());
+    let (_, uncached) = allocated(|| drop(plain.read(250, 1).unwrap()));
+    let (_, miss) = allocated(|| drop(v.read(250, 1).unwrap()));
+    assert!(miss <= uncached + CACHED_OP, "(b) {miss} bytes for a miss, {uncached} cache off");
+    assert_eq!((v.ledger().cache_misses(), v.cache_resident_elements()), (1, 1));
+}
+
+#[test]
+fn resident_read_allocates_its_output_and_no_other_element() {
+    let mut v = cached_volume(STRIPES);
+    v.write(130, &payload(ELEMENT, 7)).unwrap();
+    v.read(130, 4).unwrap(); // one dirty, three filled clean
+    let (_, bytes) = allocated(|| drop(v.read(130, 4).unwrap()));
+    assert!(bytes - PAYLOAD < ELEMENT, "(c) {bytes} bytes for a resident 4-element read");
+    assert_eq!(v.ledger().cache_hits(), 1 + 4, "one element of the first read, all of the second");
+}
+
+#[test]
+fn a_write_trace_twice_the_cache_pays_a_small_flush_and_a_small_entry_per_op() {
+    // (d) Round-robin over twice the budget: past the first 64, every
+    // write finds its stripe evicted, flushes the oldest dirty stripe
+    // (one element: `SMALL_OP`) and creates a new one-element entry.
+    const OPS: usize = 1_000;
+    let cfg = CacheConfig::default();
+    let mut v = cached_volume(2 * cfg.max_stripes);
+    let per_stripe = v.data_elements() / (2 * cfg.max_stripes);
+    let data = payload(ELEMENT, 8);
+    let (_, bytes) = allocated(|| {
+        for i in 0..OPS {
+            v.write(i % (2 * cfg.max_stripes) * per_stripe + 7, &data).unwrap();
+        }
+    });
+    assert!(bytes / OPS <= 64 * 1024, "(d) {} bytes per op", bytes / OPS);
+    let evictions = v.ledger().cache_evictions() as usize;
+    assert_eq!(evictions, OPS - cfg.max_stripes, "every write past the budget evicts");
+    assert_eq!(v.ledger().cache_flushes() as usize, OPS - cfg.dirty_high_water);
 }
 
 /// Four 4 KiB elements: the largest op `front_door_mixed` sends.

@@ -8,6 +8,9 @@
 //!   ledger-counted notes (Zipf / hot-spot / sequential, cache on and
 //!   off), with that bench's write loop and final flush done by
 //!   `replay_write_trace`;
+//! - [`over_budget_mixed_trace_pins_every_cache_decision`] is the fence
+//!   the eviction path did not have: every other cached trace here fits
+//!   the cache, this one is four times its budget;
 //! - [`worst_case_single_element_update`] replaces `benches/update.rs`'s
 //!   parity-I/O notes: the paper's optimal-update-complexity claim (§IV)
 //!   measured per small write, which only a bench note used to record.
@@ -18,7 +21,7 @@
 use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskProfile};
-use integration::all_codes;
+use integration::{all_codes, payload};
 use raid_array::{replay_write_trace, CacheConfig, RaidVolume};
 use raid_workloads::skew::{hot_spot_trace, sequential_trace, zipf_write_trace};
 use raid_workloads::{table2_trace, WriteTrace};
@@ -65,6 +68,49 @@ fn skew_sweep_cached_vs_uncached() {
         assert_eq!((total(&trace, false), total(&trace, true)), (uncached, cached), "{}", trace.name);
         assert!(cached < uncached, "{}", trace.name);
     }
+}
+
+/// A front-door-shaped replay on a volume four times the cache: HV p = 13,
+/// 256 stripes × 64 B against `CacheConfig::default()`'s 64, 4 000 ops of
+/// 1–4 elements at Zipf 0.9, seven reads to three writes, final `flush()`.
+/// Hits, misses, flushes and evictions are every decision the cache and
+/// its policy make (what is resident, which stripe is the LRU victim,
+/// whether it was dirty), and the ledger total is what they cost.
+///
+/// The five numbers were taken from a run of this test on `884cfff`, the
+/// parent of the PR that re-laid the entries out as one slot per ordinal
+/// (PR 19): that they did not move is what shows that PR changed no
+/// decision. Re-derive them on a deliberate policy change, do not loosen.
+#[test]
+fn over_budget_mixed_trace_pins_every_cache_decision() {
+    const OPS: usize = 4_000;
+    let (mut cached, mut plain) = (hv13_volume(256, 64, true), hv13_volume(256, 64, false));
+    let n = cached.data_elements();
+    let ranges: Vec<WriteTrace> =
+        (1..=4).map(|len| zipf_write_trace(len, OPS / 4, n, 0.9, 40 + len as u64)).collect();
+    for i in 0..OPS {
+        let range = ranges[i % 4].patterns[i / 4];
+        let (start, len) = (range.start.min(n - range.len), range.len);
+        if i % 10 < 7 {
+            let bytes = cached.read(start, len).expect("healthy read").0;
+            assert_eq!(bytes, plain.read(start, len).expect("healthy read").0, "op {i}");
+        } else {
+            let data = payload(len * 64, i as u64);
+            cached.write(start, &data).expect("healthy write");
+            plain.write(start, &data).expect("healthy write");
+        }
+    }
+    let barrier = cached.flush().expect("healthy flush").cache_flushes();
+    let l = cached.ledger();
+    let counts = (l.cache_hits(), l.cache_misses(), l.cache_flushes(), l.cache_evictions(), l.total());
+    assert_eq!(counts, (3_606, 3_446, 375, 1_025, 10_672));
+    // What a deliberate re-pin must still show: the trace overflows the
+    // cache, and stripes were flushed ahead of the final barrier.
+    assert!(l.cache_evictions() > 0 && l.cache_flushes() > barrier, "{counts:?}, barrier {barrier}");
+    assert!(l.total() < plain.ledger().total(), "the cache must still save I/O over budget");
+    assert!(cached.verify_all() && plain.verify_all());
+    let (all, twin) = (cached.read(0, n).expect("read").0, plain.read(0, n).expect("read").0);
+    assert!(all == twin, "final images differ");
 }
 
 #[test]
