@@ -32,13 +32,17 @@ bench:
 	$(HVBENCH) --seed 1 --out target/hvbench-out; $(RESTORE_LOCK)
 
 # N alternating parent/change pairs of one BENCHMARK.json workload (or of
-# each, W=all), BASE checked out into target/ab-base for the duration:
-# each end-to-end metric's two medians, quartiles, the pairs the working
-# tree won and the change of medians against the metric's bound — exits 1
-# if any row is WORSE than its bound or a run was not correct.
-#   make bench-ab BASE=HEAD~1 W=five_code_small_ops|all [N=10]
+# each, W=all), BASE unpacked into target/ab-base for the duration, pair i
+# at seed S + i − 1 (S=11 N=5: the held-out seeds 11–15): each end-to-end
+# metric's two medians, quartiles, the pairs the working tree won and the
+# change of medians against the metric's bound — exits 1 if any row is
+# WORSE than its bound or a run was not correct. Under peak_rss_mib, how
+# much of each side is hvbench's own op log (informational).
+#   make bench-ab BASE=HEAD~1 W=five_code_small_ops|all [N=10] [S=1]
+N ?= 10
+S ?= 1
 bench-ab:
-	sh scripts/ab.sh $(BASE) $(W) $(N)
+	sh scripts/ab.sh $(BASE) $(W) $(N) $(S)
 
 # A 15-second end-to-end self-check of every workload (numbers mean
 # nothing): the pre-merge proof that hvbench still compiles against the

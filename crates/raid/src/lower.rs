@@ -595,6 +595,40 @@ mod tests {
         assert!(cells.iter().all(|c| c.row >= rows), "lower half materialised");
     }
 
+    /// The invariant `IoPipeline::fetch` lands bytes by: a read that
+    /// misses every failed column is a plain fetch whose `k`-th read is
+    /// its `k`-th requested cell — and a read that does not miss them
+    /// carries a plan, so never takes that path.
+    #[test]
+    fn a_read_off_the_failed_columns_is_a_plain_fetch_of_the_request_in_order() {
+        for p in [5usize, 7, 13] {
+            for code in registry(p) {
+                let layout = code.layout();
+                let addressing = Addressing::new(layout.num_data_cells(), layout.cols(), true);
+                let addr = |c| cell_addr(&addressing, layout.rows(), STRIPES - 1, c);
+                let data = layout.data_cells();
+                // Healthy, then each single failed column.
+                for failed in std::iter::once(None).chain((0..layout.cols()).map(Some)) {
+                    let failed_cols: Vec<usize> = failed.into_iter().collect();
+                    for len in [1, 2, 5, data.len()] {
+                        for requested in data.windows(len) {
+                            let what = format!("{} p={p} {failed_cols:?} {requested:?}", code.name());
+                            let op = read_op(layout, &failed_cols, requested, &addr).expect(&what);
+                            if requested.iter().any(|c| failed == Some(c.col)) {
+                                assert!(op.plan.is_some(), "{what}: a lost cell needs a plan");
+                                continue;
+                            }
+                            assert!(op.plan.is_none() && op.data_writes.is_empty(), "{what}");
+                            assert!(op.parity_writes.is_empty(), "{what}");
+                            let expected: Vec<_> = requested.iter().map(|&c| (c, addr(c))).collect();
+                            assert_eq!(op.reads, expected, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_lowered_op_runs_on_its_footprint() {
         for p in [5usize, 7, 13] {

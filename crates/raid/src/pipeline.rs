@@ -7,7 +7,9 @@
 //! against the [`DiskBackend`], hands the very same [`RequestSet`] to the
 //! attached [`DiskArray`] simulator (if any) for timing, and absorbs it
 //! into the [`IoLedger`] — so execution, timing, and accounting can never
-//! disagree about what was issued.
+//! disagree about what was issued. An op with nothing to compute or store
+//! needs no scratch: [`IoPipeline::fetch`] lands its reads in the caller's
+//! buffer and commits through the same tail.
 
 use disk_sim::{DiskArray, DiskError};
 use raid_core::io::{IoLedger, LedgerShard, RequestSet};
@@ -238,31 +240,55 @@ impl IoPipeline {
         Ok((sets, shards))
     }
 
-    /// The one executor behind both entry points. Every op's reads land in
-    /// its scratch, `compute` runs the plans, every op's writes are stored
-    /// under one undo journal ([`Self::store`]), and only then are the
-    /// request sets — derived from the ops alone — timed by the simulator
-    /// and absorbed into the ledger.
+    /// Executes a plain fetch — an op with no plan and no writes, which
+    /// therefore needs no scratch: its `k`-th read lands in the `k`-th
+    /// element of `out`, then the request set is committed exactly as
+    /// [`IoPipeline::execute`] commits it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the backend's [`DiskError`]; nothing is committed to the
+    /// simulator or ledger in that case, and `out` holds the elements
+    /// read before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` carries a plan or writes, or if `out` is not one
+    /// element per read.
+    pub fn fetch(&mut self, op: &LoweredOp, out: &mut [u8]) -> Result<RequestSet, DiskError> {
+        assert!(
+            op.plan.is_none() && op.data_writes.is_empty() && op.parity_writes.is_empty(),
+            "only a plain fetch runs without a scratch"
+        );
+        let es = self.backend.element_size();
+        assert_eq!(out.len(), op.reads.len() * es, "one output element per read");
+        // The cells only name the reads here: the scratch the audit holds
+        // them to is their bounding box.
+        let (rows, cols) = op.reads.iter().fold((0, 0), |(rows, cols), &(cell, _)| {
+            (rows.max(cell.row + 1), cols.max(cell.col + 1))
+        });
+        self.debug_audit(op, rows, cols);
+        for (&(_, addr), element) in op.reads.iter().zip(out.chunks_exact_mut(es)) {
+            self.backend.read(addr.disk, addr.index, element)?;
+        }
+        let mut sets = self.commit(std::slice::from_ref(op))?;
+        Ok(sets.pop().expect("one request set per op"))
+    }
+
+    /// The one executor behind [`Self::execute`] and
+    /// [`Self::execute_batch`]. Every op's reads land in its scratch,
+    /// `compute` runs the plans, every op's writes are stored under one
+    /// undo journal ([`Self::store`]), and only then are the request sets
+    /// committed ([`Self::commit`]).
     fn run(
         &mut self,
         ops: &[LoweredOp],
         scratches: &mut [Stripe],
         compute: impl FnOnce(&mut [Stripe]),
     ) -> Result<Vec<RequestSet>, DiskError> {
-        let disks = self.backend.disks();
-        // Debug builds statically audit every op before touching the
-        // backend: structural defects in the IR (out-of-scratch cells,
-        // duplicate reads/writes, plan/scratch shape skew) are lowering
-        // bugs, and executing them would silently corrupt elements.
-        #[cfg(debug_assertions)]
         for (op, scratch) in ops.iter().zip(scratches.iter()) {
-            if let Err(e) =
-                crate::audit::audit_lowered(op, scratch.rows(), scratch.cols(), disks, None)
-            {
-                panic!("lowered op failed static audit: {e}");
-            }
+            self.debug_audit(op, scratch.rows(), scratch.cols());
         }
-
         for (op, scratch) in ops.iter().zip(scratches.iter_mut()) {
             for &(cell, addr) in &op.reads {
                 self.backend.read(addr.disk, addr.index, scratch.element_mut(cell))?;
@@ -270,7 +296,27 @@ impl IoPipeline {
         }
         compute(scratches);
         self.store(ops, scratches)?;
+        self.commit(ops)
+    }
 
+    /// Debug builds statically audit every op before touching the
+    /// backend: structural defects in the IR (out-of-scratch cells,
+    /// duplicate reads/writes, plan/scratch shape skew) are lowering
+    /// bugs, and executing them would silently corrupt elements.
+    fn debug_audit(&self, op: &LoweredOp, rows: usize, cols: usize) {
+        if cfg!(debug_assertions) {
+            let disks = self.backend.disks();
+            if let Err(e) = crate::audit::audit_lowered(op, rows, cols, disks, None) {
+                panic!("lowered op failed static audit: {e}");
+            }
+        }
+    }
+
+    /// The tail every entry point ends in, reached only once all of the
+    /// ops' backend I/O succeeded: the request sets — derived from the ops
+    /// alone — are timed by the simulator, then absorbed into the ledger.
+    fn commit(&mut self, ops: &[LoweredOp]) -> Result<Vec<RequestSet>, DiskError> {
+        let disks = self.backend.disks();
         let sets: Vec<RequestSet> =
             ops.iter().map(|op| crate::audit::predicted_request_set(op, disks)).collect();
         if let Some(sim) = &mut self.sim {
@@ -470,6 +516,65 @@ mod tests {
         pipe.execute(&op, &mut scratch).unwrap();
         assert!(pipe.op_latency_ms() > 0.0);
         assert_eq!(pipe.sim().unwrap().served(), pipe.ledger().per_disk_totals());
+    }
+
+    /// Three disks whose element 0 holds `[disk + 1; 4]`, and the plain
+    /// fetch of them in the order disk 2, 0, 1 — not cell order.
+    fn three_reads() -> (MemBackend, LoweredOp) {
+        let mut backend = MemBackend::new(3, 1, 4);
+        for disk in 0..3 {
+            backend.write(disk, 0, &[disk as u8 + 1; 4]).unwrap();
+        }
+        let reads = [2, 0, 1].map(|disk| (Cell::new(0, disk), addr(disk, 0)));
+        (backend, LoweredOp::read_only(reads.to_vec()))
+    }
+
+    #[test]
+    fn fetch_lands_reads_in_op_order_and_commits_what_execute_commits() {
+        let (backend, op) = three_reads();
+        let seeded = || {
+            let mut pipe = IoPipeline::new(Box::new(backend.clone()));
+            pipe.attach_sim(DiskArray::new(3, DiskProfile::savvio_10k()));
+            pipe.begin_op();
+            pipe
+        };
+        let (mut direct, mut dense) = (seeded(), seeded());
+        let mut out = [0u8; 12];
+        let landed = direct.fetch(&op, &mut out).unwrap();
+        assert_eq!(out, [3, 3, 3, 3, 1, 1, 1, 1, 2, 2, 2, 2]);
+
+        let mut scratch = Stripe::zeroed(1, 3, 4);
+        assert_eq!(landed, dense.execute(&op, &mut scratch).unwrap());
+        assert_eq!(direct.ledger(), dense.ledger());
+        assert_eq!(direct.sim().unwrap().served(), direct.ledger().per_disk_totals());
+        assert_eq!(direct.sim().unwrap().now_ms(), dense.sim().unwrap().now_ms());
+        assert!(direct.op_latency_ms() > 0.0);
+        assert_eq!(direct.op_latency_ms(), dense.op_latency_ms());
+    }
+
+    #[test]
+    fn a_read_error_mid_fetch_commits_nothing() {
+        // Disk 1 dies as the second read is issued; the third read, its
+        // own, is the one that fails.
+        let (backend, op) = three_reads();
+        let faulty = FaultyBackend::new(Box::new(backend), vec![FaultPoint { at_op: 2, disk: 1 }]);
+        let mut pipe = IoPipeline::new(Box::new(faulty));
+        pipe.attach_sim(DiskArray::new(3, DiskProfile::savvio_10k()));
+        pipe.begin_op();
+        let mut out = [0u8; 12];
+        assert_eq!(pipe.fetch(&op, &mut out), Err(DiskError::DiskFailed { disk: 1 }));
+        assert_eq!(out, [3, 3, 3, 3, 1, 1, 1, 1, 0, 0, 0, 0], "the reads before the error landed");
+        assert_eq!(pipe.ledger().total(), 0);
+        assert_eq!(pipe.sim().unwrap().served(), vec![0; 3]);
+        assert_eq!((pipe.sim().unwrap().now_ms(), pipe.op_latency_ms()), (0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "only a plain fetch runs without a scratch")]
+    fn fetch_refuses_an_op_with_something_to_store() {
+        let (op, _) = three_writes();
+        let mut pipe = IoPipeline::new(Box::new(MemBackend::new(3, 1, 4)));
+        let _ = pipe.fetch(&op, &mut []);
     }
 
     #[test]

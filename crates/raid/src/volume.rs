@@ -1182,7 +1182,10 @@ impl RaidVolume {
         self.check_range(start, len)?;
         self.pipeline.begin_op();
         let es = self.element_size;
-        let mut out = Vec::with_capacity(len * es);
+        // Sized once; hits, plain fetches and reconstructed runs each fill
+        // their own window of it, so a retried run overwrites, never appends.
+        let mut out = vec![0u8; len * es];
+        let mut rest = &mut out[..];
         let mut receipt = IoLedger::new(self.disks());
         let (mut hits, mut misses) = (0u64, 0u64);
         for seg in self.addressing.split(start, len) {
@@ -1193,7 +1196,9 @@ impl RaidVolume {
             let end = seg.start + seg.len;
             while ord < end {
                 if let Some(entry) = self.resident(seg.stripe, ord) {
-                    out.extend_from_slice(entry.element(ord));
+                    let (window, tail) = rest.split_at_mut(es);
+                    window.copy_from_slice(entry.element(ord));
+                    rest = tail;
                     hits += 1;
                     ord += 1;
                     continue;
@@ -1202,13 +1207,14 @@ impl RaidVolume {
                 while ord < end && self.resident(seg.stripe, ord).is_none() {
                     ord += 1;
                 }
-                let at = out.len();
-                let rs = self.with_recovery(|v| v.read_run(seg.stripe, run_start..ord, &mut out))?;
+                let (window, tail) = rest.split_at_mut((ord - run_start) * es);
+                rest = tail;
+                let rs = self.with_recovery(|v| v.read_run(seg.stripe, run_start..ord, window))?;
                 receipt.absorb(&rs);
                 if let Some(cache) = &mut self.cache {
                     misses += (ord - run_start) as u64;
                     let entry = cache.ensure(seg.stripe);
-                    for (ord, bytes) in (run_start..ord).zip(out[at..].chunks_exact(es)) {
+                    for (ord, bytes) in (run_start..ord).zip(window.chunks_exact(es)) {
                         entry.fill(ord, bytes);
                     }
                 }
@@ -1230,13 +1236,17 @@ impl RaidVolume {
     }
 
     /// One attempt at fetching data ordinals `run` of `stripe` from the
-    /// disks as one (possibly degraded) read op; appends the bytes to
-    /// `out` on success only.
+    /// disks as one (possibly degraded) read op into `out`, the run's
+    /// window of the caller's buffer. A run that misses every failed
+    /// column is a plain fetch and lands there directly; one that needs
+    /// reconstruction goes through a dense scratch and is copied out on
+    /// success. A failed attempt may leave some of the window written;
+    /// the retry fills the same window again.
     fn read_run(
         &mut self,
         stripe: usize,
         run: Range<usize>,
-        out: &mut Vec<u8>,
+        out: &mut [u8],
     ) -> Result<RequestSet, VolumeError> {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
@@ -1244,10 +1254,13 @@ impl RaidVolume {
         let failed_cols = self.failed_cols(stripe);
         let op = lower::read_op(layout, &failed_cols, requested, &self.addr_fn(stripe))
             .ok_or(VolumeError::TooManyFailures { failed: failed_cols.len() })?;
+        if op.plan.is_none() {
+            return Ok(self.pipeline.fetch(&op, out)?);
+        }
         let mut scratch = Stripe::for_layout(layout, self.element_size);
         let rs = self.pipeline.execute(&op, &mut scratch)?;
-        for &cell in requested {
-            out.extend_from_slice(scratch.element(cell));
+        for (&cell, element) in requested.iter().zip(out.chunks_exact_mut(self.element_size)) {
+            element.copy_from_slice(scratch.element(cell));
         }
         Ok(rs)
     }

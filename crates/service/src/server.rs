@@ -20,7 +20,8 @@
 //! out in one `write`, so the client never wakes for a payload and blocks
 //! again for its line ending. An over-long or non-UTF-8 frame is answered
 //! with `ERR bad-request` and the connection closed: past either, the
-//! stream's framing cannot be trusted.
+//! stream's framing cannot be trusted. A line the stream ends before its
+//! newline is a closed connection, not a request.
 //!
 //! # Shutdown
 //!
@@ -201,6 +202,12 @@ fn serve_connection(svc: &Arc<Service>, mut stream: &UnixStream) -> Outcome {
         match reader.by_ref().take(bound).read_until(b'\n', &mut frame) {
             Ok(0) | Err(_) => break Outcome::Closed,
             Ok(_) => {}
+        }
+        // Within the bound and no newline: the stream ended mid-line. What
+        // arrived is a prefix of a request — a `WRITE` cut on an element
+        // boundary parses as a shorter write — so it is never executed.
+        if frame.len() <= max_frame && frame.last() != Some(&b'\n') {
+            break Outcome::Closed;
         }
         reply.clear();
         let Ok(ends) = answer(svc, &frame, max_frame, &mut session, &mut reply) else {
@@ -605,11 +612,11 @@ mod tests {
         assert_eq!(c.read_line().unwrap(), "OK bye");
         assert!(c.is_closed());
 
-        // A last line without its newline is still a request.
+        // A last line without its newline is a closed connection, not a
+        // request: no reply, just the close.
         let mut c = served.session("unterminated");
         c.send_raw(b"READ 3 1");
         c.reader.get_ref().shutdown(Shutdown::Write).unwrap();
-        assert_eq!(c.read_line().unwrap(), format!("OK data {x}"));
         assert!(c.is_closed());
 
         // The largest admissible op — the whole volume — fits a frame.
@@ -630,6 +637,34 @@ mod tests {
         drop(doomed);
         served.eventually("the vanished client's session closes", |s| s.svc.open_sessions() == 1);
         assert_eq!(bystander.exchange("READ 0 1").unwrap(), format!("OK data {}", "00".repeat(8)));
+        served.shut_down();
+    }
+
+    /// A client that dies after the hex of one element of a two-element
+    /// `WRITE` has sent a well-formed one-element `WRITE` but for its
+    /// newline. (Whatever `read_until` returned at end-of-stream was
+    /// executed: the array took the shorter write.)
+    #[test]
+    fn a_write_cut_short_by_end_of_stream_is_not_executed() {
+        let served = Served::start("cut-short");
+        let old = "11".repeat(16); // two 8-byte elements
+        assert_eq!(served.session("first").exchange(&format!("WRITE 0 {old}")).unwrap(), "OK wrote 2");
+        let writes = |s: &Served| {
+            let stats = s.svc.stats();
+            (stats.write_runs, stats.tenants.iter().map(|t| t.write_elements).sum::<u64>())
+        };
+        let before = writes(&served);
+
+        let mut doomed = served.session("doomed");
+        // Cut on the element boundary: one of the two elements' hex.
+        doomed.send_raw(format!("WRITE 0 {}", "22".repeat(8)).as_bytes());
+        doomed.reader.get_ref().shutdown(Shutdown::Write).unwrap();
+        let closed_without_a_reply = doomed.is_closed();
+
+        let mut fresh = served.session("fresh");
+        assert_eq!(fresh.exchange("READ 0 2").unwrap(), format!("OK data {old}"));
+        assert_eq!(writes(&served), before);
+        assert!(closed_without_a_reply);
         served.shut_down();
     }
 

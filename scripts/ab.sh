@@ -1,25 +1,30 @@
 #!/bin/sh
 # Alternating parent/change pairs of one BENCHMARK.json workload, or of
-# each of them in turn (WORKLOAD = all) (choosing-metrics §8): checks BASE
-# out into target/ab-base (a git worktree, removed on exit), builds both
-# hvbench binaries, runs N pairs — pair i at seed i on both sides, odd
-# pairs parent first, even pairs change first — and prints, per workload,
-# each end-to-end metric's two medians, quartiles, the pairs the change
-# won (ties count for neither) and the relative change of the medians
-# against the metric's bound in BENCHMARK.json: ok, or WORSE when the
-# change's median is worse than the parent's by more than the bound. It
-# runs BENCHMARK.json's own command in each checkout and edits nothing
-# under benchmark/ (cargo's rewrite of its Cargo.lock is undone on exit).
+# each of them in turn (WORKLOAD = all) (choosing-metrics §8): unpacks BASE
+# into target/ab-base (`git archive`, removed on exit), builds both
+# hvbench binaries, runs N pairs — pair i at seed S + i − 1 on both sides,
+# odd pairs parent first, even pairs change first — and prints, per
+# workload, each end-to-end metric's two medians, quartiles, the pairs the
+# change won (ties count for neither) and the relative change of the
+# medians against the metric's bound in BENCHMARK.json: ok, or WORSE when
+# the change's median is worse than the parent's by more than the bound.
+# Under the peak_rss_mib row one informational line, never part of the
+# verdict, says how much of each side's RSS is hvbench's own op log (32 B
+# per completed op). It runs BENCHMARK.json's own command in each checkout
+# and edits nothing under benchmark/ (cargo's rewrite of its Cargo.lock is
+# undone on exit).
 #
 # Exit status: 0 when no row is WORSE; 1 when one is, or when a run's
 # result was not "correct": true (that aborts the series).
 #
-#   scripts/ab.sh BASE WORKLOAD|all [N]      (N defaults to 10)
+#   scripts/ab.sh BASE WORKLOAD|all [N] [S]      (N defaults to 10, S to 1;
+#                                                 S=11 N=5: held-out seeds 11–15)
 set -eu
 
-BASE=${1:?usage: scripts/ab.sh BASE WORKLOAD|all [N]}
-WORKLOADS=${2:?usage: scripts/ab.sh BASE WORKLOAD|all [N]}
+BASE=${1:?usage: scripts/ab.sh BASE WORKLOAD|all [N] [S]}
+WORKLOADS=${2:?usage: scripts/ab.sh BASE WORKLOAD|all [N] [S]}
 N=${3:-10}
+S=${4:-1}
 
 ROOT=$(git rev-parse --show-toplevel)
 cd "$ROOT"
@@ -37,13 +42,11 @@ else
     }
 fi
 
-mkdir -p target
-git worktree remove --force "$TREE" 2>/dev/null || true
-trap 'git worktree remove --force "$TREE" 2>/dev/null || true
-      git checkout -q -- benchmark/Cargo.lock' EXIT
+rm -rf "$TREE" "$OUT"
+trap 'rm -rf "$TREE"; git checkout -q -- benchmark/Cargo.lock' EXIT
 trap 'exit 130' INT TERM
-git worktree add --quiet --detach "$TREE" "$BASE"
-rm -rf "$OUT"
+mkdir -p "$TREE"
+git archive "$BASE" | tar -x -C "$TREE"
 
 # One run of workload $4 by the benchmark's command in checkout $1 (its
 # build under target/ab-build/$2, so neither side ever rebuilds the
@@ -66,13 +69,14 @@ for workload in $WORKLOADS; do
     mkdir -p "$OUT/$workload"
     i=1
     while [ "$i" -le "$N" ]; do
-        echo "ab: $workload pair $i/$N" >&2
+        seed=$((S + i - 1))
+        echo "ab: $workload pair $i/$N (seed $seed)" >&2
         if [ $((i % 2)) -eq 1 ]; then
-            run "$TREE" base "$i" "$workload"
-            run "$ROOT" change "$i" "$workload"
+            run "$TREE" base "$seed" "$workload"
+            run "$ROOT" change "$seed" "$workload"
         else
-            run "$ROOT" change "$i" "$workload"
-            run "$TREE" base "$i" "$workload"
+            run "$ROOT" change "$seed" "$workload"
+            run "$TREE" base "$seed" "$workload"
         fi
         i=$((i + 1))
     done
@@ -83,8 +87,8 @@ done
 # lines, pair i on line i. awk exits 1 if a row is WORSE.
 status=0
 for workload in $WORKLOADS; do
-    echo "$workload: $N pairs of ${SECONDS_PER_RUN} s, base = $BASE"
-    awk '
+    echo "$workload: $N pairs of ${SECONDS_PER_RUN} s at seeds $S–$((S + N - 1)), base = $BASE"
+    awk -v seconds="$SECONDS_PER_RUN" '
         function field(line, key,    rest) {
             rest = substr(line, index(line, "\"" key "\": ") + length(key) + 4)
             sub(/^"/, "", rest); sub(/[",}].*/, "", rest)
@@ -99,6 +103,13 @@ for workload in $WORKLOADS; do
         function ascending(v, n,    a, b, t) {
             for (a = 2; a <= n; a++)
                 for (b = a; b > 1 && v[b - 1] > v[b]; b--) { t = v[b]; v[b] = v[b - 1]; v[b - 1] = t }
+        }
+        # MiB of 32 B op records behind the median ops_per_s of result file f.
+        function op_log_mib(f,    m, k, v) {
+            for (m = 1; name[m] != "ops_per_s"; m++) if (m > metrics) return 0
+            for (k = 1; k <= n; k++) v[k] = run[f, m, k]
+            ascending(v, n)
+            return quantile(v, n, 0.5) * seconds * 32 / 1048576
         }
         FNR == 1 { file++ }
         file == 1 && /"end_to_end"/ { rows = 1; next }
@@ -124,6 +135,9 @@ for workload in $WORKLOADS; do
                     name[m], better[m], b, quantile(base, n, 0.25), quantile(base, n, 0.75),
                     c, quantile(change, n, 0.25), quantile(change, n, 0.75),
                     won, n, 100 * moved, 100 * bound[m], worse ? "WORSE" : "ok"
+                if (name[m] == "peak_rss_mib")
+                    printf "  %-15s %-6s  base %11.4f %26s  change %11.4f   ≈ hvbench%cs own op log: median ops_per_s × %d s × 32 B, MiB; not judged\n",
+                        "", "", op_log_mib(2), "", op_log_mib(3), 39, seconds
             }
             exit failed > 0
         }' BENCHMARK.json "$OUT/$workload/base" "$OUT/$workload/change" || status=1

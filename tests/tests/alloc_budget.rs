@@ -8,6 +8,10 @@
 //! given, not the stripe's 120 (480 KiB), so a cold write, a read miss
 //! and an eviction-per-op trace cost the op's own bytes.
 //!
+//! Of the read side: a read that misses every failed column allocates
+//! its output and lands the backend's bytes there; only a read that must
+//! reconstruct still builds the stripe's 144-buffer grid (576 KiB).
+//!
 //! And of the front door: parsing a `WRITE` line allocates its decoded
 //! payload and nothing else of size, a `READ` reply renders into a warm
 //! buffer without allocating, and a `WRITE` over a live connection costs
@@ -142,9 +146,6 @@ fn flush_of_one_dirty_element_stays_within_the_single_element_budget() {
 /// | (c) resident 4-element read − output | 672       | 672     | < 4 096  |
 /// | (d) 1 000 evicting writes, per op    | 526 381   | 40 746  | 65 536   |
 ///
-/// The cache-off read of (b) is 598 440 on both: `read_run`'s dense
-/// scratch, which is not this file's subject.
-///
 /// (a), (b) and (d) fail on the parent; (c) passes on both — a hit never
 /// created an entry — and fences that a hit copies out of its slots
 /// without staging an element anywhere.
@@ -171,6 +172,7 @@ fn cached_read_miss_allocates_one_element_more_than_the_uncached_read() {
     let (_, uncached) = allocated(|| drop(plain.read(250, 1).unwrap()));
     let (_, miss) = allocated(|| drop(v.read(250, 1).unwrap()));
     assert!(miss <= uncached + CACHED_OP, "(b) {miss} bytes for a miss, {uncached} cache off");
+    assert!(miss <= 2 * ELEMENT + 12 * 1024, "(h) {miss} bytes for a 1-element read miss");
     assert_eq!((v.ledger().cache_misses(), v.cache_resident_elements()), (1, 1));
 }
 
@@ -203,6 +205,68 @@ fn a_write_trace_twice_the_cache_pays_a_small_flush_and_a_small_entry_per_op() {
     let evictions = v.ledger().cache_evictions() as usize;
     assert_eq!(evictions, OPS - cfg.max_stripes, "every write past the budget evicts");
     assert_eq!(v.ledger().cache_flushes() as usize, OPS - cfg.dirty_high_water);
+}
+
+/// What a read that reconstructs nothing may request on top of its
+/// output: the lowered op (32 B per read), its request set and receipts.
+///
+/// The read-side budgets, in requested bytes (parent `1850b5c`, a dense
+/// 144 × 4 KiB scratch per read run → this PR, plain fetches landing in
+/// the output; debug build, as tier-1 runs it):
+///
+/// | case                                         | parent    | change  | budget    |
+/// |----------------------------------------------|-----------|---------|-----------|
+/// | (e) healthy 1-element read                   | 598 440   | 4 876   | 12 288    |
+/// | (f) healthy full-stripe read (120 elements)  | 1 089 672 | 496 392 | 507 904   |
+/// | (g) degraded, 5 elements off the failed disk | 614 984   | 21 440  | 28 672    |
+/// | (g) the same read shifted onto it            | 635 993   | 635 993 | ≥ 589 824 |
+/// | (h) cached 1-element read miss, absolute     | 605 792   | 12 228  | 20 480    |
+///
+/// (e), (f), the first half of (g) and (h) fail on the parent. The second
+/// half of (g) pins what this change left alone: an op that carries a plan
+/// still gets the dense grid.
+const PLAIN_READ: usize = 8 * 1024;
+
+#[test]
+fn healthy_single_element_read_allocates_its_output_not_a_stripe() {
+    let mut v = volume();
+    let (_, bytes) = allocated(|| drop(v.read(250, 1).unwrap()));
+    assert!(bytes <= ELEMENT + PLAIN_READ, "(e) {bytes} bytes for a healthy 1-element read");
+}
+
+#[test]
+fn healthy_full_stripe_read_allocates_its_output_once() {
+    let mut v = volume();
+    let per_stripe = v.data_elements() / STRIPES;
+    let data = payload(per_stripe * ELEMENT, 9);
+    v.write(per_stripe, &data).unwrap();
+    let mut read = Vec::new();
+    let (_, bytes) = allocated(|| read = v.read(per_stripe, per_stripe).unwrap().0);
+    assert!(bytes <= data.len() + 2 * PLAIN_READ, "(f) {bytes} bytes for a full-stripe read");
+    assert!(read == data, "full-stripe read returned other bytes");
+}
+
+#[test]
+fn degraded_read_off_the_failed_disk_is_a_plain_read_and_onto_it_still_builds_the_grid() {
+    const LEN: usize = 5;
+    let mut v = volume();
+    let data = payload(v.data_elements() * ELEMENT, 10);
+    v.write(0, &data).unwrap();
+    v.fail_disk(3).unwrap();
+    let touches_3 =
+        |v: &RaidVolume, at| (at..at + LEN).any(|e| v.locate_data_element(e).unwrap().0 == 3);
+    let off = (130..).find(|&at| !touches_3(&v, at)).unwrap();
+    let onto = (off..).find(|&at| touches_3(&v, at)).unwrap();
+    for (at, plain) in [(off, true), (onto, false)] {
+        let mut read = Vec::new();
+        let (_, bytes) = allocated(|| read = v.read(at, LEN).unwrap().0);
+        assert_eq!(read, data[at * ELEMENT..(at + LEN) * ELEMENT], "read at {at}");
+        if plain {
+            assert!(bytes <= LEN * ELEMENT + PLAIN_READ, "(g) {bytes} bytes off the failed disk");
+        } else {
+            assert!(bytes >= (P - 1) * (P - 1) * ELEMENT, "(g) {bytes} bytes: the dense grid is gone");
+        }
+    }
 }
 
 /// Four 4 KiB elements: the largest op `front_door_mixed` sends.

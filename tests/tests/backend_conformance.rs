@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use integration::{all_codes, payload};
 use raid_array::{
-    DiskBackend, FaultPoint, FaultyBackend, FileBackend, MemBackend, RaidVolume,
+    DiskBackend, Fault, FaultPoint, FaultyBackend, FileBackend, MemBackend, RaidVolume,
 };
 use raid_core::ArrayCode;
 
@@ -153,6 +153,58 @@ fn two_injected_faults_still_serve_reads_for_every_code_and_prime() {
             v.rebuild().unwrap();
             assert!(v.verify_all(), "{name} p={p}: rebuild after injected faults");
         }
+    }
+}
+
+/// A healthy read lands in the caller's buffer as the backend serves it,
+/// so a fault part-way through leaves a half-filled window behind for the
+/// retry. HV p = 13, 15 elements from the top of stripe 1 (the first ten
+/// each on a disk of their own), the 8th backend read hitting each fault
+/// class in turn: the bytes are a fault-free twin's, exactly `len ×
+/// element_size` of them, and the I/O committed — `(reads in the receipt,
+/// the volume ledger's growth)` — is what `1850b5c`, which staged every
+/// read in a scratch stripe, committed for the same schedule.
+#[test]
+fn a_fault_at_the_eighth_read_of_a_healthy_read_returns_the_right_bytes_once() {
+    const START: usize = 120;
+    const LEN: usize = 15;
+    let code = all_codes(13).remove(0);
+    let layout = code.layout();
+    let data = payload(STRIPES * layout.num_data_cells() * ELEMENT, 13);
+    let written = |schedule: Vec<FaultPoint>| {
+        let inner = MemBackend::new(layout.cols(), STRIPES * layout.rows(), ELEMENT);
+        let backend = FaultyBackend::new(Box::new(inner), schedule);
+        let mut v = RaidVolume::new(Arc::clone(&code), STRIPES, ELEMENT, Box::new(backend))
+            .expect("shape matches");
+        v.write(0, &data).unwrap();
+        v
+    };
+    let mut twin = written(Vec::new());
+    let setup_ops = twin.backend_faulty_mut().unwrap().ops();
+    let (disk, index) = twin.locate_data_element(START + 7).unwrap();
+    let (expected, receipt) = twin.read(START, LEN).unwrap();
+    assert_eq!(expected, data[START * ELEMENT..(START + LEN) * ELEMENT]);
+    assert_eq!(receipt.total(), LEN as u64);
+
+    let dies_at_the_eighth_read = vec![FaultPoint { at_op: setup_ops + 8, disk }];
+    let cases = [
+        // Repairing the sector in place: the stripe's other 143 cells and one write.
+        ("latent sector", Some(Fault::LatentSector { disk, index }), vec![], (15, 159)),
+        ("transient", Some(Fault::Transient { disk, ops: 1 }), vec![], (15, 15)),
+        // Replanned degraded: the row's horizontal parity stands in for the lost cell.
+        ("disk death", None, dies_at_the_eighth_read, (15, 15)),
+    ];
+    for (name, fault, schedule, committed) in cases {
+        let mut v = written(schedule);
+        if let Some(fault) = fault {
+            v.backend_faulty_mut().unwrap().inject(fault);
+        }
+        let before = v.ledger().total();
+        let (bytes, receipt) = v.read(START, LEN).unwrap();
+        assert_eq!(bytes.len(), LEN * ELEMENT, "{name}");
+        assert_eq!(bytes, expected, "{name}");
+        assert_eq!((receipt.total_reads(), v.ledger().total() - before), committed, "{name}");
+        assert_eq!(v.failed_disks().len(), usize::from(name == "disk death"), "{name}");
     }
 }
 

@@ -13,7 +13,10 @@
 //!   the cache, this one is four times its budget;
 //! - [`worst_case_single_element_update`] replaces `benches/update.rs`'s
 //!   parity-I/O notes: the paper's optimal-update-complexity claim (§IV)
-//!   measured per small write, which only a bench note used to record.
+//!   measured per small write, which only a bench note used to record;
+//! - [`plain_fetch_share_of_degraded_reads`] counts which share of the
+//!   paper's degraded-read sweep (§V-B, Fig. 7) lowers to a plain fetch —
+//!   the reads that land in the caller's buffer without a scratch stripe.
 //!
 //! A pinned count that moves is a deliberate change to the write or flush
 //! path: re-derive it, do not loosen it.
@@ -22,7 +25,7 @@ use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskProfile};
 use integration::{all_codes, payload};
-use raid_array::{replay_write_trace, CacheConfig, RaidVolume};
+use raid_array::{lower, replay_write_trace, CacheConfig, DiskAddr, RaidVolume};
 use raid_workloads::skew::{hot_spot_trace, sequential_trace, zipf_write_trace};
 use raid_workloads::{table2_trace, WriteTrace};
 
@@ -136,5 +139,35 @@ fn worst_case_single_element_update() {
     for (name, pair) in expected {
         assert_eq!(worst(name), pair, "{name}");
         assert!(hv_parity_writes <= pair.0, "HV pays more parity writes than {name}");
+    }
+}
+
+/// HV p = 13, every in-stripe start of every L the paper's Fig. 7 sweeps:
+/// how many requests touch no failed column, so lower to a plain fetch
+/// (`plan: None`) and skip the scratch stripe — `L' = L` for them. With
+/// one column lost that is 92 / 57 / 16 / 9 % of the L = 1 / 5 / 10 / 15
+/// requests, with two 83 / 30 / 8 / 3 %: the share of a degraded workload
+/// the scratch-free read path serves is a count, not an estimate.
+#[test]
+fn plain_fetch_share_of_degraded_reads() {
+    let code = all_codes(13).remove(0);
+    let layout = code.layout();
+    let data = layout.data_cells();
+    let addr = |c: raid_core::Cell| DiskAddr { disk: c.col, index: c.row };
+    /// `(L, in-stripe starts, of them plain fetches)` per L.
+    type Sweep = [(usize, usize, usize); 4];
+    let expected: [(&[usize], Sweep); 2] = [
+        (&[3], [(1, 120, 110), (5, 116, 66), (10, 111, 18), (15, 106, 9)]),
+        (&[3, 7], [(1, 120, 100), (5, 116, 34), (10, 111, 9), (15, 106, 3)]),
+    ];
+    for (failed, sweep) in expected {
+        let counted = sweep.map(|(len, _, _)| {
+            let plain = data
+                .windows(len)
+                .filter(|req| lower::read_op(layout, failed, req, &addr).expect("≤ 2 lost").plan.is_none())
+                .count();
+            (len, data.len() - len + 1, plain)
+        });
+        assert_eq!(counted, sweep, "failed columns {failed:?}");
     }
 }

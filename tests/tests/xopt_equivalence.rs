@@ -7,6 +7,8 @@
 use proptest::prelude::*;
 
 use integration::all_codes;
+use raid_array::{lower, DiskAddr};
+use raid_core::plan::degraded::{plan_degraded_read, plan_degraded_read_multi};
 use raid_core::{decoder, Cell, Stripe, XorPlan};
 use raid_math::xor::L1_TILE_BYTES;
 use raid_verify::plan_check::prove_equivalent;
@@ -135,6 +137,54 @@ fn optimizer_never_increases_source_reads() {
             }
         }
     }
+}
+
+/// A finding, pinned as a count: `lower::read_op` runs every degraded-read
+/// plan through `optimized()` — per op, at 16–50 µs — and over HV p = 13,
+/// failed column 3 and failed columns {3, 7}, L ∈ {1, 5, 10, 15}, every
+/// in-stripe start, the optimiser removes not one XOR source read: each
+/// lost element is rebuilt from one chain, and chains share no partial sum
+/// worth a temp. A rewrite that does start saving reads here fails this
+/// test and gets to delete it; until then the pass is pure cost (DESIGN §8
+/// "Not yet").
+#[test]
+fn optimizer_saves_nothing_on_hv_degraded_read_plans() {
+    let code = all_codes(13).remove(0);
+    let layout = code.layout();
+    let (rows, cols) = (layout.rows(), layout.cols());
+    let addr = |c: Cell| DiskAddr { disk: c.col, index: c.row };
+    let (mut plans, mut before, mut after) = (0usize, 0usize, 0usize);
+    for failed in [&[3usize][..], &[3, 7]] {
+        for len in [1usize, 5, 10, 15] {
+            for requested in layout.data_cells().windows(len) {
+                if !requested.iter().any(|c| failed.contains(&c.col)) {
+                    continue; // a plain fetch: no plan to optimise
+                }
+                let sources: Vec<(Cell, Vec<Cell>)> = match failed {
+                    [col] => plan_degraded_read(layout, *col, requested)
+                        .repairs
+                        .iter()
+                        .map(|&(cell, id)| (cell, layout.chain(id).cells().filter(|&c| c != cell).collect()))
+                        .collect(),
+                    _ => plan_degraded_read_multi(layout, failed, requested)
+                        .expect("two columns are decodable")
+                        .steps
+                        .into_iter()
+                        .map(|s| (s.target, s.sources))
+                        .collect(),
+                };
+                let plan = XorPlan::from_steps(rows, cols, sources.iter().map(|(t, s)| (*t, s.as_slice())));
+                let optimized = plan.optimized();
+                // The plan the volume runs is this one.
+                let lowered = lower::read_op(layout, failed, requested, &addr).expect("decodable");
+                assert_eq!(lowered.plan.expect("degraded").num_source_reads(), optimized.num_source_reads());
+                plans += 1;
+                before += plan.num_source_reads();
+                after += optimized.num_source_reads();
+            }
+        }
+    }
+    assert_eq!((plans, before, after), (557, 27_240, 27_240));
 }
 
 /// Elements larger than the L1 tile force the chunked execution path;
