@@ -37,7 +37,8 @@ bench:
 # metric's two medians, quartiles, the pairs the working tree won and the
 # change of medians against the metric's bound — exits 1 if any row is
 # WORSE than its bound or a run was not correct. Under peak_rss_mib, how
-# much of each side is hvbench's own op log (informational).
+# much of each side is hvbench's own op log, and the ops_per_s at which
+# that log alone would reach the RSS bound (both informational).
 #   make bench-ab BASE=HEAD~1 W=five_code_small_ops|all [N=10] [S=1]
 N ?= 10
 S ?= 1

@@ -6,6 +6,7 @@
 //! element — the paper's "total induced writes". The per-disk distribution
 //! of those writes feeds the load-balancing rate λ (Fig. 6b).
 
+use crate::bitset::BitSet;
 use crate::geometry::Cell;
 use crate::io::IoLedger;
 use crate::layout::Layout;
@@ -55,15 +56,25 @@ pub fn plan_partial_write(layout: &Layout, start: usize, len: usize) -> WritePla
         data.len()
     );
     let data_writes: Vec<Cell> = data[start..start + len].to_vec();
+    let parity_writes = distinct_parity_updates(layout, &data_writes);
+    WritePlan { data_writes, parity_writes }
+}
+
+/// The distinct parities renewed by writing `data_writes`, in first-touch
+/// order. Membership is one bitmap per call: scanning the list built so
+/// far made the planner quadratic in the dirty set.
+fn distinct_parity_updates(layout: &Layout, data_writes: &[Cell]) -> Vec<Cell> {
+    let cols = layout.cols();
+    let mut seen = BitSet::new(layout.num_cells());
     let mut parity_writes: Vec<Cell> = Vec::new();
-    for &cell in &data_writes {
+    for &cell in data_writes {
         for p in parity_updates(layout, cell) {
-            if !parity_writes.contains(&p) {
+            if seen.insert(p.index(cols)) {
                 parity_writes.push(p);
             }
         }
     }
-    WritePlan { data_writes, parity_writes }
+    parity_writes
 }
 
 /// Plans a write of an arbitrary set of data ordinals within one stripe —
@@ -92,14 +103,7 @@ pub fn plan_batched_write(layout: &Layout, ordinals: &[usize]) -> WritePlan {
         data.len()
     );
     let data_writes: Vec<Cell> = sorted.iter().map(|&o| data[o]).collect();
-    let mut parity_writes: Vec<Cell> = Vec::new();
-    for &cell in &data_writes {
-        for p in parity_updates(layout, cell) {
-            if !parity_writes.contains(&p) {
-                parity_writes.push(p);
-            }
-        }
-    }
+    let parity_writes = distinct_parity_updates(layout, &data_writes);
     WritePlan { data_writes, parity_writes }
 }
 
@@ -147,15 +151,18 @@ pub fn write_cost(layout: &Layout, plan: &WritePlan) -> WriteCost {
     // Reconstruct: for every affected chain, the members we do NOT
     // overwrite (their current contents feed the recomputation). Members
     // that are parities being rewritten are themselves recomputed, so they
-    // are not read either.
+    // are not read either. One bitmap holds both "overwritten" and
+    // "already listed": a member is read the first time it is in neither.
+    let cols = layout.cols();
+    let mut settled = BitSet::new(layout.num_cells());
+    for c in plan.data_writes.iter().chain(&plan.parity_writes) {
+        settled.insert(c.index(cols));
+    }
     let mut reconstruct_reads: Vec<Cell> = Vec::new();
     for &parity in &plan.parity_writes {
         let chain_id = layout.chain_of_parity(parity).expect("parity owns chain");
         for m in &layout.chain(chain_id).members {
-            if !plan.data_writes.contains(m)
-                && !plan.parity_writes.contains(m)
-                && !reconstruct_reads.contains(m)
-            {
+            if settled.insert(m.index(cols)) {
                 reconstruct_reads.push(*m);
             }
         }

@@ -489,6 +489,19 @@ mod tests {
             sparse
         }
 
+        /// Executes `op` once more, sparse side only, on a footprint
+        /// scratch whose every cell holds stale bytes — a rebuild step's
+        /// scratch after the previous stripe — and checks it ends as
+        /// `fresh`, the scratch [`Twin::execute`] returned for the op.
+        fn execute_on_stale(&mut self, op: &LoweredOp, fresh: &Stripe, what: &str) {
+            let mut stale = Stripe::sparse(fresh.rows(), fresh.cols(), ES, op.footprint());
+            for cell in op.footprint() {
+                stale.element_mut(cell).fill(0xA5);
+            }
+            self.sparse.execute(op, &mut stale).unwrap();
+            assert_eq!(&stale, fresh, "{what}: stale scratch bytes survived");
+        }
+
         /// Zeroes the cells of columns `cols`, addressed by `addr`, on both
         /// backends — what a swapped-in blank disk holds.
         fn blank(&mut self, layout: &Layout, addr: &impl Fn(Cell) -> DiskAddr, cols: &[usize]) {
@@ -677,14 +690,16 @@ mod tests {
                         lost.iter().flat_map(|&col| layout.cells_in_col(col)).collect();
                     twin.blank(layout, &addr, lost);
                     let op = decode_op(layout, lost, &[], &cells, &addr).expect(&what);
-                    twin.execute(&op, shape, &[], &what);
+                    let fresh = twin.execute(&op, shape, &[], &what);
+                    twin.execute_on_stale(&op, &fresh, &what);
                     assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");
                 }
                 let col = shape.1 / 2;
                 let what = format!("{name} p={p} recover_column_op {col}");
                 twin.blank(layout, &addr, &[col]);
                 let op = recover_column_op(layout, col, &layout.cells_in_col(col), &addr);
-                twin.execute(&op, shape, &[], &what);
+                let fresh = twin.execute(&op, shape, &[], &what);
+                twin.execute_on_stale(&op, &fresh, &what);
                 assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");
 
                 // The batch builders, one op per stripe.

@@ -172,6 +172,16 @@ struct RebuildTask {
     next_stripe: usize,
 }
 
+/// The scratch one [`RaidVolume::rebuild_step`] runs its stripes on: the
+/// footprint of the rebuild op for these failed and written logical
+/// columns — what the footprint is a function of — so consecutive stripes
+/// that lose the same columns share one allocation.
+struct RebuildScratch {
+    failed_cols: Vec<usize>,
+    write_cols: BTreeSet<usize>,
+    cells: Stripe,
+}
+
 impl fmt::Debug for RaidVolume {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RaidVolume")
@@ -1239,8 +1249,9 @@ impl RaidVolume {
     /// disks as one (possibly degraded) read op into `out`, the run's
     /// window of the caller's buffer. A run that misses every failed
     /// column is a plain fetch and lands there directly; one that needs
-    /// reconstruction goes through a dense scratch and is copied out on
-    /// success. A failed attempt may leave some of the window written;
+    /// reconstruction runs on a scratch holding the op's footprint — the
+    /// cells it fetches and rebuilds, not the stripe — and is copied out
+    /// on success. A failed attempt may leave some of the window written;
     /// the retry fills the same window again.
     fn read_run(
         &mut self,
@@ -1257,7 +1268,8 @@ impl RaidVolume {
         if op.plan.is_none() {
             return Ok(self.pipeline.fetch(&op, out)?);
         }
-        let mut scratch = Stripe::for_layout(layout, self.element_size);
+        let mut scratch =
+            Stripe::sparse(layout.rows(), layout.cols(), self.element_size, op.footprint());
         let rs = self.pipeline.execute(&op, &mut scratch)?;
         for (&cell, element) in requested.iter().zip(out.chunks_exact_mut(self.element_size)) {
             element.copy_from_slice(scratch.element(cell));
@@ -1353,10 +1365,12 @@ impl RaidVolume {
     /// checkpoint, health) when the last stripe lands. Errors during a
     /// stripe go through the recovery policy — a fault can reset or
     /// extend the task mid-step, which is why the task state is re-read
-    /// every iteration.
+    /// every iteration. The step owns the one scratch its stripes run on
+    /// ([`RebuildScratch`]) and frees it on return.
     pub fn rebuild_step(&mut self, budget: usize) -> Result<IoLedger, VolumeError> {
         self.pipeline.begin_op();
         let mut receipt = IoLedger::new(self.disks());
+        let mut scratch: Option<RebuildScratch> = None;
         let mut done = 0usize;
         let mut attempts = 0usize;
         while done < budget {
@@ -1368,7 +1382,7 @@ impl RaidVolume {
             let idx = task.next_stripe;
             let disks = task.disks.clone();
             attempts += 1;
-            match self.rebuild_one_stripe(idx, &disks) {
+            match self.rebuild_one_stripe(idx, &disks, &mut scratch) {
                 Ok(rs) => {
                     receipt.merge(&rs);
                     self.health.note_op_ok();
@@ -1414,11 +1428,16 @@ impl RaidVolume {
     /// failed columns (a second dead disk that is not being rebuilt still
     /// shapes the decode), write back only the task disks' columns. A
     /// single failed column uses the paper's hybrid minimum-read recovery
-    /// plan; two use the generic decoder.
+    /// plan; two use the generic decoder. Runs on the step's `scratch`,
+    /// cut to the op's footprint and re-cut only when this stripe's
+    /// failed or written columns differ from the previous stripe's; stale
+    /// bytes are harmless, since every cell the op touches is fetched or
+    /// rebuilt before it is read.
     fn rebuild_one_stripe(
         &mut self,
         idx: usize,
         task_disks: &[usize],
+        scratch: &mut Option<RebuildScratch>,
     ) -> Result<IoLedger, VolumeError> {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
@@ -1434,9 +1453,15 @@ impl RaidVolume {
             lower::decode_op(layout, &failed_cols, &[], &write_back, &addr)
                 .ok_or(VolumeError::TooManyFailures { failed: failed_cols.len() })?
         };
-        let mut scratch = Stripe::for_layout(layout, self.element_size);
+        let fits = |s: &RebuildScratch| s.failed_cols == failed_cols && s.write_cols == write_cols;
+        if !scratch.as_ref().is_some_and(fits) {
+            let (rows, cols) = (layout.rows(), layout.cols());
+            let cells = Stripe::sparse(rows, cols, self.element_size, op.footprint());
+            *scratch = Some(RebuildScratch { failed_cols, write_cols, cells });
+        }
+        let scratch = &mut scratch.as_mut().expect("cut above").cells;
         let mut receipt = IoLedger::new(self.disks());
-        receipt.absorb(&self.pipeline.execute(&op, &mut scratch)?);
+        receipt.absorb(&self.pipeline.execute(&op, scratch)?);
         Ok(receipt)
     }
 

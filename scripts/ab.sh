@@ -10,7 +10,10 @@
 # the change's median is worse than the parent's by more than the bound.
 # Under the peak_rss_mib row one informational line, never part of the
 # verdict, says how much of each side's RSS is hvbench's own op log (32 B
-# per completed op). It runs BENCHMARK.json's own command in each checkout
+# per completed op), and a second the ops_per_s at which that log alone
+# would carry the base's median RSS to its bound — base ops_per_s + bound
+# × base RSS ÷ (32 B × seconds) — next to the change's median ops_per_s:
+# the headroom a faster change has before the ruler's log fails it. It runs BENCHMARK.json's own command in each checkout
 # and edits nothing under benchmark/ (cargo's rewrite of its Cargo.lock is
 # undone on exit).
 #
@@ -104,13 +107,15 @@ for workload in $WORKLOADS; do
             for (a = 2; a <= n; a++)
                 for (b = a; b > 1 && v[b - 1] > v[b]; b--) { t = v[b]; v[b] = v[b - 1]; v[b - 1] = t }
         }
-        # MiB of 32 B op records behind the median ops_per_s of result file f.
-        function op_log_mib(f,    m, k, v) {
+        # Median ops_per_s of result file f.
+        function ops_per_s(f,    m, k, v) {
             for (m = 1; name[m] != "ops_per_s"; m++) if (m > metrics) return 0
             for (k = 1; k <= n; k++) v[k] = run[f, m, k]
             ascending(v, n)
-            return quantile(v, n, 0.5) * seconds * 32 / 1048576
+            return quantile(v, n, 0.5)
         }
+        # MiB of 32 B op records behind that rate.
+        function op_log_mib(f) { return ops_per_s(f) * seconds * 32 / 1048576 }
         FNR == 1 { file++ }
         file == 1 && /"end_to_end"/ { rows = 1; next }
         file == 1 && rows && /\]/ { rows = 0 }
@@ -135,9 +140,12 @@ for workload in $WORKLOADS; do
                     name[m], better[m], b, quantile(base, n, 0.25), quantile(base, n, 0.75),
                     c, quantile(change, n, 0.25), quantile(change, n, 0.75),
                     won, n, 100 * moved, 100 * bound[m], worse ? "WORSE" : "ok"
-                if (name[m] == "peak_rss_mib")
+                if (name[m] == "peak_rss_mib") {
                     printf "  %-15s %-6s  base %11.4f %26s  change %11.4f   ≈ hvbench%cs own op log: median ops_per_s × %d s × 32 B, MiB; not judged\n",
                         "", "", op_log_mib(2), "", op_log_mib(3), 39, seconds
+                    printf "  %-15s %-6s  base %11.1f %26s  change %11.1f   ≈ ops_per_s ceiling: base ops_per_s + %.0f %% × base RSS ÷ (32 B × %d s), where the op log alone reaches the bound; the change%cs median beside it; not judged\n",
+                        "", "", ops_per_s(2) + bound[m] * b * 1048576 / (32 * seconds), "", ops_per_s(3), 100 * bound[m], seconds, 39
+                }
             }
             exit failed > 0
         }' BENCHMARK.json "$OUT/$workload/base" "$OUT/$workload/change" || status=1

@@ -9,8 +9,10 @@
 //! and an eviction-per-op trace cost the op's own bytes.
 //!
 //! Of the read side: a read that misses every failed column allocates
-//! its output and lands the backend's bytes there; only a read that must
-//! reconstruct still builds the stripe's 144-buffer grid (576 KiB).
+//! its output and lands the backend's bytes there, and one that must
+//! reconstruct allocates the cells its plan fetches and rebuilds, not the
+//! stripe's 144-buffer grid (576 KiB). A rebuild allocates one such
+//! footprint per step, not one grid per stripe.
 //!
 //! And of the front door: parsing a `WRITE` line allocates its decoded
 //! payload and nothing else of size, a `READ` reply renders into a warm
@@ -114,8 +116,7 @@ fn full_stripe_write_allocates_one_stripe_not_two() {
     let data = payload(per_stripe * ELEMENT, 2);
     v.write(0, &data).unwrap(); // warms the pre-image pool
     let (calls, bytes) = allocated(|| drop(v.write(per_stripe, &data).unwrap()));
-    let stripe_bytes = (P - 1) * (P - 1) * ELEMENT; // HV: p − 1 rows on p − 1 disks
-    assert!(bytes * 100 <= stripe_bytes * 115, "{calls} calls, {bytes} bytes");
+    assert!(bytes * 100 <= GRID * 115, "{calls} calls, {bytes} bytes");
     assert_eq!(v.read(per_stripe, per_stripe).unwrap().0, data);
 }
 
@@ -219,13 +220,33 @@ fn a_write_trace_twice_the_cache_pays_a_small_flush_and_a_small_entry_per_op() {
 /// | (e) healthy 1-element read                   | 598 440   | 4 876   | 12 288    |
 /// | (f) healthy full-stripe read (120 elements)  | 1 089 672 | 496 392 | 507 904   |
 /// | (g) degraded, 5 elements off the failed disk | 614 984   | 21 440  | 28 672    |
-/// | (g) the same read shifted onto it            | 635 993   | 635 993 | ≥ 589 824 |
 /// | (h) cached 1-element read miss, absolute     | 605 792   | 12 228  | 20 480    |
 ///
-/// (e), (f), the first half of (g) and (h) fail on the parent. The second
-/// half of (g) pins what this change left alone: an op that carries a plan
-/// still gets the dense grid.
+/// (e), (f), the first half of (g) and (h) fail on the parent.
 const PLAIN_READ: usize = 8 * 1024;
+
+/// The stripe's dense scratch: HV has p − 1 rows on p − 1 disks.
+const GRID: usize = (P - 1) * (P - 1) * ELEMENT;
+
+/// What a 5-element read that reconstructs may request: its output, the
+/// ~14 cells its plan names and the plan itself.
+///
+/// The reconstruction budgets, in requested bytes (parent `fc8f0f0`, a
+/// dense grid per reconstructing read run and per rebuilt stripe → this
+/// PR, the op's footprint per read run and per rebuild step):
+///
+/// | case                                              | parent    | change    | budget      |
+/// |---------------------------------------------------|-----------|-----------|-------------|
+/// | (g) degraded, 5 elements onto failed disk 3       | 635 993   | 95 321    | 114 688     |
+/// | (i) the same read with disks {3, 7} failed        | 651 294   | 151 582   | < 294 912   |
+/// | (j) `rebuild()` of one disk over 8 stripes, total | 5 758 120 | 1 424 936 | < 1 769 472 |
+///
+/// All three fail on the parent. (j) is one 100-cell footprint (409 600)
+/// plus 127 KB of small requests per stripe — 3 800 calls, the recovery
+/// planner and `.optimized()` lowering the stripe's op anew — where the
+/// parent adds a grid per stripe to that: under three grids against
+/// nearly ten.
+const RECONSTRUCTING_READ: usize = 112 * 1024;
 
 #[test]
 fn healthy_single_element_read_allocates_its_output_not_a_stripe() {
@@ -246,27 +267,57 @@ fn healthy_full_stripe_read_allocates_its_output_once() {
     assert!(read == data, "full-stripe read returned other bytes");
 }
 
+const LEN: usize = 5;
+
+/// The first `LEN`-element read at or after element 130 that touches no
+/// failed disk, and the first after it that touches disk 3.
+fn reads_off_and_onto_disk_3(v: &RaidVolume) -> (usize, usize) {
+    let disk_of = |e| v.locate_data_element(e).unwrap().0;
+    let failed = v.failed_disks();
+    let off = (130..).find(|&at| (at..at + LEN).all(|e| !failed.contains(&disk_of(e)))).unwrap();
+    let onto = (off..).find(|&at| (at..at + LEN).any(|e| disk_of(e) == 3)).unwrap();
+    (off, onto)
+}
+
 #[test]
-fn degraded_read_off_the_failed_disk_is_a_plain_read_and_onto_it_still_builds_the_grid() {
-    const LEN: usize = 5;
+fn degraded_read_off_the_failed_disk_is_plain_and_onto_it_allocates_a_footprint() {
     let mut v = volume();
     let data = payload(v.data_elements() * ELEMENT, 10);
     v.write(0, &data).unwrap();
     v.fail_disk(3).unwrap();
-    let touches_3 =
-        |v: &RaidVolume, at| (at..at + LEN).any(|e| v.locate_data_element(e).unwrap().0 == 3);
-    let off = (130..).find(|&at| !touches_3(&v, at)).unwrap();
-    let onto = (off..).find(|&at| touches_3(&v, at)).unwrap();
-    for (at, plain) in [(off, true), (onto, false)] {
+    let (off, onto) = reads_off_and_onto_disk_3(&v);
+    for (at, budget) in [(off, LEN * ELEMENT + PLAIN_READ), (onto, RECONSTRUCTING_READ)] {
         let mut read = Vec::new();
         let (_, bytes) = allocated(|| read = v.read(at, LEN).unwrap().0);
         assert_eq!(read, data[at * ELEMENT..(at + LEN) * ELEMENT], "read at {at}");
-        if plain {
-            assert!(bytes <= LEN * ELEMENT + PLAIN_READ, "(g) {bytes} bytes off the failed disk");
-        } else {
-            assert!(bytes >= (P - 1) * (P - 1) * ELEMENT, "(g) {bytes} bytes: the dense grid is gone");
-        }
+        assert!(bytes <= budget, "(g) {bytes} bytes for the read at {at}, budget {budget}");
     }
+}
+
+#[test]
+fn doubly_degraded_read_stays_under_half_the_grid() {
+    let mut v = volume();
+    let data = payload(v.data_elements() * ELEMENT, 11);
+    v.write(0, &data).unwrap();
+    v.fail_disk(3).unwrap();
+    v.fail_disk(7).unwrap();
+    let (_, onto) = reads_off_and_onto_disk_3(&v);
+    let mut read = Vec::new();
+    let (_, bytes) = allocated(|| read = v.read(onto, LEN).unwrap().0);
+    assert_eq!(read, data[onto * ELEMENT..(onto + LEN) * ELEMENT]);
+    assert!(bytes < GRID / 2, "(i) {bytes} bytes for a read onto one of two failed disks");
+}
+
+#[test]
+fn rebuild_allocates_one_footprint_for_the_step_not_a_grid_per_stripe() {
+    const REBUILT: usize = 8;
+    let mut v = volume_of(REBUILT);
+    let data = payload(v.data_elements() * ELEMENT, 12);
+    v.write(0, &data).unwrap();
+    v.fail_disk(3).unwrap();
+    let (_, bytes) = allocated(|| drop(v.rebuild().unwrap()));
+    assert!(bytes < 3 * GRID, "(j) {bytes} bytes to rebuild {REBUILT} stripes");
+    assert!(v.verify_all() && v.read(0, v.data_elements()).unwrap().0 == data);
 }
 
 /// Four 4 KiB elements: the largest op `front_door_mixed` sends.

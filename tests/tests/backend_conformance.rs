@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use integration::{all_codes, payload};
 use raid_array::{
-    DiskBackend, Fault, FaultPoint, FaultyBackend, FileBackend, MemBackend, RaidVolume,
+    lower, DiskAddr, DiskBackend, Fault, FaultPoint, FaultyBackend, FileBackend, MemBackend,
+    RaidVolume,
 };
 use raid_core::ArrayCode;
 
@@ -156,6 +157,24 @@ fn two_injected_faults_still_serve_reads_for_every_code_and_prime() {
     }
 }
 
+/// A volume of `stripes` stripes on a [`FaultyBackend`] over memory firing
+/// `schedule`, holding `data`.
+fn holding(
+    code: &Arc<dyn ArrayCode>,
+    stripes: usize,
+    rotate: bool,
+    data: &[u8],
+    schedule: Vec<FaultPoint>,
+) -> RaidVolume {
+    let layout = code.layout();
+    let inner = MemBackend::new(layout.cols(), stripes * layout.rows(), ELEMENT);
+    let backend = Box::new(FaultyBackend::new(Box::new(inner), schedule));
+    let mut v = RaidVolume::with_backend(Arc::clone(code), stripes, ELEMENT, rotate, backend)
+        .expect("shape matches");
+    v.write(0, data).unwrap();
+    v
+}
+
 /// A healthy read lands in the caller's buffer as the backend serves it,
 /// so a fault part-way through leaves a half-filled window behind for the
 /// retry. HV p = 13, 15 elements from the top of stripe 1 (the first ten
@@ -169,16 +188,8 @@ fn a_fault_at_the_eighth_read_of_a_healthy_read_returns_the_right_bytes_once() {
     const START: usize = 120;
     const LEN: usize = 15;
     let code = all_codes(13).remove(0);
-    let layout = code.layout();
-    let data = payload(STRIPES * layout.num_data_cells() * ELEMENT, 13);
-    let written = |schedule: Vec<FaultPoint>| {
-        let inner = MemBackend::new(layout.cols(), STRIPES * layout.rows(), ELEMENT);
-        let backend = FaultyBackend::new(Box::new(inner), schedule);
-        let mut v = RaidVolume::new(Arc::clone(&code), STRIPES, ELEMENT, Box::new(backend))
-            .expect("shape matches");
-        v.write(0, &data).unwrap();
-        v
-    };
+    let data = payload(STRIPES * code.layout().num_data_cells() * ELEMENT, 13);
+    let written = |schedule| holding(&code, STRIPES, false, &data, schedule);
     let mut twin = written(Vec::new());
     let setup_ops = twin.backend_faulty_mut().unwrap().ops();
     let (disk, index) = twin.locate_data_element(START + 7).unwrap();
@@ -206,6 +217,123 @@ fn a_fault_at_the_eighth_read_of_a_healthy_read_returns_the_right_bytes_once() {
         assert_eq!((receipt.total_reads(), v.ledger().total() - before), committed, "{name}");
         assert_eq!(v.failed_disks().len(), usize::from(name == "disk death"), "{name}");
     }
+}
+
+/// The same three faults under a read that reconstructs: HV p = 13 with
+/// disk 3 failed, ten elements of stripe 1 that cross column 3, the fault at
+/// the op's fourth backend read. The death turns the retry into a
+/// two-column reconstruction. Bytes and committed I/O are what `fc8f0f0`,
+/// which ran the op on a dense scratch, returned for the same schedule.
+#[test]
+fn a_fault_at_the_fourth_read_of_a_reconstructing_read_returns_the_right_bytes_once() {
+    const START: usize = 138;
+    const LEN: usize = 10;
+    const K: usize = 4;
+    let code = all_codes(13).remove(0);
+    let layout = code.layout();
+    let data = payload(STRIPES * layout.num_data_cells() * ELEMENT, 14);
+    let degraded = |schedule| {
+        let mut v = holding(&code, STRIPES, false, &data, schedule);
+        v.fail_disk(3).unwrap();
+        v
+    };
+    let mut twin = degraded(Vec::new());
+    let setup_ops = twin.backend_faulty_mut().unwrap().ops();
+    let requested = &layout.data_cells()[START % layout.num_data_cells()..][..LEN];
+    let stripe = START / layout.num_data_cells();
+    let addr = |c| lower::cell_addr(twin.addressing(), layout.rows(), stripe, c);
+    let op = lower::read_op(layout, &[3], requested, &addr).unwrap();
+    assert!(op.plan.is_some(), "the read must cross column 3");
+    let DiskAddr { disk, index } = op.reads[K - 1].1;
+    let (expected, receipt) = twin.read(START, LEN).unwrap();
+    assert_eq!(expected, data[START * ELEMENT..(START + LEN) * ELEMENT]);
+    assert_eq!(receipt.total(), op.reads.len() as u64);
+
+    let dies_at_the_fourth_read = vec![FaultPoint { at_op: setup_ops + K as u64, disk }];
+    let cases = [
+        // Repairing the sector in place: the surviving columns' other 131 cells and one write.
+        ("latent sector", Some(Fault::LatentSector { disk, index }), vec![], (12, 144)),
+        ("transient", Some(Fault::Transient { disk, ops: 1 }), vec![], (12, 12)),
+        // Replanned with two columns lost: the dependency slice of a double decode.
+        ("disk death", None, dies_at_the_fourth_read, (74, 74)),
+    ];
+    for (name, fault, schedule, committed) in cases {
+        let mut v = degraded(schedule);
+        if let Some(fault) = fault {
+            v.backend_faulty_mut().unwrap().inject(fault);
+        }
+        let before = v.ledger().total();
+        let (bytes, receipt) = v.read(START, LEN).unwrap();
+        assert_eq!(bytes.len(), LEN * ELEMENT, "{name}");
+        assert_eq!(bytes, expected, "{name}");
+        assert_eq!((receipt.total_reads(), v.ledger().total() - before), committed, "{name}");
+        assert_eq!(v.failed_disks().len(), 1 + usize::from(name == "disk death"), "{name}");
+    }
+}
+
+/// Rotation makes consecutive stripes lose different logical columns, so
+/// a rebuild step re-cuts its scratch stripe after stripe; 13 stripes
+/// wrap every code's rotation at p = 7. Both lost disks come back, and
+/// the I/O is what `fc8f0f0` issued with a fresh dense scratch per stripe.
+#[test]
+fn rotated_double_rebuild_restores_every_code_with_the_same_io() {
+    const ROTATED: usize = 13;
+    // (reads, writes) per code, in `all_codes` order.
+    let issued = [
+        (312, 156),
+        (468, 156),
+        (546, 156),
+        (455, 182),
+        (468, 156),
+        (312, 156),
+        (195, 78),
+        (637, 182),
+    ];
+    for (code, issued) in all_codes(7).into_iter().zip(issued) {
+        let name = code.name();
+        let data = payload(ROTATED * code.layout().num_data_cells() * ELEMENT, 31);
+        let mut v = holding(&code, ROTATED, true, &data, Vec::new());
+        v.fail_disk(1).unwrap();
+        v.fail_disk(v.disks() - 2).unwrap();
+        let receipt = v.rebuild().unwrap();
+        assert_eq!((receipt.total_reads(), receipt.total_writes()), issued, "{name}");
+        assert!(v.failed_disks().is_empty() && v.verify_all(), "{name}");
+        assert_eq!(v.read(0, v.data_elements()).unwrap().0, data, "{name}");
+    }
+}
+
+/// A bystander disk dying halfway through a `rebuild_step(usize::MAX)`:
+/// the step adopts the failure, re-cuts its scratch for the two-column
+/// decode and still lands its own disk. Failed set, checkpoint, I/O and
+/// bytes are `fc8f0f0`'s.
+#[test]
+fn a_bystander_death_mid_rebuild_step_is_adopted_and_the_step_completes() {
+    const ROTATED: usize = 13;
+    const BYSTANDER: usize = 5;
+    let code = all_codes(7).remove(0);
+    let data = payload(ROTATED * code.layout().num_data_cells() * ELEMENT, 37);
+    let rebuilding = |schedule| {
+        let mut v = holding(&code, ROTATED, true, &data, schedule);
+        v.fail_disk(1).unwrap();
+        v.set_spares(1);
+        v.set_auto_heal(true);
+        v.maintain(0).unwrap(); // swaps the spare in; rebuilds no stripe yet
+        assert_eq!(v.rebuild_progress().map(|cp| cp.next_stripe), Some(0));
+        v
+    };
+    let mut twin = rebuilding(Vec::new());
+    let setup_ops = twin.backend_faulty_mut().unwrap().ops();
+    let undisturbed = twin.rebuild_step(usize::MAX).unwrap();
+    // Element operations the step was served, journal pre-images included.
+    let step_ops = twin.backend_faulty_mut().unwrap().ops() - setup_ops;
+
+    let mut v = rebuilding(vec![FaultPoint { at_op: setup_ops + step_ops / 2, disk: BYSTANDER }]);
+    let receipt = v.rebuild_step(usize::MAX).unwrap();
+    assert_eq!(v.failed_disks(), vec![BYSTANDER]);
+    assert_eq!(v.rebuild_progress(), None);
+    // 234 reads undisturbed; the stripes after the death decode two columns.
+    assert_eq!((undisturbed.total(), receipt.total_reads(), receipt.total_writes()), (312, 276, 78));
+    assert_eq!(v.read(0, v.data_elements()).unwrap().0, data);
 }
 
 #[test]

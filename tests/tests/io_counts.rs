@@ -16,11 +16,14 @@
 //!   measured per small write, which only a bench note used to record;
 //! - [`plain_fetch_share_of_degraded_reads`] counts which share of the
 //!   paper's degraded-read sweep (§V-B, Fig. 7) lowers to a plain fetch —
-//!   the reads that land in the caller's buffer without a scratch stripe.
+//!   the reads that land in the caller's buffer without a scratch stripe;
+//! - [`degraded_read_footprint_cells`] counts, for the rest of that
+//!   sweep, the distinct cells a reconstructing read's scratch holds.
 //!
 //! A pinned count that moves is a deliberate change to the write or flush
 //! path: re-derive it, do not loosen it.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskProfile};
@@ -169,5 +172,33 @@ fn plain_fetch_share_of_degraded_reads() {
             (len, data.len() - len + 1, plain)
         });
         assert_eq!(counted, sweep, "failed columns {failed:?}");
+    }
+}
+
+/// The scratch of the reads above that do carry a plan: distinct cells of
+/// `LoweredOp::footprint` — requested, fetched and rebuilt — as `(reads
+/// with a plan, their cells in total, most for one read)` over the whole
+/// sweep. The stripe has 144.
+#[test]
+fn degraded_read_footprint_cells() {
+    let code = all_codes(13).remove(0);
+    let layout = code.layout();
+    let data = layout.data_cells();
+    let addr = |c: raid_core::Cell| DiskAddr { disk: c.col, index: c.row };
+    // Means 15.5 and 72.4 cells: one lost column repairs along short
+    // chains, two need the dependency slice of a double decode.
+    let expected = [(&[3][..], (250, 3_877, 25)), (&[3, 7], (307, 22_217, 122))];
+    for (failed, pinned) in expected {
+        let mut counted = (0, 0, 0);
+        for len in [1, 5, 10, 15] {
+            for req in data.windows(len) {
+                let op = lower::read_op(layout, failed, req, &addr).expect("≤ 2 lost");
+                if op.plan.is_some() {
+                    let cells = op.footprint().collect::<BTreeSet<_>>().len();
+                    counted = (counted.0 + 1, counted.1 + cells, counted.2.max(cells));
+                }
+            }
+        }
+        assert_eq!(counted, pinned, "failed columns {failed:?}");
     }
 }

@@ -1,11 +1,15 @@
 //! Planner invariants that must hold for every code: the generic machinery
 //! can make no code-specific assumptions.
 
-use integration::all_codes;
+use integration::{all_codes, payload};
 use raid_core::plan::degraded::plan_degraded_read;
 use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
+use raid_core::layout::Layout;
 use raid_core::plan::update::parity_updates;
-use raid_core::{invariants, Stripe};
+use raid_core::plan::write::{
+    plan_batched_write, plan_partial_write, write_cost, WriteCost, WriteMode, WritePlan,
+};
+use raid_core::{invariants, Cell, Stripe};
 
 #[test]
 fn update_closure_equals_reencode_for_every_code() {
@@ -168,6 +172,82 @@ fn structural_invariants_hold_for_all_codes() {
                     || name == "Liberation",
                 "{name} p={p}: chains revisit columns"
             );
+        }
+    }
+}
+
+/// `plan_batched_write` as it was before its membership tests became a
+/// bitmap: every parity checked against the list built so far. Kept as
+/// the reference for first-touch order.
+fn scanning_batched_write(layout: &Layout, ordinals: &[usize]) -> WritePlan {
+    let mut sorted = ordinals.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let data_writes: Vec<Cell> = sorted.iter().map(|&o| layout.data_cells()[o]).collect();
+    let mut parity_writes: Vec<Cell> = Vec::new();
+    for &cell in &data_writes {
+        for p in parity_updates(layout, cell) {
+            if !parity_writes.contains(&p) {
+                parity_writes.push(p);
+            }
+        }
+    }
+    WritePlan { data_writes, parity_writes }
+}
+
+/// `write_cost` before the bitmap, three list scans per chain member.
+fn scanning_write_cost(layout: &Layout, plan: &WritePlan) -> WriteCost {
+    let rmw_reads: Vec<Cell> =
+        plan.data_writes.iter().chain(&plan.parity_writes).copied().collect();
+    let mut reconstruct_reads: Vec<Cell> = Vec::new();
+    for &parity in &plan.parity_writes {
+        let chain_id = layout.chain_of_parity(parity).expect("parity owns chain");
+        for m in &layout.chain(chain_id).members {
+            if !plan.data_writes.contains(m)
+                && !plan.parity_writes.contains(m)
+                && !reconstruct_reads.contains(m)
+            {
+                reconstruct_reads.push(*m);
+            }
+        }
+    }
+    let cheaper = if reconstruct_reads.is_empty() {
+        WriteMode::FullStripe
+    } else if reconstruct_reads.len() < rmw_reads.len() {
+        WriteMode::Reconstruct
+    } else {
+        WriteMode::Rmw
+    };
+    WriteCost { rmw_reads, reconstruct_reads, cheaper }
+}
+
+#[test]
+fn bitmap_write_planners_equal_the_scanning_ones_element_for_element() {
+    for p in [5usize, 7, 13] {
+        for code in all_codes(p) {
+            let layout = code.layout();
+            let n = layout.num_data_cells();
+            let check = |dirty: &[usize]| {
+                let name = code.name();
+                let plan = plan_batched_write(layout, dirty);
+                assert_eq!(plan, scanning_batched_write(layout, dirty), "{name} p={p} {dirty:?}");
+                let cost = write_cost(layout, &plan);
+                assert_eq!(cost, scanning_write_cost(layout, &plan), "{name} p={p} {dirty:?}");
+                plan
+            };
+            for start in 0..n {
+                for len in 1..=n - start {
+                    let window: Vec<usize> = (start..start + len).collect();
+                    assert_eq!(plan_partial_write(layout, start, len), check(&window));
+                }
+            }
+            // Scattered sets, duplicates and disorder included: 1 to 2n
+            // ordinals drawn from seeded bytes (n ≤ 169 < 256).
+            for round in 0..300 {
+                let bytes = payload(1 + round * 2 * n / 300, (p * 1_000 + round) as u64);
+                let dirty: Vec<usize> = bytes.iter().map(|&b| b as usize % n).collect();
+                check(&dirty);
+            }
         }
     }
 }

@@ -146,7 +146,7 @@ fn optimizer_never_increases_source_reads() {
 /// lost element is rebuilt from one chain, and chains share no partial sum
 /// worth a temp. A rewrite that does start saving reads here fails this
 /// test and gets to delete it; until then the pass is pure cost (DESIGN §8
-/// "Not yet").
+/// "Still open").
 #[test]
 fn optimizer_saves_nothing_on_hv_degraded_read_plans() {
     let code = all_codes(13).remove(0);
