@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test loc bench bench-ab bench-smoke repro-check chaos-smoke fleet-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
+.PHONY: build test loc bench bench-ab bench-smoke same-bytes repro-check chaos-smoke fleet-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
 
 build:
 	$(CARGO) build --release
@@ -44,6 +44,18 @@ N ?= 10
 S ?= 1
 bench-ab:
 	sh scripts/ab.sh $(BASE) $(W) $(N) $(S)
+
+# Same decisions, same bytes: BASE (unpacked into target/ab-base, as
+# bench-ab does) and the working tree, both built in release mode, must
+# print byte-identical output for the three chaos-smoke campaigns, the
+# fleet-smoke report, `hvraid lint --all --hazards --journal --schedules`
+# and `repro --csv <dir> all` (its CSVs; its stdout carries wall times),
+# with the same exit status: one same/DIFFERS line per command, exit 1
+# on any difference. Outputs stay under
+# target/same-bytes/{base,change}/<command>/.
+#   make same-bytes BASE=HEAD~1
+same-bytes:
+	sh scripts/same_bytes.sh $(BASE)
 
 # A 15-second end-to-end self-check of every workload (numbers mean
 # nothing): the pre-merge proof that hvbench still compiles against the

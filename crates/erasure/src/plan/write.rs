@@ -10,7 +10,6 @@ use crate::bitset::BitSet;
 use crate::geometry::Cell;
 use crate::io::IoLedger;
 use crate::layout::Layout;
-use crate::plan::update::parity_updates;
 
 /// The I/O footprint of one partial stripe write within a single stripe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,17 +60,34 @@ pub fn plan_partial_write(layout: &Layout, start: usize, len: usize) -> WritePla
 }
 
 /// The distinct parities renewed by writing `data_writes`, in first-touch
-/// order. Membership is one bitmap per call: scanning the list built so
-/// far made the planner quadratic in the dirty set.
+/// order: each cell's cascade as
+/// [`parity_updates`](crate::plan::update::parity_updates) lists it, less
+/// what earlier cells already renewed. Membership is one bitmap per call:
+/// scanning the list built so far made the planner quadratic in the dirty
+/// set.
+///
+/// The cascade is walked breadth-first in the output itself, not in two
+/// lists per cell. A parity an earlier cell renewed can be skipped whole:
+/// that cell's walk already renewed everything it cascades into, so
+/// skipping it drops only parities that were going to be skipped anyway
+/// and leaves the rest in `parity_updates`' order.
 fn distinct_parity_updates(layout: &Layout, data_writes: &[Cell]) -> Vec<Cell> {
     let cols = layout.cols();
     let mut seen = BitSet::new(layout.num_cells());
     let mut parity_writes: Vec<Cell> = Vec::new();
     for &cell in data_writes {
-        for p in parity_updates(layout, cell) {
-            if seen.insert(p.index(cols)) {
-                parity_writes.push(p);
+        let mut next = parity_writes.len();
+        let mut cur = cell;
+        loop {
+            for &chain in layout.chains_containing(cur) {
+                let parity = layout.chain(chain).parity;
+                if seen.insert(parity.index(cols)) {
+                    parity_writes.push(parity);
+                }
             }
+            let Some(&renewed) = parity_writes.get(next) else { break };
+            cur = renewed;
+            next += 1;
         }
     }
     parity_writes

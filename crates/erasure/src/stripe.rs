@@ -112,6 +112,33 @@ impl Stripe {
         self.element_mut(cell).copy_from_slice(data);
     }
 
+    /// Moves `buf` in as the element at `cell`, with no copy: how a caller
+    /// lends a scratch bytes it already owns instead of staging them in a
+    /// zero-filled cell. [`Stripe::take_element`] moves it back out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of bounds or already materialised, or if
+    /// `buf` is not exactly `element_size` bytes.
+    pub fn put_element(&mut self, cell: Cell, buf: Vec<u8>) {
+        assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
+        assert_eq!(buf.len(), self.element_size, "element size mismatch at {cell}");
+        let slot = &mut self.bufs[cell.index(self.cols)];
+        assert!(slot.is_none(), "{cell} is already materialised");
+        *slot = Some(buf);
+    }
+
+    /// Moves the element at `cell` out, with no copy, leaving the cell
+    /// unmaterialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of bounds or not materialised.
+    pub fn take_element(&mut self, cell: Cell) -> Vec<u8> {
+        assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
+        self.take_buf(cell.index(self.cols))
+    }
+
     /// Zeroes an element — how tests model an erased cell.
     pub fn erase(&mut self, cell: Cell) {
         self.element_mut(cell).fill(0);
@@ -467,6 +494,31 @@ mod tests {
         // With every cell named it is the dense stripe.
         let every = (0..6).map(|i| Cell::from_index(i, 3));
         assert_eq!(Stripe::sparse(2, 3, 4, every), Stripe::zeroed(2, 3, 4));
+    }
+
+    #[test]
+    fn a_buffer_moved_in_and_out_keeps_its_allocation() {
+        let c = Cell::new;
+        let mut s = row_zero_only(4);
+        let buf = vec![7u8; 4];
+        let at = buf.as_ptr();
+        s.put_element(c(1, 1), buf);
+        assert_eq!(s.element(c(1, 1)), &[7; 4]);
+        let back = s.take_element(c(1, 1));
+        assert_eq!((back.as_ptr(), back), (at, vec![7; 4]));
+        assert_eq!(s, row_zero_only(4), "the cell is unmaterialised again");
+    }
+
+    #[test]
+    #[should_panic(expected = "E[0,1] is already materialised")]
+    fn put_element_over_a_materialised_cell_panics() {
+        row_zero_only(4).put_element(Cell::new(0, 1), vec![0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "E[1,0] is not materialised")]
+    fn take_element_of_an_absent_cell_panics() {
+        row_zero_only(4).take_element(Cell::new(1, 0));
     }
 
     #[test]

@@ -23,8 +23,12 @@
 //! elements (HV, p = 13) between creation and eviction, so a dense entry
 //! spent 480 KiB of `calloc` to keep 4–16 KiB. There is no buffer pool:
 //! an element-sized `malloc` is cheap, it was the stripe-sized memset
-//! that was not. The budget stays a count of stripes — the worst case
-//! (every slot held) is the dense entry's size.
+//! that was not. Nor is a slot copied to be flushed: the store lends each
+//! dirty slot, and each clean one it uses in place of a disk read, to its
+//! scratch as the very cell the bytes would have been copied into, and
+//! gives every one back before it returns — an error included — so a
+//! retry finds the entry whole. The budget stays a count of stripes — the
+//! worst case (every slot held) is the dense entry's size.
 
 use std::collections::BTreeMap;
 
@@ -116,6 +120,26 @@ impl StripeEntry {
         if !self.dirty[ord] {
             self.store(ord, bytes);
         }
+    }
+
+    /// Moves the slot of `ord` out, with no copy, for a store to run on;
+    /// [`StripeEntry::give_back`] must return it before the entry is used
+    /// again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry holds no copy of `ord`.
+    pub(crate) fn lend(&mut self, ord: usize) -> Vec<u8> {
+        match self.slots[ord].take() {
+            Some(bytes) => bytes.into_vec(),
+            None => panic!("the cache holds no copy of stripe {} ordinal {ord}", self.stripe),
+        }
+    }
+
+    /// Returns the slot [`StripeEntry::lend`] moved out of `ord`.
+    pub(crate) fn give_back(&mut self, ord: usize, bytes: Vec<u8>) {
+        debug_assert!(self.slots[ord].is_none(), "ordinal {ord} was not lent");
+        self.slots[ord] = Some(bytes.into_boxed_slice());
     }
 
     /// Drops a clean cached copy of `ord` (out-of-band tampering hook).
@@ -287,6 +311,23 @@ mod tests {
         e.write(3, &[5; 8]);
         e.invalidate_clean(3);
         assert!(e.is_present(3) && e.is_dirty(), "a dirty copy outlives tampering");
+    }
+
+    #[test]
+    fn a_lent_slot_comes_back_as_the_same_allocation() {
+        let mut e = StripeEntry::new(0, 4, 8);
+        e.write(1, &[7; 8]);
+        let lent = e.lend(1);
+        let at = lent.as_ptr();
+        assert!(!e.is_present(1) && e.is_dirty(), "lending moves the bytes, not the state");
+        e.give_back(1, lent);
+        assert_eq!((e.element(1).as_ptr(), e.element(1)), (at, &[7; 8][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "no copy of stripe 9 ordinal 3")]
+    fn lending_an_ordinal_the_entry_does_not_hold_panics() {
+        StripeEntry::new(9, 4, 8).lend(3);
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! plain fetch, and a stripe write is [`stripe_write_op`] on a healthy
 //! array, otherwise [`decode_op`] → patch → [`encode_store_op`]. The same
 //! two shapes serve the uncached write and the cache flush; they differ
-//! only in where the dirty bytes come from.
+//! only in whose buffers the dirty cells are — one copy of the caller's
+//! bytes, or the cache entry's own slots, lent to the scratch together
+//! with its clean-resident fills. A stripe write only reads those cells,
+//! which is what makes lending them safe. Its lowering is linear in the
+//! dirty set and the chains it touches: every membership test is a bitmap.
 //!
 //! Per-op write plans are deliberately **not** run through
 //! [`XorPlan::optimized`]: measured on `hvbench`, the optimiser costs
@@ -145,29 +149,36 @@ pub fn cell_write_op(layout: &Layout, cell: Cell, addr: &impl Fn(Cell) -> DiskAd
 
 /// Orders parity cells so that no parity is emitted before a pending
 /// parity that appears among its chain members (parity-into-parity
-/// cascades, e.g. RDP).
+/// cascades, e.g. RDP): each round emits, in order, every parity none of
+/// whose chain members was pending when the round began. Pending is one
+/// bitmap, so a round is linear in the chains it walks.
 fn ordered_parities(layout: &Layout, parities: &[Cell]) -> Vec<Cell> {
+    let cols = layout.cols();
+    let mut is_pending = BitSet::new(layout.num_cells());
+    for p in parities {
+        is_pending.insert(p.index(cols));
+    }
     let mut pending: Vec<Cell> = parities.to_vec();
     let mut ordered = Vec::with_capacity(pending.len());
     while !pending.is_empty() {
-        let mut progressed = false;
-        let mut next = Vec::new();
-        for &p in &pending {
+        let emitted = ordered.len();
+        pending.retain(|&p| {
             let chain = layout.chain(layout.chain_of_parity(p).expect("parity owns chain"));
-            if chain.members.iter().any(|m| pending.contains(m) && *m != p) {
-                next.push(p);
-            } else {
+            let waits = chain.members.iter().any(|m| *m != p && is_pending.contains(m.index(cols)));
+            if !waits {
                 ordered.push(p);
-                progressed = true;
             }
+            waits
+        });
+        assert!(ordered.len() > emitted, "cyclic parity dependency during write");
+        for p in &ordered[emitted..] {
+            is_pending.remove(p.index(cols));
         }
-        assert!(progressed, "cyclic parity dependency during write");
-        pending = next;
     }
     ordered
 }
 
-/// Builds the XOR steps that renew a [`WritePlan`]'s parities over a
+/// Compiles the XOR steps that renew a [`WritePlan`]'s parities over a
 /// double-height scratch: old values in the lower `rows` rows, new values
 /// in the upper.
 ///
@@ -176,11 +187,7 @@ fn ordered_parities(layout: &Layout, parities: &[Cell]) -> Vec<Cell> {
 /// * [`WriteMode::Reconstruct`] / [`WriteMode::FullStripe`] — new parity
 ///   = XOR of members' new values, untouched members contributing their
 ///   (read or cache-filled) old value.
-fn batched_write_steps(
-    layout: &Layout,
-    plan: &WritePlan,
-    mode: WriteMode,
-) -> Vec<(Cell, Vec<Cell>)> {
+fn batched_write_plan(layout: &Layout, plan: &WritePlan, mode: WriteMode) -> XorPlan {
     let rows = layout.rows();
     let up = |c: Cell| Cell::new(c.row + rows, c.col);
     // One bitmap per call: a `contains` scan of both write lists per chain
@@ -191,30 +198,28 @@ fn batched_write_steps(
         written.insert(c.index(cols));
     }
     let touched = |m: &Cell| written.contains(m.index(cols));
-    ordered_parities(layout, &plan.parity_writes)
-        .into_iter()
-        .map(|p| {
-            let chain = layout.chain(layout.chain_of_parity(p).expect("parity owns chain"));
-            let mut srcs = Vec::new();
-            match mode {
-                WriteMode::Rmw => {
-                    srcs.push(p);
-                    for m in &chain.members {
-                        if touched(m) {
-                            srcs.push(*m);
-                            srcs.push(up(*m));
-                        }
-                    }
-                }
-                WriteMode::Reconstruct | WriteMode::FullStripe => {
-                    for m in &chain.members {
-                        srcs.push(if touched(m) { up(*m) } else { *m });
-                    }
+    // Every step's sources in one buffer; step `k`'s end at `ends[k]`.
+    let parities = ordered_parities(layout, &plan.parity_writes);
+    let mut srcs: Vec<Cell> = Vec::new();
+    let mut ends: Vec<usize> = Vec::with_capacity(parities.len());
+    for &p in &parities {
+        let chain = layout.chain(layout.chain_of_parity(p).expect("parity owns chain"));
+        match mode {
+            WriteMode::Rmw => {
+                srcs.push(p);
+                for m in chain.members.iter().filter(|m| touched(m)) {
+                    srcs.extend([*m, up(*m)]);
                 }
             }
-            (up(p), srcs)
-        })
-        .collect()
+            WriteMode::Reconstruct | WriteMode::FullStripe => {
+                srcs.extend(chain.members.iter().map(|m| if touched(m) { up(*m) } else { *m }));
+            }
+        }
+        ends.push(srcs.len());
+    }
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    let steps = parities.iter().zip(starts.zip(&ends)).map(|(&p, (a, &b))| (up(p), &srcs[a..b]));
+    XorPlan::from_steps(2 * rows, cols, steps)
 }
 
 /// A healthy stripe write, lowered by [`stripe_write_op`].
@@ -222,10 +227,14 @@ fn batched_write_steps(
 pub struct StripeWrite {
     /// The op, over a double-height scratch: old values in the lower
     /// `rows` rows, new values above. `op.data_writes[k].0` is the scratch
-    /// cell the caller presets with the `k`-th dirty ordinal's new bytes.
+    /// cell the caller fills with the `k`-th dirty ordinal's new bytes.
     pub op: LoweredOp,
-    /// `(ordinal, scratch cell)` old values the caller presets from its
+    /// `(ordinal, scratch cell)` old values the caller fills from its
     /// clean resident copies instead of the op reading them from disk.
+    ///
+    /// The op never writes a dirty or fill cell — no read lands in one,
+    /// no plan step targets one — so the caller may lend it the buffers
+    /// it already holds.
     pub fills: Vec<(usize, Cell)>,
 }
 
@@ -267,15 +276,10 @@ pub fn stripe_write_op(
         &reconstruct_reads
     };
 
-    let steps = batched_write_steps(layout, &plan, mode);
     let up = |c: Cell| (Cell::new(c.row + rows, c.col), addr(c));
     let op = LoweredOp {
         reads: addressed(reads, addr),
-        plan: Some(XorPlan::from_steps(
-            2 * rows,
-            layout.cols(),
-            steps.iter().map(|(t, s)| (*t, s.as_slice())),
-        )),
+        plan: Some(batched_write_plan(layout, &plan, mode)),
         data_writes: plan.data_writes.iter().map(|&c| up(c)).collect(),
         parity_writes: plan.parity_writes.iter().map(|&c| up(c)).collect(),
     };
@@ -461,7 +465,9 @@ mod tests {
 
         /// Executes `op` both ways over `rows × cols` scratches preset
         /// with `preset`; returns the sparse scratch. A footprint that
-        /// misses a cell the pipeline touches panics naming the cell.
+        /// misses a cell the pipeline touches panics naming the cell, and
+        /// a preset cell — what the volume lends the scratch from its own
+        /// buffers — must come out as it went in.
         fn execute(
             &mut self,
             op: &LoweredOp,
@@ -480,6 +486,9 @@ mod tests {
             assert_eq!(on_sparse, on_dense, "{what}: request sets differ");
             for cell in op.footprint() {
                 assert_eq!(sparse.element(cell), dense.element(cell), "{what}: scratch {cell}");
+            }
+            for &(cell, bytes) in preset {
+                assert_eq!(sparse.element(cell), bytes, "{what}: preset {cell} was written");
             }
             assert_eq!(
                 Twin::image(&mut self.sparse),
@@ -581,6 +590,130 @@ mod tests {
                             assert_eq!(after.element(layout.data_cells()[ord]), bytes, "{what}");
                         }
                         model = after;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `ordered_parities` before its bitmap: every chain member checked
+    /// against the pending list. Kept as the reference for emission order.
+    fn scanning_ordered_parities(layout: &Layout, parities: &[Cell]) -> Vec<Cell> {
+        let mut pending: Vec<Cell> = parities.to_vec();
+        let mut ordered = Vec::with_capacity(pending.len());
+        while !pending.is_empty() {
+            let mut progressed = false;
+            let mut next = Vec::new();
+            for &p in &pending {
+                let chain = layout.chain(layout.chain_of_parity(p).expect("parity owns chain"));
+                if chain.members.iter().any(|m| pending.contains(m) && *m != p) {
+                    next.push(p);
+                } else {
+                    ordered.push(p);
+                    progressed = true;
+                }
+            }
+            assert!(progressed, "cyclic parity dependency during write");
+            pending = next;
+        }
+        ordered
+    }
+
+    /// `stripe_write_op` before its lowering turned linear: the scanning
+    /// parity order and one `Vec` of sources per parity. The write plan
+    /// and its cost come from `raid-core`, which `planner_invariants`
+    /// holds to its own scanning references.
+    fn scanning_stripe_write_op(
+        layout: &Layout,
+        dirty: &[usize],
+        is_clean: impl Fn(usize) -> bool,
+        addr: &impl Fn(Cell) -> DiskAddr,
+    ) -> StripeWrite {
+        let rows = layout.rows();
+        let up = |c: Cell| Cell::new(c.row + rows, c.col);
+        let plan = plan_batched_write(layout, dirty);
+        let cost = write_cost(layout, &plan);
+        let mut fills: Vec<(usize, Cell)> = Vec::new();
+        let mut reconstruct_reads: Vec<Cell> = Vec::new();
+        for &c in &cost.reconstruct_reads {
+            match layout.data_ordinal(c) {
+                Some(ord) if is_clean(ord) => fills.push((ord, c)),
+                _ => reconstruct_reads.push(c),
+            }
+        }
+        let mode = if cost.reconstruct_reads.is_empty() {
+            WriteMode::FullStripe
+        } else if reconstruct_reads.len() < cost.rmw_reads.len() {
+            WriteMode::Reconstruct
+        } else {
+            WriteMode::Rmw
+        };
+        let reads = if mode == WriteMode::Rmw {
+            fills.clear();
+            &cost.rmw_reads
+        } else {
+            &reconstruct_reads
+        };
+        let touched = |m: &Cell| plan.data_writes.contains(m) || plan.parity_writes.contains(m);
+        let steps: Vec<(Cell, Vec<Cell>)> = scanning_ordered_parities(layout, &plan.parity_writes)
+            .into_iter()
+            .map(|p| {
+                let chain = layout.chain(layout.chain_of_parity(p).expect("parity owns chain"));
+                let mut srcs = Vec::new();
+                match mode {
+                    WriteMode::Rmw => {
+                        srcs.push(p);
+                        for m in &chain.members {
+                            if touched(m) {
+                                srcs.push(*m);
+                                srcs.push(up(*m));
+                            }
+                        }
+                    }
+                    WriteMode::Reconstruct | WriteMode::FullStripe => {
+                        for m in &chain.members {
+                            srcs.push(if touched(m) { up(*m) } else { *m });
+                        }
+                    }
+                }
+                (up(p), srcs)
+            })
+            .collect();
+        let at = |c: Cell| (up(c), addr(c));
+        let op = LoweredOp {
+            reads: addressed(reads, addr),
+            plan: Some(XorPlan::from_steps(
+                2 * rows,
+                layout.cols(),
+                steps.iter().map(|(t, s)| (*t, s.as_slice())),
+            )),
+            data_writes: plan.data_writes.iter().map(|&c| at(c)).collect(),
+            parity_writes: plan.parity_writes.iter().map(|&c| at(c)).collect(),
+        };
+        StripeWrite { op, fills }
+    }
+
+    #[test]
+    fn stripe_write_op_is_the_scanning_lowering_element_for_element() {
+        for p in [5usize, 7, 13] {
+            for code in registry(p) {
+                let layout = code.layout();
+                let addressing = Addressing::new(layout.num_data_cells(), layout.cols(), true);
+                let addr = |c| cell_addr(&addressing, layout.rows(), STRIPES - 1, c);
+                for dirty in dirty_sets(layout.num_data_cells()) {
+                    for rest_clean in [false, true] {
+                        let what = format!("{} p={p} clean={rest_clean} {dirty:?}", code.name());
+                        let is_clean = |ord| rest_clean && dirty.binary_search(&ord).is_err();
+                        let got = stripe_write_op(layout, &dirty, is_clean, &addr);
+                        let want = scanning_stripe_write_op(layout, &dirty, is_clean, &addr);
+                        assert_eq!(got.fills, want.fills, "{what}");
+                        assert_eq!(got.op.reads, want.op.reads, "{what}");
+                        assert_eq!(got.op.data_writes, want.op.data_writes, "{what}");
+                        assert_eq!(got.op.parity_writes, want.op.parity_writes, "{what}");
+                        let steps = |w: &StripeWrite| {
+                            w.op.plan.as_ref().map(|plan| plan.steps().collect::<Vec<_>>())
+                        };
+                        assert_eq!(steps(&got), steps(&want), "{what}");
                     }
                 }
             }

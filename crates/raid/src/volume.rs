@@ -17,6 +17,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskError};
+use raid_core::bitset::BitSet;
 use raid_core::io::{IoLedger, LedgerShard, RequestSet};
 use raid_core::{ArrayCode, Cell, Stripe};
 
@@ -180,6 +181,62 @@ struct RebuildScratch {
     failed_cols: Vec<usize>,
     write_cols: BTreeSet<usize>,
     cells: Stripe,
+}
+
+/// What a stripe store writes — the new bytes of its dirty ordinals —
+/// and, from a cache entry, the clean old values it may use in place of
+/// disk reads. [`RaidVolume::store_stripe`] moves each into its scratch
+/// cell ([`Dirty::lend`]): the entry's own slot, or a copy of the
+/// caller's bytes made only once the op is lowered and the scratch cut —
+/// made before the lowering's small allocations, the copies fragmented
+/// the heap (+7 MiB peak RSS rewriting 64 KiB-element stripes).
+enum Dirty<'a> {
+    /// An uncached write: the stripe's elements from ordinal `start` on.
+    Caller { start: usize, bytes: &'a [u8], element_size: usize },
+    /// A flush: the cache entry's dirty slots, its clean ones offered.
+    Cache(&'a mut StripeEntry),
+}
+
+impl Dirty<'_> {
+    /// The dirty ordinals, ascending.
+    fn ordinals(&self) -> Vec<usize> {
+        match self {
+            Dirty::Caller { start, bytes, element_size } => {
+                (*start..start + bytes.len() / element_size).collect()
+            }
+            Dirty::Cache(entry) => entry.dirty_ordinals(),
+        }
+    }
+
+    /// True if the old value of `ord` is held clean — a disk read saved.
+    fn is_clean(&self, ord: usize) -> bool {
+        matches!(self, Dirty::Cache(entry) if entry.is_clean(ord))
+    }
+
+    /// The bytes of `ord`: new if it is dirty, old if it is clean.
+    fn element(&self, ord: usize) -> &[u8] {
+        match self {
+            Dirty::Caller { start, bytes, element_size } => {
+                &bytes[(ord - start) * element_size..][..*element_size]
+            }
+            Dirty::Cache(entry) => entry.element(ord),
+        }
+    }
+
+    /// The bytes of `ord` as a buffer of their own, for a scratch cell.
+    fn lend(&mut self, ord: usize) -> Vec<u8> {
+        match self {
+            Dirty::Caller { .. } => self.element(ord).to_vec(),
+            Dirty::Cache(entry) => entry.lend(ord),
+        }
+    }
+
+    /// Takes back what [`Dirty::lend`] gave: a slot returns to its entry.
+    fn give_back(&mut self, ord: usize, buf: Vec<u8>) {
+        if let Dirty::Cache(entry) = self {
+            entry.give_back(ord, buf);
+        }
+    }
 }
 
 impl fmt::Debug for RaidVolume {
@@ -906,10 +963,22 @@ impl RaidVolume {
             return Err(VolumeError::SpareExhausted { failed: self.failed.len(), spares: 0 });
         }
         self.pipeline.begin_op();
-        if self.cache.is_some() {
-            return self.write_cached(start, len, data);
+        if let Some(receipt) = self.with_cache(|v, cache| v.write_cached(cache, start, len, data)) {
+            return receipt;
         }
         self.with_recovery(|v| v.try_write(start, len, data))
+    }
+
+    /// Runs `f` with the stripe cache moved out of the volume and lent to
+    /// it, and moves it back when `f` returns; `None` without a cache. The
+    /// one way the cache is borrowed beside the volume: while `f` runs,
+    /// `self.cache` is empty, and nothing a cached write or flush reaches —
+    /// the store, the recovery policy, the rebuild kickoff — consults it.
+    fn with_cache<T>(&mut self, f: impl FnOnce(&mut Self, &mut StripeCache) -> T) -> Option<T> {
+        let mut cache = self.cache.take()?;
+        let out = f(self, &mut cache);
+        self.cache = Some(cache);
+        Some(out)
     }
 
     /// Runs `attempt` under the health policy: a backend error goes
@@ -936,7 +1005,7 @@ impl RaidVolume {
     }
 
     /// One uncached write attempt: each touched stripe stores its segment
-    /// straight from the caller's buffer.
+    /// from the caller's buffer.
     fn try_write(
         &mut self,
         start: usize,
@@ -949,51 +1018,60 @@ impl RaidVolume {
         for seg in self.addressing.split(start, len) {
             let (bytes, tail) = rest.split_at(seg.len * es);
             rest = tail;
-            let dirty: Vec<(usize, &[u8])> = (seg.start..).zip(bytes.chunks_exact(es)).collect();
-            self.store_stripe(seg.stripe, &dirty, |_| None, &mut receipt)?;
+            let dirty = Dirty::Caller { start: seg.start, bytes, element_size: es };
+            self.store_stripe(seg.stripe, dirty, &mut receipt)?;
         }
         Ok(receipt)
     }
 
-    /// Stores the `dirty` `(ordinal, new bytes)` elements (ascending) of
-    /// one stripe — the one write lowering behind both
-    /// [`RaidVolume::write`] and the cache flush. On a healthy array it
-    /// is a single journal-atomic op: the cheaper of
+    /// Stores the `dirty` elements of one stripe — the one store path
+    /// behind both [`RaidVolume::write`] and the cache flush. On a healthy
+    /// array it is a single journal-atomic op: the cheaper of
     /// read-modify-write and reconstruct-write, or a read-free full-stripe
     /// write, over a double-height scratch (old values below, new above);
-    /// old values `clean` holds are preset (cache hits) instead of read.
-    /// Otherwise: decode the stripe from its survivors, patch, re-encode,
-    /// rewrite the surviving columns in one op.
-    fn store_stripe<'a>(
+    /// old values `dirty` holds clean are its fills (cache hits) instead
+    /// of reads.
+    ///
+    /// The scratch is the op's footprint — 6 cells for a single-element
+    /// update, the upper half for a full-stripe write — and of it only the
+    /// cells the op reads or computes are allocated. The dirty cells and
+    /// the fills are moved in whole ([`Dirty::lend`]) and the lent slots
+    /// of a cache entry given back on every path, `Err` included, so a
+    /// retry re-plans over an intact entry. The op only reads them: the
+    /// lowering never lands a read in, or targets a plan step at, a dirty
+    /// or fill cell.
+    ///
+    /// Otherwise: decode the stripe from its survivors onto a dense
+    /// scratch, patch, re-encode, rewrite the surviving columns in one op.
+    fn store_stripe(
         &mut self,
         stripe: usize,
-        dirty: &[(usize, &[u8])],
-        clean: impl Fn(usize) -> Option<&'a [u8]>,
+        mut dirty: Dirty<'_>,
         receipt: &mut IoLedger,
     ) -> Result<(), VolumeError> {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
         let addr = self.addr_fn(stripe);
-        let ordinals: Vec<usize> = dirty.iter().map(|&(ord, _)| ord).collect();
+        let ordinals = dirty.ordinals();
 
         if self.failed.is_empty() {
             let lower::StripeWrite { op, fills } =
-                lower::stripe_write_op(layout, &ordinals, |ord| clean(ord).is_some(), &addr);
-            // Lowered first, because the scratch is the op's footprint: 6
-            // cells for a single-element update, the upper half for a
-            // full-stripe write. At 64 KiB elements that write took
-            // 6.3–7.3 ms over the whole double-height grid, allocated
-            // before or after the lowering alike, and 4.1–5.4 ms over this
-            // half of it (measured, 8 alternating rounds).
-            let mut scratch =
-                Stripe::sparse(2 * layout.rows(), layout.cols(), self.element_size, op.footprint());
-            for (&(cell, _), &(_, bytes)) in op.data_writes.iter().zip(dirty) {
-                scratch.set_element(cell, bytes);
+                lower::stripe_write_op(layout, &ordinals, |ord| dirty.is_clean(ord), &addr);
+            let written =
+                ordinals.iter().zip(&op.data_writes).map(|(&ord, &(cell, _))| (ord, cell));
+            let lent: Vec<(usize, Cell)> = written.chain(fills.iter().copied()).collect();
+            let (rows, cols) = (2 * layout.rows(), layout.cols());
+            let is_lent: BitSet = lent.iter().map(|&(_, cell)| cell.index(cols)).collect();
+            let computed = op.footprint().filter(|cell| !is_lent.contains(cell.index(cols)));
+            let mut scratch = Stripe::sparse(rows, cols, self.element_size, computed);
+            for &(ord, cell) in &lent {
+                scratch.put_element(cell, dirty.lend(ord));
             }
-            for &(ord, cell) in &fills {
-                scratch.set_element(cell, clean(ord).expect("fills are clean-resident"));
+            let stored = self.pipeline.execute(&op, &mut scratch);
+            for &(ord, cell) in &lent {
+                dirty.give_back(ord, scratch.take_element(cell));
             }
-            receipt.absorb(&self.pipeline.execute(&op, &mut scratch)?);
+            receipt.absorb(&stored?);
             self.pipeline.ledger_mut().note_cache_hits(fills.len() as u64);
             receipt.note_cache_hits(fills.len() as u64);
             return Ok(());
@@ -1008,8 +1086,8 @@ impl RaidVolume {
         let mut scratch = Stripe::for_layout(layout, self.element_size);
         receipt.absorb(&self.pipeline.execute(&fetch, &mut scratch)?);
         let cells: Vec<Cell> = ordinals.iter().map(|&ord| layout.data_cells()[ord]).collect();
-        for (&cell, &(_, bytes)) in cells.iter().zip(dirty) {
-            scratch.set_element(cell, bytes);
+        for (&cell, &ord) in cells.iter().zip(&ordinals) {
+            scratch.set_element(cell, dirty.element(ord));
         }
         let store = lower::encode_store_op(layout, &failed_cols, &cells, &addr);
         receipt.absorb(&self.pipeline.execute(&store, &mut scratch)?);
@@ -1022,33 +1100,29 @@ impl RaidVolume {
     /// holds only the I/O the policy actually issued.
     fn write_cached(
         &mut self,
+        cache: &mut StripeCache,
         start: usize,
         len: usize,
         data: &[u8],
     ) -> Result<IoLedger, VolumeError> {
-        let mut offset = 0usize;
+        let es = self.element_size;
+        let mut rest = data;
         for seg in self.addressing.split(start, len) {
-            let cache = self.cache.as_mut().expect("cached write needs a cache");
+            let (bytes, tail) = rest.split_at(seg.len * es);
+            rest = tail;
             let entry = cache.ensure(seg.stripe);
-            for k in 0..seg.len {
-                let at = (offset + k) * self.element_size;
-                entry.write(seg.start + k, &data[at..at + self.element_size]);
+            for (ord, element) in (seg.start..).zip(bytes.chunks_exact(es)) {
+                entry.write(ord, element);
             }
-            offset += seg.len;
         }
 
         let mut receipt = IoLedger::new(self.disks());
-        let high_water = self.cache.as_ref().expect("cache enabled").config().dirty_high_water;
-        while self.cache.as_ref().expect("cache enabled").dirty_count() > high_water {
-            let stripe = self
-                .cache
-                .as_ref()
-                .expect("cache enabled")
-                .oldest_dirty()
-                .expect("dirty_count > 0 implies a dirty stripe");
-            receipt.merge(&self.flush_stripe(stripe)?);
+        let high_water = cache.config().dirty_high_water;
+        while cache.dirty_count() > high_water {
+            let Some(stripe) = cache.oldest_dirty() else { break };
+            receipt.merge(&self.flush_stripe(cache, stripe)?);
         }
-        receipt.merge(&self.enforce_cache_budget()?);
+        receipt.merge(&self.enforce_cache_budget(cache)?);
         self.health.note_op_ok();
         Ok(receipt)
     }
@@ -1056,25 +1130,19 @@ impl RaidVolume {
     /// Evicts least-recently-used entries until the cache fits its
     /// memory budget, preferring clean entries (free) and flushing dirty
     /// ones first when nothing clean is left.
-    fn enforce_cache_budget(&mut self) -> Result<IoLedger, VolumeError> {
+    fn enforce_cache_budget(&mut self, cache: &mut StripeCache) -> Result<IoLedger, VolumeError> {
         let mut receipt = IoLedger::new(self.disks());
-        loop {
-            let cache = self.cache.as_ref().expect("cache enabled");
-            if cache.len() <= cache.config().max_stripes {
-                return Ok(receipt);
+        let max_stripes = cache.config().max_stripes;
+        while cache.len() > max_stripes {
+            let Some(victim) = cache.oldest_clean().or_else(|| cache.oldest()) else { break };
+            if cache.get(victim).is_some_and(StripeEntry::is_dirty) {
+                receipt.merge(&self.flush_stripe(cache, victim)?);
             }
-            let victim = match cache.oldest_clean() {
-                Some(s) => s,
-                None => {
-                    let s = cache.oldest().expect("over budget implies entries");
-                    receipt.merge(&self.flush_stripe(s)?);
-                    s
-                }
-            };
-            self.cache.as_mut().expect("cache enabled").remove(victim);
+            cache.remove(victim);
             self.pipeline.ledger_mut().note_cache_eviction();
             receipt.note_cache_eviction();
         }
+        Ok(receipt)
     }
 
     /// Flushes every dirty stripe as one coalesced op each — the explicit
@@ -1086,16 +1154,17 @@ impl RaidVolume {
     /// Returns [`VolumeError`] if a flush cannot be served; the affected
     /// stripe's dirty data stays in the cache for a later retry.
     pub fn flush(&mut self) -> Result<IoLedger, VolumeError> {
-        if self.cache.is_none() {
-            return Ok(IoLedger::new(self.disks()));
-        }
-        self.pipeline.begin_op();
-        let map = self.partition_map();
-        let mut shards = Vec::with_capacity(map.len());
-        for part in 0..map.len() {
-            shards.push(self.flush_partition_shard(&map, part)?);
-        }
-        Ok(IoLedger::merge_shards(self.disks(), shards))
+        let disks = self.disks();
+        self.with_cache(|v, cache| {
+            v.pipeline.begin_op();
+            let map = v.partition_map();
+            let mut shards = Vec::with_capacity(map.len());
+            for part in 0..map.len() {
+                shards.push(v.flush_partition_shard(cache, &map, part)?);
+            }
+            Ok(IoLedger::merge_shards(disks, shards))
+        })
+        .unwrap_or_else(|| Ok(IoLedger::new(disks)))
     }
 
     /// Flushes only the dirty stripes owned by one partition of the
@@ -1112,14 +1181,14 @@ impl RaidVolume {
     ///
     /// Panics if `partition` is out of range for the current map.
     pub fn flush_partition(&mut self, partition: usize) -> Result<IoLedger, VolumeError> {
-        if self.cache.is_none() {
-            return Ok(IoLedger::new(self.disks()));
-        }
-        let map = self.partition_map();
-        assert!(partition < map.len(), "partition {partition} outside partition map");
-        self.pipeline.begin_op();
-        let shard = self.flush_partition_shard(&map, partition)?;
-        Ok(shard.into_ledger())
+        let disks = self.disks();
+        self.with_cache(|v, cache| {
+            let map = v.partition_map();
+            assert!(partition < map.len(), "partition {partition} outside partition map");
+            v.pipeline.begin_op();
+            Ok(v.flush_partition_shard(cache, &map, partition)?.into_ledger())
+        })
+        .unwrap_or_else(|| Ok(IoLedger::new(disks)))
     }
 
     /// Flushes the dirty stripes one partition owns, accounting the I/O
@@ -1128,37 +1197,37 @@ impl RaidVolume {
     /// partition boundaries never splits a stripe's crash-atomic unit.
     fn flush_partition_shard(
         &mut self,
+        cache: &mut StripeCache,
         map: &PartitionMap,
         partition: usize,
     ) -> Result<LedgerShard, VolumeError> {
         let mut shard = LedgerShard::new(partition, self.disks());
-        let dirty = self.cache.as_ref().expect("cache enabled").dirty_stripes();
-        for stripe in dirty {
+        for stripe in cache.dirty_stripes() {
             if map.owner_of(stripe) != partition {
                 continue;
             }
-            shard.merge(&self.flush_stripe(stripe)?);
+            shard.merge(&self.flush_stripe(cache, stripe)?);
         }
         Ok(shard)
     }
 
     /// Flushes one stripe's dirty elements through [`Self::store_stripe`]
     /// — every dirty element of the stripe in one coalesced store, so
-    /// co-located elements share parity I/O — with the volume's standard
-    /// retry/recovery policy. On success the entry is marked clean and
-    /// stays resident; on error the dirty data is preserved in the cache.
-    fn flush_stripe(&mut self, stripe: usize) -> Result<IoLedger, VolumeError> {
+    /// co-located elements share parity I/O, running on the entry's own
+    /// slots — with the volume's standard retry/recovery policy. On
+    /// success the entry is marked clean and stays resident; on error the
+    /// dirty data is preserved in the cache.
+    fn flush_stripe(
+        &mut self,
+        cache: &mut StripeCache,
+        stripe: usize,
+    ) -> Result<IoLedger, VolumeError> {
         let mut result = Ok(IoLedger::new(self.disks()));
-        let Some(mut entry) = self.cache.as_mut().expect("cache enabled").take(stripe) else {
-            return result;
-        };
+        let Some(mut entry) = cache.take(stripe) else { return result };
         if entry.is_dirty() {
-            let dirty: Vec<(usize, &[u8])> =
-                entry.dirty_ordinals().into_iter().map(|ord| (ord, entry.element(ord))).collect();
-            let clean = |ord| entry.is_clean(ord).then(|| entry.element(ord));
             result = self.with_recovery(|v| {
                 let mut receipt = IoLedger::new(v.disks());
-                v.store_stripe(stripe, &dirty, clean, &mut receipt)?;
+                v.store_stripe(stripe, Dirty::Cache(&mut entry), &mut receipt)?;
                 Ok(receipt)
             });
             if let Ok(receipt) = &mut result {
@@ -1167,7 +1236,7 @@ impl RaidVolume {
                 receipt.note_cache_flush();
             }
         }
-        self.cache.as_mut().expect("cache enabled").put_back(stripe, entry);
+        cache.put_back(stripe, entry);
         result
     }
 
@@ -1235,7 +1304,9 @@ impl RaidVolume {
             self.pipeline.ledger_mut().note_cache_misses(misses);
             receipt.note_cache_hits(hits);
             receipt.note_cache_misses(misses);
-            receipt.merge(&self.enforce_cache_budget()?);
+            if let Some(evicted) = self.with_cache(Self::enforce_cache_budget) {
+                receipt.merge(&evicted?);
+            }
         }
         Ok((out, receipt))
     }

@@ -8,6 +8,12 @@
 //! given, not the stripe's 120 (480 KiB), so a cold write, a read miss
 //! and an eviction-per-op trace cost the op's own bytes.
 //!
+//! Of what a store zero-fills: only the cells its op reads or computes.
+//! A flush runs on the cache entry's own dirty and clean-resident slots,
+//! and an uncached write on one copy of the caller's bytes. The counting
+//! allocator totals the bytes requested through `alloc_zeroed` on their
+//! own, so a copy and a zero-fill-then-copy no longer count the same.
+//!
 //! Of the read side: a read that misses every failed column allocates
 //! its output and lands the backend's bytes there, and one that must
 //! reconstruct allocates the cells its plan fetches and rebuilds, not the
@@ -22,29 +28,33 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hv_code::HvCode;
 use integration::{payload, ServedSocket};
 use raid_array::{CacheConfig, RaidVolume};
 use raid_service::{proto, Service, ServiceConfig, TenantClass};
 
-/// `System`, counting the calling thread's allocation calls and requested
-/// bytes (a `realloc` counts as one call of its new size). Per thread, so
-/// the harness running tests side by side does not blur the counts.
+/// `System`, counting the calling thread's allocation calls, requested
+/// bytes (a `realloc` counts as one call of its new size) and, of those,
+/// the bytes requested zero-filled. Per thread, so threads the op does
+/// not run on do not blur the counts.
 struct Counting;
 
 thread_local! {
-    static CALLS_AND_BYTES: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    static CALLS_BYTES_ZEROED: Cell<(usize, usize, usize)> = const { Cell::new((0, 0, 0)) };
 }
 
 /// Requested bytes of every thread together, for the one test whose
 /// subject — a server's connection thread — is not the calling thread.
 static ALL_THREADS_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-fn count(bytes: usize) {
+fn count(bytes: usize, zeroed: usize) {
     // `try_with`: the allocator also runs while a thread tears down.
-    let _ = CALLS_AND_BYTES.try_with(|c| c.set((c.get().0 + 1, c.get().1 + bytes)));
+    let _ = CALLS_BYTES_ZEROED.try_with(|c| {
+        let (calls, requested, zero_filled) = c.get();
+        c.set((calls + 1, requested + bytes, zero_filled + zeroed));
+    });
     ALL_THREADS_BYTES.fetch_add(bytes, Ordering::Relaxed);
 }
 
@@ -52,17 +62,17 @@ fn count(bytes: usize) {
 // upholds the `GlobalAlloc` contract; counting touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(new_size, 0);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -74,12 +84,27 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// The tests here run one at a time, each holding this for its whole
+/// body: `a_socket_write_…` counts every thread's allocations, and a
+/// neighbour allocating beside all five of its goes blurred the count.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `(calls, bytes, zero-filled bytes)` this thread allocated while `op` ran.
+fn counted(op: impl FnOnce()) -> (usize, usize, usize) {
+    let before = CALLS_BYTES_ZEROED.get();
+    op();
+    let after = CALLS_BYTES_ZEROED.get();
+    (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+}
+
 /// `(calls, bytes)` this thread allocated while `op` ran.
 fn allocated(op: impl FnOnce()) -> (usize, usize) {
-    let before = CALLS_AND_BYTES.get();
-    op();
-    let after = CALLS_AND_BYTES.get();
-    (after.0 - before.0, after.1 - before.1)
+    let (calls, bytes, _) = counted(op);
+    (calls, bytes)
 }
 
 const P: usize = 13;
@@ -101,6 +126,7 @@ fn volume_of(stripes: usize) -> RaidVolume {
 
 #[test]
 fn single_element_write_allocates_its_six_cells_not_the_grid() {
+    let _alone = alone();
     let mut v = volume();
     let data = payload(ELEMENT, 1);
     v.write(7, &data).unwrap(); // warms the pre-image pool
@@ -111,6 +137,7 @@ fn single_element_write_allocates_its_six_cells_not_the_grid() {
 
 #[test]
 fn full_stripe_write_allocates_one_stripe_not_two() {
+    let _alone = alone();
     let mut v = volume();
     let per_stripe = v.data_elements() / STRIPES;
     let data = payload(per_stripe * ELEMENT, 2);
@@ -120,8 +147,42 @@ fn full_stripe_write_allocates_one_stripe_not_two() {
     assert_eq!(v.read(per_stripe, per_stripe).unwrap().0, data);
 }
 
+/// What a store may zero-fill beyond the cells its op reads or computes:
+/// the lowering's bitmaps.
+///
+/// The store budgets (parent `46cef8e`, every footprint cell zero-filled
+/// and the new bytes copied into it → this layout, where the dirty and
+/// clean-resident cells are the cache's own slots or one copy of the
+/// caller's bytes; debug build, bytes requested / of them zero-filled):
+///
+/// | case                                    | parent            | change            |
+/// |-----------------------------------------|-------------------|-------------------|
+/// | (k) flush: 40 dirty + 40 clean-resident | 605 936 / 559 432 | 270 480 / 231 816 |
+/// | (l) uncached full-stripe write          | 664 348 / 591 048 | 645 692 / 99 592  |
+///
+/// (k) may request 56 elements + 48 KiB and zero-fill 56 + `ZERO_FILL`:
+/// its 40 reads and 16 parities. (l) may zero-fill its 24 parities +
+/// `ZERO_FILL`, and requests what it did: the copy of the caller's
+/// stripe replaces the zero-filled one. Both fail on the parent.
+const ZERO_FILL: usize = 4 * 1024;
+
+#[test]
+fn full_stripe_write_zero_fills_its_parities_not_its_data() {
+    let _alone = alone();
+    let mut v = volume();
+    let per_stripe = v.data_elements() / STRIPES;
+    let data = payload(per_stripe * ELEMENT, 2);
+    v.write(0, &data).unwrap(); // warms the pre-image pool
+    let (calls, bytes, zeroed) = counted(|| drop(v.write(per_stripe, &data).unwrap()));
+    let parities = GRID / ELEMENT - per_stripe;
+    let what = format!("(l) {bytes} bytes in {calls} calls, {zeroed} zero-filled");
+    assert!(zeroed <= parities * ELEMENT + ZERO_FILL, "{what}");
+    assert_eq!(v.read(per_stripe, per_stripe).unwrap().0, data);
+}
+
 #[test]
 fn flush_of_one_dirty_element_stays_within_the_single_element_budget() {
+    let _alone = alone();
     let mut v = volume();
     let data = payload(ELEMENT, 3);
     v.write(7, &data).unwrap(); // warms the pre-image pool
@@ -160,6 +221,7 @@ fn cached_volume(stripes: usize) -> RaidVolume {
 
 #[test]
 fn cached_write_into_a_cold_stripe_allocates_its_element_not_the_stripe() {
+    let _alone = alone();
     let mut v = cached_volume(STRIPES);
     let data = payload(ELEMENT, 7);
     let (_, bytes) = allocated(|| drop(v.write(130, &data).unwrap()));
@@ -169,6 +231,7 @@ fn cached_write_into_a_cold_stripe_allocates_its_element_not_the_stripe() {
 
 #[test]
 fn cached_read_miss_allocates_one_element_more_than_the_uncached_read() {
+    let _alone = alone();
     let (mut v, mut plain) = (cached_volume(STRIPES), volume());
     let (_, uncached) = allocated(|| drop(plain.read(250, 1).unwrap()));
     let (_, miss) = allocated(|| drop(v.read(250, 1).unwrap()));
@@ -179,6 +242,7 @@ fn cached_read_miss_allocates_one_element_more_than_the_uncached_read() {
 
 #[test]
 fn resident_read_allocates_its_output_and_no_other_element() {
+    let _alone = alone();
     let mut v = cached_volume(STRIPES);
     v.write(130, &payload(ELEMENT, 7)).unwrap();
     v.read(130, 4).unwrap(); // one dirty, three filled clean
@@ -189,6 +253,7 @@ fn resident_read_allocates_its_output_and_no_other_element() {
 
 #[test]
 fn a_write_trace_twice_the_cache_pays_a_small_flush_and_a_small_entry_per_op() {
+    let _alone = alone();
     // (d) Round-robin over twice the budget: past the first 64, every
     // write finds its stripe evicted, flushes the oldest dirty stripe
     // (one element: `SMALL_OP`) and creates a new one-element entry.
@@ -206,6 +271,28 @@ fn a_write_trace_twice_the_cache_pays_a_small_flush_and_a_small_entry_per_op() {
     let evictions = v.ledger().cache_evictions() as usize;
     assert_eq!(evictions, OPS - cfg.max_stripes, "every write past the budget evicts");
     assert_eq!(v.ledger().cache_flushes() as usize, OPS - cfg.dirty_high_water);
+}
+
+#[test]
+fn a_flush_zero_fills_what_it_reads_and_computes_not_what_the_cache_holds() {
+    let _alone = alone();
+    let mut v = volume();
+    let per_stripe = v.data_elements() / STRIPES;
+    v.write(0, &payload(per_stripe * ELEMENT, 13)).unwrap(); // warms the pre-image pool
+    v.enable_cache(CacheConfig::default());
+    let dirty = payload(40 * ELEMENT, 14);
+    v.write(per_stripe + 20, &dirty).unwrap();
+    v.read(per_stripe + 60, 40).unwrap(); // read through: 40 clean-resident
+    let mut flushed = None;
+    let (calls, bytes, zeroed) = counted(|| flushed = Some(v.flush().unwrap()));
+    let receipt = flushed.unwrap();
+    let io = (receipt.total_reads(), receipt.total_writes(), receipt.cache_hits());
+    assert_eq!(io, (40, 56, 40), "(k) reads, writes, hits");
+    let what = format!("(k) {bytes} bytes in {calls} calls, {zeroed} zero-filled");
+    assert!(bytes <= 56 * ELEMENT + 48 * 1024 && zeroed <= 56 * ELEMENT + ZERO_FILL, "{what}");
+    assert_eq!(v.cache_dirty_stripes(), 0);
+    assert_eq!(v.read(per_stripe + 20, 40).unwrap().0, dirty);
+    assert!(v.verify_all());
 }
 
 /// What a read that reconstructs nothing may request on top of its
@@ -250,6 +337,7 @@ const RECONSTRUCTING_READ: usize = 112 * 1024;
 
 #[test]
 fn healthy_single_element_read_allocates_its_output_not_a_stripe() {
+    let _alone = alone();
     let mut v = volume();
     let (_, bytes) = allocated(|| drop(v.read(250, 1).unwrap()));
     assert!(bytes <= ELEMENT + PLAIN_READ, "(e) {bytes} bytes for a healthy 1-element read");
@@ -257,6 +345,7 @@ fn healthy_single_element_read_allocates_its_output_not_a_stripe() {
 
 #[test]
 fn healthy_full_stripe_read_allocates_its_output_once() {
+    let _alone = alone();
     let mut v = volume();
     let per_stripe = v.data_elements() / STRIPES;
     let data = payload(per_stripe * ELEMENT, 9);
@@ -281,6 +370,7 @@ fn reads_off_and_onto_disk_3(v: &RaidVolume) -> (usize, usize) {
 
 #[test]
 fn degraded_read_off_the_failed_disk_is_plain_and_onto_it_allocates_a_footprint() {
+    let _alone = alone();
     let mut v = volume();
     let data = payload(v.data_elements() * ELEMENT, 10);
     v.write(0, &data).unwrap();
@@ -296,6 +386,7 @@ fn degraded_read_off_the_failed_disk_is_plain_and_onto_it_allocates_a_footprint(
 
 #[test]
 fn doubly_degraded_read_stays_under_half_the_grid() {
+    let _alone = alone();
     let mut v = volume();
     let data = payload(v.data_elements() * ELEMENT, 11);
     v.write(0, &data).unwrap();
@@ -310,6 +401,7 @@ fn doubly_degraded_read_stays_under_half_the_grid() {
 
 #[test]
 fn rebuild_allocates_one_footprint_for_the_step_not_a_grid_per_stripe() {
+    let _alone = alone();
     const REBUILT: usize = 8;
     let mut v = volume_of(REBUILT);
     let data = payload(v.data_elements() * ELEMENT, 12);
@@ -325,6 +417,7 @@ const PAYLOAD: usize = 4 * ELEMENT;
 
 #[test]
 fn parsing_a_write_line_allocates_the_decoded_payload_and_little_else() {
+    let _alone = alone();
     let data = payload(PAYLOAD, 4);
     let line = format!("WRITE 1234 {}", proto::to_hex(&data));
     let mut parsed = None;
@@ -337,6 +430,7 @@ fn parsing_a_write_line_allocates_the_decoded_payload_and_little_else() {
 
 #[test]
 fn rendering_a_read_reply_into_a_warm_buffer_allocates_nothing() {
+    let _alone = alone();
     let data = payload(PAYLOAD, 5);
     let mut reply = Vec::new();
     proto::push_data_reply(&mut reply, &data); // the connection's first READ sizes it
@@ -345,8 +439,8 @@ fn rendering_a_read_reply_into_a_warm_buffer_allocates_nothing() {
     assert_eq!(reply.strip_prefix(b"OK data "), Some(proto::to_hex(&data).as_bytes()));
 }
 
-/// What one `op` allocates on all threads together: the least of five
-/// goes, so another test allocating beside one of them does not count.
+/// What one `op` allocates on all threads together, the least of five
+/// goes.
 fn allocated_by_all_threads(mut op: impl FnMut()) -> usize {
     (0..5)
         .map(|_| {
@@ -360,6 +454,7 @@ fn allocated_by_all_threads(mut op: impl FnMut()) -> usize {
 
 #[test]
 fn a_socket_write_allocates_no_more_than_a_handle_write() {
+    let _alone = alone();
     let svc = Service::new(volume(), ServiceConfig::default());
     let data = payload(PAYLOAD, 6);
     let request = format!("WRITE 128 {}\n", proto::to_hex(&data));

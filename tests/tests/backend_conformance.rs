@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use integration::{all_codes, payload};
 use raid_array::{
-    lower, DiskAddr, DiskBackend, Fault, FaultPoint, FaultyBackend, FileBackend, MemBackend,
-    RaidVolume,
+    lower, CacheConfig, DiskAddr, DiskBackend, Fault, FaultPoint, FaultyBackend, FileBackend,
+    MemBackend, RaidVolume, VolumeError,
 };
 use raid_core::ArrayCode;
 
@@ -269,6 +269,133 @@ fn a_fault_at_the_fourth_read_of_a_reconstructing_read_returns_the_right_bytes_o
         assert_eq!((receipt.total_reads(), v.ledger().total() - before), committed, "{name}");
         assert_eq!(v.failed_disks().len(), 1 + usize::from(name == "disk death"), "{name}");
     }
+}
+
+/// A cached flush runs on the cache entry's own slots, lent to the
+/// store's scratch, so they must come home on every path. HV p = 13,
+/// three stripes of (dirty, clean-resident) elements — 60 + 20, 10 + 20,
+/// 30 scattered + 15 — and a fault aimed at the `k`-th backend op of
+/// `flush()`, `k` in the first stripe's read, pre-image and write phase:
+/// a latent sector on op `k`'s element, a transient on its disk (failing
+/// that disk's next read, which may come sooner), its disk dying as op
+/// `k` is issued. After each: every element reads back as the model, the
+/// volume verifies once rebuilt, and the failed disks, the cache's
+/// `(dirty stripes, resident elements)`, the receipt's `(reads, writes,
+/// hits)` and the ledger growth are what `46cef8e`, which copied the
+/// slots into its scratch, reported for the same schedule.
+#[test]
+fn a_fault_anywhere_in_a_cached_flush_hands_every_lent_slot_back() {
+    const CACHED: usize = 3;
+    let code = all_codes(13).remove(0);
+    let layout = code.layout();
+    let per = layout.num_data_cells();
+    let data = payload(CACHED * per * ELEMENT, 41);
+    let sets: [(Vec<usize>, std::ops::Range<usize>); CACHED] = [
+        ((20..80).collect(), 80..100),
+        ((10..20).collect(), 40..60),
+        ((0..90).step_by(3).collect(), 100..115),
+    ];
+    let mut model = data.clone();
+    for (stripe, (dirty, _)) in sets.iter().enumerate() {
+        for &ord in dirty {
+            let at = (stripe * per + ord) * ELEMENT;
+            model[at..at + ELEMENT].copy_from_slice(&payload(ELEMENT, at as u64));
+        }
+    }
+    let element = |at: usize| &model[at * ELEMENT..(at + 1) * ELEMENT];
+    let cached = |schedule| {
+        let mut v = holding(&code, CACHED, false, &data, schedule);
+        v.enable_cache(CacheConfig::default());
+        for (stripe, (dirty, clean)) in sets.iter().enumerate() {
+            v.read(stripe * per + clean.start, clean.len()).unwrap();
+            for &ord in dirty {
+                v.write(stripe * per + ord, element(stripe * per + ord)).unwrap();
+            }
+        }
+        v
+    };
+    let reads_back = |v: &mut RaidVolume, what: &str| {
+        assert_eq!(v.read(0, CACHED * per).unwrap().0, model, "{what}: bytes");
+        v.rebuild().unwrap();
+        assert!(v.verify_all(), "{what}: parity");
+    };
+
+    let mut twin = cached(Vec::new());
+    let setup_ops = twin.backend_faulty_mut().unwrap().ops();
+    let (dirty, clean) = &sets[0];
+    let addr = |c| lower::cell_addr(twin.addressing(), layout.rows(), 0, c);
+    let op = lower::stripe_write_op(layout, dirty, |ord| clean.contains(&ord), &addr).op;
+    let targets: Vec<DiskAddr> =
+        op.data_writes.iter().chain(&op.parity_writes).map(|&(_, at)| at).collect();
+    let (r, w) = (op.reads.len(), targets.len());
+    assert!(r > 0 && w > 0, "stripe 0 must read and write");
+    // (phase, k counted from the flush's first op, op k's address)
+    let phases = [
+        ("read", r / 2 + 1, op.reads[r / 2].1),
+        ("pre-image", r + w / 2 + 1, targets[w / 2]),
+        ("write", r + w + w / 2 + 1, targets[w / 2]),
+    ];
+    twin.flush().unwrap();
+    reads_back(&mut twin, "fault-free");
+
+    let mut outcomes = Vec::new();
+    for (phase, k, DiskAddr { disk, index }) in phases {
+        let at_op = setup_ops + k as u64;
+        let cases = [
+            ("latent sector", Some(Fault::LatentSector { disk, index }), vec![]),
+            ("transient", Some(Fault::Transient { disk, ops: 1 }), vec![]),
+            ("disk death", None, vec![FaultPoint { at_op, disk }]),
+        ];
+        for (class, fault, schedule) in cases {
+            let what = format!("{class} at op {k} ({phase})");
+            let mut v = cached(schedule);
+            if let Some(fault) = fault {
+                v.backend_faulty_mut().unwrap().inject(fault);
+            }
+            let before = v.ledger().total();
+            let receipt = v.flush().unwrap();
+            outcomes.push((
+                v.failed_disks().len(),
+                (v.cache_dirty_stripes(), v.cache_resident_elements()),
+                (receipt.total_reads(), receipt.total_writes(), receipt.cache_hits()),
+                v.ledger().total() - before,
+            ));
+            reads_back(&mut v, &what);
+        }
+    }
+    // (failed disks, (dirty stripes, resident elements), (reads, writes,
+    // hits), ledger growth) per phase: latent sector, transient, death.
+    let parent = [
+        (0, (0, 155), (112, 150, 20), 406),
+        (0, (0, 155), (112, 150, 20), 262),
+        (1, (0, 155), (396, 157, 0), 553),
+        (0, (0, 155), (112, 150, 20), 262),
+        (0, (0, 155), (112, 150, 20), 262),
+        (1, (0, 155), (396, 160, 0), 556),
+        (0, (0, 155), (112, 150, 20), 262),
+        (0, (0, 155), (112, 150, 20), 262),
+        (1, (0, 155), (396, 160, 0), 556),
+    ];
+    assert_eq!(outcomes, parent);
+
+    // A crash at the first write leaves nothing written and the cache as
+    // it was: dirty set, resident bytes — and a later flush writes them.
+    let mut v = cached(Vec::new());
+    let resident = v.cache_resident_elements();
+    let first_write = setup_ops + (r + w + 1) as u64;
+    v.backend_faulty_mut().unwrap().inject(Fault::CrashAtOp { at_op: first_write });
+    assert_eq!(v.flush().map(drop), Err(VolumeError::Backend(disk_sim::DiskError::Crashed)));
+    assert_eq!((v.cache_dirty_stripes(), v.cache_resident_elements()), (CACHED, resident));
+    for (stripe, (dirty, clean)) in sets.iter().enumerate() {
+        for ord in dirty.iter().copied().chain(clean.clone()) {
+            let at = stripe * per + ord;
+            assert_eq!(v.read(at, 1).unwrap().0, element(at), "crash: element {at}");
+        }
+    }
+    v.backend_faulty_mut().unwrap().clear_crash();
+    v.flush().unwrap();
+    assert_eq!(v.cache_dirty_stripes(), 0);
+    reads_back(&mut v, "crash, then flush");
 }
 
 /// Rotation makes consecutive stripes lose different logical columns, so

@@ -1,7 +1,11 @@
 //! Planner invariants that must hold for every code: the generic machinery
 //! can make no code-specific assumptions.
 
+use std::collections::BTreeSet;
+
 use integration::{all_codes, payload};
+use raid_array::lower::{stripe_write_op, StripeWrite};
+use raid_array::DiskAddr;
 use raid_core::plan::degraded::plan_degraded_read;
 use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
 use raid_core::layout::Layout;
@@ -247,6 +251,54 @@ fn bitmap_write_planners_equal_the_scanning_ones_element_for_element() {
                 let bytes = payload(1 + round * 2 * n / 300, (p * 1_000 + round) as u64);
                 let dirty: Vec<usize> = bytes.iter().map(|&b| b as usize % n).collect();
                 check(&dirty);
+            }
+        }
+    }
+}
+
+/// A cache flush lends its dirty slots and clean-resident fills to the
+/// store's scratch as the op's `data_writes` and `fills` cells, so the op
+/// may only read them: no read lands in one and no plan step targets one.
+/// Every code at p ∈ {5, 7, 13}: every contiguous window (a coprime
+/// lattice of them when the stripe holds more than 40 elements) and
+/// seeded scattered sets, with the rest of the stripe clean-resident or
+/// not.
+#[test]
+fn a_stripe_write_only_reads_the_cells_its_caller_lends_it() {
+    let addr = |c: Cell| DiskAddr { disk: c.col, index: c.row };
+    for p in [5usize, 7, 13] {
+        for code in all_codes(p) {
+            let layout = code.layout();
+            let n = layout.num_data_cells();
+            let (start_step, len_step) = if n <= 40 { (1, 1) } else { (11, 17) };
+            let mut sets: Vec<Vec<usize>> = (0..n)
+                .step_by(start_step)
+                .flat_map(|start| {
+                    (1..=n - start).step_by(len_step).map(move |len| (start..start + len).collect())
+                })
+                .collect();
+            for round in 0..50 {
+                let bytes = payload(1 + round * n / 50, (p * 7_000 + round) as u64);
+                let set: BTreeSet<usize> = bytes.iter().map(|&b| b as usize % n).collect();
+                sets.push(set.into_iter().collect());
+            }
+            for dirty in sets {
+                for rest_clean in [false, true] {
+                    let what = format!("{} p={p} clean={rest_clean} {dirty:?}", code.name());
+                    let is_clean = |ord| rest_clean && dirty.binary_search(&ord).is_err();
+                    let StripeWrite { op, fills } =
+                        stripe_write_op(layout, &dirty, is_clean, &addr);
+                    let written = op.data_writes.iter().map(|&(cell, _)| cell);
+                    let lent: BTreeSet<Cell> =
+                        written.chain(fills.iter().map(|&(_, c)| c)).collect();
+                    assert_eq!(lent.len(), dirty.len() + fills.len(), "{what}: a cell lent twice");
+                    for &(cell, _) in &op.reads {
+                        assert!(!lent.contains(&cell), "{what}: a read lands in lent {cell}");
+                    }
+                    for cell in op.plan.as_ref().expect("a write computes parities").targets() {
+                        assert!(!lent.contains(&cell), "{what}: a step targets lent {cell}");
+                    }
+                }
             }
         }
     }
