@@ -944,11 +944,9 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
     raid_service::serve(&svc, &server_cfg).map_err(|e| e.to_string())?;
     let stats = svc.stats();
     Ok(format!(
-        "serve: shut down cleanly — {} ops from {} sessions, {} dispatch rounds, \
-         final flush complete ✔",
+        "serve: shut down cleanly — {} ops from {} sessions, final flush complete ✔",
         stats.ops_total(),
         stats.tenants.len(),
-        stats.rounds,
     ))
 }
 

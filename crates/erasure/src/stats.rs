@@ -3,7 +3,7 @@
 //!
 //! One home for the math that used to be duplicated per consumer: the
 //! fleet harness (QoS p99 baselines, MTTR summaries) and the service
-//! front-end (per-tenant enqueue→completion latency) both report from
+//! front-end (per-tenant admission→completion latency) both report from
 //! here, so "p99" means the same thing everywhere in the workspace.
 //!
 //! Two representations, two tradeoffs:

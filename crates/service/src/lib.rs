@@ -3,19 +3,18 @@
 //! This crate turns the single-caller volume library into a served
 //! system: many clients — in-process [`ServiceHandle`]s or unix-socket
 //! sessions speaking the [`proto`] line protocol — issue element
-//! read/write/flush ops that funnel through one **stripe-aware
-//! scheduler** ([`scheduler`]):
+//! read/write/flush ops through one **scheduler** ([`scheduler`]):
 //!
-//! * ops are admitted under queue-depth backpressure (typed
+//! * ops are admitted under a cap on ops in flight (typed
 //!   [`ServiceError::Busy`]) and a per-session token bucket
 //!   ([`ServiceError::Throttled`]);
-//! * queued ops drain under deficit-round-robin across tenants, so a hot
-//!   writer cannot starve a reader;
-//! * each drained batch is dispatched in arrival order into the volume's
-//!   write-back stripe cache, which is the one place writes merge — N
-//!   tenants' small writes to one stripe become one parity-sharing flush
-//!   instead of N read-modify-writes;
-//! * per-op enqueue→completion latency lands in the shared
+//! * each admitted op runs on its client's own thread under the one
+//!   volume lock, so no client waits on another's work beyond that lock
+//!   — a hot writer cannot starve a reader;
+//! * the volume's write-back stripe cache is the one place writes merge —
+//!   N tenants' small writes to one stripe become one parity-sharing
+//!   flush instead of N read-modify-writes;
+//! * per-op admission→completion latency lands in the shared
 //!   [`raid_core::stats`] histograms, reported per tenant class by
 //!   [`metrics`] in Prometheus text format.
 //!

@@ -94,10 +94,8 @@ pub fn prometheus_text(stats: &ServiceStats) -> String {
     header(&mut out, "hvraid_failed_disks", "Disks currently failed.", "gauge");
     let _ = writeln!(out, "hvraid_failed_disks {}", stats.failed_disks.len());
 
-    header(&mut out, "hvraid_service_queued_ops", "Ops waiting in the scheduler.", "gauge");
+    header(&mut out, "hvraid_service_queued_ops", "Ops admitted and not yet completed.", "gauge");
     let _ = writeln!(out, "hvraid_service_queued_ops {}", stats.queued);
-    header(&mut out, "hvraid_service_rounds_total", "Deficit-round-robin dispatch rounds.", "counter");
-    let _ = writeln!(out, "hvraid_service_rounds_total {}", stats.rounds);
     header(&mut out, "hvraid_service_write_runs_total", "Write ops dispatched to the volume.", "counter");
     let _ = writeln!(out, "hvraid_service_write_runs_total {}", stats.write_runs);
 
@@ -181,6 +179,8 @@ mod tests {
         assert!(text.contains("hvraid_cache_resident_stripes 1\n"));
         assert!(text.contains("hvraid_cache_resident_bytes 32\n"));
         assert!(text.contains("quantile=\"0.99\""));
+        assert!(text.contains("hvraid_service_queued_ops 0\n"));
+        assert!(!text.contains("rounds"), "no dispatch rounds exist to count");
     }
 
     /// Repeated or concurrent sessions under one tenant label pair must

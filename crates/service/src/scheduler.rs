@@ -1,40 +1,33 @@
-//! The stripe-aware request scheduler: per-tenant queues drained by a
-//! flat-combining dispatcher into the volume's write-back stripe cache.
+//! The request scheduler: admission control in front of one volume lock,
+//! under which every client runs its own op.
 //!
 //! # Architecture
 //!
 //! Client threads call [`ServiceHandle::read`] / [`ServiceHandle::write`]
-//! / [`ServiceHandle::flush`]. Each call is **admitted** (queue-depth
-//! backpressure, per-session token bucket), **enqueued** on its session's
-//! FIFO, and then the calling thread either becomes the *combiner* —
-//! taking the dispatch lock and draining every queue — or parks on its
-//! op's completion slot while another thread combines. This
-//! flat-combining shape needs no dedicated dispatcher thread, so the
-//! in-process handle has zero idle cost.
+//! / [`ServiceHandle::flush`], and each call runs to completion on the
+//! calling thread in four steps:
 //!
-//! Each combining round is **deficit-round-robin** across sessions: every
-//! session earns `drr_quantum` elements of credit per round and releases
-//! queued ops (whole ops only) while its deficit covers their element
-//! cost, so a hot writer streaming large ops cannot starve a reader — the
-//! reader's small ops drain every round regardless of how deep the
-//! writer's queue is.
+//! 1. **validate** the range and the payload;
+//! 2. **admit** under the `shared` lock: the service is open, the
+//!    handle's session is current, fewer than
+//!    [`ServiceConfig::queue_depth`] ops are in flight
+//!    ([`ServiceError::Busy`] otherwise), and the session's token bucket,
+//!    refilled by wall clock, covers the op's element cost
+//!    ([`ServiceError::Throttled`] otherwise);
+//! 3. **lock the volume** and run the op;
+//! 4. **record** its latency and counters under `shared`.
 //!
-//! The collected batch is dispatched to the volume one op at a time, in
-//! arrival order. That order is the only ordering rule: one volume sees
-//! one sequence, so every op observes all writes released before it,
-//! across tenants, by construction. Merging co-located writes is the
-//! stripe cache's job ([`Service::new`] always attaches it): a write is
-//! absorbed in memory and the elements that land in one stripe share
-//! their parity updates when the stripe flushes — the scheduler stages
-//! nothing in front of it. An op the volume fails (a degraded array at
-//! its correction limit, say) completes with that volume error, never
-//! silently.
-//!
-//! Token buckets refill two ways: a fixed quantum per dispatch round
-//! (deterministic pacing under load) and a wall-clock quantum per
-//! [`ServiceConfig::refill_interval`], credited at admission — so a
-//! throttled client that backs off is eventually admitted even while
-//! the scheduler is idle and no rounds run.
+//! A client's thread only ever runs its own op: it waits for the volume
+//! lock, never for other clients' work to drain, so no dispatcher thread,
+//! queue or hand-off exists and the in-process handle has zero idle cost.
+//! The volume lock is the only ordering rule: one volume sees one
+//! sequence, so every op observes all writes that completed before it
+//! started, across tenants. Merging co-located writes is the stripe
+//! cache's job ([`Service::new`] always attaches it): a write is absorbed
+//! in memory and the elements that land in one stripe share their parity
+//! updates when the stripe flushes. An op the volume fails (a degraded
+//! array at its correction limit, say) completes with that volume error,
+//! never silently.
 //!
 //! Sessions are retired with [`ServiceHandle::close`] (the socket server
 //! closes them when a connection ends): the slot is recycled for the
@@ -42,19 +35,19 @@
 //! aggregate, so stats stay monotonic and one tenant never emits
 //! duplicate metric series no matter how many connections carried it.
 //!
-//! Latency is recorded per op from enqueue to completion into a
-//! per-tenant [`Histogram`] ([`raid_core::stats`]), the same percentile
+//! Latency is recorded per op from admission to completion into a
+//! per-session [`Histogram`] ([`raid_core::stats`]), the same percentile
 //! definitions the fleet harness reports.
 //!
-//! A panic under the dispatch lock (a volume bug, a
-//! [`Service::with_volume`] callback) **closes** the service: every
-//! queued or in-flight op completes with [`ServiceError::Closed`] and
-//! later submissions are refused, instead of clients waiting on a
-//! combiner that no longer exists.
+//! A panic under the volume lock (a volume bug, a
+//! [`Service::with_volume`] callback) **closes** the service: the
+//! panicking op gives its admission back, later submissions are refused
+//! with [`ServiceError::Closed`], and an op admitted before the panic
+//! reads the poisoned lock as `Closed` instead of running on a volume
+//! abandoned mid-op.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -105,23 +98,19 @@ impl fmt::Display for TenantClass {
 /// Tuning knobs for the service front-end.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Global cap on queued ops; admission beyond it returns
+    /// Global cap on ops in flight; admission beyond it returns
     /// [`ServiceError::Busy`].
     pub queue_depth: usize,
-    /// Deficit-round-robin credit per session per dispatch round, in
-    /// data elements.
-    pub drr_quantum: u64,
     /// Token-bucket capacity per session, in data elements. An op costing
     /// more than the capacity is never admissible.
     pub bucket_capacity: u64,
-    /// Tokens refilled per session per dispatch round *and* per elapsed
-    /// [`ServiceConfig::refill_interval`] of wall-clock time.
+    /// Tokens refilled per session per elapsed
+    /// [`ServiceConfig::refill_interval`].
     pub bucket_refill: u64,
-    /// Wall-clock token refill period. Buckets also earn
-    /// [`ServiceConfig::bucket_refill`] tokens per elapsed interval,
-    /// credited at admission — so a throttled client that backs off and
-    /// retries is eventually admitted even while the scheduler is idle
-    /// and no dispatch rounds run.
+    /// Wall-clock token refill period. A session's bucket is credited
+    /// [`ServiceConfig::bucket_refill`] tokens per interval elapsed since
+    /// its last refill, at admission — so a throttled client that backs
+    /// off and retries is admitted once enough time has passed.
     pub refill_interval: Duration,
     /// Pin the volume's partition count (`None` = auto).
     pub partitions: Option<usize>,
@@ -131,7 +120,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             queue_depth: 256,
-            drr_quantum: 64,
             bucket_capacity: 65_536,
             bucket_refill: 16_384,
             refill_interval: Duration::from_millis(1),
@@ -143,9 +131,10 @@ impl Default for ServiceConfig {
 /// Errors surfaced to service clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The global queue is full — back off and retry.
+    /// [`ServiceConfig::queue_depth`] ops are already in flight — back
+    /// off and retry.
     Busy {
-        /// Ops queued when the request was rejected.
+        /// Ops in flight when the request was rejected.
         queued: usize,
     },
     /// The session's token bucket cannot cover the op right now.
@@ -183,106 +172,100 @@ impl From<VolumeError> for ServiceError {
     }
 }
 
-/// What a completed op hands back to the waiting client.
-#[derive(Debug, Clone)]
-enum OpOutput {
-    Read(Vec<u8>),
-    Written { elements: usize },
-    Flushed,
-}
-
+/// An op as validation and the counters see it; a write carries the
+/// length of its payload in bytes.
+#[derive(Clone, Copy)]
 enum OpKind {
     Read { addr: usize, len: usize },
-    Write { addr: usize, data: Vec<u8> },
+    Write { addr: usize, bytes: usize },
     Flush,
 }
 
 /// Locks `m`, reading through poison: a poisoned lock carries nothing
-/// the service acts on. Sections over `shared` and the op slots are
-/// plain bookkeeping, and the ones that can unwind (the volume call, a
-/// `with_volume` callback) run under a [`Combiner`], which has closed
-/// the service before the lock is seen poisoned — and must itself be
-/// able to take these locks mid-unwind to do so.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// the crate acts on. Sections over `shared` and the server's connection
+/// registry are plain bookkeeping that leaves its data valid at every
+/// step, and the sections that can unwind — an op on the volume, a
+/// `with_volume` callback — run beside a [`CloseOnPanic`], which has
+/// closed the service before the volume lock is seen poisoned.
+pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One op's completion rendezvous between submitter and combiner.
-struct OpSlot {
-    result: Mutex<Option<Result<OpOutput, ServiceError>>>,
-    cv: Condvar,
+/// The volume and whether [`Service::shutdown`] has flushed it for the
+/// last time: an op admitted before the shutdown that reaches the lock
+/// after that flush must not land unflushed.
+struct Volume {
+    raid: RaidVolume,
+    stopped: bool,
 }
 
-impl OpSlot {
-    fn new() -> Arc<OpSlot> {
-        Arc::new(OpSlot { result: Mutex::new(None), cv: Condvar::new() })
-    }
+/// Held beside the volume lock: if its holder unwinds, the service
+/// closes before the lock is released poisoned.
+struct CloseOnPanic<'a>(&'a Service);
 
-    fn set(&self, res: Result<OpOutput, ServiceError>) {
-        *locked(&self.result) = Some(res);
-        self.cv.notify_all();
-    }
-
-    fn take(&self) -> Option<Result<OpOutput, ServiceError>> {
-        locked(&self.result).take()
-    }
-
-    /// Sleeps until the slot is set (the combiner notifies on
-    /// completion) or `timeout` elapses — the caller re-checks either
-    /// way, so the timeout is a fallback bound, not a poll interval.
-    fn wait_for(&self, timeout: Duration) {
-        let g = locked(&self.result);
-        if g.is_none() {
-            drop(self.cv.wait_timeout(g, timeout));
+impl Drop for CloseOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            locked(&self.0.shared).closed = true;
         }
     }
 }
 
-/// Fallback wait while a combiner is known active: it will complete our
-/// op and notify the slot, so this bound only matters if the combiner
-/// dies mid-drain.
-const COMBINER_FALLBACK: Duration = Duration::from_millis(50);
-
-/// Retry pause for the narrow window where the combiner lock is held
-/// but the combining flag is not (yet) observable — lock acquisition or
-/// release in flight.
-const HANDOFF_RETRY: Duration = Duration::from_micros(200);
-
-struct PendingOp {
+/// An admitted op's place in `queued` and in its session's in-flight
+/// count. Dropping it gives both back — whether the op completed, was
+/// refused at the volume lock, or unwound — and records the op's
+/// latency and counters if the volume ran it.
+struct InFlight<'a> {
+    svc: &'a Service,
     session: usize,
     kind: OpKind,
     cost: u64,
-    enqueued: Instant,
-    slot: Arc<OpSlot>,
+    admitted: Instant,
+    ran: bool,
 }
 
-impl Drop for PendingOp {
-    /// An op dropped by an unwinding combiner never completed: fail it
-    /// rather than strand its submitter.
-    fn drop(&mut self) {
-        if thread::panicking() {
-            self.slot.set(Err(ServiceError::Closed));
-        }
+impl InFlight<'_> {
+    /// Runs the admitted op under the volume lock — or refuses it with
+    /// [`ServiceError::Closed`] if a panic poisoned the lock or a shutdown
+    /// flushed the volume for the last time since the op was admitted.
+    /// Its counters are recorded as `self` drops on the way out.
+    fn run<T>(
+        mut self,
+        op: impl FnOnce(&mut RaidVolume) -> Result<T, VolumeError>,
+    ) -> Result<T, ServiceError> {
+        let result = {
+            let mut volume = self.svc.volume.lock().map_err(|_| ServiceError::Closed)?;
+            if volume.stopped {
+                return Err(ServiceError::Closed);
+            }
+            let _close = CloseOnPanic(self.svc);
+            op(&mut volume.raid)
+        };
+        self.ran = true;
+        result.map_err(ServiceError::from)
     }
 }
 
-/// The dispatch role: holds the flat-combining lock, and if the holder
-/// unwinds, closes the service and fails every queued op (dropping a
-/// [`PendingOp`] mid-panic completes it with [`ServiceError::Closed`])
-/// before the lock is released poisoned.
-struct Combiner<'a> {
-    svc: &'a Service,
-    _lock: MutexGuard<'a, ()>,
-}
-
-impl Drop for Combiner<'_> {
+impl Drop for InFlight<'_> {
     fn drop(&mut self) {
-        if thread::panicking() {
-            let mut sh = locked(&self.svc.shared);
-            sh.closed = true;
-            sh.combining = false;
-            sh.queued = 0;
-            sh.sessions.iter_mut().for_each(|s| s.queue.clear());
+        let ns = u64::try_from(self.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let mut sh = locked(&self.svc.shared);
+        let Shared { sessions, queued, write_runs, .. } = &mut *sh;
+        let state = &mut sessions[self.session];
+        *queued -= 1;
+        state.in_flight -= 1;
+        if !self.ran {
+            return;
+        }
+        state.hist.record(ns);
+        state.ops += 1;
+        match self.kind {
+            OpKind::Read { .. } => state.read_elements += self.cost,
+            OpKind::Write { .. } => {
+                state.write_elements += self.cost;
+                *write_runs += 1;
+            }
+            OpKind::Flush => {}
         }
     }
 }
@@ -296,8 +279,8 @@ struct SessionState {
     /// Distinguishes the current occupant of a recycled slot from stale
     /// handles onto a previous one.
     epoch: u64,
-    queue: VecDeque<PendingOp>,
-    deficit: u64,
+    /// Ops admitted and not yet completed.
+    in_flight: usize,
     tokens: u64,
     last_refill: Instant,
     hist: Histogram,
@@ -335,8 +318,8 @@ struct TenantAccum {
 /// Folds `s`'s counters into the accumulator matching its
 /// `(tenant, class)` label pair, creating one if absent.
 fn fold_tenant(accums: &mut Vec<TenantAccum>, s: &SessionState) {
-    let acc = match accums.iter_mut().find(|a| a.tenant == s.tenant && a.class == s.class) {
-        Some(a) => a,
+    let i = match accums.iter().position(|a| a.tenant == s.tenant && a.class == s.class) {
+        Some(i) => i,
         None => {
             accums.push(TenantAccum {
                 tenant: s.tenant.clone(),
@@ -347,9 +330,10 @@ fn fold_tenant(accums: &mut Vec<TenantAccum>, s: &SessionState) {
                 write_elements: 0,
                 hist: Histogram::new(),
             });
-            accums.last_mut().expect("just pushed")
+            accums.len() - 1
         }
     };
+    let acc = &mut accums[i];
     acc.ops += s.ops;
     acc.busy_rejections += s.busy_rejections;
     acc.read_elements += s.read_elements;
@@ -363,15 +347,9 @@ struct Shared {
     free: Vec<usize>,
     /// Per-`(tenant, class)` counters of retired sessions.
     retired: Vec<TenantAccum>,
+    /// Ops admitted and not yet completed.
     queued: usize,
-    rr: usize,
-    rounds: u64,
     write_runs: u64,
-    /// True while a combiner holds the dispatch lock *and* has not yet
-    /// observed an empty queue under this mutex — while set, every
-    /// already-enqueued op is guaranteed to be completed by that
-    /// combiner, so its submitter may sleep instead of polling.
-    combining: bool,
     next_epoch: u64,
     closed: bool,
 }
@@ -391,11 +369,11 @@ pub struct TenantStats {
     pub read_elements: u64,
     /// Data elements written.
     pub write_elements: u64,
-    /// Median enqueue→completion latency, microseconds.
+    /// Median admission→completion latency, microseconds.
     pub p50_us: f64,
-    /// 99th-percentile enqueue→completion latency, microseconds.
+    /// 99th-percentile admission→completion latency, microseconds.
     pub p99_us: f64,
-    /// Mean enqueue→completion latency, microseconds.
+    /// Mean admission→completion latency, microseconds.
     pub mean_us: f64,
 }
 
@@ -417,9 +395,10 @@ pub struct ServiceStats {
     pub cache_resident_elements: usize,
     /// Dirty stripes in the cache.
     pub cache_dirty: usize,
-    /// Ops queued right now.
+    /// Ops admitted and not yet completed.
     pub queued: usize,
-    /// Dispatch rounds run.
+    /// Ops the volume ran, i.e. [`ServiceStats::ops_total`]; leaves with
+    /// the next `benchmark` PR, whose `sut.rs` still reads it.
     pub rounds: u64,
     /// Always 0 — the stripe cache does the merging; leaves with the next
     /// `benchmark` PR, whose `sut.rs` still reads it.
@@ -450,14 +429,13 @@ impl ServiceStats {
 /// The concurrent front-end over one [`RaidVolume`].
 ///
 /// Shared by [`Arc`]; per-client [`ServiceHandle`]s are minted with
-/// [`Service::session`]. All client ops funnel through the stripe-aware
-/// scheduler described in the module docs.
+/// [`Service::session`]. Every client op is admitted and then run on the
+/// client's own thread under the volume lock, as the module docs
+/// describe.
 pub struct Service {
     cfg: ServiceConfig,
-    volume: Mutex<RaidVolume>,
+    volume: Mutex<Volume>,
     shared: Mutex<Shared>,
-    /// The flat-combining dispatch lock: whoever holds it drains queues.
-    combiner: Mutex<()>,
     data_elements: usize,
     element_size: usize,
 }
@@ -479,7 +457,6 @@ impl Service {
     pub fn new(mut volume: RaidVolume, cfg: ServiceConfig) -> Arc<Service> {
         let mut cfg = cfg;
         cfg.queue_depth = cfg.queue_depth.max(1);
-        cfg.drr_quantum = cfg.drr_quantum.max(1);
         cfg.bucket_refill = cfg.bucket_refill.max(1);
         cfg.bucket_capacity = cfg.bucket_capacity.max(cfg.bucket_refill);
         cfg.refill_interval = cfg.refill_interval.max(Duration::from_micros(1));
@@ -493,20 +470,16 @@ impl Service {
         let element_size = volume.element_size();
         Arc::new(Service {
             cfg,
-            volume: Mutex::new(volume),
+            volume: Mutex::new(Volume { raid: volume, stopped: false }),
             shared: Mutex::new(Shared {
                 sessions: Vec::new(),
                 free: Vec::new(),
                 retired: Vec::new(),
                 queued: 0,
-                rr: 0,
-                rounds: 0,
                 write_runs: 0,
-                combining: false,
                 next_epoch: 0,
                 closed: false,
             }),
-            combiner: Mutex::new(()),
             data_elements,
             element_size,
         })
@@ -515,7 +488,7 @@ impl Service {
     /// Opens a session for `tenant` with a full token bucket, reusing a
     /// retired session's slot when one is free (so churning
     /// connections — e.g. repeated stats scrapes — don't grow the
-    /// scheduler state or the DRR rotation).
+    /// scheduler state).
     #[must_use]
     pub fn session(self: &Arc<Self>, tenant: &str, class: TenantClass) -> ServiceHandle {
         let mut sh = locked(&self.shared);
@@ -526,8 +499,7 @@ impl Service {
             class,
             open: true,
             epoch,
-            queue: VecDeque::new(),
-            deficit: 0,
+            in_flight: 0,
             tokens: self.cfg.bucket_capacity,
             last_refill: Instant::now(),
             hist: Histogram::new(),
@@ -551,13 +523,13 @@ impl Service {
 
     /// Retires a session: folds its counters into the per-tenant
     /// aggregate (stats keep counting monotonically) and recycles its
-    /// slot. Idempotent; stale epochs and sessions with queued ops are
-    /// ignored.
+    /// slot. Idempotent; stale epochs and sessions with ops in flight
+    /// are ignored.
     fn retire(&self, session: usize, epoch: u64) {
         let mut sh = locked(&self.shared);
         let Shared { sessions, free, retired, .. } = &mut *sh;
         let Some(state) = sessions.get_mut(session) else { return };
-        if !state.open || state.epoch != epoch || !state.queue.is_empty() {
+        if !state.open || state.epoch != epoch || state.in_flight > 0 {
             return;
         }
         state.open = false;
@@ -595,8 +567,9 @@ impl Service {
     /// closed by a panic: the counters are what they were when it died).
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        // Lock order: volume before shared, same as the dispatch path.
-        let vol = locked(&self.volume);
+        // Lock order: volume before shared, the order a panic under the
+        // volume lock takes them in.
+        let volume = locked(&self.volume);
         let sh = locked(&self.shared);
         // One entry per (tenant, class) label pair: retired sessions'
         // folded counters first (stable first-seen order), then every
@@ -607,7 +580,7 @@ impl Service {
         for s in sh.sessions.iter().filter(|s| s.open && s.has_activity()) {
             fold_tenant(&mut accums, s);
         }
-        let tenants = accums
+        let tenants: Vec<TenantStats> = accums
             .into_iter()
             .map(|a| TenantStats {
                 tenant: a.tenant,
@@ -621,6 +594,7 @@ impl Service {
                 mean_us: a.hist.mean() / 1_000.0,
             })
             .collect();
+        let vol = &volume.raid;
         ServiceStats {
             ledger: vol.ledger().clone(),
             health: vol.health_state(),
@@ -630,7 +604,7 @@ impl Service {
             cache_resident_elements: vol.cache_resident_elements(),
             cache_dirty: vol.cache_dirty_stripes(),
             queued: sh.queued,
-            rounds: sh.rounds,
+            rounds: tenants.iter().map(|t| t.ops).sum(),
             merged_writes: 0,
             write_runs: sh.write_runs,
             tenants,
@@ -640,49 +614,49 @@ impl Service {
         }
     }
 
-    /// Stops admitting ops, drains everything queued, and flushes the
-    /// volume (the clean-shutdown contract: a file-backed volume is
-    /// byte-complete on disk afterwards).
+    /// Stops admitting ops and flushes the volume for the last time (the
+    /// clean-shutdown contract: a file-backed volume is byte-complete on
+    /// disk afterwards). An op admitted earlier either runs before that
+    /// flush or fails with [`ServiceError::Closed`]; none lands after it.
     ///
     /// # Errors
     ///
     /// Returns the volume error if the final flush fails, and
-    /// [`ServiceError::Closed`] if a panicked combiner already closed the
-    /// service — the volume was abandoned mid-op, so no clean flush is
-    /// claimed.
+    /// [`ServiceError::Closed`] if a panic under the volume lock already
+    /// closed the service — the volume was abandoned mid-op, so no clean
+    /// flush is claimed.
     pub fn shutdown(&self) -> Result<(), ServiceError> {
         locked(&self.shared).closed = true;
-        let Ok(lock) = self.combiner.lock() else { return Err(ServiceError::Closed) };
-        let _combine = Combiner { svc: self, _lock: lock };
-        self.drain();
-        locked(&self.volume).flush()?;
+        let mut volume = self.volume.lock().map_err(|_| ServiceError::Closed)?;
+        volume.stopped = true;
+        volume.raid.flush()?;
         Ok(())
     }
 
     /// Runs maintenance on the underlying volume (rebuild budget ticks,
-    /// scrubs) without going through the scheduler. Test/CLI plumbing.
-    /// If `f` panics the service closes, as for any panic under the
-    /// dispatch lock.
+    /// scrubs) without going through admission. Test/CLI plumbing. If
+    /// `f` panics the service closes, as for any panic under the volume
+    /// lock.
     pub fn with_volume<R>(&self, f: impl FnOnce(&mut RaidVolume) -> R) -> R {
-        let _combine = Combiner { svc: self, _lock: locked(&self.combiner) };
-        self.drain();
-        f(&mut locked(&self.volume))
+        let mut volume = locked(&self.volume);
+        let _close = CloseOnPanic(self);
+        f(&mut volume.raid)
     }
 
     // ---- submission -------------------------------------------------
 
-    fn validate(&self, kind: &OpKind) -> Result<u64, ServiceError> {
+    /// Checks `kind` against the volume and returns its element cost.
+    fn validate(&self, kind: OpKind) -> Result<u64, ServiceError> {
         let (addr, len) = match kind {
-            OpKind::Read { addr, len } => (*addr, *len),
-            OpKind::Write { addr, data } => {
-                if data.is_empty() || data.len() % self.element_size != 0 {
+            OpKind::Read { addr, len } => (addr, len),
+            OpKind::Write { addr, bytes } => {
+                if bytes == 0 || bytes % self.element_size != 0 {
                     return Err(ServiceError::BadRequest(format!(
-                        "write payload must be a positive multiple of the {}-byte element size, got {} bytes",
-                        self.element_size,
-                        data.len()
+                        "write payload must be a positive multiple of the {}-byte element size, got {bytes} bytes",
+                        self.element_size
                     )));
                 }
-                (*addr, data.len() / self.element_size)
+                (addr, bytes / self.element_size)
             }
             OpKind::Flush => return Ok(1),
         };
@@ -698,198 +672,70 @@ impl Service {
         Ok(len as u64)
     }
 
-    fn submit(&self, session: usize, epoch: u64, kind: OpKind) -> Result<OpOutput, ServiceError> {
-        let cost = self.validate(&kind)?;
-        let slot = {
-            let mut sh = locked(&self.shared);
-            if sh.closed {
-                return Err(ServiceError::Closed);
-            }
-            if !sh.sessions[session].open || sh.sessions[session].epoch != epoch {
-                return Err(ServiceError::Closed);
-            }
-            if sh.queued >= self.cfg.queue_depth {
-                let queued = sh.queued;
-                sh.sessions[session].busy_rejections += 1;
-                return Err(ServiceError::Busy { queued });
-            }
-            let state = &mut sh.sessions[session];
-            // Wall-clock refill before the token check: a throttled
-            // client's retry must be able to succeed even if no
-            // dispatch round ran in between (rounds only run while ops
-            // are queued, and a rejection queues nothing).
-            let periods = u64::try_from(
-                state.last_refill.elapsed().as_nanos() / self.cfg.refill_interval.as_nanos(),
-            )
-            .unwrap_or(u64::MAX);
-            if periods > 0 {
-                state.tokens = state
-                    .tokens
-                    .saturating_add(periods.saturating_mul(self.cfg.bucket_refill))
-                    .min(self.cfg.bucket_capacity);
-                state.last_refill = Instant::now();
-            }
-            if state.tokens < cost {
-                state.busy_rejections += 1;
-                return Err(ServiceError::Throttled { wanted: cost, available: state.tokens });
-            }
-            state.tokens -= cost;
-            let slot = OpSlot::new();
-            state.queue.push_back(PendingOp {
-                session,
-                kind,
-                cost,
-                enqueued: Instant::now(),
-                slot: Arc::clone(&slot),
-            });
-            sh.queued += 1;
-            slot
-        };
-        // Give peer submitters a chance to enqueue before we fight for
-        // the combiner. Kept on measurement, not on principle: removing
-        // it never won. hvbench `front_door_mixed` lost 5 of 6
-        // alternating pairs without it in ISSUE 16's prototype
-        // (`ops_per_s` 11 156 → 10 309, `p50_us` 168 → 181) and split
-        // 3/3 in PR 16's own (10 849 → 10 987); `handle_write_burst` did
-        // not move in either (13 812 → 14 023, 13 413 → 13 034).
-        thread::yield_now();
-        loop {
-            if let Some(res) = slot.take() {
-                return res;
-            }
-            if locked(&self.shared).combining {
-                // An active combiner is guaranteed to complete our op
-                // (it clears the flag only after observing zero queued
-                // ops under the shared lock, which cannot happen while
-                // ours is queued) and notifies the slot when it does —
-                // sleep until then instead of polling.
-                slot.wait_for(COMBINER_FALLBACK);
-                continue;
-            }
-            if let Ok(lock) = self.combiner.try_lock() {
-                let _combine = Combiner { svc: self, _lock: lock };
-                self.drain();
-                // Our op was queued before we took the lock, so the
-                // drain above necessarily completed it.
-            } else {
-                // Combiner lock held but flag not yet visible (taken or
-                // released this instant) — brief pause, then re-check.
-                // A poisoned lock lands here too: its combiner failed
-                // our op before releasing it, so the re-check returns.
-                slot.wait_for(HANDOFF_RETRY);
-            }
-        }
-    }
-
-    // ---- dispatch (combiner-only) -----------------------------------
-
-    /// Drains every session queue to empty. Caller holds `combiner`.
-    fn drain(&self) {
-        loop {
-            let (batch, remaining) = self.collect_round();
-            if batch.is_empty() {
-                if remaining == 0 {
-                    return;
-                }
-                // All front ops out-credit their deficits; another round
-                // accrues more quantum.
-                continue;
-            }
-            self.execute(batch);
-        }
-    }
-
-    /// One deficit-round-robin pass over the sessions: refill token
-    /// buckets, accrue quantum, release whole ops while credit lasts.
-    ///
-    /// Also maintains `Shared::combining`: the flag is raised while this
-    /// combiner still sees queued work and cleared under the same lock
-    /// acquisition that observes an empty queue — so a submitter that
-    /// reads `combining == true` after enqueueing knows *this* combiner
-    /// will drain its op.
-    fn collect_round(&self) -> (Vec<PendingOp>, usize) {
+    /// Admits an op of `cost` elements for `h`'s session, or says why
+    /// not.
+    fn admit(
+        &self,
+        h: &ServiceHandle,
+        kind: OpKind,
+        cost: u64,
+    ) -> Result<InFlight<'_>, ServiceError> {
         let mut sh = locked(&self.shared);
-        if sh.queued == 0 {
-            sh.combining = false;
-            return (Vec::new(), 0);
+        let (closed, queued) = (sh.closed, sh.queued);
+        let state = &mut sh.sessions[h.session];
+        if closed || !state.open || state.epoch != h.epoch {
+            return Err(ServiceError::Closed);
         }
-        sh.combining = true;
-        sh.rounds += 1;
-        let n = sh.sessions.len();
-        let start = sh.rr;
-        let mut batch = Vec::new();
-        for i in 0..n {
-            let state = &mut sh.sessions[(start + i) % n];
-            if state.queue.is_empty() {
-                state.deficit = 0;
-                continue;
-            }
-            // Per-round refill for sessions in the rotation; idle
-            // sessions catch up wall-clock-wise at their next submit.
-            state.tokens = (state.tokens + self.cfg.bucket_refill).min(self.cfg.bucket_capacity);
-            state.deficit += self.cfg.drr_quantum;
-            let mut released = 0usize;
-            while let Some(front) = state.queue.front() {
-                if front.cost > state.deficit {
-                    break;
-                }
-                state.deficit -= front.cost;
-                let op = state.queue.pop_front().expect("front exists");
-                released += 1;
-                batch.push(op);
-            }
-            if state.queue.is_empty() {
-                state.deficit = 0;
-            }
-            sh.queued -= released;
+        if queued >= self.cfg.queue_depth {
+            state.busy_rejections += 1;
+            return Err(ServiceError::Busy { queued });
         }
-        sh.rr = if n == 0 { 0 } else { (start + 1) % n };
-        (batch, sh.queued)
+        let periods = u64::try_from(
+            state.last_refill.elapsed().as_nanos() / self.cfg.refill_interval.as_nanos(),
+        )
+        .unwrap_or(u64::MAX);
+        if periods > 0 {
+            state.tokens = state
+                .tokens
+                .saturating_add(periods.saturating_mul(self.cfg.bucket_refill))
+                .min(self.cfg.bucket_capacity);
+            state.last_refill = Instant::now();
+        }
+        if state.tokens < cost {
+            state.busy_rejections += 1;
+            return Err(ServiceError::Throttled { wanted: cost, available: state.tokens });
+        }
+        state.tokens -= cost;
+        state.in_flight += 1;
+        sh.queued += 1;
+        Ok(InFlight {
+            svc: self,
+            session: h.session,
+            kind,
+            cost,
+            admitted: Instant::now(),
+            ran: false,
+        })
     }
 
-    /// Dispatches one collected batch to the volume, in arrival order.
-    fn execute(&self, batch: Vec<PendingOp>) {
-        let mut vol = locked(&self.volume);
-        for op in batch {
-            let result = match &op.kind {
-                OpKind::Read { addr, len } => {
-                    vol.read(*addr, *len).map(|(bytes, _)| OpOutput::Read(bytes))
-                }
-                OpKind::Write { addr, data } => vol
-                    .write(*addr, data)
-                    .map(|_| OpOutput::Written { elements: data.len() / self.element_size }),
-                OpKind::Flush => vol.flush().map(|_| OpOutput::Flushed),
-            };
-            self.complete(&op, result.map_err(ServiceError::from));
-        }
-    }
-
-    /// Records latency/throughput for `op` and wakes its submitter.
-    fn complete(&self, op: &PendingOp, result: Result<OpOutput, ServiceError>) {
-        let ns = u64::try_from(op.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        {
-            let mut sh = locked(&self.shared);
-            let state = &mut sh.sessions[op.session];
-            state.hist.record(ns);
-            state.ops += 1;
-            match &op.kind {
-                OpKind::Read { len, .. } => state.read_elements += *len as u64,
-                OpKind::Write { data, .. } => {
-                    state.write_elements += (data.len() / self.element_size) as u64;
-                    sh.write_runs += 1;
-                }
-                OpKind::Flush => {}
-            }
-        }
-        op.slot.set(result);
+    /// Validates and admits `kind`, then runs it on the caller's thread
+    /// under the volume lock.
+    fn submit<T>(
+        &self,
+        h: &ServiceHandle,
+        kind: OpKind,
+        run: impl FnOnce(&mut RaidVolume) -> Result<T, VolumeError>,
+    ) -> Result<T, ServiceError> {
+        let cost = self.validate(kind)?;
+        self.admit(h, kind, cost)?.run(run)
     }
 }
 
 /// A per-client (per-session) handle onto a shared [`Service`].
 ///
-/// Cheap to clone-by-`session`; each handle owns one admission bucket and
-/// one FIFO in the scheduler. Call [`ServiceHandle::close`] when the
-/// client is done so the session's scheduler slot is recycled.
+/// Cheap to clone-by-`session`; each handle owns one admission bucket in
+/// the scheduler. Call [`ServiceHandle::close`] when the client is done
+/// so the session's scheduler slot is recycled.
 #[derive(Debug, Clone)]
 pub struct ServiceHandle {
     svc: Arc<Service>,
@@ -906,10 +752,9 @@ impl ServiceHandle {
     /// rejection (retry later), [`ServiceError::Volume`] if the volume
     /// fails the op.
     pub fn read(&self, addr: usize, len: usize) -> Result<Vec<u8>, ServiceError> {
-        match self.svc.submit(self.session, self.epoch, OpKind::Read { addr, len })? {
-            OpOutput::Read(bytes) => Ok(bytes),
-            _ => unreachable!("read op returns read output"),
-        }
+        self.svc.submit(self, OpKind::Read { addr, len }, |vol| {
+            vol.read(addr, len).map(|(bytes, _)| bytes)
+        })
     }
 
     /// Writes `data` (a multiple of the element size) at element `addr`,
@@ -923,12 +768,13 @@ impl ServiceHandle {
     }
 
     /// [`ServiceHandle::write`] of a buffer the caller is done with: the
-    /// socket server's decoded payload moves into the queue uncopied.
+    /// socket server's decoded payload is written from where it was
+    /// decoded, uncopied.
     pub(crate) fn write_owned(&self, addr: usize, data: Vec<u8>) -> Result<usize, ServiceError> {
-        match self.svc.submit(self.session, self.epoch, OpKind::Write { addr, data })? {
-            OpOutput::Written { elements } => Ok(elements),
-            _ => unreachable!("write op returns write output"),
-        }
+        let elements = data.len() / self.svc.element_size;
+        self.svc.submit(self, OpKind::Write { addr, bytes: data.len() }, |vol| {
+            vol.write(addr, &data).map(|_| elements)
+        })
     }
 
     /// Flushes all dirty cached stripes to the backend.
@@ -937,10 +783,7 @@ impl ServiceHandle {
     ///
     /// Same admission/volume errors as [`ServiceHandle::read`].
     pub fn flush(&self) -> Result<(), ServiceError> {
-        match self.svc.submit(self.session, self.epoch, OpKind::Flush)? {
-            OpOutput::Flushed => Ok(()),
-            _ => unreachable!("flush op returns flush output"),
-        }
+        self.svc.submit(self, OpKind::Flush, |vol| vol.flush().map(|_| ()))
     }
 
     /// Closes the session: its counters fold into the per-tenant
@@ -969,43 +812,37 @@ impl ServiceHandle {
 
 #[cfg(test)]
 mod tests {
+    use disk_sim::DiskError;
     use hv_code::HvCode;
+    use raid_array::{DiskBackend, MemBackend};
     use raid_core::ArrayCode;
 
     use super::*;
+    use crate::proto;
 
     fn service(cfg: ServiceConfig) -> Arc<Service> {
         let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
         Service::new(RaidVolume::in_memory(code, 6, 8), cfg)
     }
 
-    /// A batch of hand-built ops (session = position) with their slots,
-    /// for calling `execute` directly — no combiner timing.
-    fn batch_of(kinds: Vec<(usize, OpKind)>) -> (Vec<PendingOp>, Vec<Arc<OpSlot>>) {
-        let slots: Vec<_> = kinds.iter().map(|_| OpSlot::new()).collect();
-        let batch = kinds
-            .into_iter()
-            .zip(&slots)
-            .map(|((session, kind), slot)| PendingOp {
-                session,
-                kind,
-                cost: 1,
-                enqueued: Instant::now(),
-                slot: Arc::clone(slot),
-            })
-            .collect();
-        (batch, slots)
+    /// Waits until `cond` holds of the service's bookkeeping — for an op
+    /// that is admitted and then blocks on the volume lock a test holds.
+    fn until(svc: &Service, what: &str, cond: impl Fn(&Shared) -> bool) {
+        let begun = Instant::now();
+        while !cond(&locked(&svc.shared)) {
+            assert!(begun.elapsed() < Duration::from_secs(10), "never happened: {what}");
+            thread::sleep(Duration::from_micros(50));
+        }
     }
 
-    /// Regression for acking unwritten data: when the volume fails the
-    /// writes of a batch, *every* one of them must get the error —
-    /// including the ones after the first failure.
+    /// Regression for acking unwritten data: when the volume fails
+    /// writes, *every* one of them must get the error — including the
+    /// ones after the first failure.
     #[test]
     fn every_write_of_a_failing_batch_gets_the_volume_error() {
         let svc = service(ServiceConfig::default());
-        for i in 0..3 {
-            let _ = svc.session(&format!("t{i}"), TenantClass::Writer);
-        }
+        let handles: Vec<_> =
+            (0..3).map(|i| svc.session(&format!("t{i}"), TenantClass::Writer)).collect();
         // Park the volume at the correction limit with the fence armed:
         // every write now fails with SpareExhausted.
         svc.with_volume(|v| {
@@ -1015,18 +852,10 @@ mod tests {
             v.set_write_fence(true);
             assert!(v.write_fenced());
         });
-        // Three disjoint (non-adjacent) writes in one batch.
+        // Three disjoint (non-adjacent) writes from three tenants.
         let es = svc.element_size();
-        let (batch, slots) = batch_of(
-            [0usize, 4, 8]
-                .into_iter()
-                .enumerate()
-                .map(|(i, addr)| (i, OpKind::Write { addr, data: vec![0xA5; 2 * es] }))
-                .collect(),
-        );
-        svc.execute(batch);
-        for (i, slot) in slots.iter().enumerate() {
-            let res = slot.take().expect("op completed");
+        for (i, (h, addr)) in handles.iter().zip([0usize, 4, 8]).enumerate() {
+            let res = h.write(addr, &vec![0xA5; 2 * es]);
             assert!(
                 matches!(res, Err(ServiceError::Volume(_))),
                 "op {i} was never written but got {res:?}"
@@ -1034,86 +863,186 @@ mod tests {
         }
     }
 
-    /// Arrival order is the only ordering rule: reads of one address from
-    /// another tenant see exactly the writes released before them —
+    /// Call order is the only ordering rule: reads of one address from
+    /// another tenant see exactly the writes completed before them —
     /// overlapping ones included — and a flush changes nothing a reader
     /// sees.
     #[test]
     fn a_batch_dispatches_in_arrival_order_across_tenants() {
         let svc = service(ServiceConfig::default());
-        for i in 0..3 {
-            let _ = svc.session(&format!("t{i}"), TenantClass::Mixed);
-        }
+        let t: Vec<_> = (0..3).map(|i| svc.session(&format!("t{i}"), TenantClass::Mixed)).collect();
         let es = svc.element_size();
         let a = 5usize;
         let (x, y) = (vec![0x11u8; es], vec![0x22u8; es]);
-        let (batch, slots) = batch_of(vec![
-            (0, OpKind::Write { addr: a, data: x.clone() }),
-            (1, OpKind::Read { addr: a, len: 1 }),
-            (2, OpKind::Write { addr: a - 1, data: y.repeat(3) }),
-            (1, OpKind::Read { addr: a, len: 1 }),
-            (0, OpKind::Flush),
-            (1, OpKind::Read { addr: a, len: 1 }),
-        ]);
-        svc.execute(batch);
-        let mut reads = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            match slot.take().unwrap_or_else(|| panic!("op {i} never completed")) {
-                Ok(OpOutput::Read(bytes)) => reads.push(bytes),
-                Ok(_) => {}
-                Err(e) => panic!("op {i} failed: {e}"),
-            }
-            assert!(slot.take().is_none(), "op {i} completed twice");
-        }
-        assert_eq!(reads, [x, y.clone(), y]);
+        assert_eq!(t[0].write(a, &x), Ok(1));
+        assert_eq!(t[1].read(a, 1), Ok(x));
+        assert_eq!(t[2].write(a - 1, &y.repeat(3)), Ok(3));
+        assert_eq!(t[1].read(a, 1), Ok(y.clone()));
+        assert_eq!(t[0].flush(), Ok(()));
+        assert_eq!(t[1].read(a, 1), Ok(y));
         assert_eq!(svc.stats().ops_total(), 6);
     }
 
-    /// A panic under the dispatch lock closes the service: ops queued or
-    /// in flight fail with `Closed`, later ones are refused, and
-    /// `stats`/`shutdown` neither hang nor panic. (At the parent the
-    /// second client spun on a poisoned combiner forever.)
+    /// A memory backend whose every write panics: the volume bug an op
+    /// can hit under the volume lock.
+    struct PanickingWrites(MemBackend);
+
+    impl DiskBackend for PanickingWrites {
+        fn disks(&self) -> usize {
+            self.0.disks()
+        }
+        fn element_size(&self) -> usize {
+            self.0.element_size()
+        }
+        fn elements_per_disk(&self) -> usize {
+            self.0.elements_per_disk()
+        }
+        fn read(&mut self, disk: usize, index: usize, buf: &mut [u8]) -> Result<(), DiskError> {
+            self.0.read(disk, index, buf)
+        }
+        fn write(&mut self, _: usize, _: usize, _: &[u8]) -> Result<(), DiskError> {
+            panic!("injected backend panic")
+        }
+        fn fail(&mut self, disk: usize) -> Result<(), DiskError> {
+            self.0.fail(disk)
+        }
+        fn replace(&mut self, disk: usize) -> Result<(), DiskError> {
+            self.0.replace(disk)
+        }
+        fn is_failed(&self, disk: usize) -> bool {
+            self.0.is_failed(disk)
+        }
+        fn kind(&self) -> &'static str {
+            "panicking"
+        }
+    }
+
+    /// A panic under the volume lock closes the service: the panicking
+    /// op's admission unwinds, later ops are refused, and
+    /// `stats`/`shutdown` neither hang nor panic — whether the panic came
+    /// from a `with_volume` callback or from inside a client's
+    /// `RaidVolume::write`.
     #[test]
-    fn a_panicked_combiner_closes_the_service() {
+    fn a_panic_under_the_volume_lock_closes_the_service() {
+        // A `with_volume` callback that dies holding `shared` too, so
+        // that lock is poisoned as well.
         let svc = service(ServiceConfig::default());
         let h = svc.session("t", TenantClass::Writer);
         let es = svc.element_size();
-        // One op left queued by the panicking holder, one in its batch.
-        let (mut ops, slots) = batch_of(vec![
-            (0, OpKind::Write { addr: 0, data: vec![1; es] }),
-            (0, OpKind::Read { addr: 0, len: 1 }),
-        ]);
         let panicker = {
             let svc = Arc::clone(&svc);
             thread::spawn(move || {
                 svc.with_volume(|_| {
-                    let _in_flight = ops.pop();
-                    // Held across the panic: `shared` is poisoned too.
-                    let mut sh = locked(&svc.shared);
-                    sh.sessions[0].queue.extend(ops);
-                    sh.queued = 1;
-                    sh.combining = true;
-                    panic!("injected combiner panic");
-                });
+                    let _held = locked(&svc.shared);
+                    panic!("injected callback panic");
+                })
             })
         };
         assert!(panicker.join().is_err());
-        for slot in &slots {
-            assert_eq!(slot.take().map(|r| r.map(|_| ())), Some(Err(ServiceError::Closed)));
-        }
-        assert!(!locked(&svc.shared).combining);
-
-        let (tx, rx) = std::sync::mpsc::channel();
-        thread::spawn(move || tx.send(h.write(0, &vec![2; es])));
-        let res = rx.recv_timeout(Duration::from_secs(5)).expect("client hung on a dead combiner");
-        assert_eq!(res, Err(ServiceError::Closed));
+        assert!(locked(&svc.shared).closed, "refused at admission, not only at the lock");
+        assert_eq!(h.write(0, &vec![2; es]), Err(ServiceError::Closed));
         assert_eq!(svc.stats().queued, 0);
+        assert_eq!(svc.shutdown(), Err(ServiceError::Closed));
+
+        // A client's own write panics inside the volume.
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
+        let layout = code.layout();
+        let backend = PanickingWrites(MemBackend::new(layout.cols(), 6 * layout.rows(), 8));
+        let svc = Service::new(
+            RaidVolume::new(code, 6, 8, Box::new(backend)).unwrap(),
+            ServiceConfig::default(),
+        );
+        // With the cache detached every write reaches the backend.
+        svc.with_volume(|v| v.disable_cache().map(|_| ())).unwrap();
+        let (writer, later) =
+            (svc.session("w", TenantClass::Writer), svc.session("r", TenantClass::Reader));
+        let doomed = writer.clone();
+        assert!(thread::spawn(move || doomed.write(0, &[1; 8])).join().is_err());
+        assert_eq!(svc.stats().queued, 0);
+        let sh = locked(&svc.shared);
+        assert!(sh.closed && sh.sessions.iter().all(|s| s.in_flight == 0));
+        drop(sh);
+        assert_eq!(later.read(0, 1), Err(ServiceError::Closed));
+        assert_eq!(writer.write(0, &[1; 8]), Err(ServiceError::Closed));
         assert_eq!(svc.shutdown(), Err(ServiceError::Closed));
     }
 
-    /// Regression for permanent throttling: with no ops queued no
-    /// dispatch round runs, so a rejected op must still see the bucket
-    /// refill (wall-clock, at admission) for its retry to succeed.
+    /// An op admitted before `shutdown` either lands before the final
+    /// flush or fails with `Closed` — never unflushed after it. First the
+    /// late case, forced: admitted, then the shutdown, then the lock.
+    /// Then the race itself: each round holds the volume until a write
+    /// is admitted and the shutdown has closed the service, and lets the
+    /// two contend for the lock.
+    #[test]
+    fn a_write_racing_shutdown_lands_flushed_or_fails_closed() {
+        let svc = service(ServiceConfig::default());
+        let h = svc.session("late", TenantClass::Writer);
+        let data = vec![0xEE; 2 * svc.element_size()];
+        let late = svc.admit(&h, OpKind::Write { addr: 3, bytes: data.len() }, 2).unwrap();
+        assert_eq!(svc.shutdown(), Ok(()));
+        assert_eq!(late.run(|v| v.write(3, &data)).map(|_| ()), Err(ServiceError::Closed));
+        assert_eq!(svc.with_volume(|v| v.cache_dirty_stripes()), 0);
+        assert_eq!(svc.stats().queued, 0);
+
+        for round in 0..32u8 {
+            let svc = service(ServiceConfig::default());
+            let h = svc.session("w", TenantClass::Writer);
+            let data = vec![round + 1; 2 * svc.element_size()];
+            let outcome = thread::scope(|s| {
+                let (write, shutdown) = svc.with_volume(|_| {
+                    let write = s.spawn(|| h.write(3, &data));
+                    until(&svc, "the write is admitted", |sh| sh.queued == 1);
+                    let shutdown = s.spawn(|| svc.shutdown());
+                    until(&svc, "the shutdown closes the service", |sh| sh.closed);
+                    (write, shutdown)
+                });
+                assert_eq!(shutdown.join().unwrap(), Ok(()));
+                write.join().unwrap()
+            });
+            let (bytes, dirty) =
+                svc.with_volume(|v| (v.read(3, 2).unwrap().0, v.cache_dirty_stripes()));
+            assert_eq!(dirty, 0, "round {round}: shutdown left dirty stripes");
+            match outcome {
+                Ok(2) => assert_eq!(bytes, data, "round {round}: acked write missing"),
+                Err(ServiceError::Closed) => {
+                    assert_eq!(bytes, vec![0; data.len()], "round {round}: refused write landed");
+                }
+                other => panic!("round {round}: a write racing shutdown ended {other:?}"),
+            }
+        }
+    }
+
+    /// With `queue_depth: 1`, an op submitted while another is in flight
+    /// is refused with `Busy`, counted, and answered on the wire as
+    /// `ERR busy: 1 ops queued`; once the first completes the next is
+    /// admitted.
+    #[test]
+    fn an_op_past_the_queue_depth_is_busy() {
+        let svc = service(ServiceConfig { queue_depth: 1, ..ServiceConfig::default() });
+        let (first, second) =
+            (svc.session("first", TenantClass::Writer), svc.session("second", TenantClass::Reader));
+        let es = svc.element_size();
+        thread::scope(|s| {
+            let in_flight = svc.with_volume(|_| {
+                let op = s.spawn(|| first.write(0, &vec![7; es]));
+                until(&svc, "the first op is admitted", |sh| sh.queued == 1);
+                let busy = second.read(0, 1).unwrap_err();
+                assert_eq!(busy, ServiceError::Busy { queued: 1 });
+                assert_eq!(proto::err_line(&busy), "ERR busy: 1 ops queued");
+                op
+            });
+            assert_eq!(in_flight.join().unwrap(), Ok(1));
+        });
+        let st = svc.stats();
+        assert_eq!(st.queued, 0);
+        let refused = st.tenants.iter().find(|t| t.tenant == "second").expect("second's series");
+        assert_eq!((refused.ops, refused.busy_rejections), (0, 1));
+        assert_eq!(second.read(0, 1), Ok(vec![7; es]));
+    }
+
+    /// Regression for permanent throttling: the bucket refills by wall
+    /// clock at admission, so a rejected op's retry succeeds once enough
+    /// time has passed, with nothing else running.
     #[test]
     fn throttled_session_recovers_without_dispatch_rounds() {
         let svc = service(ServiceConfig {

@@ -15,7 +15,7 @@
 //! what an op can carry, so a client that never sends a newline costs one
 //! frame of memory, not all of it — checked to be UTF-8 and parsed in
 //! place ([`proto::parse`]): the only copy of a `WRITE` payload is its
-//! decode, and that `Vec` moves into the scheduler. The reply — `OK data `
+//! decode, and the volume writes from that `Vec`. The reply — `OK data `
 //! with the hex encoded straight into the buffer, newline included — goes
 //! out in one `write`, so the client never wakes for a payload and blocks
 //! again for its line ending. An over-long or non-UTF-8 frame is answered
@@ -28,12 +28,12 @@
 //! `SHUTDOWN` from any client flags the server, force-closes every other
 //! live connection (threads blocked reading an idle client observe EOF
 //! instead of pinning the server open), wakes the acceptor with a
-//! self-connection, drains the scheduler, flushes the volume, and joins
-//! every thread before [`serve`] returns — the clean-shutdown contract
-//! the serve-smoke gate asserts with a post-mortem `fsck`. Each
-//! connection's scheduler session is closed when the connection ends, so
-//! churning clients (stats scrapes included) don't accrete scheduler
-//! state.
+//! self-connection, joins every thread, and then shuts the service down —
+//! no op is admitted after that and the volume is flushed — before
+//! [`serve`] returns: the clean-shutdown contract the serve-smoke gate
+//! asserts with a post-mortem `fsck`. Each connection's scheduler session
+//! is closed when the connection ends, so churning clients (stats scrapes
+//! included) don't accrete scheduler state.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::Shutdown;
@@ -45,7 +45,7 @@ use std::thread;
 
 use crate::metrics::prometheus_text;
 use crate::proto::{self, Request};
-use crate::scheduler::{Service, ServiceHandle};
+use crate::scheduler::{locked, Service, ServiceHandle};
 
 /// Where the server listens.
 #[derive(Debug, Clone)]
@@ -73,8 +73,9 @@ const READ_BUFFER: usize = 64 * 1024;
 
 /// Binds the socket and serves clients until one sends `SHUTDOWN`.
 ///
-/// Blocks the calling thread. On return the scheduler is drained, the
-/// volume flushed, all threads joined, and the socket file removed.
+/// Blocks the calling thread. On return all threads are joined, the
+/// service is shut down with its volume flushed, and the socket file
+/// removed.
 ///
 /// # Errors
 ///
@@ -147,7 +148,7 @@ impl ConnRegistry {
     /// server is stopping (or the stream can't be cloned). The caller
     /// drops a refused connection unserved.
     fn register(&self, mut stream: &UnixStream) -> Option<u64> {
-        let mut g = self.inner.lock().expect("conn registry poisoned");
+        let mut g = locked(&self.inner);
         if g.stopping {
             return None;
         }
@@ -165,14 +166,14 @@ impl ConnRegistry {
     }
 
     fn deregister(&self, id: u64) {
-        let mut g = self.inner.lock().expect("conn registry poisoned");
+        let mut g = locked(&self.inner);
         g.conns.retain(|(i, _)| *i != id);
     }
 
     /// Marks the server stopping and shuts down every live connection
     /// so blocked readers return promptly.
     fn stop_all(&self) {
-        let mut g = self.inner.lock().expect("conn registry poisoned");
+        let mut g = locked(&self.inner);
         g.stopping = true;
         for (_, s) in g.conns.drain(..) {
             let _ = s.shutdown(Shutdown::Both);

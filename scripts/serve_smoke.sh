@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end smoke of the served volume: `hvraid serve` on a temp unix
-# socket over a file-backed volume, a scripted client proving byte
-# identity through the line protocol, a Prometheus stats scrape, a clean
-# SHUTDOWN (drain + flush), then fsck over the directory must exit 0.
+# socket over a file-backed volume, two concurrent scripted clients
+# proving byte identity through the line protocol, a Prometheus stats
+# scrape, a clean SHUTDOWN (final flush), then fsck over the directory
+# must exit 0.
 set -eu
 
 CARGO=${CARGO:-cargo}
@@ -30,20 +31,24 @@ while [ ! -S "$SOCK" ]; do
     sleep 0.1
 done
 
-# Two elements of payload; the read-back and the single-element re-read
-# must return exactly the written bytes (EXPECT aborts non-zero if not).
-PAYLOAD=deadbeefcafef00d1122334455667788
-cat > "$TMP/client.txt" <<EOF
-HELLO smoke writer
-WRITE 0 $PAYLOAD$PAYLOAD
-READ 0 2
-EXPECT $PAYLOAD$PAYLOAD
-FLUSH
-READ 1 1
-EXPECT $PAYLOAD
-QUIT
-EOF
+# Two clients at once, on disjoint stripes, so their sessions contend
+# for the volume lock over the socket. Each writes two elements of its
+# own payload ten times; every read-back and the single-element re-read
+# after a FLUSH must return exactly its bytes (EXPECT aborts non-zero).
+client_script() { # <tenant> <first element> <one element of payload>
+    echo "HELLO $1 writer"
+    for _ in 1 2 3 4 5 6 7 8 9 10; do
+        printf 'WRITE %s %s%s\nREAD %s 2\nEXPECT %s%s\n' "$2" "$3" "$3" "$2" "$3" "$3"
+    done
+    printf 'FLUSH\nREAD %s 1\nEXPECT %s\nQUIT\n' "$(($2 + 1))" "$3"
+}
+client_script smoke 0 deadbeefcafef00d1122334455667788 > "$TMP/client.txt"
+client_script smoke-b 16 0123456789abcdeffedcba9876543210 > "$TMP/client-b.txt"
+"$HV" connect --socket "$SOCK" --script "$TMP/client-b.txt" > "$TMP/client-b.log" &
+CLIENT_B=$!
 "$HV" connect --socket "$SOCK" --script "$TMP/client.txt"
+wait "$CLIENT_B"
+cat "$TMP/client-b.log"
 
 "$HV" stats --socket "$SOCK" > "$TMP/stats.txt"
 grep -q '^hvraid_service_ops_total' "$TMP/stats.txt"
