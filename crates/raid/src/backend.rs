@@ -15,15 +15,18 @@
 //!
 //! Backends know nothing about codes or stripes; the volume lowers its
 //! geometry to flat element addresses before calling them. Beyond element
-//! I/O, the trait carries two durability hooks the volume drives:
-//! an undo *journal* ([`DiskBackend::journal_begin`] /
-//! [`DiskBackend::journal_commit`]) so a crash mid-multi-element-write can
-//! be rolled back on reopen, and a rebuild *checkpoint*
-//! ([`DiskBackend::save_checkpoint`] / [`DiskBackend::load_checkpoint`]) so
-//! an interrupted rebuild resumes where it left off. Volatile backends
-//! ignore both (nothing of theirs survives a crash anyway);
-//! [`FileBackend`] persists the journal as an fsync-ordered sidecar file
-//! and the checkpoint as a line in `volume.meta`.
+//! I/O, the trait carries the all-or-nothing multi-element store
+//! ([`DiskBackend::write_all`]) and two durability hooks: an undo
+//! *journal* ([`DiskBackend::journal_begin`] /
+//! [`DiskBackend::journal_commit`]), which the default `write_all` drives
+//! so a crash mid-store can be rolled back on reopen, and a rebuild
+//! *checkpoint* ([`DiskBackend::save_checkpoint`] /
+//! [`DiskBackend::load_checkpoint`]) so an interrupted rebuild resumes
+//! where it left off. Volatile backends ignore both (nothing of theirs
+//! survives a crash anyway); [`FileBackend`] persists the journal as an
+//! fsync-ordered sidecar file and the checkpoint as a line in
+//! `volume.meta`. [`MemBackend`] cannot fail once its targets check out,
+//! so its `write_all` checks them all and then copies each element once.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
@@ -31,6 +34,8 @@ use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use disk_sim::DiskError;
+
+use crate::pipeline::DiskAddr;
 
 /// A pre-image record in the undo journal: the bytes element
 /// `(disk, index)` held before a multi-element write began.
@@ -102,6 +107,68 @@ pub trait DiskBackend: Send {
     /// Returns [`DiskError`] for bad addresses, failed disks, or medium
     /// errors.
     fn write(&mut self, disk: usize, index: usize, data: &[u8]) -> Result<(), DiskError>;
+
+    /// Stores every `(address, bytes)` of `targets` (distinct addresses),
+    /// all or nothing: on `Ok` every target holds its new bytes; on `Err`
+    /// every element holds what it held before the call — or, if the
+    /// process died mid-call, what reopening the backend restores.
+    ///
+    /// The default is the undo-journal protocol: read every target's
+    /// pre-image (an unreadable latent sector about to be overwritten
+    /// journals as zeros), [`DiskBackend::journal_begin`], write in target
+    /// order, [`DiskBackend::journal_commit`]. The first failed write rolls
+    /// the stored elements back in reverse order (a rollback write to the
+    /// disk that just died is skipped) and commits the journal — unless
+    /// the in-place undo is itself incomplete (a crash), in which case the
+    /// journal stays for reopen-time rollback.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`DiskError`] a pre-image read, the journal or a
+    /// write produced.
+    fn write_all(&mut self, targets: &[(DiskAddr, &[u8])]) -> Result<(), DiskError> {
+        if targets.is_empty() {
+            return Ok(());
+        }
+        let es = self.element_size();
+        let mut entries: Vec<JournalEntry> = Vec::with_capacity(targets.len());
+        for &(DiskAddr { disk, index }, _) in targets {
+            let mut data = vec![0; es];
+            match self.read(disk, index, &mut data) {
+                Ok(()) => {}
+                // An unreadable sector we are about to overwrite: the write
+                // remaps it, and zeros are as good an undo image as any for a
+                // sector that had no readable contents.
+                Err(DiskError::LatentSector { .. }) => data.fill(0),
+                Err(e) => return Err(e),
+            }
+            entries.push(JournalEntry { disk, index, data });
+        }
+        self.journal_begin(&entries)?;
+        for (written, &(DiskAddr { disk, index }, bytes)) in targets.iter().enumerate() {
+            let Err(e) = self.write(disk, index, bytes) else { continue };
+            // Roll the completed writes back in place. A rollback write to the
+            // disk that just died is fine to skip (its content is invalid
+            // until rebuilt); any other rollback failure — above all a crash —
+            // means the in-place undo is incomplete, so the journal must
+            // survive for reopen-time recovery.
+            let mut undo_ok = true;
+            for entry in entries[..written].iter().rev() {
+                match self.write(entry.disk, entry.index, &entry.data) {
+                    Ok(()) | Err(DiskError::DiskFailed { .. }) => {}
+                    Err(_) => undo_ok = false,
+                }
+            }
+            if undo_ok {
+                let _ = self.journal_commit();
+            }
+            return Err(e);
+        }
+        // If the commit itself fails (crash between the last write and here),
+        // the journal survives and reopen rolls everything back — consistent
+        // with reporting the store as failed.
+        self.journal_commit()
+    }
 
     /// Marks `disk` failed: every subsequent request to it errors until
     /// [`DiskBackend::replace`].
@@ -226,6 +293,16 @@ impl MemBackend {
             ],
         }
     }
+
+    /// The one way a request to this backend can fail: a bad address or a
+    /// failed disk.
+    fn check(&self, disk: usize, index: usize) -> Result<(), DiskError> {
+        check_addr(self.disks.len(), self.elements_per_disk, disk, index)?;
+        if self.disks[disk].failed {
+            return Err(DiskError::DiskFailed { disk });
+        }
+        Ok(())
+    }
 }
 
 impl DiskBackend for MemBackend {
@@ -242,24 +319,29 @@ impl DiskBackend for MemBackend {
     }
 
     fn read(&mut self, disk: usize, index: usize, buf: &mut [u8]) -> Result<(), DiskError> {
-        check_addr(self.disks.len(), self.elements_per_disk, disk, index)?;
-        let d = &self.disks[disk];
-        if d.failed {
-            return Err(DiskError::DiskFailed { disk });
-        }
-        let at = index * self.element_size;
-        buf.copy_from_slice(&d.data[at..at + self.element_size]);
+        self.check(disk, index)?;
+        let es = self.element_size;
+        buf.copy_from_slice(&self.disks[disk].data[index * es..(index + 1) * es]);
         Ok(())
     }
 
     fn write(&mut self, disk: usize, index: usize, data: &[u8]) -> Result<(), DiskError> {
-        check_addr(self.disks.len(), self.elements_per_disk, disk, index)?;
-        let es = self.element_size;
-        let d = &mut self.disks[disk];
-        if d.failed {
-            return Err(DiskError::DiskFailed { disk });
+        self.write_all(&[(DiskAddr { disk, index }, data)])
+    }
+
+    /// Every target is checked before the first byte moves, and nothing
+    /// can fail after that — nor can a crash leave anything behind in
+    /// RAM — so the store is all-or-nothing with no pre-image: each
+    /// element is copied once. The error is the one the journaled default
+    /// returns, whose pre-image reads fail on the same targets.
+    fn write_all(&mut self, targets: &[(DiskAddr, &[u8])]) -> Result<(), DiskError> {
+        for &(DiskAddr { disk, index }, _) in targets {
+            self.check(disk, index)?;
         }
-        d.data[index * es..(index + 1) * es].copy_from_slice(data);
+        let es = self.element_size;
+        for &(DiskAddr { disk, index }, bytes) in targets {
+            self.disks[disk].data[index * es..(index + 1) * es].copy_from_slice(bytes);
+        }
         Ok(())
     }
 
@@ -724,7 +806,9 @@ pub enum Fault {
 /// operation counts ([`FaultPoint`]) or on demand ([`Fault`]), transient
 /// and latent-sector errors surface per the taxonomy, and an optional
 /// per-op latency is accumulated so tests can assert slow-path behavior
-/// without wall clocks.
+/// without wall clocks. It runs the journaled default
+/// [`DiskBackend::write_all`], so every pre-image read and every write of
+/// a store is an operation a fault can land on.
 pub struct FaultyBackend {
     inner: Box<dyn DiskBackend>,
     schedule: Vec<FaultPoint>,

@@ -16,7 +16,7 @@ use raid_core::io::{IoLedger, LedgerShard, RequestSet};
 use raid_core::xplan::PlanCell;
 use raid_core::{Cell, Stripe, XorPlan};
 
-use crate::backend::{DiskBackend, JournalEntry};
+use crate::backend::DiskBackend;
 use crate::partition::{run_partitioned, PartitionMap};
 
 /// A flat element address on the backend.
@@ -83,10 +83,6 @@ pub struct IoPipeline {
     /// Simulated latency accumulated by the current operation (reset via
     /// [`IoPipeline::begin_op`]).
     op_latency_ms: f64,
-    /// Recycled pre-image buffers for the crash-journal write phase:
-    /// steady-state allocation is capped at the largest single-op write
-    /// set seen so far (a batch returns no more than that).
-    pre_image_pool: Vec<Vec<u8>>,
 }
 
 impl std::fmt::Debug for IoPipeline {
@@ -108,7 +104,6 @@ impl IoPipeline {
             ledger: IoLedger::new(disks),
             sim: None,
             op_latency_ms: 0.0,
-            pre_image_pool: Vec::new(),
         }
     }
 
@@ -174,12 +169,11 @@ impl IoPipeline {
     /// `scratch`, run the XOR plan, store the writes, then commit the
     /// request set to the simulator and ledger. Returns the committed set.
     ///
-    /// The write phase is atomic with respect to surviving disks: if a
-    /// write fails mid-op, already-stored elements are restored from their
-    /// pre-images before the error is returned, so the caller can re-plan
-    /// (e.g. degraded) against a consistent array. The pre-images are
-    /// journaled through the backend before the first write, so even a
-    /// crash mid-phase is rolled back when the volume is reopened.
+    /// The write phase is one [`DiskBackend::write_all`], all-or-nothing:
+    /// if a write fails, the array holds what it held before the op, so
+    /// the caller can re-plan (e.g. degraded) against a consistent array;
+    /// on a journaling backend even a crash mid-phase is rolled back when
+    /// the volume is reopened.
     ///
     /// # Errors
     ///
@@ -193,9 +187,9 @@ impl IoPipeline {
 
     /// Executes one lowered op per stripe scratch under partitioned
     /// ownership: the XOR plans run on up to `threads` partitioned workers
-    /// (work-stealing for skew), and the write phase commits under **one**
-    /// undo journal covering the whole batch — all-or-nothing, strictly
-    /// stronger than committing each op under its own journal. Each worker
+    /// (work-stealing for skew), and the write phase stores the whole
+    /// batch as **one** [`DiskBackend::write_all`] — all-or-nothing,
+    /// strictly stronger than committing each op on its own. Each worker
     /// also absorbs its ops' request sets into a private [`LedgerShard`],
     /// returned alongside the per-op request sets so callers can audit the
     /// (order-independent) shard merge against the receipts.
@@ -207,10 +201,9 @@ impl IoPipeline {
     /// # Errors
     ///
     /// Returns the first [`DiskError`] any phase produced. A read-phase
-    /// error commits nothing; a write-phase error rolls every stored
-    /// element of the batch back to its pre-image (journal recovery
-    /// covers a crash mid-phase); nothing reaches the simulator or
-    /// ledger on any error.
+    /// error commits nothing; a write-phase error leaves every element of
+    /// the batch as it was (journal recovery covers a crash mid-phase);
+    /// nothing reaches the simulator or ledger on any error.
     ///
     /// # Panics
     ///
@@ -277,9 +270,9 @@ impl IoPipeline {
 
     /// The one executor behind [`Self::execute`] and
     /// [`Self::execute_batch`]. Every op's reads land in its scratch,
-    /// `compute` runs the plans, every op's writes are stored under one
-    /// undo journal ([`Self::store`]), and only then are the request sets
-    /// committed ([`Self::commit`]).
+    /// `compute` runs the plans, every op's writes are stored as one
+    /// all-or-nothing unit ([`Self::store`]), and only then are the
+    /// request sets committed ([`Self::commit`]).
     fn run(
         &mut self,
         ops: &[LoweredOp],
@@ -330,12 +323,10 @@ impl IoPipeline {
         Ok(sets)
     }
 
-    /// The write phase, crash-consistently: gather every target's
-    /// pre-image (unaccounted internal reads), journal them durably as one
-    /// record, then apply the writes in target order. A mid-phase disk
-    /// death is rolled back in place from the pre-images; a crash leaves
-    /// the journal behind for reopen-time rollback, so the multi-element
-    /// update is atomic even across process death.
+    /// The write phase: every op's writes, in target order, as one
+    /// all-or-nothing [`DiskBackend::write_all`] — so the ops of one call
+    /// either commit fully or leave the array untouched, even across
+    /// process death on a journaling backend.
     fn store(&mut self, ops: &[LoweredOp], scratches: &[Stripe]) -> Result<(), DiskError> {
         let targets: Vec<(DiskAddr, &[u8])> = ops
             .iter()
@@ -345,62 +336,7 @@ impl IoPipeline {
                 cells.map(move |&(cell, addr)| (addr, scratch.element(cell)))
             })
             .collect();
-        if targets.is_empty() {
-            return Ok(());
-        }
-        let es = self.backend.element_size();
-        let mut entries: Vec<JournalEntry> = Vec::with_capacity(targets.len());
-        let result = (|| -> Result<(), DiskError> {
-            for &(addr, _) in &targets {
-                let mut pre = self.pre_image_pool.pop().unwrap_or_default();
-                pre.resize(es, 0);
-                match self.backend.read(addr.disk, addr.index, &mut pre) {
-                    // A full-element read overwrites any recycled contents.
-                    Ok(()) => {}
-                    // An unreadable sector we are about to overwrite: the
-                    // write remaps it, and zeros are as good an undo image
-                    // as any for a sector that had no readable contents.
-                    Err(DiskError::LatentSector { .. }) => pre.fill(0),
-                    Err(e) => {
-                        self.pre_image_pool.push(pre);
-                        return Err(e);
-                    }
-                }
-                entries.push(JournalEntry { disk: addr.disk, index: addr.index, data: pre });
-            }
-            self.backend.journal_begin(&entries)?;
-            for (written, &(addr, bytes)) in targets.iter().enumerate() {
-                let Err(e) = self.backend.write(addr.disk, addr.index, bytes) else { continue };
-                // Roll the completed writes back in place. A rollback write
-                // to the disk that just died is fine to skip (its content
-                // is invalid until rebuilt); any other rollback failure —
-                // above all a crash — means the in-place undo is
-                // incomplete, so the journal must survive for reopen-time
-                // recovery.
-                let mut undo_ok = true;
-                for entry in entries[..written].iter().rev() {
-                    match self.backend.write(entry.disk, entry.index, &entry.data) {
-                        Ok(()) | Err(DiskError::DiskFailed { .. }) => {}
-                        Err(_) => undo_ok = false,
-                    }
-                }
-                if undo_ok {
-                    let _ = self.backend.journal_commit();
-                }
-                return Err(e);
-            }
-            // If the commit itself fails (crash between the last write and
-            // here), the journal survives and reopen rolls everything back
-            // — consistent with reporting the ops as failed.
-            self.backend.journal_commit()
-        })();
-        // Return pre-image buffers to the pool whatever happened
-        // (`journal_begin` made its own durable copy, and any in-place
-        // undo already ran) — but no more than the largest single op
-        // stored, so a batch does not pin a whole array's worth.
-        let keep = ops.iter().map(|op| op.data_writes.len() + op.parity_writes.len()).max();
-        self.pre_image_pool.extend(entries.into_iter().take(keep.unwrap_or(0)).map(|e| e.data));
-        result
+        self.backend.write_all(&targets)
     }
 }
 
@@ -742,35 +678,25 @@ mod tests {
 
     #[test]
     fn unreadable_pre_image_is_zero_filled_and_the_write_heals_it() {
-        let c = Cell::new;
         for (name, run) in ENTRIES {
             for disk_2_dies in [false, true] {
-                let mut inner = MemBackend::new(3, 2, 4);
-                for (disk, index) in [(0, 0), (1, 0), (2, 0), (2, 1)] {
-                    inner.write(disk, index, &[9; 4]).unwrap();
+                let mut inner = MemBackend::new(3, 1, 4);
+                for disk in 0..3 {
+                    inner.write(disk, 0, &[9; 4]).unwrap();
                 }
-                // Backend ops: warm-up pre-image read + write (1-2), three
-                // pre-image reads (3-5), then the writes (6-8) — disk 2
-                // can die exactly at its own.
+                // Backend ops: three pre-image reads (1-3), then the
+                // writes (4-6) — disk 2 can die exactly at its own.
                 let schedule =
-                    if disk_2_dies { vec![FaultPoint { at_op: 8, disk: 2 }] } else { vec![] };
+                    if disk_2_dies { vec![FaultPoint { at_op: 6, disk: 2 }] } else { vec![] };
                 let faulty = FaultyBackend::new(Box::new(inner), schedule)
                     .with_faults([Fault::LatentSector { disk: 0, index: 0 }]);
                 let mut pipe = IoPipeline::new(Box::new(faulty));
-                // Warm-up: leaves a `[9;4]` buffer in the pool for the
-                // latent target's pre-image to recycle.
-                let warm_up = LoweredOp {
-                    data_writes: vec![(c(0, 0), addr(2, 1))],
-                    ..Default::default()
-                };
-                run(&mut pipe, &warm_up, &mut Stripe::zeroed(1, 1, 4)).unwrap();
-
                 let (op, mut scratch) = three_writes();
                 let result = run(&mut pipe, &op, &mut scratch);
                 let healed = element(pipe.backend_mut(), 0, 0);
                 if disk_2_dies {
                     // Rolled back from the undo image: zeros, not the
-                    // recycled buffer's stale bytes.
+                    // unreadable sector's old bytes.
                     assert_eq!(result, Err(DiskError::DiskFailed { disk: 2 }), "{name}");
                     assert_eq!(healed, [0; 4], "{name}");
                     assert_eq!(element(pipe.backend_mut(), 1, 0), [9; 4], "{name}");
@@ -780,27 +706,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pre_image_pool_keeps_no_more_than_the_largest_single_op() {
-        // Four ops of two writes each: the batch journals eight
-        // pre-images but may keep only one op's worth for recycling.
-        let c = Cell::new;
-        let ops: Vec<LoweredOp> = (0..4)
-            .map(|index| LoweredOp {
-                data_writes: vec![(c(0, 0), addr(0, index))],
-                parity_writes: vec![(c(0, 1), addr(1, index))],
-                ..Default::default()
-            })
-            .collect();
-        let mut scratches = vec![Stripe::zeroed(1, 2, 4); 4];
-        let mut pipe = IoPipeline::new(Box::new(MemBackend::new(2, 4, 4)));
-        let map = PartitionMap::build(4, 2);
-        pipe.execute_batch(&ops, &mut scratches, &map, 2).unwrap();
-        assert_eq!(pipe.pre_image_pool.len(), 2);
-        // A single op recycles them and hands the same two back.
-        pipe.execute(&ops[0], &mut scratches[0]).unwrap();
-        assert_eq!(pipe.pre_image_pool.len(), 2);
     }
 }

@@ -4,7 +4,7 @@
 //! `IoPipeline::execute_batch` runs one `LoweredOp` per stripe in three
 //! backend phases: *all* reads land in their scratch stripes, every plan
 //! executes in its private scratch under `run_partitioned`, and *all*
-//! writes are journaled as one unit and stored. Two distinct reorderings
+//! writes are stored as one all-or-nothing unit. Two distinct reorderings
 //! hide in that shape:
 //!
 //! * **Across partitions** — the partition abstraction promises that

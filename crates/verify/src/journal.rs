@@ -1,9 +1,10 @@
 //! Symbolic crash-consistency proof for the pipeline's undo journal.
 //!
-//! `IoPipeline` protects every multi-element write with one protocol:
-//! gather the pre-images of **all** the write targets of the ops it was
-//! handed, journal them as one record, store, commit. The ops stored
-//! under one journal are a *journal unit*: [`IoPipeline::execute`] runs
+//! `IoPipeline` stores the write targets of **all** the ops it was handed
+//! as one `DiskBackend::write_all`, whose default — the protocol every
+//! journaling backend runs — gathers their pre-images, journals them as
+//! one record, stores, commits. The ops stored by one `write_all` are a
+//! *journal unit*: [`IoPipeline::execute`] runs
 //! units of one op, `execute_batch` runs the whole batch as one unit, and
 //! a unit's reads see the state the earlier units left. The chaos harness
 //! samples crash points at random; this module replaces sampling with a
@@ -245,7 +246,7 @@ fn check_crash_prefix(
         state.set(*a, v.clone());
     }
     // Rollback replays the stored pre-images in reverse write order,
-    // exactly like `IoPipeline`'s in-flight rollback and the
+    // exactly like the default `write_all`'s in-flight rollback and the
     // `FileBackend` reopen recovery.
     for rec in journal.iter().rev() {
         state.set(rec.addr, rec.pre.clone());

@@ -8,6 +8,9 @@
 //! given, not the stripe's 120 (480 KiB), so a cold write, a read miss
 //! and an eviction-per-op trace cost the op's own bytes.
 //!
+//! Of what a store keeps of what it overwrites: on memory, nothing — it
+//! checks its targets and copies each element once, with no pre-image.
+//!
 //! Of what a store zero-fills: only the cells its op reads or computes.
 //! A flush runs on the cache entry's own dirty and clean-resident slots,
 //! and an uncached write on one copy of the caller's bytes. The counting
@@ -129,19 +132,31 @@ fn single_element_write_allocates_its_six_cells_not_the_grid() {
     let _alone = alone();
     let mut v = volume();
     let data = payload(ELEMENT, 1);
-    v.write(7, &data).unwrap(); // warms the pre-image pool
     let (calls, bytes) = allocated(|| drop(v.write(130, &data).unwrap()));
     assert!(calls <= SMALL_OP.0 && bytes <= SMALL_OP.1, "{calls} calls, {bytes} bytes");
     assert_eq!(v.read(130, 1).unwrap().0, data);
 }
 
+/// A full-stripe write allocates one copy of the stripe, not two, and
+/// keeps no pre-image of its 144 targets. The store tests here run on a
+/// fresh volume with nothing warmed first (debug build, bytes requested /
+/// allocator calls):
+///
+/// | case                                | parent `076c414` | change        |
+/// |-------------------------------------|------------------|---------------|
+/// | full-stripe write                   | 1 239 932 / 346  | 640 892 / 200 |
+/// | (k) flush, 40 dirty + 40 resident   | 501 832 / 200    | 268 872 / 142 |
+/// | single-element write                | 47 628 / 52      | 35 124 / 47   |
+/// | flush of one dirty element          | 45 528 / 69      | 33 024 / 64   |
+///
+/// The parent read every target's pre-image into a buffer it then pooled
+/// across the volume's stores; the first two fail their budgets there.
 #[test]
 fn full_stripe_write_allocates_one_stripe_not_two() {
     let _alone = alone();
     let mut v = volume();
     let per_stripe = v.data_elements() / STRIPES;
     let data = payload(per_stripe * ELEMENT, 2);
-    v.write(0, &data).unwrap(); // warms the pre-image pool
     let (calls, bytes) = allocated(|| drop(v.write(per_stripe, &data).unwrap()));
     assert!(bytes * 100 <= GRID * 115, "{calls} calls, {bytes} bytes");
     assert_eq!(v.read(per_stripe, per_stripe).unwrap().0, data);
@@ -172,7 +187,6 @@ fn full_stripe_write_zero_fills_its_parities_not_its_data() {
     let mut v = volume();
     let per_stripe = v.data_elements() / STRIPES;
     let data = payload(per_stripe * ELEMENT, 2);
-    v.write(0, &data).unwrap(); // warms the pre-image pool
     let (calls, bytes, zeroed) = counted(|| drop(v.write(per_stripe, &data).unwrap()));
     let parities = GRID / ELEMENT - per_stripe;
     let what = format!("(l) {bytes} bytes in {calls} calls, {zeroed} zero-filled");
@@ -185,7 +199,6 @@ fn flush_of_one_dirty_element_stays_within_the_single_element_budget() {
     let _alone = alone();
     let mut v = volume();
     let data = payload(ELEMENT, 3);
-    v.write(7, &data).unwrap(); // warms the pre-image pool
     v.enable_cache(CacheConfig::default());
     v.write(130, &data).unwrap(); // the cache entry's allocation is not the flush's
     let (calls, bytes) = allocated(|| drop(v.flush().unwrap()));
@@ -278,7 +291,6 @@ fn a_flush_zero_fills_what_it_reads_and_computes_not_what_the_cache_holds() {
     let _alone = alone();
     let mut v = volume();
     let per_stripe = v.data_elements() / STRIPES;
-    v.write(0, &payload(per_stripe * ELEMENT, 13)).unwrap(); // warms the pre-image pool
     v.enable_cache(CacheConfig::default());
     let dirty = payload(40 * ELEMENT, 14);
     v.write(per_stripe + 20, &dirty).unwrap();

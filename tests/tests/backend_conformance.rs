@@ -78,6 +78,59 @@ fn on_every_volume(tag: &str, body: impl Fn(&mut RaidVolume, usize, &str)) {
     }
 }
 
+/// `DiskBackend::write_all` is all-or-nothing on every backend, wherever
+/// its bad target sits: on a failed disk, past the last element or past
+/// the last disk, first, in the middle or last. Memory checks its targets
+/// and copies each once; the file and fault-injecting backends run the
+/// journaled default. All three return the same error and leave every
+/// element as it was, and a store with no bad target lands whole.
+#[test]
+fn write_all_is_all_or_nothing_on_every_backend() {
+    use disk_sim::DiskError;
+    const DISKS: usize = 4;
+    const PER_DISK: usize = 3;
+    let at = |disk, index| DiskAddr { disk, index };
+    let old = |a: DiskAddr| [(a.disk * PER_DISK + a.index) as u8 + 1; ELEMENT];
+    let new = [0xEE; ELEMENT];
+    let good = [at(0, 0), at(1, 1), at(3, 2)];
+    let bad = [
+        (at(2, 1), DiskError::DiskFailed { disk: 2 }),
+        (at(1, PER_DISK), DiskError::Io { disk: 1 }),
+        (at(DISKS, 0), DiskError::NoSuchDisk { disk: DISKS }),
+    ];
+    for kind in BACKENDS {
+        let label = format!("write_all_{kind}");
+        let mut b = make_backend(kind, &label, DISKS, PER_DISK);
+        for a in (0..DISKS).flat_map(|disk| (0..PER_DISK).map(move |index| at(disk, index))) {
+            b.write(a.disk, a.index, &old(a)).unwrap();
+        }
+        b.fail(2).unwrap();
+        let holds = |b: &mut Box<dyn DiskBackend>, a: DiskAddr| {
+            let mut buf = [0; ELEMENT];
+            b.read(a.disk, a.index, &mut buf).unwrap();
+            buf
+        };
+        for (wrong, err) in bad {
+            for k in 0..=good.len() {
+                let mut addrs = good.to_vec();
+                addrs.insert(k, wrong);
+                let targets: Vec<(DiskAddr, &[u8])> = addrs.iter().map(|&a| (a, &new[..])).collect();
+                assert_eq!(b.write_all(&targets), Err(err), "{kind}: {wrong:?} at {k}");
+                for a in good {
+                    assert_eq!(holds(&mut b, a), old(a), "{kind}: {wrong:?} at {k} stored {a:?}");
+                }
+            }
+        }
+        let targets: Vec<(DiskAddr, &[u8])> = good.iter().map(|&a| (a, &new[..])).collect();
+        b.write_all(&targets).unwrap();
+        for a in good {
+            assert_eq!(holds(&mut b, a), new, "{kind}: {a:?}");
+        }
+        assert_eq!(holds(&mut b, at(0, 1)), old(at(0, 1)), "{kind}: a bystander moved");
+        cleanup(kind, &label);
+    }
+}
+
 #[test]
 fn write_read_roundtrip_on_every_backend() {
     on_every_volume("rt", |v, _, ctx| {
