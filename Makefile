@@ -48,7 +48,7 @@ bench-ab:
 # Same decisions, same bytes: BASE (unpacked into target/ab-base, as
 # bench-ab does) and the working tree, both built in release mode, must
 # print byte-identical output for the three chaos-smoke campaigns, the
-# fleet-smoke report, `hvraid lint --all --hazards --journal --schedules`
+# fleet-smoke report, `hvraid lint --all --journal`
 # and `repro --csv <dir> all` (its CSVs; its stdout carries wall times),
 # with the same exit status: one same/DIFFERS line per command, exit 1
 # on any difference. Outputs stay under
@@ -80,7 +80,7 @@ repro-check:
 chaos-smoke:
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 1 --episodes 25
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 2 --episodes 25 --backend mem --spares 0
-	$(CARGO) run -q --release -p hvraid -- chaos --seed 3 --episodes 25 --threads 4 --stripes 8
+	$(CARGO) run -q --release -p hvraid -- chaos --seed 3 --episodes 25 --stripes 8
 
 # Seeded fleet reliability campaign: the same small fleet twice, with
 # the JSON reports required byte-identical (the harness's determinism
@@ -97,19 +97,18 @@ fleet-smoke:
 	$(CARGO) test -q -p integration --test fleet_qos
 	$(CARGO) test -q -p integration --test reliability_invariants
 
-# ThreadSanitizer over the partitioned-executor determinism suite.
-# -Zsanitizer=thread needs a nightly toolchain with rust-src; skipped with
-# a notice when unavailable (e.g. offline containers) — the exhaustive
-# schedule models (`hvraid lint --schedules`) still prove the cursor and
-# ledger-merge protocols race-free without it.
+# ThreadSanitizer over the service suites, whose concurrent clients share
+# one volume under its lock: the only multi-threaded code in the
+# workspace. -Zsanitizer=thread needs a nightly toolchain with rust-src;
+# skipped with a notice when unavailable (e.g. offline containers).
 tsan-smoke:
 	@if $(CARGO) +nightly --version >/dev/null 2>&1 && \
 		rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then \
 		RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
 			$(CARGO) +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-			-q -p integration --test partition_determinism || exit 1; \
+			-q -p integration --test service_conformance --test service_fairness || exit 1; \
 	else \
-		echo "tsan-smoke: nightly + rust-src unavailable, skipping (see 'hvraid lint --schedules')"; \
+		echo "tsan-smoke: nightly + rust-src unavailable, skipping"; \
 	fi
 
 # End-to-end smoke of the service front-end: `hvraid serve` on a temp
@@ -122,18 +121,17 @@ serve-smoke:
 
 # Static analysis gate: warnings-as-errors clippy across every target,
 # the (gated) miri pass over the unsafe kernels, then the symbolic
-# verifier proving every registered code at every default prime — now
-# including the partition-hazard, crash-journal, and schedule-exploration
-# proofs (itemized by the extra flags). Then the optimizer regression
-# gate: the plan optimizer must keep saving at least 10% of the
-# specification's encode XOR reads for the cascaded codes (RDP, HDP,
-# EVENODD) at p = 13, and must never cost any code reads (the
+# verifier proving every registered code at every default prime —
+# including the crash-journal proof (itemized by --journal). Then the
+# optimizer regression gate: the plan optimizer must keep saving at least
+# 10% of the specification's encode XOR reads for the cascaded codes
+# (RDP, HDP, EVENODD) at p = 13, and must never cost any code reads (the
 # --min-savings 0 sweep; `check_code` separately proves the cached plan
 # never reads more than the cascaded compile).
 lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 	$(MAKE) miri
-	$(CARGO) run -q -p hvraid -- lint --all --hazards --journal --schedules
+	$(CARGO) run -q -p hvraid -- lint --all --journal
 	$(CARGO) run -q --release -p hvraid -- lint --code rdp --p 13 --min-savings 10
 	$(CARGO) run -q --release -p hvraid -- lint --code hdp --p 13 --min-savings 10
 	$(CARGO) run -q --release -p hvraid -- lint --code evenodd --p 13 --min-savings 10

@@ -39,10 +39,11 @@ commands:
                                            coalesced flush / eviction counts
   estimate  --code <name> [--p 13] [--stripes 64] [--mttf 1000000]
                                            rebuild times and MTTDL
-  batch     --code <name> [--p 13] [--stripes 256] [--element 4096] [--threads 1]
+  batch     --code <name> [--p 13] [--stripes 256] [--element 4096]
             [--backend mem|file] [--dir <dir>]
-                                           encode + rebuild a stripe batch through
-                                           the volume pipeline, timed
+                                           full-stripe write (which encodes) and
+                                           two-disk rebuild of the whole volume,
+                                           timed
   volume    --code <name> --dir <dir> [--p 7] [--stripes 8] [--element 64]
                                            full lifecycle on a file-backed volume
                                            (create, write, fail, degraded read,
@@ -55,17 +56,14 @@ commands:
                                            (exit 0 clean, 2 repaired, 3 unrecoverable)
   chaos     [--seed N] [--episodes 100] [--backend both|mem] [--dir <dir>]
             [--code hv] [--p 5] [--stripes 4] [--element 16] [--spares 2]
-            [--steps 12] [--sweeps true] [--cache true] [--threads 1]
+            [--steps 12] [--sweeps true] [--cache true]
                                            randomized fault-injection campaign (dead
                                            disks, transients, latent sectors, torn
                                            writes, crash-at-every-journal-point sweeps
                                            including crash-with-dirty-cache flushes)
                                            verified against a shadow model; any failure
                                            prints the seed that reproduces it;
-                                           --cache false disables the write-back cache;
-                                           --threads N pins N stripe partitions and adds
-                                           partition flush barriers + a partitioned
-                                           encode pass to every episode
+                                           --cache false disables the write-back cache
   fleet     [--volumes 100] [--hours 336] [--seed 42] [--code hv] [--p 5]
             [--stripes 24] [--element 64] [--spares <volumes/8>]
             [--replenish 24] [--scale 1500] [--qos true] [--json]
@@ -80,7 +78,7 @@ commands:
                                            back into the MTTDL model; --json is
                                            byte-identical for a fixed seed
   serve     --socket <path> [--code hv] [--p 5] [--stripes 16] [--element 64]
-            [--dir <dir>] [--queue-depth 256] [--partitions N]
+            [--dir <dir>] [--queue-depth 256]
                                            serve the volume as a concurrent block
                                            service on a unix socket (line protocol:
                                            HELLO/READ/WRITE/FLUSH/STATS/QUIT/
@@ -96,22 +94,18 @@ commands:
   stats     --socket <path>                fetch the Prometheus text-format metrics
                                            snapshot from a running server
   lint      [--code <name>] [--p <prime>] [--all] [--json] [--opt]
-            [--min-savings <pct>] [--hazards] [--journal] [--schedules]
+            [--min-savings <pct>] [--journal]
                                            statically verify compiled plans: symbolic
                                            GF(2) encode proof, optimizer-equivalence
                                            proof, exhaustive single/double erasure MDS
-                                           proof, partition-hazard + crash-journal
-                                           proofs, paper-table cross-check (default:
-                                           every code at p = 5 7 11 13 17); --opt also
-                                           reports the XOR-read savings of the plan
-                                           optimizer per code, and --min-savings fails
-                                           any code saving less than <pct> percent of
-                                           the specification's XOR reads; --hazards
-                                           itemizes per-partition disk footprints,
-                                           --journal itemizes crash-prefix counts,
-                                           --schedules exhaustively model-checks the
-                                           executor's concurrent protocols (work-stealing
-                                           cursor, ledger-shard merge)
+                                           proof, crash-journal proof, paper-table
+                                           cross-check (default: every code at
+                                           p = 5 7 11 13 17); --opt also reports the
+                                           XOR-read savings of the plan optimizer per
+                                           code, and --min-savings fails any code
+                                           saving less than <pct> percent of the
+                                           specification's XOR reads; --journal
+                                           itemizes crash-prefix counts
 
 codes: hv rdp evenodd xcode hcode hdp pcode liberation";
 
@@ -133,6 +127,11 @@ pub fn run(parsed: &Parsed) -> Result<String, String> {
 ///
 /// Returns a user-facing message on bad input.
 pub fn run_with_status(parsed: &Parsed) -> Result<(String, u8), String> {
+    if let Some(allowed) = usage_flags(&parsed.command) {
+        if let Some(flag) = parsed.flags.keys().find(|f| !allowed.contains(&f.as_str())) {
+            return Err(format!("unknown flag --{flag} for {}", parsed.command));
+        }
+    }
     match parsed.command.as_str() {
         "fsck" => fsck(parsed),
         other => {
@@ -157,6 +156,17 @@ pub fn run_with_status(parsed: &Parsed) -> Result<(String, u8), String> {
             Ok((out, 0))
         }
     }
+}
+
+/// The flags `command`'s entry in [`USAGE`] names — its usage lines and
+/// their description — or `None` for a command without an entry.
+fn usage_flags(command: &str) -> Option<Vec<&'static str>> {
+    let mut lines = USAGE.lines().skip_while(|l| !l.starts_with("commands:"));
+    let head = format!("  {command} ");
+    let first = lines.find(|l| l.starts_with(&head))?;
+    let entry = std::iter::once(first).chain(lines.take_while(|l| l.starts_with("    ")));
+    let words = entry.flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')));
+    Some(words.filter_map(|w| w.strip_prefix("--")).collect())
 }
 
 fn code_from(parsed: &Parsed, default_p: usize) -> Result<(Arc<dyn ArrayCode>, usize), String> {
@@ -380,22 +390,18 @@ fn batch(parsed: &Parsed) -> Result<String, String> {
     let (code, p) = code_from(parsed, 13)?;
     let stripes = parsed.get_or("stripes", 256usize)?;
     let element = parsed.get_or("element", 4096usize)?;
-    let threads = parsed.get_or("threads", 1usize)?.max(1);
     let backend = backend_from(parsed, &code, stripes, element)?;
     let mut volume = RaidVolume::new(Arc::clone(&code), stripes, element, backend)
         .map_err(|e| e.to_string())?;
 
-    // Populate the whole data space (full-stripe writes — no RMW reads).
     let data = seeded_payload(volume.data_elements() * element, 11);
-    volume.write(0, &data).map_err(|e| e.to_string())?;
-
     let bytes = data.len() as f64;
     let mib_s = |secs: f64| bytes / (1 << 20) as f64 / secs;
 
-    // Batch re-encode: data elements are read back through the pipeline and
-    // the XOR kernels run on worker threads.
+    // Full-stripe writes of the whole data space: every parity is encoded
+    // on the way to the disks, with no read-modify-write reads.
     let t0 = std::time::Instant::now();
-    let encode_io = volume.encode_all(threads).map_err(|e| e.to_string())?;
+    let encode_io = volume.write(0, &data).map_err(|e| e.to_string())?;
     let encode_s = t0.elapsed().as_secs_f64();
 
     let lost = [0usize, volume.disks() / 2];
@@ -403,13 +409,12 @@ fn batch(parsed: &Parsed) -> Result<String, String> {
         volume.fail_disk(d).map_err(|e| e.to_string())?;
     }
     let t1 = std::time::Instant::now();
-    let rebuild_io = volume.rebuild_all(threads).map_err(|e| e.to_string())?;
+    let rebuild_io = volume.rebuild().map_err(|e| e.to_string())?;
     let rebuild_s = t1.elapsed().as_secs_f64();
     let intact = volume.verify_all();
 
     Ok(format!(
-        "{} at p = {p}: {stripes} stripes × {element} B elements, {threads} thread(s), \
-         {} backend\n\
+        "{} at p = {p}: {stripes} stripes × {element} B elements, {} backend\n\
          encode:  {:.1} ms ({:.0} MiB/s of data, {} element requests)\n\
          rebuild: {:.1} ms ({:.0} MiB/s of data, {} element requests, disks #{} and #{})\n\
          all stripes consistent after rebuild: {}",
@@ -686,7 +691,6 @@ fn chaos_campaign(parsed: &Parsed) -> Result<String, String> {
         },
         crash_sweeps: parsed.get_or("sweeps", defaults.crash_sweeps)?,
         cache: parsed.get_or("cache", defaults.cache)?,
-        threads: parsed.get_or("threads", defaults.threads)?,
     };
     let scratch = cfg.dir.clone().filter(|_| !parsed.flags.contains_key("dir"));
     let result = chaos::run(&code, &cfg);
@@ -751,11 +755,9 @@ fn lint(parsed: &Parsed) -> Result<String, String> {
     // plan saves less than N percent of the specification's XOR reads
     // fails the lint — `make lint`'s optimizer regression gate.
     let min_savings: f64 = parsed.get_or("min-savings", -1.0f64)?;
-    // The concurrency/crash auditors run inside every check_code call;
-    // these flags additionally itemize their evidence per combination.
-    let hazards = parsed.get_or("hazards", false)?;
+    // The crash-journal proof runs inside every check_code call; --journal
+    // additionally itemizes its evidence per combination.
     let journal = parsed.get_or("journal", false)?;
-    let schedules = parsed.get_or("schedules", false)?;
     // `--all` is the default; the flag exists so scripts can say what they
     // mean. Naming a code restricts the sweep to it.
     let codes: Vec<String> = match parsed.flags.get("code") {
@@ -819,65 +821,25 @@ fn lint(parsed: &Parsed) -> Result<String, String> {
                     ));
                 }
             }
-            // Itemized evidence beyond check_code's pass/fail: the actual
-            // partition footprints and crash-prefix tallies.
-            if hazards || journal {
+            // Itemized evidence beyond check_code's pass/fail: the
+            // crash-prefix tallies.
+            if journal {
                 let code = raid_verify::build(name, p)?;
-                let layout = code.layout();
-                if hazards {
-                    let h = raid_verify::hazard::prove_layout_hazard_free(layout)
-                        .map_err(|e| format!("lint: {name} at p={p} FAILED\n  {e}"))?;
-                    if json {
-                        lines.push(h.encode_report.to_json());
-                    } else {
-                        lines.push(format!(
-                            "{:<10}       hazards: {} batches disjoint across {} \
-                             partitions (encode: {} ops over {} disks, 0 overlaps)",
-                            "",
-                            h.batches,
-                            h.partitions,
-                            h.encode_report.ops,
-                            h.encode_report.disks,
-                        ));
-                    }
+                let j = raid_verify::journal::prove_layout_journal(code.layout())
+                    .map_err(|e| format!("lint: {name} at p={p} FAILED\n  {e}"))?;
+                if json {
+                    lines.push(format!(
+                        "{{\"code\":\"{name}\",\"p\":{p},\"journal_op_lists\":{},\
+                         \"journal_crash_points\":{}}}",
+                        j.op_lists, j.crash_points
+                    ));
+                } else {
+                    lines.push(format!(
+                        "{:<10}       journal: {} crash prefixes across {} executed op \
+                         lists replay to all-old-or-all-new",
+                        "", j.crash_points, j.op_lists,
+                    ));
                 }
-                if journal {
-                    let j = raid_verify::journal::prove_layout_journal(layout)
-                        .map_err(|e| format!("lint: {name} at p={p} FAILED\n  {e}"))?;
-                    if json {
-                        lines.push(format!(
-                            "{{\"code\":\"{name}\",\"p\":{p},\"journal_batches\":{},\
-                             \"journal_crash_points\":{}}}",
-                            j.batches, j.crash_points
-                        ));
-                    } else {
-                        lines.push(format!(
-                            "{:<10}       journal: {} crash prefixes across {} \
-                             batch/mode pairs replay to all-old-or-all-new",
-                            "", j.crash_points, j.batches,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if schedules {
-        // Code-independent: the executor's concurrent protocols are
-        // model-checked once, not per code/prime.
-        let results =
-            raid_verify::schedules::check_all_models().map_err(|e| format!("lint: {e}"))?;
-        for r in &results {
-            if json {
-                lines.push(format!(
-                    "{{\"model\":\"{}\",\"configs\":{},\"schedules\":{},\"max_depth\":{}}}",
-                    r.model, r.configs, r.schedules, r.max_depth
-                ));
-            } else {
-                lines.push(format!(
-                    "schedules: {:<6} — {} configs, {} interleavings explored, \
-                     max depth {} ✔",
-                    r.model, r.configs, r.schedules, r.max_depth
-                ));
             }
         }
     }
@@ -933,9 +895,6 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
 
     let cfg = ServiceConfig {
         queue_depth: parsed.get_or("queue-depth", 256usize)?,
-        partitions: parsed.flags.get("partitions").map(|v| v.parse()).transpose().map_err(
-            |_| "bad value for --partitions".to_string(),
-        )?,
         ..ServiceConfig::default()
     };
     let svc = Service::new(volume, cfg);
@@ -1080,17 +1039,14 @@ mod tests {
 
     #[test]
     fn batch_encodes_and_rebuilds() {
-        // `--threads 0` is clamped to 1 and the banner says so.
-        for (threads, effective) in [("0", 1), ("1", 1), ("4", 4)] {
-            let out = run_line(&[
-                "batch", "--code", "hv", "--p", "7", "--stripes", "12", "--element", "64",
-                "--threads", threads,
-            ])
-            .unwrap();
-            assert!(out.contains("12 stripes"), "{out}");
-            assert!(out.contains(&format!("{effective} thread(s)")), "{out}");
-            assert!(out.contains("consistent after rebuild: yes"), "{out}");
-        }
+        let out = run_line(&[
+            "batch", "--code", "hv", "--p", "7", "--stripes", "12", "--element", "64",
+        ])
+        .unwrap();
+        assert!(out.contains("12 stripes"), "{out}");
+        assert!(out.contains("encode:"), "{out}");
+        assert!(out.contains("rebuild:"), "{out}");
+        assert!(out.contains("consistent after rebuild: yes"), "{out}");
     }
 
     #[test]
@@ -1215,14 +1171,30 @@ mod tests {
     }
 
     #[test]
-    fn chaos_accepts_threads_flag() {
-        let out = run_line(&[
-            "chaos", "--seed", "7", "--episodes", "2", "--backend", "mem", "--threads", "4",
-            "--stripes", "8",
-        ])
-        .unwrap();
-        assert!(out.contains("2 episodes"), "{out}");
-        assert!(out.contains("all consistent"), "{out}");
+    fn removed_and_misspelled_flags_are_rejected_by_name() {
+        for (line, flag, command) in [
+            (&["chaos", "--threads", "4"][..], "threads", "chaos"),
+            (&["serve", "--socket", "/nonexistent/s", "--partitions", "2"], "partitions", "serve"),
+            (&["batch", "--code", "hv", "--threads", "2"], "threads", "batch"),
+            (&["lint", "--hazards"], "hazards", "lint"),
+            (&["lint", "--schedules"], "schedules", "lint"),
+            (&["layout", "--code", "hv", "--pp", "7"], "pp", "layout"),
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert_eq!(err, format!("unknown flag --{flag} for {command}"), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn every_command_takes_the_flags_its_usage_lists() {
+        let flags = |c| usage_flags(c).unwrap_or_else(|| panic!("{c} has no usage entry"));
+        assert_eq!(flags("demo"), ["p", "dot", "dot"]);
+        assert_eq!(flags("stats"), ["socket"]);
+        assert!(flags("chaos").contains(&"cache"));
+        assert!(flags("lint").contains(&"min-savings"));
+        assert!(flags("serve").contains(&"queue-depth"));
+        assert!(usage_flags("help").is_none());
+        assert!(usage_flags("bogus").is_none());
     }
 
     #[test]
@@ -1329,39 +1301,13 @@ mod tests {
     }
 
     #[test]
-    fn lint_hazards_and_journal_itemize_their_evidence() {
-        let out = run_line(&[
-            "lint", "--code", "hv", "--p", "5", "--hazards", "--journal",
-        ])
-        .unwrap();
-        assert!(out.contains("hazards: 5 batches disjoint across 3 partitions"), "{out}");
-        assert!(out.contains("0 overlaps"), "{out}");
+    fn lint_journal_itemizes_its_evidence() {
+        let out = run_line(&["lint", "--code", "hv", "--p", "5", "--journal"]).unwrap();
         assert!(out.contains("replay to all-old-or-all-new"), "{out}");
-        assert!(out.contains("6 batch/mode pairs"), "{out}");
-    }
-
-    #[test]
-    fn lint_hazards_json_reports_zero_hazards_and_footprints() {
-        let out = run_line(&[
-            "lint", "--code", "rdp", "--p", "5", "--json", "--hazards", "--journal",
-        ])
-        .unwrap();
-        assert!(out.contains("\"hazards\":0"), "{out}");
-        assert!(out.contains("\"partitions\":["), "{out}");
-        assert!(out.contains("\"journal_crash_points\":"), "{out}");
-    }
-
-    #[test]
-    fn lint_schedules_model_checks_the_executor_protocols() {
-        let out = run_line(&[
-            "lint", "--code", "hv", "--p", "5", "--schedules",
-        ])
-        .unwrap();
-        for model in ["cursor", "merge"] {
-            assert!(out.contains(&format!("schedules: {model}")), "{model}: {out}");
-        }
-        assert_eq!(out.matches("schedules: ").count(), 2, "{out}");
-        assert!(out.contains("interleavings explored"), "{out}");
+        assert!(out.contains("5 executed op lists"), "{out}");
+        let json = run_line(&["lint", "--code", "rdp", "--p", "5", "--json", "--journal"]).unwrap();
+        assert!(json.contains("\"journal_op_lists\":5"), "{json}");
+        assert!(json.contains("\"journal_crash_points\":"), "{json}");
     }
 
     #[test]

@@ -12,14 +12,8 @@
 //!   `IoTally` (per experiment): a ledger over one request set *is* the
 //!   operation's receipt, and a ledger over a whole replay is the
 //!   experiment's tally. The paper's λ (Eq. 7) derives from it.
-//! * [`LedgerShard`] — a worker-private ledger tagged with its partition
-//!   index. Partitioned executors give each stripe-range worker its own
-//!   shard (no shared counter, no lock) and aggregate afterwards with
-//!   [`IoLedger::merge_shards`], whose result is independent of the order
-//!   the workers finished in.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 
 /// Per-disk element requests of one lowered operation.
 ///
@@ -418,81 +412,6 @@ impl IoLedger {
     pub fn total_balance_rate(&self) -> f64 {
         balance(&self.per_disk_totals())
     }
-
-    /// Aggregates worker-private [`LedgerShard`]s into one ledger.
-    ///
-    /// The result is **order-independent**: shards are first sorted by
-    /// their partition index, so any permutation of `shards` (any worker
-    /// completion order) produces the same ledger. Every numeric counter
-    /// is a commutative sum, and the one ordered field — the transition
-    /// log — is concatenated in ascending partition order, making the
-    /// output a pure function of the *set* of shards handed in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two shards carry the same partition index (each
-    /// partition must have exactly one owner) or disk counts differ.
-    pub fn merge_shards(disks: usize, shards: Vec<LedgerShard>) -> IoLedger {
-        let mut shards = shards;
-        shards.sort_by_key(|s| s.index());
-        let mut merged = IoLedger::new(disks);
-        let mut last: Option<usize> = None;
-        for shard in shards {
-            assert!(
-                last != Some(shard.index()),
-                "duplicate ledger shard for partition {}",
-                shard.index()
-            );
-            last = Some(shard.index());
-            merged.merge(&shard.ledger);
-        }
-        merged
-    }
-}
-
-/// A worker-private [`IoLedger`] tagged with the partition it accounts
-/// for. Derefs to the inner ledger, so every `note_*` / `absorb` call
-/// works on a shard unchanged — the only addition is the identity that
-/// makes [`IoLedger::merge_shards`] order-independent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LedgerShard {
-    shard: usize,
-    ledger: IoLedger,
-}
-
-impl LedgerShard {
-    /// A zeroed shard owning partition `shard` over `disks` disks.
-    pub fn new(shard: usize, disks: usize) -> Self {
-        LedgerShard { shard, ledger: IoLedger::new(disks) }
-    }
-
-    /// The partition index this shard accounts for.
-    pub fn index(&self) -> usize {
-        self.shard
-    }
-
-    /// The accumulated counters, by reference.
-    pub fn ledger(&self) -> &IoLedger {
-        &self.ledger
-    }
-
-    /// Unwraps the accumulated counters.
-    pub fn into_ledger(self) -> IoLedger {
-        self.ledger
-    }
-}
-
-impl Deref for LedgerShard {
-    type Target = IoLedger;
-    fn deref(&self) -> &IoLedger {
-        &self.ledger
-    }
-}
-
-impl DerefMut for LedgerShard {
-    fn deref_mut(&mut self) -> &mut IoLedger {
-        &mut self.ledger
-    }
 }
 
 fn balance(counts: &[u64]) -> f64 {
@@ -681,89 +600,5 @@ mod tests {
         let mut t = IoLedger::new(1);
         t.add_reads(0, 4);
         IoLedger::new(1).delta_since(&t);
-    }
-
-    /// Builds three distinguishable shards: different counters, different
-    /// transition lines, so a wrong merge order cannot cancel out.
-    fn sample_shards() -> Vec<LedgerShard> {
-        (0..3)
-            .map(|i| {
-                let mut s = LedgerShard::new(i, 2);
-                s.add_reads(0, (i as u64 + 1) * 3);
-                s.add_data_writes(1, i as u64);
-                s.note_retry();
-                s.note_cache_hits(i as u64);
-                s.note_transition(format!("shard {i} transition"));
-                s
-            })
-            .collect()
-    }
-
-    #[test]
-    fn merge_shards_is_order_independent() {
-        let base = IoLedger::merge_shards(2, sample_shards());
-        // Every permutation of three shards.
-        for perm in [
-            [0usize, 1, 2],
-            [0, 2, 1],
-            [1, 0, 2],
-            [1, 2, 0],
-            [2, 0, 1],
-            [2, 1, 0],
-        ] {
-            let shards = sample_shards();
-            let shuffled: Vec<LedgerShard> =
-                perm.iter().map(|&i| shards[i].clone()).collect();
-            assert_eq!(IoLedger::merge_shards(2, shuffled), base);
-        }
-        // Transitions come out in ascending partition order.
-        assert_eq!(
-            base.transitions(),
-            ["shard 0 transition", "shard 1 transition", "shard 2 transition"]
-        );
-    }
-
-    #[test]
-    fn merge_shards_equals_sequential_single_ledger() {
-        // Feeding the same op stream through one ledger or through shards
-        // split by owner must agree on every total.
-        let mut ops = Vec::new();
-        for i in 0..12u64 {
-            let mut rs = RequestSet::new(3);
-            rs.add_reads((i % 3) as usize, i + 1);
-            rs.add_data_write(((i + 1) % 3) as usize);
-            rs.add_parity_write(((i + 2) % 3) as usize);
-            ops.push(rs);
-        }
-        let mut sequential = IoLedger::new(3);
-        for rs in &ops {
-            sequential.absorb(rs);
-        }
-        let mut shards: Vec<LedgerShard> =
-            (0..4).map(|i| LedgerShard::new(i, 3)).collect();
-        for (i, rs) in ops.iter().enumerate() {
-            shards[i % 4].absorb(rs);
-        }
-        let merged = IoLedger::merge_shards(3, shards);
-        assert_eq!(merged.reads(), sequential.reads());
-        assert_eq!(merged.writes(), sequential.writes());
-        assert_eq!(merged.total(), sequential.total());
-    }
-
-    #[test]
-    fn shard_derefs_to_ledger() {
-        let mut s = LedgerShard::new(7, 2);
-        s.note_retry();
-        s.add_reads(1, 4);
-        assert_eq!(s.index(), 7);
-        assert_eq!(s.ledger().retries(), 1);
-        assert_eq!(s.into_ledger().total_reads(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate ledger shard")]
-    fn merge_shards_rejects_duplicate_partitions() {
-        let shards = vec![LedgerShard::new(1, 2), LedgerShard::new(1, 2)];
-        IoLedger::merge_shards(2, shards);
     }
 }

@@ -47,15 +47,6 @@ impl Addressing {
         addr / self.data_per_stripe
     }
 
-    /// The inclusive stripe range `[first, last]` touched by `len`
-    /// elements starting at `addr` (`len == 0` touches only `addr`'s
-    /// stripe). The request scheduler buckets ops with this before
-    /// dispatching each stripe to its owning partition.
-    pub fn stripe_span(&self, addr: usize, len: usize) -> (usize, usize) {
-        let last = addr + len.saturating_sub(1);
-        (self.stripe_of(addr), self.stripe_of(last.max(addr)))
-    }
-
     /// Whether stripe rotation is enabled.
     pub fn rotates(&self) -> bool {
         self.rotate

@@ -92,13 +92,6 @@ pub struct ChaosConfig {
     /// budget so the flush/eviction policy is exercised), and add the
     /// crash-with-dirty-cache sweep proving coalesced flushes are atomic.
     pub cache: bool,
-    /// Worker threads for partitioned execution. Above 1 the volume is
-    /// pinned to that many stripe partitions, episodes mix targeted
-    /// [`RaidVolume::flush_partition`] barriers in with full flushes, and
-    /// each episode ends with a partitioned `encode_all` whose
-    /// shard-merged receipt must leave the shadow model and parity
-    /// invariants intact.
-    pub threads: usize,
 }
 
 impl Default for ChaosConfig {
@@ -113,7 +106,6 @@ impl Default for ChaosConfig {
             dir: None,
             crash_sweeps: true,
             cache: true,
-            threads: 1,
         }
     }
 }
@@ -312,9 +304,6 @@ fn run_episode(
         "open volume",
     )?;
     v.set_spares(cfg.spares);
-    if cfg.threads > 1 {
-        v.set_partitions(Some(cfg.threads));
-    }
     if cfg.cache {
         // A budget smaller than the working set plus a low high-water
         // mark keeps the flush and eviction policies hot under chaos.
@@ -460,14 +449,7 @@ fn run_episode(
             // flush barrier instead.
             _ => {
                 if cfg.cache && rng.below(3) == 0 {
-                    let receipt = if cfg.threads > 1 && rng.coin() {
-                        // Targeted barrier: drain one random partition's
-                        // range, leaving the others' dirty stripes alone.
-                        let part = rng.below(v.partition_map().len());
-                        ctx.check(v.flush_partition(part), "flush partition")?
-                    } else {
-                        ctx.check(v.flush(), "flush")?
-                    };
+                    let receipt = ctx.check(v.flush(), "flush")?;
                     receipts_total += receipt.total();
                 } else if rng.coin() {
                     let budget = 1 + rng.below(cfg.stripes);
@@ -524,34 +506,6 @@ fn run_episode(
     }
     if !v.verify_all() {
         return Err(ctx.fail("parity inconsistent after settle".to_string()));
-    }
-    if cfg.threads > 1 {
-        // Partitioned batch pass over the settled array: the shard-merged
-        // receipt must account parity-only traffic and leave both the
-        // shadow model and parity consistency untouched.
-        let receipt = ctx.check(v.encode_all(cfg.threads), "partitioned encode_all")?;
-        receipts_total += receipt.total();
-        if receipt.data_writes() != 0 {
-            return Err(ctx.fail(format!(
-                "partitioned encode_all wrote {} data elements (parity only expected)",
-                receipt.data_writes()
-            )));
-        }
-        if receipt.total() != receipt.per_disk_totals().iter().sum::<u64>() {
-            return Err(ctx.fail(
-                "merged shard receipt total disagrees with its per-disk sum".to_string(),
-            ));
-        }
-        let (bytes, receipt) = ctx.check(v.read(0, capacity), "read after encode_all")?;
-        receipts_total += receipt.total();
-        if bytes != shadow {
-            return Err(ctx
-                .fail("contents diverged after partitioned encode_all".to_string()));
-        }
-        if !v.verify_all() {
-            return Err(ctx
-                .fail("parity inconsistent after partitioned encode_all".to_string()));
-        }
     }
 
     // Ledger accounting invariants: the cumulative ledger and the health
@@ -987,34 +941,6 @@ mod tests {
         let report = run(&code(), &cfg).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(report.episodes, 4);
         assert_eq!(report.cache_flushes, 0);
-    }
-
-    #[test]
-    fn threaded_campaign_smoke() {
-        let cfg = ChaosConfig {
-            episodes: 6,
-            stripes: 8,
-            crash_sweeps: false,
-            threads: 4,
-            ..Default::default()
-        };
-        let report = run(&code(), &cfg).unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(report.episodes, 6);
-        assert_eq!(report.verifications, 6);
-        assert!(report.cache_flushes > 0);
-    }
-
-    #[test]
-    fn threaded_campaign_is_deterministic() {
-        let cfg = ChaosConfig {
-            episodes: 3,
-            crash_sweeps: false,
-            threads: 2,
-            ..Default::default()
-        };
-        let a = run(&code(), &cfg).unwrap_or_else(|f| panic!("{f}"));
-        let b = run(&code(), &cfg).unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! [`addr`] maps the linear data-element address space onto stripes and
 //! optionally rotates stripes across disks ("stripe rotation", the
 //! traditional balancing technique the paper contrasts with parity
-//! spreading). [`partition`] splits the stripe space into contiguous
-//! owned ranges with work-stealing workers and per-worker ledger shards;
-//! [`replay`] drives a volume + simulator pair from workload traces.
+//! spreading). [`replay`] drives a volume + simulator pair from workload
+//! traces.
 //! [`cache`] adds the write-back
 //! stripe cache that coalesces co-located element writes into single
 //! journal-atomic flushes sharing parity I/O.
@@ -38,7 +37,6 @@ pub mod chaos;
 pub mod health;
 pub mod lower;
 pub mod mttr;
-pub mod partition;
 pub mod pipeline;
 pub mod reliability;
 pub mod replay;
@@ -54,7 +52,6 @@ pub use chaos::{ChaosConfig, ChaosReport};
 pub use health::{
     HealthMonitor, HealthState, RebuildThrottle, RecoveryAction, RetryPolicy, ThrottleConfig,
 };
-pub use partition::{run_partitioned, Partition, PartitionMap};
 pub use pipeline::{DiskAddr, IoPipeline, LoweredOp};
 pub use replay::{replay_read_patterns, replay_write_trace, ReadReplay, WriteReplay};
 pub use volume::{RaidVolume, VolumeError};

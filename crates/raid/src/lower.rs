@@ -2,10 +2,9 @@
 //!
 //! Each builder is a pure function of the code's [`Layout`], the stripe's
 //! failed logical columns, and an address function `Cell → DiskAddr` for
-//! the stripe at hand (the batch builders take the [`Addressing`]
-//! itself) — nothing of the volume's state. The volume calls them with
-//! its own addressing; `raid-verify` calls the same builders under
-//! rotation-free addressing, so its hazard, journal and coalesce proofs
+//! the stripe at hand — nothing of the volume's state. The volume calls
+//! them with its own [`Addressing`]; `raid-verify` calls the same builders
+//! under rotation-free addressing, so its journal and coalesce proofs
 //! cover the ops that run.
 //!
 //! Healthy is the zero-failed-columns case: [`read_op`] degenerates to a
@@ -308,31 +307,6 @@ pub fn decode_op(
     Some(with_write_back(layout, reads, plan, write_back, addr))
 }
 
-/// `rebuild_all`'s batch, one op per stripe: decode the columns the
-/// `failed` disks land on in that stripe from every survivor and write
-/// them back — a [`decode_op`] each, so every lost-column pattern
-/// (rotation puts the failed disks on different logical columns per
-/// stripe) runs the layout's one cached program for it. `None` when the
-/// loss exceeds the code's erasure capability.
-pub fn rebuild_batch(
-    layout: &Layout,
-    addressing: &Addressing,
-    stripes: usize,
-    failed: &[usize],
-) -> Option<Vec<LoweredOp>> {
-    (0..stripes)
-        .map(|stripe| {
-            let mut lost_cols: Vec<usize> =
-                failed.iter().map(|&d| addressing.logical_col(stripe, d)).collect();
-            lost_cols.sort_unstable();
-            let lost: Vec<Cell> =
-                lost_cols.iter().flat_map(|&col| layout.cells_in_col(col)).collect();
-            let addr = |c| cell_addr(addressing, layout.rows(), stripe, c);
-            decode_op(layout, &lost_cols, &[], &lost, &addr)
-        })
-        .collect()
-}
-
 /// Rebuild of the single failed column `col` by the paper's hybrid
 /// minimum-read recovery (§V-C), storing the `write_back` cells: the
 /// layout's cached recovery, its program cloned.
@@ -363,23 +337,6 @@ pub fn encode_store_op(
         data_writes: addressed(&live, addr),
         parity_writes: addressed(&surviving_parities(layout, failed_cols), addr),
     }
-}
-
-/// `encode_all`'s batch, one op per stripe: read the data, run the cached
-/// encode plan, write every parity.
-pub fn encode_batch(layout: &Layout, addressing: &Addressing, stripes: usize) -> Vec<LoweredOp> {
-    let parities = surviving_parities(layout, &[]);
-    (0..stripes)
-        .map(|stripe| {
-            let addr = |c| cell_addr(addressing, layout.rows(), stripe, c);
-            LoweredOp {
-                reads: addressed(layout.data_cells(), &addr),
-                plan: Some(layout.encode_plan().clone()),
-                parity_writes: addressed(&parities, &addr),
-                ..Default::default()
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -825,14 +782,6 @@ mod tests {
                 let op = recover_column_op(layout, col, &layout.cells_in_col(col), &addr);
                 let fresh = twin.execute(&op, shape, &[], &what);
                 twin.execute_on_stale(&op, &fresh, &what);
-                assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");
-
-                // The batch builders, one op per stripe.
-                let what = format!("{name} p={p} batch");
-                let rebuild = rebuild_batch(layout, &addressing, STRIPES, &[0, 2]).expect(&what);
-                for op in rebuild.iter().chain(&encode_batch(layout, &addressing, STRIPES)) {
-                    twin.execute(op, shape, &[], &what);
-                }
                 assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");
             }
         }

@@ -12,12 +12,11 @@
 //! buffer and commits through the same tail.
 
 use disk_sim::{DiskArray, DiskError};
-use raid_core::io::{IoLedger, LedgerShard, RequestSet};
+use raid_core::io::{IoLedger, RequestSet};
 use raid_core::xplan::PlanCell;
 use raid_core::{Cell, Stripe, XorPlan};
 
 use crate::backend::DiskBackend;
-use crate::partition::{run_partitioned, PartitionMap};
 
 /// A flat element address on the backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,9 +164,10 @@ impl IoPipeline {
         self.op_latency_ms
     }
 
-    /// Executes one lowered op — the batch of one: fetch reads into
-    /// `scratch`, run the XOR plan, store the writes, then commit the
-    /// request set to the simulator and ledger. Returns the committed set.
+    /// Executes one lowered op: fetch reads into `scratch`, run the XOR
+    /// plan, store the writes ([`Self::store`]), then commit the request
+    /// set to the simulator and ledger ([`Self::commit`]). Returns the
+    /// committed set.
     ///
     /// The write phase is one [`DiskBackend::write_all`], all-or-nothing:
     /// if a write fails, the array holds what it held before the op, so
@@ -180,57 +180,15 @@ impl IoPipeline {
     /// Returns the backend's [`DiskError`]; nothing is committed to the
     /// simulator or ledger in that case.
     pub fn execute(&mut self, op: &LoweredOp, scratch: &mut Stripe) -> Result<RequestSet, DiskError> {
-        let batch = std::slice::from_mut(scratch);
-        let mut sets = self.run(std::slice::from_ref(op), batch, |s| run_plan(op, &mut s[0]))?;
-        Ok(sets.pop().expect("one request set per op"))
-    }
-
-    /// Executes one lowered op per stripe scratch under partitioned
-    /// ownership: the XOR plans run on up to `threads` partitioned workers
-    /// (work-stealing for skew), and the write phase stores the whole
-    /// batch as **one** [`DiskBackend::write_all`] — all-or-nothing,
-    /// strictly stronger than committing each op on its own. Each worker
-    /// also absorbs its ops' request sets into a private [`LedgerShard`],
-    /// returned alongside the per-op request sets so callers can audit the
-    /// (order-independent) shard merge against the receipts.
-    ///
-    /// Byte-identical to looping [`IoPipeline::execute`] over the ops:
-    /// phases touch the backend in op order, and stripes are independent
-    /// (no op reads what another writes).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`DiskError`] any phase produced. A read-phase
-    /// error commits nothing; a write-phase error leaves every element of
-    /// the batch as it was (journal recovery covers a crash mid-phase);
-    /// nothing reaches the simulator or ledger on any error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops`, `scratches`, and `map` disagree on length.
-    pub fn execute_batch(
-        &mut self,
-        ops: &[LoweredOp],
-        scratches: &mut [Stripe],
-        map: &PartitionMap,
-        threads: usize,
-    ) -> Result<(Vec<RequestSet>, Vec<LedgerShard>), DiskError> {
-        assert_eq!(ops.len(), scratches.len(), "one scratch per op");
-        assert_eq!(map.stripes(), ops.len(), "partition map does not fit the batch");
-        let disks = self.backend.disks();
-        let mut shards = Vec::new();
-        let sets = self.run(ops, scratches, |scratches| {
-            (_, shards) = run_partitioned(map, disks, scratches, threads, |shard, i, scratch| {
-                run_plan(&ops[i], scratch);
-                shard.absorb(&crate::audit::predicted_request_set(&ops[i], disks));
-            });
-        })?;
-        debug_assert_eq!(
-            shards.iter().map(|s| s.total()).sum::<u64>(),
-            sets.iter().map(RequestSet::total).sum::<u64>(),
-            "shard totals diverged from the per-op receipts"
-        );
-        Ok((sets, shards))
+        self.debug_audit(op, scratch.rows(), scratch.cols());
+        for &(cell, addr) in &op.reads {
+            self.backend.read(addr.disk, addr.index, scratch.element_mut(cell))?;
+        }
+        if let Some(plan) = &op.plan {
+            plan.execute(scratch);
+        }
+        self.store(op, scratch)?;
+        self.commit(op)
     }
 
     /// Executes a plain fetch — an op with no plan and no writes, which
@@ -264,32 +222,7 @@ impl IoPipeline {
         for (&(_, addr), element) in op.reads.iter().zip(out.chunks_exact_mut(es)) {
             self.backend.read(addr.disk, addr.index, element)?;
         }
-        let mut sets = self.commit(std::slice::from_ref(op))?;
-        Ok(sets.pop().expect("one request set per op"))
-    }
-
-    /// The one executor behind [`Self::execute`] and
-    /// [`Self::execute_batch`]. Every op's reads land in its scratch,
-    /// `compute` runs the plans, every op's writes are stored as one
-    /// all-or-nothing unit ([`Self::store`]), and only then are the
-    /// request sets committed ([`Self::commit`]).
-    fn run(
-        &mut self,
-        ops: &[LoweredOp],
-        scratches: &mut [Stripe],
-        compute: impl FnOnce(&mut [Stripe]),
-    ) -> Result<Vec<RequestSet>, DiskError> {
-        for (op, scratch) in ops.iter().zip(scratches.iter()) {
-            self.debug_audit(op, scratch.rows(), scratch.cols());
-        }
-        for (op, scratch) in ops.iter().zip(scratches.iter_mut()) {
-            for &(cell, addr) in &op.reads {
-                self.backend.read(addr.disk, addr.index, scratch.element_mut(cell))?;
-            }
-        }
-        compute(scratches);
-        self.store(ops, scratches)?;
-        self.commit(ops)
+        self.commit(op)
     }
 
     /// Debug builds statically audit every op before touching the
@@ -305,45 +238,30 @@ impl IoPipeline {
         }
     }
 
-    /// The tail every entry point ends in, reached only once all of the
-    /// ops' backend I/O succeeded: the request sets — derived from the ops
-    /// alone — are timed by the simulator, then absorbed into the ledger.
-    fn commit(&mut self, ops: &[LoweredOp]) -> Result<Vec<RequestSet>, DiskError> {
-        let disks = self.backend.disks();
-        let sets: Vec<RequestSet> =
-            ops.iter().map(|op| crate::audit::predicted_request_set(op, disks)).collect();
+    /// The tail both entry points end in, reached only once the op's
+    /// backend I/O succeeded: the request set — derived from the op alone
+    /// — is timed by the simulator, then absorbed into the ledger.
+    fn commit(&mut self, op: &LoweredOp) -> Result<RequestSet, DiskError> {
+        let rs = crate::audit::predicted_request_set(op, self.backend.disks());
         if let Some(sim) = &mut self.sim {
-            for rs in &sets {
-                self.op_latency_ms += sim.run_requests(rs)?;
-            }
+            self.op_latency_ms += sim.run_requests(&rs)?;
         }
-        for rs in &sets {
-            self.ledger.absorb(rs);
-        }
-        Ok(sets)
+        self.ledger.absorb(&rs);
+        Ok(rs)
     }
 
-    /// The write phase: every op's writes, in target order, as one
-    /// all-or-nothing [`DiskBackend::write_all`] — so the ops of one call
-    /// either commit fully or leave the array untouched, even across
-    /// process death on a journaling backend.
-    fn store(&mut self, ops: &[LoweredOp], scratches: &[Stripe]) -> Result<(), DiskError> {
-        let targets: Vec<(DiskAddr, &[u8])> = ops
+    /// The write phase: the op's writes, in target order, as one
+    /// all-or-nothing [`DiskBackend::write_all`] — so the op either
+    /// commits fully or leaves the array untouched, even across process
+    /// death on a journaling backend.
+    fn store(&mut self, op: &LoweredOp, scratch: &Stripe) -> Result<(), DiskError> {
+        let targets: Vec<(DiskAddr, &[u8])> = op
+            .data_writes
             .iter()
-            .zip(scratches)
-            .flat_map(|(op, scratch)| {
-                let cells = op.data_writes.iter().chain(&op.parity_writes);
-                cells.map(move |&(cell, addr)| (addr, scratch.element(cell)))
-            })
+            .chain(&op.parity_writes)
+            .map(|&(cell, addr)| (addr, scratch.element(cell)))
             .collect();
         self.backend.write_all(&targets)
-    }
-}
-
-/// Runs `op`'s XOR plan (if it has one) over its scratch.
-fn run_plan(op: &LoweredOp, scratch: &mut Stripe) {
-    if let Some(plan) = &op.plan {
-        plan.execute(scratch);
     }
 }
 
@@ -358,25 +276,6 @@ mod tests {
     fn addr(disk: usize, index: usize) -> DiskAddr {
         DiskAddr { disk, index }
     }
-
-    /// One op through a public entry point.
-    type Entry = fn(&mut IoPipeline, &LoweredOp, &mut Stripe) -> Result<RequestSet, DiskError>;
-
-    fn via_batch(
-        pipe: &mut IoPipeline,
-        op: &LoweredOp,
-        scratch: &mut Stripe,
-    ) -> Result<RequestSet, DiskError> {
-        let map = PartitionMap::build(1, 1);
-        let (ops, scratches) = (std::slice::from_ref(op), std::slice::from_mut(scratch));
-        let (mut sets, _) = pipe.execute_batch(ops, scratches, &map, 1)?;
-        Ok(sets.pop().unwrap())
-    }
-
-    /// Both entry points share one executor, so every failure-protocol
-    /// test below runs through each.
-    const ENTRIES: [(&str, Entry); 2] =
-        [("execute", IoPipeline::execute), ("execute_batch", via_batch)];
 
     /// A 1×3 scratch holding `[1;4]`, `[2;4]`, `[3;4]`, and the read-free
     /// op storing its three cells to element 0 of disks 0, 1, 2.
@@ -394,11 +293,10 @@ mod tests {
         (op, scratch)
     }
 
-    /// A fresh 3-disk file backend under a per-test, per-entry directory,
-    /// every element 0 preset to `[9;4]`.
-    fn seeded_file_backend(test: &str, entry: &str) -> (std::path::PathBuf, FileBackend) {
-        let dir = std::env::temp_dir()
-            .join(format!("hvraid-pipe-{test}-{entry}-{}", std::process::id()));
+    /// A fresh 3-disk file backend under a per-test directory, every
+    /// element 0 preset to `[9;4]`.
+    fn seeded_file_backend(test: &str) -> (std::path::PathBuf, FileBackend) {
+        let dir = std::env::temp_dir().join(format!("hvraid-pipe-{test}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut be = FileBackend::create(&dir, 3, 2, 4).unwrap();
         for disk in 0..3 {
@@ -514,86 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_matches_serial_execute() {
-        // Two independent 1×3 stripes (indices 0 and 1 per disk), each
-        // computing c2 = c0 XOR c1.
-        let c = Cell::new;
-        let make_op = |index: usize| LoweredOp {
-            reads: vec![(c(0, 0), addr(0, index)), (c(0, 1), addr(1, index))],
-            plan: Some(XorPlan::from_steps(1, 3, [(c(0, 2), [c(0, 0), c(0, 1)].as_slice())])),
-            data_writes: vec![],
-            parity_writes: vec![(c(0, 2), addr(2, index))],
-        };
-        let seeded = || {
-            let mut pipe = IoPipeline::new(Box::new(MemBackend::new(3, 2, 4)));
-            pipe.backend_mut().write(0, 0, &[1, 2, 3, 4]).unwrap();
-            pipe.backend_mut().write(1, 0, &[4, 4, 4, 4]).unwrap();
-            pipe.backend_mut().write(0, 1, &[8, 8, 8, 8]).unwrap();
-            pipe.backend_mut().write(1, 1, &[1, 0, 1, 0]).unwrap();
-            pipe.attach_sim(DiskArray::new(3, DiskProfile::savvio_10k()));
-            pipe
-        };
-
-        let mut serial = seeded();
-        let mut serial_sets = Vec::new();
-        for index in 0..2 {
-            let mut scratch = Stripe::zeroed(1, 3, 4);
-            serial_sets.push(serial.execute(&make_op(index), &mut scratch).unwrap());
-        }
-
-        let mut batched = seeded();
-        let ops: Vec<LoweredOp> = (0..2).map(make_op).collect();
-        let mut scratches = vec![Stripe::zeroed(1, 3, 4); 2];
-        let map = PartitionMap::build(2, 2);
-        let (sets, shards) = batched.execute_batch(&ops, &mut scratches, &map, 2).unwrap();
-
-        assert_eq!(sets, serial_sets);
-        assert_eq!(batched.ledger(), serial.ledger());
-        let merged = IoLedger::merge_shards(3, shards);
-        assert_eq!(merged.total(), batched.ledger().total());
-        assert_eq!(batched.sim().unwrap().now_ms(), serial.sim().unwrap().now_ms());
-        assert_eq!(batched.op_latency_ms(), serial.op_latency_ms());
-        // The backends hold identical bytes.
-        for index in 0..2 {
-            assert_eq!(
-                element(serial.backend_mut(), 2, index),
-                element(batched.backend_mut(), 2, index)
-            );
-        }
-    }
-
-    #[test]
-    fn execute_batch_failed_write_rolls_back_whole_batch() {
-        // The batch performs 4 reads + 2 pre-image reads, then journals
-        // and writes; the fault fires on the first write (backend op 8
-        // after the 1 setup write) and kills the disk the second write
-        // targets, so the first write must be rolled back to its pre-image
-        // and nothing committed.
-        let c = Cell::new;
-        let inner = MemBackend::new(2, 2, 4);
-        let mut faulty =
-            FaultyBackend::new(Box::new(inner), vec![FaultPoint { at_op: 8, disk: 1 }]);
-        faulty.write(0, 0, &[9, 9, 9, 9]).unwrap(); // op 1 — pre-existing value
-        let mut pipe = IoPipeline::new(Box::new(faulty));
-        let op_for = |index: usize, disk: usize| LoweredOp {
-            reads: vec![(c(0, 0), addr(0, index)), (c(0, 1), addr(1, index))],
-            plan: None,
-            data_writes: vec![(c(0, disk), addr(disk, index))],
-            parity_writes: vec![],
-        };
-        let ops = vec![op_for(0, 0), op_for(1, 1)];
-        let mut scratches = vec![Stripe::zeroed(1, 2, 4); 2];
-        scratches[0].set_element(c(0, 0), &[1, 1, 1, 1]);
-        scratches[1].set_element(c(0, 1), &[2, 2, 2, 2]);
-        let map = PartitionMap::build(2, 1);
-        let err = pipe.execute_batch(&ops, &mut scratches, &map, 1).unwrap_err();
-        assert_eq!(err, DiskError::DiskFailed { disk: 1 });
-        // Disk 0's committed write was rolled back to its pre-image.
-        assert_eq!(element(pipe.backend_mut(), 0, 0), [9, 9, 9, 9]);
-        assert_eq!(pipe.ledger().total(), 0);
-    }
-
-    #[test]
     fn failed_write_rolls_back_previous_writes() {
         // Fault fires on the 4th backend op. The op below performs:
         // read (2, after the setup write) + pre-image read on disk 0 (3) +
@@ -628,82 +446,71 @@ mod tests {
 
     #[test]
     fn mid_write_disk_failure_rolls_back_and_commits_the_journal() {
-        for (name, run) in ENTRIES {
-            let (dir, be) = seeded_file_backend("dead", name);
-            // 3 pre-image reads, then writes: disk 1 dies as the second
-            // write (op 5) is issued, after disk 0's element was stored.
-            let faulty = FaultyBackend::new(Box::new(be), vec![FaultPoint { at_op: 5, disk: 1 }]);
-            let mut pipe = IoPipeline::new(Box::new(faulty));
-            let (op, mut scratch) = three_writes();
-            let err = run(&mut pipe, &op, &mut scratch).unwrap_err();
-            assert_eq!(err, DiskError::DiskFailed { disk: 1 }, "{name}");
-            // The stored element is back at its pre-image, the element
-            // after the failure was never touched, and the in-place undo
-            // was complete, so the journal is gone.
-            assert_eq!(element(pipe.backend_mut(), 0, 0), [9; 4], "{name}");
-            assert_eq!(element(pipe.backend_mut(), 2, 0), [9; 4], "{name}");
-            assert!(!dir.join("undo.journal").exists(), "{name}: journal left behind");
-            assert_eq!(pipe.ledger().total(), 0, "{name}");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let (dir, be) = seeded_file_backend("dead");
+        // 3 pre-image reads, then writes: disk 1 dies as the second write
+        // (op 5) is issued, after disk 0's element was stored.
+        let faulty = FaultyBackend::new(Box::new(be), vec![FaultPoint { at_op: 5, disk: 1 }]);
+        let mut pipe = IoPipeline::new(Box::new(faulty));
+        let (op, mut scratch) = three_writes();
+        let err = pipe.execute(&op, &mut scratch).unwrap_err();
+        assert_eq!(err, DiskError::DiskFailed { disk: 1 });
+        // The stored element is back at its pre-image, the element after
+        // the failure was never touched, and the in-place undo was
+        // complete, so the journal is gone.
+        assert_eq!(element(pipe.backend_mut(), 0, 0), [9; 4]);
+        assert_eq!(element(pipe.backend_mut(), 2, 0), [9; 4]);
+        assert!(!dir.join("undo.journal").exists(), "journal left behind");
+        assert_eq!(pipe.ledger().total(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn crash_mid_write_leaves_the_journal_for_reopen() {
-        for (name, run) in ENTRIES {
-            let (dir, be) = seeded_file_backend("crash", name);
-            // 3 pre-image reads, one stored write, then the process dies
-            // on the second write (op 5): no in-place undo is possible.
-            let faulty = FaultyBackend::new(Box::new(be), Vec::new())
-                .with_faults([Fault::CrashAtOp { at_op: 5 }]);
-            let mut pipe = IoPipeline::new(Box::new(faulty));
-            let (op, mut scratch) = three_writes();
-            let err = run(&mut pipe, &op, &mut scratch).unwrap_err();
-            assert_eq!(err, DiskError::Crashed, "{name}");
-            assert_eq!(pipe.ledger().total(), 0, "{name}");
-            drop(pipe);
-            assert!(dir.join("undo.journal").exists(), "{name}: journal must survive a crash");
-            let mut reopened = FileBackend::open(&dir).unwrap();
-            assert_eq!(
-                reopened.recovered_journal(),
-                Some(JournalRecovery::RolledBack { elements: 3 }),
-                "{name}"
-            );
-            for disk in 0..3 {
-                assert_eq!(element(&mut reopened, disk, 0), [9; 4], "{name}: disk {disk}");
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+        let (dir, be) = seeded_file_backend("crash");
+        // 3 pre-image reads, one stored write, then the process dies on
+        // the second write (op 5): no in-place undo is possible.
+        let faulty =
+            FaultyBackend::new(Box::new(be), Vec::new()).with_faults([Fault::CrashAtOp { at_op: 5 }]);
+        let mut pipe = IoPipeline::new(Box::new(faulty));
+        let (op, mut scratch) = three_writes();
+        let err = pipe.execute(&op, &mut scratch).unwrap_err();
+        assert_eq!(err, DiskError::Crashed);
+        assert_eq!(pipe.ledger().total(), 0);
+        drop(pipe);
+        assert!(dir.join("undo.journal").exists(), "journal must survive a crash");
+        let mut reopened = FileBackend::open(&dir).unwrap();
+        assert_eq!(reopened.recovered_journal(), Some(JournalRecovery::RolledBack { elements: 3 }));
+        for disk in 0..3 {
+            assert_eq!(element(&mut reopened, disk, 0), [9; 4], "disk {disk}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn unreadable_pre_image_is_zero_filled_and_the_write_heals_it() {
-        for (name, run) in ENTRIES {
-            for disk_2_dies in [false, true] {
-                let mut inner = MemBackend::new(3, 1, 4);
-                for disk in 0..3 {
-                    inner.write(disk, 0, &[9; 4]).unwrap();
-                }
-                // Backend ops: three pre-image reads (1-3), then the
-                // writes (4-6) — disk 2 can die exactly at its own.
-                let schedule =
-                    if disk_2_dies { vec![FaultPoint { at_op: 6, disk: 2 }] } else { vec![] };
-                let faulty = FaultyBackend::new(Box::new(inner), schedule)
-                    .with_faults([Fault::LatentSector { disk: 0, index: 0 }]);
-                let mut pipe = IoPipeline::new(Box::new(faulty));
-                let (op, mut scratch) = three_writes();
-                let result = run(&mut pipe, &op, &mut scratch);
-                let healed = element(pipe.backend_mut(), 0, 0);
-                if disk_2_dies {
-                    // Rolled back from the undo image: zeros, not the
-                    // unreadable sector's old bytes.
-                    assert_eq!(result, Err(DiskError::DiskFailed { disk: 2 }), "{name}");
-                    assert_eq!(healed, [0; 4], "{name}");
-                    assert_eq!(element(pipe.backend_mut(), 1, 0), [9; 4], "{name}");
-                } else {
-                    assert!(result.is_ok(), "{name}: {result:?}");
-                    assert_eq!(healed, [1; 4], "{name}");
-                }
+        for disk_2_dies in [false, true] {
+            let mut inner = MemBackend::new(3, 1, 4);
+            for disk in 0..3 {
+                inner.write(disk, 0, &[9; 4]).unwrap();
+            }
+            // Backend ops: three pre-image reads (1-3), then the writes
+            // (4-6) — disk 2 can die exactly at its own.
+            let schedule = if disk_2_dies { vec![FaultPoint { at_op: 6, disk: 2 }] } else { vec![] };
+            let faulty = FaultyBackend::new(Box::new(inner), schedule)
+                .with_faults([Fault::LatentSector { disk: 0, index: 0 }]);
+            let mut pipe = IoPipeline::new(Box::new(faulty));
+            let (op, mut scratch) = three_writes();
+            let result = pipe.execute(&op, &mut scratch);
+            let healed = element(pipe.backend_mut(), 0, 0);
+            if disk_2_dies {
+                // Rolled back from the undo image: zeros, not the
+                // unreadable sector's old bytes.
+                assert_eq!(result, Err(DiskError::DiskFailed { disk: 2 }));
+                assert_eq!(healed, [0; 4]);
+                assert_eq!(element(pipe.backend_mut(), 1, 0), [9; 4]);
+            } else {
+                assert!(result.is_ok(), "{result:?}");
+                assert_eq!(healed, [1; 4]);
             }
         }
     }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskError};
 use raid_core::bitset::BitSet;
-use raid_core::io::{IoLedger, LedgerShard, RequestSet};
+use raid_core::io::{IoLedger, RequestSet};
 use raid_core::{ArrayCode, Cell, Stripe};
 
 use crate::addr::Addressing;
@@ -26,7 +26,6 @@ use crate::backend::{DiskBackend, FaultyBackend, MemBackend, RebuildCheckpoint};
 use crate::cache::{CacheConfig, StripeCache, StripeEntry};
 use crate::health::{HealthMonitor, HealthState, RecoveryAction};
 use crate::lower;
-use crate::partition::PartitionMap;
 use crate::pipeline::{DiskAddr, IoPipeline};
 
 /// Hard cap on recovery attempts per operation — a backstop against a
@@ -167,9 +166,6 @@ pub struct RaidVolume {
     write_fence: bool,
     /// The write-back stripe cache, when enabled.
     cache: Option<StripeCache>,
-    /// Explicit stripe-partition count for batched execution; `None`
-    /// derives one from the host's available parallelism.
-    partitions: Option<usize>,
 }
 
 /// In-memory mirror of the persisted [`RebuildCheckpoint`].
@@ -385,7 +381,6 @@ impl RaidVolume {
             rebuild_task: None,
             write_fence: false,
             cache: None,
-            partitions: None,
         };
         volume.resume_rebuild_checkpoint()?;
         volume.note_health();
@@ -468,8 +463,7 @@ impl RaidVolume {
         self.stripes
     }
 
-    /// The linear-address-to-stripe map (the service scheduler buckets
-    /// incoming ops with it before dispatching per partition).
+    /// The linear-address-to-stripe map.
     pub fn addressing(&self) -> &Addressing {
         &self.addressing
     }
@@ -645,32 +639,6 @@ impl RaidVolume {
         // Uncovered failures with spares in the pool wait for the active
         // task to finish; the next maintain() starts their rebuild.
         Ok(())
-    }
-
-    /// Pins the stripe-partition count used by batched execution
-    /// ([`RaidVolume::encode_all`], [`RaidVolume::rebuild_all`],
-    /// partition-grouped [`RaidVolume::flush`]). `None` (the default)
-    /// derives one from the host's available parallelism.
-    pub fn set_partitions(&mut self, partitions: Option<usize>) {
-        self.partitions = partitions.map(|p| p.max(1));
-    }
-
-    /// The volume's current stripe-partition map: contiguous stripe
-    /// ranges, each owned by one worker/ledger shard.
-    pub fn partition_map(&self) -> PartitionMap {
-        match self.partitions {
-            Some(p) => PartitionMap::build(self.stripes, p),
-            None => PartitionMap::auto(self.stripes),
-        }
-    }
-
-    /// The partition map batched ops actually execute under: the pinned
-    /// count when set, otherwise one partition per requested thread.
-    fn map_for(&self, threads: usize) -> PartitionMap {
-        match self.partitions {
-            Some(p) => PartitionMap::build(self.stripes, p),
-            None => PartitionMap::build(self.stripes, threads.max(1)),
-        }
     }
 
     /// The in-flight background rebuild, as its persisted checkpoint
@@ -1167,58 +1135,13 @@ impl RaidVolume {
         let disks = self.disks();
         self.with_cache(|v, cache| {
             v.pipeline.begin_op();
-            let map = v.partition_map();
-            let mut shards = Vec::with_capacity(map.len());
-            for part in 0..map.len() {
-                shards.push(v.flush_partition_shard(cache, &map, part)?);
+            let mut receipt = IoLedger::new(disks);
+            for stripe in cache.dirty_stripes() {
+                receipt.merge(&v.flush_stripe(cache, stripe)?);
             }
-            Ok(IoLedger::merge_shards(disks, shards))
+            Ok(receipt)
         })
         .unwrap_or_else(|| Ok(IoLedger::new(disks)))
-    }
-
-    /// Flushes only the dirty stripes owned by one partition of the
-    /// current [`RaidVolume::partition_map`] — the targeted write barrier
-    /// a caller uses to drain range B while a rebuild is parked in range
-    /// A. A no-op for partitions with no dirty stripes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolumeError`] if a flush cannot be served; the affected
-    /// stripe's dirty data stays in the cache for a later retry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` is out of range for the current map.
-    pub fn flush_partition(&mut self, partition: usize) -> Result<IoLedger, VolumeError> {
-        let disks = self.disks();
-        self.with_cache(|v, cache| {
-            let map = v.partition_map();
-            assert!(partition < map.len(), "partition {partition} outside partition map");
-            v.pipeline.begin_op();
-            Ok(v.flush_partition_shard(cache, &map, partition)?.into_ledger())
-        })
-        .unwrap_or_else(|| Ok(IoLedger::new(disks)))
-    }
-
-    /// Flushes the dirty stripes one partition owns, accounting the I/O
-    /// into that partition's ledger shard. Each stripe still commits as
-    /// its own journal-atomic coalesced op, so splitting a flush at
-    /// partition boundaries never splits a stripe's crash-atomic unit.
-    fn flush_partition_shard(
-        &mut self,
-        cache: &mut StripeCache,
-        map: &PartitionMap,
-        partition: usize,
-    ) -> Result<LedgerShard, VolumeError> {
-        let mut shard = LedgerShard::new(partition, self.disks());
-        for stripe in cache.dirty_stripes() {
-            if map.owner_of(stripe) != partition {
-                continue;
-            }
-            shard.merge(&self.flush_stripe(cache, stripe)?);
-        }
-        Ok(shard)
     }
 
     /// Flushes one stripe's dirty elements through [`Self::store_stripe`]
@@ -1559,63 +1482,6 @@ impl RaidVolume {
             }
         }
         Ok(())
-    }
-
-    /// Recomputes every parity of every stripe through the pipeline, with
-    /// the XOR kernels running on up to `threads` workers (the batch
-    /// executor). Requires a healthy array.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolumeError::TooManyFailures`] if any disk is failed, or
-    /// a backend error.
-    pub fn encode_all(&mut self, threads: usize) -> Result<IoLedger, VolumeError> {
-        if !self.failed.is_empty() {
-            return Err(VolumeError::TooManyFailures { failed: self.failed.len() });
-        }
-        self.pipeline.begin_op();
-        let code = Arc::clone(&self.code);
-        let layout = code.layout();
-
-        let ops = lower::encode_batch(layout, &self.addressing, self.stripes);
-        let mut scratches = vec![Stripe::for_layout(layout, self.element_size); self.stripes];
-        let map = self.map_for(threads);
-        let (_, shards) = self.pipeline.execute_batch(&ops, &mut scratches, &map, threads)?;
-        Ok(IoLedger::merge_shards(self.disks(), shards))
-    }
-
-    /// Rebuilds every failed disk like [`RaidVolume::rebuild`], but runs
-    /// the decode kernels on up to `threads` workers: surviving elements
-    /// are fetched per stripe, decoded in parallel, and the lost columns
-    /// streamed back — all through the same pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolumeError::TooManyFailures`] beyond tolerance, or a
-    /// backend error.
-    pub fn rebuild_all(&mut self, threads: usize) -> Result<IoLedger, VolumeError> {
-        self.pipeline.begin_op();
-        let failed: Vec<usize> = self.failed.iter().copied().collect();
-        let mut receipt = IoLedger::new(self.disks());
-        if failed.is_empty() {
-            return Ok(receipt);
-        }
-        let code = Arc::clone(&self.code);
-        let layout = code.layout();
-        let ops = lower::rebuild_batch(layout, &self.addressing, self.stripes, &failed)
-            .ok_or(VolumeError::TooManyFailures { failed: failed.len() })?;
-        self.swap_in_spares(&failed)?;
-        let mut scratches = vec![Stripe::for_layout(layout, self.element_size); self.stripes];
-        let map = self.map_for(threads);
-        let (_, shards) = self.pipeline.execute_batch(&ops, &mut scratches, &map, threads)?;
-        receipt.merge(&IoLedger::merge_shards(self.disks(), shards));
-        self.failed.clear();
-        // The batch rebuild covered everything, superseding any
-        // checkpointed background task.
-        self.rebuild_task = None;
-        self.pipeline.backend_mut().save_checkpoint(None)?;
-        self.note_health();
-        Ok(receipt)
     }
 
     /// Verifies every stripe's parity consistency through unaccounted
@@ -2049,114 +1915,42 @@ mod tests {
     }
 
     #[test]
-    fn encode_all_keeps_consistency_and_accounts_io() {
-        let mut v = volume(false);
-        let data = pattern(v.data_elements() * 16, 77);
-        v.write(0, &data).unwrap();
-        // Tamper with a parity (HV spreads them — look one up), then batch
-        // re-encode across threads.
-        let parity = (0..v.disks())
-            .flat_map(|col| v.code().layout().parities_in_col(col))
-            .next()
-            .unwrap();
-        v.inject_corruption(2, parity, 1).unwrap();
-        let receipt = v.encode_all(4).unwrap();
-        assert!(v.verify_all());
-        assert!(receipt.total_reads() > 0);
-        assert_eq!(receipt.data_writes(), 0, "encode writes parities only");
-        assert!(receipt.parity_writes() > 0);
-        let (bytes, _) = v.read(0, v.data_elements()).unwrap();
-        assert_eq!(bytes, data);
-    }
-
-    #[test]
-    fn rebuild_all_matches_serial_rebuild() {
-        for rotate in [false, true] {
-            let mut v = RaidVolume::with_rotation(
-                Arc::new(HvCode::new(7).unwrap()),
-                6,
-                16,
-                rotate,
-            );
-            let data = pattern(v.data_elements() * 16, 55);
-            v.write(0, &data).unwrap();
-            v.fail_disk(1).unwrap();
-            v.fail_disk(5).unwrap();
-            let receipt = v.rebuild_all(4).unwrap();
-            assert!(receipt.total_writes() > 0);
-            assert!(v.verify_all(), "rotate={rotate}");
-            let (bytes, _) = v.read(0, v.data_elements()).unwrap();
-            assert_eq!(bytes, data, "rotate={rotate}");
-        }
-    }
-
-    #[test]
-    fn flush_partition_drains_only_owned_range_while_rebuild_parked() {
+    fn flush_while_rebuild_parked_leaves_its_frontier() {
         let mut v = RaidVolume::with_rotation(Arc::new(HvCode::new(7).unwrap()), 8, 16, false);
-        v.set_partitions(Some(2));
         v.enable_cache(CacheConfig { max_stripes: 16, dirty_high_water: 16 });
         let per = v.addressing.data_per_stripe();
         let seed = pattern(v.data_elements() * 16, 41);
         v.write(0, &seed).unwrap();
         v.flush().unwrap();
 
-        // Park a background rebuild with its frontier inside partition 0
-        // (stripes 0..4 of the 2-partition map over 8 stripes).
+        // Park a background rebuild after its first stripe.
         v.set_spares(1);
         v.fail_disk(3).unwrap();
         v.maintain(1).unwrap();
         let parked = v.rebuild_progress().expect("rebuild task active");
         assert_eq!(parked.next_stripe, 1);
-        assert_eq!(v.partition_map().owner_of(parked.next_stripe), 0);
 
-        // Dirty one stripe in each partition, then drain only partition 1.
+        // Dirty the frontier stripe and one far past it, then drain both.
         v.write(per, &pattern(16, 50)).unwrap();
         v.write(6 * per, &pattern(16, 51)).unwrap();
         assert_eq!(v.cache_dirty_stripes(), 2);
-        let receipt = v.flush_partition(1).unwrap();
-        assert!(receipt.total_writes() > 0, "partition 1's stripe must flush");
-        assert_eq!(v.cache_dirty_stripes(), 1, "partition 0's stripe stays dirty");
+        let receipt = v.flush().unwrap();
+        assert!(receipt.total_writes() > 0, "both stripes must flush");
+        assert_eq!(v.cache_dirty_stripes(), 0);
         assert_eq!(
             v.rebuild_progress().expect("task still active").next_stripe,
             parked.next_stripe,
-            "flushing range B must not advance the rebuild frontier in range A"
+            "a flush must not advance the rebuild frontier"
         );
 
         // The parked rebuild still completes, and nothing was lost.
         v.maintain(v.stripes).unwrap();
         assert!(v.rebuild_progress().is_none());
-        v.flush().unwrap();
         assert!(v.verify_all());
-    }
-
-    #[test]
-    fn partitioned_flush_accounts_like_single_partition() {
-        let run = |partitions: Option<usize>| {
-            let mut v =
-                RaidVolume::with_rotation(Arc::new(HvCode::new(7).unwrap()), 6, 16, false);
-            v.set_partitions(partitions);
-            v.enable_cache(CacheConfig { max_stripes: 16, dirty_high_water: 16 });
-            let per = v.addressing.data_per_stripe();
-            for s in 0..6 {
-                v.write(s * per, &pattern(32, s as u8)).unwrap();
-            }
-            let receipt = v.flush().unwrap();
-            assert!(v.verify_all());
-            let mut image = Vec::new();
-            for d in 0..v.disks() {
-                for i in 0..v.pipeline.backend().elements_per_disk() {
-                    let mut buf = vec![0u8; 16];
-                    v.pipeline.backend_mut().read(d, i, &mut buf).unwrap();
-                    image.push(buf);
-                }
-            }
-            (receipt, image)
-        };
-        let (serial, serial_img) = run(Some(1));
-        let (parted, parted_img) = run(Some(3));
-        assert_eq!(serial.per_disk_totals(), parted.per_disk_totals());
-        assert_eq!(serial.total(), parted.total());
-        assert_eq!(serial_img, parted_img, "flush order must not change bytes");
+        let mut expect = seed;
+        expect[per * 16..(per + 1) * 16].copy_from_slice(&pattern(16, 50));
+        expect[6 * per * 16..(6 * per + 1) * 16].copy_from_slice(&pattern(16, 51));
+        assert_eq!(v.read(0, v.data_elements()).unwrap().0, expect);
     }
 
     #[test]

@@ -112,8 +112,6 @@ pub struct ServiceConfig {
     /// its last refill, at admission — so a throttled client that backs
     /// off and retries is admitted once enough time has passed.
     pub refill_interval: Duration,
-    /// Pin the volume's partition count (`None` = auto).
-    pub partitions: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -123,7 +121,6 @@ impl Default for ServiceConfig {
             bucket_capacity: 65_536,
             bucket_refill: 16_384,
             refill_interval: Duration::from_millis(1),
-            partitions: None,
         }
     }
 }
@@ -460,9 +457,6 @@ impl Service {
         cfg.bucket_refill = cfg.bucket_refill.max(1);
         cfg.bucket_capacity = cfg.bucket_capacity.max(cfg.bucket_refill);
         cfg.refill_interval = cfg.refill_interval.max(Duration::from_micros(1));
-        if let Some(p) = cfg.partitions {
-            volume.set_partitions(Some(p));
-        }
         if !volume.cache_enabled() {
             volume.enable_cache(CacheConfig::default());
         }

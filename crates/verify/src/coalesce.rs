@@ -32,8 +32,8 @@ use raid_array::pipeline::LoweredOp;
 use raid_core::plan::write::{WriteMode, WritePlan};
 use raid_core::{Cell, Layout};
 
-use crate::hazard::unrotated;
 use crate::symbolic::{SymExpr, SymState};
+use crate::unrotated;
 
 /// A failed coalesced-flush proof.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,24 +1,28 @@
 //! Symbolic crash-consistency proof for the pipeline's undo journal.
 //!
-//! `IoPipeline` stores the write targets of **all** the ops it was handed
-//! as one `DiskBackend::write_all`, whose default — the protocol every
+//! [`IoPipeline::execute`] stores one op's write targets as one
+//! `DiskBackend::write_all`, whose default — the protocol every
 //! journaling backend runs — gathers their pre-images, journals them as
-//! one record, stores, commits. The ops stored by one `write_all` are a
-//! *journal unit*: [`IoPipeline::execute`] runs
-//! units of one op, `execute_batch` runs the whole batch as one unit, and
-//! a unit's reads see the state the earlier units left. The chaos harness
-//! samples crash points at random; this module replaces sampling with a
-//! proof: over the same GF(2) symbolic domain as [`crate::symbolic`] —
-//! but with **backend addresses** as the basis instead of stripe cells —
-//! it replays the journal from *every* crash prefix of every unit's write
-//! sequence and proves the result is exactly the state with the earlier
-//! units applied and this unit absent, per stripe (all-old-or-all-new),
-//! for all possible disk contents simultaneously.
+//! one record, stores, commits. Each op is therefore its own *journal
+//! unit*, and its reads see the state the earlier ops left. The chaos
+//! harness samples crash points at random; this module replaces sampling
+//! with a proof: over the same GF(2) symbolic domain as
+//! [`crate::symbolic`] — but with **backend addresses** as the basis
+//! instead of stripe cells — it replays the journal from *every* crash
+//! prefix of every op's write sequence and proves the result is exactly
+//! the state with the earlier ops applied and this op absent, per stripe
+//! (all-old-or-all-new), for all possible disk contents simultaneously.
+//!
+//! The op lists proven ([`volume_op_lists`]) are the ones the volume
+//! executes, built by the same `raid_array::lower` builders under
+//! rotation-free addressing, one op per stripe: the full-stripe write,
+//! the §V-C single-column recovery `rebuild()` runs for one lost disk,
+//! and the two-column decode it runs for two.
 //!
 //! The journal itself is modeled faithfully, not assumed correct: the
 //! entries are the addresses the protocol actually gathers, with
-//! pre-image *expressions* read at gather time (at unit start, before any
-//! of the unit's writes). [`JournalCoverage::DropEntry`] lets tests knock
+//! pre-image *expressions* read at gather time (at op start, before any
+//! of the op's writes). [`JournalCoverage::DropEntry`] lets tests knock
 //! one undo record out and watch the proof reject the exact crash
 //! prefixes that depend on it, naming the orphaned address — the
 //! machine-checkable version of "the journal covers every write".
@@ -28,11 +32,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use raid_array::lower;
 use raid_array::pipeline::{DiskAddr, LoweredOp};
-use raid_core::Layout;
+use raid_core::{Cell, Layout};
 
-use crate::hazard::{lowered_encode_batch, lowered_rebuild_batch};
 use crate::symbolic::SymExpr;
+use crate::unrotated;
 
 /// Journal contents relative to the protocol's full coverage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,15 +111,15 @@ impl std::error::Error for JournalError {}
 pub struct JournalProof {
     /// Crash prefixes proven (0 writes … all writes, per journal unit).
     pub crash_points: usize,
-    /// Distinct backend addresses in the batch's footprint.
+    /// Distinct backend addresses in the ops' footprint.
     pub addresses: usize,
-    /// Ops in the batch.
+    /// Ops proven.
     pub ops: usize,
 }
 
 /// The symbolic backend: one [`SymExpr`] per touched address, over a
 /// basis where vector `b` is "whatever bytes address `b` held before the
-/// batch".
+/// first op".
 #[derive(Clone, PartialEq, Eq)]
 struct SymBackend {
     basis: BTreeMap<(usize, usize), usize>,
@@ -169,7 +174,9 @@ fn render_addr_expr(e: &SymExpr) -> String {
 /// Computes the values `op` writes, as expressions over `reads_from`:
 /// scratch cells start zeroed, the op's reads land, the plan runs, and
 /// each write target's cell expression is the stored value — exactly
-/// `IoPipeline`'s scratch-stripe semantics.
+/// `IoPipeline`'s scratch-stripe semantics. A cell the caller presets (a
+/// write's new data) stays zero here: the proof is about what the journal
+/// restores, and a stored zero differs from every pre-state basis vector.
 fn op_write_values(
     op_index: usize,
     op: &LoweredOp,
@@ -231,15 +238,14 @@ struct UndoRecord {
 }
 
 /// Applies a crash prefix and replays the journal, then checks the
-/// result equals `want` at every address. `crash_index` counts writes
-/// completed; `base` is the state the unit started from.
+/// result equals `base` — the state the op started from — at every
+/// address. `crash_index` counts the op's writes completed.
 fn check_crash_prefix(
     base: &SymBackend,
     writes: &[(DiskAddr, SymExpr)],
     journal: &[UndoRecord],
     crash_index: usize,
     global_offset: usize,
-    want: &SymBackend,
 ) -> Result<(), JournalError> {
     let mut state = base.clone();
     for (a, v) in &writes[..crash_index] {
@@ -251,13 +257,13 @@ fn check_crash_prefix(
     for rec in journal.iter().rev() {
         state.set(rec.addr, rec.pre.clone());
     }
-    if state == *want {
+    if state == *base {
         return Ok(());
     }
-    let (&(disk, index), _) = want
+    let (&(disk, index), _) = base
         .basis
         .iter()
-        .find(|&(_, &slot)| state.cells[slot] != want.cells[slot])
+        .find(|&(_, &slot)| state.cells[slot] != base.cells[slot])
         .expect("states differ at some address");
     let addr = DiskAddr { disk, index };
     Err(JournalError::MissingUndo {
@@ -266,59 +272,46 @@ fn check_crash_prefix(
         detail: format!(
             "replay leaves {} but rollback requires {}",
             render_addr_expr(state.get(addr)),
-            render_addr_expr(want.get(addr)),
+            render_addr_expr(base.get(addr)),
         ),
     })
 }
 
-/// Proves all-crash-prefix atomicity of `units` — consecutive slices of
-/// one op sequence, each stored under its own journal — with the journal
-/// contents given by `coverage`.
+/// Proves all-crash-prefix atomicity of `ops` executed in order, each
+/// stored under its own journal, with the journal contents given by
+/// `coverage`.
 ///
-/// Every crash prefix of every unit's write sequence must replay to the
-/// state with all earlier units applied and this unit absent, and that
-/// state must be all-old-or-all-new per stripe, never torn. One unit
-/// holding the whole batch is `execute_batch`; units of one op are a loop
-/// of `execute`.
+/// Every crash prefix of every op's write sequence must replay to the
+/// state with all earlier ops applied and this op absent, and that state
+/// must be all-old-or-all-new per stripe, never torn.
 ///
 /// # Errors
 ///
-/// The first [`JournalError`], naming the crash index and the address
-/// the journal fails to cover.
-pub fn prove_batch_atomicity(
-    units: &[&[LoweredOp]],
+/// The first [`JournalError`], naming the crash index (counted over the
+/// whole write sequence) and the address the journal fails to cover.
+pub fn prove_op_atomicity(
+    ops: &[LoweredOp],
     coverage: JournalCoverage,
 ) -> Result<JournalProof, JournalError> {
-    let pre = SymBackend::pre_state(units.iter().flat_map(|unit| unit.iter()));
+    let pre = SymBackend::pre_state(ops.iter());
 
-    // Each unit's write sequence (`writers` holds the op index of every
-    // write). Phase separation: a unit gathers every pre-image and
-    // performs every read before its first write, so all its values are
-    // expressions over the state the earlier units left — even when two
-    // of its ops write the same address.
+    // Each op's write sequence. Phase separation: an op gathers every
+    // pre-image and performs every read before its first write, so all
+    // its values are expressions over the state the earlier ops left.
     let mut post = pre.clone();
-    let mut unit_writes: Vec<Vec<(DiskAddr, SymExpr)>> = Vec::new();
-    let mut writers: Vec<Vec<usize>> = Vec::new();
-    let mut first_op = 0;
-    for unit in units {
-        let (mut writes, mut ops) = (Vec::new(), Vec::new());
-        for (i, op) in unit.iter().enumerate() {
-            let values = op_write_values(first_op + i, op, &post)?;
-            ops.extend(std::iter::repeat_n(first_op + i, values.len()));
-            writes.extend(values);
-        }
+    let mut op_writes: Vec<Vec<(DiskAddr, SymExpr)>> = Vec::with_capacity(ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        let writes = op_write_values(i, op, &post)?;
         for (a, v) in &writes {
             post.set(*a, v.clone());
         }
-        first_op += unit.len();
-        unit_writes.push(writes);
-        writers.push(ops);
+        op_writes.push(writes);
     }
 
     let mut state = pre.clone();
     let mut crash_points = 0;
     let mut global_offset = 0;
-    for (u, writes) in unit_writes.iter().enumerate() {
+    for (u, writes) in op_writes.iter().enumerate() {
         let journal: Vec<UndoRecord> = writes
             .iter()
             .enumerate()
@@ -330,17 +323,17 @@ pub fn prove_batch_atomicity(
             .filter(|rec| coverage != JournalCoverage::DropEntry(rec.write_index))
             .collect();
         for k in 0..=writes.len() {
-            check_crash_prefix(&state, writes, &journal, k, global_offset, &state)?;
+            check_crash_prefix(&state, writes, &journal, k, global_offset)?;
             crash_points += 1;
         }
         // The state every rollback restores is all-old-or-all-new per
-        // stripe: every earlier unit's targets hold post values, this and
-        // every later unit's hold pre values. (Past a unit's commit point
-        // its journal is discarded and its targets are all-new by
+        // stripe: every earlier op's targets hold post values, this and
+        // every later op's hold pre values. (Past an op's commit point its
+        // journal is discarded and its targets are all-new by
         // construction.)
-        for (v, (other, ops)) in unit_writes.iter().zip(&writers).enumerate() {
-            let uniform = if v < u { &post } else { &pre };
-            for ((a, _), &op) in other.iter().zip(ops) {
+        for (op, other) in op_writes.iter().enumerate() {
+            let uniform = if op < u { &post } else { &pre };
+            for (a, _) in other {
                 if state.get(*a) != uniform.get(*a) {
                     let crash_index = global_offset;
                     return Err(JournalError::TornStripe { crash_index, op, addr: *a });
@@ -353,48 +346,68 @@ pub fn prove_batch_atomicity(
         global_offset += writes.len();
     }
 
-    Ok(JournalProof { crash_points, addresses: pre.nbasis(), ops: first_op })
+    Ok(JournalProof { crash_points, addresses: pre.nbasis(), ops: ops.len() })
 }
 
-/// `ops` as units of one: the journal sequence of looping `execute`.
-pub fn units_of_one(ops: &[LoweredOp]) -> Vec<&[LoweredOp]> {
-    ops.chunks(1).collect()
-}
-
-/// Summary of one layout's journal proofs across modeled batches.
+/// Summary of one layout's journal proofs across [`volume_op_lists`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalSummary {
-    /// Proofs run ((encode + rebuilds) × {one unit, units of one}).
-    pub batches: usize,
-    /// Total crash prefixes proven across all batches.
+    /// Op lists proven.
+    pub op_lists: usize,
+    /// Total crash prefixes proven across all op lists.
     pub crash_points: usize,
 }
 
-/// Stripes per modeled batch: small, but enough that one-op and
-/// whole-batch crash windows interleave multiple stripes.
+/// Stripes per op list: small, but enough that crash windows of
+/// consecutive ops interleave several stripes.
 const MODEL_STRIPES: usize = 3;
 
-/// Proves all-crash-prefix atomicity for every batched path the volume
-/// lowers — `encode_all` and `rebuild_all` under one- and two-column
-/// loss — stored as one journal unit and as units of one op.
+/// The ops the volume executes, one per stripe over `stripes` stripes,
+/// as five lists: the full-stripe write ([`lower::stripe_write_op`]),
+/// the §V-C recovery of the first and of the last column
+/// ([`lower::recover_column_op`]), and the two-column decodes of
+/// `[0, last]` and `[0, 1]` ([`lower::decode_op`]).
+pub fn volume_op_lists(layout: &Layout, stripes: usize) -> Vec<Vec<LoweredOp>> {
+    let (rows, last) = (layout.rows(), layout.cols() - 1);
+    let id = unrotated(layout);
+    let every_ordinal: Vec<usize> = (0..layout.num_data_cells()).collect();
+    let cells_of = |cols: &[usize]| -> Vec<Cell> {
+        cols.iter().flat_map(|&col| layout.cells_in_col(col)).collect()
+    };
+    let mut lists: Vec<Vec<LoweredOp>> = vec![Vec::new(); 5];
+    for stripe in 0..stripes {
+        let addr = |c| lower::cell_addr(&id, rows, stripe, c);
+        let decode = |cols: &[usize]| {
+            lower::decode_op(layout, cols, &[], &cells_of(cols), &addr)
+                .expect("two lost columns are within an MDS code's tolerance")
+        };
+        let ops = [
+            lower::stripe_write_op(layout, &every_ordinal, |_| false, &addr).op,
+            lower::recover_column_op(layout, 0, &cells_of(&[0]), &addr),
+            lower::recover_column_op(layout, last, &cells_of(&[last]), &addr),
+            decode(&[0, last]),
+            decode(&[0, 1]),
+        ];
+        for (list, op) in lists.iter_mut().zip(ops) {
+            list.push(op);
+        }
+    }
+    lists
+}
+
+/// Proves all-crash-prefix atomicity for every op list of
+/// [`volume_op_lists`] over [`MODEL_STRIPES`] stripes, one journal unit
+/// per op.
 ///
 /// # Errors
 ///
-/// The first [`JournalError`] across any modeled batch.
+/// The first [`JournalError`] across any op list.
 pub fn prove_layout_journal(layout: &Layout) -> Result<JournalSummary, JournalError> {
-    let last = layout.cols() - 1;
-    let batches = [
-        lowered_encode_batch(layout, MODEL_STRIPES),
-        lowered_rebuild_batch(layout, MODEL_STRIPES, &[0]),
-        lowered_rebuild_batch(layout, MODEL_STRIPES, &[0, last]),
-    ];
-    let mut summary = JournalSummary { batches: 0, crash_points: 0 };
-    for ops in &batches {
-        for units in [vec![ops.as_slice()], units_of_one(ops)] {
-            let proof = prove_batch_atomicity(&units, JournalCoverage::Full)?;
-            summary.batches += 1;
-            summary.crash_points += proof.crash_points;
-        }
+    let mut summary = JournalSummary { op_lists: 0, crash_points: 0 };
+    for ops in volume_op_lists(layout, MODEL_STRIPES) {
+        let proof = prove_op_atomicity(&ops, JournalCoverage::Full)?;
+        summary.op_lists += 1;
+        summary.crash_points += proof.crash_points;
     }
     Ok(summary)
 }
@@ -404,6 +417,11 @@ mod tests {
     use super::*;
     use crate::build;
 
+    /// The write targets of `op`, in the order it stores them.
+    fn targets(op: &LoweredOp) -> impl Iterator<Item = DiskAddr> + '_ {
+        op.data_writes.iter().chain(&op.parity_writes).map(|&(_, a)| a)
+    }
+
     #[test]
     fn every_code_proves_atomicity_at_small_primes() {
         for name in crate::CODE_NAMES {
@@ -411,7 +429,7 @@ mod tests {
                 let code = build(name, p).unwrap_or_else(|e| panic!("{e}"));
                 let s = prove_layout_journal(code.layout())
                     .unwrap_or_else(|e| panic!("{name} p={p}: {e}"));
-                assert_eq!(s.batches, 6);
+                assert_eq!(s.op_lists, 5);
                 assert!(s.crash_points > 0);
             }
         }
@@ -420,16 +438,16 @@ mod tests {
     #[test]
     fn dropped_undo_record_names_the_crash_and_address() {
         let code = build("hv", 5).unwrap();
-        let ops = lowered_encode_batch(code.layout(), MODEL_STRIPES);
-        // Drop the undo record of write 3: every crash prefix that has
-        // already stored write 3 (crash index >= 4) replays to a state
-        // still holding the new value at its address.
-        let err = prove_batch_atomicity(&[&ops], JournalCoverage::DropEntry(3)).unwrap_err();
-        let victim = ops[0].parity_writes[3].1; // writes 0..: op 0's parities first
+        let ops = volume_op_lists(code.layout(), MODEL_STRIPES).swap_remove(0);
+        // Drop the undo record of write 3 of the first full-stripe write:
+        // every crash prefix that has already stored write 3 (crash index
+        // >= 4) replays to a state still holding the new value there.
+        let err = prove_op_atomicity(&ops, JournalCoverage::DropEntry(3)).unwrap_err();
+        let victim = targets(&ops[0]).nth(3).unwrap();
         match &err {
             JournalError::MissingUndo { crash_index, addr, .. } => {
                 assert_eq!(*crash_index, 4, "first prefix containing write 3");
-                assert_eq!((addr.disk, addr.index), (victim.disk, victim.index));
+                assert_eq!(*addr, victim);
             }
             other => panic!("expected MissingUndo, got {other}"),
         }
@@ -440,24 +458,26 @@ mod tests {
 
     #[test]
     fn dropped_undo_record_is_caught_per_op_too() {
+        // A record dropped from the second op's journal: crash indices
+        // count on from the first op's writes.
         let code = build("hv", 5).unwrap();
-        let ops = lowered_encode_batch(code.layout(), MODEL_STRIPES);
-        let err =
-            prove_batch_atomicity(&units_of_one(&ops), JournalCoverage::DropEntry(0)).unwrap_err();
-        assert!(
-            matches!(err, JournalError::MissingUndo { crash_index: 1, .. }),
-            "got {err}"
-        );
+        let ops = volume_op_lists(code.layout(), MODEL_STRIPES).swap_remove(1);
+        let first = targets(&ops[0]).count();
+        let err = prove_op_atomicity(&ops, JournalCoverage::DropEntry(first)).unwrap_err();
+        match &err {
+            JournalError::MissingUndo { crash_index, addr, .. } => {
+                assert_eq!(*crash_index, first + 1, "{err}");
+                assert_eq!(Some(*addr), targets(&ops[1]).next(), "{err}");
+            }
+            other => panic!("expected MissingUndo, got {other}"),
+        }
     }
 
     #[test]
-    fn rebuild_batches_prove_in_both_modes() {
+    fn two_column_decodes_prove_op_by_op() {
         let code = build("rdp", 5).unwrap();
-        let layout = code.layout();
-        let ops = lowered_rebuild_batch(layout, MODEL_STRIPES, &[0, 1]);
-        for units in [vec![ops.as_slice()], units_of_one(&ops)] {
-            let proof = prove_batch_atomicity(&units, JournalCoverage::Full)
-                .unwrap_or_else(|e| panic!("{} unit(s): {e}", units.len()));
+        for ops in &volume_op_lists(code.layout(), MODEL_STRIPES)[3..] {
+            let proof = prove_op_atomicity(ops, JournalCoverage::Full).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(proof.ops, MODEL_STRIPES);
         }
     }
@@ -465,12 +485,10 @@ mod tests {
     #[test]
     fn crash_points_cover_every_write_prefix() {
         let code = build("hv", 5).unwrap();
-        let ops = lowered_encode_batch(code.layout(), 2);
-        let writes: usize =
-            ops.iter().map(|o| o.data_writes.len() + o.parity_writes.len()).sum();
-        let whole = prove_batch_atomicity(&[&ops], JournalCoverage::Full).unwrap();
-        assert_eq!(whole.crash_points, writes + 1);
-        let singly = prove_batch_atomicity(&units_of_one(&ops), JournalCoverage::Full).unwrap();
-        assert_eq!(singly.crash_points, writes + ops.len());
+        for ops in volume_op_lists(code.layout(), 2) {
+            let writes: usize = ops.iter().map(|o| targets(o).count()).sum();
+            let proof = prove_op_atomicity(&ops, JournalCoverage::Full).unwrap();
+            assert_eq!(proof.crash_points, writes + ops.len());
+        }
     }
 }

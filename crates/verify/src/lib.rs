@@ -13,12 +13,8 @@
 //!   per-`p` MDS proof ([`plan_check::prove_mds`]);
 //! * [`report`] — structural metrics checked against the paper's
 //!   closed-form table values, rendered as JSON;
-//! * [`hazard`] — the partition-hazard auditor: cross-partition
-//!   footprint disjointness for every batched path the volume lowers;
 //! * [`journal`] — the crash-consistency proof: every crash prefix of
-//!   both undo-journal protocols replays to all-old-or-all-new;
-//! * [`schedules`] — exhaustive small-model checking of the executor's
-//!   concurrent protocols over the `interleave` shim;
+//!   every op the volume executes replays to all-old-or-all-new;
 //! * the `LoweredOp` audit itself lives in `raid_array::audit` (this
 //!   crate sits above `raid-array` in the dependency graph, so the
 //!   pipeline can also self-audit under `debug_assertions`); it is
@@ -31,18 +27,17 @@
 #![warn(missing_docs)]
 
 pub mod coalesce;
-pub mod hazard;
 pub mod journal;
 pub mod plan_check;
 pub mod report;
-pub mod schedules;
 pub mod symbolic;
 
 pub use raid_array::audit;
 
 use std::sync::Arc;
 
-use raid_core::ArrayCode;
+use raid_array::Addressing;
+use raid_core::{ArrayCode, Layout};
 
 use plan_check::{prove_equivalent, prove_mds, verify_encode, PlanError};
 use raid_core::XorPlan;
@@ -92,8 +87,6 @@ pub enum CheckError {
     Plan(PlanError),
     /// A coalesced cache-flush program failed symbolic verification.
     Coalesce(coalesce::CoalesceError),
-    /// A partitioned batch has a cross-partition footprint hazard.
-    Hazard(hazard::HazardError),
     /// An undo-journal crash prefix fails to restore all-old-or-all-new.
     Journal(journal::JournalError),
     /// The layout deviates from the paper's published table values.
@@ -106,7 +99,6 @@ impl std::fmt::Display for CheckError {
             CheckError::Build(msg) => write!(f, "{msg}"),
             CheckError::Plan(e) => write!(f, "{e}"),
             CheckError::Coalesce(e) => write!(f, "{e}"),
-            CheckError::Hazard(e) => write!(f, "{e}"),
             CheckError::Journal(e) => write!(f, "{e}"),
             CheckError::PaperMismatch(diffs) => {
                 write!(f, "layout deviates from the paper: {}", diffs.join("; "))
@@ -122,8 +114,8 @@ impl std::error::Error for CheckError {}
 /// to the chain specification and never costs more reads than the
 /// cascaded chain walk, exhaustive single/double-erasure MDS proof (which
 /// itself re-proves every optimized decode plan), coalesced-flush proof,
-/// partition-hazard audit and all-crash-prefix journal proof over the
-/// volume's modeled batches, and paper-table check.
+/// all-crash-prefix journal proof over the ops the volume executes, and
+/// paper-table check.
 ///
 /// # Errors
 ///
@@ -156,13 +148,8 @@ pub fn check_code(name: &str, p: usize) -> Result<CodeReport, CheckError> {
     // modes, across representative dirty subsets) must compute exactly
     // the parity algebra over the double-height old/new grid.
     coalesce::prove_layout_flushes(layout).map_err(CheckError::Coalesce)?;
-    // Every batched path the volume lowers must have partition-disjoint
-    // backend footprints (no two workers can touch the same bytes, and
-    // batched phase separation never serves a read stale) …
-    let hazards = hazard::prove_layout_hazard_free(layout).map_err(CheckError::Hazard)?;
-    // … and replaying the undo journal from every crash prefix of those
-    // batches must restore exactly all-old or all-new, per stripe, in
-    // both journal protocols.
+    // Replaying the undo journal from every crash prefix of the ops the
+    // volume executes must restore exactly all-old or all-new, per stripe.
     let journal = journal::prove_layout_journal(layout).map_err(CheckError::Journal)?;
 
     let metrics = CodeMetrics::measure(layout);
@@ -185,10 +172,16 @@ pub fn check_code(name: &str, p: usize) -> Result<CodeReport, CheckError> {
         encode_temps: cached.num_temps(),
         mds_singles: mds.singles,
         mds_pairs: mds.pairs,
-        hazard_batches: hazards.batches,
         journal_crash_points: journal.crash_points,
         paper_diffs,
     })
+}
+
+/// Rotation-free addressing for `layout`. Rotation permutes only the disk
+/// column, never the index, so a proof over it carries over to every
+/// rotated placement.
+pub(crate) fn unrotated(layout: &Layout) -> Addressing {
+    Addressing::new(layout.num_data_cells(), layout.cols(), false)
 }
 
 /// Runs [`check_code`] over every registered code at every default prime.

@@ -188,8 +188,6 @@ pub struct CodeReport {
     pub mds_singles: usize,
     /// Double-disk erasure patterns proven.
     pub mds_pairs: usize,
-    /// Modeled batches proven free of partition footprint hazards.
-    pub hazard_batches: usize,
     /// Crash prefixes proven all-old-or-all-new by the journal proof.
     pub journal_crash_points: usize,
     /// Paper-expectation mismatches (empty when the paper table matches or
@@ -233,7 +231,7 @@ impl CodeReport {
                 "\"encode_source_reads\":{},\"encode_reads_spec\":{},",
                 "\"encode_reads_cascaded\":{},\"encode_temps\":{},",
                 "\"mds_singles\":{},\"mds_pairs\":{},",
-                "\"hazard_batches\":{},\"journal_crash_points\":{},",
+                "\"journal_crash_points\":{},",
                 "\"paper_match\":{},\"paper_diffs\":[{}]}}"
             ),
             json_escape(&self.code),
@@ -250,7 +248,6 @@ impl CodeReport {
             self.encode_temps,
             self.mds_singles,
             self.mds_pairs,
-            self.hazard_batches,
             self.journal_crash_points,
             self.paper_diffs.is_empty(),
             diffs.join(","),
@@ -298,7 +295,6 @@ mod tests {
             encode_temps: 0,
             mds_singles: 4,
             mds_pairs: 6,
-            hazard_batches: 5,
             journal_crash_points: 0,
             paper_diffs: vec!["a \"quoted\" diff".into()],
         };

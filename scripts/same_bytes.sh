@@ -27,9 +27,9 @@ OUT=$ROOT/target/same-bytes
 # name|the output compared beside the exit status|binary and arguments
 COMMANDS='chaos-1|stdout|hvraid chaos --seed 1 --episodes 25
 chaos-2|stdout|hvraid chaos --seed 2 --episodes 25 --backend mem --spares 0
-chaos-3|stdout|hvraid chaos --seed 3 --episodes 25 --threads 4 --stripes 8
+chaos-3|stdout|hvraid chaos --seed 3 --episodes 25 --stripes 8
 fleet|stdout|hvraid fleet --volumes 12 --hours 96 --seed 5 --stripes 8 --element 16 --json
-lint|stdout|hvraid lint --all --hazards --journal --schedules
+lint|stdout|hvraid lint --all --journal
 repro|csv|repro --csv csv all'
 
 rm -rf "$TREE" "$OUT"

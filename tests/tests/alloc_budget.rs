@@ -114,9 +114,9 @@ const P: usize = 13;
 const STRIPES: usize = 4;
 const ELEMENT: usize = 4096;
 /// A single-element store: at most this many calls and bytes. The scratch
-/// is 7 of the calls and 31 KiB; lowering, receipts and (for a flush) the
-/// partition shards make some 40 to 60 small ones around it. Allocating
-/// the grid took 330 calls and 1.2 MiB.
+/// is 7 of the calls and 31 KiB; lowering and receipts make some 40 to
+/// 60 small ones around it. Allocating the grid took 330 calls and
+/// 1.2 MiB.
 const SMALL_OP: (usize, usize) = (80, 64 * 1024);
 
 fn volume() -> RaidVolume {
@@ -421,7 +421,7 @@ fn doubly_degraded_read_stays_under_half_the_grid() {
 }
 
 #[test]
-fn rebuild_allocates_one_footprint_for_the_step_not_a_grid_per_stripe() {
+fn a_rebuild_step_allocates_one_footprint_not_a_grid_per_stripe() {
     let _alone = alone();
     const REBUILT: usize = 8;
     let mut v = volume_of(REBUILT);

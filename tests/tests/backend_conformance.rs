@@ -22,12 +22,6 @@ const STRIPES: usize = 2;
 /// of the conformance contract; injected faults get their own test below.
 const BACKENDS: [&str; 3] = ["mem", "file", "faulty"];
 
-/// Worker counts every lifecycle runs under: the volume's pinned
-/// partition count and the XOR workers of the batch paths (backend I/O is
-/// always issued in op order on the caller's thread). 1 leaves the volume
-/// at its default; the answers must not change with the count.
-const THREADS: [usize; 3] = [1, 2, 4];
-
 fn make_backend(kind: &str, label: &str, disks: usize, epd: usize) -> Box<dyn DiskBackend> {
     match kind {
         "mem" => Box::new(MemBackend::new(disks, epd, ELEMENT)),
@@ -51,29 +45,22 @@ fn cleanup(kind: &str, label: &str) {
     }
 }
 
-fn volume_on(code: &Arc<dyn ArrayCode>, kind: &str, label: &str, threads: usize) -> RaidVolume {
+fn volume_on(code: &Arc<dyn ArrayCode>, kind: &str, label: &str) -> RaidVolume {
     let layout = code.layout();
     let backend = make_backend(kind, label, layout.cols(), STRIPES * layout.rows());
-    let mut v =
-        RaidVolume::new(Arc::clone(code), STRIPES, ELEMENT, backend).expect("shape matches");
-    if threads > 1 {
-        v.set_partitions(Some(threads));
-    }
-    v
+    RaidVolume::new(Arc::clone(code), STRIPES, ELEMENT, backend).expect("shape matches")
 }
 
-/// Runs `body` on a fresh volume for every code at p = 7 × backend ×
-/// worker count; `ctx` names the combination in assertion messages.
-fn on_every_volume(tag: &str, body: impl Fn(&mut RaidVolume, usize, &str)) {
+/// Runs `body` on a fresh volume for every code at p = 7 × backend; `ctx`
+/// names the combination in assertion messages.
+fn on_every_volume(tag: &str, mut body: impl FnMut(&mut RaidVolume, &str)) {
     for code in all_codes(7) {
         for kind in BACKENDS {
-            for threads in THREADS {
-                let ctx = format!("{}/{kind}/t{threads}", code.name());
-                let label = format!("{tag}_{kind}_{}", code.name().replace(' ', "_"));
-                let mut v = volume_on(&code, kind, &label, threads);
-                body(&mut v, threads, &ctx);
-                cleanup(kind, &label);
-            }
+            let ctx = format!("{}/{kind}", code.name());
+            let label = format!("{tag}_{kind}_{}", code.name().replace(' ', "_"));
+            let mut v = volume_on(&code, kind, &label);
+            body(&mut v, &ctx);
+            cleanup(kind, &label);
         }
     }
 }
@@ -133,7 +120,7 @@ fn write_all_is_all_or_nothing_on_every_backend() {
 
 #[test]
 fn write_read_roundtrip_on_every_backend() {
-    on_every_volume("rt", |v, _, ctx| {
+    on_every_volume("rt", |v, ctx| {
         let data = payload(v.data_elements() * ELEMENT, 3);
         v.write(0, &data).unwrap();
         assert!(v.verify_all(), "{ctx}");
@@ -150,7 +137,7 @@ fn write_read_roundtrip_on_every_backend() {
 
 #[test]
 fn degraded_read_equals_pre_failure_data_on_every_backend() {
-    on_every_volume("dr", |v, _, ctx| {
+    on_every_volume("dr", |v, ctx| {
         let data = payload(v.data_elements() * ELEMENT, 5);
         v.write(0, &data).unwrap();
         v.fail_disk(1).unwrap();
@@ -163,7 +150,7 @@ fn degraded_read_equals_pre_failure_data_on_every_backend() {
 
 #[test]
 fn rebuild_restores_verification_on_every_backend() {
-    on_every_volume("rb", |v, _, ctx| {
+    on_every_volume("rb", |v, ctx| {
         let data = payload(v.data_elements() * ELEMENT, 7);
         v.write(0, &data).unwrap();
         v.fail_disk(0).unwrap();
@@ -516,22 +503,23 @@ fn a_bystander_death_mid_rebuild_step_is_adopted_and_the_step_completes() {
     assert_eq!(v.read(0, v.data_elements()).unwrap().0, data);
 }
 
+/// Losing the first and the last disk, `rebuild()` restores the bytes and
+/// the parity, and issues the same I/O, on every backend.
 #[test]
-fn partitioned_batch_ops_conform_on_every_backend() {
-    on_every_volume("pb", |v, threads, ctx| {
-        v.set_partitions(Some(threads));
+fn outer_disk_rebuild_issues_the_same_io_on_every_backend() {
+    let mut issued = std::collections::BTreeMap::new();
+    on_every_volume("ob", |v, ctx| {
         let data = payload(v.data_elements() * ELEMENT, 29);
         v.write(0, &data).unwrap();
-        let enc = v.encode_all(threads).unwrap();
-        assert_eq!(enc.data_writes(), 0, "{ctx}: encode writes parities only");
-        assert!(v.verify_all(), "{ctx}: partitioned encode keeps parity");
         v.fail_disk(0).unwrap();
         v.fail_disk(v.disks() - 1).unwrap();
-        let reb = v.rebuild_all(threads).unwrap();
-        assert!(reb.total_writes() > 0, "{ctx}");
-        assert!(v.verify_all(), "{ctx}: partitioned rebuild restores parity");
+        let receipt = v.rebuild().unwrap();
+        assert!(v.verify_all(), "{ctx}: rebuild restores parity");
         let (bytes, _) = v.read(0, v.data_elements()).unwrap();
-        assert_eq!(bytes, data, "{ctx}: bytes survive partitioned rebuild");
+        assert_eq!(bytes, data, "{ctx}: bytes survive the rebuild");
+        let io = (receipt.total_reads(), receipt.total_writes());
+        let code = ctx.split('/').next().unwrap().to_string();
+        assert_eq!(*issued.entry(code).or_insert(io), io, "{ctx}: rebuild I/O differs");
     });
 }
 
@@ -539,23 +527,21 @@ fn partitioned_batch_ops_conform_on_every_backend() {
 fn file_backend_persists_across_reopen() {
     let code = all_codes(7).remove(0); // HV
     let label = "persist";
-    for threads in THREADS {
-        let mut v = volume_on(&code, "file", label, threads);
-        let data = payload(v.data_elements() * ELEMENT, 23);
-        v.write(0, &data).unwrap();
-        v.fail_disk(2).unwrap();
-        drop(v);
+    let mut v = volume_on(&code, "file", label);
+    let data = payload(v.data_elements() * ELEMENT, 23);
+    v.write(0, &data).unwrap();
+    v.fail_disk(2).unwrap();
+    drop(v);
 
-        // Reopen: geometry, contents, and the failure marker all survive.
-        let dir = std::env::temp_dir().join(format!("hvraid_conformance_{label}"));
-        let backend = FileBackend::open(&dir).unwrap();
-        let mut v = RaidVolume::open(Arc::clone(&code), Box::new(backend), false).unwrap();
-        assert_eq!(v.stripes(), STRIPES);
-        assert_eq!(v.failed_disks(), vec![2], "failure flag must persist");
-        let (bytes, _) = v.read(0, v.data_elements()).unwrap();
-        assert_eq!(bytes, data, "data must persist across reopen");
-        v.rebuild().unwrap();
-        assert!(v.verify_all());
-        cleanup("file", label);
-    }
+    // Reopen: geometry, contents, and the failure marker all survive.
+    let dir = std::env::temp_dir().join(format!("hvraid_conformance_{label}"));
+    let backend = FileBackend::open(&dir).unwrap();
+    let mut v = RaidVolume::open(Arc::clone(&code), Box::new(backend), false).unwrap();
+    assert_eq!(v.stripes(), STRIPES);
+    assert_eq!(v.failed_disks(), vec![2], "failure flag must persist");
+    let (bytes, _) = v.read(0, v.data_elements()).unwrap();
+    assert_eq!(bytes, data, "data must persist across reopen");
+    v.rebuild().unwrap();
+    assert!(v.verify_all());
+    cleanup("file", label);
 }
