@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test loc bench bench-ab bench-smoke same-bytes repro-check chaos-smoke fleet-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
+.PHONY: build test loc bench bench-ab bench-smoke same-bytes repro-check examples-smoke chaos-smoke fleet-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
 
 build:
 	$(CARGO) build --release
@@ -71,6 +71,19 @@ repro-check:
 	rm -rf target/repro
 	$(CARGO) run -q --release -p raid-bench --bin repro -- --csv target/repro all > /dev/null
 	diff -r target/repro results
+
+# Runs every [[bin]] that examples/Cargo.toml lists, in release mode, with
+# its default arguments — read from the manifest, so the list cannot
+# drift. Stops at the first example that exits non-zero (~1 s after the
+# build).
+EXAMPLE_BINS = $(shell awk '/^\[\[bin\]\]/ { bin = 1; next } bin && /^name/ { gsub(/.*= *"|"/, ""); print; bin = 0 }' examples/Cargo.toml)
+examples-smoke:
+	@test -n "$(EXAMPLE_BINS)" || { echo "examples-smoke: no [[bin]] in examples/Cargo.toml"; exit 1; }
+	$(CARGO) build -q --release -p hv-examples
+	@for bin in $(EXAMPLE_BINS); do \
+		echo "examples-smoke: $$bin"; \
+		$(CARGO) run -q --release -p hv-examples --bin $$bin > /dev/null || exit 1; \
+	done
 
 # Fixed-seed chaos campaigns over both backends: randomized fault
 # injection (dead disks, transients, latent sectors, torn writes) plus
@@ -157,13 +170,15 @@ test-kernel-audit:
 # The pre-merge gate: release build, full test suite (`make test`, so one
 # red binary cannot hide the later suites), the static-analysis lint gate
 # (clippy + miri + symbolic proofs + optimizer gates), results/ against a
-# fresh repro run, the smoke campaigns, then the hvbench smoke run.
+# fresh repro run, every example binary, the smoke campaigns, then the
+# hvbench smoke run.
 # `git status` is clean afterwards.
 verify:
 	$(CARGO) build --release
 	$(MAKE) test
 	$(MAKE) lint
 	$(MAKE) repro-check
+	$(MAKE) examples-smoke
 	$(MAKE) tsan-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) fleet-smoke

@@ -191,23 +191,6 @@ pub fn double_failure_schedule(
     schedule_for(layout, &lost)
 }
 
-/// Expected longest-chain length over all `C(n,2)` double failures — the
-/// quantity the paper multiplies by `Re` to estimate Fig. 9(b) times.
-pub fn expected_longest_chain(layout: &Layout) -> f64 {
-    let n = layout.cols();
-    let mut total = 0usize;
-    let mut count = 0usize;
-    for f1 in 0..n {
-        for f2 in (f1 + 1)..n {
-            let sched = double_failure_schedule(layout, f1, f2)
-                .expect("MDS layout must repair any pair");
-            total += sched.longest_chain;
-            count += 1;
-        }
-    }
-    total as f64 / count as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,9 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn expected_longest_chain_is_positive() {
-        // Not all pairs decodable in the toy code; restrict to a pair-wise
-        // check instead of the full expectation.
+    fn toy_repairs_its_first_column_pair() {
+        // Not all pairs decodable in the toy code; check one that is.
         let layout = toy();
         let ok = double_failure_schedule(&layout, 0, 1);
         assert!(ok.is_ok());

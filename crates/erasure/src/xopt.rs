@@ -146,18 +146,6 @@ pub struct OptStats {
     pub dead_removed: usize,
 }
 
-impl OptStats {
-    /// Reads saved, as a percentage of the input plan's reads.
-    pub fn reads_saved_pct(&self) -> f64 {
-        if self.reads_before == 0 {
-            0.0
-        } else {
-            100.0 * (self.reads_before.saturating_sub(self.reads_after)) as f64
-                / self.reads_before as f64
-        }
-    }
-}
-
 /// One op during optimization: target index + source index *set* (XOR is
 /// commutative/associative and the input had no duplicate sources, so a
 /// set loses nothing).

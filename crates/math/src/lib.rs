@@ -1,4 +1,4 @@
-//! Modular and Galois-field arithmetic plus XOR kernels for RAID-6 array codes.
+//! Modular arithmetic plus XOR kernels for RAID-6 array codes.
 //!
 //! This crate is the arithmetic substrate shared by every code in the
 //! workspace:
@@ -8,8 +8,6 @@
 //! * [`modp`] — the `⟨·⟩_p` modular arithmetic of the paper, including the
 //!   modular halving of Eq. (2) (`k := ⟨(j − 4i)/2⟩_p`) and modular division
 //!   `⟨i/j⟩_p`.
-//! * [`gf256`] / [`gf2e`] — `GF(2^8)` and `GF(2^16)` table/carry-less
-//!   arithmetic used by the Reed–Solomon baselines.
 //! * [`xor`] — wide XOR kernels used by every XOR-based array code.
 //! * [`hex`] — hex text ⇄ bytes kernels, the block service's wire codec.
 //!
@@ -33,8 +31,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::needless_range_loop, clippy::redundant_clone)]
 
-pub mod gf256;
-pub mod gf2e;
 pub mod hex;
 pub mod modp;
 pub mod prime;

@@ -2,8 +2,6 @@
 
 use proptest::prelude::*;
 
-use raid_math::gf256;
-use raid_math::gf2e;
 use raid_math::modp::{add_mod, div_mod, half_mod, inv_mod, mul_mod, pow_mod, reduce, sub_mod};
 use raid_math::prime::Prime;
 use raid_math::xor::{is_zero, xor_gather_into, xor_into};
@@ -51,27 +49,6 @@ proptest! {
         prop_assume!(reduce(a, p) != 0);
         prop_assert_eq!(pow_mod(a, p.get() as u32 - 1, p), 1);
         prop_assert_eq!(mul_mod(inv_mod(a, p) as i64, a, p), 1);
-    }
-
-    #[test]
-    fn gf256_axioms(a in any::<u8>(), b in any::<u8>(), c in any::<u8>()) {
-        prop_assert_eq!(gf256::mul(a, b), gf256::mul(b, a));
-        prop_assert_eq!(gf256::mul(a, gf256::mul(b, c)), gf256::mul(gf256::mul(a, b), c));
-        prop_assert_eq!(
-            gf256::mul(a, gf256::add(b, c)),
-            gf256::add(gf256::mul(a, b), gf256::mul(a, c))
-        );
-        if a != 0 {
-            prop_assert_eq!(gf256::div(gf256::mul(a, b), a), b);
-        }
-    }
-
-    #[test]
-    fn gf2e_axioms(a in any::<u16>(), b in any::<u16>()) {
-        prop_assert_eq!(gf2e::mul(a, b), gf2e::mul(b, a));
-        if a != 0 {
-            prop_assert_eq!(gf2e::div(gf2e::mul(a, b), a), b);
-        }
     }
 
     #[test]

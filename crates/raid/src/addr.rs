@@ -42,11 +42,6 @@ impl Addressing {
         self.data_per_stripe
     }
 
-    /// The stripe holding linear data-element address `addr`.
-    pub fn stripe_of(&self, addr: usize) -> usize {
-        addr / self.data_per_stripe
-    }
-
     /// Whether stripe rotation is enabled.
     pub fn rotates(&self) -> bool {
         self.rotate

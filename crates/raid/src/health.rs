@@ -363,11 +363,6 @@ impl HealthMonitor {
     pub fn backoff_ms_total(&self) -> f64 {
         self.backoff_ms_total
     }
-
-    /// Latent repairs charged against `disk` so far.
-    pub fn latent_repairs_on(&self, disk: usize) -> u32 {
-        self.latent_repairs.get(&disk).copied().unwrap_or(0)
-    }
 }
 
 impl Default for HealthMonitor {

@@ -159,24 +159,16 @@ pub struct RaidVolume {
     /// Start a background rebuild automatically when a disk dies and a
     /// spare is available.
     auto_heal: bool,
-    /// The in-flight (checkpointed) background rebuild, if any.
-    rebuild_task: Option<RebuildTask>,
+    /// The in-flight background rebuild, if any: the in-memory mirror of
+    /// the persisted checkpoint. Its disks stay in `failed` — their
+    /// content is invalid — even though the backend already serves the
+    /// blank replacements.
+    rebuild_task: Option<RebuildCheckpoint>,
     /// When armed, refuse new writes while the array is parked at the
     /// correction limit with no rebuild underway and no spares left.
     write_fence: bool,
     /// The write-back stripe cache, when enabled.
     cache: Option<StripeCache>,
-}
-
-/// In-memory mirror of the persisted [`RebuildCheckpoint`].
-#[derive(Debug, Clone)]
-struct RebuildTask {
-    /// Disks being rebuilt onto spares (they stay in `failed` — their
-    /// content is invalid — even though the backend already serves the
-    /// blank replacements).
-    disks: Vec<usize>,
-    /// First stripe not yet rebuilt.
-    next_stripe: usize,
 }
 
 /// The scratch one [`RaidVolume::rebuild_step`] runs its stripes on: the
@@ -412,8 +404,7 @@ impl RaidVolume {
         if self.failed.len() > 2 {
             return Err(VolumeError::TooManyFailures { failed: self.failed.len() });
         }
-        self.rebuild_task =
-            Some(RebuildTask { disks: cp.disks, next_stripe: cp.next_stripe });
+        self.rebuild_task = Some(cp);
         Ok(())
     }
 
@@ -644,9 +635,7 @@ impl RaidVolume {
     /// The in-flight background rebuild, as its persisted checkpoint
     /// form, if one is active.
     pub fn rebuild_progress(&self) -> Option<RebuildCheckpoint> {
-        self.rebuild_task
-            .as_ref()
-            .map(|t| RebuildCheckpoint { disks: t.disks.clone(), next_stripe: t.next_stripe })
+        self.rebuild_task.clone()
     }
 
     /// The fault injector wrapping the backend, if the volume runs over a
@@ -753,18 +742,15 @@ impl RaidVolume {
             // A spare died while being rebuilt: swap in a fresh one and
             // restart its rebuild from stripe 0 (the replacement is
             // blank).
-            let rebuilding =
-                self.rebuild_task.as_ref().is_some_and(|t| t.disks.contains(&disk));
-            if rebuilding && self.pipeline.backend().is_failed(disk) {
+            let spare_died = self.pipeline.backend().is_failed(disk);
+            let task = self.rebuild_task.as_mut();
+            if let Some(task) = task.filter(|t| spare_died && t.disks.contains(&disk)) {
                 self.pipeline.backend_mut().replace(disk)?;
                 if let Some(sim) = self.pipeline.sim_mut() {
                     let _ = sim.restore_disk(disk);
                 }
-                let task = self.rebuild_task.as_mut().expect("rebuilding implies a task");
                 task.next_stripe = 0;
-                let cp =
-                    RebuildCheckpoint { disks: task.disks.clone(), next_stripe: 0 };
-                self.pipeline.backend_mut().save_checkpoint(Some(&cp))?;
+                self.pipeline.backend_mut().save_checkpoint(Some(task))?;
                 return Ok(());
             }
             return Err(VolumeError::Backend(source));
@@ -1354,13 +1340,13 @@ impl RaidVolume {
     /// backend-failed) and the swap replayed rather than the half-zeroed
     /// spare trusted.
     fn start_rebuild(&mut self, disks: Vec<usize>) -> Result<(), VolumeError> {
-        let cp = RebuildCheckpoint { disks: disks.clone(), next_stripe: 0 };
+        let cp = RebuildCheckpoint { disks, next_stripe: 0 };
         self.pipeline.backend_mut().save_checkpoint(Some(&cp))?;
-        self.swap_in_spares(&disks)?;
-        for &d in &disks {
+        self.swap_in_spares(&cp.disks)?;
+        for &d in &cp.disks {
             self.health.note_replaced(d);
         }
-        self.rebuild_task = Some(RebuildTask { disks, next_stripe: 0 });
+        self.rebuild_task = Some(cp);
         Ok(())
     }
 
@@ -1392,13 +1378,10 @@ impl RaidVolume {
                     self.health.note_op_ok();
                     attempts = 0;
                     done += 1;
-                    let task = self.rebuild_task.as_mut().expect("task active");
-                    task.next_stripe = idx + 1;
-                    let cp = RebuildCheckpoint {
-                        disks: task.disks.clone(),
-                        next_stripe: idx + 1,
-                    };
-                    self.pipeline.backend_mut().save_checkpoint(Some(&cp))?;
+                    let task = self
+                        .rebuild_task
+                        .insert(RebuildCheckpoint { disks, next_stripe: idx + 1 });
+                    self.pipeline.backend_mut().save_checkpoint(Some(task))?;
                     if idx + 1 >= self.stripes {
                         self.finish_rebuild()?;
                         break;
@@ -2065,6 +2048,46 @@ mod tests {
         assert_eq!(bytes, data);
         // The healing story is on the record.
         assert!(!v.ledger().transitions().is_empty());
+    }
+
+    #[test]
+    fn spare_dying_mid_rebuild_restarts_it_from_stripe_zero() {
+        use crate::backend::{Fault, FaultyBackend, FileBackend};
+        let dir = std::env::temp_dir().join(format!("hvraid-spare-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(7).unwrap());
+        let be = FileBackend::create(&dir, code.layout().cols(), 4 * code.layout().rows(), 16)
+            .unwrap();
+        let faulty = FaultyBackend::new(Box::new(be), Vec::new());
+        let mut v = RaidVolume::new(code, 4, 16, Box::new(faulty)).unwrap();
+        v.set_spares(1);
+        let data = pattern(v.data_elements() * 16, 59);
+        v.write(0, &data).unwrap();
+        v.fail_disk(2).unwrap();
+        v.maintain(2).unwrap();
+        assert_eq!(v.rebuild_progress().map(|cp| cp.next_stripe), Some(2));
+
+        // The spare dies; a read of the already-rebuilt stripes finds it.
+        // A fresh blank spare goes in without drawing on the empty pool,
+        // and the task restarts from stripe 0, in memory and on disk.
+        v.backend_faulty_mut().unwrap().inject(Fault::Dead { disk: 2 });
+        let (bytes, _) = v.read(0, v.data_elements()).unwrap();
+        assert_eq!(bytes, data);
+        let restarted = RebuildCheckpoint { disks: vec![2], next_stripe: 0 };
+        assert_eq!(v.rebuild_progress(), Some(restarted.clone()));
+        assert_eq!(v.pipeline.backend().load_checkpoint(), Some(restarted));
+        assert_eq!(v.failed_disks(), vec![2]);
+        assert_eq!(v.spares(), 0);
+
+        v.rebuild().unwrap();
+        assert!(v.failed_disks().is_empty());
+        assert!(v.rebuild_progress().is_none());
+        assert_eq!(v.pipeline.backend().load_checkpoint(), None);
+        assert!(v.verify_all());
+        let (bytes, _) = v.read(0, v.data_elements()).unwrap();
+        assert_eq!(bytes, data);
+        drop(v);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

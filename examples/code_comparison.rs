@@ -1,6 +1,5 @@
 //! Structural comparison of every implemented RAID-6 code — the expanded
-//! Table III, computed live from the layouts, plus the Reed–Solomon
-//! baselines' shape for contrast.
+//! Table III, computed live from the layouts.
 //!
 //! ```text
 //! cargo run -p hv-examples --bin code_comparison [p]
@@ -14,7 +13,6 @@ use raid_core::invariants;
 use raid_core::plan::update::update_complexity;
 use raid_core::schedule::double_failure_schedule;
 use raid_core::ArrayCode;
-use raid_rs::{CauchyRs, PqRaid6};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p: usize = std::env::args().nth(1).map(|s| s.parse()).transpose()?.unwrap_or(13);
@@ -73,16 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Reed–Solomon baselines for contrast.
-    let pq = PqRaid6::new(p - 3)?;
-    let cauchy = CauchyRs::raid6(p - 3)?;
-    println!(
-        "\nGalois-field baselines: PQ-RS over {} disks, Cauchy-RS over {} disks \
-         (every Q-parity byte costs a GF(2^8) multiply — the cost the XOR \
-         family eliminates)",
-        pq.total_disks(),
-        cauchy.data_shards() + cauchy.parity_shards(),
-    );
     println!("\n(cf. Table III of the paper; 'chains' = min parallel recovery chains)");
     Ok(())
 }

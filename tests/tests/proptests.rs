@@ -9,7 +9,6 @@ use hv_code::HvCode;
 use integration::all_codes;
 use raid_array::{CacheConfig, FileBackend, RaidVolume};
 use raid_core::{decoder, ArrayCode, Stripe};
-use raid_rs::{CauchyRs, PqRaid6};
 
 fn small_prime() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![5usize, 7, 11, 13])
@@ -120,47 +119,6 @@ proptest! {
             &healthy[..],
             &data[start * element..(start + len) * element]
         );
-    }
-
-    #[test]
-    fn rs_constructions_agree_on_recoverability(
-        k in 2usize..10,
-        seed in any::<u64>(),
-        lost in (0usize..12, 0usize..12),
-    ) {
-        // Both RS flavours must recover the same stripes from the same
-        // double erasures.
-        let len = 24usize;
-        let data: Vec<Vec<u8>> = (0..k).map(|i| integration::payload(len, seed ^ i as u64)).collect();
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-
-        let pq = PqRaid6::new(k).unwrap();
-        let (pbuf, qbuf) = pq.encode(&refs).unwrap();
-        let mut pq_shards: Vec<Vec<u8>> = data.clone();
-        pq_shards.push(pbuf);
-        pq_shards.push(qbuf);
-
-        let cauchy = CauchyRs::raid6(k).unwrap();
-        let mut c_shards: Vec<Vec<u8>> = data.clone();
-        c_shards.extend(cauchy.encode(&refs).unwrap());
-
-        let n = k + 2;
-        let a = lost.0 % n;
-        let mut b = lost.1 % n;
-        if a == b { b = (b + 1) % n; }
-
-        let pq_truth = pq_shards.clone();
-        let c_truth = c_shards.clone();
-        pq_shards[a].fill(0);
-        pq_shards[b].fill(0);
-        c_shards[a].fill(0);
-        c_shards[b].fill(0);
-
-        let to_shard = |i: usize| if i < k { raid_rs::pq::Shard::Data(i) } else if i == k { raid_rs::pq::Shard::P } else { raid_rs::pq::Shard::Q };
-        pq.reconstruct(&mut pq_shards, &[to_shard(a), to_shard(b)]).unwrap();
-        cauchy.reconstruct(&mut c_shards, &[a, b]).unwrap();
-        prop_assert_eq!(pq_shards, pq_truth);
-        prop_assert_eq!(c_shards, c_truth);
     }
 }
 
