@@ -47,7 +47,7 @@ bench-ab:
 
 # Same decisions, same bytes: BASE (unpacked into target/ab-base, as
 # bench-ab does) and the working tree, both built in release mode, must
-# print byte-identical output for the three chaos-smoke campaigns, the
+# print byte-identical output for the four chaos-smoke campaigns, the
 # fleet-smoke report, `hvraid lint --all --journal`
 # and `repro --csv <dir> all` (its CSVs; its stdout carries wall times),
 # with the same exit status: one same/DIFFERS line per command, exit 1
@@ -89,11 +89,14 @@ examples-smoke:
 # injection (dead disks, transients, latent sectors, torn writes) plus
 # crash-at-every-journal-point sweeps, including crashes under a dirty
 # write-back cache mid-coalesced-flush, verified against a shadow model.
-# Deterministic and fast (<30 s); failures print the reproducing seed.
+# Seed 4's 20 000-byte elements are one 16 KiB XOR tile plus a 3 616-byte
+# tail, so plans run tiled over lent sources and the file backend stages
+# them. Deterministic and fast (<30 s); failures print the reproducing seed.
 chaos-smoke:
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 1 --episodes 25
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 2 --episodes 25 --backend mem --spares 0
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 3 --episodes 25 --stripes 8
+	$(CARGO) run -q --release -p hvraid -- chaos --seed 4 --episodes 10 --element 20000
 
 # Seeded fleet reliability campaign: the same small fleet twice, with
 # the JSON reports required byte-identical (the harness's determinism

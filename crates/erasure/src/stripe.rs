@@ -1,6 +1,6 @@
 //! Stripe buffers and chain-driven encoding.
 
-use raid_math::xor::{is_zero, xor_gather_into, xor_into, xor_many_into};
+use raid_math::xor::{is_zero, xor_into, xor_many_into};
 
 use crate::geometry::Cell;
 use crate::layout::Layout;
@@ -112,31 +112,10 @@ impl Stripe {
         self.element_mut(cell).copy_from_slice(data);
     }
 
-    /// Moves `buf` in as the element at `cell`, with no copy: how a caller
-    /// lends a scratch bytes it already owns instead of staging them in a
-    /// zero-filled cell. [`Stripe::take_element`] moves it back out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of bounds or already materialised, or if
-    /// `buf` is not exactly `element_size` bytes.
-    pub fn put_element(&mut self, cell: Cell, buf: Vec<u8>) {
-        assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
-        assert_eq!(buf.len(), self.element_size, "element size mismatch at {cell}");
-        let slot = &mut self.bufs[cell.index(self.cols)];
-        assert!(slot.is_none(), "{cell} is already materialised");
-        *slot = Some(buf);
-    }
-
-    /// Moves the element at `cell` out, with no copy, leaving the cell
-    /// unmaterialised.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of bounds or not materialised.
-    pub fn take_element(&mut self, cell: Cell) -> Vec<u8> {
-        assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
-        self.take_buf(cell.index(self.cols))
+    /// True if the stripe materialises `cell` (every in-bounds cell of a
+    /// dense stripe; the named cells of a sparse one).
+    pub fn holds(&self, cell: Cell) -> bool {
+        cell.row < self.rows && cell.col < self.cols && self.bufs[cell.index(self.cols)].is_some()
     }
 
     /// Zeroes an element — how tests model an erased cell.
@@ -264,28 +243,6 @@ impl Stripe {
         xor_many_into(out, &stack[..n]);
     }
 
-    /// Overwrites the buffer at linear index `dst` with the XOR of the
-    /// buffers at `srcs` — the [`crate::xplan::XorPlan`] interpreter's one
-    /// primitive. Single pass over every buffer including the target
-    /// (which is written without being read); no allocation for plans
-    /// whose steps stay at or below [`STACK_GATHER`] sources.
-    pub(crate) fn apply_indexed_xor(&mut self, dst: usize, srcs: &[u32]) {
-        debug_assert!(!srcs.iter().any(|&s| s as usize == dst), "op reads its own target");
-        // Detach the target so the sources can be borrowed from `bufs`.
-        let mut out = self.take_buf(dst);
-        if srcs.len() <= STACK_GATHER {
-            let mut stack: [&[u8]; STACK_GATHER] = [&[]; STACK_GATHER];
-            for (slot, &s) in stack.iter_mut().zip(srcs) {
-                *slot = self.buf(s as usize);
-            }
-            xor_gather_into(&mut out, &stack[..srcs.len()]);
-        } else {
-            let gathered: Vec<&[u8]> = srcs.iter().map(|&s| self.buf(s as usize)).collect();
-            xor_gather_into(&mut out, &gathered);
-        }
-        self.put_buf(dst, out);
-    }
-
     /// Detaches the buffer at linear index `idx` so tiled plan execution
     /// can borrow other buffers as sources while writing into it; pair
     /// with [`Stripe::put_buf`]. Panics if the cell is not materialised.
@@ -298,20 +255,22 @@ impl Stripe {
         self.bufs[idx] = Some(buf);
     }
 
-    /// Borrows the buffer at linear index `idx` (tiled execution's source
-    /// view; `element` requires a [`Cell`]). Panics if the cell is not
+    /// Borrows the buffer at linear index `idx`, if materialised (plan
+    /// execution's source view; `element` requires a [`Cell`]).
+    pub(crate) fn get_buf(&self, idx: usize) -> Option<&[u8]> {
+        self.bufs[idx].as_deref()
+    }
+
+    /// Borrows the buffer at linear index `idx`. Panics if the cell is not
     /// materialised.
-    pub(crate) fn buf(&self, idx: usize) -> &[u8] {
-        match &self.bufs[idx] {
-            Some(buf) => buf,
-            None => absent(idx, self.cols),
-        }
+    fn buf(&self, idx: usize) -> &[u8] {
+        self.get_buf(idx).unwrap_or_else(|| absent(idx, self.cols))
     }
 }
 
 /// The one panic every access to an unmaterialised cell ends in.
 #[cold]
-fn absent(idx: usize, cols: usize) -> ! {
+pub(crate) fn absent(idx: usize, cols: usize) -> ! {
     panic!("{} is not materialised in this sparse stripe", Cell::from_index(idx, cols))
 }
 
@@ -491,34 +450,10 @@ mod tests {
         s.set_element(c(1, 2), &[7; 4]);
         assert_eq!(s.element(c(1, 2)), &[7; 4]);
         assert_eq!(s.element(c(0, 1)), &[0; 4], "materialised cells start zeroed");
+        assert!(s.holds(c(0, 1)) && !s.holds(c(0, 0)) && !s.holds(c(2, 0)));
         // With every cell named it is the dense stripe.
         let every = (0..6).map(|i| Cell::from_index(i, 3));
         assert_eq!(Stripe::sparse(2, 3, 4, every), Stripe::zeroed(2, 3, 4));
-    }
-
-    #[test]
-    fn a_buffer_moved_in_and_out_keeps_its_allocation() {
-        let c = Cell::new;
-        let mut s = row_zero_only(4);
-        let buf = vec![7u8; 4];
-        let at = buf.as_ptr();
-        s.put_element(c(1, 1), buf);
-        assert_eq!(s.element(c(1, 1)), &[7; 4]);
-        let back = s.take_element(c(1, 1));
-        assert_eq!((back.as_ptr(), back), (at, vec![7; 4]));
-        assert_eq!(s, row_zero_only(4), "the cell is unmaterialised again");
-    }
-
-    #[test]
-    #[should_panic(expected = "E[0,1] is already materialised")]
-    fn put_element_over_a_materialised_cell_panics() {
-        row_zero_only(4).put_element(Cell::new(0, 1), vec![0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "E[1,0] is not materialised")]
-    fn take_element_of_an_absent_cell_panics() {
-        row_zero_only(4).take_element(Cell::new(1, 0));
     }
 
     #[test]

@@ -21,13 +21,22 @@
 //!
 //! # Tiled execution
 //!
-//! For elements larger than one L1 tile ([`raid_math::xor::L1_TILE_BYTES`])
-//! — or whenever a plan carries temps — `execute` walks **all** ops over
-//! one tile of every element before advancing to the next tile, so the
-//! working set (every element's current tile) stays cache-resident across
-//! the whole plan instead of each element being streamed through cache
-//! once per op. This is valid because every op is a pure byte-position-wise
-//! XOR: byte `k` of the output depends only on byte `k` of the inputs.
+//! `execute` walks **all** ops over one L1 tile
+//! ([`raid_math::xor::L1_TILE_BYTES`]) of every element before advancing
+//! to the next tile, so the working set (every element's current tile)
+//! stays cache-resident across the whole plan instead of each element
+//! being streamed through cache once per op; an element at or below one
+//! tile is a single tile. This is valid because every op is a pure
+//! byte-position-wise XOR: byte `k` of the output depends only on byte
+//! `k` of the inputs.
+//!
+//! # Lent sources
+//!
+//! A source need not live in the stripe. [`XorPlan::execute_lent`] reads
+//! a cell the stripe does not materialise from a [`Lent`] slice — bytes a
+//! backend or a caller already holds — so a caller allocates only the
+//! cells the plan computes. Every path (tiled, untiled, lent or not) is
+//! the same interpreter with the same source lookup.
 //!
 //! Plans come from five compilers:
 //!
@@ -48,8 +57,8 @@
 use crate::decoder::DecodePlan;
 use crate::geometry::Cell;
 use crate::layout::{ChainId, Layout};
-use crate::stripe::{encode_order, Stripe};
-use raid_math::xor::{tiles, xor_gather_into, L1_TILE_BYTES};
+use crate::stripe::{absent, encode_order, Stripe};
+use raid_math::xor::{tiles, xor_gather_into};
 
 /// One compiled step: overwrite `dst` with the XOR of a source range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -389,13 +398,13 @@ impl XorPlan {
     /// Runs the plan against a stripe: each op overwrites its target
     /// element with the XOR of its source elements, in plan order.
     ///
-    /// Elements at or below one L1 tile (and no temps) take the flat
-    /// per-op path: one single-pass multi-source XOR kernel call per op,
-    /// no allocation. Larger elements — or any plan with scratch temps —
-    /// run **tiled**: all ops are applied to one L1-sized chunk of every
-    /// element before advancing, so the stripe's working set stays
-    /// cache-resident across the whole plan. Temps are allocated per call
-    /// and freed on return.
+    /// The plan runs **tiled**: all ops are applied to one L1-sized chunk
+    /// ([`raid_math::xor::L1_TILE_BYTES`]) of every element before
+    /// advancing, so the stripe's working set stays cache-resident across
+    /// the whole plan; an element at or below one tile is one chunk, one
+    /// single-pass multi-source XOR kernel call per op. Temps are
+    /// allocated per call and freed on return; a temp-free plan allocates
+    /// nothing.
     ///
     /// (A source-major "streaming" execution — read each source once,
     /// scatter into its consumers — was tried and measured slower on
@@ -405,19 +414,25 @@ impl XorPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the stripe's shape differs from the plan's.
+    /// Panics if the stripe's shape differs from the plan's, or if an op
+    /// touches a cell the stripe does not materialise.
     pub fn execute(&self, stripe: &mut Stripe) {
-        assert_eq!(stripe.rows(), self.rows, "plan/stripe row mismatch");
-        assert_eq!(stripe.cols(), self.cols, "plan/stripe col mismatch");
+        self.execute_lent(stripe, &Lent::default());
+    }
+
+    /// [`XorPlan::execute`] with `lent` cells: a source the stripe does
+    /// not materialise is read where `lent` says it lives. Targets are
+    /// always the stripe's own cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stripe's shape differs from the plan's, if an op
+    /// reads a cell neither the stripe nor `lent` holds, or if it targets
+    /// a cell the stripe does not materialise (a lent cell included).
+    pub fn execute_lent(&self, stripe: &mut Stripe, lent: &Lent<'_>) {
+        self.check_shape(stripe);
         let es = stripe.element_size();
-        if self.temps == 0 && es <= L1_TILE_BYTES {
-            for op in &self.ops {
-                let srcs = &self.srcs[op.src_start as usize..op.src_end as usize];
-                stripe.apply_indexed_xor(op.dst as usize, srcs);
-            }
-            return;
-        }
-        self.execute_chunked(stripe, tiles(es));
+        self.run(stripe, lent, tiles(es));
     }
 
     /// Whole-element per-op execution, bypassing tiling — the reference
@@ -428,29 +443,32 @@ impl XorPlan {
     ///
     /// Panics if the stripe's shape differs from the plan's.
     pub fn execute_untiled(&self, stripe: &mut Stripe) {
-        assert_eq!(stripe.rows(), self.rows, "plan/stripe row mismatch");
-        assert_eq!(stripe.cols(), self.cols, "plan/stripe col mismatch");
-        if self.temps == 0 {
-            for op in &self.ops {
-                let srcs = &self.srcs[op.src_start as usize..op.src_end as usize];
-                stripe.apply_indexed_xor(op.dst as usize, srcs);
-            }
-            return;
-        }
+        self.check_shape(stripe);
         let es = stripe.element_size();
-        self.execute_chunked(stripe, std::iter::once((0, es)).filter(|&(_, n)| n > 0));
+        self.run(stripe, &Lent::default(), std::iter::once((0, es)).filter(|&(_, n)| n > 0));
     }
 
-    /// The tiled interpreter: for each `(offset, len)` chunk, applies
-    /// every op to that chunk of its buffers. Scratch temps are allocated
-    /// element-sized (not tile-sized) so grid and temp buffers slice
-    /// uniformly; they are still touched tile-by-tile in order, so their
-    /// hot tile stays resident like everyone else's.
-    fn execute_chunked(&self, stripe: &mut Stripe, chunks: impl Iterator<Item = (usize, usize)>) {
+    fn check_shape(&self, stripe: &Stripe) {
+        assert_eq!(stripe.rows(), self.rows, "plan/stripe row mismatch");
+        assert_eq!(stripe.cols(), self.cols, "plan/stripe col mismatch");
+    }
+
+    /// The one interpreter: for each `(offset, len)` chunk, applies every
+    /// op to that chunk of its buffers. A source is the stripe's cell if
+    /// it holds one, else the `lent` slice, else a scratch temp. Temps
+    /// are allocated element-sized (not tile-sized) so grid and temp
+    /// buffers slice uniformly; they are still touched tile-by-tile in
+    /// order, so their hot tile stays resident like everyone else's.
+    fn run(
+        &self,
+        stripe: &mut Stripe,
+        lent: &Lent<'_>,
+        chunks: impl Iterator<Item = (usize, usize)>,
+    ) {
         const GATHER: usize = 64;
         let ncells = self.rows * self.cols;
         let es = stripe.element_size();
-        let mut temp_bufs: Vec<Vec<u8>> = vec![vec![0u8; es]; self.temps];
+        let mut temp_bufs: Vec<Vec<u8>> = (0..self.temps).map(|_| vec![0u8; es]).collect();
         for (off, len) in chunks {
             for op in &self.ops {
                 let dst = op.dst as usize;
@@ -462,29 +480,25 @@ impl XorPlan {
                 } else {
                     std::mem::take(&mut temp_bufs[dst - ncells])
                 };
+                let source = |s: u32| -> &[u8] {
+                    let i = s as usize;
+                    let buf = if i >= ncells {
+                        &temp_bufs[i - ncells]
+                    } else if let Some(held) = stripe.get_buf(i) {
+                        held
+                    } else {
+                        lent.at(i).unwrap_or_else(|| absent(i, self.cols))
+                    };
+                    &buf[off..off + len]
+                };
                 if srcs.len() <= GATHER {
                     let mut stack: [&[u8]; GATHER] = [&[]; GATHER];
                     for (slot, &s) in stack.iter_mut().zip(srcs) {
-                        let i = s as usize;
-                        *slot = if i < ncells {
-                            &stripe.buf(i)[off..off + len]
-                        } else {
-                            &temp_bufs[i - ncells][off..off + len]
-                        };
+                        *slot = source(s);
                     }
                     xor_gather_into(&mut out[off..off + len], &stack[..srcs.len()]);
                 } else {
-                    let gathered: Vec<&[u8]> = srcs
-                        .iter()
-                        .map(|&s| {
-                            let i = s as usize;
-                            if i < ncells {
-                                &stripe.buf(i)[off..off + len]
-                            } else {
-                                &temp_bufs[i - ncells][off..off + len]
-                            }
-                        })
-                        .collect();
+                    let gathered: Vec<&[u8]> = srcs.iter().map(|&s| source(s)).collect();
                     xor_gather_into(&mut out[off..off + len], &gathered);
                 }
                 if dst < ncells {
@@ -497,10 +511,86 @@ impl XorPlan {
     }
 }
 
+/// Grid cells a plan reads in place instead of from its stripe: bytes
+/// that already live elsewhere — a backend's storage, a caller's buffer,
+/// a cache entry's slot. Lent bytes are read-only; [`XorPlan::execute_lent`]
+/// never writes one.
+#[derive(Debug, Clone, Default)]
+pub struct Lent<'a> {
+    rows: usize,
+    cols: usize,
+    /// Row-major over the grid, allocated by the first insert: `k + 1`
+    /// for a cell lent as `bytes[k]`, 0 for one nobody lends.
+    slot: Vec<u16>,
+    bytes: Vec<&'a [u8]>,
+}
+
+impl<'a> Lent<'a> {
+    /// Each `(cell, bytes)` of `cells` lent, over a `rows × cols` grid; a
+    /// later repeat of a cell replaces the earlier. Allocates nothing if
+    /// `cells` is empty, and at most once for the slices otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell lies outside the grid, or if the grid has more
+    /// cells than a `u16` counts.
+    pub fn of(rows: usize, cols: usize, cells: impl IntoIterator<Item = (Cell, &'a [u8])>) -> Self {
+        let mut cells = cells.into_iter().peekable();
+        let mut lent = Lent { rows, cols, slot: Vec::new(), bytes: Vec::new() };
+        if cells.peek().is_some() {
+            let (least, most) = cells.size_hint();
+            lent.bytes.reserve_exact(most.unwrap_or(least));
+        }
+        for (cell, bytes) in cells {
+            lent.insert(cell, bytes);
+        }
+        lent
+    }
+
+    /// Lends `bytes` as `cell`, in place of anything lent as it before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` lies outside the grid, or if the grid has more
+    /// cells than a `u16` counts.
+    fn insert(&mut self, cell: Cell, bytes: &'a [u8]) {
+        assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
+        if self.slot.is_empty() {
+            assert!(self.rows * self.cols < usize::from(u16::MAX), "grid too large to lend");
+            self.slot = vec![0; self.rows * self.cols];
+        }
+        match &mut self.slot[cell.index(self.cols)] {
+            0 => {
+                self.bytes.push(bytes);
+                self.slot[cell.index(self.cols)] = self.bytes.len() as u16;
+            }
+            &mut k => self.bytes[usize::from(k) - 1] = bytes,
+        }
+    }
+
+    /// The bytes lent as `cell`, if any.
+    pub fn get(&self, cell: Cell) -> Option<&'a [u8]> {
+        if cell.row < self.rows && cell.col < self.cols {
+            self.at(cell.index(self.cols))
+        } else {
+            None
+        }
+    }
+
+    /// The bytes lent at flat grid index `idx`, if any.
+    fn at(&self, idx: usize) -> Option<&'a [u8]> {
+        match self.slot.get(idx) {
+            Some(&k) if k > 0 => Some(self.bytes[usize::from(k) - 1]),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::{Chain, ElementKind, ParityClass};
+    use raid_math::xor::L1_TILE_BYTES;
 
     fn cascaded_layout() -> Layout {
         // q = d0 ^ p with p = d0 ^ d1, listed q-first to exercise ordering.
@@ -632,6 +722,39 @@ mod tests {
             assert_eq!(tiled.element(Cell::new(0, 4))[k], a ^ b ^ c);
             assert_eq!(tiled.element(Cell::new(0, 5))[k], a ^ b ^ d);
         }
+    }
+
+    #[test]
+    fn lent_sources_compute_what_a_dense_stripe_computes() {
+        // t0 = a ^ b; p = t0 ^ c — a, b and c lent, only p held.
+        let (rows, cols) = (1, 4);
+        let ops = [(4, vec![0, 1]), (3, vec![4, 2])];
+        let plan = XorPlan::from_indexed_ops(rows, cols, 1, &ops, None);
+        for es in [64, L1_TILE_BYTES + 37] {
+            let mut dense = Stripe::zeroed(rows, cols, es);
+            for col in 0..3 {
+                let cell = Cell::new(0, col);
+                for (k, byte) in dense.element_mut(cell).iter_mut().enumerate() {
+                    *byte = (k * 7 + col) as u8;
+                }
+            }
+            let held = (0..3).map(|col| (Cell::new(0, col), dense.element(Cell::new(0, col))));
+            let lent = Lent::of(rows, cols, held);
+            let mut sparse = Stripe::sparse(rows, cols, es, [Cell::new(0, 3)]);
+            plan.execute_lent(&mut sparse, &lent);
+            let mut reference = dense.clone();
+            plan.execute(&mut reference);
+            assert_eq!(sparse.element(Cell::new(0, 3)), reference.element(Cell::new(0, 3)), "{es}");
+            assert_eq!(lent.get(Cell::new(0, 3)), None);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "E[0,0] is not materialised")]
+    fn a_step_targeting_a_lent_cell_panics() {
+        let plan = XorPlan::from_steps(1, 2, [(Cell::new(0, 0), [Cell::new(0, 1)].as_slice())]);
+        let lent = Lent::of(1, 2, [(Cell::new(0, 0), &[0; 8][..]), (Cell::new(0, 1), &[1; 8][..])]);
+        plan.execute_lent(&mut Stripe::sparse(1, 2, 8, []), &lent);
     }
 
     #[test]

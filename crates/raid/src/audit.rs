@@ -73,6 +73,14 @@ pub enum AuditError {
         /// The undefined cell being stored.
         cell: Cell,
     },
+    /// A plan op targets a cell the op reads from the backend or the
+    /// caller lends (a preset cell). Those bytes are borrowed — a slice of
+    /// the backend's storage, of the caller's buffer or of a cache slot —
+    /// and read-only: the interpreter has no buffer to write them into.
+    BorrowedTarget {
+        /// The read or lent cell the plan op would overwrite.
+        target: Cell,
+    },
 }
 
 impl fmt::Display for AuditError {
@@ -105,6 +113,9 @@ impl fmt::Display for AuditError {
             AuditError::UnsourcedWrite { cell } => {
                 write!(f, "write stores {cell}, which no read or plan op defines")
             }
+            AuditError::BorrowedTarget { target } => {
+                write!(f, "plan op targets {target}, which the op borrows read-only")
+            }
         }
     }
 }
@@ -115,11 +126,13 @@ impl std::error::Error for AuditError {}
 /// scratch_cols` scratch and a `disks`-wide backend.
 ///
 /// `preset` lists scratch cells the caller filled *before* execution (the
-/// RMW double-buffer's fresh data, a degraded write's payload). With
-/// `Some(_)`, read-set sufficiency is checked: every cell a plan op or a
-/// write consumes must come from a read, a preset cell, or an earlier plan
-/// op. With `None`, the caller makes no claim about pre-filled scratch and
-/// only the structural checks run.
+/// RMW double-buffer's fresh data, a degraded write's payload) — or lends
+/// (`IoPipeline::execute_lent`). With `Some(_)`, read-set sufficiency is
+/// checked: every cell a plan op or a write consumes must come from a
+/// read, a preset cell, or an earlier plan op. With `None`, the caller
+/// makes no claim about pre-filled scratch and only the structural checks
+/// run. Either way, no plan op may target a read or preset cell: the
+/// pipeline borrows those bytes read-only.
 ///
 /// # Errors
 ///
@@ -136,12 +149,15 @@ pub fn audit_lowered(
     let ncells = scratch_rows * scratch_cols;
 
     let mut defined = vec![false; ncells];
+    // Cells the op borrows read-only: its reads and the preset cells.
+    let mut borrowed = vec![false; ncells];
     if let Some(preset) = preset {
         for &c in preset {
             if !in_scratch(c) {
                 return Err(AuditError::CellOutOfScratch { cell: c, scratch });
             }
             defined[c.index(scratch_cols)] = true;
+            borrowed[c.index(scratch_cols)] = true;
         }
     }
 
@@ -159,6 +175,7 @@ pub fn audit_lowered(
         }
         read_dest[i] = true;
         defined[i] = true;
+        borrowed[i] = true;
     }
 
     if let Some(plan) = &op.plan {
@@ -189,6 +206,10 @@ pub fn audit_lowered(
                         });
                     }
                 }
+            }
+            if borrowed.get(view.dst as usize) == Some(&true) {
+                let target = Cell::from_index(view.dst as usize, scratch_cols);
+                return Err(AuditError::BorrowedTarget { target });
             }
             defined[view.dst as usize] = true;
         }
@@ -312,6 +333,23 @@ mod tests {
             audit_lowered(&bad_plan, 1, 3, 3, None),
             Err(AuditError::PlanShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_plan_step_targeting_a_read_or_lent_cell_is_named() {
+        let c = Cell::new;
+        // The plan overwrites (0,1), which the op reads from the backend.
+        let mut onto_read = parity_op();
+        onto_read.plan = Some(XorPlan::from_steps(1, 3, [(c(0, 1), [c(0, 0)].as_slice())]));
+        for preset in [None, Some(&[][..])] {
+            let err = audit_lowered(&onto_read, 1, 3, 3, preset).unwrap_err();
+            assert_eq!(err, AuditError::BorrowedTarget { target: c(0, 1) });
+            assert_eq!(err.to_string(), "plan op targets E[0,1], which the op borrows read-only");
+        }
+        // The plan overwrites (0,2), which the caller lends.
+        let op = parity_op();
+        let err = audit_lowered(&op, 1, 3, 3, Some(&[c(0, 2)])).unwrap_err();
+        assert_eq!(err, AuditError::BorrowedTarget { target: c(0, 2) });
     }
 
     #[test]

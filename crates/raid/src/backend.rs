@@ -26,7 +26,9 @@
 //! survives a crash anyway); [`FileBackend`] persists the journal as an
 //! fsync-ordered sidecar file and the checkpoint as a line in
 //! `volume.meta`. [`MemBackend`] cannot fail once its targets check out,
-//! so its `write_all` checks them all and then copies each element once.
+//! so its `write_all` checks them all and then copies each element once,
+//! and its [`DiskBackend::lend`] checks an op's sources and then lends
+//! slices of its own storage instead of copying them out.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
@@ -107,6 +109,37 @@ pub trait DiskBackend: Send {
     /// Returns [`DiskError`] for bad addresses, failed disks, or medium
     /// errors.
     fn write(&mut self, disk: usize, index: usize, data: &[u8]) -> Result<(), DiskError>;
+
+    /// Reads the elements at `addrs`, in order, and lends their bytes: one
+    /// [`DiskBackend::element_size`] slice per address, borrowed until the
+    /// backend is next used. The pipeline reads an op's sources this way,
+    /// so its plan runs on them where they are.
+    ///
+    /// The default [`DiskBackend::read`]s the `k`-th address into
+    /// `staging[k]` — element buffers the caller owns and reuses, added
+    /// here when an op reads more elements than any before it — and lends
+    /// those: the reads, their order, their side effects and the first
+    /// error are exactly those of one `read` per address. (One buffer per
+    /// element, not one slab: an element-sized allocation reuses memory
+    /// the heap already holds, where a stripe-sized one is fresh pages.)
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`DiskError`] a read of `addrs`, in order, returns.
+    fn lend<'a>(
+        &'a mut self,
+        addrs: &[DiskAddr],
+        staging: &'a mut Vec<Vec<u8>>,
+    ) -> Result<Vec<&'a [u8]>, DiskError> {
+        let es = self.element_size();
+        if staging.len() < addrs.len() {
+            staging.resize_with(addrs.len(), || vec![0; es]);
+        }
+        for (&DiskAddr { disk, index }, buf) in addrs.iter().zip(staging.iter_mut()) {
+            self.read(disk, index, buf)?;
+        }
+        Ok(staging[..addrs.len()].iter().map(Vec::as_slice).collect())
+    }
 
     /// Stores every `(address, bytes)` of `targets` (distinct addresses),
     /// all or nothing: on `Ok` every target holds its new bytes; on `Err`
@@ -327,6 +360,22 @@ impl DiskBackend for MemBackend {
 
     fn write(&mut self, disk: usize, index: usize, data: &[u8]) -> Result<(), DiskError> {
         self.write_all(&[(DiskAddr { disk, index }, data)])
+    }
+
+    /// Checks every address, then lends slices of the disks themselves:
+    /// no staging, no copy. A read here has no side effect to order, so
+    /// the error is the one the default returns — the first address, in
+    /// order, that fails its check.
+    fn lend<'a>(
+        &'a mut self,
+        addrs: &[DiskAddr],
+        _staging: &'a mut Vec<Vec<u8>>,
+    ) -> Result<Vec<&'a [u8]>, DiskError> {
+        for &DiskAddr { disk, index } in addrs {
+            self.check(disk, index)?;
+        }
+        let es = self.element_size;
+        Ok(addrs.iter().map(|a| &self.disks[a.disk].data[a.index * es..][..es]).collect())
     }
 
     /// Every target is checked before the first byte moves, and nothing

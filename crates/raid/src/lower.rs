@@ -341,6 +341,7 @@ pub fn encode_store_op(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     use hv_code::HvCode;
@@ -350,6 +351,7 @@ mod tests {
     use super::*;
     use crate::backend::{DiskBackend, MemBackend};
     use crate::pipeline::IoPipeline;
+    use raid_core::io::RequestSet;
 
     const ES: usize = 4;
     /// The ops under test address the last of these stripes, so rotation
@@ -379,12 +381,15 @@ mod tests {
         std::array::from_fn(|k| (seed * 31 + k * 7 + 1) as u8)
     }
 
-    /// Two pipelines over identical backends: every op runs on a dense
-    /// zeroed scratch against one and on a sparse scratch over the op's
-    /// own footprint against the other, and the two must never differ.
+    /// Three pipelines over identical backends: every op runs on a dense
+    /// zeroed scratch against one, on a sparse scratch over the op's own
+    /// footprint against another, and on a scratch of only the cells it
+    /// computes, every other cell lent, against the third — and they must
+    /// never differ.
     struct Twin {
         dense: IoPipeline,
         sparse: IoPipeline,
+        lent: IoPipeline,
     }
 
     impl Twin {
@@ -399,7 +404,8 @@ mod tests {
             }
             Twin {
                 dense: IoPipeline::new(Box::new(backend.clone())),
-                sparse: IoPipeline::new(Box::new(backend)),
+                sparse: IoPipeline::new(Box::new(backend.clone())),
+                lent: IoPipeline::new(Box::new(backend)),
             }
         }
 
@@ -444,7 +450,52 @@ mod tests {
                 Twin::image(&mut self.dense),
                 "{what}: backend images differ"
             );
+            self.execute_lent(op, (rows, cols), preset, (&dense, &on_dense), what);
             sparse
+        }
+
+        /// Executes `op` as the volume's borrowing callers do, on a scratch
+        /// of the cells it computes: the preset cells it does not compute
+        /// are lent (`IoPipeline::execute_lent`); with none, every other
+        /// cell of its footprint is copied out of the bytes the backend
+        /// lent (`IoPipeline::execute_into`). The request set, every cell
+        /// and the backend image must be the dense run's.
+        fn execute_lent(
+            &mut self,
+            op: &LoweredOp,
+            (rows, cols): (usize, usize),
+            preset: &[(Cell, &[u8])],
+            (dense, on_dense): (&Stripe, &RequestSet),
+            what: &str,
+        ) {
+            let computed: BTreeSet<Cell> = op.computed().collect();
+            let mut scratch = Stripe::sparse(rows, cols, ES, computed.iter().copied());
+            let lent: Vec<(Cell, &[u8])> =
+                preset.iter().copied().filter(|(cell, _)| !computed.contains(cell)).collect();
+            let copied: Vec<Cell> = if lent.is_empty() {
+                let footprint: BTreeSet<Cell> = op.footprint().collect();
+                footprint.difference(&computed).copied().collect()
+            } else {
+                Vec::new()
+            };
+            let mut out = vec![0u8; copied.len() * ES];
+            let on_lent = if lent.is_empty() {
+                self.lent.execute_into(op, &mut scratch, &copied, &mut out).unwrap()
+            } else {
+                self.lent.execute_lent(op, &mut scratch, &lent).unwrap()
+            };
+            assert_eq!(&on_lent, on_dense, "{what}: request sets differ");
+            for &cell in &computed {
+                assert_eq!(scratch.element(cell), dense.element(cell), "{what}: computed {cell}");
+            }
+            for (&cell, bytes) in copied.iter().zip(out.chunks_exact(ES)) {
+                assert_eq!(bytes, dense.element(cell), "{what}: copied out {cell}");
+            }
+            assert_eq!(
+                Twin::image(&mut self.lent),
+                Twin::image(&mut self.dense),
+                "{what}: lent backend image differs"
+            );
         }
 
         /// Executes `op` once more, sparse side only, on a footprint
@@ -671,7 +722,6 @@ mod tests {
 
     #[test]
     fn hv_write_footprints_are_six_cells_and_the_upper_half() {
-        use std::collections::BTreeSet;
         let code = HvCode::new(13).unwrap();
         let layout = code.layout();
         let rows = layout.rows();

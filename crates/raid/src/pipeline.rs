@@ -10,10 +10,18 @@
 //! disagree about what was issued. An op with nothing to compute or store
 //! needs no scratch: [`IoPipeline::fetch`] lands its reads in the caller's
 //! buffer and commits through the same tail.
+//!
+//! A source is read where it already lives. The backend lends the op's
+//! reads ([`DiskBackend::lend`]: slices of its own storage, or of a
+//! staging buffer the pipeline reuses) and the caller may lend cells of
+//! its own (`IoPipeline::execute_lent`); a read lands in the scratch
+//! only where the scratch materialises its cell. So a scratch need hold
+//! no more than the cells the op's plan computes
+//! ([`LoweredOp::computed`]), and a dense one behaves as it always did.
 
 use disk_sim::{DiskArray, DiskError};
 use raid_core::io::{IoLedger, RequestSet};
-use raid_core::xplan::PlanCell;
+use raid_core::xplan::{Lent, PlanCell};
 use raid_core::{Cell, Stripe, XorPlan};
 
 use crate::backend::DiskBackend;
@@ -71,6 +79,13 @@ impl LoweredOp {
         });
         io.map(|&(cell, _)| cell).chain(in_plan)
     }
+
+    /// The grid cells the op's plan computes — all a scratch must hold
+    /// when every other cell the op uses is read or lent
+    /// (`IoPipeline::execute_lent`). A cell may repeat.
+    pub fn computed(&self) -> impl Iterator<Item = Cell> + '_ {
+        self.plan.iter().flat_map(|plan| plan.targets())
+    }
 }
 
 /// Executes [`LoweredOp`]s against a backend, mirrors each request set to
@@ -82,6 +97,11 @@ pub struct IoPipeline {
     /// Simulated latency accumulated by the current operation (reset via
     /// [`IoPipeline::begin_op`]).
     op_latency_ms: f64,
+    /// The addresses of the op being executed, reused across ops.
+    addrs: Vec<DiskAddr>,
+    /// Where a backend with no storage to lend stages an op's reads
+    /// ([`DiskBackend::lend`]'s default), reused across ops.
+    staging: Vec<Vec<u8>>,
 }
 
 impl std::fmt::Debug for IoPipeline {
@@ -103,6 +123,8 @@ impl IoPipeline {
             ledger: IoLedger::new(disks),
             sim: None,
             op_latency_ms: 0.0,
+            addrs: Vec::new(),
+            staging: Vec::new(),
         }
     }
 
@@ -164,10 +186,15 @@ impl IoPipeline {
         self.op_latency_ms
     }
 
-    /// Executes one lowered op: fetch reads into `scratch`, run the XOR
-    /// plan, store the writes ([`Self::store`]), then commit the request
-    /// set to the simulator and ledger ([`Self::commit`]). Returns the
-    /// committed set.
+    /// Executes one lowered op: read its sources, run the XOR plan over
+    /// `scratch`, store the writes ([`Self::store`]), then commit the
+    /// request set to the simulator and ledger ([`Self::commit`]). Returns
+    /// the committed set.
+    ///
+    /// The backend lends the reads ([`DiskBackend::lend`]); a read whose
+    /// cell `scratch` materialises lands there, and the plan reads any
+    /// other where the backend keeps it. The lent bytes are dropped before
+    /// the write phase.
     ///
     /// The write phase is one [`DiskBackend::write_all`], all-or-nothing:
     /// if a write fails, the array holds what it held before the op, so
@@ -178,16 +205,92 @@ impl IoPipeline {
     /// # Errors
     ///
     /// Returns the backend's [`DiskError`]; nothing is committed to the
-    /// simulator or ledger in that case.
+    /// simulator or ledger in that case, and no read has landed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op touches a cell that is neither read nor held by
+    /// `scratch`, or targets one that `scratch` does not hold.
     pub fn execute(&mut self, op: &LoweredOp, scratch: &mut Stripe) -> Result<RequestSet, DiskError> {
-        self.debug_audit(op, scratch.rows(), scratch.cols());
-        for &(cell, addr) in &op.reads {
-            self.backend.read(addr.disk, addr.index, scratch.element_mut(cell))?;
+        self.run(op, scratch, &[], &[], &mut [])
+    }
+
+    /// [`Self::execute`] over cells the caller lends: each `(cell, bytes)`
+    /// of `lent` is a scratch cell the op's plan and writes read in place,
+    /// which `scratch` need not hold. Lent cells are read-only: the op
+    /// must neither read into nor compute one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::execute`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::execute`], and if a lent slice is not one element.
+    pub(crate) fn execute_lent(
+        &mut self,
+        op: &LoweredOp,
+        scratch: &mut Stripe,
+        lent: &[(Cell, &[u8])],
+    ) -> Result<RequestSet, DiskError> {
+        self.run(op, scratch, lent, &[], &mut [])
+    }
+
+    /// [`Self::execute`], then copies each of `cells` into the matching
+    /// element of `out` — from `scratch` if it holds the cell, else from
+    /// the bytes the backend lent — once, before the lent bytes go.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::execute`]; `out` is untouched then.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::execute`], and if `out` is not one element per cell or
+    /// a cell is neither read nor held.
+    pub(crate) fn execute_into(
+        &mut self,
+        op: &LoweredOp,
+        scratch: &mut Stripe,
+        cells: &[Cell],
+        out: &mut [u8],
+    ) -> Result<RequestSet, DiskError> {
+        self.run(op, scratch, &[], cells, out)
+    }
+
+    /// The body of the three `execute` entry points.
+    fn run(
+        &mut self,
+        op: &LoweredOp,
+        scratch: &mut Stripe,
+        lent: &[(Cell, &[u8])],
+        copy_out: &[Cell],
+        out: &mut [u8],
+    ) -> Result<RequestSet, DiskError> {
+        let (rows, cols, es) = (scratch.rows(), scratch.cols(), scratch.element_size());
+        assert_eq!(out.len(), copy_out.len() * es, "one output element per copied cell");
+        for &(cell, bytes) in lent {
+            assert_eq!(bytes.len(), es, "lent {cell} is not one element");
         }
+        self.debug_audit(op, rows, cols, lent);
+        self.addrs.clear();
+        self.addrs.extend(op.reads.iter().map(|&(_, addr)| addr));
+        let read = self.backend.lend(&self.addrs, &mut self.staging)?;
+        for (&(cell, _), bytes) in op.reads.iter().zip(&read) {
+            if scratch.holds(cell) {
+                scratch.element_mut(cell).copy_from_slice(bytes);
+            }
+        }
+        let reads = op.reads.iter().map(|&(cell, _)| cell).zip(read);
+        let unlanded = reads.filter(|&(cell, _)| !scratch.holds(cell));
+        let sources = Lent::of(rows, cols, unlanded.chain(lent.iter().copied()));
         if let Some(plan) = &op.plan {
-            plan.execute(scratch);
+            plan.execute_lent(scratch, &sources);
         }
-        self.store(op, scratch)?;
+        for (&cell, element) in copy_out.iter().zip(out.chunks_exact_mut(es)) {
+            element.copy_from_slice(cell_bytes(scratch, &sources, cell));
+        }
+        self.store(op, scratch, lent)?;
         self.commit(op)
     }
 
@@ -218,7 +321,7 @@ impl IoPipeline {
         let (rows, cols) = op.reads.iter().fold((0, 0), |(rows, cols), &(cell, _)| {
             (rows.max(cell.row + 1), cols.max(cell.col + 1))
         });
-        self.debug_audit(op, rows, cols);
+        self.debug_audit(op, rows, cols, &[]);
         for (&(_, addr), element) in op.reads.iter().zip(out.chunks_exact_mut(es)) {
             self.backend.read(addr.disk, addr.index, element)?;
         }
@@ -227,12 +330,18 @@ impl IoPipeline {
 
     /// Debug builds statically audit every op before touching the
     /// backend: structural defects in the IR (out-of-scratch cells,
-    /// duplicate reads/writes, plan/scratch shape skew) are lowering
-    /// bugs, and executing them would silently corrupt elements.
-    fn debug_audit(&self, op: &LoweredOp, rows: usize, cols: usize) {
+    /// duplicate reads/writes, plan/scratch shape skew, a plan step
+    /// targeting a read or lent cell) are lowering bugs, and executing
+    /// them would silently corrupt elements. A caller that lends cells
+    /// cut its scratch to the cells the op computes, so the lent cells
+    /// are all it pre-filled: the audit then also checks that every cell
+    /// the op consumes is read, lent or computed first.
+    fn debug_audit(&self, op: &LoweredOp, rows: usize, cols: usize, lent: &[(Cell, &[u8])]) {
         if cfg!(debug_assertions) {
             let disks = self.backend.disks();
-            if let Err(e) = crate::audit::audit_lowered(op, rows, cols, disks, None) {
+            let lent: Vec<Cell> = lent.iter().map(|&(cell, _)| cell).collect();
+            let preset = (!lent.is_empty()).then_some(lent.as_slice());
+            if let Err(e) = crate::audit::audit_lowered(op, rows, cols, disks, preset) {
                 panic!("lowered op failed static audit: {e}");
             }
         }
@@ -253,15 +362,31 @@ impl IoPipeline {
     /// The write phase: the op's writes, in target order, as one
     /// all-or-nothing [`DiskBackend::write_all`] — so the op either
     /// commits fully or leaves the array untouched, even across process
-    /// death on a journaling backend.
-    fn store(&mut self, op: &LoweredOp, scratch: &Stripe) -> Result<(), DiskError> {
+    /// death on a journaling backend. Each is stored from the scratch or
+    /// from the caller's `lent` bytes.
+    fn store(
+        &mut self,
+        op: &LoweredOp,
+        scratch: &Stripe,
+        lent: &[(Cell, &[u8])],
+    ) -> Result<(), DiskError> {
+        let lent = Lent::of(scratch.rows(), scratch.cols(), lent.iter().copied());
         let targets: Vec<(DiskAddr, &[u8])> = op
             .data_writes
             .iter()
             .chain(&op.parity_writes)
-            .map(|&(cell, addr)| (addr, scratch.element(cell)))
+            .map(|&(cell, addr)| (addr, cell_bytes(scratch, &lent, cell)))
             .collect();
         self.backend.write_all(&targets)
+    }
+}
+
+/// The bytes of `cell`: the scratch's own if it holds the cell, else the
+/// lent ones; a cell neither holds panics, naming it.
+fn cell_bytes<'a>(scratch: &'a Stripe, lent: &Lent<'a>, cell: Cell) -> &'a [u8] {
+    match lent.get(cell) {
+        Some(bytes) if !scratch.holds(cell) => bytes,
+        _ => scratch.element(cell),
     }
 }
 
@@ -332,6 +457,32 @@ mod tests {
         assert_eq!(rs.parity_writes(), 1);
         assert_eq!(element(pipe.backend_mut(), 2, 0), [5, 6, 7, 0]);
         assert_eq!(pipe.ledger().total(), 3);
+    }
+
+    #[test]
+    fn a_scratch_of_its_computed_cells_reads_every_other_cell_where_it_lives() {
+        // c2 = c0 ^ c1: c0 read from the backend, c1 lent by the caller,
+        // stored from there; only c2 has a buffer.
+        let mut pipe = IoPipeline::new(Box::new(MemBackend::new(3, 1, 4)));
+        pipe.backend_mut().write(0, 0, &[1, 2, 3, 4]).unwrap();
+        let c = Cell::new;
+        let op = LoweredOp {
+            reads: vec![(c(0, 0), addr(0, 0))],
+            plan: Some(XorPlan::from_steps(1, 3, [(c(0, 2), [c(0, 0), c(0, 1)].as_slice())])),
+            data_writes: vec![(c(0, 1), addr(1, 0))],
+            parity_writes: vec![(c(0, 2), addr(2, 0))],
+        };
+        let mut scratch = Stripe::sparse(1, 3, 4, op.computed());
+        pipe.execute_lent(&op, &mut scratch, &[(c(0, 1), &[4; 4])]).unwrap();
+        assert_eq!(element(pipe.backend_mut(), 1, 0), [4; 4]);
+        assert_eq!(element(pipe.backend_mut(), 2, 0), [5, 6, 7, 0]);
+        // A read the scratch does not hold is copied out of the lent bytes.
+        let fetch = LoweredOp::read_only(vec![(c(0, 0), addr(0, 0)), (c(0, 2), addr(2, 0))]);
+        let mut out = [0u8; 8];
+        let mut nothing = Stripe::sparse(1, 3, 4, []);
+        pipe.execute_into(&fetch, &mut nothing, &[c(0, 2), c(0, 0)], &mut out).unwrap();
+        assert_eq!(out, [5, 6, 7, 0, 1, 2, 3, 4]);
+        assert_eq!(pipe.ledger().total(), 5);
     }
 
     #[test]

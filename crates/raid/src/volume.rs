@@ -17,7 +17,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskError};
-use raid_core::bitset::BitSet;
 use raid_core::io::{IoLedger, RequestSet};
 use raid_core::{ArrayCode, Cell, Stripe};
 
@@ -172,8 +171,8 @@ pub struct RaidVolume {
 }
 
 /// The scratch one [`RaidVolume::rebuild_step`] runs its stripes on: the
-/// footprint of the rebuild op for these failed and written logical
-/// columns — what the footprint is a function of — so consecutive stripes
+/// cells the rebuild op for these failed and written logical columns
+/// computes — what those cells are a function of — so consecutive stripes
 /// that lose the same columns share one allocation.
 struct RebuildScratch {
     failed_cols: Vec<usize>,
@@ -183,19 +182,16 @@ struct RebuildScratch {
 
 /// What a stripe store writes — the new bytes of its dirty ordinals —
 /// and, from a cache entry, the clean old values it may use in place of
-/// disk reads. [`RaidVolume::store_stripe`] moves each into its scratch
-/// cell ([`Dirty::lend`]): the entry's own slot, or a copy of the
-/// caller's bytes made only once the op is lowered and the scratch cut —
-/// made before the lowering's small allocations, the copies fragmented
-/// the heap (+7 MiB peak RSS rewriting 64 KiB-element stripes).
+/// disk reads. [`RaidVolume::store_stripe`] lends each to its op where it
+/// lives: the caller's buffer or the entry's slot.
 enum Dirty<'a> {
     /// An uncached write: the stripe's elements from ordinal `start` on.
     Caller { start: usize, bytes: &'a [u8], element_size: usize },
     /// A flush: the cache entry's dirty slots, its clean ones offered.
-    Cache(&'a mut StripeEntry),
+    Cache(&'a StripeEntry),
 }
 
-impl Dirty<'_> {
+impl<'a> Dirty<'a> {
     /// The dirty ordinals, ascending.
     fn ordinals(&self) -> Vec<usize> {
         match self {
@@ -212,27 +208,12 @@ impl Dirty<'_> {
     }
 
     /// The bytes of `ord`: new if it is dirty, old if it is clean.
-    fn element(&self, ord: usize) -> &[u8] {
-        match self {
+    fn element(&self, ord: usize) -> &'a [u8] {
+        match *self {
             Dirty::Caller { start, bytes, element_size } => {
-                &bytes[(ord - start) * element_size..][..*element_size]
+                &bytes[(ord - start) * element_size..][..element_size]
             }
             Dirty::Cache(entry) => entry.element(ord),
-        }
-    }
-
-    /// The bytes of `ord` as a buffer of their own, for a scratch cell.
-    fn lend(&mut self, ord: usize) -> Vec<u8> {
-        match self {
-            Dirty::Caller { .. } => self.element(ord).to_vec(),
-            Dirty::Cache(entry) => entry.lend(ord),
-        }
-    }
-
-    /// Takes back what [`Dirty::lend`] gave: a slot returns to its entry.
-    fn give_back(&mut self, ord: usize, buf: Vec<u8>) {
-        if let Dirty::Cache(entry) = self {
-            entry.give_back(ord, buf);
         }
     }
 }
@@ -996,21 +977,19 @@ impl RaidVolume {
     /// old values `dirty` holds clean are its fills (cache hits) instead
     /// of reads.
     ///
-    /// The scratch is the op's footprint — 6 cells for a single-element
-    /// update, the upper half for a full-stripe write — and of it only the
-    /// cells the op reads or computes are allocated. The dirty cells and
-    /// the fills are moved in whole ([`Dirty::lend`]) and the lent slots
-    /// of a cache entry given back on every path, `Err` included, so a
-    /// retry re-plans over an intact entry. The op only reads them: the
-    /// lowering never lands a read in, or targets a plan step at, a dirty
-    /// or fill cell.
+    /// The scratch holds only the cells the op computes — the parities it
+    /// rewrites. The new bytes of the dirty ordinals and the clean old
+    /// values (the caller's buffer, the cache entry's slots) are lent to
+    /// the op where they are, and the backend lends the reads; the op
+    /// only reads them: the lowering never lands a read in, or targets a
+    /// plan step at, a dirty or fill cell.
     ///
     /// Otherwise: decode the stripe from its survivors onto a dense
     /// scratch, patch, re-encode, rewrite the surviving columns in one op.
     fn store_stripe(
         &mut self,
         stripe: usize,
-        mut dirty: Dirty<'_>,
+        dirty: Dirty<'_>,
         receipt: &mut IoLedger,
     ) -> Result<(), VolumeError> {
         let code = Arc::clone(&self.code);
@@ -1023,19 +1002,13 @@ impl RaidVolume {
                 lower::stripe_write_op(layout, &ordinals, |ord| dirty.is_clean(ord), &addr);
             let written =
                 ordinals.iter().zip(&op.data_writes).map(|(&ord, &(cell, _))| (ord, cell));
-            let lent: Vec<(usize, Cell)> = written.chain(fills.iter().copied()).collect();
+            let lent: Vec<(Cell, &[u8])> = written
+                .chain(fills.iter().copied())
+                .map(|(ord, cell)| (cell, dirty.element(ord)))
+                .collect();
             let (rows, cols) = (2 * layout.rows(), layout.cols());
-            let is_lent: BitSet = lent.iter().map(|&(_, cell)| cell.index(cols)).collect();
-            let computed = op.footprint().filter(|cell| !is_lent.contains(cell.index(cols)));
-            let mut scratch = Stripe::sparse(rows, cols, self.element_size, computed);
-            for &(ord, cell) in &lent {
-                scratch.put_element(cell, dirty.lend(ord));
-            }
-            let stored = self.pipeline.execute(&op, &mut scratch);
-            for &(ord, cell) in &lent {
-                dirty.give_back(ord, scratch.take_element(cell));
-            }
-            receipt.absorb(&stored?);
+            let mut scratch = Stripe::sparse(rows, cols, self.element_size, op.computed());
+            receipt.absorb(&self.pipeline.execute_lent(&op, &mut scratch, &lent)?);
             self.pipeline.ledger_mut().note_cache_hits(fills.len() as u64);
             receipt.note_cache_hits(fills.len() as u64);
             return Ok(());
@@ -1146,7 +1119,7 @@ impl RaidVolume {
         if entry.is_dirty() {
             result = self.with_recovery(|v| {
                 let mut receipt = IoLedger::new(v.disks());
-                v.store_stripe(stripe, Dirty::Cache(&mut entry), &mut receipt)?;
+                v.store_stripe(stripe, Dirty::Cache(&entry), &mut receipt)?;
                 Ok(receipt)
             });
             if let Ok(receipt) = &mut result {
@@ -1239,10 +1212,11 @@ impl RaidVolume {
     /// disks as one (possibly degraded) read op into `out`, the run's
     /// window of the caller's buffer. A run that misses every failed
     /// column is a plain fetch and lands there directly; one that needs
-    /// reconstruction runs on a scratch holding the op's footprint — the
-    /// cells it fetches and rebuilds, not the stripe — and is copied out
-    /// on success. A failed attempt may leave some of the window written;
-    /// the retry fills the same window again.
+    /// reconstruction runs on a scratch holding the cells it rebuilds, not
+    /// the stripe, and each requested element is copied out once on
+    /// success, from the scratch or from where the backend lent it. A
+    /// failed attempt may leave some of the window written; the retry
+    /// fills the same window again.
     fn read_run(
         &mut self,
         stripe: usize,
@@ -1259,12 +1233,8 @@ impl RaidVolume {
             return Ok(self.pipeline.fetch(&op, out)?);
         }
         let mut scratch =
-            Stripe::sparse(layout.rows(), layout.cols(), self.element_size, op.footprint());
-        let rs = self.pipeline.execute(&op, &mut scratch)?;
-        for (&cell, element) in requested.iter().zip(out.chunks_exact_mut(self.element_size)) {
-            element.copy_from_slice(scratch.element(cell));
-        }
-        Ok(rs)
+            Stripe::sparse(layout.rows(), layout.cols(), self.element_size, op.computed());
+        Ok(self.pipeline.execute_into(&op, &mut scratch, requested, out)?)
     }
 
     /// Rebuilds every failed disk onto a blank spare (single-disk hybrid
@@ -1417,10 +1387,11 @@ impl RaidVolume {
     /// single failed column uses the paper's hybrid minimum-read recovery
     /// plan; two use the generic decoder — both the layout's cached
     /// program, so a stripe plans nothing. Runs on the step's `scratch`,
-    /// cut to the op's footprint and re-cut only when this stripe's
+    /// cut to the cells the op rebuilds — the survivors it reads stay
+    /// where the backend lends them — and re-cut only when this stripe's
     /// failed or written columns differ from the previous stripe's; stale
-    /// bytes are harmless, since every cell the op touches is fetched or
-    /// rebuilt before it is read.
+    /// bytes are harmless, since every cell the op computes is rebuilt
+    /// before it is read.
     fn rebuild_one_stripe(
         &mut self,
         idx: usize,
@@ -1447,7 +1418,7 @@ impl RaidVolume {
         }
         let scratch = scratch.get_or_insert_with(|| {
             let (rows, cols) = (layout.rows(), layout.cols());
-            let cells = Stripe::sparse(rows, cols, self.element_size, op.footprint());
+            let cells = Stripe::sparse(rows, cols, self.element_size, op.computed());
             RebuildScratch { failed_cols, write_cols, cells }
         });
         let mut receipt = IoLedger::new(self.disks());

@@ -193,7 +193,7 @@ impl SymState {
 
     /// Applies one `target = XOR(sources)` op with the interpreter's
     /// overwrite semantics: the target's previous value does **not**
-    /// contribute (mirror of `Stripe::apply_indexed_xor`).
+    /// contribute (mirror of `XorPlan::execute`).
     ///
     /// # Panics
     ///

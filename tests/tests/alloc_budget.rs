@@ -1,8 +1,10 @@
 //! Allocation budgets of the healthy store path, counted not timed: a
-//! stripe store allocates scratch for the cells its op names
-//! (`LoweredOp::footprint`), not for the double-height grid. The fixture
-//! is hvbench's — HV Code p = 13, 4 KiB elements, `MemBackend` — where
-//! the grid is 288 buffers (1.2 MiB) and a single-element update names 6.
+//! stripe store allocates scratch for the cells its op computes
+//! (`LoweredOp::computed`), not for the double-height grid; the bytes it
+//! reads and writes are lent where they live — the backend's storage, the
+//! caller's buffer, the cache entry's slots. The fixture is hvbench's —
+//! HV Code p = 13, 4 KiB elements, `MemBackend` — where the grid is 288
+//! buffers (1.2 MiB) and a single-element update computes 2.
 //!
 //! Of the cached path: a stripe-cache entry allocates the elements it is
 //! given, not the stripe's 120 (480 KiB), so a cold write, a read miss
@@ -11,17 +13,17 @@
 //! Of what a store keeps of what it overwrites: on memory, nothing — it
 //! checks its targets and copies each element once, with no pre-image.
 //!
-//! Of what a store zero-fills: only the cells its op reads or computes.
-//! A flush runs on the cache entry's own dirty and clean-resident slots,
-//! and an uncached write on one copy of the caller's bytes. The counting
-//! allocator totals the bytes requested through `alloc_zeroed` on their
-//! own, so a copy and a zero-fill-then-copy no longer count the same.
+//! Of what a store zero-fills: only the cells its op computes. A flush
+//! reads the cache entry's own dirty and clean-resident slots in place,
+//! and an uncached write the caller's bytes. The counting allocator totals
+//! the bytes requested through `alloc_zeroed` on their own, so a copy and
+//! a zero-fill-then-copy do not count the same.
 //!
 //! Of the read side: a read that misses every failed column allocates
 //! its output and lands the backend's bytes there, and one that must
-//! reconstruct allocates the cells its plan fetches and rebuilds, not the
-//! stripe's 144-buffer grid (576 KiB). A rebuild allocates one such
-//! footprint per step, not one grid per stripe.
+//! reconstruct allocates the cells its plan rebuilds, not the stripe's
+//! 144-buffer grid (576 KiB). A rebuild allocates its write-back cells
+//! once per step, not one grid per stripe.
 //!
 //! And of the front door: parsing a `WRITE` line allocates its decoded
 //! payload and nothing else of size, a `READ` reply renders into a warm
@@ -114,10 +116,10 @@ const P: usize = 13;
 const STRIPES: usize = 4;
 const ELEMENT: usize = 4096;
 /// A single-element store: at most this many calls and bytes. The scratch
-/// is 7 of the calls and 31 KiB; lowering and receipts make some 40 to
-/// 60 small ones around it. Allocating the grid took 330 calls and
-/// 1.2 MiB.
-const SMALL_OP: (usize, usize) = (80, 64 * 1024);
+/// is its two new parities (8 KiB); lowering, lent tables and receipts
+/// make some 40 to 60 small calls around it. Allocating the grid took 330
+/// calls and 1.2 MiB, the six-cell footprint 31 KiB.
+const SMALL_OP: (usize, usize) = (80, 2 * ELEMENT + 16 * 1024);
 
 fn volume() -> RaidVolume {
     volume_of(STRIPES)
@@ -128,7 +130,7 @@ fn volume_of(stripes: usize) -> RaidVolume {
 }
 
 #[test]
-fn single_element_write_allocates_its_six_cells_not_the_grid() {
+fn single_element_write_allocates_its_two_parities_not_the_grid() {
     let _alone = alone();
     let mut v = volume();
     let data = payload(ELEMENT, 1);
@@ -137,48 +139,57 @@ fn single_element_write_allocates_its_six_cells_not_the_grid() {
     assert_eq!(v.read(130, 1).unwrap().0, data);
 }
 
-/// A full-stripe write allocates one copy of the stripe, not two, and
-/// keeps no pre-image of its 144 targets. The store tests here run on a
-/// fresh volume with nothing warmed first (debug build, bytes requested /
-/// allocator calls):
+/// A full-stripe write allocates its 24 parities, not a copy of the
+/// stripe, and keeps no pre-image of its 144 targets: the 120 data cells
+/// are the caller's bytes, lent to the op where they are. The store tests
+/// here run on a fresh volume with nothing warmed first (debug build,
+/// bytes requested / allocator calls):
 ///
-/// | case                                | parent `076c414` | change        |
+/// | case                                | parent `c3de3c8` | change        |
 /// |-------------------------------------|------------------|---------------|
-/// | full-stripe write                   | 1 239 932 / 346  | 640 892 / 200 |
-/// | (k) flush, 40 dirty + 40 resident   | 501 832 / 200    | 268 872 / 142 |
-/// | single-element write                | 47 628 / 52      | 35 124 / 47   |
-/// | flush of one dirty element          | 45 528 / 69      | 33 024 / 64   |
+/// | full-stripe write                   | 640 820 / 199    | 156 460 / 83  |
+/// | (k) flush, 40 dirty + 40 resident   | 267 340 / 129    | 110 668 / 95  |
+/// | single-element write                | 35 020 / 46      | 20 260 / 48   |
+/// | flush of one dirty element          | 31 460 / 51      | 20 796 / 54   |
 ///
-/// The parent read every target's pre-image into a buffer it then pooled
-/// across the volume's stores; the first two fail their budgets there.
+/// The parent copied the caller's stripe into its scratch and read every
+/// source into a zero-filled cell; all four fail their budgets there.
 #[test]
-fn full_stripe_write_allocates_one_stripe_not_two() {
+fn full_stripe_write_allocates_its_parities_not_the_stripe() {
     let _alone = alone();
     let mut v = volume();
     let per_stripe = v.data_elements() / STRIPES;
     let data = payload(per_stripe * ELEMENT, 2);
     let (calls, bytes) = allocated(|| drop(v.write(per_stripe, &data).unwrap()));
-    assert!(bytes * 100 <= GRID * 115, "{calls} calls, {bytes} bytes");
+    let parities = GRID / ELEMENT - per_stripe;
+    let what = format!("{calls} calls, {bytes} bytes");
+    assert!(bytes <= parities * ELEMENT + STRIPE_OP.1 && calls <= STRIPE_OP.0, "{what}");
     assert_eq!(v.read(per_stripe, per_stripe).unwrap().0, data);
 }
 
-/// What a store may zero-fill beyond the cells its op reads or computes:
-/// the lowering's bitmaps.
+/// What a whole-stripe store requests around its cells, in calls and
+/// bytes: the lowered op (32 B per target), its plan, the lent tables
+/// (16 B per lent cell, 2 B per grid cell), the write targets and the
+/// receipts.
+const STRIPE_OP: (usize, usize) = (96, 64 * 1024);
+
+/// What a store may zero-fill beyond the cells its op computes: the
+/// lowering's bitmaps and the lent tables' cell maps (2 B per grid cell).
 ///
-/// The store budgets (parent `46cef8e`, every footprint cell zero-filled
-/// and the new bytes copied into it → this layout, where the dirty and
-/// clean-resident cells are the cache's own slots or one copy of the
-/// caller's bytes; debug build, bytes requested / of them zero-filled):
+/// The store budgets (parent `c3de3c8`, every read landing in a
+/// zero-filled cell and the caller's bytes copied into the scratch → this
+/// layout, where only the computed parities are the scratch's and every
+/// other cell is read where it lives; debug build, bytes requested / of
+/// them zero-filled):
 ///
 /// | case                                    | parent            | change            |
 /// |-----------------------------------------|-------------------|-------------------|
-/// | (k) flush: 40 dirty + 40 clean-resident | 605 936 / 559 432 | 270 480 / 231 816 |
-/// | (l) uncached full-stripe write          | 664 348 / 591 048 | 645 692 / 99 592  |
+/// | (k) flush: 40 dirty + 40 clean-resident | 267 340 / 231 232 | 110 668 / 68 800  |
+/// | (l) uncached full-stripe write          | 640 820 / 99 592  | 156 460 / 100 992 |
 ///
-/// (k) may request 56 elements + 48 KiB and zero-fill 56 + `ZERO_FILL`:
-/// its 40 reads and 16 parities. (l) may zero-fill its 24 parities +
-/// `ZERO_FILL`, and requests what it did: the copy of the caller's
-/// stripe replaces the zero-filled one. Both fail on the parent.
+/// (k) may request 16 elements + 48 KiB and zero-fill 16 + `ZERO_FILL`:
+/// its 16 parities; its 40 reads are lent by the backend. It fails on the
+/// parent. (l) may zero-fill its 24 parities + `ZERO_FILL`, as before.
 const ZERO_FILL: usize = 4 * 1024;
 
 #[test]
@@ -301,7 +312,7 @@ fn a_flush_zero_fills_what_it_reads_and_computes_not_what_the_cache_holds() {
     let io = (receipt.total_reads(), receipt.total_writes(), receipt.cache_hits());
     assert_eq!(io, (40, 56, 40), "(k) reads, writes, hits");
     let what = format!("(k) {bytes} bytes in {calls} calls, {zeroed} zero-filled");
-    assert!(bytes <= 56 * ELEMENT + 48 * 1024 && zeroed <= 56 * ELEMENT + ZERO_FILL, "{what}");
+    assert!(bytes <= 16 * ELEMENT + 48 * 1024 && zeroed <= 16 * ELEMENT + ZERO_FILL, "{what}");
     assert_eq!(v.cache_dirty_stripes(), 0);
     assert_eq!(v.read(per_stripe + 20, 40).unwrap().0, dirty);
     assert!(v.verify_all());
@@ -349,7 +360,30 @@ const GRID: usize = (P - 1) * (P - 1) * ELEMENT;
 /// 3, planned once (some 3 800 calls of a branch-and-bound search), plus
 /// 8 KB a stripe; planned per stripe, it was 127 KB and 3 800 calls a
 /// stripe. The footprint column of (i) and (j) fails its budget.
+///
+/// A rebuild step now allocates only its write-back cells; the surviving
+/// cells it reads stay where the backend lends them (parent `c3de3c8` →
+/// this layout, bytes requested / allocator calls):
+///
+/// | case                                             | parent          | change          | budget  |
+/// |--------------------------------------------------|-----------------|-----------------|---------|
+/// | (j) `rebuild()` of disk 3 over 8 stripes         | 608 272 / 4 141 | 275 216 / 4 086 | 376 832 |
+/// | (j′) warm `rebuild()` of disks {3, 7}, 8 stripes | 728 104 / 539   | 270 760 / 451   | 294 912 |
+///
+/// (j) is 12 write-back cells, the §V-C planning above and
+/// `REBUILD_STRIPE` a stripe; (j′) is 24 write-back cells and
+/// `REBUILD_STRIPE` a stripe, the layout's decode of {3, 7} planned by an
+/// earlier rebuild. Both fail on the parent, which held 100 and 144
+/// cells.
 const RECONSTRUCTING_READ: usize = 112 * 1024;
+
+/// What one rebuilt stripe requests beside the step's scratch: its
+/// lowered op (32 B per read), the lent tables, the plan's clone, the
+/// checkpoint and the receipts.
+const REBUILD_STRIPE: usize = 24 * 1024;
+
+/// The layout's §V-C recovery of one column, planned once.
+const RECOVERY_PLANNING: usize = 128 * 1024;
 
 /// Allocator calls of a warm reconstructing read onto two failed disks.
 const SLICED_READ_CALLS: usize = 64;
@@ -424,12 +458,29 @@ fn doubly_degraded_read_stays_under_half_the_grid() {
 fn a_rebuild_step_allocates_one_footprint_not_a_grid_per_stripe() {
     let _alone = alone();
     const REBUILT: usize = 8;
+    let rows = P - 1;
     let mut v = volume_of(REBUILT);
     let data = payload(v.data_elements() * ELEMENT, 12);
     v.write(0, &data).unwrap();
     v.fail_disk(3).unwrap();
     let (calls, bytes) = allocated(|| drop(v.rebuild().unwrap()));
-    assert!(bytes < 2 * GRID, "(j) {bytes} bytes in {calls} calls to rebuild {REBUILT} stripes");
+    let budget = rows * ELEMENT + RECOVERY_PLANNING + REBUILT * REBUILD_STRIPE;
+    let what = format!("(j) {bytes} bytes in {calls} calls to rebuild {REBUILT} stripes");
+    assert!(bytes <= budget, "{what}, budget {budget}");
+    assert!(v.verify_all() && v.read(0, v.data_elements()).unwrap().0 == data);
+
+    // (j′) Two disks, the layout's decode of the pair planned by a first
+    // rebuild: the step holds their 24 cells and nothing of the stripe.
+    let fail_both = |v: &mut RaidVolume| {
+        v.fail_disk(3).unwrap();
+        v.fail_disk(7).unwrap();
+    };
+    fail_both(&mut v);
+    v.rebuild().unwrap();
+    fail_both(&mut v);
+    let (calls, bytes) = allocated(|| drop(v.rebuild().unwrap()));
+    let budget = 2 * rows * ELEMENT + REBUILT * REBUILD_STRIPE;
+    assert!(bytes <= budget, "(j′) {bytes} bytes in {calls} calls, budget {budget}");
     assert!(v.verify_all() && v.read(0, v.data_elements()).unwrap().0 == data);
 }
 

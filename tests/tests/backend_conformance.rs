@@ -118,6 +118,123 @@ fn write_all_is_all_or_nothing_on_every_backend() {
     }
 }
 
+/// `DiskBackend::lend` is `read`, address by address, on every backend.
+/// Memory checks the op's addresses and lends its own storage; the file
+/// and fault-injecting backends read into the caller's staging buffer.
+/// Each lends the bytes `read` returns. On a bad op each fails with the
+/// first error the same reads, in op order, return: a failed disk, an
+/// index past the end, a disk past the last, and — through a fault
+/// injector over memory and over files — a latent sector, a transient
+/// error, a disk dying mid-op on schedule and a crash mid-op. The
+/// injector's op counter ends where those reads leave it.
+#[test]
+fn lending_an_op_reads_it_address_by_address_on_every_backend() {
+    use disk_sim::DiskError;
+    const DISKS: usize = 4;
+    const PER_DISK: usize = 3;
+    let at = |disk, index| DiskAddr { disk, index };
+    let old = |a: DiskAddr| [(a.disk * PER_DISK + a.index) as u8 + 1; ELEMENT];
+    let every: Vec<DiskAddr> =
+        (0..DISKS).flat_map(|disk| (0..PER_DISK).map(move |index| at(disk, index))).collect();
+    // Two good addresses, the one a case's fault hits, two more.
+    let around = |hit| vec![at(0, 0), at(1, 2), hit, at(3, 1), at(2, 0)];
+    /// One op, the faults injected before it and the error it must meet.
+    struct Case {
+        name: &'static str,
+        faults: Vec<Fault>,
+        schedule: Vec<FaultPoint>,
+        op: Vec<DiskAddr>,
+        error: Option<DiskError>,
+    }
+    let case = |name, faults, op, error| Case { name, faults, schedule: vec![], op, error };
+    let cases = [
+        case("healthy", vec![], every.clone(), None),
+        case(
+            "failed disk",
+            vec![Fault::Dead { disk: 2 }],
+            around(at(2, 1)),
+            Some(DiskError::DiskFailed { disk: 2 }),
+        ),
+        case("bad index", vec![], around(at(1, PER_DISK)), Some(DiskError::Io { disk: 1 })),
+        case("bad disk", vec![], around(at(DISKS, 0)), Some(DiskError::NoSuchDisk { disk: DISKS })),
+        case(
+            "latent sector",
+            vec![Fault::LatentSector { disk: 1, index: 1 }],
+            around(at(1, 1)),
+            Some(DiskError::LatentSector { disk: 1, index: 1 }),
+        ),
+        case(
+            "transient",
+            vec![Fault::Transient { disk: 3, ops: 1 }],
+            around(at(3, 2)),
+            Some(DiskError::Transient { disk: 3 }),
+        ),
+        Case {
+            schedule: vec![FaultPoint { at_op: 2, disk: 3 }],
+            ..case(
+                "disk dies as the second read is served",
+                vec![],
+                around(at(3, 2)),
+                Some(DiskError::DiskFailed { disk: 3 }),
+            )
+        },
+        case(
+            "crash at the third read",
+            vec![Fault::CrashAtOp { at_op: 3 }],
+            around(at(3, 2)),
+            Some(DiskError::Crashed),
+        ),
+    ];
+    let build = |kind: &str, label: &str, faults: &[Fault], schedule: &[FaultPoint]| {
+        let inner = kind.strip_prefix("faulty-").unwrap_or(kind);
+        let mut b = make_backend(inner, label, DISKS, PER_DISK);
+        for &a in &every {
+            b.write(a.disk, a.index, &old(a)).unwrap();
+        }
+        if inner == kind {
+            for fault in faults {
+                let &Fault::Dead { disk } = fault else { return None };
+                b.fail(disk).unwrap();
+            }
+            return schedule.is_empty().then_some(b);
+        }
+        let faulty = FaultyBackend::new(b, schedule.to_vec()).with_faults(faults.iter().copied());
+        Some(Box::new(faulty) as Box<dyn DiskBackend>)
+    };
+    let mut ran = 0;
+    for kind in ["mem", "file", "faulty-mem", "faulty-file"] {
+        let inner = kind.strip_prefix("faulty-").unwrap_or(kind);
+        for Case { name, faults, schedule, op, error } in &cases {
+            let what = format!("{kind}: {name}");
+            let labels = [format!("lend_{kind}_lender"), format!("lend_{kind}_reader")];
+            let Some(mut lender) = build(kind, &labels[0], faults, schedule) else { continue };
+            let mut reader = build(kind, &labels[1], faults, schedule).unwrap();
+            let mut staging = Vec::new();
+            let lent = lender.lend(op, &mut staging).map(|slices| slices.concat());
+            let read = op.iter().try_fold(Vec::new(), |mut bytes, a| {
+                let mut buf = [0; ELEMENT];
+                reader.read(a.disk, a.index, &mut buf)?;
+                bytes.extend_from_slice(&buf);
+                Ok(bytes)
+            });
+            assert_eq!(lent, read, "{what}");
+            match error {
+                Some(e) => assert_eq!(lent, Err(*e), "{what}"),
+                None => assert_eq!(lent, Ok(op.iter().flat_map(|&a| old(a)).collect()), "{what}"),
+            }
+            if let Some(lender) = lender.as_faulty_mut() {
+                let ops = reader.as_faulty_mut().unwrap().ops();
+                assert_eq!(lender.ops(), ops, "{what}: op counter");
+            }
+            for label in &labels {
+                cleanup(inner, label);
+            }
+            ran += 1;
+        }
+    }
+    assert_eq!(ran, 2 * 4 + 2 * cases.len(), "every case ran on every backend it applies to");
+}
+
 #[test]
 fn write_read_roundtrip_on_every_backend() {
     on_every_volume("rt", |v, ctx| {
