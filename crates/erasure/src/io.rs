@@ -15,6 +15,56 @@
 
 use std::fmt;
 
+/// Per-disk element reads, data writes and parity writes: `disks` counts
+/// of each, back to back in one allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct PerDisk(Vec<u64>);
+
+const READS: usize = 0;
+const DATA_WRITES: usize = 1;
+const PARITY_WRITES: usize = 2;
+
+impl PerDisk {
+    fn new(disks: usize) -> Self {
+        PerDisk(vec![0; 3 * disks])
+    }
+
+    fn disks(&self) -> usize {
+        self.0.len() / 3
+    }
+
+    /// The per-disk counts of one kind.
+    fn kind(&self, kind: usize) -> &[u64] {
+        let disks = self.disks();
+        &self.0[kind * disks..(kind + 1) * disks]
+    }
+
+    /// Adds `n` to `disk`'s count of `kind`; panics on a disk out of range.
+    fn add(&mut self, kind: usize, disk: usize, n: u64) {
+        let disks = self.disks();
+        self.0[kind * disks..(kind + 1) * disks][disk] += n;
+    }
+
+    fn writes(&self) -> Vec<u64> {
+        self.kind(DATA_WRITES).iter().zip(self.kind(PARITY_WRITES)).map(|(d, p)| d + p).collect()
+    }
+
+    fn totals(&self) -> Vec<u64> {
+        self.kind(READS).iter().zip(self.writes()).map(|(r, w)| r + w).collect()
+    }
+
+    fn sum(&self, kind: usize) -> u64 {
+        self.kind(kind).iter().sum()
+    }
+
+    fn merge(&mut self, other: &PerDisk, what: &str) {
+        assert_eq!(self.disks(), other.disks(), "{what} disk count mismatch");
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a += b;
+        }
+    }
+}
+
 /// Per-disk element requests of one lowered operation.
 ///
 /// Element requests are the paper's unit: one request = one element-sized
@@ -22,84 +72,69 @@ use std::fmt;
 /// update-complexity accounting survives the lowering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestSet {
-    reads: Vec<u64>,
-    data_writes: Vec<u64>,
-    parity_writes: Vec<u64>,
+    counts: PerDisk,
 }
 
 impl RequestSet {
     /// An empty request set over `disks` disks.
     pub fn new(disks: usize) -> Self {
-        RequestSet {
-            reads: vec![0; disks],
-            data_writes: vec![0; disks],
-            parity_writes: vec![0; disks],
-        }
+        RequestSet { counts: PerDisk::new(disks) }
     }
 
     /// Number of disks addressed.
     pub fn disks(&self) -> usize {
-        self.reads.len()
+        self.counts.disks()
     }
 
     /// Records one element read on `disk`.
     pub fn add_read(&mut self, disk: usize) {
-        self.reads[disk] += 1;
+        self.counts.add(READS, disk, 1);
     }
 
     /// Records `n` element reads on `disk`.
     pub fn add_reads(&mut self, disk: usize, n: u64) {
-        self.reads[disk] += n;
+        self.counts.add(READS, disk, n);
     }
 
     /// Records one data-element write on `disk`.
     pub fn add_data_write(&mut self, disk: usize) {
-        self.data_writes[disk] += 1;
+        self.counts.add(DATA_WRITES, disk, 1);
     }
 
     /// Records one parity-element write on `disk`.
     pub fn add_parity_write(&mut self, disk: usize) {
-        self.parity_writes[disk] += 1;
+        self.counts.add(PARITY_WRITES, disk, 1);
     }
 
     /// Per-disk read counts.
     pub fn reads(&self) -> &[u64] {
-        &self.reads
+        self.counts.kind(READS)
     }
 
     /// Per-disk write counts (data + parity).
     pub fn writes_per_disk(&self) -> Vec<u64> {
-        self.data_writes
-            .iter()
-            .zip(&self.parity_writes)
-            .map(|(d, p)| d + p)
-            .collect()
+        self.counts.writes()
     }
 
     /// Per-disk total requests (reads + writes) — what each spindle must
     /// serve for this operation; the disk simulator's input.
     pub fn per_disk_totals(&self) -> Vec<u64> {
-        self.reads
-            .iter()
-            .zip(&self.data_writes)
-            .zip(&self.parity_writes)
-            .map(|((r, d), p)| r + d + p)
-            .collect()
+        self.counts.totals()
     }
 
     /// Total element reads.
     pub fn total_reads(&self) -> u64 {
-        self.reads.iter().sum()
+        self.counts.sum(READS)
     }
 
     /// Total data-element writes.
     pub fn data_writes(&self) -> u64 {
-        self.data_writes.iter().sum()
+        self.counts.sum(DATA_WRITES)
     }
 
     /// Total parity-element writes.
     pub fn parity_writes(&self) -> u64 {
-        self.parity_writes.iter().sum()
+        self.counts.sum(PARITY_WRITES)
     }
 
     /// Total element writes (data + parity).
@@ -123,16 +158,7 @@ impl RequestSet {
     ///
     /// Panics if disk counts differ.
     pub fn merge(&mut self, other: &RequestSet) {
-        assert_eq!(self.disks(), other.disks(), "request set disk count mismatch");
-        for (a, b) in self.reads.iter_mut().zip(&other.reads) {
-            *a += b;
-        }
-        for (a, b) in self.data_writes.iter_mut().zip(&other.data_writes) {
-            *a += b;
-        }
-        for (a, b) in self.parity_writes.iter_mut().zip(&other.parity_writes) {
-            *a += b;
-        }
+        self.counts.merge(&other.counts, "request set");
     }
 }
 
@@ -141,9 +167,7 @@ impl RequestSet {
 /// ledger per experiment is its tally).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IoLedger {
-    reads: Vec<u64>,
-    data_writes: Vec<u64>,
-    parity_writes: Vec<u64>,
+    counts: PerDisk,
     /// Operation retries after transient errors.
     retries: u64,
     /// Latent sector errors repaired by reconstruct-and-rewrite.
@@ -166,9 +190,7 @@ impl IoLedger {
     /// A zeroed ledger for `disks` disks.
     pub fn new(disks: usize) -> Self {
         IoLedger {
-            reads: vec![0; disks],
-            data_writes: vec![0; disks],
-            parity_writes: vec![0; disks],
+            counts: PerDisk::new(disks),
             retries: 0,
             latent_repairs: 0,
             transitions: Vec::new(),
@@ -181,7 +203,7 @@ impl IoLedger {
 
     /// Number of disks tracked.
     pub fn disks(&self) -> usize {
-        self.reads.len()
+        self.counts.disks()
     }
 
     /// Absorbs one operation's request set.
@@ -190,32 +212,23 @@ impl IoLedger {
     ///
     /// Panics if disk counts differ.
     pub fn absorb(&mut self, rs: &RequestSet) {
-        assert_eq!(self.disks(), rs.disks(), "ledger disk count mismatch");
-        for (a, b) in self.reads.iter_mut().zip(rs.reads()) {
-            *a += b;
-        }
-        for (a, b) in self.data_writes.iter_mut().zip(&rs.data_writes) {
-            *a += b;
-        }
-        for (a, b) in self.parity_writes.iter_mut().zip(&rs.parity_writes) {
-            *a += b;
-        }
+        self.counts.merge(&rs.counts, "ledger");
     }
 
     /// Records `n` element reads on `disk` (planner-side accounting that
     /// has no materialized [`RequestSet`]).
     pub fn add_reads(&mut self, disk: usize, n: u64) {
-        self.reads[disk] += n;
+        self.counts.add(READS, disk, n);
     }
 
     /// Records `n` data-element writes on `disk`.
     pub fn add_data_writes(&mut self, disk: usize, n: u64) {
-        self.data_writes[disk] += n;
+        self.counts.add(DATA_WRITES, disk, n);
     }
 
     /// Records `n` parity-element writes on `disk`.
     pub fn add_parity_writes(&mut self, disk: usize, n: u64) {
-        self.parity_writes[disk] += n;
+        self.counts.add(PARITY_WRITES, disk, n);
     }
 
     /// Records one operation retry after a transient error.
@@ -290,41 +303,32 @@ impl IoLedger {
 
     /// Per-disk read counts.
     pub fn reads(&self) -> &[u64] {
-        &self.reads
+        self.counts.kind(READS)
     }
 
     /// Per-disk write counts (data + parity).
     pub fn writes(&self) -> Vec<u64> {
-        self.data_writes
-            .iter()
-            .zip(&self.parity_writes)
-            .map(|(d, p)| d + p)
-            .collect()
+        self.counts.writes()
     }
 
     /// Per-disk total requests (reads + writes).
     pub fn per_disk_totals(&self) -> Vec<u64> {
-        self.reads
-            .iter()
-            .zip(&self.data_writes)
-            .zip(&self.parity_writes)
-            .map(|((r, d), p)| r + d + p)
-            .collect()
+        self.counts.totals()
     }
 
     /// Total reads across all disks.
     pub fn total_reads(&self) -> u64 {
-        self.reads.iter().sum()
+        self.counts.sum(READS)
     }
 
     /// Total data-element writes.
     pub fn data_writes(&self) -> u64 {
-        self.data_writes.iter().sum()
+        self.counts.sum(DATA_WRITES)
     }
 
     /// Total parity-element writes.
     pub fn parity_writes(&self) -> u64 {
-        self.parity_writes.iter().sum()
+        self.counts.sum(PARITY_WRITES)
     }
 
     /// Total writes across all disks.
@@ -343,16 +347,7 @@ impl IoLedger {
     ///
     /// Panics if disk counts differ.
     pub fn merge(&mut self, other: &IoLedger) {
-        assert_eq!(self.disks(), other.disks(), "ledger disk count mismatch");
-        for (a, b) in self.reads.iter_mut().zip(&other.reads) {
-            *a += b;
-        }
-        for (a, b) in self.data_writes.iter_mut().zip(&other.data_writes) {
-            *a += b;
-        }
-        for (a, b) in self.parity_writes.iter_mut().zip(&other.parity_writes) {
-            *a += b;
-        }
+        self.counts.merge(&other.counts, "ledger");
         self.retries += other.retries;
         self.latent_repairs += other.latent_repairs;
         self.transitions.extend(other.transitions.iter().cloned());
@@ -371,19 +366,12 @@ impl IoLedger {
     /// snapshot (some counter would go negative).
     pub fn delta_since(&self, baseline: &IoLedger) -> IoLedger {
         assert_eq!(self.disks(), baseline.disks(), "ledger disk count mismatch");
-        let sub = |a: &[u64], b: &[u64]| -> Vec<u64> {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| x.checked_sub(*y).expect("baseline is not an earlier snapshot"))
-                .collect()
-        };
         let scalar = |a: u64, b: u64| -> u64 {
             a.checked_sub(b).expect("baseline is not an earlier snapshot")
         };
+        let counts = self.counts.0.iter().zip(&baseline.counts.0).map(|(&a, &b)| scalar(a, b));
         IoLedger {
-            reads: sub(&self.reads, &baseline.reads),
-            data_writes: sub(&self.data_writes, &baseline.data_writes),
-            parity_writes: sub(&self.parity_writes, &baseline.parity_writes),
+            counts: PerDisk(counts.collect()),
             retries: scalar(self.retries, baseline.retries),
             latent_repairs: scalar(self.latent_repairs, baseline.latent_repairs),
             transitions: self
@@ -431,7 +419,7 @@ impl fmt::Display for IoLedger {
         write!(
             f,
             "reads={:?} writes={:?} λw={:.2}",
-            self.reads,
+            self.reads(),
             self.writes(),
             self.write_balance_rate()
         )?;

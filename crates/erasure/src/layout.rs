@@ -15,6 +15,7 @@ use std::sync::OnceLock;
 use crate::decoder::{plan_decode, DecodePlan, NotDecodableError};
 use crate::geometry::Cell;
 use crate::plan::single::{plan_single_disk_recovery, SearchStrategy};
+use crate::plan::write::WriteTable;
 use crate::xplan::XorPlan;
 
 /// The family a parity chain belongs to.
@@ -188,6 +189,8 @@ pub struct Layout {
     /// Lazily filled plans per set of one or two lost columns, a
     /// triangular table (see [`Layout::column_decode`]).
     column_plans: OnceLock<Box<[ColumnPlans]>>,
+    /// Lazily built write facts (see [`Layout::write_table`]).
+    write_table: OnceLock<WriteTable>,
 }
 
 impl Layout {
@@ -270,6 +273,7 @@ impl Layout {
             data_ordinal,
             encode_plan_cache: OnceLock::new(),
             column_plans: OnceLock::new(),
+            write_table: OnceLock::new(),
         })
     }
 
@@ -293,6 +297,19 @@ impl Layout {
                 cascaded
             }
         })
+    }
+
+    /// The layout's [`WriteTable`] — the parities each data ordinal's write
+    /// renews, each parity's chain members and dependency level — built on
+    /// first use and cached like [`Layout::encode_plan`]. Every write
+    /// planner and the volume's write lowering read it, so planning a
+    /// stripe write is lookups, not a walk of the chains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parities depend on each other in a cycle.
+    pub fn write_table(&self) -> &WriteTable {
+        self.write_table.get_or_init(|| WriteTable::build(self))
     }
 
     /// The plan rebuilding every cell of the lost columns `cols` —
@@ -589,6 +606,19 @@ mod tests {
         // Other counts are planned per call.
         assert!(matches!(l.column_decode(&[]), Ok(Cow::Owned(p)) if p.steps.is_empty()));
         assert!(l.column_program(&[0, 1, 2]).is_err());
+    }
+
+    #[test]
+    fn write_table_is_built_once_per_layout() {
+        let l = toy();
+        assert!(std::ptr::eq(l.write_table(), l.write_table()));
+        let table = l.write_table();
+        assert_eq!((table.ordinals(), table.parities(), table.depth()), (4, 2, 0));
+        assert_eq!(table.renews(2), &[Cell::new(1, 2)]);
+        assert_eq!(table.members(ChainId(0)), &[Cell::new(0, 0), Cell::new(0, 1)]);
+        // A clone carries the built table with it.
+        let copy = l.clone();
+        assert_eq!(copy.write_table(), table);
     }
 
     #[test]

@@ -5,11 +5,140 @@
 //! for every *distinct* parity element associated with any written data
 //! element — the paper's "total induced writes". The per-disk distribution
 //! of those writes feeds the load-balancing rate λ (Fig. 6b).
+//!
+//! Every planner here, and the volume's write lowering, reads one
+//! [`WriteTable`] per layout ([`Layout::write_table`]): which parities a
+//! write of each data ordinal renews, and each parity's chain and place in
+//! the parity-into-parity dependency order. Those are facts of the layout,
+//! so a write plan is table lookups, never a walk of the chains.
 
 use crate::bitset::BitSet;
 use crate::geometry::Cell;
 use crate::io::IoLedger;
-use crate::layout::Layout;
+use crate::layout::{ChainId, Layout};
+use crate::plan::update::parity_updates;
+
+/// A layout's write facts, built once per layout ([`Layout::write_table`])
+/// and shared by every volume of the code.
+///
+/// * For each data ordinal: the parities a write of it renews, cascades
+///   included, in [`parity_updates`] order.
+/// * For each parity, indexed by the [`ChainId`] of the chain it owns: the
+///   chain's members, and its *level* — 0 when no member is a parity,
+///   otherwise one more than the highest level among its member parities.
+///   Renewing parities in ascending level (ties in any order) never reads
+///   a parity before it is renewed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriteTable {
+    /// Ordinal `k` renews `renews[renews_at[k]..renews_at[k + 1]]`.
+    renews: Vec<Cell>,
+    renews_at: Vec<u32>,
+    /// Chain `c`'s members are `members[members_at[c]..members_at[c + 1]]`.
+    members: Vec<Cell>,
+    members_at: Vec<u32>,
+    level: Vec<u32>,
+    /// The highest level.
+    depth: u32,
+}
+
+impl WriteTable {
+    /// The table of `layout`: each data cell's [`parity_updates`], each
+    /// chain's members, and the levels settled in rounds, longest path
+    /// through the member parities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parities depend on each other in a cycle: no write
+    /// order renews such a layout's parities.
+    pub fn build(layout: &Layout) -> WriteTable {
+        let renews = layout.data_cells().iter().map(|&cell| parity_updates(layout, cell));
+        let members = layout.chains().iter().map(|chain| chain.members.clone());
+        let mut level: Vec<Option<u32>> = vec![None; layout.chains().len()];
+        let mut settled = 0;
+        while settled < level.len() {
+            let before = settled;
+            for (id, chain) in layout.chains().iter().enumerate() {
+                if level[id].is_some() {
+                    continue;
+                }
+                let below = chain.members.iter().filter_map(|&m| layout.chain_of_parity(m));
+                let levels: Option<Vec<u32>> = below.map(|c| level[c.0]).collect();
+                if let Some(levels) = levels {
+                    level[id] = Some(levels.iter().map(|l| l + 1).max().unwrap_or(0));
+                    settled += 1;
+                }
+            }
+            assert!(settled > before, "cyclic parity dependency during write");
+        }
+        WriteTable::from_parts(renews, members, level.into_iter().map(|l| l.unwrap_or(0) as usize))
+    }
+
+    /// A table from its parts: each data ordinal's renewed parities, each
+    /// chain's members and each chain's level. [`WriteTable::build`]
+    /// derives them from a layout; a checker may assemble any table.
+    pub fn from_parts(
+        renews: impl IntoIterator<Item = Vec<Cell>>,
+        members: impl IntoIterator<Item = Vec<Cell>>,
+        levels: impl IntoIterator<Item = usize>,
+    ) -> WriteTable {
+        fn flatten(lists: impl IntoIterator<Item = Vec<Cell>>) -> (Vec<Cell>, Vec<u32>) {
+            let (mut flat, mut at) = (Vec::new(), vec![0]);
+            for list in lists {
+                flat.extend(list);
+                at.push(flat.len() as u32);
+            }
+            (flat, at)
+        }
+        let (renews, renews_at) = flatten(renews);
+        let (members, members_at) = flatten(members);
+        let level: Vec<u32> = levels.into_iter().map(|l| l as u32).collect();
+        let depth = level.iter().copied().max().unwrap_or(0);
+        WriteTable { renews, renews_at, members, members_at, level, depth }
+    }
+
+    /// Number of data ordinals the table covers.
+    pub fn ordinals(&self) -> usize {
+        self.renews_at.len() - 1
+    }
+
+    /// Number of parities (chains) the table covers.
+    pub fn parities(&self) -> usize {
+        self.level.len()
+    }
+
+    /// The parities a write of data ordinal `ordinal` renews, cascades
+    /// included, in [`parity_updates`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ordinal` is out of range.
+    pub fn renews(&self, ordinal: usize) -> &[Cell] {
+        &self.renews[self.renews_at[ordinal] as usize..self.renews_at[ordinal + 1] as usize]
+    }
+
+    /// The members of `chain`, in chain order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chain` is out of range.
+    pub fn members(&self, chain: ChainId) -> &[Cell] {
+        &self.members[self.members_at[chain.0] as usize..self.members_at[chain.0 + 1] as usize]
+    }
+
+    /// The level of `chain`'s parity in the dependency order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chain` is out of range.
+    pub fn level(&self, chain: ChainId) -> usize {
+        self.level[chain.0] as usize
+    }
+
+    /// The highest level: 0 when no parity is a member of another's chain.
+    pub fn depth(&self) -> usize {
+        self.depth as usize
+    }
+}
 
 /// The I/O footprint of one partial stripe write within a single stripe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,39 +184,31 @@ pub fn plan_partial_write(layout: &Layout, start: usize, len: usize) -> WritePla
         data.len()
     );
     let data_writes: Vec<Cell> = data[start..start + len].to_vec();
-    let parity_writes = distinct_parity_updates(layout, &data_writes);
+    let parity_writes = distinct_parity_updates(layout, start..start + len);
     WritePlan { data_writes, parity_writes }
 }
 
-/// The distinct parities renewed by writing `data_writes`, in first-touch
-/// order: each cell's cascade as
-/// [`parity_updates`](crate::plan::update::parity_updates) lists it, less
-/// what earlier cells already renewed. Membership is one bitmap per call:
+/// The distinct parities renewed by writing the data `ordinals`, in
+/// first-touch order: each ordinal's [`WriteTable::renews`], less what
+/// earlier ordinals already renewed. Membership is one bitmap per call:
 /// scanning the list built so far made the planner quadratic in the dirty
 /// set.
 ///
-/// The cascade is walked breadth-first in the output itself, not in two
-/// lists per cell. A parity an earlier cell renewed can be skipped whole:
-/// that cell's walk already renewed everything it cascades into, so
-/// skipping it drops only parities that were going to be skipped anyway
-/// and leaves the rest in `parity_updates`' order.
-fn distinct_parity_updates(layout: &Layout, data_writes: &[Cell]) -> Vec<Cell> {
-    let cols = layout.cols();
+/// Skipping a parity an earlier ordinal renewed drops nothing else: that
+/// ordinal's list already holds everything the parity cascades into, so
+/// the union keeps the rest in [`parity_updates`]' order.
+fn distinct_parity_updates(
+    layout: &Layout,
+    ordinals: impl IntoIterator<Item = usize>,
+) -> Vec<Cell> {
+    let (table, cols) = (layout.write_table(), layout.cols());
     let mut seen = BitSet::new(layout.num_cells());
     let mut parity_writes: Vec<Cell> = Vec::new();
-    for &cell in data_writes {
-        let mut next = parity_writes.len();
-        let mut cur = cell;
-        loop {
-            for &chain in layout.chains_containing(cur) {
-                let parity = layout.chain(chain).parity;
-                if seen.insert(parity.index(cols)) {
-                    parity_writes.push(parity);
-                }
+    for ordinal in ordinals {
+        for &parity in table.renews(ordinal) {
+            if seen.insert(parity.index(cols)) {
+                parity_writes.push(parity);
             }
-            let Some(&renewed) = parity_writes.get(next) else { break };
-            cur = renewed;
-            next += 1;
         }
     }
     parity_writes
@@ -119,7 +240,7 @@ pub fn plan_batched_write(layout: &Layout, ordinals: &[usize]) -> WritePlan {
         data.len()
     );
     let data_writes: Vec<Cell> = sorted.iter().map(|&o| data[o]).collect();
-    let parity_writes = distinct_parity_updates(layout, &data_writes);
+    let parity_writes = distinct_parity_updates(layout, sorted);
     WritePlan { data_writes, parity_writes }
 }
 
@@ -169,7 +290,7 @@ pub fn write_cost(layout: &Layout, plan: &WritePlan) -> WriteCost {
     // that are parities being rewritten are themselves recomputed, so they
     // are not read either. One bitmap holds both "overwritten" and
     // "already listed": a member is read the first time it is in neither.
-    let cols = layout.cols();
+    let (table, cols) = (layout.write_table(), layout.cols());
     let mut settled = BitSet::new(layout.num_cells());
     for c in plan.data_writes.iter().chain(&plan.parity_writes) {
         settled.insert(c.index(cols));
@@ -177,7 +298,7 @@ pub fn write_cost(layout: &Layout, plan: &WritePlan) -> WriteCost {
     let mut reconstruct_reads: Vec<Cell> = Vec::new();
     for &parity in &plan.parity_writes {
         let chain_id = layout.chain_of_parity(parity).expect("parity owns chain");
-        for m in &layout.chain(chain_id).members {
+        for m in table.members(chain_id) {
             if settled.insert(m.index(cols)) {
                 reconstruct_reads.push(*m);
             }

@@ -136,24 +136,44 @@ impl XorPlan {
     where
         I: IntoIterator<Item = (Cell, &'a [Cell])>,
     {
-        let in_bounds = |c: Cell| c.row < rows && c.col < cols;
-        let mut ops = Vec::new();
-        let mut srcs: Vec<u32> = Vec::new();
+        let steps = steps.into_iter();
+        let mut plan = XorPlan::with_capacity(rows, cols, steps.size_hint().0, 0);
         for (target, sources) in steps {
-            assert!(in_bounds(target), "plan target {target} out of bounds");
-            let src_start = srcs.len() as u32;
-            for &s in sources {
-                assert!(in_bounds(s), "plan source {s} out of bounds");
-                assert_ne!(s, target, "plan step reads its own target {target}");
-                srcs.push(s.index(cols) as u32);
-            }
-            ops.push(XorOp {
-                dst: target.index(cols) as u32,
-                src_start,
-                src_end: srcs.len() as u32,
-            });
+            plan.push_step(target, sources.iter().copied());
         }
-        XorPlan { rows, cols, ops, srcs, temps: 0, outputs: None }
+        plan
+    }
+
+    /// An empty `rows × cols` plan with room for `ops` steps reading
+    /// `srcs` sources in all, to be filled by [`XorPlan::push_step`].
+    pub fn with_capacity(rows: usize, cols: usize, ops: usize, srcs: usize) -> XorPlan {
+        XorPlan {
+            rows,
+            cols,
+            ops: Vec::with_capacity(ops),
+            srcs: Vec::with_capacity(srcs),
+            temps: 0,
+            outputs: None,
+        }
+    }
+
+    /// Appends the step `target = XOR(sources)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`XorPlan::from_steps`].
+    pub fn push_step(&mut self, target: Cell, sources: impl IntoIterator<Item = Cell>) {
+        let (rows, cols) = (self.rows, self.cols);
+        let in_bounds = |c: Cell| c.row < rows && c.col < cols;
+        assert!(in_bounds(target), "plan target {target} out of bounds");
+        let src_start = self.srcs.len() as u32;
+        for s in sources {
+            assert!(in_bounds(s), "plan source {s} out of bounds");
+            assert_ne!(s, target, "plan step reads its own target {target}");
+            self.srcs.push(s.index(cols) as u32);
+        }
+        let dst = target.index(cols) as u32;
+        self.ops.push(XorOp { dst, src_start, src_end: self.srcs.len() as u32 });
     }
 
     /// Compiles from flat buffer indices, possibly addressing scratch
@@ -519,8 +539,8 @@ impl XorPlan {
 pub struct Lent<'a> {
     rows: usize,
     cols: usize,
-    /// Row-major over the grid, allocated by the first insert: `k + 1`
-    /// for a cell lent as `bytes[k]`, 0 for one nobody lends.
+    /// Row-major over the grid, filled by the first insert: `k + 1` for a
+    /// cell lent as `bytes[k]`, 0 for one nobody lends.
     slot: Vec<u16>,
     bytes: Vec<&'a [u8]>,
 }
@@ -528,15 +548,32 @@ pub struct Lent<'a> {
 impl<'a> Lent<'a> {
     /// Each `(cell, bytes)` of `cells` lent, over a `rows × cols` grid; a
     /// later repeat of a cell replaces the earlier. Allocates nothing if
-    /// `cells` is empty, and at most once for the slices otherwise.
+    /// `cells` is empty; otherwise the grid's slot table and room for the
+    /// slices `cells` may yield.
     ///
     /// # Panics
     ///
     /// Panics if a cell lies outside the grid, or if the grid has more
     /// cells than a `u16` counts.
     pub fn of(rows: usize, cols: usize, cells: impl IntoIterator<Item = (Cell, &'a [u8])>) -> Self {
+        Lent::in_table(Vec::new(), rows, cols, cells)
+    }
+
+    /// [`Lent::of`] with its slot table in `table`, which an earlier
+    /// `Lent` gave back ([`Lent::into_table`]) or is empty: a caller
+    /// lending cells op after op allocates the table once, not per op.
+    ///
+    /// # Panics
+    ///
+    /// As [`Lent::of`].
+    pub fn in_table(
+        table: Vec<u16>,
+        rows: usize,
+        cols: usize,
+        cells: impl IntoIterator<Item = (Cell, &'a [u8])>,
+    ) -> Self {
         let mut cells = cells.into_iter().peekable();
-        let mut lent = Lent { rows, cols, slot: Vec::new(), bytes: Vec::new() };
+        let mut lent = Lent { rows, cols, slot: table, bytes: Vec::new() };
         if cells.peek().is_some() {
             let (least, most) = cells.size_hint();
             lent.bytes.reserve_exact(most.unwrap_or(least));
@@ -547,6 +584,12 @@ impl<'a> Lent<'a> {
         lent
     }
 
+    /// The slot table, all zero again, for the next [`Lent::in_table`].
+    pub fn into_table(mut self) -> Vec<u16> {
+        self.slot.fill(0);
+        self.slot
+    }
+
     /// Lends `bytes` as `cell`, in place of anything lent as it before.
     ///
     /// # Panics
@@ -555,9 +598,11 @@ impl<'a> Lent<'a> {
     /// cells than a `u16` counts.
     fn insert(&mut self, cell: Cell, bytes: &'a [u8]) {
         assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
-        if self.slot.is_empty() {
-            assert!(self.rows * self.cols < usize::from(u16::MAX), "grid too large to lend");
-            self.slot = vec![0; self.rows * self.cols];
+        let cells = self.rows * self.cols;
+        if self.bytes.is_empty() && self.slot.len() != cells {
+            assert!(cells < usize::from(u16::MAX), "grid too large to lend");
+            self.slot.clear();
+            self.slot.resize(cells, 0);
         }
         match &mut self.slot[cell.index(self.cols)] {
             0 => {

@@ -102,6 +102,9 @@ pub struct IoPipeline {
     /// Where a backend with no storage to lend stages an op's reads
     /// ([`DiskBackend::lend`]'s default), reused across ops.
     staging: Vec<Vec<u8>>,
+    /// The grid index of the cells an op's plan and writes read in
+    /// place ([`Lent::in_table`]), reused across ops.
+    lent_index: Vec<u16>,
 }
 
 impl std::fmt::Debug for IoPipeline {
@@ -125,6 +128,7 @@ impl IoPipeline {
             op_latency_ms: 0.0,
             addrs: Vec::new(),
             staging: Vec::new(),
+            lent_index: Vec::new(),
         }
     }
 
@@ -283,13 +287,15 @@ impl IoPipeline {
         }
         let reads = op.reads.iter().map(|&(cell, _)| cell).zip(read);
         let unlanded = reads.filter(|&(cell, _)| !scratch.holds(cell));
-        let sources = Lent::of(rows, cols, unlanded.chain(lent.iter().copied()));
+        let index = std::mem::take(&mut self.lent_index);
+        let sources = Lent::in_table(index, rows, cols, unlanded.chain(lent.iter().copied()));
         if let Some(plan) = &op.plan {
             plan.execute_lent(scratch, &sources);
         }
         for (&cell, element) in copy_out.iter().zip(out.chunks_exact_mut(es)) {
             element.copy_from_slice(cell_bytes(scratch, &sources, cell));
         }
+        self.lent_index = sources.into_table();
         self.store(op, scratch, lent)?;
         self.commit(op)
     }
@@ -370,14 +376,17 @@ impl IoPipeline {
         scratch: &Stripe,
         lent: &[(Cell, &[u8])],
     ) -> Result<(), DiskError> {
-        let lent = Lent::of(scratch.rows(), scratch.cols(), lent.iter().copied());
+        let index = std::mem::take(&mut self.lent_index);
+        let lent = Lent::in_table(index, scratch.rows(), scratch.cols(), lent.iter().copied());
         let targets: Vec<(DiskAddr, &[u8])> = op
             .data_writes
             .iter()
             .chain(&op.parity_writes)
             .map(|&(cell, addr)| (addr, cell_bytes(scratch, &lent, cell)))
             .collect();
-        self.backend.write_all(&targets)
+        let stored = self.backend.write_all(&targets);
+        self.lent_index = lent.into_table();
+        stored
     }
 }
 

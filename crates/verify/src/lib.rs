@@ -15,6 +15,8 @@
 //!   closed-form table values, rendered as JSON;
 //! * [`journal`] — the crash-consistency proof: every crash prefix of
 //!   every op the volume executes replays to all-old-or-all-new;
+//! * [`write_table`] — each layout's write table, which every healthy
+//!   store is lowered from, re-derived from the chains and compared;
 //! * the `LoweredOp` audit itself lives in `raid_array::audit` (this
 //!   crate sits above `raid-array` in the dependency graph, so the
 //!   pipeline can also self-audit under `debug_assertions`); it is
@@ -31,6 +33,7 @@ pub mod journal;
 pub mod plan_check;
 pub mod report;
 pub mod symbolic;
+pub mod write_table;
 
 pub use raid_array::audit;
 
@@ -89,6 +92,8 @@ pub enum CheckError {
     Coalesce(coalesce::CoalesceError),
     /// An undo-journal crash prefix fails to restore all-old-or-all-new.
     Journal(journal::JournalError),
+    /// The layout's write table disagrees with its chains.
+    WriteTable(write_table::WriteTableError),
     /// The layout deviates from the paper's published table values.
     PaperMismatch(Vec<String>),
 }
@@ -100,6 +105,7 @@ impl std::fmt::Display for CheckError {
             CheckError::Plan(e) => write!(f, "{e}"),
             CheckError::Coalesce(e) => write!(f, "{e}"),
             CheckError::Journal(e) => write!(f, "{e}"),
+            CheckError::WriteTable(e) => write!(f, "{e}"),
             CheckError::PaperMismatch(diffs) => {
                 write!(f, "layout deviates from the paper: {}", diffs.join("; "))
             }
@@ -113,7 +119,8 @@ impl std::error::Error for CheckError {}
 /// that the cached (optimizer-rewritten) encode plan is GF(2)-equivalent
 /// to the chain specification and never costs more reads than the
 /// cascaded chain walk, exhaustive single/double-erasure MDS proof (which
-/// itself re-proves every optimized decode plan), coalesced-flush proof,
+/// itself re-proves every optimized decode plan), the write table checked
+/// against the chains, coalesced-flush proof,
 /// all-crash-prefix journal proof over the ops the volume executes, and
 /// paper-table check.
 ///
@@ -144,6 +151,10 @@ pub fn check_code(name: &str, p: usize) -> Result<CodeReport, CheckError> {
         }));
     }
     let mds = prove_mds(layout).map_err(CheckError::Plan)?;
+    // Every healthy store is lowered from the layout's write table: it
+    // must be what the chains say, entry for entry.
+    write_table::check_write_table(layout, layout.write_table())
+        .map_err(CheckError::WriteTable)?;
     // The write-back cache's coalesced flush programs (both partial-write
     // modes, across representative dirty subsets) must compute exactly
     // the parity algebra over the double-height old/new grid.
