@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test loc bench bench-ab bench-smoke same-bytes repro-check examples-smoke chaos-smoke fleet-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
+.PHONY: build test loc bench bench-ab bench-smoke same-bytes repro-check examples-smoke chaos-smoke tsan-smoke serve-smoke lint miri test-kernel-audit verify clean
 
 build:
 	$(CARGO) build --release
@@ -47,9 +47,9 @@ bench-ab:
 
 # Same decisions, same bytes: BASE (unpacked into target/ab-base, as
 # bench-ab does) and the working tree, both built in release mode, must
-# print byte-identical output for the four chaos-smoke campaigns, the
-# fleet-smoke report, `hvraid lint --all --journal`
-# and `repro --csv <dir> all` (its CSVs; its stdout carries wall times),
+# print byte-identical output for the four chaos-smoke campaigns,
+# `hvraid lint --all --journal` and `repro --csv <dir> all` (its CSVs;
+# its stdout carries wall times),
 # with the same exit status: one same/DIFFERS line per command, exit 1
 # on any difference. Outputs stay under
 # target/same-bytes/{base,change}/<command>/.
@@ -97,21 +97,6 @@ chaos-smoke:
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 2 --episodes 25 --backend mem --spares 0
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 3 --episodes 25 --stripes 8
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 4 --episodes 10 --element 20000
-
-# Seeded fleet reliability campaign: the same small fleet twice, with
-# the JSON reports required byte-identical (the harness's determinism
-# contract), zero data loss at the default-ish settings, and the pinned
-# report schema version. Plus the QoS pinned test: the adaptive rebuild
-# throttle must bound foreground p99 inflation vs a flat-out rebuild.
-fleet-smoke:
-	$(CARGO) run -q --release -p hvraid -- fleet --volumes 12 --hours 96 --seed 5 --stripes 8 --element 16 --json > /tmp/hvraid-fleet-a.json
-	$(CARGO) run -q --release -p hvraid -- fleet --volumes 12 --hours 96 --seed 5 --stripes 8 --element 16 --json > /tmp/hvraid-fleet-b.json
-	cmp /tmp/hvraid-fleet-a.json /tmp/hvraid-fleet-b.json
-	grep -q '"schema_version": 1' /tmp/hvraid-fleet-a.json
-	grep -q '"data_loss_events": 0' /tmp/hvraid-fleet-a.json
-	rm -f /tmp/hvraid-fleet-a.json /tmp/hvraid-fleet-b.json
-	$(CARGO) test -q -p integration --test fleet_qos
-	$(CARGO) test -q -p integration --test reliability_invariants
 
 # ThreadSanitizer over the service suites, whose concurrent clients share
 # one volume under its lock: the only multi-threaded code in the
@@ -184,7 +169,6 @@ verify:
 	$(MAKE) examples-smoke
 	$(MAKE) tsan-smoke
 	$(MAKE) chaos-smoke
-	$(MAKE) fleet-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) bench-smoke
 

@@ -57,6 +57,19 @@ impl Parsed {
         }
     }
 
+    /// A size flag (`--stripes`, `--element`) parsed as a positive count,
+    /// with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the value does not parse or is zero.
+    pub fn get_positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get_or(key, default)? {
+            0 => Err(format!("--{key} must be positive")),
+            n => Ok(n),
+        }
+    }
+
     /// A required string flag.
     ///
     /// # Errors

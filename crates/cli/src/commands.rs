@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use disk_sim::{DiskArray, DiskProfile};
 use raid_array::mttr::estimate_rebuild;
-use raid_array::reliability::estimate_mttdl;
 use raid_array::{
     chaos, replay_write_trace, CacheConfig, ChaosConfig, DiskBackend, FileBackend,
     JournalRecovery, MemBackend, RaidVolume, VolumeError, VolumeMeta,
@@ -37,8 +36,8 @@ commands:
                                            routes writes through an N-stripe
                                            write-back cache and reports the
                                            coalesced flush / eviction counts
-  estimate  --code <name> [--p 13] [--stripes 64] [--mttf 1000000]
-                                           rebuild times and MTTDL
+  estimate  --code <name> [--p 13] [--stripes 64]
+                                           single- and double-disk rebuild times
   batch     --code <name> [--p 13] [--stripes 256] [--element 4096]
             [--backend mem|file] [--dir <dir>]
                                            full-stripe write (which encodes) and
@@ -64,19 +63,6 @@ commands:
                                            verified against a shadow model; any failure
                                            prints the seed that reproduces it;
                                            --cache false disables the write-back cache
-  fleet     [--volumes 100] [--hours 336] [--seed 42] [--code hv] [--p 5]
-            [--stripes 24] [--element 64] [--spares <volumes/8>]
-            [--replenish 24] [--scale 1500] [--qos true] [--json]
-                                           seeded fleet reliability campaign:
-                                           Weibull disk failures and latent
-                                           corruption across --volumes arrays,
-                                           shared spare pool (--spares capacity,
-                                           --replenish hours to restock), scrub
-                                           scheduler, adaptive rebuild-vs-
-                                           foreground throttle (--qos false
-                                           rebuilds flat-out), measured MTTR fed
-                                           back into the MTTDL model; --json is
-                                           byte-identical for a fixed seed
   serve     --socket <path> [--code hv] [--p 5] [--stripes 16] [--element 64]
             [--dir <dir>] [--queue-depth 256]
                                            serve the volume as a concurrent block
@@ -145,7 +131,6 @@ pub fn run_with_status(parsed: &Parsed) -> Result<(String, u8), String> {
                 "batch" => batch(parsed),
                 "volume" => volume_lifecycle(parsed),
                 "chaos" => chaos_campaign(parsed),
-                "fleet" => fleet_campaign(parsed),
                 "serve" => serve(parsed),
                 "connect" => connect(parsed),
                 "stats" => stats(parsed),
@@ -301,7 +286,7 @@ fn demo(parsed: &Parsed) -> Result<String, String> {
 fn replay(parsed: &Parsed) -> Result<String, String> {
     let (code, p) = code_from(parsed, 7)?;
     let path = parsed.require("trace")?;
-    let stripes = parsed.get_or("stripes", 8usize)?;
+    let stripes = parsed.get_positive("stripes", 8)?;
     let cache_stripes = parsed.get_or("cache", 0usize)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let trace = parse_trace(&text).map_err(|e| e.to_string())?;
@@ -340,20 +325,15 @@ fn replay(parsed: &Parsed) -> Result<String, String> {
 
 fn estimate(parsed: &Parsed) -> Result<String, String> {
     let (code, p) = code_from(parsed, 13)?;
-    let stripes = parsed.get_or("stripes", 64usize)?;
-    let mttf = parsed.get_or("mttf", 1_000_000.0f64)?;
-    let profile = DiskProfile::savvio_10k();
-    let rebuild = estimate_rebuild(code.as_ref(), stripes, profile);
-    let mttdl = estimate_mttdl(code.as_ref(), stripes, profile, mttf);
+    let stripes = parsed.get_positive("stripes", 64)?;
+    let rebuild = estimate_rebuild(code.as_ref(), stripes, DiskProfile::savvio_10k());
     Ok(format!(
-        "{} at p = {p}, {stripes} stripes, 16 MB elements, per-disk MTTF {mttf:.0} h\n\
+        "{} at p = {p}, {stripes} stripes, 16 MB elements\n\
          single-disk rebuild:  {:.0} ms\n\
-         double-disk rebuild:  {:.0} ms\n\
-         estimated MTTDL:      {:.2e} hours",
+         double-disk rebuild:  {:.0} ms",
         code.name(),
         rebuild.single_ms,
         rebuild.double_ms,
-        mttdl.mttdl_h,
     ))
 }
 
@@ -388,8 +368,8 @@ fn seeded_payload(bytes: usize, seed: u8) -> Vec<u8> {
 
 fn batch(parsed: &Parsed) -> Result<String, String> {
     let (code, p) = code_from(parsed, 13)?;
-    let stripes = parsed.get_or("stripes", 256usize)?;
-    let element = parsed.get_or("element", 4096usize)?;
+    let stripes = parsed.get_positive("stripes", 256)?;
+    let element = parsed.get_positive("element", 4096)?;
     let backend = backend_from(parsed, &code, stripes, element)?;
     let mut volume = RaidVolume::new(Arc::clone(&code), stripes, element, backend)
         .map_err(|e| e.to_string())?;
@@ -439,8 +419,8 @@ fn volume_lifecycle(parsed: &Parsed) -> Result<String, String> {
     let (code, p) = code_from(parsed, 7)?;
     let name = parsed.require("code")?;
     let dir = parsed.require("dir")?;
-    let stripes = parsed.get_or("stripes", 8usize)?;
-    let element = parsed.get_or("element", 64usize)?;
+    let stripes = parsed.get_positive("stripes", 8)?;
+    let element = parsed.get_positive("element", 64)?;
     let layout = code.layout();
 
     let file_backend =
@@ -675,8 +655,8 @@ fn chaos_campaign(parsed: &Parsed) -> Result<String, String> {
         seed,
         episodes: parsed.get_or("episodes", defaults.episodes)?,
         steps_per_episode: parsed.get_or("steps", defaults.steps_per_episode)?,
-        stripes: parsed.get_or("stripes", defaults.stripes)?,
-        element_size: parsed.get_or("element", defaults.element_size)?,
+        stripes: parsed.get_positive("stripes", defaults.stripes)?,
+        element_size: parsed.get_positive("element", defaults.element_size)?,
         spares: parsed.get_or("spares", defaults.spares)?,
         dir: match backend.as_str() {
             "mem" => None,
@@ -702,50 +682,6 @@ fn chaos_campaign(parsed: &Parsed) -> Result<String, String> {
         "{} at p = {p}, seed {seed}\n{report}\nreproduce with `hvraid chaos --seed {seed}`",
         code.name()
     ))
-}
-
-fn fleet_campaign(parsed: &Parsed) -> Result<String, String> {
-    let name = parsed.get_or("code", "hv".to_string())?;
-    let p = parsed.get_or("p", 5usize)?;
-    let code = build(&name, p)?;
-    let defaults = raid_fleet::FleetConfig::default();
-    let volumes: usize = parsed.get_or("volumes", defaults.volumes)?;
-    let cfg = raid_fleet::FleetConfig {
-        volumes,
-        hours: parsed.get_or("hours", defaults.hours)?,
-        seed: parsed.get_or("seed", defaults.seed)?,
-        stripes: parsed.get_or("stripes", defaults.stripes)?,
-        element_size: parsed.get_or("element", defaults.element_size)?,
-        spare_capacity: parsed
-            .get_or("spares", raid_fleet::FleetConfig::default_spares_for(volumes))?,
-        spare_replenish_h: parsed.get_or("replenish", defaults.spare_replenish_h)?,
-        fail_scale_h: parsed.get_or("scale", defaults.fail_scale_h)?,
-        qos: parsed.get_or("qos", defaults.qos)?,
-        ..defaults
-    };
-    // The library asserts its domain; turn the user-reachable ones into
-    // messages instead of panics.
-    if cfg.volumes == 0 {
-        return Err("--volumes must be at least 1".to_string());
-    }
-    if cfg.hours.is_nan() || cfg.hours <= 0.0 {
-        return Err("--hours must be positive".to_string());
-    }
-    if cfg.stripes == 0 || cfg.element_size == 0 {
-        return Err("--stripes and --element must be positive".to_string());
-    }
-    if cfg.fail_scale_h.is_nan() || cfg.fail_scale_h <= 0.0 {
-        return Err("--scale must be positive".to_string());
-    }
-    if cfg.spare_replenish_h.is_nan() || cfg.spare_replenish_h < 0.0 {
-        return Err("--replenish cannot be negative".to_string());
-    }
-    let report = raid_fleet::run(&code, &cfg);
-    if parsed.get_or("json", false)? {
-        Ok(report.to_json())
-    } else {
-        Ok(format!("{report}\nreproduce with `hvraid fleet --seed {}`", cfg.seed))
-    }
 }
 
 fn lint(parsed: &Parsed) -> Result<String, String> {
@@ -861,8 +797,8 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
     let name = parsed.get_or("code", "hv".to_string())?;
     let p = parsed.get_or("p", 5usize)?;
     let code = build(&name, p)?;
-    let stripes = parsed.get_or("stripes", 16usize)?;
-    let element = parsed.get_or("element", 64usize)?;
+    let stripes = parsed.get_positive("stripes", 16)?;
+    let element = parsed.get_positive("element", 64)?;
     let socket = parsed.require("socket")?;
     let layout = code.layout();
 
@@ -1008,33 +944,6 @@ mod tests {
         assert!(out.contains("shut down cleanly"), "{out}");
         let _ = std::fs::remove_file(script_path);
         let _ = std::fs::remove_file(shutdown_script);
-    }
-
-    #[test]
-    fn fleet_reports_and_json_is_deterministic() {
-        let line = [
-            "fleet", "--volumes", "4", "--hours", "72", "--seed", "9", "--stripes", "8",
-            "--element", "16", "--scale", "120", "--spares", "2",
-        ];
-        let human = run_line(&line).unwrap();
-        assert!(human.contains("fleet: 4 volumes"), "{human}");
-        assert!(human.contains("reproduce with `hvraid fleet --seed 9`"), "{human}");
-
-        let mut json_line = line.to_vec();
-        json_line.push("--json");
-        let a = run_line(&json_line).unwrap();
-        let b = run_line(&json_line).unwrap();
-        assert_eq!(a, b, "seeded fleet JSON must be byte-identical");
-        assert!(a.contains("\"schema_version\": 1"), "{a}");
-        assert!(a.contains("\"volumes\": 4"), "{a}");
-        assert!(a.contains("\"models\""), "{a}");
-    }
-
-    #[test]
-    fn fleet_rejects_bad_domains() {
-        assert!(run_line(&["fleet", "--volumes", "0"]).is_err());
-        assert!(run_line(&["fleet", "--volumes", "2", "--hours", "0"]).is_err());
-        assert!(run_line(&["fleet", "--volumes", "2", "--scale", "-5"]).is_err());
     }
 
     #[test]
@@ -1255,10 +1164,35 @@ mod tests {
     }
 
     #[test]
-    fn estimate_reports_mttdl() {
+    fn estimate_reports_rebuild_times() {
         let out = run_line(&["estimate", "--code", "hv", "--p", "7", "--stripes", "4"]).unwrap();
-        assert!(out.contains("MTTDL"));
-        assert!(out.contains("rebuild"));
+        assert!(out.contains("single-disk rebuild:"), "{out}");
+        assert!(out.contains("double-disk rebuild:"), "{out}");
+        let err = run_line(&["estimate", "--code", "hv", "--mttf", "1000000"]).unwrap_err();
+        assert_eq!(err, "unknown flag --mttf for estimate");
+    }
+
+    #[test]
+    fn zero_sizes_are_usage_errors() {
+        let dir = std::env::temp_dir().join(format!("hvraid-cli-zero-{}", std::process::id()));
+        let (dir, trace) = (dir.to_str().unwrap(), "/nonexistent/trace.txt");
+        let socket = format!("{dir}/s.sock");
+        for (line, flag) in [
+            (&["estimate", "--code", "hv", "--stripes", "0"][..], "stripes"),
+            (&["batch", "--code", "hv", "--p", "5", "--stripes", "0"], "stripes"),
+            (&["batch", "--code", "hv", "--p", "5", "--element", "0"], "element"),
+            (&["chaos", "--stripes", "0"], "stripes"),
+            (&["chaos", "--element", "0"], "element"),
+            (&["replay", "--code", "hv", "--trace", trace, "--stripes", "0"], "stripes"),
+            (&["volume", "--code", "hv", "--dir", dir, "--stripes", "0"], "stripes"),
+            (&["volume", "--code", "hv", "--dir", dir, "--element", "0"], "element"),
+            (&["serve", "--socket", &socket, "--stripes", "0"], "stripes"),
+            (&["serve", "--socket", &socket, "--element", "0"], "element"),
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert_eq!(err, format!("--{flag} must be positive"), "{line:?}");
+        }
+        assert!(!std::path::Path::new(dir).exists(), "a rejected command created {dir}");
     }
 
     #[test]

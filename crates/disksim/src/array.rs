@@ -129,8 +129,8 @@ impl BatchRecord {
     }
 }
 
-/// A simulated disk array with per-disk FIFO queues ([`DiskQueues`],
-/// issued at the array's own serializing clock).
+/// A simulated disk array with per-disk FIFO queues, issued at the
+/// array's own serializing clock.
 ///
 /// The clock advances only through [`DiskArray::run_batch`]: a batch models
 /// a set of element requests issued at the same instant (the controller

@@ -24,9 +24,8 @@
 
 pub mod array;
 pub mod profile;
-pub mod queue;
+pub(crate) mod queue;
 pub mod recovery;
 
 pub use array::{DiskArray, DiskError, ErrorClass};
 pub use profile::DiskProfile;
-pub use queue::DiskQueues;

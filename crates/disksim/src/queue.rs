@@ -1,21 +1,5 @@
-//! Concurrent-issue queueing: per-operation latency when several
-//! operations are in flight at the same instant.
-//!
-//! [`crate::array::DiskArray`] issues through these same queues but
-//! serializes batches — it advances its clock to each batch's makespan
-//! before the next one is issued, so two operations never contend and a
-//! batch's makespan is its *isolated* latency. That is the right model for throughput questions ("how long
-//! does this whole rebuild take?") but cannot express the fleet harness's
-//! QoS question: *how much does a rebuild burst issued in the same
-//! scheduling tick inflate a foreground write's latency?*
-//!
-//! [`DiskQueues`] answers that: every operation is issued at an explicit
-//! timestamp, queues FIFO behind whatever each of its disks is already
-//! serving, and its latency is `completion − issue` — so a foreground
-//! element landing behind a 40-element rebuild burst on the same spindle
-//! pays the wait. Time never advances implicitly; the caller owns the
-//! clock (the fleet harness uses one tick per simulated hour, which also
-//! means queues drain naturally between ticks).
+//! Per-disk FIFO queues under an explicit caller-owned clock: the
+//! queueing core [`crate::array::DiskArray`] issues its batches through.
 
 use crate::profile::DiskProfile;
 
@@ -38,21 +22,13 @@ impl DiskQueues {
         DiskQueues { busy_until_ms: vec![0.0; disks], service_ms: profile.element_service_ms() }
     }
 
-    /// Number of disks modeled.
-    pub fn disks(&self) -> usize {
-        self.busy_until_ms.len()
-    }
-
     /// Issues one operation at absolute time `at_ms`: `per_disk[d]`
     /// element requests enqueue FIFO on disk `d` behind whatever is still
     /// in its queue. Returns the operation's latency (completion of its
     /// slowest disk minus `at_ms`); an operation touching no disks has
     /// zero latency.
     ///
-    /// Issue order *is* queue order for same-instant operations — the
-    /// caller decides who goes first (the fleet harness issues the
-    /// rebuild burst before the tick's foreground writes, the
-    /// conservative choice for foreground latency).
+    /// Issue order *is* queue order for same-instant operations.
     ///
     /// # Panics
     ///

@@ -23,9 +23,8 @@
 //!   hybrid-chain single-disk recovery optimizer (Fig. 9a);
 //! * [`io`] — per-disk request sets, the cumulative [`io::IoLedger`], and
 //!   the load-balancing rate λ of Eq. (7);
-//! * [`stats`] — shared percentile / EWMA / latency-histogram math used
-//!   by every consumer that reports a distribution (fleet QoS, service
-//!   front-end, benches);
+//! * [`stats`] — the shared percentile and latency-histogram math the
+//!   service front-end reports from;
 //! * [`invariants`] — structural checkers shared by every code's test suite.
 //!
 //! The trait [`code::ArrayCode`] ties a layout to its construction

@@ -1,18 +1,17 @@
-//! Shared distribution statistics: nearest-rank percentiles, summary
-//! stats, EWMA smoothing, and a mergeable log-bucketed latency histogram.
+//! Shared distribution statistics: the nearest-rank percentile and a
+//! mergeable log-bucketed latency histogram.
 //!
-//! One home for the math that used to be duplicated per consumer: the
-//! fleet harness (QoS p99 baselines, MTTR summaries) and the service
-//! front-end (per-tenant admission→completion latency) both report from
-//! here, so "p99" means the same thing everywhere in the workspace.
+//! The service front-end reports per-tenant admission→completion latency
+//! from here, so "p99" means the same thing everywhere in the workspace.
 //!
 //! Two representations, two tradeoffs:
 //!
-//! * [`percentile`] / [`DistSummary`] operate on the full sample vector —
-//!   exact nearest-rank semantics, right when every sample is kept;
+//! * [`percentile`] operates on the full sample vector — exact
+//!   nearest-rank semantics, right when every sample is kept;
 //! * [`Histogram`] is a fixed-size log₂-bucketed sketch — O(1) record,
 //!   mergeable across worker shards, bounded memory under sustained
-//!   traffic, percentiles interpolated within the matched bucket.
+//!   traffic, percentiles interpolated within the matched bucket with the
+//!   same rank rule.
 
 /// Nearest-rank percentile of an ascending-sorted slice (0 when empty).
 ///
@@ -25,76 +24,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
     sorted[idx]
-}
-
-/// Five-number summary of a sample distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistSummary {
-    /// Samples observed.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl DistSummary {
-    /// Summarizes `samples` (sorted in place); `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sample is NaN.
-    #[must_use]
-    pub fn from(samples: &mut [f64]) -> Option<DistSummary> {
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        Some(DistSummary {
-            count: samples.len() as u64,
-            mean,
-            p50: percentile(samples, 0.50),
-            p95: percentile(samples, 0.95),
-            max: *samples.last().expect("non-empty"),
-        })
-    }
-}
-
-/// Exponentially-weighted moving average with weight `alpha` on the
-/// newest observation. The first observation seeds the average directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// A fresh average; `alpha` is the weight of each new observation.
-    #[must_use]
-    pub fn new(alpha: f64) -> Ewma {
-        Ewma { alpha: alpha.clamp(0.0, 1.0), value: None }
-    }
-
-    /// Folds in `sample` and returns the updated average.
-    pub fn observe(&mut self, sample: f64) -> f64 {
-        let next = match self.value {
-            None => sample,
-            Some(prev) => (1.0 - self.alpha) * prev + self.alpha * sample,
-        };
-        self.value = Some(next);
-        next
-    }
-
-    /// The current average, `None` before any observation.
-    #[must_use]
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
 }
 
 /// Number of log₂ buckets: covers `[0, 2^63)` — any u64 sample.
@@ -237,28 +166,6 @@ mod tests {
         // Out-of-range q clamps instead of panicking.
         assert_eq!(percentile(&s, -1.0), 1.0);
         assert_eq!(percentile(&s, 2.0), 4.0);
-    }
-
-    #[test]
-    fn dist_summary_matches_percentile() {
-        let mut s = vec![4.0, 1.0, 3.0, 2.0, 10.0];
-        let d = DistSummary::from(&mut s).unwrap();
-        assert_eq!(d.count, 5);
-        assert_eq!(d.mean, 4.0);
-        assert_eq!(d.p50, 3.0);
-        assert_eq!(d.p95, 10.0);
-        assert_eq!(d.max, 10.0);
-        assert!(DistSummary::from(&mut []).is_none());
-    }
-
-    #[test]
-    fn ewma_seeds_then_smooths() {
-        let mut e = Ewma::new(0.2);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.observe(10.0), 10.0);
-        // 0.8 * 10 + 0.2 * 20 = 12
-        assert!((e.observe(20.0) - 12.0).abs() < 1e-12);
-        assert!((e.value().unwrap() - 12.0).abs() < 1e-12);
     }
 
     #[test]

@@ -136,104 +136,6 @@ pub enum RecoveryAction {
     },
     /// Not recoverable at this level: propagate the error.
     Fatal,
-    /// Re-pace background rebuild I/O to `rate` stripes per scheduling
-    /// tick. Emitted by the [`RebuildThrottle`] controller (not by
-    /// [`HealthMonitor::on_error`]): rebuild arbitration is driven by
-    /// foreground latency, not by a disk error.
-    Throttle {
-        /// Granted rebuild rate, in stripes per tick.
-        rate: f64,
-    },
-}
-
-/// Tuning for the adaptive rebuild throttle (AIMD, token-bucket style).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThrottleConfig {
-    /// Floor on the granted rate — rebuild always makes progress.
-    pub min_rate: f64,
-    /// Ceiling on the granted rate (the burst size of the bucket).
-    pub max_rate: f64,
-    /// Foreground p99 above `degrade_threshold × baseline` counts as a
-    /// QoS violation and triggers multiplicative backoff.
-    pub degrade_threshold: f64,
-    /// Multiplicative decrease applied on a QoS violation (0 < f < 1).
-    pub backoff_factor: f64,
-    /// Additive increase per calm tick, in stripes per tick.
-    pub step_up: f64,
-}
-
-impl Default for ThrottleConfig {
-    fn default() -> Self {
-        ThrottleConfig {
-            min_rate: 1.0,
-            max_rate: 8.0,
-            degrade_threshold: 1.5,
-            backoff_factor: 0.5,
-            step_up: 1.0,
-        }
-    }
-}
-
-/// Adaptive rebuild-rate controller: arbitrates background rebuild I/O
-/// against foreground traffic.
-///
-/// Classic AIMD over a token bucket: each tick the caller reports the
-/// foreground p99 it observed; the controller backs the rebuild rate off
-/// multiplicatively when foreground latency degrades past the threshold,
-/// creeps it up additively while foreground is comfortable, and jumps to
-/// the ceiling when foreground is idle. Rate is denominated in stripes
-/// per tick; [`RebuildThrottle::take_budget`] converts the (fractional)
-/// rate into a whole-stripe budget, banking the remainder so e.g. rate
-/// 0.5 rebuilds one stripe every other tick rather than never.
-#[derive(Debug, Clone)]
-pub struct RebuildThrottle {
-    cfg: ThrottleConfig,
-    rate: f64,
-    tokens: f64,
-    backoffs: u64,
-}
-
-impl RebuildThrottle {
-    /// A throttle starting at the configured ceiling (optimistic: back
-    /// off only once foreground traffic demonstrably suffers).
-    pub fn new(cfg: ThrottleConfig) -> Self {
-        RebuildThrottle { cfg, rate: cfg.max_rate, tokens: 0.0, backoffs: 0 }
-    }
-
-    /// Current granted rate, in stripes per tick.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Multiplicative-backoff events so far.
-    pub fn backoffs(&self) -> u64 {
-        self.backoffs
-    }
-
-    /// Feeds one tick of foreground observation (`None` = foreground
-    /// idle) and returns the re-paced rate as a
-    /// [`RecoveryAction::Throttle`].
-    pub fn observe(&mut self, fg_p99_ms: Option<f64>, baseline_p99_ms: f64) -> RecoveryAction {
-        match fg_p99_ms {
-            // Idle foreground: rebuild at full tilt.
-            None => self.rate = self.cfg.max_rate,
-            Some(p99) if p99 > self.cfg.degrade_threshold * baseline_p99_ms => {
-                self.rate = (self.rate * self.cfg.backoff_factor).max(self.cfg.min_rate);
-                self.backoffs += 1;
-            }
-            Some(_) => self.rate = (self.rate + self.cfg.step_up).min(self.cfg.max_rate),
-        }
-        RecoveryAction::Throttle { rate: self.rate }
-    }
-
-    /// Converts the current rate into a whole-stripe budget for this
-    /// tick, banking any fractional remainder for later ticks.
-    pub fn take_budget(&mut self) -> usize {
-        self.tokens += self.rate;
-        let grant = self.tokens.floor();
-        self.tokens -= grant;
-        grant as usize
-    }
 }
 
 /// Per-volume health bookkeeping: classifies errors into
@@ -420,37 +322,6 @@ mod tests {
             assert!(b.is_finite() && b >= prev);
             prev = b;
         }
-    }
-
-    #[test]
-    fn throttle_backs_off_and_recovers() {
-        let cfg = ThrottleConfig::default();
-        let mut t = RebuildThrottle::new(cfg);
-        assert!((t.rate() - cfg.max_rate).abs() < 1e-12);
-        // Degraded foreground: multiplicative decrease down to the floor.
-        assert_eq!(t.observe(Some(200.0), 100.0), RecoveryAction::Throttle { rate: 4.0 });
-        assert_eq!(t.observe(Some(200.0), 100.0), RecoveryAction::Throttle { rate: 2.0 });
-        assert_eq!(t.observe(Some(200.0), 100.0), RecoveryAction::Throttle { rate: 1.0 });
-        assert_eq!(t.observe(Some(200.0), 100.0), RecoveryAction::Throttle { rate: 1.0 });
-        assert_eq!(t.backoffs(), 4);
-        // Comfortable foreground: additive increase.
-        assert_eq!(t.observe(Some(120.0), 100.0), RecoveryAction::Throttle { rate: 2.0 });
-        assert_eq!(t.observe(Some(120.0), 100.0), RecoveryAction::Throttle { rate: 3.0 });
-        // Idle foreground: straight to the ceiling.
-        assert_eq!(t.observe(None, 100.0), RecoveryAction::Throttle { rate: 8.0 });
-    }
-
-    #[test]
-    fn throttle_budget_banks_fractional_tokens() {
-        let mut t = RebuildThrottle::new(ThrottleConfig {
-            min_rate: 0.5,
-            max_rate: 0.5,
-            ..ThrottleConfig::default()
-        });
-        // Rate 0.5 stripes/tick: one stripe every other tick, never zero
-        // forever and never rounding up to one per tick.
-        let grants: Vec<usize> = (0..6).map(|_| t.take_budget()).collect();
-        assert_eq!(grants, vec![0, 1, 0, 1, 0, 1]);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod health;
 pub mod lower;
 pub mod mttr;
 pub mod pipeline;
-pub mod reliability;
 pub mod replay;
 pub mod volume;
 
@@ -49,9 +48,7 @@ pub use backend::{
 };
 pub use cache::CacheConfig;
 pub use chaos::{ChaosConfig, ChaosReport};
-pub use health::{
-    HealthMonitor, HealthState, RebuildThrottle, RecoveryAction, RetryPolicy, ThrottleConfig,
-};
+pub use health::{HealthMonitor, HealthState, RecoveryAction, RetryPolicy};
 pub use pipeline::{DiskAddr, IoPipeline, LoweredOp};
 pub use replay::{replay_read_patterns, replay_write_trace, ReadReplay, WriteReplay};
 pub use volume::{RaidVolume, VolumeError};

@@ -1,11 +1,10 @@
 //! Rebuild-time estimation: how long until a degraded array is healthy
 //! again — the volume-scale operationalization of the paper's Fig. 9.
 //!
-//! Reliability modeling treats the mean time to repair (MTTR) as the window
-//! during which a second (or third, fatal) failure can strike, so a code
-//! that shortens rebuilds — fewer elements read per lost element (Fig. 9a),
-//! more parallel recovery chains (Fig. 9b) — directly improves the array's
-//! mean time to data loss.
+//! The rebuild time is the window during which a further failure can
+//! strike, so a code that shortens rebuilds — fewer elements read per lost
+//! element (Fig. 9a), more parallel recovery chains (Fig. 9b) — shortens
+//! the array's exposure.
 
 use disk_sim::{DiskArray, DiskProfile};
 use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
@@ -89,43 +88,6 @@ pub fn estimate_rebuild(
     RebuildEstimate { single_ms, double_ms }
 }
 
-/// Estimates rebuild times with the rebuild I/O paced at `rate` (a
-/// fraction of full tilt in `(0, 1]`): the throttled array moves the same
-/// elements through the same bottleneck disks, just slower, so both times
-/// scale by `1 / rate`. This is the closed-form input a QoS-aware
-/// controller (see `RebuildThrottle`) trades against — rebuilding at a
-/// quarter rate quarters foreground interference but quadruples the
-/// exposure window.
-///
-/// # Panics
-///
-/// Panics if `rate` is not in `(0, 1]` or `stripes` is zero.
-pub fn estimate_rebuild_throttled(
-    code: &dyn ArrayCode,
-    stripes: usize,
-    profile: DiskProfile,
-    rate: f64,
-) -> RebuildEstimate {
-    assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0, 1]");
-    let full = estimate_rebuild(code, stripes, profile);
-    RebuildEstimate { single_ms: full.single_ms / rate, double_ms: full.double_ms / rate }
-}
-
-/// Converts a *measured* rebuild's ledger into modeled disk time: the
-/// bottleneck disk's element count × the profile's per-element service
-/// time. `per_disk_elements` is the rebuild's per-disk I/O (reads +
-/// writes, e.g. an [`raid_core::io::IoLedger`]'s per-disk totals summed
-/// over the rebuild's steps); because elements ahead of the rebuild
-/// frontier are the only ones the ledger ever records, the figure is
-/// frontier-aware by construction — a rebuild resumed from a checkpoint
-/// charges only the stripes it actually moved.
-///
-/// Returns 0 for an empty ledger (nothing was rebuilt).
-pub fn measured_rebuild_ms(per_disk_elements: &[u64], profile: DiskProfile) -> f64 {
-    let bottleneck = per_disk_elements.iter().copied().max().unwrap_or(0);
-    bottleneck as f64 * profile.element_service_ms()
-}
-
 /// Event-accurate single-disk rebuild simulation: every stripe's
 /// minimum-I/O read batch and spare-disk writes flow through a
 /// [`DiskArray`] stripe by stripe, so queueing between consecutive stripes
@@ -199,35 +161,6 @@ mod tests {
         let ten = estimate_rebuild(&HvCode::new(7).unwrap(), 10, profile);
         assert!((ten.single_ms / one.single_ms - 10.0).abs() < 1e-6);
         assert!((ten.double_ms / one.double_ms - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn throttled_estimate_scales_inversely_with_rate() {
-        let profile = DiskProfile::savvio_10k();
-        let code = HvCode::new(7).unwrap();
-        let full = estimate_rebuild(&code, 8, profile);
-        let half = estimate_rebuild_throttled(&code, 8, profile, 0.5);
-        let quarter = estimate_rebuild_throttled(&code, 8, profile, 0.25);
-        assert!((half.single_ms - 2.0 * full.single_ms).abs() < 1e-9);
-        assert!((quarter.double_ms - 4.0 * full.double_ms).abs() < 1e-9);
-        // rate = 1 is exactly the unthrottled estimate.
-        assert_eq!(estimate_rebuild_throttled(&code, 8, profile, 1.0), full);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be in (0, 1]")]
-    fn throttled_estimate_rejects_zero_rate() {
-        estimate_rebuild_throttled(&HvCode::new(7).unwrap(), 8, DiskProfile::savvio_10k(), 0.0);
-    }
-
-    #[test]
-    fn measured_rebuild_charges_the_bottleneck_disk() {
-        let profile = DiskProfile::savvio_10k();
-        let re = profile.element_service_ms();
-        assert_eq!(measured_rebuild_ms(&[], profile), 0.0);
-        assert_eq!(measured_rebuild_ms(&[0, 0, 0], profile), 0.0);
-        let ms = measured_rebuild_ms(&[12, 40, 7, 40], profile);
-        assert!((ms - 40.0 * re).abs() < 1e-9);
     }
 
     #[test]

@@ -581,9 +581,8 @@ impl RaidVolume {
     /// [`RaidVolume::maintain`]: it starts the spare-consuming rebuild
     /// (if warranted) without rebuilding any stripes yet. With failed
     /// disks left uncovered and the pool empty it returns the typed
-    /// [`VolumeError::SpareExhausted`] so a fleet controller can queue
-    /// the volume for a spare instead of inferring exhaustion from
-    /// "maintain did nothing".
+    /// [`VolumeError::SpareExhausted`] so the caller can stock a spare
+    /// instead of inferring exhaustion from "maintain did nothing".
     ///
     /// # Errors
     ///
@@ -706,9 +705,6 @@ impl RaidVolume {
             RecoveryAction::RepairLatent { disk, index } => self.repair_latent(disk, index),
             RecoveryAction::FailDisk { disk } => self.adopt_failure(disk, e),
             RecoveryAction::Fatal => Err(VolumeError::Backend(e)),
-            // Rebuild pacing is not an error response; the monitor never
-            // emits it here. Treat a stray one as "nothing to recover".
-            RecoveryAction::Throttle { .. } => Ok(()),
         }
     }
 

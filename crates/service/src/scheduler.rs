@@ -36,8 +36,8 @@
 //! duplicate metric series no matter how many connections carried it.
 //!
 //! Latency is recorded per op from admission to completion into a
-//! per-session [`Histogram`] ([`raid_core::stats`]), the same percentile
-//! definitions the fleet harness reports.
+//! per-session [`Histogram`] ([`raid_core::stats`]), whose percentile
+//! uses the workspace's one nearest-rank rule.
 //!
 //! A panic under the volume lock (a volume bug, a
 //! [`Service::with_volume`] callback) **closes** the service: the

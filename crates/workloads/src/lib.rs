@@ -95,9 +95,8 @@ impl WriteTrace {
     /// lengths are truncated to the capacity and starts pulled back so
     /// `start + len ≤ data_elements`. Generators target the element space
     /// they were asked for, but a replayer driving a *smaller* volume
-    /// (the fleet harness replays one shared trace against many
-    /// odd-shaped volumes) needs every operation in range rather than an
-    /// `OutOfRange` rejection mid-run.
+    /// needs every operation in range rather than an `OutOfRange`
+    /// rejection mid-run.
     ///
     /// # Panics
     ///

@@ -2,13 +2,13 @@
 # Same decisions, same bytes: unpacks BASE into target/ab-base (`git
 # archive`, removed on exit) as scripts/ab.sh does, builds it and the
 # working tree in release mode, runs each deterministic command below on
-# both sides — the four chaos campaigns `make chaos-smoke` runs, the fleet
-# report `make fleet-smoke` runs, the static analyzer's proofs and the
-# paper's tables (`repro`'s CSVs: its stdout carries wall times) — and
-# compares their output and exit status byte for byte. Prints one `same`
-# or `DIFFERS` line per command. Each command runs in a directory of its
-# own, target/same-bytes/<side>/<name>/ (`stdout`, `status`), kept for a
-# `diff -r` after a DIFFERS; BASE builds under target/same-bytes-build.
+# both sides — the four chaos campaigns `make chaos-smoke` runs, the
+# static analyzer's proofs and the paper's tables (`repro`'s CSVs: its
+# stdout carries wall times) — and compares their output and exit status
+# byte for byte. Prints one `same` or `DIFFERS` line per command. Each
+# command runs in a directory of its own, target/same-bytes/<side>/<name>/
+# (`stdout`, `status`), kept for a `diff -r` after a DIFFERS; BASE builds
+# under target/same-bytes-build.
 #
 # Exit status: 0 when every command printed the same bytes on both sides,
 # 1 when one did not.
@@ -29,7 +29,6 @@ COMMANDS='chaos-1|stdout|hvraid chaos --seed 1 --episodes 25
 chaos-2|stdout|hvraid chaos --seed 2 --episodes 25 --backend mem --spares 0
 chaos-3|stdout|hvraid chaos --seed 3 --episodes 25 --stripes 8
 chaos-4|stdout|hvraid chaos --seed 4 --episodes 10 --element 20000
-fleet|stdout|hvraid fleet --volumes 12 --hours 96 --seed 5 --stripes 8 --element 16 --json
 lint|stdout|hvraid lint --all --journal
 repro|csv|repro --csv csv all'
 
