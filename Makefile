@@ -121,7 +121,9 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Static analysis gate: warnings-as-errors clippy across every target,
-# the (gated) miri pass over the unsafe kernels, then the symbolic
+# warnings-as-errors rustdoc (a deletion cannot leave a dangling or
+# private intra-doc link behind), the (gated) miri pass over the unsafe
+# kernels, then the symbolic
 # verifier proving every registered code at every default prime —
 # including the crash-journal proof (itemized by --journal). Then the
 # optimizer regression gate: the plan optimizer must keep saving at least
@@ -131,6 +133,7 @@ serve-smoke:
 # never reads more than the cascaded compile).
 lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 	$(MAKE) miri
 	$(CARGO) run -q -p hvraid -- lint --all --journal
 	$(CARGO) run -q --release -p hvraid -- lint --code rdp --p 13 --min-savings 10

@@ -25,8 +25,8 @@ use raid_core::ArrayCode;
 /// read experiments, so each code serves the identical logical workload.
 pub const DATA_SPACE: usize = 2400;
 
-/// Element size used by the in-memory volumes. Timing uses the simulator's
-/// 16 MB profile; the in-memory payload can stay small.
+/// Element size used by the in-memory volumes. Timing uses the disk
+/// profile's 16 MB elements; the in-memory payload can stay small.
 pub const ELEMENT_BYTES: usize = 8;
 
 /// Builds a volume for `code` with at least [`DATA_SPACE`] data elements.

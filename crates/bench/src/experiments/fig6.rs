@@ -5,12 +5,13 @@
 //!
 //! * **6a** the total induced element-write requests,
 //! * **6b** the load-balancing rate λ (Eq. 7) over per-disk writes,
-//! * **6c** the average simulated time to complete one write pattern
-//!   (RMW reads + writes served by the disk-array simulator).
+//! * **6c** the average modeled time to complete one write pattern: each
+//!   of its request sets (RMW reads + writes) costs its busiest disk's
+//!   element count × `Re`.
 
 use std::sync::Arc;
 
-use disk_sim::{DiskArray, DiskProfile};
+use disk_sim::DiskProfile;
 use raid_core::ArrayCode;
 use raid_workloads::{table2_trace, uniform_write_trace, WriteTrace};
 
@@ -29,7 +30,7 @@ pub struct Fig6Row {
     pub total_writes: u64,
     /// Load balancing rate λ over writes (Fig. 6b).
     pub lambda: f64,
-    /// Average simulated milliseconds per write pattern (Fig. 6c).
+    /// Average modeled milliseconds per write pattern (Fig. 6c).
     pub avg_pattern_ms: f64,
 }
 
@@ -57,8 +58,7 @@ pub fn run(p: usize, seed: u64) -> Vec<Fig6Row> {
 /// Replays one trace against one code through the library replay engine.
 pub fn run_one(code: &Arc<dyn ArrayCode>, trace: &WriteTrace, profile: DiskProfile) -> Fig6Row {
     let mut volume = volume_for(code);
-    let sim = DiskArray::new(volume.disks(), profile);
-    let out = raid_array::replay_write_trace(&mut volume, sim, trace)
+    let out = raid_array::replay_write_trace(&mut volume, profile, trace)
         .expect("healthy replay");
     Fig6Row {
         code: code.name().to_string(),

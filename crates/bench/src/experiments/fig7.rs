@@ -1,13 +1,14 @@
 //! Fig. 7 — degraded-read efficiency (`p = 13`, `L ∈ {1,5,10,15}`,
 //! 100 patterns, expectation over the failed disk).
 //!
-//! * **7a** average simulated time per degraded read pattern;
+//! * **7a** average modeled time per degraded read pattern (each request
+//!   set costs its busiest disk's element count × `Re`);
 //! * **7b** I/O efficiency `L′/L` — elements actually fetched per element
 //!   requested.
 
 use std::sync::Arc;
 
-use disk_sim::{DiskArray, DiskProfile};
+use disk_sim::DiskProfile;
 use raid_core::ArrayCode;
 use raid_workloads::degraded_read_patterns;
 
@@ -22,7 +23,7 @@ pub struct Fig7Row {
     pub code: String,
     /// Requested read length `L`.
     pub len: usize,
-    /// Average simulated milliseconds per degraded read pattern (Fig. 7a).
+    /// Average modeled milliseconds per degraded read pattern (Fig. 7a).
     pub avg_pattern_ms: f64,
     /// Average `L′/L` (Fig. 7b, 1.0 is ideal).
     pub efficiency: f64,
@@ -57,9 +58,7 @@ pub fn run_one(
     for failed in 0..disks {
         let mut volume = volume_for(code);
         volume.fail_disk(failed).expect("valid disk");
-        // attach_sim syncs the failure into the simulator.
-        let sim = DiskArray::new(disks, profile);
-        let out = raid_array::replay_read_patterns(&mut volume, sim, &pats)
+        let out = raid_array::replay_read_patterns(&mut volume, profile, &pats)
             .expect("degraded replay");
         total_ms += out.latencies_ms.iter().sum::<f64>();
         total_eff += out.efficiencies.iter().sum::<f64>();

@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use disk_sim::recovery::lc_re_time_ms;
 use disk_sim::DiskProfile;
 use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
 use raid_core::schedule::double_failure_schedule;
@@ -79,7 +78,7 @@ pub fn run_9a(primes: &[usize]) -> Vec<Fig9aRow> {
 
 /// Runs Fig. 9b for the given primes.
 pub fn run_9b(primes: &[usize]) -> Vec<Fig9bRow> {
-    let profile = DiskProfile::savvio_10k();
+    let re = DiskProfile::savvio_10k().element_service_ms();
     let mut rows = Vec::new();
     for &p in primes {
         for code in evaluated(p) {
@@ -103,7 +102,7 @@ pub fn run_9b(primes: &[usize]) -> Vec<Fig9bRow> {
                 p,
                 expected_lc,
                 avg_chains: chain_sum as f64 / pairs as f64,
-                time_ms: lc_re_time_ms(1, &profile) * expected_lc,
+                time_ms: re * expected_lc,
             });
         }
     }

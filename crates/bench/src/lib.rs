@@ -10,7 +10,7 @@
 //! cargo run --release -p raid-bench --bin repro -- fig7a fig7b fig9a fig9b table3
 //! ```
 //!
-//! Absolute numbers depend on the simulated disk profile (DESIGN.md §2);
+//! Absolute numbers depend on the modeled disk profile (DESIGN.md §2);
 //! what must match the paper is the *shape*: which code wins, by roughly
 //! what factor, and where the crossovers are. EXPERIMENTS.md records the
 //! paper-vs-measured comparison produced by this harness.

@@ -3,8 +3,7 @@
 
 use std::sync::Arc;
 
-use disk_sim::{DiskArray, DiskProfile};
-use raid_array::mttr::estimate_rebuild;
+use disk_sim::DiskProfile;
 use raid_array::{
     chaos, replay_write_trace, CacheConfig, ChaosConfig, DiskBackend, FileBackend,
     JournalRecovery, MemBackend, RaidVolume, VolumeError, VolumeMeta,
@@ -36,8 +35,6 @@ commands:
                                            routes writes through an N-stripe
                                            write-back cache and reports the
                                            coalesced flush / eviction counts
-  estimate  --code <name> [--p 13] [--stripes 64]
-                                           single- and double-disk rebuild times
   batch     --code <name> [--p 13] [--stripes 256] [--element 4096]
             [--backend mem|file] [--dir <dir>]
                                            full-stripe write (which encodes) and
@@ -127,7 +124,6 @@ pub fn run_with_status(parsed: &Parsed) -> Result<(String, u8), String> {
                 "info" => info(parsed),
                 "demo" => demo(parsed),
                 "replay" => replay(parsed),
-                "estimate" => estimate(parsed),
                 "batch" => batch(parsed),
                 "volume" => volume_lifecycle(parsed),
                 "chaos" => chaos_campaign(parsed),
@@ -297,8 +293,8 @@ fn replay(parsed: &Parsed) -> Result<String, String> {
             dirty_high_water: (cache_stripes * 3 / 4).max(1),
         });
     }
-    let sim = DiskArray::new(volume.disks(), DiskProfile::savvio_10k());
-    let out = replay_write_trace(&mut volume, sim, &trace).map_err(|e| e.to_string())?;
+    let out = replay_write_trace(&mut volume, DiskProfile::savvio_10k(), &trace)
+        .map_err(|e| e.to_string())?;
     let mut text = format!(
         "{} at p = {p}: replayed '{}' ({} patterns)\n\
          total write requests: {}\n\
@@ -321,20 +317,6 @@ fn replay(parsed: &Parsed) -> Result<String, String> {
         ));
     }
     Ok(text)
-}
-
-fn estimate(parsed: &Parsed) -> Result<String, String> {
-    let (code, p) = code_from(parsed, 13)?;
-    let stripes = parsed.get_positive("stripes", 64)?;
-    let rebuild = estimate_rebuild(code.as_ref(), stripes, DiskProfile::savvio_10k());
-    Ok(format!(
-        "{} at p = {p}, {stripes} stripes, 16 MB elements\n\
-         single-disk rebuild:  {:.0} ms\n\
-         double-disk rebuild:  {:.0} ms",
-        code.name(),
-        rebuild.single_ms,
-        rebuild.double_ms,
-    ))
 }
 
 /// Builds the backend requested by `--backend` (`mem` default; `file`
@@ -1164,22 +1146,12 @@ mod tests {
     }
 
     #[test]
-    fn estimate_reports_rebuild_times() {
-        let out = run_line(&["estimate", "--code", "hv", "--p", "7", "--stripes", "4"]).unwrap();
-        assert!(out.contains("single-disk rebuild:"), "{out}");
-        assert!(out.contains("double-disk rebuild:"), "{out}");
-        let err = run_line(&["estimate", "--code", "hv", "--mttf", "1000000"]).unwrap_err();
-        assert_eq!(err, "unknown flag --mttf for estimate");
-    }
-
-    #[test]
     fn zero_sizes_are_usage_errors() {
         let dir = std::env::temp_dir().join(format!("hvraid-cli-zero-{}", std::process::id()));
         let (dir, trace) = (dir.to_str().unwrap(), "/nonexistent/trace.txt");
         let socket = format!("{dir}/s.sock");
         for (line, flag) in [
-            (&["estimate", "--code", "hv", "--stripes", "0"][..], "stripes"),
-            (&["batch", "--code", "hv", "--p", "5", "--stripes", "0"], "stripes"),
+            (&["batch", "--code", "hv", "--p", "5", "--stripes", "0"][..], "stripes"),
             (&["batch", "--code", "hv", "--p", "5", "--element", "0"], "element"),
             (&["chaos", "--stripes", "0"], "stripes"),
             (&["chaos", "--element", "0"], "element"),

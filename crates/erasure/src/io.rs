@@ -4,9 +4,9 @@
 //!
 //! * [`RequestSet`] — the per-disk element requests of **one** lowered
 //!   operation (one pipeline commit): how many element reads, data-element
-//!   writes and parity-element writes each disk must serve. This is the
-//!   object handed verbatim to the disk simulator, so timing and
-//!   accounting can never disagree about what was issued.
+//!   writes and parity-element writes each disk must serve. Its busiest
+//!   disk's count ([`RequestSet::busiest_disk`]) is what the operation
+//!   costs in disk time, so timing and accounting read the same object.
 //! * [`IoLedger`] — cumulative counters built by absorbing request sets,
 //!   replacing the seed's separate `IoReceipt` (per operation) and
 //!   `IoTally` (per experiment): a ledger over one request set *is* the
@@ -51,6 +51,13 @@ impl PerDisk {
 
     fn totals(&self) -> Vec<u64> {
         self.kind(READS).iter().zip(self.writes()).map(|(r, w)| r + w).collect()
+    }
+
+    /// The largest per-disk total, without building the totals.
+    fn busiest(&self) -> u64 {
+        let (reads, data) = (self.kind(READS), self.kind(DATA_WRITES));
+        let totals = reads.iter().zip(data).zip(self.kind(PARITY_WRITES));
+        totals.map(|((r, d), p)| r + d + p).max().unwrap_or(0)
     }
 
     fn sum(&self, kind: usize) -> u64 {
@@ -117,9 +124,17 @@ impl RequestSet {
     }
 
     /// Per-disk total requests (reads + writes) — what each spindle must
-    /// serve for this operation; the disk simulator's input.
+    /// serve for this operation.
     pub fn per_disk_totals(&self) -> Vec<u64> {
         self.counts.totals()
+    }
+
+    /// The element count of the busiest disk — the largest of
+    /// [`RequestSet::per_disk_totals`], 0 for an empty set. Every disk
+    /// serves its share in parallel, so this count × the element service
+    /// time is how long the set takes. Allocates nothing.
+    pub fn busiest_disk(&self) -> u64 {
+        self.counts.busiest()
     }
 
     /// Total element reads.
@@ -458,6 +473,22 @@ mod tests {
         assert_eq!(rs.writes_per_disk(), vec![0, 1, 2]);
         assert!(!rs.is_empty());
         assert!(RequestSet::new(2).is_empty());
+    }
+
+    #[test]
+    fn busiest_disk_counts_reads_and_writes_of_one_disk() {
+        assert_eq!(RequestSet::new(3).busiest_disk(), 0);
+        assert_eq!(RequestSet::new(0).busiest_disk(), 0);
+        let mut rs = RequestSet::new(3);
+        rs.add_reads(0, 2);
+        rs.add_read(1);
+        rs.add_data_write(1);
+        rs.add_parity_write(1);
+        rs.add_parity_write(2);
+        // Disk 1's read, data write and parity write outweigh disk 0's
+        // two reads.
+        assert_eq!(rs.busiest_disk(), 3);
+        assert_eq!(Some(rs.busiest_disk()), rs.per_disk_totals().into_iter().max());
     }
 
     #[test]

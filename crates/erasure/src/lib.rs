@@ -23,7 +23,7 @@
 //!   hybrid-chain single-disk recovery optimizer (Fig. 9a);
 //! * [`io`] — per-disk request sets, the cumulative [`io::IoLedger`], and
 //!   the load-balancing rate λ of Eq. (7);
-//! * [`stats`] — the shared percentile and latency-histogram math the
+//! * [`stats`] — the shared latency histogram the
 //!   service front-end reports from;
 //! * [`invariants`] — structural checkers shared by every code's test suite.
 //!

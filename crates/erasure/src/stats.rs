@@ -1,30 +1,12 @@
-//! Shared distribution statistics: the nearest-rank percentile and a
-//! mergeable log-bucketed latency histogram.
+//! Shared distribution statistics: a mergeable log-bucketed latency
+//! histogram.
 //!
 //! The service front-end reports per-tenant admission→completion latency
 //! from here, so "p99" means the same thing everywhere in the workspace.
-//!
-//! Two representations, two tradeoffs:
-//!
-//! * [`percentile`] operates on the full sample vector — exact
-//!   nearest-rank semantics, right when every sample is kept;
-//! * [`Histogram`] is a fixed-size log₂-bucketed sketch — O(1) record,
-//!   mergeable across worker shards, bounded memory under sustained
-//!   traffic, percentiles interpolated within the matched bucket with the
-//!   same rank rule.
-
-/// Nearest-rank percentile of an ascending-sorted slice (0 when empty).
-///
-/// `q` is clamped to `[0, 1]`; the rank is `round((len - 1) * q)`, so
-/// `q = 0.5` over `[1, 2, 3, 4]` picks index `round(1.5) = 2` → `3.0`.
-#[must_use]
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
-}
+//! [`Histogram`] is a fixed-size log₂-bucketed sketch — O(1) record,
+//! mergeable across worker shards, bounded memory under sustained
+//! traffic, nearest-rank percentiles (rank `round((count - 1) * q)`)
+//! interpolated within the matched bucket.
 
 /// Number of log₂ buckets: covers `[0, 2^63)` — any u64 sample.
 const BUCKETS: usize = 64;
@@ -151,22 +133,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Pins the workspace-wide percentile semantics: nearest rank with
-    // round-half-up on `(len - 1) * q`.
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let s = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&s, 0.0), 1.0);
-        assert_eq!(percentile(&s, 1.0), 4.0);
-        assert_eq!(percentile(&s, 0.5), 3.0); // round(1.5) = 2
-        assert_eq!(percentile(&s, 0.25), 2.0); // round(0.75) = 1
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
-        // Out-of-range q clamps instead of panicking.
-        assert_eq!(percentile(&s, -1.0), 1.0);
-        assert_eq!(percentile(&s, 2.0), 4.0);
-    }
 
     #[test]
     fn histogram_percentiles_bracket_exact_ranks() {

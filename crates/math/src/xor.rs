@@ -25,7 +25,7 @@
 //! discharged before any `unsafe fn` is entered:
 //!
 //! 1. **equal lengths** — every public kernel funnels through
-//!    [`precondition::equal_len`], a plain checked-slice comparison (it
+//!    `precondition::equal_len`, a plain checked-slice comparison (it
 //!    runs under miri like any safe code). The vector kernels' pointer
 //!    arithmetic never leaves `[0, dst.len())`, so this check is the
 //!    entire bounds story; each `unsafe fn` re-states it as a debug

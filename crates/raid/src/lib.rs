@@ -10,18 +10,17 @@
 //! Every operation is lowered by [`lower`] — the one module that builds
 //! [`pipeline::LoweredOp`]s — into the single [`pipeline::IoPipeline`]:
 //! element reads, a compiled [`raid_core::XorPlan`], element writes. The
-//! pipeline
-//! executes that form against the backend, hands the identical per-disk
-//! [`raid_core::io::RequestSet`] to the timing simulator when one is
-//! attached, and absorbs it into the [`raid_core::io::IoLedger`] — so data
-//! movement, simulated time, and the paper's request accounting always
+//! pipeline executes that form against the backend, absorbs the per-disk
+//! [`raid_core::io::RequestSet`] into the [`raid_core::io::IoLedger`] and
+//! counts its busiest disk into the operation's disk time — so data
+//! movement, modeled time, and the paper's request accounting always
 //! agree.
 //!
 //! [`addr`] maps the linear data-element address space onto stripes and
 //! optionally rotates stripes across disks ("stripe rotation", the
 //! traditional balancing technique the paper contrasts with parity
-//! spreading). [`replay`] drives a volume + simulator pair from workload
-//! traces.
+//! spreading). [`replay`] drives a volume from workload traces and times
+//! each pattern.
 //! [`cache`] adds the write-back
 //! stripe cache that coalesces co-located element writes into single
 //! journal-atomic flushes sharing parity I/O.
@@ -36,7 +35,6 @@ pub mod cache;
 pub mod chaos;
 pub mod health;
 pub mod lower;
-pub mod mttr;
 pub mod pipeline;
 pub mod replay;
 pub mod volume;

@@ -4,10 +4,11 @@
 //! stripe: element **reads** (backend → scratch cells), a compiled
 //! [`XorPlan`] over the scratch, and element **writes** (scratch cells →
 //! backend, split data/parity). [`IoPipeline::execute`] runs that form
-//! against the [`DiskBackend`], hands the very same [`RequestSet`] to the
-//! attached [`DiskArray`] simulator (if any) for timing, and absorbs it
-//! into the [`IoLedger`] — so execution, timing, and accounting can never
-//! disagree about what was issued. An op with nothing to compute or store
+//! against the [`DiskBackend`], absorbs the op's [`RequestSet`] into the
+//! [`IoLedger`] and adds its busiest disk's count to the volume
+//! operation's disk time ([`IoPipeline::op_busiest_elements`]) — so
+//! execution, timing, and accounting can never disagree about what was
+//! issued. An op with nothing to compute or store
 //! needs no scratch: [`IoPipeline::fetch`] lands its reads in the caller's
 //! buffer and commits through the same tail.
 //!
@@ -19,7 +20,7 @@
 //! no more than the cells the op's plan computes
 //! ([`LoweredOp::computed`]), and a dense one behaves as it always did.
 
-use disk_sim::{DiskArray, DiskError};
+use disk_sim::DiskError;
 use raid_core::io::{IoLedger, RequestSet};
 use raid_core::xplan::{Lent, PlanCell};
 use raid_core::{Cell, Stripe, XorPlan};
@@ -88,15 +89,14 @@ impl LoweredOp {
     }
 }
 
-/// Executes [`LoweredOp`]s against a backend, mirrors each request set to
-/// an optional timing simulator, and keeps the cumulative [`IoLedger`].
+/// Executes [`LoweredOp`]s against a backend, keeps the cumulative
+/// [`IoLedger`], and counts the current volume operation's disk time.
 pub struct IoPipeline {
     backend: Box<dyn DiskBackend>,
     ledger: IoLedger,
-    sim: Option<DiskArray>,
-    /// Simulated latency accumulated by the current operation (reset via
-    /// [`IoPipeline::begin_op`]).
-    op_latency_ms: f64,
+    /// The busiest disk's element count, summed over the request sets the
+    /// current operation committed (reset via [`IoPipeline::begin_op`]).
+    op_busiest: u64,
     /// The addresses of the op being executed, reused across ops.
     addrs: Vec<DiskAddr>,
     /// Where a backend with no storage to lend stages an op's reads
@@ -112,20 +112,18 @@ impl std::fmt::Debug for IoPipeline {
         f.debug_struct("IoPipeline")
             .field("backend", &self.backend.kind())
             .field("disks", &self.backend.disks())
-            .field("sim", &self.sim.is_some())
             .finish()
     }
 }
 
 impl IoPipeline {
-    /// Wraps a backend; the ledger starts at zero, no simulator attached.
+    /// Wraps a backend; the ledger starts at zero.
     pub fn new(backend: Box<dyn DiskBackend>) -> Self {
         let disks = backend.disks();
         IoPipeline {
             backend,
             ledger: IoLedger::new(disks),
-            sim: None,
-            op_latency_ms: 0.0,
+            op_busiest: 0,
             addrs: Vec::new(),
             staging: Vec::new(),
             lent_index: Vec::new(),
@@ -158,42 +156,23 @@ impl IoPipeline {
         self.ledger = IoLedger::new(self.backend.disks());
     }
 
-    /// Attaches a timing simulator; subsequent request sets are timed.
-    pub fn attach_sim(&mut self, sim: DiskArray) {
-        self.sim = Some(sim);
-    }
-
-    /// Detaches and returns the simulator.
-    pub fn detach_sim(&mut self) -> Option<DiskArray> {
-        self.sim.take()
-    }
-
-    /// The attached simulator, if any.
-    pub fn sim(&self) -> Option<&DiskArray> {
-        self.sim.as_ref()
-    }
-
-    /// Mutable simulator access (failure-state sync).
-    pub fn sim_mut(&mut self) -> Option<&mut DiskArray> {
-        self.sim.as_mut()
-    }
-
-    /// Marks the start of a volume-level operation: the per-op latency
-    /// accumulator is reset.
+    /// Marks the start of a volume-level operation: its disk-time count
+    /// is reset.
     pub fn begin_op(&mut self) {
-        self.op_latency_ms = 0.0;
+        self.op_busiest = 0;
     }
 
-    /// Simulated latency of the operation since [`IoPipeline::begin_op`]
-    /// (sum of its request-set makespans; 0 without a simulator).
-    pub fn op_latency_ms(&self) -> f64 {
-        self.op_latency_ms
+    /// The operation's disk time since [`IoPipeline::begin_op`], in
+    /// element service times: each committed request set's
+    /// [`RequestSet::busiest_disk`], summed. The sets run one after
+    /// another, and each finishes when its busiest disk does.
+    pub fn op_busiest_elements(&self) -> u64 {
+        self.op_busiest
     }
 
     /// Executes one lowered op: read its sources, run the XOR plan over
-    /// `scratch`, store the writes ([`Self::store`]), then commit the
-    /// request set to the simulator and ledger ([`Self::commit`]). Returns
-    /// the committed set.
+    /// `scratch`, store the writes, then commit the request set to the
+    /// ledger and the op's disk time. Returns the committed set.
     ///
     /// The backend lends the reads ([`DiskBackend::lend`]); a read whose
     /// cell `scratch` materialises lands there, and the plan reads any
@@ -208,8 +187,8 @@ impl IoPipeline {
     ///
     /// # Errors
     ///
-    /// Returns the backend's [`DiskError`]; nothing is committed to the
-    /// simulator or ledger in that case, and no read has landed.
+    /// Returns the backend's [`DiskError`]; nothing is committed in that
+    /// case, and no read has landed.
     ///
     /// # Panics
     ///
@@ -297,7 +276,7 @@ impl IoPipeline {
         }
         self.lent_index = sources.into_table();
         self.store(op, scratch, lent)?;
-        self.commit(op)
+        Ok(self.commit(op))
     }
 
     /// Executes a plain fetch — an op with no plan and no writes, which
@@ -307,9 +286,8 @@ impl IoPipeline {
     ///
     /// # Errors
     ///
-    /// Returns the backend's [`DiskError`]; nothing is committed to the
-    /// simulator or ledger in that case, and `out` holds the elements
-    /// read before it.
+    /// Returns the backend's [`DiskError`]; nothing is committed in that
+    /// case, and `out` holds the elements read before it.
     ///
     /// # Panics
     ///
@@ -331,7 +309,7 @@ impl IoPipeline {
         for (&(_, addr), element) in op.reads.iter().zip(out.chunks_exact_mut(es)) {
             self.backend.read(addr.disk, addr.index, element)?;
         }
-        self.commit(op)
+        Ok(self.commit(op))
     }
 
     /// Debug builds statically audit every op before touching the
@@ -355,14 +333,13 @@ impl IoPipeline {
 
     /// The tail both entry points end in, reached only once the op's
     /// backend I/O succeeded: the request set — derived from the op alone
-    /// — is timed by the simulator, then absorbed into the ledger.
-    fn commit(&mut self, op: &LoweredOp) -> Result<RequestSet, DiskError> {
+    /// — is absorbed into the ledger and its busiest disk's count into
+    /// the op's disk time.
+    fn commit(&mut self, op: &LoweredOp) -> RequestSet {
         let rs = crate::audit::predicted_request_set(op, self.backend.disks());
-        if let Some(sim) = &mut self.sim {
-            self.op_latency_ms += sim.run_requests(&rs)?;
-        }
+        self.op_busiest += rs.busiest_disk();
         self.ledger.absorb(&rs);
-        Ok(rs)
+        rs
     }
 
     /// The write phase: the op's writes, in target order, as one
@@ -405,7 +382,6 @@ mod tests {
     use crate::backend::{
         Fault, FaultPoint, FaultyBackend, FileBackend, JournalRecovery, MemBackend,
     };
-    use disk_sim::DiskProfile;
 
     fn addr(disk: usize, index: usize) -> DiskAddr {
         DiskAddr { disk, index }
@@ -495,21 +471,24 @@ mod tests {
     }
 
     #[test]
-    fn sim_times_exactly_what_the_ledger_absorbs() {
-        let mut pipe = IoPipeline::new(Box::new(MemBackend::new(2, 1, 4)));
-        pipe.attach_sim(DiskArray::new(2, DiskProfile::savvio_10k()));
+    fn op_disk_time_sums_each_commit_s_busiest_disk() {
+        let mut pipe = IoPipeline::new(Box::new(MemBackend::new(2, 2, 4)));
         let c = Cell::new;
+        // Two reads on disk 0, one write on disk 1: disk 0 is the busiest.
         let op = LoweredOp {
-            reads: vec![(c(0, 0), addr(0, 0))],
+            reads: vec![(c(0, 0), addr(0, 0)), (c(1, 0), addr(0, 1))],
             plan: None,
             data_writes: vec![(c(0, 1), addr(1, 0))],
             parity_writes: vec![],
         };
-        let mut scratch = Stripe::zeroed(1, 2, 4);
+        let mut scratch = Stripe::zeroed(2, 2, 4);
         pipe.begin_op();
+        assert_eq!(pipe.execute(&op, &mut scratch).unwrap().busiest_disk(), 2);
         pipe.execute(&op, &mut scratch).unwrap();
-        assert!(pipe.op_latency_ms() > 0.0);
-        assert_eq!(pipe.sim().unwrap().served(), pipe.ledger().per_disk_totals());
+        assert_eq!(pipe.op_busiest_elements(), 4, "the op's two sets run one after another");
+        assert_eq!(pipe.ledger().per_disk_totals(), vec![4, 2]);
+        pipe.begin_op();
+        assert_eq!(pipe.op_busiest_elements(), 0);
     }
 
     /// Three disks whose element 0 holds `[disk + 1; 4]`, and the plain
@@ -528,7 +507,6 @@ mod tests {
         let (backend, op) = three_reads();
         let seeded = || {
             let mut pipe = IoPipeline::new(Box::new(backend.clone()));
-            pipe.attach_sim(DiskArray::new(3, DiskProfile::savvio_10k()));
             pipe.begin_op();
             pipe
         };
@@ -540,10 +518,8 @@ mod tests {
         let mut scratch = Stripe::zeroed(1, 3, 4);
         assert_eq!(landed, dense.execute(&op, &mut scratch).unwrap());
         assert_eq!(direct.ledger(), dense.ledger());
-        assert_eq!(direct.sim().unwrap().served(), direct.ledger().per_disk_totals());
-        assert_eq!(direct.sim().unwrap().now_ms(), dense.sim().unwrap().now_ms());
-        assert!(direct.op_latency_ms() > 0.0);
-        assert_eq!(direct.op_latency_ms(), dense.op_latency_ms());
+        assert_eq!(direct.op_busiest_elements(), 1);
+        assert_eq!(direct.op_busiest_elements(), dense.op_busiest_elements());
     }
 
     #[test]
@@ -553,14 +529,11 @@ mod tests {
         let (backend, op) = three_reads();
         let faulty = FaultyBackend::new(Box::new(backend), vec![FaultPoint { at_op: 2, disk: 1 }]);
         let mut pipe = IoPipeline::new(Box::new(faulty));
-        pipe.attach_sim(DiskArray::new(3, DiskProfile::savvio_10k()));
         pipe.begin_op();
         let mut out = [0u8; 12];
         assert_eq!(pipe.fetch(&op, &mut out), Err(DiskError::DiskFailed { disk: 1 }));
         assert_eq!(out, [3, 3, 3, 3, 1, 1, 1, 1, 0, 0, 0, 0], "the reads before the error landed");
-        assert_eq!(pipe.ledger().total(), 0);
-        assert_eq!(pipe.sim().unwrap().served(), vec![0; 3]);
-        assert_eq!((pipe.sim().unwrap().now_ms(), pipe.op_latency_ms()), (0.0, 0.0));
+        assert_eq!((pipe.ledger().total(), pipe.op_busiest_elements()), (0, 0));
     }
 
     #[test]

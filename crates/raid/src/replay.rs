@@ -1,15 +1,15 @@
-//! Trace replay: drive a [`RaidVolume`] with a workload trace while an
-//! attached [`DiskArray`] simulator accounts the time — the engine behind
-//! the paper's Fig. 6/7 experiments, exposed as a library so applications
-//! can evaluate a code on their own traces.
+//! Trace replay: drive a [`RaidVolume`] with a workload trace and time
+//! each pattern — the engine behind the paper's Fig. 6/7 experiments,
+//! exposed as a library so applications can evaluate a code on their own
+//! traces.
 //!
-//! The simulator is attached to the volume's I/O pipeline for the duration
-//! of the replay, so it is timed with *exactly* the per-disk
-//! [`raid_core::io::RequestSet`]s the volume executed — there is no second
-//! derivation of the request pattern here. It stays attached afterwards
-//! (detach with [`RaidVolume::detach_sim`] if needed).
+//! A pattern's time is the volume's own count of it: the busiest disk's
+//! element count of each request set the operation committed, summed
+//! ([`RaidVolume::last_op_busiest_elements`]), times the profile's
+//! element service time `Re`. Operations run one after another, so no
+//! disk carries work from one pattern into the next.
 
-use disk_sim::{DiskArray, DiskError};
+use disk_sim::DiskProfile;
 use raid_core::io::IoLedger;
 use raid_workloads::{ReadPattern, WriteTrace};
 
@@ -20,14 +20,10 @@ use crate::volume::{RaidVolume, VolumeError};
 pub struct WriteReplay {
     /// Patterns executed (repetitions included).
     pub patterns: u64,
-    /// Per-pattern simulated latencies, milliseconds.
+    /// Per-pattern modeled latencies, milliseconds.
     pub latencies_ms: Vec<f64>,
     /// The volume's I/O ledger delta for this replay.
     pub ledger: IoLedger,
-    /// Per-disk requests the simulator actually served during the replay
-    /// (equals `ledger.per_disk_totals()` by construction — the pipeline
-    /// hands both the same stream).
-    pub served: Vec<u64>,
 }
 
 impl WriteReplay {
@@ -41,7 +37,7 @@ impl WriteReplay {
         self.ledger.write_balance_rate()
     }
 
-    /// Mean simulated latency per pattern — Fig. 6c's metric.
+    /// Mean modeled latency per pattern — Fig. 6c's metric.
     pub fn mean_latency_ms(&self) -> f64 {
         if self.latencies_ms.is_empty() {
             0.0
@@ -51,76 +47,23 @@ impl WriteReplay {
     }
 }
 
-/// Errors from replaying a trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayError {
-    /// The volume rejected an operation.
-    Volume(VolumeError),
-    /// The simulator rejected a request.
-    Disk(DiskError),
-    /// Simulator and volume disagree on the number of disks.
-    ShapeMismatch {
-        /// Disks in the volume.
-        volume: usize,
-        /// Disks in the simulator.
-        sim: usize,
-    },
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayError::Volume(e) => e.fmt(f),
-            ReplayError::Disk(e) => e.fmt(f),
-            ReplayError::ShapeMismatch { volume, sim } => {
-                write!(f, "volume has {volume} disks but simulator has {sim}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
-impl From<VolumeError> for ReplayError {
-    fn from(e: VolumeError) -> Self {
-        ReplayError::Volume(e)
-    }
-}
-
-impl From<DiskError> for ReplayError {
-    fn from(e: DiskError) -> Self {
-        ReplayError::Disk(e)
-    }
-}
-
-/// Attaches `sim` to the volume's pipeline, mapping shape complaints to
-/// [`ReplayError::ShapeMismatch`].
-fn attach(volume: &mut RaidVolume, sim: DiskArray) -> Result<(), ReplayError> {
-    let disks = sim.disks();
-    volume.attach_sim(sim).map_err(|_| ReplayError::ShapeMismatch {
-        volume: volume.disks(),
-        sim: disks,
-    })
-}
-
 /// Replays a write trace pattern by pattern. Each pattern is one volume
-/// write; its simulated latency is the makespan sum of the request batches
-/// the pipeline committed for it. Pattern starts are clipped to the
-/// volume's capacity.
+/// write; its latency is its disk time
+/// ([`RaidVolume::last_op_busiest_elements`]) × `profile`'s element
+/// service time. Pattern starts are clipped to the volume's capacity.
 ///
 /// # Errors
 ///
-/// Returns [`ReplayError`] on shape mismatches or if the volume rejects an
-/// operation (e.g. too many failed disks).
+/// Returns [`VolumeError`] if the volume rejects an operation (e.g. too
+/// many failed disks).
 pub fn replay_write_trace(
     volume: &mut RaidVolume,
-    sim: DiskArray,
+    profile: DiskProfile,
     trace: &WriteTrace,
-) -> Result<WriteReplay, ReplayError> {
-    attach(volume, sim)?;
+) -> Result<WriteReplay, VolumeError> {
+    let re = profile.element_service_ms();
     let element = volume.element_size();
     let baseline = volume.ledger().clone();
-    let served_before = volume.sim().expect("just attached").served();
     let mut latencies = Vec::new();
     let mut buf = vec![0u8; 64 * element];
     let mut patterns = 0u64;
@@ -133,30 +76,22 @@ pub fn replay_write_trace(
         }
         buf[0] = buf[0].wrapping_add(1);
         volume.write(start, &buf[..len * element])?;
-        latencies.push(volume.last_op_latency_ms());
+        latencies.push(volume.last_op_busiest_elements() as f64 * re);
         patterns += 1;
     }
     // A write-back cache may still hold absorbed writes: flush before
-    // taking the delta so the replay's ledger (and the simulator's served
-    // stream) includes the coalesced flush I/O this trace caused.
+    // taking the delta so the replay's ledger includes the coalesced
+    // flush I/O this trace caused.
     volume.flush()?;
 
     let ledger = volume.ledger().delta_since(&baseline);
-    let served = volume
-        .sim()
-        .expect("sim stays attached")
-        .served()
-        .iter()
-        .zip(&served_before)
-        .map(|(now, before)| now - before)
-        .collect();
-    Ok(WriteReplay { patterns, latencies_ms: latencies, ledger, served })
+    Ok(WriteReplay { patterns, latencies_ms: latencies, ledger })
 }
 
 /// Outcome of replaying degraded-read patterns.
 #[derive(Debug, Clone)]
 pub struct ReadReplay {
-    /// Per-pattern simulated latencies, milliseconds.
+    /// Per-pattern modeled latencies, milliseconds.
     pub latencies_ms: Vec<f64>,
     /// Per-pattern I/O efficiencies `L′/L` — Fig. 7b's metric.
     pub efficiencies: Vec<f64>,
@@ -165,7 +100,7 @@ pub struct ReadReplay {
 }
 
 impl ReadReplay {
-    /// Mean simulated latency per pattern — Fig. 7a's metric.
+    /// Mean modeled latency per pattern — Fig. 7a's metric.
     pub fn mean_latency_ms(&self) -> f64 {
         if self.latencies_ms.is_empty() {
             0.0
@@ -184,25 +119,25 @@ impl ReadReplay {
     }
 }
 
-/// Replays read patterns against a (possibly degraded) volume; the
-/// simulator's failure state is synced from the volume on attach.
+/// Replays read patterns against a (possibly degraded) volume, timing
+/// each as [`replay_write_trace`] does.
 ///
 /// # Errors
 ///
-/// Returns [`ReplayError`] on shape mismatches or volume errors.
+/// Returns [`VolumeError`] if the volume rejects an operation.
 pub fn replay_read_patterns(
     volume: &mut RaidVolume,
-    sim: DiskArray,
+    profile: DiskProfile,
     patterns: &[ReadPattern],
-) -> Result<ReadReplay, ReplayError> {
-    attach(volume, sim)?;
+) -> Result<ReadReplay, VolumeError> {
+    let re = profile.element_service_ms();
     let baseline = volume.ledger().clone();
     let mut latencies = Vec::with_capacity(patterns.len());
     let mut efficiencies = Vec::with_capacity(patterns.len());
     for pat in patterns {
         let start = pat.start.min(volume.data_elements().saturating_sub(pat.len));
         let (_, receipt) = volume.read(start, pat.len)?;
-        latencies.push(volume.last_op_latency_ms());
+        latencies.push(volume.last_op_busiest_elements() as f64 * re);
         efficiencies.push(receipt.total_reads() as f64 / pat.len as f64);
     }
     let ledger = volume.ledger().delta_since(&baseline);
@@ -212,22 +147,19 @@ pub fn replay_read_patterns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disk_sim::DiskProfile;
     use hv_code::HvCode;
-    use raid_workloads::{degraded_read_patterns, uniform_write_trace};
+    use raid_workloads::{degraded_read_patterns, uniform_write_trace, WritePattern};
     use std::sync::Arc;
 
-    fn setup() -> (RaidVolume, DiskArray) {
-        let v = RaidVolume::in_memory(Arc::new(HvCode::new(7).unwrap()), 5, 8);
-        let sim = DiskArray::new(v.disks(), DiskProfile::savvio_10k());
-        (v, sim)
+    fn setup() -> RaidVolume {
+        RaidVolume::in_memory(Arc::new(HvCode::new(7).unwrap()), 5, 8)
     }
 
     #[test]
     fn write_replay_accumulates() {
-        let (mut v, sim) = setup();
+        let mut v = setup();
         let trace = uniform_write_trace(5, 40, v.data_elements() - 5, 3);
-        let out = replay_write_trace(&mut v, sim, &trace).unwrap();
+        let out = replay_write_trace(&mut v, DiskProfile::savvio_10k(), &trace).unwrap();
         assert_eq!(out.patterns, 40);
         assert_eq!(out.latencies_ms.len(), 40);
         assert!(out.total_write_requests() >= 40 * 5);
@@ -236,39 +168,48 @@ mod tests {
     }
 
     #[test]
-    fn simulator_serves_exactly_the_ledger() {
-        let (mut v, sim) = setup();
-        let trace = uniform_write_trace(4, 25, v.data_elements() - 4, 7);
-        let out = replay_write_trace(&mut v, sim, &trace).unwrap();
-        assert_eq!(
-            out.served,
-            out.ledger.per_disk_totals(),
-            "the simulator must be handed the very stream the ledger absorbed"
-        );
+    fn a_pattern_costs_its_request_sets_busiest_disks_times_re() {
+        // HV p = 7 holds 24 data elements per stripe. A one-element
+        // update reads and writes the element and its two parities, each
+        // on its own disk: 2 elements on the busiest disk. Elements 23
+        // and 24 straddle a stripe boundary: two such request sets, one
+        // after the other.
+        let mut v = setup();
+        assert_eq!(v.data_elements() / 5, 24);
+        let trace = WriteTrace {
+            name: "hand-built".into(),
+            patterns: vec![
+                WritePattern { start: 0, len: 1, freq: 2 },
+                WritePattern { start: 23, len: 2, freq: 1 },
+            ],
+        };
+        let re = DiskProfile::savvio_10k().element_service_ms();
+        assert_eq!(re, 105.0);
+        let out = replay_write_trace(&mut v, DiskProfile::savvio_10k(), &trace).unwrap();
+        assert_eq!(out.latencies_ms, [2.0 * re, 2.0 * re, (2.0 + 2.0) * re]);
+        assert_eq!(out.mean_latency_ms(), 280.0);
     }
 
     #[test]
     fn read_replay_reports_efficiency() {
-        let (mut v, sim) = setup();
+        let mut v = setup();
         v.fail_disk(2).unwrap();
-        // attach_sim syncs the failure into the simulator.
         let pats = degraded_read_patterns(5, 30, v.data_elements() - 5, 9);
-        let out = replay_read_patterns(&mut v, sim, &pats).unwrap();
+        let out = replay_read_patterns(&mut v, DiskProfile::savvio_10k(), &pats).unwrap();
         assert_eq!(out.efficiencies.len(), 30);
         assert!(out.mean_efficiency() >= 1.0);
         assert!(out.mean_latency_ms() > 0.0);
-        assert!(v.sim().unwrap().is_failed(2));
     }
 
     #[test]
     fn cached_replay_flushes_and_coalesces() {
         let trace = uniform_write_trace(3, 60, 30, 11);
-        let (mut v, sim) = setup();
-        let uncached = replay_write_trace(&mut v, sim, &trace).unwrap();
+        let profile = DiskProfile::savvio_10k();
+        let uncached = replay_write_trace(&mut setup(), profile, &trace).unwrap();
 
-        let (mut v, sim) = setup();
+        let mut v = setup();
         v.enable_cache(crate::cache::CacheConfig::default());
-        let cached = replay_write_trace(&mut v, sim, &trace).unwrap();
+        let cached = replay_write_trace(&mut v, profile, &trace).unwrap();
 
         assert_eq!(cached.patterns, uncached.patterns);
         assert!(cached.ledger.cache_flushes() > 0, "the replay must flush the cache");
@@ -279,33 +220,17 @@ mod tests {
             cached.ledger.total(),
             uncached.ledger.total()
         );
-        assert_eq!(
-            cached.served,
-            cached.ledger.per_disk_totals(),
-            "flush I/O must reach the simulator and the ledger identically"
-        );
-    }
-
-    #[test]
-    fn shape_mismatch_detected() {
-        let (mut v, _) = setup();
-        let wrong = DiskArray::new(3, DiskProfile::savvio_10k());
-        let trace = uniform_write_trace(2, 1, 10, 0);
-        assert!(matches!(
-            replay_write_trace(&mut v, wrong, &trace),
-            Err(ReplayError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]
     fn replay_ledger_is_a_delta() {
-        let (mut v, sim) = setup();
+        let mut v = setup();
         // Pre-existing traffic must not leak into the replay's ledger.
         v.write(0, &[1u8; 8 * 4]).unwrap();
         let before = v.ledger().total();
         assert!(before > 0);
         let trace = uniform_write_trace(2, 5, 20, 1);
-        let out = replay_write_trace(&mut v, sim, &trace).unwrap();
+        let out = replay_write_trace(&mut v, DiskProfile::savvio_10k(), &trace).unwrap();
         assert_eq!(out.ledger.total() + before, v.ledger().total());
     }
 }

@@ -6,17 +6,18 @@
 //! into a [`crate::pipeline::LoweredOp`] — element reads, a compiled
 //! [`raid_core::XorPlan`], element writes — and executed by the
 //! [`IoPipeline`] against a pluggable
-//! [`DiskBackend`]. The pipeline hands the identical per-disk
-//! [`raid_core::io::RequestSet`] to the timing simulator (when attached)
-//! and to the cumulative [`IoLedger`], so data movement, simulated time,
-//! and the paper's request accounting always agree.
+//! [`DiskBackend`]. The pipeline absorbs each per-disk
+//! [`raid_core::io::RequestSet`] into the cumulative [`IoLedger`] and
+//! counts its busiest disk into the operation's disk time, so data
+//! movement, modeled time, and the paper's request accounting always
+//! agree.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use disk_sim::{DiskArray, DiskError};
+use disk_sim::DiskError;
 use raid_core::io::{IoLedger, RequestSet};
 use raid_core::{ArrayCode, Cell, Stripe};
 
@@ -77,9 +78,9 @@ pub enum VolumeError {
         /// Spares left in the pool.
         spares: usize,
     },
-    /// The backend (or the attached simulator) rejected a request.
+    /// The backend rejected a request.
     Backend(DiskError),
-    /// The backend's (or simulator's) shape does not fit the volume.
+    /// The backend's shape does not fit the volume.
     BackendMismatch {
         /// The mismatched dimension.
         what: &'static str,
@@ -155,9 +156,6 @@ pub struct RaidVolume {
     health: HealthMonitor,
     /// Hot spares available to the background healer.
     spares: usize,
-    /// Start a background rebuild automatically when a disk dies and a
-    /// spare is available.
-    auto_heal: bool,
     /// The in-flight background rebuild, if any: the in-memory mirror of
     /// the persisted checkpoint. Its disks stay in `failed` — their
     /// content is invalid — even though the backend already serves the
@@ -350,7 +348,6 @@ impl RaidVolume {
             failed,
             health: HealthMonitor::default(),
             spares: 0,
-            auto_heal: true,
             rebuild_task: None,
             write_fence: false,
             cache: None,
@@ -465,44 +462,13 @@ impl RaidVolume {
         self.pipeline.reset_ledger();
     }
 
-    /// Attaches a timing simulator: every subsequent request set the
-    /// pipeline commits is also run through `sim`, and
-    /// [`RaidVolume::last_op_latency_ms`] reports per-operation makespans.
-    /// The simulator's failure state is synced to the volume's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolumeError::BackendMismatch`] if the simulator's disk
-    /// count differs.
-    pub fn attach_sim(&mut self, mut sim: DiskArray) -> Result<(), VolumeError> {
-        if sim.disks() != self.disks() {
-            return Err(VolumeError::BackendMismatch {
-                what: "simulator disk count",
-                expected: self.disks(),
-                got: sim.disks(),
-            });
-        }
-        for &d in &self.failed {
-            let _ = sim.fail_disk(d);
-        }
-        self.pipeline.attach_sim(sim);
-        Ok(())
-    }
-
-    /// Detaches and returns the timing simulator, if one was attached.
-    pub fn detach_sim(&mut self) -> Option<DiskArray> {
-        self.pipeline.detach_sim()
-    }
-
-    /// The attached timing simulator, if any.
-    pub fn sim(&self) -> Option<&DiskArray> {
-        self.pipeline.sim()
-    }
-
-    /// Simulated latency of the most recent operation (sum of its request
-    /// batches' makespans; 0 without an attached simulator).
-    pub fn last_op_latency_ms(&self) -> f64 {
-        self.pipeline.op_latency_ms()
+    /// The disk time of the most recent operation, in element service
+    /// times: the busiest disk's element count of each request set the
+    /// operation committed, summed. Multiplied by
+    /// [`disk_sim::DiskProfile::element_service_ms`] it is the op's
+    /// latency (the paper's Fig. 6c and 7a).
+    pub fn last_op_busiest_elements(&self) -> u64 {
+        self.pipeline.op_busiest_elements()
     }
 
     /// Marks a disk failed (its contents become unreadable).
@@ -521,9 +487,6 @@ impl RaidVolume {
             return Err(VolumeError::TooManyFailures { failed: 3 });
         }
         self.pipeline.backend_mut().fail(disk)?;
-        if let Some(sim) = self.pipeline.sim_mut() {
-            let _ = sim.fail_disk(disk);
-        }
         self.after_failure();
         Ok(())
     }
@@ -547,12 +510,6 @@ impl RaidVolume {
     /// Spares currently in the pool.
     pub fn spares(&self) -> usize {
         self.spares
-    }
-
-    /// Enables/disables automatic background-rebuild kickoff on disk
-    /// death (on by default; inert while the spare pool is empty).
-    pub fn set_auto_heal(&mut self, on: bool) {
-        self.auto_heal = on;
     }
 
     /// Arms/disarms the critical write fence (off by default). While
@@ -680,11 +637,11 @@ impl RaidVolume {
         }
     }
 
-    /// Post-failure bookkeeping: health transition, then — when auto-heal
-    /// is on and spares are stocked — kick off the background rebuild.
+    /// Post-failure bookkeeping: health transition, then — when spares
+    /// are stocked — kick off the background rebuild.
     fn after_failure(&mut self) {
         self.note_health();
-        if self.auto_heal && self.rebuild_task.is_none() && self.spares > 0 {
+        if self.rebuild_task.is_none() && self.spares > 0 {
             // Best effort: a failure here (e.g. mid-crash) leaves the
             // array degraded-but-consistent, and the next maintain() call
             // retries the kickoff.
@@ -723,9 +680,6 @@ impl RaidVolume {
             let task = self.rebuild_task.as_mut();
             if let Some(task) = task.filter(|t| spare_died && t.disks.contains(&disk)) {
                 self.pipeline.backend_mut().replace(disk)?;
-                if let Some(sim) = self.pipeline.sim_mut() {
-                    let _ = sim.restore_disk(disk);
-                }
                 task.next_stripe = 0;
                 self.pipeline.backend_mut().save_checkpoint(Some(task))?;
                 return Ok(());
@@ -737,9 +691,6 @@ impl RaidVolume {
         }
         self.failed.insert(disk);
         let _ = self.pipeline.backend_mut().fail(disk);
-        if let Some(sim) = self.pipeline.sim_mut() {
-            let _ = sim.fail_disk(disk);
-        }
         self.after_failure();
         Ok(())
     }
@@ -880,7 +831,7 @@ impl RaidVolume {
 
     /// Writes `len` data elements starting at linear element `start`.
     ///
-    /// Each touched stripe goes through [`Self::store_stripe`], straight
+    /// Each touched stripe goes through `store_stripe`, straight
     /// from `data` (or, with the cache on, is absorbed and stored at flush
     /// time by the same lowering). A disk failing mid-write is rolled back
     /// by the pipeline and the operation replans degraded automatically.
@@ -1099,7 +1050,7 @@ impl RaidVolume {
         .unwrap_or_else(|| Ok(IoLedger::new(disks)))
     }
 
-    /// Flushes one stripe's dirty elements through [`Self::store_stripe`]
+    /// Flushes one stripe's dirty elements through `store_stripe`
     /// — every dirty element of the stripe in one coalesced store, so
     /// co-located elements share parity I/O, running on the entry's own
     /// slots — with the volume's standard retry/recovery policy. On
@@ -1272,7 +1223,7 @@ impl RaidVolume {
     /// Returns [`VolumeError`] on backend errors or unsurvivable failures.
     pub fn maintain(&mut self, budget: usize) -> Result<IoLedger, VolumeError> {
         if self.rebuild_task.is_none() {
-            if self.auto_heal && !self.failed.is_empty() && self.spares > 0 {
+            if !self.failed.is_empty() && self.spares > 0 {
                 self.start_spare_rebuild()?;
             }
             if self.rebuild_task.is_none() {
@@ -1322,7 +1273,7 @@ impl RaidVolume {
     /// stripe go through the recovery policy — a fault can reset or
     /// extend the task mid-step, which is why the task state is re-read
     /// every iteration. The step owns the one scratch its stripes run on
-    /// ([`RebuildScratch`]) and frees it on return.
+    /// (`RebuildScratch`) and frees it on return.
     pub fn rebuild_step(&mut self, budget: usize) -> Result<IoLedger, VolumeError> {
         self.pipeline.begin_op();
         let mut receipt = IoLedger::new(self.disks());
@@ -1422,14 +1373,11 @@ impl RaidVolume {
         Ok(receipt)
     }
 
-    /// Swaps blank spares in for the given disks (backend `replace` +
-    /// simulator restore) so the rebuild can stream writes to them.
+    /// Swaps blank spares in for the given disks (backend `replace`) so
+    /// the rebuild can stream writes to them.
     fn swap_in_spares(&mut self, disks: &[usize]) -> Result<(), VolumeError> {
         for &d in disks {
             self.pipeline.backend_mut().replace(d)?;
-            if let Some(sim) = self.pipeline.sim_mut() {
-                let _ = sim.restore_disk(d);
-            }
         }
         Ok(())
     }
@@ -1456,7 +1404,7 @@ impl RaidVolume {
     }
 
     /// Reads one whole stripe directly from the backend without touching
-    /// the ledger or simulator (maintenance traffic).
+    /// the ledger or the op's disk time (maintenance traffic).
     fn load_stripe_unaccounted(&mut self, idx: usize) -> Result<Stripe, DiskError> {
         let code = Arc::clone(&self.code);
         let layout = code.layout();

@@ -834,7 +834,6 @@ mod tests {
         // Park the volume at the correction limit with the fence armed:
         // every write now fails with SpareExhausted.
         svc.with_volume(|v| {
-            v.set_auto_heal(false);
             v.fail_disk(0).unwrap();
             v.fail_disk(1).unwrap();
             v.set_write_fence(true);

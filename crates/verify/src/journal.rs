@@ -396,7 +396,7 @@ pub fn volume_op_lists(layout: &Layout, stripes: usize) -> Vec<Vec<LoweredOp>> {
 }
 
 /// Proves all-crash-prefix atomicity for every op list of
-/// [`volume_op_lists`] over [`MODEL_STRIPES`] stripes, one journal unit
+/// [`volume_op_lists`] over `MODEL_STRIPES` stripes, one journal unit
 /// per op.
 ///
 /// # Errors

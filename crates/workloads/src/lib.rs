@@ -90,25 +90,6 @@ impl WriteTrace {
         }
         self
     }
-
-    /// Clamps every pattern to fit a volume of `data_elements` capacity:
-    /// lengths are truncated to the capacity and starts pulled back so
-    /// `start + len ≤ data_elements`. Generators target the element space
-    /// they were asked for, but a replayer driving a *smaller* volume
-    /// needs every operation in range rather than an `OutOfRange`
-    /// rejection mid-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data_elements` is zero.
-    pub fn clamped(mut self, data_elements: usize) -> WriteTrace {
-        assert!(data_elements > 0, "cannot clamp into an empty volume");
-        for p in &mut self.patterns {
-            p.len = p.len.min(data_elements);
-            p.start = p.start.min(data_elements - p.len);
-        }
-        self
-    }
 }
 
 /// One degraded-read pattern: read `len` continuous data elements starting
@@ -249,26 +230,6 @@ mod tests {
         // written for 66 times".
         let total: u64 = t.total_operations();
         assert_eq!(total, t.patterns.iter().map(|p| p.freq as u64).sum::<u64>());
-    }
-
-    #[test]
-    fn clamped_fits_every_pattern_into_capacity() {
-        let t = WriteTrace {
-            name: "t".into(),
-            patterns: vec![
-                WritePattern { start: 90, len: 20, freq: 1 }, // runs past the end
-                WritePattern { start: 5, len: 200, freq: 2 }, // longer than the volume
-                WritePattern { start: 3, len: 4, freq: 1 },   // already in range
-            ],
-        }
-        .clamped(100);
-        for p in &t.patterns {
-            assert!(p.start + p.len <= 100, "{p:?} escapes the volume");
-            assert!(p.len > 0);
-        }
-        assert_eq!(t.patterns[0], WritePattern { start: 80, len: 20, freq: 1 });
-        assert_eq!(t.patterns[1], WritePattern { start: 0, len: 100, freq: 2 });
-        assert_eq!(t.patterns[2], WritePattern { start: 3, len: 4, freq: 1 });
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use disk_sim::recovery::lc_re_time_ms;
 use disk_sim::DiskProfile;
 use hv_code::HvCode;
 use hv_examples::{fingerprint, payload};
@@ -24,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .transpose()?
         .unwrap_or(10);
     let p = 11usize;
-    let profile = DiskProfile::savvio_10k();
+    let re = DiskProfile::savvio_10k().element_service_ms();
     let codes: Vec<Arc<dyn ArrayCode>> = vec![
         Arc::new(RdpCode::new(p)?),
         Arc::new(HdpCode::new(p)?),
@@ -83,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             name,
             min_chains,
             max_lc,
-            lc_re_time_ms(max_lc, &profile),
+            max_lc as f64 * re,
             verified,
             rounds
         );

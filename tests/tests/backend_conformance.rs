@@ -600,7 +600,6 @@ fn a_bystander_death_mid_rebuild_step_is_adopted_and_the_step_completes() {
         let mut v = holding(&code, ROTATED, true, &data, schedule);
         v.fail_disk(1).unwrap();
         v.set_spares(1);
-        v.set_auto_heal(true);
         v.maintain(0).unwrap(); // swaps the spare in; rebuilds no stripe yet
         assert_eq!(v.rebuild_progress().map(|cp| cp.next_stripe), Some(0));
         v

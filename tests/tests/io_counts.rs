@@ -26,7 +26,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use disk_sim::{DiskArray, DiskProfile};
+use disk_sim::DiskProfile;
 use integration::{all_codes, payload};
 use raid_array::{lower, replay_write_trace, CacheConfig, DiskAddr, RaidVolume};
 use raid_workloads::skew::{hot_spot_trace, sequential_trace, zipf_write_trace};
@@ -44,8 +44,8 @@ fn hv13_volume(stripes: usize, element: usize, cached: bool) -> RaidVolume {
 /// replay clamps each pattern to the data space and flushes before taking
 /// its ledger delta, so coalesced flush I/O is fully accounted.
 fn replay_total(mut v: RaidVolume, trace: &WriteTrace) -> u64 {
-    let sim = DiskArray::new(v.disks(), DiskProfile::savvio_10k());
-    replay_write_trace(&mut v, sim, trace).expect("healthy replay").ledger.total()
+    let out = replay_write_trace(&mut v, DiskProfile::savvio_10k(), trace);
+    out.expect("healthy replay").ledger.total()
 }
 
 #[test]
