@@ -26,7 +26,8 @@ pub struct Stripe {
     rows: usize,
     cols: usize,
     element_size: usize,
-    /// Row-major; `None` is a cell a sparse stripe does not materialise.
+    /// Row-major; `None` is a cell a sparse stripe does not materialise,
+    /// and a sparse stripe of no cells has no table at all.
     bufs: Vec<Option<Vec<u8>>>,
 }
 
@@ -38,7 +39,8 @@ impl Stripe {
 
     /// Creates a `rows × cols` stripe that materialises only `cells`
     /// (zero-filled; repeats are harmless). What an op that names its cells
-    /// up front allocates instead of the whole grid.
+    /// up front allocates instead of the whole grid — and with no cells,
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -49,8 +51,11 @@ impl Stripe {
         element_size: usize,
         cells: impl IntoIterator<Item = Cell>,
     ) -> Self {
-        let mut bufs = vec![None; rows * cols];
+        let mut bufs = Vec::new();
         for cell in cells {
+            if bufs.is_empty() {
+                bufs.resize(rows * cols, None);
+            }
             assert!(cell.row < rows && cell.col < cols, "{cell} out of bounds");
             bufs[cell.index(cols)].get_or_insert_with(|| vec![0; element_size]);
         }
@@ -95,9 +100,9 @@ impl Stripe {
     pub fn element_mut(&mut self, cell: Cell) -> &mut [u8] {
         assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
         let idx = cell.index(self.cols);
-        match &mut self.bufs[idx] {
-            Some(buf) => buf,
-            None => absent(idx, self.cols),
+        match self.bufs.get_mut(idx) {
+            Some(Some(buf)) => buf,
+            _ => absent(idx, self.cols),
         }
     }
 
@@ -115,7 +120,8 @@ impl Stripe {
     /// True if the stripe materialises `cell` (every in-bounds cell of a
     /// dense stripe; the named cells of a sparse one).
     pub fn holds(&self, cell: Cell) -> bool {
-        cell.row < self.rows && cell.col < self.cols && self.bufs[cell.index(self.cols)].is_some()
+        let in_grid = cell.row < self.rows && cell.col < self.cols;
+        in_grid && self.get_buf(cell.index(self.cols)).is_some()
     }
 
     /// Zeroes an element — how tests model an erased cell.
@@ -247,7 +253,7 @@ impl Stripe {
     /// can borrow other buffers as sources while writing into it; pair
     /// with [`Stripe::put_buf`]. Panics if the cell is not materialised.
     pub(crate) fn take_buf(&mut self, idx: usize) -> Vec<u8> {
-        self.bufs[idx].take().unwrap_or_else(|| absent(idx, self.cols))
+        self.bufs.get_mut(idx).and_then(Option::take).unwrap_or_else(|| absent(idx, self.cols))
     }
 
     /// Re-attaches a buffer detached by [`Stripe::take_buf`].
@@ -258,7 +264,7 @@ impl Stripe {
     /// Borrows the buffer at linear index `idx`, if materialised (plan
     /// execution's source view; `element` requires a [`Cell`]).
     pub(crate) fn get_buf(&self, idx: usize) -> Option<&[u8]> {
-        self.bufs[idx].as_deref()
+        self.bufs.get(idx)?.as_deref()
     }
 
     /// Borrows the buffer at linear index `idx`. Panics if the cell is not

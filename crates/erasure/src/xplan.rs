@@ -35,8 +35,10 @@
 //! A source need not live in the stripe. [`XorPlan::execute_lent`] reads
 //! a cell the stripe does not materialise from a [`Lent`] slice — bytes a
 //! backend or a caller already holds — so a caller allocates only the
-//! cells the plan computes. Every path (tiled, untiled, lent or not) is
-//! the same interpreter with the same source lookup.
+//! cells the plan computes. Nor need a target: a [`LentMut`] slice is a
+//! cell the plan computes where it will be stored (a backend's own
+//! storage), and a later step reads it there. Every path (tiled, untiled,
+//! lent or not) is the same interpreter with the same source lookup.
 //!
 //! Plans come from five compilers:
 //!
@@ -437,22 +439,25 @@ impl XorPlan {
     /// Panics if the stripe's shape differs from the plan's, or if an op
     /// touches a cell the stripe does not materialise.
     pub fn execute(&self, stripe: &mut Stripe) {
-        self.execute_lent(stripe, &Lent::default());
+        self.execute_lent(stripe, &Lent::default(), &mut LentMut::default());
     }
 
-    /// [`XorPlan::execute`] with `lent` cells: a source the stripe does
-    /// not materialise is read where `lent` says it lives. Targets are
-    /// always the stripe's own cells.
+    /// [`XorPlan::execute`] with lent cells: a source the stripe does not
+    /// materialise is read where `lent` or `targets` says it lives, and a
+    /// target the stripe does not materialise is computed in the
+    /// `targets` slice lent for it — where a later step reads it too.
+    /// `lent` cells are read-only.
     ///
     /// # Panics
     ///
     /// Panics if the stripe's shape differs from the plan's, if an op
-    /// reads a cell neither the stripe nor `lent` holds, or if it targets
-    /// a cell the stripe does not materialise (a lent cell included).
-    pub fn execute_lent(&self, stripe: &mut Stripe, lent: &Lent<'_>) {
+    /// reads a cell neither the stripe nor a lender holds, or if it
+    /// targets a cell neither the stripe nor `targets` holds (a `lent`
+    /// cell included).
+    pub fn execute_lent(&self, stripe: &mut Stripe, lent: &Lent<'_>, targets: &mut LentMut<'_>) {
         self.check_shape(stripe);
         let es = stripe.element_size();
-        self.run(stripe, lent, tiles(es));
+        self.run(stripe, lent, targets, tiles(es));
     }
 
     /// Whole-element per-op execution, bypassing tiling — the reference
@@ -465,7 +470,8 @@ impl XorPlan {
     pub fn execute_untiled(&self, stripe: &mut Stripe) {
         self.check_shape(stripe);
         let es = stripe.element_size();
-        self.run(stripe, &Lent::default(), std::iter::once((0, es)).filter(|&(_, n)| n > 0));
+        let whole = std::iter::once((0, es)).filter(|&(_, n)| n > 0);
+        self.run(stripe, &Lent::default(), &mut LentMut::default(), whole);
     }
 
     fn check_shape(&self, stripe: &Stripe) {
@@ -474,15 +480,17 @@ impl XorPlan {
     }
 
     /// The one interpreter: for each `(offset, len)` chunk, applies every
-    /// op to that chunk of its buffers. A source is the stripe's cell if
-    /// it holds one, else the `lent` slice, else a scratch temp. Temps
-    /// are allocated element-sized (not tile-sized) so grid and temp
-    /// buffers slice uniformly; they are still touched tile-by-tile in
-    /// order, so their hot tile stays resident like everyone else's.
+    /// op to that chunk of its buffers. A buffer is the stripe's cell if
+    /// it holds one, else the `targets` slice, else (a source only) the
+    /// `lent` slice, else a scratch temp. Temps are allocated
+    /// element-sized (not tile-sized) so grid and temp buffers slice
+    /// uniformly; they are still touched tile-by-tile in order, so their
+    /// hot tile stays resident like everyone else's.
     fn run(
         &self,
         stripe: &mut Stripe,
         lent: &Lent<'_>,
+        targets: &mut LentMut<'_>,
         chunks: impl Iterator<Item = (usize, usize)>,
     ) {
         const GATHER: usize = 64;
@@ -495,10 +503,14 @@ impl XorPlan {
                 let srcs = &self.srcs[op.src_start as usize..op.src_end as usize];
                 // Detach the target so the sources can be borrowed freely
                 // (an op never reads its own target).
-                let mut out = if dst < ncells {
-                    stripe.take_buf(dst)
+                let mut out = if dst >= ncells {
+                    Detached::Owned(std::mem::take(&mut temp_bufs[dst - ncells]))
+                } else if let Some(k) =
+                    targets.0.slot(dst).filter(|_| stripe.get_buf(dst).is_none())
+                {
+                    Detached::Lent(k, std::mem::take(&mut targets.0.bytes[k]))
                 } else {
-                    std::mem::take(&mut temp_bufs[dst - ncells])
+                    Detached::Owned(stripe.take_buf(dst))
                 };
                 let source = |s: u32| -> &[u8] {
                     let i = s as usize;
@@ -506,29 +518,47 @@ impl XorPlan {
                         &temp_bufs[i - ncells]
                     } else if let Some(held) = stripe.get_buf(i) {
                         held
+                    } else if let Some(k) = targets.0.slot(i) {
+                        &*targets.0.bytes[k]
                     } else {
-                        lent.at(i).unwrap_or_else(|| absent(i, self.cols))
+                        match lent.0.slot(i) {
+                            Some(k) => lent.0.bytes[k],
+                            None => absent(i, self.cols),
+                        }
                     };
                     &buf[off..off + len]
+                };
+                let out_bytes = match &mut out {
+                    Detached::Owned(buf) => &mut buf[off..off + len],
+                    Detached::Lent(_, bytes) => &mut bytes[off..off + len],
                 };
                 if srcs.len() <= GATHER {
                     let mut stack: [&[u8]; GATHER] = [&[]; GATHER];
                     for (slot, &s) in stack.iter_mut().zip(srcs) {
                         *slot = source(s);
                     }
-                    xor_gather_into(&mut out[off..off + len], &stack[..srcs.len()]);
+                    xor_gather_into(out_bytes, &stack[..srcs.len()]);
                 } else {
                     let gathered: Vec<&[u8]> = srcs.iter().map(|&s| source(s)).collect();
-                    xor_gather_into(&mut out[off..off + len], &gathered);
+                    xor_gather_into(out_bytes, &gathered);
                 }
-                if dst < ncells {
-                    stripe.put_buf(dst, out);
-                } else {
-                    temp_bufs[dst - ncells] = out;
+                match out {
+                    Detached::Owned(buf) if dst < ncells => stripe.put_buf(dst, buf),
+                    Detached::Owned(buf) => temp_bufs[dst - ncells] = buf,
+                    Detached::Lent(k, bytes) => targets.0.bytes[k] = bytes,
                 }
             }
         }
     }
+}
+
+/// An op's target, detached from where it lives while the op's sources
+/// are borrowed.
+enum Detached<'a> {
+    /// A stripe cell's buffer or a scratch temp.
+    Owned(Vec<u8>),
+    /// The `k`-th slice a [`LentMut`] lends.
+    Lent(usize, &'a mut [u8]),
 }
 
 /// Grid cells a plan reads in place instead of from its stripe: bytes
@@ -536,14 +566,7 @@ impl XorPlan {
 /// a cache entry's slot. Lent bytes are read-only; [`XorPlan::execute_lent`]
 /// never writes one.
 #[derive(Debug, Clone, Default)]
-pub struct Lent<'a> {
-    rows: usize,
-    cols: usize,
-    /// Row-major over the grid, filled by the first insert: `k + 1` for a
-    /// cell lent as `bytes[k]`, 0 for one nobody lends.
-    slot: Vec<u16>,
-    bytes: Vec<&'a [u8]>,
-}
+pub struct Lent<'a>(Slots<&'a [u8]>);
 
 impl<'a> Lent<'a> {
     /// Each `(cell, bytes)` of `cells` lent, over a `rows × cols` grid; a
@@ -572,20 +595,76 @@ impl<'a> Lent<'a> {
         cols: usize,
         cells: impl IntoIterator<Item = (Cell, &'a [u8])>,
     ) -> Self {
-        let mut cells = cells.into_iter().peekable();
-        let mut lent = Lent { rows, cols, slot: table, bytes: Vec::new() };
-        if cells.peek().is_some() {
-            let (least, most) = cells.size_hint();
-            lent.bytes.reserve_exact(most.unwrap_or(least));
-        }
-        for (cell, bytes) in cells {
-            lent.insert(cell, bytes);
-        }
-        lent
+        Lent(Slots::in_table(table, rows, cols, cells))
     }
 
     /// The slot table, all zero again, for the next [`Lent::in_table`].
-    pub fn into_table(mut self) -> Vec<u16> {
+    pub fn into_table(self) -> Vec<u16> {
+        self.0.into_table()
+    }
+
+    /// The bytes lent as `cell`, if any.
+    pub fn get(&self, cell: Cell) -> Option<&'a [u8]> {
+        self.0.slot_of(cell).map(|k| self.0.bytes[k])
+    }
+}
+
+/// Grid cells a plan computes in place instead of in its stripe: `Lent`'s
+/// twin for targets. Each is a slice of where the cell will be stored — a
+/// backend's storage, a staging buffer — that [`XorPlan::execute_lent`]
+/// overwrites with the cell's value, and that a later step reads as a
+/// source.
+#[derive(Debug, Default)]
+pub struct LentMut<'a>(Slots<&'a mut [u8]>);
+
+impl<'a> LentMut<'a> {
+    /// Each `(cell, bytes)` of `cells` lent to be computed in place, over
+    /// a `rows × cols` grid; a later repeat of a cell replaces the
+    /// earlier.
+    ///
+    /// # Panics
+    ///
+    /// As [`Lent::of`].
+    pub fn of(
+        rows: usize,
+        cols: usize,
+        cells: impl IntoIterator<Item = (Cell, &'a mut [u8])>,
+    ) -> Self {
+        LentMut(Slots::in_table(Vec::new(), rows, cols, cells))
+    }
+}
+
+/// The cell → slice map behind [`Lent`] and [`LentMut`].
+#[derive(Debug, Clone, Default)]
+struct Slots<B> {
+    rows: usize,
+    cols: usize,
+    /// Row-major over the grid, filled by the first insert: `k + 1` for a
+    /// cell lent as `bytes[k]`, 0 for one nobody lends.
+    slot: Vec<u16>,
+    bytes: Vec<B>,
+}
+
+impl<B> Slots<B> {
+    fn in_table(
+        table: Vec<u16>,
+        rows: usize,
+        cols: usize,
+        cells: impl IntoIterator<Item = (Cell, B)>,
+    ) -> Self {
+        let mut cells = cells.into_iter().peekable();
+        let mut slots = Slots { rows, cols, slot: table, bytes: Vec::new() };
+        if cells.peek().is_some() {
+            let (least, most) = cells.size_hint();
+            slots.bytes.reserve_exact(most.unwrap_or(least));
+        }
+        for (cell, bytes) in cells {
+            slots.insert(cell, bytes);
+        }
+        slots
+    }
+
+    fn into_table(mut self) -> Vec<u16> {
         self.slot.fill(0);
         self.slot
     }
@@ -596,7 +675,7 @@ impl<'a> Lent<'a> {
     ///
     /// Panics if `cell` lies outside the grid, or if the grid has more
     /// cells than a `u16` counts.
-    fn insert(&mut self, cell: Cell, bytes: &'a [u8]) {
+    fn insert(&mut self, cell: Cell, bytes: B) {
         assert!(cell.row < self.rows && cell.col < self.cols, "{cell} out of bounds");
         let cells = self.rows * self.cols;
         if self.bytes.is_empty() && self.slot.len() != cells {
@@ -613,19 +692,15 @@ impl<'a> Lent<'a> {
         }
     }
 
-    /// The bytes lent as `cell`, if any.
-    pub fn get(&self, cell: Cell) -> Option<&'a [u8]> {
-        if cell.row < self.rows && cell.col < self.cols {
-            self.at(cell.index(self.cols))
-        } else {
-            None
-        }
+    /// Where `cell`'s bytes are in `bytes`, if it is lent.
+    fn slot_of(&self, cell: Cell) -> Option<usize> {
+        (cell.row < self.rows && cell.col < self.cols).then(|| self.slot(cell.index(self.cols)))?
     }
 
-    /// The bytes lent at flat grid index `idx`, if any.
-    fn at(&self, idx: usize) -> Option<&'a [u8]> {
+    /// Where the bytes of flat grid index `idx` are in `bytes`, if lent.
+    fn slot(&self, idx: usize) -> Option<usize> {
         match self.slot.get(idx) {
-            Some(&k) if k > 0 => Some(self.bytes[usize::from(k) - 1]),
+            Some(&k) if k > 0 => Some(usize::from(k) - 1),
             _ => None,
         }
     }
@@ -786,7 +861,7 @@ mod tests {
             let held = (0..3).map(|col| (Cell::new(0, col), dense.element(Cell::new(0, col))));
             let lent = Lent::of(rows, cols, held);
             let mut sparse = Stripe::sparse(rows, cols, es, [Cell::new(0, 3)]);
-            plan.execute_lent(&mut sparse, &lent);
+            plan.execute_lent(&mut sparse, &lent, &mut LentMut::default());
             let mut reference = dense.clone();
             plan.execute(&mut reference);
             assert_eq!(sparse.element(Cell::new(0, 3)), reference.element(Cell::new(0, 3)), "{es}");
@@ -795,11 +870,41 @@ mod tests {
     }
 
     #[test]
+    fn targets_computed_in_place_match_a_dense_stripe_and_feed_later_steps() {
+        // t0 = a ^ b; p = t0 ^ c; q = p ^ d — p and q lent as targets, a
+        // to d lent as sources, nothing held: q reads p where it was
+        // computed. The targets start stale.
+        let (rows, cols) = (1, 6);
+        let ops = [(6, vec![0, 1]), (4, vec![6, 2]), (5, vec![4, 3])];
+        let plan = XorPlan::from_indexed_ops(rows, cols, 1, &ops, None);
+        for es in [64, L1_TILE_BYTES + 37] {
+            let mut dense = Stripe::zeroed(rows, cols, es);
+            for col in 0..4 {
+                let cell = Cell::new(0, col);
+                for (k, byte) in dense.element_mut(cell).iter_mut().enumerate() {
+                    *byte = (k * 5 + col * 3) as u8;
+                }
+            }
+            let held = (0..4).map(|col| (Cell::new(0, col), dense.element(Cell::new(0, col))));
+            let lent = Lent::of(rows, cols, held);
+            let (mut p, mut q) = (vec![0xA5; es], vec![0x5A; es]);
+            let in_place = [(Cell::new(0, 4), &mut p[..]), (Cell::new(0, 5), &mut q[..])];
+            let mut targets = LentMut::of(rows, cols, in_place);
+            plan.execute_lent(&mut Stripe::sparse(rows, cols, es, []), &lent, &mut targets);
+            drop(targets);
+            let mut reference = dense.clone();
+            plan.execute(&mut reference);
+            assert_eq!(p, reference.element(Cell::new(0, 4)), "{es}");
+            assert_eq!(q, reference.element(Cell::new(0, 5)), "{es}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "E[0,0] is not materialised")]
     fn a_step_targeting_a_lent_cell_panics() {
         let plan = XorPlan::from_steps(1, 2, [(Cell::new(0, 0), [Cell::new(0, 1)].as_slice())]);
         let lent = Lent::of(1, 2, [(Cell::new(0, 0), &[0; 8][..]), (Cell::new(0, 1), &[1; 8][..])]);
-        plan.execute_lent(&mut Stripe::sparse(1, 2, 8, []), &lent);
+        plan.execute_lent(&mut Stripe::sparse(1, 2, 8, []), &lent, &mut LentMut::default());
     }
 
     #[test]

@@ -127,7 +127,9 @@ impl std::error::Error for AuditError {}
 ///
 /// `preset` lists scratch cells the caller filled *before* execution (the
 /// RMW double-buffer's fresh data, a degraded write's payload) — or lends
-/// (`IoPipeline::execute_lent`). With `Some(_)`, read-set sufficiency is
+/// (`IoPipeline::execute_lent`); an op computed in place over stale
+/// targets (`IoPipeline::execute_in_place`) claims `Some(&[])`. With
+/// `Some(_)`, read-set sufficiency is
 /// checked: every cell a plan op or a write consumes must come from a
 /// read, a preset cell, or an earlier plan op. With `None`, the caller
 /// makes no claim about pre-filled scratch and only the structural checks

@@ -27,8 +27,10 @@
 //! fsync-ordered sidecar file and the checkpoint as a line in
 //! `volume.meta`. [`MemBackend`] cannot fail once its targets check out,
 //! so its `write_all` checks them all and then copies each element once,
-//! and its [`DiskBackend::lend`] checks an op's sources and then lends
-//! slices of its own storage instead of copying them out.
+//! its [`DiskBackend::lend`] checks an op's sources and then lends
+//! slices of its own storage instead of copying them out, and its
+//! [`DiskBackend::lend_mut`] lends a rebuild's targets the same way, so
+//! the lost cells are computed where they are stored.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
@@ -53,6 +55,9 @@ pub struct JournalEntry {
 
 /// Persistent progress marker for a background rebuild: which disks are
 /// being reconstructed onto spares and the first stripe not yet rebuilt.
+/// A spare's elements from that stripe on hold whatever the spare came
+/// with ([`DiskBackend::replace`]); nothing reads them before the rebuild
+/// has written them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebuildCheckpoint {
     /// Disks being rebuilt (sorted; one or two entries in RAID-6).
@@ -80,6 +85,10 @@ impl RebuildCheckpoint {
         Some(RebuildCheckpoint { disks, next_stripe: next.trim().parse().ok()? })
     }
 }
+
+/// What [`DiskBackend::lend_mut`] lends: one slice per read address and
+/// one mutable slice per write address, in order.
+pub type LentIo<'a> = (Vec<&'a [u8]>, Vec<&'a mut [u8]>);
 
 /// The element read/write/fault surface of one disk array.
 pub trait DiskBackend: Send {
@@ -139,6 +148,65 @@ pub trait DiskBackend: Send {
             self.read(disk, index, buf)?;
         }
         Ok(staging[..addrs.len()].iter().map(Vec::as_slice).collect())
+    }
+
+    /// [`DiskBackend::lend`]'s write-side twin, for an op that computes
+    /// every element it stores: lends the sources at `reads` as `lend`
+    /// does, and the elements at `writes` mutably — one
+    /// [`DiskBackend::element_size`] slice per address, whose bytes are
+    /// unspecified, for the caller to overwrite with each element's new
+    /// value. [`DiskBackend::store_lent`] then stores them. The addresses
+    /// of `reads` and `writes` are all distinct.
+    ///
+    /// The default [`DiskBackend::read`]s the `k`-th read into
+    /// `staging[k]`, as `lend` does, and stages the `k`-th write in
+    /// `staging[reads.len() + k]` — element buffers the caller owns and
+    /// reuses, added here when an op needs more than any before it — so
+    /// it issues exactly the reads `lend` issues, and nothing is written
+    /// until `store_lent`.
+    ///
+    /// # Errors
+    ///
+    /// As [`DiskBackend::lend`]; nothing is written then.
+    fn lend_mut<'a>(
+        &'a mut self,
+        reads: &[DiskAddr],
+        writes: &[DiskAddr],
+        staging: &'a mut Vec<Vec<u8>>,
+    ) -> Result<LentIo<'a>, DiskError> {
+        let es = self.element_size();
+        if staging.len() < reads.len() + writes.len() {
+            staging.resize_with(reads.len() + writes.len(), || vec![0; es]);
+        }
+        let (for_reads, for_writes) = staging.split_at_mut(reads.len());
+        for (&DiskAddr { disk, index }, buf) in reads.iter().zip(for_reads.iter_mut()) {
+            self.read(disk, index, buf)?;
+        }
+        let read = for_reads.iter().map(Vec::as_slice).collect();
+        Ok((read, for_writes[..writes.len()].iter_mut().map(Vec::as_mut_slice).collect()))
+    }
+
+    /// Stores the elements [`DiskBackend::lend_mut`] lent at `writes`,
+    /// now holding their new bytes, all or nothing as
+    /// [`DiskBackend::write_all`] does. `reads`, `writes` and `staging`
+    /// are what `lend_mut` was given.
+    ///
+    /// The default is `write_all` of the `k`-th write from where
+    /// `lend_mut` staged it: the journaled store, its pre-image reads and
+    /// writes in order.
+    ///
+    /// # Errors
+    ///
+    /// As [`DiskBackend::write_all`].
+    fn store_lent(
+        &mut self,
+        reads: &[DiskAddr],
+        writes: &[DiskAddr],
+        staging: &[Vec<u8>],
+    ) -> Result<(), DiskError> {
+        let staged = staging[reads.len()..].iter().map(Vec::as_slice);
+        let targets: Vec<(DiskAddr, &[u8])> = writes.iter().copied().zip(staged).collect();
+        self.write_all(&targets)
     }
 
     /// Stores every `(address, bytes)` of `targets` (distinct addresses),
@@ -211,8 +279,10 @@ pub trait DiskBackend: Send {
     /// Returns [`DiskError::NoSuchDisk`] for a bad index.
     fn fail(&mut self, disk: usize) -> Result<(), DiskError>;
 
-    /// Swaps in a blank spare for `disk`: clears the failure flag and
-    /// zeroes its contents (the rebuild then streams every element back).
+    /// Swaps in a spare for `disk`: clears the failure flag. The spare's
+    /// contents are unspecified until written — the rebuild then streams
+    /// every element back, and until it has, the volume reads no element
+    /// of it.
     ///
     /// # Errors
     ///
@@ -394,16 +464,75 @@ impl DiskBackend for MemBackend {
         Ok(())
     }
 
+    /// Checks every address, then lends slices of the disks themselves,
+    /// the writes mutably: each touched disk's window, from its first
+    /// address to its last, is cut into elements and each address takes
+    /// its own. The new bytes land as the caller computes them, so
+    /// [`DiskBackend::store_lent`] has nothing left to store — and since
+    /// nothing can fail once the addresses check out, the store is still
+    /// all or nothing. The error is the first failing address of `reads`
+    /// then `writes`, as the default's `lend` and pre-image reads report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address repeats.
+    fn lend_mut<'a>(
+        &'a mut self,
+        reads: &[DiskAddr],
+        writes: &[DiskAddr],
+        _staging: &'a mut Vec<Vec<u8>>,
+    ) -> Result<LentIo<'a>, DiskError> {
+        let addrs = || reads.iter().chain(writes);
+        for &DiskAddr { disk, index } in addrs() {
+            self.check(disk, index)?;
+        }
+        // Per disk, its window's first index and its end, then where the
+        // window's elements start in `elements`, back to back.
+        let mut windows = vec![(usize::MAX, 0); self.disks.len()];
+        for a in addrs() {
+            let (first, end) = &mut windows[a.disk];
+            (*first, *end) = ((*first).min(a.index), (*end).max(a.index + 1));
+        }
+        let len = windows.iter().map(|&(first, end)| end.saturating_sub(first)).sum();
+        let mut elements: Vec<Option<&'a mut [u8]>> = Vec::with_capacity(len);
+        let es = self.element_size;
+        for (d, window) in self.disks.iter_mut().zip(&mut windows) {
+            let (first, end) = *window;
+            window.1 = elements.len();
+            if first < end {
+                elements.extend(d.data[first * es..end * es].chunks_exact_mut(es).map(Some));
+            }
+        }
+        let mut take = |a: &DiskAddr| -> &'a mut [u8] {
+            let (first, start) = windows[a.disk];
+            let lent = elements[start + a.index - first].take();
+            lent.unwrap_or_else(|| panic!("element {} of disk {} lent twice", a.index, a.disk))
+        };
+        let read = reads.iter().map(|a| -> &'a [u8] { take(a) }).collect();
+        Ok((read, writes.iter().map(take).collect()))
+    }
+
+    /// The bytes landed as they were computed ([`Self::lend_mut`]).
+    fn store_lent(
+        &mut self,
+        _reads: &[DiskAddr],
+        _writes: &[DiskAddr],
+        _staging: &[Vec<u8>],
+    ) -> Result<(), DiskError> {
+        Ok(())
+    }
+
     fn fail(&mut self, disk: usize) -> Result<(), DiskError> {
         let d = self.disks.get_mut(disk).ok_or(DiskError::NoSuchDisk { disk })?;
         d.failed = true;
         Ok(())
     }
 
+    /// The spare keeps the failed disk's bytes: a rebuild rewrites every
+    /// element, and the volume reads none of them before it has.
     fn replace(&mut self, disk: usize) -> Result<(), DiskError> {
         let d = self.disks.get_mut(disk).ok_or(DiskError::NoSuchDisk { disk })?;
         d.failed = false;
-        d.data.fill(0);
         Ok(())
     }
 
@@ -1248,9 +1377,43 @@ mod tests {
         assert!(b.is_failed(1));
         let mut buf = [0u8; 16];
         assert_eq!(b.read(1, 3, &mut buf), Err(DiskError::DiskFailed { disk: 1 }));
+        // A spare's contents are unspecified until written: it serves
+        // whatever it holds, and a write lands.
         b.replace(1).unwrap();
+        assert!(!b.is_failed(1));
         b.read(1, 3, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 0), "spare must come up blank");
+        b.write(1, 3, &[0xA5; 16]).unwrap();
+        b.read(1, 3, &mut buf).unwrap();
+        assert_eq!(buf, [0xA5; 16]);
+    }
+
+    #[test]
+    fn mem_backend_lends_writes_in_place_and_the_default_stages_them() {
+        let reads = [DiskAddr { disk: 0, index: 1 }, DiskAddr { disk: 2, index: 3 }];
+        let writes = [DiskAddr { disk: 2, index: 1 }, DiskAddr { disk: 1, index: 0 }];
+        let mut mem = MemBackend::new(3, 4, 8);
+        mem.write(0, 1, &[1; 8]).unwrap();
+        mem.write(2, 3, &[2; 8]).unwrap();
+        let mut faulty = FaultyBackend::new(Box::new(mem.clone()), Vec::new());
+        for backend in [&mut mem as &mut dyn DiskBackend, &mut faulty] {
+            let mut staging = Vec::new();
+            let (read, lent) = backend.lend_mut(&reads, &writes, &mut staging).unwrap();
+            assert_eq!(read, [&[1; 8][..], &[2; 8][..]]);
+            for (k, element) in lent.into_iter().enumerate() {
+                element.fill(k as u8 + 5);
+            }
+            backend.store_lent(&reads, &writes, &staging).unwrap();
+            let mut buf = [0u8; 8];
+            backend.read(2, 1, &mut buf).unwrap();
+            assert_eq!(buf, [5; 8], "{}", backend.kind());
+            backend.read(1, 0, &mut buf).unwrap();
+            assert_eq!(buf, [6; 8], "{}", backend.kind());
+        }
+        // A bad or failed address lends nothing; it is the error the
+        // default reports.
+        mem.fail(1).unwrap();
+        let err = mem.lend_mut(&reads, &writes, &mut Vec::new()).unwrap_err();
+        assert_eq!(err, DiskError::DiskFailed { disk: 1 });
     }
 
     #[test]

@@ -447,15 +447,18 @@ mod tests {
         std::array::from_fn(|k| (seed * 31 + k * 7 + 1) as u8)
     }
 
-    /// Three pipelines over identical backends: every op runs on a dense
+    /// Four pipelines over identical backends: every op runs on a dense
     /// zeroed scratch against one, on a sparse scratch over the op's own
     /// footprint against another, and on a scratch of only the cells it
     /// computes, every other cell lent, against the third — and they must
-    /// never differ.
+    /// never differ. The fourth runs an op that reconstructs its writes in
+    /// place, each written cell computed in the backend's storage (what a
+    /// rebuild does), and every other op as the first does.
     struct Twin {
         dense: IoPipeline,
         sparse: IoPipeline,
         lent: IoPipeline,
+        in_place: IoPipeline,
     }
 
     impl Twin {
@@ -471,7 +474,8 @@ mod tests {
             Twin {
                 dense: IoPipeline::new(Box::new(backend.clone())),
                 sparse: IoPipeline::new(Box::new(backend.clone())),
-                lent: IoPipeline::new(Box::new(backend)),
+                lent: IoPipeline::new(Box::new(backend.clone())),
+                in_place: IoPipeline::new(Box::new(backend)),
             }
         }
 
@@ -517,7 +521,37 @@ mod tests {
                 "{what}: backend images differ"
             );
             self.execute_lent(op, (rows, cols), preset, (&dense, &on_dense), what);
+            self.execute_in_place(op, (rows, cols), preset, &on_dense, what);
             sparse
+        }
+
+        /// Executes `op` on the fourth pipeline: in place if it
+        /// reconstructs its writes, else on a dense scratch preset as the
+        /// first pipeline's was. The request set and the backend image
+        /// must be the dense run's.
+        fn execute_in_place(
+            &mut self,
+            op: &LoweredOp,
+            (rows, cols): (usize, usize),
+            preset: &[(Cell, &[u8])],
+            on_dense: &RequestSet,
+            what: &str,
+        ) {
+            let on_in_place = if op.reconstructs_its_writes() {
+                self.in_place.execute_in_place(op).unwrap()
+            } else {
+                let mut dense = Stripe::zeroed(rows, cols, ES);
+                for &(cell, bytes) in preset {
+                    dense.set_element(cell, bytes);
+                }
+                self.in_place.execute(op, &mut dense).unwrap()
+            };
+            assert_eq!(&on_in_place, on_dense, "{what}: request sets differ in place");
+            assert_eq!(
+                Twin::image(&mut self.in_place),
+                Twin::image(&mut self.dense),
+                "{what}: backend image differs in place"
+            );
         }
 
         /// Executes `op` as the volume's borrowing callers do, on a scratch
@@ -577,14 +611,17 @@ mod tests {
             assert_eq!(&stale, fresh, "{what}: stale scratch bytes survived");
         }
 
-        /// Zeroes the cells of columns `cols`, addressed by `addr`, on both
-        /// backends — what a swapped-in blank disk holds.
+        /// Spoils the cells of columns `cols`, addressed by `addr`, on
+        /// every backend, as a swapped-in spare may hold anything: zeros,
+        /// except `0xA5` on the in-place side, whose rebuild computes each
+        /// cell over those stale bytes.
         fn blank(&mut self, layout: &Layout, addr: &impl Fn(Cell) -> DiskAddr, cols: &[usize]) {
             for cell in cols.iter().flat_map(|&col| layout.cells_in_col(col)) {
                 let at = addr(cell);
-                for pipe in [&mut self.dense, &mut self.sparse] {
+                for pipe in [&mut self.dense, &mut self.sparse, &mut self.lent] {
                     pipe.backend_mut().write(at.disk, at.index, &[0; ES]).unwrap();
                 }
+                self.in_place.backend_mut().write(at.disk, at.index, &[0xA5; ES]).unwrap();
             }
         }
     }
@@ -908,16 +945,21 @@ mod tests {
                 for failed in [&[][..], &[0], &[1, shape.1 - 1]] {
                     let what = format!("{name} p={p} encode_store_op {failed:?}");
                     let op = encode_store_op(layout, failed, &data[..2], &addr);
+                    // A store writes data it does not compute: never in place.
+                    assert!(!op.reconstructs_its_writes(), "{what}");
                     twin.execute(&op, shape, &whole, &what);
                 }
 
-                // Rebuilds onto blanked columns restore the stripe.
-                for lost in [&[0usize][..], &[1, shape.1 - 1]] {
-                    let what = format!("{name} p={p} decode_op {lost:?}");
+                // Rebuilds onto spoiled columns restore the stripe: both,
+                // or one of two lost (a second failure with one spare),
+                // its partner computed and dropped.
+                for (lost, rebuilt) in [(&[0usize][..], 1), (&[1, shape.1 - 1], 2), (&[1, 2], 1)] {
+                    let what = format!("{name} p={p} decode_op {lost:?} onto {rebuilt}");
                     let cells: Vec<Cell> =
-                        lost.iter().flat_map(|&col| layout.cells_in_col(col)).collect();
-                    twin.blank(layout, &addr, lost);
+                        lost[..rebuilt].iter().flat_map(|&col| layout.cells_in_col(col)).collect();
+                    twin.blank(layout, &addr, &lost[..rebuilt]);
                     let op = decode_op(layout, lost, &[], &cells, &addr).expect(&what);
+                    assert!(op.reconstructs_its_writes(), "{what}");
                     let fresh = twin.execute(&op, shape, &[], &what);
                     twin.execute_on_stale(&op, &fresh, &what);
                     assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");
@@ -926,6 +968,7 @@ mod tests {
                 let what = format!("{name} p={p} recover_column_op {col}");
                 twin.blank(layout, &addr, &[col]);
                 let op = recover_column_op(layout, col, &layout.cells_in_col(col), &addr);
+                assert!(op.reconstructs_its_writes(), "{what}");
                 let fresh = twin.execute(&op, shape, &[], &what);
                 twin.execute_on_stale(&op, &fresh, &what);
                 assert_eq!(twin.execute(&fetch, shape, &[], &what), model, "{what}");

@@ -19,10 +19,16 @@
 //! only where the scratch materialises its cell. So a scratch need hold
 //! no more than the cells the op's plan computes
 //! ([`LoweredOp::computed`]), and a dense one behaves as it always did.
+//!
+//! A rebuild's op needs less still: every cell it stores is one it
+//! reconstructs ([`LoweredOp::reconstructs_its_writes`]), so
+//! [`IoPipeline::execute_in_place`] computes each where it will be stored
+//! ([`DiskBackend::lend_mut`]: a slice of the backend's own storage, or a
+//! staging buffer the pipeline reuses and stores from).
 
 use disk_sim::DiskError;
 use raid_core::io::{IoLedger, RequestSet};
-use raid_core::xplan::{Lent, PlanCell};
+use raid_core::xplan::{Lent, LentMut, PlanCell};
 use raid_core::{Cell, Stripe, XorPlan};
 
 use crate::backend::DiskBackend;
@@ -87,6 +93,17 @@ impl LoweredOp {
     pub fn computed(&self) -> impl Iterator<Item = Cell> + '_ {
         self.plan.iter().flat_map(|plan| plan.targets())
     }
+
+    /// True if the op stores something and every cell it stores is one
+    /// its plan computes — a rebuild's or a latent repair's write-back.
+    /// Such an op needs no cell of its own for what it stores: it runs
+    /// through [`IoPipeline::execute_in_place`], as an op with no plan and
+    /// no writes runs through [`IoPipeline::fetch`].
+    pub fn reconstructs_its_writes(&self) -> bool {
+        let Some(plan) = &self.plan else { return false };
+        let mut writes = self.data_writes.iter().chain(&self.parity_writes).peekable();
+        writes.peek().is_some() && writes.all(|&(cell, _)| plan.targets().any(|t| t == cell))
+    }
 }
 
 /// Executes [`LoweredOp`]s against a backend, keeps the cumulative
@@ -99,8 +116,9 @@ pub struct IoPipeline {
     op_busiest: u64,
     /// The addresses of the op being executed, reused across ops.
     addrs: Vec<DiskAddr>,
-    /// Where a backend with no storage to lend stages an op's reads
-    /// ([`DiskBackend::lend`]'s default), reused across ops.
+    /// Where a backend with no storage to lend stages an op's reads, and
+    /// then the cells it computes in place ([`DiskBackend::lend`]'s and
+    /// [`DiskBackend::lend_mut`]'s defaults), reused across ops.
     staging: Vec<Vec<u8>>,
     /// The grid index of the cells an op's plan and writes read in
     /// place ([`Lent::in_table`]), reused across ops.
@@ -255,7 +273,7 @@ impl IoPipeline {
         for &(cell, bytes) in lent {
             assert_eq!(bytes.len(), es, "lent {cell} is not one element");
         }
-        self.debug_audit(op, rows, cols, lent);
+        self.debug_audit(op, rows, cols, (!lent.is_empty()).then_some(lent));
         self.addrs.clear();
         self.addrs.extend(op.reads.iter().map(|&(_, addr)| addr));
         let read = self.backend.lend(&self.addrs, &mut self.staging)?;
@@ -269,13 +287,59 @@ impl IoPipeline {
         let index = std::mem::take(&mut self.lent_index);
         let sources = Lent::in_table(index, rows, cols, unlanded.chain(lent.iter().copied()));
         if let Some(plan) = &op.plan {
-            plan.execute_lent(scratch, &sources);
+            plan.execute_lent(scratch, &sources, &mut LentMut::default());
         }
         for (&cell, element) in copy_out.iter().zip(out.chunks_exact_mut(es)) {
             element.copy_from_slice(cell_bytes(scratch, &sources, cell));
         }
         self.lent_index = sources.into_table();
         self.store(op, scratch, lent)?;
+        Ok(self.commit(op))
+    }
+
+    /// Executes an op that reconstructs every cell it stores
+    /// ([`LoweredOp::reconstructs_its_writes`]) with no scratch for them:
+    /// the backend lends the reads and the write targets together
+    /// ([`DiskBackend::lend_mut`]), the plan computes each written cell in
+    /// its target, and [`DiskBackend::store_lent`] stores them — on a
+    /// backend that lends its own storage, the bytes are already there.
+    /// A cell the plan computes but the op does not store (a second lost
+    /// column, rebuilt onto no spare) is the one thing it allocates, in a
+    /// sparse scratch. The request set is committed as
+    /// [`IoPipeline::execute`] commits it.
+    ///
+    /// A target's bytes are stale until the plan computes them; the plan
+    /// reads none before it has.
+    ///
+    /// # Errors
+    ///
+    /// As [`IoPipeline::execute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op does not reconstruct its writes.
+    pub fn execute_in_place(&mut self, op: &LoweredOp) -> Result<RequestSet, DiskError> {
+        assert!(
+            op.reconstructs_its_writes(),
+            "only an op that reconstructs its writes runs in place"
+        );
+        let plan = op.plan.as_ref().expect("an op that reconstructs its writes has a plan");
+        let (rows, cols, es) = (plan.rows(), plan.cols(), self.backend.element_size());
+        self.debug_audit(op, rows, cols, Some(&[]));
+        let writes = || op.data_writes.iter().chain(&op.parity_writes);
+        let stored = |cell: Cell| writes().any(|&(written, _)| written == cell);
+        let mut scratch = Stripe::sparse(rows, cols, es, op.computed().filter(|&c| !stored(c)));
+        self.addrs.clear();
+        self.addrs.extend(op.reads.iter().chain(writes()).map(|&(_, addr)| addr));
+        let (read_addrs, write_addrs) = self.addrs.split_at(op.reads.len());
+        let (read, lent) = self.backend.lend_mut(read_addrs, write_addrs, &mut self.staging)?;
+        let index = std::mem::take(&mut self.lent_index);
+        let sources = Lent::in_table(index, rows, cols, op.reads.iter().map(|&(c, _)| c).zip(read));
+        let targets = writes().map(|&(cell, _)| cell).zip(lent);
+        let mut in_place = LentMut::of(rows, cols, targets);
+        plan.execute_lent(&mut scratch, &sources, &mut in_place);
+        self.lent_index = sources.into_table();
+        self.backend.store_lent(read_addrs, write_addrs, &self.staging)?;
         Ok(self.commit(op))
     }
 
@@ -305,7 +369,7 @@ impl IoPipeline {
         let (rows, cols) = op.reads.iter().fold((0, 0), |(rows, cols), &(cell, _)| {
             (rows.max(cell.row + 1), cols.max(cell.col + 1))
         });
-        self.debug_audit(op, rows, cols, &[]);
+        self.debug_audit(op, rows, cols, None);
         for (&(_, addr), element) in op.reads.iter().zip(out.chunks_exact_mut(es)) {
             self.backend.read(addr.disk, addr.index, element)?;
         }
@@ -317,15 +381,23 @@ impl IoPipeline {
     /// duplicate reads/writes, plan/scratch shape skew, a plan step
     /// targeting a read or lent cell) are lowering bugs, and executing
     /// them would silently corrupt elements. A caller that lends cells
-    /// cut its scratch to the cells the op computes, so the lent cells
-    /// are all it pre-filled: the audit then also checks that every cell
-    /// the op consumes is read, lent or computed first.
-    fn debug_audit(&self, op: &LoweredOp, rows: usize, cols: usize, lent: &[(Cell, &[u8])]) {
+    /// cut its scratch to the cells the op computes, and an op run in
+    /// place computes its targets over stale bytes, so for them `preset`
+    /// names every cell the op may consume unwritten — the lent ones, or
+    /// none — and the audit also checks that every cell the op consumes
+    /// is read, preset or computed first.
+    fn debug_audit(
+        &self,
+        op: &LoweredOp,
+        rows: usize,
+        cols: usize,
+        preset: Option<&[(Cell, &[u8])]>,
+    ) {
         if cfg!(debug_assertions) {
             let disks = self.backend.disks();
-            let lent: Vec<Cell> = lent.iter().map(|&(cell, _)| cell).collect();
-            let preset = (!lent.is_empty()).then_some(lent.as_slice());
-            if let Err(e) = crate::audit::audit_lowered(op, rows, cols, disks, preset) {
+            let preset: Option<Vec<Cell>> =
+                preset.map(|lent| lent.iter().map(|&(cell, _)| cell).collect());
+            if let Err(e) = crate::audit::audit_lowered(op, rows, cols, disks, preset.as_deref()) {
                 panic!("lowered op failed static audit: {e}");
             }
         }

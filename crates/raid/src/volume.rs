@@ -158,24 +158,14 @@ pub struct RaidVolume {
     spares: usize,
     /// The in-flight background rebuild, if any: the in-memory mirror of
     /// the persisted checkpoint. Its disks stay in `failed` — their
-    /// content is invalid — even though the backend already serves the
-    /// blank replacements.
+    /// content ahead of the frontier is invalid — even though the backend
+    /// already serves the replacements.
     rebuild_task: Option<RebuildCheckpoint>,
     /// When armed, refuse new writes while the array is parked at the
     /// correction limit with no rebuild underway and no spares left.
     write_fence: bool,
     /// The write-back stripe cache, when enabled.
     cache: Option<StripeCache>,
-}
-
-/// The scratch one [`RaidVolume::rebuild_step`] runs its stripes on: the
-/// cells the rebuild op for these failed and written logical columns
-/// computes — what those cells are a function of — so consecutive stripes
-/// that lose the same columns share one allocation.
-struct RebuildScratch {
-    failed_cols: Vec<usize>,
-    write_cols: BTreeSet<usize>,
-    cells: Stripe,
 }
 
 /// What a stripe store writes — the new bytes of its dirty ordinals —
@@ -360,11 +350,11 @@ impl RaidVolume {
     /// Adopts a persisted rebuild checkpoint: the previous process died
     /// mid-rebuild, and the checkpointed disks hold invalid data up from
     /// `next_stripe`. Resuming means continuing from there — *not*
-    /// re-zeroing the spares (that would destroy the stripes already
+    /// swapping in fresh spares (that would lose the stripes already
     /// rebuilt) and *not* restarting at stripe 0. The one exception: a
     /// disk the checkpoint names that the backend still reports failed
     /// (crash fell between checkpoint-write and spare-swap, which implies
-    /// `next_stripe == 0`) gets its blank spare now.
+    /// `next_stripe == 0`) gets its spare now.
     fn resume_rebuild_checkpoint(&mut self) -> Result<(), VolumeError> {
         let Some(cp) = self.pipeline.backend().load_checkpoint() else { return Ok(()) };
         if cp.disks.iter().any(|&d| d >= self.disks()) || cp.next_stripe > self.stripes {
@@ -674,8 +664,8 @@ impl RaidVolume {
         }
         if self.failed.contains(&disk) {
             // A spare died while being rebuilt: swap in a fresh one and
-            // restart its rebuild from stripe 0 (the replacement is
-            // blank).
+            // restart its rebuild from stripe 0 (nothing on the
+            // replacement is valid yet).
             let spare_died = self.pipeline.backend().is_failed(disk);
             let task = self.rebuild_task.as_mut();
             if let Some(task) = task.filter(|t| spare_died && t.disks.contains(&disk)) {
@@ -773,8 +763,9 @@ impl RaidVolume {
                 index: i0,
             }));
         };
-        let mut scratch = Stripe::for_layout(layout, self.element_size);
-        self.pipeline.execute(&op, &mut scratch)?;
+        // The op stores only the bad sectors it decodes: they are
+        // computed where they are rewritten.
+        self.pipeline.execute_in_place(&op)?;
         Ok(())
     }
 
@@ -1184,7 +1175,7 @@ impl RaidVolume {
         Ok(self.pipeline.execute_into(&op, &mut scratch, requested, out)?)
     }
 
-    /// Rebuilds every failed disk onto a blank spare (single-disk hybrid
+    /// Rebuilds every failed disk onto a spare (single-disk hybrid
     /// recovery or generic double-disk decode) and marks the array
     /// healthy. An in-flight background rebuild is driven to completion
     /// first; progress is checkpointed per stripe, so a crash mid-rebuild
@@ -1252,10 +1243,11 @@ impl RaidVolume {
     }
 
     /// Registers a rebuild task for `disks`: the checkpoint is persisted
-    /// *before* the blank spares are swapped in, so a crash between the
-    /// two steps is detected on reopen (the checkpointed disk is still
-    /// backend-failed) and the swap replayed rather than the half-zeroed
-    /// spare trusted.
+    /// *before* the spares are swapped in, so a crash between the two
+    /// steps is detected on reopen (the checkpointed disk is still
+    /// backend-failed) and the swap replayed. Either way the checkpoint
+    /// says stripe 0, so nothing on a spare is trusted before the rebuild
+    /// has rewritten it.
     fn start_rebuild(&mut self, disks: Vec<usize>) -> Result<(), VolumeError> {
         let cp = RebuildCheckpoint { disks, next_stripe: 0 };
         self.pipeline.backend_mut().save_checkpoint(Some(&cp))?;
@@ -1272,12 +1264,10 @@ impl RaidVolume {
     /// checkpoint, health) when the last stripe lands. Errors during a
     /// stripe go through the recovery policy — a fault can reset or
     /// extend the task mid-step, which is why the task state is re-read
-    /// every iteration. The step owns the one scratch its stripes run on
-    /// (`RebuildScratch`) and frees it on return.
+    /// every iteration.
     pub fn rebuild_step(&mut self, budget: usize) -> Result<IoLedger, VolumeError> {
         self.pipeline.begin_op();
         let mut receipt = IoLedger::new(self.disks());
-        let mut scratch: Option<RebuildScratch> = None;
         let mut done = 0usize;
         let mut attempts = 0usize;
         while done < budget {
@@ -1289,7 +1279,7 @@ impl RaidVolume {
             let idx = task.next_stripe;
             let disks = task.disks.clone();
             attempts += 1;
-            match self.rebuild_one_stripe(idx, &disks, &mut scratch) {
+            match self.rebuild_one_stripe(idx, &disks) {
                 Ok(rs) => {
                     receipt.merge(&rs);
                     self.health.note_op_ok();
@@ -1333,17 +1323,14 @@ impl RaidVolume {
     /// shapes the decode), write back only the task disks' columns. A
     /// single failed column uses the paper's hybrid minimum-read recovery
     /// plan; two use the generic decoder — both the layout's cached
-    /// program, so a stripe plans nothing. Runs on the step's `scratch`,
-    /// cut to the cells the op rebuilds — the survivors it reads stay
-    /// where the backend lends them — and re-cut only when this stripe's
-    /// failed or written columns differ from the previous stripe's; stale
-    /// bytes are harmless, since every cell the op computes is rebuilt
-    /// before it is read.
+    /// program, so a stripe plans nothing. The op stores only cells it
+    /// reconstructs, so it runs in place: each lost cell is computed in
+    /// the spare that stores it, and the survivors it reads stay where the
+    /// backend lends them.
     fn rebuild_one_stripe(
         &mut self,
         idx: usize,
         task_disks: &[usize],
-        scratch: &mut Option<RebuildScratch>,
     ) -> Result<IoLedger, VolumeError> {
         let code = Arc::clone(&self.code);
         let layout = code.layout();
@@ -1359,22 +1346,16 @@ impl RaidVolume {
             lower::decode_op(layout, &failed_cols, &[], &write_back, &addr)
                 .ok_or(VolumeError::TooManyFailures { failed: failed_cols.len() })?
         };
-        let fits = |s: &RebuildScratch| s.failed_cols == failed_cols && s.write_cols == write_cols;
-        if !scratch.as_ref().is_some_and(fits) {
-            *scratch = None;
-        }
-        let scratch = scratch.get_or_insert_with(|| {
-            let (rows, cols) = (layout.rows(), layout.cols());
-            let cells = Stripe::sparse(rows, cols, self.element_size, op.computed());
-            RebuildScratch { failed_cols, write_cols, cells }
-        });
         let mut receipt = IoLedger::new(self.disks());
-        receipt.absorb(&self.pipeline.execute(&op, &mut scratch.cells)?);
+        receipt.absorb(&self.pipeline.execute_in_place(&op)?);
         Ok(receipt)
     }
 
-    /// Swaps blank spares in for the given disks (backend `replace`) so
-    /// the rebuild can stream writes to them.
+    /// Swaps spares in for the given disks (backend `replace`) so the
+    /// rebuild can stream writes to them. What a spare holds is
+    /// unspecified: every stripe at or past the rebuild frontier treats
+    /// its disk as failed, so nothing reads it before the rebuild has
+    /// written it.
     fn swap_in_spares(&mut self, disks: &[usize]) -> Result<(), VolumeError> {
         for &d in disks {
             self.pipeline.backend_mut().replace(d)?;
@@ -1533,6 +1514,20 @@ impl RaidVolume {
         Ok(())
     }
 
+    /// Closes the volume: flushes the write-back cache and reports what
+    /// the flush returned — the error dropping the volume would swallow.
+    /// The volume is gone either way; on error, the writes the flush could
+    /// not store are lost with it, and drop does not try them again.
+    ///
+    /// # Errors
+    ///
+    /// Returns the final flush's [`VolumeError`].
+    pub fn close(mut self) -> Result<(), VolumeError> {
+        let flushed = self.flush();
+        self.cache = None;
+        flushed.map(drop)
+    }
+
     fn check_range(&self, start: usize, len: usize) -> Result<(), VolumeError> {
         match start.checked_add(len) {
             Some(end) if end <= self.data_elements() => Ok(()),
@@ -1545,7 +1540,8 @@ impl Drop for RaidVolume {
     /// Best-effort drop barrier: dirty cached stripes are flushed so a
     /// clean shutdown loses nothing. Errors are swallowed — a crashed
     /// backend cannot accept the flush, and the undo journal already
-    /// guarantees no *partial* flush is visible after reopen.
+    /// guarantees no *partial* flush is visible after reopen. A caller
+    /// that must know closes the volume with [`RaidVolume::close`].
     fn drop(&mut self) {
         if self.cache.as_ref().is_some_and(|c| c.dirty_count() > 0) {
             let _ = self.flush();
@@ -1851,6 +1847,128 @@ mod tests {
         assert_eq!(v.read(0, v.data_elements()).unwrap().0, expect);
     }
 
+    /// Every code at `p`, as `raid-verify`'s registry lists them.
+    fn registry(p: usize) -> Vec<Arc<dyn ArrayCode>> {
+        vec![
+            Arc::new(HvCode::new(p).unwrap()),
+            Arc::new(RdpCode::new(p).unwrap()),
+            Arc::new(EvenOddCode::new(p).unwrap()),
+            Arc::new(XCode::new(p).unwrap()),
+            Arc::new(HCode::new(p).unwrap()),
+            Arc::new(HdpCode::new(p).unwrap()),
+            Arc::new(PCode::new(p).unwrap()),
+            Arc::new(LiberationCode::new(p).unwrap()),
+        ]
+    }
+
+    /// A swapped-in spare's contents are unspecified until the rebuild
+    /// writes them. Each replaced disk is filled with `0xA5` ahead of the
+    /// frontier, through the backend, and the rebuild is interleaved with
+    /// degraded reads, a degraded write, a cached flush and — where the
+    /// backend injects them — a latent-sector repair: every read returns
+    /// the shadow's bytes, and the finished volume verifies. Elements are
+    /// one XOR tile plus a ragged tail; both backend paths run, memory
+    /// lending its storage and the default staging (a fault injector over
+    /// memory).
+    #[test]
+    fn a_spare_is_read_only_behind_the_rebuild_frontier() {
+        use crate::backend::{Fault, FaultyBackend};
+        let es = raid_math::xor::L1_TILE_BYTES + 37;
+        const STRIPES: usize = 4;
+        for code in [5, 7].into_iter().flat_map(registry) {
+            let (rows, cols) = (code.layout().rows(), code.layout().cols());
+            for (rotate, lost, faulty) in (0..8).map(|k| (k & 1 == 1, 1 + (k >> 1 & 1), k >= 4)) {
+                let what = format!("{} rotate={rotate} lost={lost} faulty={faulty}", code.name());
+                let mem = MemBackend::new(cols, STRIPES * rows, es);
+                let backend: Box<dyn DiskBackend> = if faulty {
+                    Box::new(FaultyBackend::new(Box::new(mem), Vec::new()))
+                } else {
+                    Box::new(mem)
+                };
+                let code = Arc::clone(&code);
+                let mut v = RaidVolume::with_backend(code, STRIPES, es, rotate, backend).unwrap();
+                let per = v.addressing.data_per_stripe();
+                let mut shadow = pattern(v.data_elements() * es, 7);
+                v.write(0, &shadow).unwrap();
+                let disks = [1, cols - 1];
+                for &d in &disks[..lost] {
+                    v.fail_disk(d).unwrap();
+                }
+                v.set_spares(lost);
+                v.start_spare_rebuild().unwrap();
+                for &d in &disks[..lost] {
+                    for index in 0..STRIPES * rows {
+                        v.pipeline.backend_mut().write(d, index, &vec![0xA5; es]).unwrap();
+                    }
+                }
+                let check = |v: &mut RaidVolume, shadow: &[u8], step: &str| {
+                    let (bytes, _) = v.read(0, v.data_elements()).unwrap();
+                    assert!(bytes == shadow, "{what}: {step} read other bytes");
+                };
+
+                v.maintain(1).unwrap();
+                check(&mut v, &shadow, "degraded read");
+                // A degraded write across the stripe past the frontier.
+                let (at, len) = (2 * per - 3, 6);
+                let fresh = pattern(len * es, 91);
+                v.write(at, &fresh).unwrap();
+                shadow[at * es..(at + len) * es].copy_from_slice(&fresh);
+                check(&mut v, &shadow, "degraded write");
+                v.maintain(1).unwrap();
+                // A cached flush of a stripe ahead of the frontier.
+                v.enable_cache(CacheConfig { max_stripes: 4, dirty_high_water: 4 });
+                let at = 3 * per + 1;
+                let fresh = pattern(3 * es, 92);
+                v.write(at, &fresh).unwrap();
+                v.flush().unwrap();
+                v.disable_cache().unwrap();
+                shadow[at * es..(at + 3) * es].copy_from_slice(&fresh);
+                check(&mut v, &shadow, "cached flush");
+                if faulty {
+                    // A bad sector on a live disk: ahead of the frontier
+                    // beside one lost column, behind it beside two (with
+                    // both lost as well it is past the code's reach).
+                    let failed = v.failed_disks();
+                    let stripe = if lost == 1 { 3 } else { 1 };
+                    let (disk, index) = (stripe * per..(stripe + 1) * per)
+                        .map(|e| v.locate_data_element(e).unwrap())
+                        .find(|(disk, _)| !failed.contains(disk))
+                        .unwrap();
+                    let latent = Fault::LatentSector { disk, index };
+                    v.backend_faulty_mut().unwrap().inject(latent);
+                    check(&mut v, &shadow, "latent repair");
+                    assert_eq!(v.ledger().latent_repairs(), 1, "{what}");
+                }
+                v.maintain(STRIPES).unwrap();
+                assert!(v.rebuild_progress().is_none(), "{what}");
+                assert!(v.verify_all(), "{what}: parity broken");
+                check(&mut v, &shadow, "rebuilt");
+            }
+        }
+    }
+
+    #[test]
+    fn close_returns_the_error_of_the_final_flush() {
+        use crate::backend::{Fault, FaultyBackend};
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
+        let open = |code: &Arc<dyn ArrayCode>| {
+            let (cols, rows) = (code.layout().cols(), code.layout().rows());
+            let inner = MemBackend::new(cols, 2 * rows, 16);
+            let faulty = FaultyBackend::new(Box::new(inner), Vec::new());
+            let mut v = RaidVolume::new(Arc::clone(code), 2, 16, Box::new(faulty)).unwrap();
+            v.enable_cache(CacheConfig::default());
+            v.write(1, &[7; 16]).unwrap();
+            v
+        };
+        open(&code).close().unwrap();
+        // The process dies before the flush's first backend operation.
+        let mut v = open(&code);
+        let faulty = v.backend_faulty_mut().unwrap();
+        let next = faulty.ops() + 1;
+        faulty.inject(Fault::CrashAtOp { at_op: next });
+        assert_eq!(v.close(), Err(VolumeError::Backend(DiskError::Crashed)));
+    }
+
     #[test]
     fn transient_errors_retry_without_degrading() {
         use crate::backend::{Fault, FaultyBackend, MemBackend};
@@ -1983,7 +2101,7 @@ mod tests {
         assert_eq!(v.rebuild_progress().map(|cp| cp.next_stripe), Some(2));
 
         // The spare dies; a read of the already-rebuilt stripes finds it.
-        // A fresh blank spare goes in without drawing on the empty pool,
+        // A fresh spare goes in without drawing on the empty pool,
         // and the task restarts from stripe 0, in memory and on disk.
         v.backend_faulty_mut().unwrap().inject(Fault::Dead { disk: 2 });
         let (bytes, _) = v.read(0, v.data_elements()).unwrap();

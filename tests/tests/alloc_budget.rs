@@ -22,8 +22,9 @@
 //! Of the read side: a read that misses every failed column allocates
 //! its output and lands the backend's bytes there, and one that must
 //! reconstruct allocates the cells its plan rebuilds, not the stripe's
-//! 144-buffer grid (576 KiB). A rebuild allocates its write-back cells
-//! once per step, not one grid per stripe.
+//! 144-buffer grid (576 KiB). A rebuild on memory allocates no cell for
+//! what it writes back: each lost cell is computed in the spare's own
+//! storage.
 //!
 //! And of the front door: parsing a `WRITE` line allocates its decoded
 //! payload and nothing else of size, a `READ` reply renders into a warm
@@ -381,29 +382,36 @@ const GRID: usize = (P - 1) * (P - 1) * ELEMENT;
 /// 8 KB a stripe; planned per stripe, it was 127 KB and 3 800 calls a
 /// stripe. The footprint column of (i) and (j) fails its budget.
 ///
-/// A rebuild step now allocates only its write-back cells; the surviving
-/// cells it reads stay where the backend lends them (parent `c3de3c8` →
-/// this layout, bytes requested / allocator calls):
+/// A rebuild step then allocated only its write-back cells, the
+/// surviving cells it reads staying where the backend lends them (parent
+/// `c3de3c8`, bytes requested / allocator calls: 608 272 / 4 141 and
+/// 728 104 / 539). Now it allocates none: the backend lends the spare's
+/// own storage too, and each lost cell is computed there (parent
+/// `e9762c7` → this layout, debug build):
 ///
 /// | case                                             | parent          | change          | budget  |
 /// |--------------------------------------------------|-----------------|-----------------|---------|
-/// | (j) `rebuild()` of disk 3 over 8 stripes         | 608 272 / 4 141 | 275 216 / 4 086 | 376 832 |
-/// | (j′) warm `rebuild()` of disks {3, 7}, 8 stripes | 728 104 / 539   | 270 760 / 451   | 294 912 |
+/// | (j) `rebuild()` of disk 3 over 8 stripes         | 272 720 / 4 040 | 241 680 / 4 059 | 262 144 |
+/// | (j′) warm `rebuild()` of disks {3, 7}, 8 stripes | 268 456 / 407   | 188 968 / 414   | 196 608 |
 ///
-/// (j) is 12 write-back cells, the §V-C planning above and
-/// `REBUILD_STRIPE` a stripe; (j′) is 24 write-back cells and
-/// `REBUILD_STRIPE` a stripe, the layout's decode of {3, 7} planned by an
-/// earlier rebuild. Both fail on the parent, which held 100 and 144
-/// cells.
+/// (j) is the §V-C planning of column 3 and `RECOVERED_STRIPE` a stripe;
+/// (j′) is `REBUILD_STRIPE` a stripe, the layout's decode of {3, 7}
+/// planned by an earlier rebuild. Both fail on the parent, which held the
+/// 12 and 24 write-back cells in a scratch for the step.
 const RECONSTRUCTING_READ: usize = 112 * 1024;
 
-/// What one rebuilt stripe requests beside the step's scratch: its
-/// lowered op (32 B per read), the lent tables, the plan's clone, the
-/// checkpoint and the receipts.
+/// What one stripe of a two-disk rebuild requests: its lowered op (32 B
+/// per read), the lent tables and slices, the decode program's clone and
+/// its temps, the checkpoint and the receipts — 23 621 B a stripe here.
 const REBUILD_STRIPE: usize = 24 * 1024;
 
-/// The layout's §V-C recovery of one column, planned once.
-const RECOVERY_PLANNING: usize = 128 * 1024;
+/// The same for one stripe of a single-disk rebuild, whose §V-C recovery
+/// reads fewer cells through a smaller program — 12 604 B a stripe here.
+const RECOVERED_STRIPE: usize = 14 * 1024;
+
+/// The layout's §V-C recovery of one column, planned once — 140 848 B in
+/// 3 804 calls for column 3 here.
+const RECOVERY_PLANNING: usize = 144 * 1024;
 
 /// Allocator calls of a warm reconstructing read onto two failed disks.
 const SLICED_READ_CALLS: usize = 64;
@@ -475,22 +483,21 @@ fn doubly_degraded_read_stays_under_half_the_grid() {
 }
 
 #[test]
-fn a_rebuild_step_allocates_one_footprint_not_a_grid_per_stripe() {
+fn a_rebuild_step_allocates_no_cell_of_what_it_writes_back() {
     let _alone = alone();
     const REBUILT: usize = 8;
-    let rows = P - 1;
     let mut v = volume_of(REBUILT);
     let data = payload(v.data_elements() * ELEMENT, 12);
     v.write(0, &data).unwrap();
     v.fail_disk(3).unwrap();
     let (calls, bytes) = allocated(|| drop(v.rebuild().unwrap()));
-    let budget = rows * ELEMENT + RECOVERY_PLANNING + REBUILT * REBUILD_STRIPE;
+    let budget = RECOVERY_PLANNING + REBUILT * RECOVERED_STRIPE;
     let what = format!("(j) {bytes} bytes in {calls} calls to rebuild {REBUILT} stripes");
     assert!(bytes <= budget, "{what}, budget {budget}");
     assert!(v.verify_all() && v.read(0, v.data_elements()).unwrap().0 == data);
 
     // (j′) Two disks, the layout's decode of the pair planned by a first
-    // rebuild: the step holds their 24 cells and nothing of the stripe.
+    // rebuild: the step holds none of their 24 cells.
     let fail_both = |v: &mut RaidVolume| {
         v.fail_disk(3).unwrap();
         v.fail_disk(7).unwrap();
@@ -499,7 +506,7 @@ fn a_rebuild_step_allocates_one_footprint_not_a_grid_per_stripe() {
     v.rebuild().unwrap();
     fail_both(&mut v);
     let (calls, bytes) = allocated(|| drop(v.rebuild().unwrap()));
-    let budget = 2 * rows * ELEMENT + REBUILT * REBUILD_STRIPE;
+    let budget = REBUILT * REBUILD_STRIPE;
     assert!(bytes <= budget, "(j′) {bytes} bytes in {calls} calls, budget {budget}");
     assert!(v.verify_all() && v.read(0, v.data_elements()).unwrap().0 == data);
 }

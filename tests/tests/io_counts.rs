@@ -18,7 +18,10 @@
 //!   paper's degraded-read sweep (§V-B, Fig. 7) lowers to a plain fetch —
 //!   the reads that land in the caller's buffer without a scratch stripe;
 //! - [`degraded_read_footprint_cells`] counts, for the rest of that
-//!   sweep, the distinct cells a reconstructing read's scratch holds.
+//!   sweep, the distinct cells a reconstructing read's scratch holds;
+//! - [`single_disk_rebuild_reads_fig_9a_per_lost_element`] makes the
+//!   paper's Fig. 9(a) a fact of the volume: what a single-disk rebuild
+//!   reads per lost element, as the backend serves it.
 //!
 //! A pinned count that moves is a deliberate change to the write or flush
 //! path: re-derive it, do not loosen it.
@@ -29,6 +32,7 @@ use std::sync::Arc;
 use disk_sim::DiskProfile;
 use integration::{all_codes, payload};
 use raid_array::{lower, replay_write_trace, CacheConfig, DiskAddr, RaidVolume};
+use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
 use raid_workloads::skew::{hot_spot_trace, sequential_trace, zipf_write_trace};
 use raid_workloads::{table2_trace, WriteTrace};
 
@@ -201,4 +205,43 @@ fn degraded_read_footprint_cells() {
         }
         assert_eq!(counted, pinned, "failed columns {failed:?}");
     }
+}
+
+/// Fig. 9(a) as the volume executes it: a single-disk `rebuild()` reads,
+/// per stripe, exactly the elements the §V-C planner counts for the lost
+/// column — every registry code at p ∈ {5, 7, 13}, every failed disk —
+/// and averaged as `repro` averages them (elements read per lost element,
+/// mean over the failed disk), the codes the paper plots land on the
+/// committed `results/` cell.
+#[test]
+fn single_disk_rebuild_reads_fig_9a_per_lost_element() {
+    const STRIPES: usize = 2;
+    const ELEMENT: usize = 16;
+    let committed = include_str!("../../results/fig__9_a_.csv");
+    let mut plotted = 0;
+    for p in [5, 7, 13] {
+        for code in all_codes(p) {
+            let layout = code.layout();
+            let mut per_element = 0.0;
+            for disk in 0..layout.cols() {
+                let mut v = RaidVolume::in_memory(Arc::clone(&code), STRIPES, ELEMENT);
+                let data = payload(v.data_elements() * ELEMENT, disk as u64);
+                v.write(0, &data).unwrap();
+                v.fail_disk(disk).unwrap();
+                let reads = v.rebuild().unwrap().total_reads() as usize;
+                assert_eq!(v.read(0, v.data_elements()).unwrap().0, data);
+                let plan = plan_single_disk_recovery(layout, disk, SearchStrategy::Auto);
+                let what = format!("{} p={p} disk {disk}", code.name());
+                assert_eq!(reads, STRIPES * plan.total_reads(), "{what}");
+                per_element += (reads / STRIPES) as f64 / layout.cells_in_col(disk).len() as f64;
+            }
+            let value = format!("{:.3}", per_element / layout.cols() as f64);
+            let row = format!("{},{p},", code.name());
+            if let Some(cell) = committed.lines().find_map(|line| line.strip_prefix(&row)) {
+                assert_eq!(value, cell, "{} p={p}: Fig. 9(a)", code.name());
+                plotted += 1;
+            }
+        }
+    }
+    assert_eq!(plotted, 15, "the five plotted codes at three primes");
 }
