@@ -887,12 +887,15 @@ mod tests {
                 .unwrap())
             }
         });
-        for _ in 0..400 {
-            if socket.exists() {
-                break;
+        // Wait for `listen`, not for the socket file `bind` makes first.
+        let listening = (0..2_000).any(|_| {
+            let connected = std::os::unix::net::UnixStream::connect(&socket).is_ok();
+            if !connected {
+                std::thread::sleep(std::time::Duration::from_millis(5));
             }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+            connected
+        });
+        assert!(listening, "{}: server never listened", socket.display());
 
         let script_path = std::env::temp_dir().join(format!("hvraid-cli-script-{tag}.txt"));
         let payload = "aa55".repeat(8); // two 8-byte elements

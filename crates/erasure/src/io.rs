@@ -7,11 +7,12 @@
 //!   writes and parity-element writes each disk must serve. Its busiest
 //!   disk's count ([`RequestSet::busiest_disk`]) is what the operation
 //!   costs in disk time, so timing and accounting read the same object.
-//! * [`IoLedger`] — cumulative counters built by absorbing request sets,
-//!   replacing the seed's separate `IoReceipt` (per operation) and
-//!   `IoTally` (per experiment): a ledger over one request set *is* the
-//!   operation's receipt, and a ledger over a whole replay is the
-//!   experiment's tally. The paper's λ (Eq. 7) derives from it.
+//! * [`IoLedger`] — cumulative counters built by absorbing request sets
+//!   and noting stripe-cache events: a ledger over one volume operation
+//!   is that operation's receipt, and a ledger over a whole replay is the
+//!   experiment's tally. The paper's λ (Eq. 7) derives from it. It counts
+//!   I/O only; the retries and repairs that healing costs are counted by
+//!   the health monitor that grants them.
 
 use std::fmt;
 
@@ -183,14 +184,6 @@ impl RequestSet {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IoLedger {
     counts: PerDisk,
-    /// Operation retries after transient errors.
-    retries: u64,
-    /// Latent sector errors repaired by reconstruct-and-rewrite.
-    latent_repairs: u64,
-    /// Health-state transition log (`"healthy->degraded(1): disk #3 dead"`)
-    /// in the order they occurred, so replay/reports can show what each
-    /// failure episode cost.
-    transitions: Vec<String>,
     /// Element reads served from the write-back stripe cache (no disk I/O).
     cache_hits: u64,
     /// Element reads the stripe cache had to forward to the disks.
@@ -206,9 +199,6 @@ impl IoLedger {
     pub fn new(disks: usize) -> Self {
         IoLedger {
             counts: PerDisk::new(disks),
-            retries: 0,
-            latent_repairs: 0,
-            transitions: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
             cache_flushes: 0,
@@ -244,21 +234,6 @@ impl IoLedger {
     /// Records `n` parity-element writes on `disk`.
     pub fn add_parity_writes(&mut self, disk: usize, n: u64) {
         self.counts.add(PARITY_WRITES, disk, n);
-    }
-
-    /// Records one operation retry after a transient error.
-    pub fn note_retry(&mut self) {
-        self.retries += 1;
-    }
-
-    /// Records one latent-sector reconstruct-and-rewrite repair.
-    pub fn note_latent_repair(&mut self) {
-        self.latent_repairs += 1;
-    }
-
-    /// Appends a health-state transition to the log.
-    pub fn note_transition(&mut self, transition: impl Into<String>) {
-        self.transitions.push(transition.into());
     }
 
     /// Records `n` element reads served straight from the stripe cache.
@@ -299,21 +274,6 @@ impl IoLedger {
     /// Stripe-cache evictions so far.
     pub fn cache_evictions(&self) -> u64 {
         self.cache_evictions
-    }
-
-    /// Operation retries recorded so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Latent-sector repairs recorded so far.
-    pub fn latent_repairs(&self) -> u64 {
-        self.latent_repairs
-    }
-
-    /// The health-state transition log, oldest first.
-    pub fn transitions(&self) -> &[String] {
-        &self.transitions
     }
 
     /// Per-disk read counts.
@@ -363,9 +323,6 @@ impl IoLedger {
     /// Panics if disk counts differ.
     pub fn merge(&mut self, other: &IoLedger) {
         self.counts.merge(&other.counts, "ledger");
-        self.retries += other.retries;
-        self.latent_repairs += other.latent_repairs;
-        self.transitions.extend(other.transitions.iter().cloned());
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_flushes += other.cache_flushes;
@@ -387,13 +344,6 @@ impl IoLedger {
         let counts = self.counts.0.iter().zip(&baseline.counts.0).map(|(&a, &b)| scalar(a, b));
         IoLedger {
             counts: PerDisk(counts.collect()),
-            retries: scalar(self.retries, baseline.retries),
-            latent_repairs: scalar(self.latent_repairs, baseline.latent_repairs),
-            transitions: self
-                .transitions
-                .get(baseline.transitions.len()..)
-                .expect("baseline is not an earlier snapshot")
-                .to_vec(),
             cache_hits: scalar(self.cache_hits, baseline.cache_hits),
             cache_misses: scalar(self.cache_misses, baseline.cache_misses),
             cache_flushes: scalar(self.cache_flushes, baseline.cache_flushes),
@@ -438,9 +388,6 @@ impl fmt::Display for IoLedger {
             self.writes(),
             self.write_balance_rate()
         )?;
-        if self.retries > 0 || self.latent_repairs > 0 {
-            write!(f, " retries={} latent_repairs={}", self.retries, self.latent_repairs)?;
-        }
         if self.cache_hits > 0 || self.cache_misses > 0 || self.cache_flushes > 0 {
             write!(
                 f,
@@ -558,30 +505,6 @@ mod tests {
         let d = t.delta_since(&snap);
         assert_eq!(d.total_reads(), 1);
         assert_eq!(d.total_writes(), 3);
-    }
-
-    #[test]
-    fn healing_counters_merge_and_delta() {
-        let mut a = IoLedger::new(2);
-        a.note_retry();
-        a.note_retry();
-        a.note_latent_repair();
-        a.note_transition("healthy->degraded(1): disk #0 dead");
-        let snap = a.clone();
-        a.note_retry();
-        a.note_transition("degraded(1)->healthy: rebuild complete");
-        let d = a.delta_since(&snap);
-        assert_eq!(d.retries(), 1);
-        assert_eq!(d.latent_repairs(), 0);
-        assert_eq!(d.transitions(), ["degraded(1)->healthy: rebuild complete"]);
-
-        let mut b = IoLedger::new(2);
-        b.note_latent_repair();
-        b.merge(&a);
-        assert_eq!(b.retries(), 3);
-        assert_eq!(b.latent_repairs(), 2);
-        assert_eq!(b.transitions().len(), 2);
-        assert!(format!("{b}").contains("retries=3"));
     }
 
     #[test]

@@ -982,17 +982,13 @@ pub enum Fault {
 
 /// Deterministic fault injector wrapping any backend: disks fail at fixed
 /// operation counts ([`FaultPoint`]) or on demand ([`Fault`]), transient
-/// and latent-sector errors surface per the taxonomy, and an optional
-/// per-op latency is accumulated so tests can assert slow-path behavior
-/// without wall clocks. It runs the journaled default
-/// [`DiskBackend::write_all`], so every pre-image read and every write of
-/// a store is an operation a fault can land on.
+/// and latent-sector errors surface per the taxonomy. It runs the
+/// journaled default [`DiskBackend::write_all`], so every pre-image read
+/// and every write of a store is an operation a fault can land on.
 pub struct FaultyBackend {
     inner: Box<dyn DiskBackend>,
     schedule: Vec<FaultPoint>,
     ops: u64,
-    latency_per_op_ms: f64,
-    accumulated_latency_ms: f64,
     /// disk → remaining reads that fail transiently.
     transient: BTreeMap<usize, u32>,
     /// Unreadable `(disk, index)` sectors; cleared by rewrite or replace.
@@ -1020,20 +1016,12 @@ impl FaultyBackend {
             inner,
             schedule,
             ops: 0,
-            latency_per_op_ms: 0.0,
-            accumulated_latency_ms: 0.0,
             transient: BTreeMap::new(),
             latent: BTreeSet::new(),
             torn: BTreeSet::new(),
             crash_at: None,
             crashed: false,
         }
-    }
-
-    /// Adds a synthetic service latency per element operation.
-    pub fn with_latency(mut self, ms_per_op: f64) -> Self {
-        self.latency_per_op_ms = ms_per_op;
-        self
     }
 
     /// Injects `faults` up front (builder form of [`FaultyBackend::inject`]).
@@ -1084,11 +1072,6 @@ impl FaultyBackend {
         self.crash_at = None;
     }
 
-    /// Total synthetic latency accumulated so far.
-    pub fn accumulated_latency_ms(&self) -> f64 {
-        self.accumulated_latency_ms
-    }
-
     /// Operations (reads + writes) served or rejected so far.
     pub fn ops(&self) -> u64 {
         self.ops
@@ -1104,7 +1087,6 @@ impl FaultyBackend {
             return Err(DiskError::Crashed);
         }
         self.ops += 1;
-        self.accumulated_latency_ms += self.latency_per_op_ms;
         if self.crash_at.is_some_and(|at| self.ops >= at) {
             self.crashed = true;
             return Err(DiskError::Crashed);
@@ -1456,8 +1438,7 @@ mod tests {
         let mut b = FaultyBackend::new(
             Box::new(inner),
             vec![FaultPoint { at_op: 2, disk: 1 }],
-        )
-        .with_latency(0.5);
+        );
         let mut buf = [0u8; 8];
         b.read(1, 0, &mut buf).unwrap(); // op 1: fine
         assert!(!b.is_failed(1));
@@ -1466,7 +1447,6 @@ mod tests {
         // Other disks keep serving.
         b.read(0, 0, &mut buf).unwrap();
         assert_eq!(b.ops(), 3);
-        assert!((b.accumulated_latency_ms() - 1.5).abs() < 1e-12);
         // Replacement clears both the failure and any stale schedule.
         b.replace(1).unwrap();
         b.read(1, 0, &mut buf).unwrap();

@@ -14,21 +14,23 @@
 //! array consistent.
 //!
 //! Every episode is verified against a shadow model (the bytes a perfect
-//! volume would hold) plus [`raid_core::io::IoLedger`] accounting
-//! invariants. A failure reports the seed and backend so the exact
-//! campaign replays with `hvraid chaos --seed N`.
+//! volume would hold), and every receipt an operation returns against the
+//! [`IoLedger`]'s growth over that operation. A failure reports the seed
+//! and backend so the exact campaign replays with `hvraid chaos --seed N`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use raid_core::io::IoLedger;
 use raid_core::ArrayCode;
 
 use crate::backend::{
     DiskBackend, Fault, FaultyBackend, FileBackend, JournalRecovery, MemBackend,
 };
 use crate::cache::CacheConfig;
+use crate::health::MAX_RETRIES;
 use crate::volume::{RaidVolume, VolumeError};
 
 // ---------------------------------------------------------------------------
@@ -273,6 +275,30 @@ impl Episode<'_> {
     fn check<T>(&self, r: Result<T, VolumeError>, what: &str) -> Result<T, ChaosFailure> {
         r.map_err(|e| self.fail(format!("{what}: {e}")))
     }
+
+    /// Runs one receipt-returning operation and checks its receipt: it
+    /// must be exactly what the volume's cumulative ledger grew by, the
+    /// retries, repairs and flushes the op caused included.
+    fn receipted<T>(
+        &self,
+        v: &mut RaidVolume,
+        what: &str,
+        op: impl FnOnce(&mut RaidVolume) -> Result<(T, IoLedger), VolumeError>,
+    ) -> Result<T, ChaosFailure> {
+        let before = v.ledger().clone();
+        let (out, receipt) = self.check(op(v), what)?;
+        let grew = v.ledger().delta_since(&before);
+        if receipt != grew {
+            return Err(self.fail(format!("{what}: receipt {receipt} but the ledger grew {grew}")));
+        }
+        Ok(out)
+    }
+}
+
+/// An op that returns only its receipt, in the shape
+/// [`Episode::receipted`] takes.
+fn alone(receipt: Result<IoLedger, VolumeError>) -> Result<((), IoLedger), VolumeError> {
+    receipt.map(|r| ((), r))
 }
 
 fn run_episode(
@@ -317,7 +343,6 @@ fn run_episode(
     let capacity = v.data_elements();
     let per_stripe = capacity / cfg.stripes;
     let mut shadow = vec![0u8; capacity * es];
-    let mut receipts_total = 0u64;
     // Fault budget: disks that died (or were scheduled to) plus disks
     // carrying possibly-unrepaired latent sectors. Keeping the union at
     // two or fewer guarantees no stripe ever exceeds RAID-6's erasure
@@ -328,7 +353,6 @@ fn run_episode(
     // Transient injections are capped per disk at the policy's retry
     // budget: more would legitimately escalate to disk-dead and blow the
     // two-disk budget above.
-    let max_transient = v.health().policy().max_retries;
     let mut transient_budget: BTreeMap<usize, u32> = BTreeMap::new();
 
     for _ in 0..cfg.steps_per_episode {
@@ -339,8 +363,7 @@ fn run_episode(
                 let start = rng.below(capacity);
                 let len = 1 + rng.below((capacity - start).min(per_stripe + 2));
                 let data: Vec<u8> = (0..len * es).map(|_| rng.byte()).collect();
-                let receipt = ctx.check(v.write(start, &data), "write")?;
-                receipts_total += receipt.total();
+                ctx.receipted(&mut v, "write", |v| alone(v.write(start, &data)))?;
                 shadow[start * es..(start + len) * es].copy_from_slice(&data);
                 report.writes += 1;
             }
@@ -349,8 +372,7 @@ fn run_episode(
                 let start = rng.below(capacity);
                 let len = 1 + rng.below((capacity - start).min(per_stripe + 2));
                 let degraded = !v.failed_disks().is_empty();
-                let (bytes, receipt) = ctx.check(v.read(start, len), "read")?;
-                receipts_total += receipt.total();
+                let bytes = ctx.receipted(&mut v, "read", |v| v.read(start, len))?;
                 if bytes != shadow[start * es..(start + len) * es] {
                     return Err(ctx.fail(format!(
                         "read [{start}, {}) diverged from shadow model",
@@ -386,7 +408,7 @@ fn run_episode(
             7 => {
                 let disk = rng.below(v.disks());
                 let used = transient_budget.entry(disk).or_insert(0);
-                let ops = (1 + rng.below(2) as u32).min(max_transient.saturating_sub(*used));
+                let ops = (1 + rng.below(2) as u32).min(MAX_RETRIES.saturating_sub(*used));
                 if ops > 0 {
                     *used += ops;
                     v.backend_faulty_mut()
@@ -412,16 +434,14 @@ fn run_episode(
                         .inject(Fault::TornWrite { disk, index });
                     report.faults_torn += 1;
                     let data: Vec<u8> = (0..len * es).map(|_| rng.byte()).collect();
-                    let receipt = ctx.check(v.write(start, &data), "torn write")?;
-                    receipts_total += receipt.total();
+                    ctx.receipted(&mut v, "torn write", |v| alone(v.write(start, &data)))?;
                     shadow[start * es..(start + len) * es].copy_from_slice(&data);
                     report.writes += 1;
                     if cfg.cache {
                         // The cache absorbed the write; the armed tear
                         // fires on the coalesced flush, so force it out
                         // before the scrub goes looking for it.
-                        let receipt = ctx.check(v.flush(), "flush torn write")?;
-                        receipts_total += receipt.total();
+                        ctx.receipted(&mut v, "flush torn write", |v| alone(v.flush()))?;
                     }
                     ctx.check(v.scrub(), "scrub after torn write")?;
                     report.scrubs += 1;
@@ -449,12 +469,10 @@ fn run_episode(
             // flush barrier instead.
             _ => {
                 if cfg.cache && rng.below(3) == 0 {
-                    let receipt = ctx.check(v.flush(), "flush")?;
-                    receipts_total += receipt.total();
+                    ctx.receipted(&mut v, "flush", |v| alone(v.flush()))?;
                 } else if rng.coin() {
                     let budget = 1 + rng.below(cfg.stripes);
-                    let receipt = ctx.check(v.maintain(budget), "maintain")?;
-                    receipts_total += receipt.total();
+                    ctx.receipted(&mut v, "maintain", |v| alone(v.maintain(budget)))?;
                     report.maintain_calls += 1;
                 } else if v.failed_disks().is_empty() {
                     match v.scrub() {
@@ -479,8 +497,7 @@ fn run_episode(
     // deaths the next pass will surface), flush latents with a scrub,
     // then verify everything.
     for _ in 0..8 {
-        let receipt = ctx.check(v.rebuild(), "settle rebuild")?;
-        receipts_total += receipt.total();
+        ctx.receipted(&mut v, "settle rebuild", |v| alone(v.rebuild()))?;
         report.rebuilds += 1;
         match v.scrub() {
             Ok(_) => {
@@ -499,8 +516,7 @@ fn run_episode(
             v.failed_disks()
         )));
     }
-    let (bytes, receipt) = ctx.check(v.read(0, capacity), "final read")?;
-    receipts_total += receipt.total();
+    let bytes = ctx.receipted(&mut v, "final read", |v| v.read(0, capacity))?;
     if bytes != shadow {
         return Err(ctx.fail("final contents diverged from shadow model".to_string()));
     }
@@ -508,37 +524,7 @@ fn run_episode(
         return Err(ctx.fail("parity inconsistent after settle".to_string()));
     }
 
-    // Ledger accounting invariants: the cumulative ledger and the health
-    // monitor must tell the same healing story, and cumulative I/O can
-    // never undercount the per-op receipts.
     let ledger = v.ledger();
-    if ledger.retries() != v.health().retries_total() {
-        return Err(ctx.fail(format!(
-            "ledger counted {} retries, health monitor {}",
-            ledger.retries(),
-            v.health().retries_total()
-        )));
-    }
-    if ledger.latent_repairs() != v.health().latent_repairs_total() {
-        return Err(ctx.fail(format!(
-            "ledger counted {} latent repairs, health monitor {}",
-            ledger.latent_repairs(),
-            v.health().latent_repairs_total()
-        )));
-    }
-    if ledger.transitions().len() != v.health().transitions().len() {
-        return Err(ctx.fail(format!(
-            "ledger logged {} health transitions, monitor {}",
-            ledger.transitions().len(),
-            v.health().transitions().len()
-        )));
-    }
-    if ledger.total() < receipts_total {
-        return Err(ctx.fail(format!(
-            "cumulative ledger ({}) undercounts summed receipts ({receipts_total})",
-            ledger.total()
-        )));
-    }
     report.cache_flushes += ledger.cache_flushes();
     report.verifications += 1;
     report.episodes += 1;

@@ -1,4 +1,4 @@
-//! Volume health: failure state machine and retry/backoff policy.
+//! Volume health: failure state machine, retry policy and healing counts.
 //!
 //! The paper's reliability argument (Section V-D, Fig. 9) is about how
 //! long an array spends exposed — degraded or critical — before repair
@@ -9,18 +9,20 @@
 //! [`DiskError`] through the [`ErrorClass`] taxonomy into one
 //! [`RecoveryAction`]:
 //!
-//! * **transient** errors are retried with exponential backoff (virtual —
-//!   accumulated milliseconds, no sleeping), escalating to disk-dead when
-//!   a disk's consecutive-failure streak exhausts the policy;
+//! * **transient** errors are retried at once, escalating to disk-dead
+//!   when a disk's consecutive-failure streak passes [`MAX_RETRIES`];
 //! * **latent sectors** are repaired in place (reconstruct from the parity
-//!   chains, rewrite), escalating to disk-dead once a disk accumulates too
-//!   many of them — the classic "reallocated sector count" SMART trip;
+//!   chains, rewrite), escalating to disk-dead once a disk accumulates
+//!   more than [`MAX_LATENT_REPAIRS`] of them — the classic "reallocated
+//!   sector count" SMART trip;
 //! * **disk-dead** errors degrade the array immediately;
 //! * **crashes** and programming errors are fatal to the operation.
 //!
 //! The monitor is pure bookkeeping — it never touches a backend — so the
 //! policy is unit-testable without I/O; [`crate::volume::RaidVolume`]
-//! executes the actions it returns.
+//! executes the actions it returns. It is also the one place healing is
+//! counted: the retries and latent repairs it grants and the transitions
+//! it observes.
 
 use std::collections::BTreeMap;
 
@@ -67,60 +69,19 @@ impl std::fmt::Display for HealthState {
     }
 }
 
-/// Retry/backoff policy for transient errors and escalation thresholds
-/// for the slow-burn failure modes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Consecutive transient failures tolerated per disk before the disk
-    /// is declared dead (each failure is followed by one retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry, in (virtual) milliseconds.
-    pub base_backoff_ms: f64,
-    /// Multiplier applied per successive retry (exponential backoff).
-    pub backoff_multiplier: f64,
-    /// Ceiling on any single backoff, in milliseconds. Exponential growth
-    /// saturates here instead of running to infinity (a caller holding a
-    /// large attempt counter — the volume's op-retry loop allows 64 —
-    /// must not charge an unbounded or non-finite wait).
-    pub max_backoff_ms: f64,
-    /// Latent-sector repairs tolerated per disk before the disk is
-    /// declared dying and failed proactively.
-    pub max_latent_repairs: u32,
-}
+/// Consecutive transient failures tolerated per disk before the disk is
+/// declared dead (each failure is followed by one retry).
+pub const MAX_RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_ms: 1.0,
-            backoff_multiplier: 2.0,
-            max_backoff_ms: 1_000.0,
-            max_latent_repairs: 8,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based), in milliseconds,
-    /// capped at [`RetryPolicy::max_backoff_ms`].
-    pub fn backoff_ms(&self, attempt: u32) -> f64 {
-        // Clamp the exponent before the i32 cast (u32::MAX would wrap
-        // negative and yield a zero backoff); `powi` overflowing to +inf
-        // for large attempts is collapsed by the `min` against the cap.
-        let exp = attempt.saturating_sub(1).min(i32::MAX as u32) as i32;
-        let raw = self.base_backoff_ms * self.backoff_multiplier.powi(exp);
-        raw.min(self.max_backoff_ms)
-    }
-}
+/// Latent-sector repairs tolerated per disk before the disk is declared
+/// dying and failed proactively.
+pub const MAX_LATENT_REPAIRS: u32 = 8;
 
 /// What the volume should do about one classified error.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// Wait `backoff_ms` (virtually) and retry the same operation.
-    Retry {
-        /// Backoff charged to the operation, in milliseconds.
-        backoff_ms: f64,
-    },
+    /// Retry the same operation.
+    Retry,
     /// Reconstruct element `(disk, index)` from its parity chains and
     /// rewrite it in place, then retry the operation.
     RepairLatent {
@@ -140,44 +101,24 @@ pub enum RecoveryAction {
 
 /// Per-volume health bookkeeping: classifies errors into
 /// [`RecoveryAction`]s, tracks per-disk transient streaks and latent-repair
-/// counts against the [`RetryPolicy`], and logs every state transition.
+/// counts against [`MAX_RETRIES`] and [`MAX_LATENT_REPAIRS`], counts the
+/// retries and repairs it grants, and logs every state transition.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     state: HealthState,
-    policy: RetryPolicy,
     /// Per-disk consecutive transient failures (cleared on success).
     transient_streak: BTreeMap<usize, u32>,
     /// Per-disk lifetime latent-sector repairs (cleared on replace).
     latent_repairs: BTreeMap<usize, u32>,
     retries_total: u64,
     latent_repairs_total: u64,
-    backoff_ms_total: f64,
     transitions: Vec<(HealthState, HealthState)>,
 }
 
 impl HealthMonitor {
-    /// A healthy monitor with the given policy.
-    pub fn new(policy: RetryPolicy) -> Self {
-        HealthMonitor {
-            state: HealthState::Healthy,
-            policy,
-            transient_streak: BTreeMap::new(),
-            latent_repairs: BTreeMap::new(),
-            retries_total: 0,
-            latent_repairs_total: 0,
-            backoff_ms_total: 0.0,
-            transitions: Vec::new(),
-        }
-    }
-
     /// Current array state.
     pub fn state(&self) -> HealthState {
         self.state
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Classifies `e` into the action the volume should take.
@@ -186,21 +127,19 @@ impl HealthMonitor {
             (ErrorClass::Transient, DiskError::Transient { disk }) => {
                 let streak = self.transient_streak.entry(disk).or_insert(0);
                 *streak += 1;
-                if *streak > self.policy.max_retries {
+                if *streak > MAX_RETRIES {
                     // The "transient" condition is not clearing: treat the
                     // disk as dead rather than retrying forever.
                     RecoveryAction::FailDisk { disk }
                 } else {
-                    let backoff = self.policy.backoff_ms(*streak);
                     self.retries_total += 1;
-                    self.backoff_ms_total += backoff;
-                    RecoveryAction::Retry { backoff_ms: backoff }
+                    RecoveryAction::Retry
                 }
             }
             (ErrorClass::LatentSector, DiskError::LatentSector { disk, index }) => {
                 let n = self.latent_repairs.entry(disk).or_insert(0);
                 *n += 1;
-                if *n > self.policy.max_latent_repairs {
+                if *n > MAX_LATENT_REPAIRS {
                     // Too many grown defects: fail the disk proactively
                     // before it eats something unrecoverable.
                     RecoveryAction::FailDisk { disk }
@@ -214,11 +153,6 @@ impl HealthMonitor {
             }
             _ => RecoveryAction::Fatal,
         }
-    }
-
-    /// An operation on `disk` succeeded: its transient streak resets.
-    pub fn note_disk_ok(&mut self, disk: usize) {
-        self.transient_streak.remove(&disk);
     }
 
     /// A whole volume operation completed: every transient streak resets
@@ -260,16 +194,19 @@ impl HealthMonitor {
     pub fn latent_repairs_total(&self) -> u64 {
         self.latent_repairs_total
     }
-
-    /// Total virtual backoff accumulated, in milliseconds.
-    pub fn backoff_ms_total(&self) -> f64 {
-        self.backoff_ms_total
-    }
 }
 
 impl Default for HealthMonitor {
+    /// A healthy monitor that has seen no error.
     fn default() -> Self {
-        HealthMonitor::new(RetryPolicy::default())
+        HealthMonitor {
+            state: HealthState::Healthy,
+            transient_streak: BTreeMap::new(),
+            latent_repairs: BTreeMap::new(),
+            retries_total: 0,
+            latent_repairs_total: 0,
+            transitions: Vec::new(),
+        }
     }
 }
 
@@ -288,68 +225,40 @@ mod tests {
 
     #[test]
     fn transient_retries_then_escalates() {
-        let mut m = HealthMonitor::new(RetryPolicy {
-            max_retries: 2,
-            base_backoff_ms: 1.0,
-            backoff_multiplier: 2.0,
-            max_backoff_ms: 1_000.0,
-            max_latent_repairs: 8,
-        });
+        let mut m = HealthMonitor::default();
         let e = DiskError::Transient { disk: 3 };
-        assert_eq!(m.on_error(&e), RecoveryAction::Retry { backoff_ms: 1.0 });
-        assert_eq!(m.on_error(&e), RecoveryAction::Retry { backoff_ms: 2.0 });
-        assert_eq!(m.on_error(&e), RecoveryAction::FailDisk { disk: 3 });
-        assert_eq!(m.retries_total(), 2);
-        assert!((m.backoff_ms_total() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backoff_saturates_at_the_ceiling() {
-        let p = RetryPolicy::default();
-        // Regression: the volume's op-retry loop allows 64 attempts;
-        // 2^63 ms used to come back as ~9.2e18 and larger attempts as
-        // +inf. Every attempt must now yield a finite, capped wait.
-        let b64 = p.backoff_ms(64);
-        assert!(b64.is_finite());
-        assert!((b64 - p.max_backoff_ms).abs() < 1e-12);
-        assert_eq!(p.backoff_ms(u32::MAX), p.max_backoff_ms);
-        // Below the cap the exponential schedule is untouched.
-        assert!((p.backoff_ms(3) - 4.0).abs() < 1e-12);
-        // Monotone non-decreasing across the knee.
-        let mut prev = 0.0;
-        for attempt in 1..=128 {
-            let b = p.backoff_ms(attempt);
-            assert!(b.is_finite() && b >= prev);
-            prev = b;
+        for _ in 0..MAX_RETRIES {
+            assert_eq!(m.on_error(&e), RecoveryAction::Retry);
         }
+        assert_eq!(m.on_error(&e), RecoveryAction::FailDisk { disk: 3 });
+        assert_eq!(m.retries_total(), u64::from(MAX_RETRIES));
     }
 
     #[test]
     fn success_resets_the_streak() {
-        let mut m = HealthMonitor::new(RetryPolicy { max_retries: 1, ..Default::default() });
+        let mut m = HealthMonitor::default();
         let e = DiskError::Transient { disk: 0 };
-        assert!(matches!(m.on_error(&e), RecoveryAction::Retry { .. }));
-        m.note_disk_ok(0);
-        assert!(matches!(m.on_error(&e), RecoveryAction::Retry { .. }));
+        for _ in 0..MAX_RETRIES {
+            assert_eq!(m.on_error(&e), RecoveryAction::Retry);
+        }
+        m.note_op_ok();
+        assert_eq!(m.on_error(&e), RecoveryAction::Retry, "a cleared streak retries again");
     }
 
     #[test]
     fn latent_repairs_then_escalates() {
-        let mut m = HealthMonitor::new(RetryPolicy {
-            max_latent_repairs: 2,
-            ..Default::default()
-        });
-        for index in 0..2 {
+        let mut m = HealthMonitor::default();
+        for index in 0..MAX_LATENT_REPAIRS as usize {
             assert_eq!(
                 m.on_error(&DiskError::LatentSector { disk: 1, index }),
                 RecoveryAction::RepairLatent { disk: 1, index }
             );
         }
         assert_eq!(
-            m.on_error(&DiskError::LatentSector { disk: 1, index: 9 }),
+            m.on_error(&DiskError::LatentSector { disk: 1, index: 99 }),
             RecoveryAction::FailDisk { disk: 1 }
         );
-        assert_eq!(m.latent_repairs_total(), 2);
+        assert_eq!(m.latent_repairs_total(), u64::from(MAX_LATENT_REPAIRS));
         // A different disk has its own budget.
         assert!(matches!(
             m.on_error(&DiskError::LatentSector { disk: 2, index: 0 }),

@@ -46,7 +46,7 @@ pub use backend::{
 };
 pub use cache::CacheConfig;
 pub use chaos::{ChaosConfig, ChaosReport};
-pub use health::{HealthMonitor, HealthState, RecoveryAction, RetryPolicy};
+pub use health::{HealthMonitor, HealthState, RecoveryAction};
 pub use pipeline::{DiskAddr, IoPipeline, LoweredOp};
 pub use replay::{replay_read_patterns, replay_write_trace, ReadReplay, WriteReplay};
 pub use volume::{RaidVolume, VolumeError};

@@ -8,7 +8,11 @@
 //! [`IoLedger`] and adds its busiest disk's count to the volume
 //! operation's disk time ([`IoPipeline::op_busiest_elements`]) — so
 //! execution, timing, and accounting can never disagree about what was
-//! issued. An op with nothing to compute or store
+//! issued. It is also where a volume operation is accounted: between
+//! [`IoPipeline::begin_op`] and [`IoPipeline::end_op`] every request set
+//! and cache event it records lands on the op's receipt as well as the
+//! cumulative ledger, so the receipt is exactly what the ledger grew by,
+//! retries and repairs included. An op with nothing to compute or store
 //! needs no scratch: [`IoPipeline::fetch`] lands its reads in the caller's
 //! buffer and commits through the same tail.
 //!
@@ -107,10 +111,14 @@ impl LoweredOp {
 }
 
 /// Executes [`LoweredOp`]s against a backend, keeps the cumulative
-/// [`IoLedger`], and counts the current volume operation's disk time.
+/// [`IoLedger`], and accounts the current volume operation: its receipt
+/// and its disk time.
 pub struct IoPipeline {
     backend: Box<dyn DiskBackend>,
     ledger: IoLedger,
+    /// The current operation's receipt, from [`IoPipeline::begin_op`]
+    /// until [`IoPipeline::end_op`] hands it out; `None` outside one.
+    op: Option<IoLedger>,
     /// The busiest disk's element count, summed over the request sets the
     /// current operation committed (reset via [`IoPipeline::begin_op`]).
     op_busiest: u64,
@@ -141,6 +149,7 @@ impl IoPipeline {
         IoPipeline {
             backend,
             ledger: IoLedger::new(disks),
+            op: None,
             op_busiest: 0,
             addrs: Vec::new(),
             staging: Vec::new(),
@@ -164,20 +173,34 @@ impl IoPipeline {
         &self.ledger
     }
 
-    /// Mutable ledger access (health/retry accounting notes).
-    pub fn ledger_mut(&mut self) -> &mut IoLedger {
-        &mut self.ledger
-    }
-
     /// Zeroes the ledger (between experiments).
     pub fn reset_ledger(&mut self) {
         self.ledger = IoLedger::new(self.backend.disks());
     }
 
-    /// Marks the start of a volume-level operation: its disk-time count
-    /// is reset.
+    /// Marks the start of a volume-level operation: it gets an empty
+    /// receipt, and its disk-time count is reset. Whatever the previous
+    /// operation recorded and did not hand out is dropped.
     pub fn begin_op(&mut self) {
+        self.op = Some(IoLedger::new(self.backend.disks()));
         self.op_busiest = 0;
+    }
+
+    /// Ends the operation [`IoPipeline::begin_op`] started and hands out
+    /// its receipt: every request set and event recorded since, which is
+    /// what the cumulative ledger grew by. The disk-time count stays
+    /// readable until the next operation begins.
+    pub fn end_op(&mut self) -> IoLedger {
+        self.op.take().unwrap_or_else(|| IoLedger::new(self.backend.disks()))
+    }
+
+    /// Records an event on the cumulative ledger and, inside an
+    /// operation, on its receipt — the one way anything is counted.
+    pub(crate) fn note(&mut self, event: impl Fn(&mut IoLedger)) {
+        if let Some(op) = &mut self.op {
+            event(op);
+        }
+        event(&mut self.ledger);
     }
 
     /// The operation's disk time since [`IoPipeline::begin_op`], in
@@ -403,14 +426,14 @@ impl IoPipeline {
         }
     }
 
-    /// The tail both entry points end in, reached only once the op's
+    /// The tail every entry point ends in, reached only once the op's
     /// backend I/O succeeded: the request set — derived from the op alone
-    /// — is absorbed into the ledger and its busiest disk's count into
-    /// the op's disk time.
+    /// — is noted on the ledger and its busiest disk's count added to the
+    /// op's disk time.
     fn commit(&mut self, op: &LoweredOp) -> RequestSet {
         let rs = crate::audit::predicted_request_set(op, self.backend.disks());
         self.op_busiest += rs.busiest_disk();
-        self.ledger.absorb(&rs);
+        self.note(|ledger| ledger.absorb(&rs));
         rs
     }
 
@@ -554,13 +577,22 @@ mod tests {
             parity_writes: vec![],
         };
         let mut scratch = Stripe::zeroed(2, 2, 4);
+        // A set executed outside an op reaches only the cumulative ledger.
+        pipe.execute(&op, &mut scratch).unwrap();
+        let before = pipe.ledger().clone();
         pipe.begin_op();
         assert_eq!(pipe.execute(&op, &mut scratch).unwrap().busiest_disk(), 2);
         pipe.execute(&op, &mut scratch).unwrap();
+        pipe.note(|ledger| ledger.note_cache_hits(3));
         assert_eq!(pipe.op_busiest_elements(), 4, "the op's two sets run one after another");
-        assert_eq!(pipe.ledger().per_disk_totals(), vec![4, 2]);
+        let receipt = pipe.end_op();
+        assert_eq!(receipt.per_disk_totals(), vec![4, 2]);
+        assert_eq!(receipt.cache_hits(), 3);
+        assert_eq!(receipt, pipe.ledger().delta_since(&before), "the ledger's growth");
+        assert_eq!(pipe.op_busiest_elements(), 4, "readable after the op ends");
         pipe.begin_op();
         assert_eq!(pipe.op_busiest_elements(), 0);
+        assert_eq!(pipe.end_op().total(), 0);
     }
 
     /// Three disks whose element 0 holds `[disk + 1; 4]`, and the plain

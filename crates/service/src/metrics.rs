@@ -2,7 +2,7 @@
 //!
 //! The first slice of the ROADMAP metrics endpoint: every number here
 //! already existed in the [`raid_core::io::IoLedger`], the stripe cache,
-//! or the health machine — this module only renders a
+//! or the health monitor — this module only renders a
 //! [`ServiceStats`] snapshot in the
 //! [text exposition format](https://prometheus.io/docs/instrumenting/exposition_formats/)
 //! (`# HELP` / `# TYPE` headers, `metric{label="v"} value` samples).
@@ -44,9 +44,9 @@ pub fn prometheus_text(stats: &ServiceStats) -> String {
     header(&mut out, "hvraid_io_parity_writes_total", "Total parity-element writes.", "counter");
     let _ = writeln!(out, "hvraid_io_parity_writes_total {}", stats.ledger.parity_writes());
     header(&mut out, "hvraid_io_retries_total", "Op retries after backend faults.", "counter");
-    let _ = writeln!(out, "hvraid_io_retries_total {}", stats.ledger.retries());
+    let _ = writeln!(out, "hvraid_io_retries_total {}", stats.retries);
     header(&mut out, "hvraid_io_latent_repairs_total", "Latent sector repairs.", "counter");
-    let _ = writeln!(out, "hvraid_io_latent_repairs_total {}", stats.ledger.latent_repairs());
+    let _ = writeln!(out, "hvraid_io_latent_repairs_total {}", stats.latent_repairs);
     header(
         &mut out,
         "hvraid_write_balance_rate",
@@ -143,7 +143,7 @@ mod tests {
     use std::sync::Arc;
 
     use hv_code::HvCode;
-    use raid_array::RaidVolume;
+    use raid_array::{Fault, FaultyBackend, MemBackend, RaidVolume};
     use raid_core::ArrayCode;
 
     use crate::scheduler::{Service, ServiceConfig, TenantClass};
@@ -210,5 +210,31 @@ mod tests {
         );
         assert!(text.contains("hvraid_service_ops_total{tenant=\"t0\",class=\"writer\"} 2"));
         assert!(!text.contains("tenant=\"metrics\""), "zero-op sessions emit no series");
+    }
+
+    /// The healing counters are read off the health monitor: one
+    /// transient read fault and one latent sector scrape as one retry
+    /// and one repair.
+    #[test]
+    fn healing_counters_are_the_health_monitor_s() {
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
+        let inner = MemBackend::new(code.layout().cols(), 4 * code.layout().rows(), 16);
+        let faulty = FaultyBackend::new(Box::new(inner), Vec::new());
+        let mut volume = RaidVolume::new(code, 4, 16, Box::new(faulty)).unwrap();
+        let (glitchy, _) = volume.locate_data_element(0).unwrap();
+        let (disk, index) = volume.locate_data_element(3).unwrap();
+        let faults = volume.backend_faulty_mut().unwrap();
+        faults.inject(Fault::Transient { disk: glitchy, ops: 1 });
+        faults.inject(Fault::LatentSector { disk, index });
+        let svc = Service::new(volume, ServiceConfig::default());
+        let h = svc.session("t0", TenantClass::Reader);
+        assert_eq!(h.read(0, 1).unwrap(), [0; 16]);
+        assert_eq!(h.read(3, 1).unwrap(), [0; 16]);
+        let healed =
+            svc.with_volume(|v| (v.health().retries_total(), v.health().latent_repairs_total()));
+        assert_eq!(healed, (1, 1));
+        let text = prometheus_text(&h.stats());
+        assert!(text.contains("\nhvraid_io_retries_total 1\n"), "{text}");
+        assert!(text.contains("\nhvraid_io_latent_repairs_total 1\n"), "{text}");
     }
 }

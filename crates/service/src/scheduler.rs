@@ -382,6 +382,10 @@ pub struct ServiceStats {
     pub ledger: IoLedger,
     /// Array health.
     pub health: HealthState,
+    /// Op retries the health monitor granted after transient faults.
+    pub retries: u64,
+    /// Latent-sector repairs the health monitor granted.
+    pub latent_repairs: u64,
     /// Disks currently failed.
     pub failed_disks: Vec<usize>,
     /// Whether the write-back cache is attached.
@@ -592,6 +596,8 @@ impl Service {
         ServiceStats {
             ledger: vol.ledger().clone(),
             health: vol.health_state(),
+            retries: vol.health().retries_total(),
+            latent_repairs: vol.health().latent_repairs_total(),
             failed_disks: vol.failed_disks(),
             cache_enabled: vol.cache_enabled(),
             cache_resident: vol.cache_resident_stripes(),

@@ -455,14 +455,16 @@ mod tests {
                 let svc = Arc::clone(&svc);
                 thread::spawn(move || serve(&svc, &cfg))
             };
-            // Wait for the bind.
-            for _ in 0..200 {
-                if socket.exists() {
-                    break;
+            // Wait for `listen`, not for the socket file `bind` makes
+            // first: a connection is accepted, and as it says no HELLO
+            // it opens no session.
+            for _ in 0..2_000 {
+                if UnixStream::connect(&socket).is_ok() {
+                    return Served { svc, socket, server };
                 }
                 thread::sleep(Duration::from_millis(5));
             }
-            Served { svc, socket, server }
+            panic!("{}: server never listened", socket.display());
         }
 
         /// A connected client whose reads give up after two seconds, so

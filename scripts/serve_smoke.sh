@@ -52,6 +52,10 @@ cat "$TMP/client-b.log"
 
 "$HV" stats --socket "$SOCK" > "$TMP/stats.txt"
 grep -q '^hvraid_service_ops_total' "$TMP/stats.txt"
+# The healing counters are rendered, by these names, and a fault-free run
+# healed nothing.
+grep -q '^hvraid_io_retries_total 0$' "$TMP/stats.txt"
+grep -q '^hvraid_io_latent_repairs_total 0$' "$TMP/stats.txt"
 # The cache holds what the script touched: more than nothing, and no more
 # than its resident stripes could (HV: (p - 1)(p - 3) data elements each).
 BYTES=$(sed -n 's/^hvraid_cache_resident_bytes //p' "$TMP/stats.txt")

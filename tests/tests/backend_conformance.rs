@@ -339,7 +339,9 @@ fn holding(
 /// class in turn: the bytes are a fault-free twin's, exactly `len ×
 /// element_size` of them, and the I/O committed — `(reads in the receipt,
 /// the volume ledger's growth)` — is what `1850b5c`, which staged every
-/// read in a scratch stripe, committed for the same schedule.
+/// read in a scratch stripe, committed for the same schedule. The receipt
+/// now carries the repair's reads too: it is the ledger's growth, where
+/// `1850b5c` returned 15 reads for the latent sector.
 #[test]
 fn a_fault_at_the_eighth_read_of_a_healthy_read_returns_the_right_bytes_once() {
     const START: usize = 120;
@@ -357,7 +359,7 @@ fn a_fault_at_the_eighth_read_of_a_healthy_read_returns_the_right_bytes_once() {
     let dies_at_the_eighth_read = vec![FaultPoint { at_op: setup_ops + 8, disk }];
     let cases = [
         // Repairing the sector in place: the stripe's other 143 cells and one write.
-        ("latent sector", Some(Fault::LatentSector { disk, index }), vec![], (15, 159)),
+        ("latent sector", Some(Fault::LatentSector { disk, index }), vec![], (158, 159)),
         ("transient", Some(Fault::Transient { disk, ops: 1 }), vec![], (15, 15)),
         // Replanned degraded: the row's horizontal parity stands in for the lost cell.
         ("disk death", None, dies_at_the_eighth_read, (15, 15)),
@@ -380,7 +382,8 @@ fn a_fault_at_the_eighth_read_of_a_healthy_read_returns_the_right_bytes_once() {
 /// disk 3 failed, ten elements of stripe 1 that cross column 3, the fault at
 /// the op's fourth backend read. The death turns the retry into a
 /// two-column reconstruction. Bytes and committed I/O are what `fc8f0f0`,
-/// which ran the op on a dense scratch, returned for the same schedule.
+/// which ran the op on a dense scratch, returned for the same schedule;
+/// the latent sector's receipt now carries its repair (it read 12 there).
 #[test]
 fn a_fault_at_the_fourth_read_of_a_reconstructing_read_returns_the_right_bytes_once() {
     const START: usize = 138;
@@ -409,7 +412,7 @@ fn a_fault_at_the_fourth_read_of_a_reconstructing_read_returns_the_right_bytes_o
     let dies_at_the_fourth_read = vec![FaultPoint { at_op: setup_ops + K as u64, disk }];
     let cases = [
         // Repairing the sector in place: the surviving columns' other 131 cells and one write.
-        ("latent sector", Some(Fault::LatentSector { disk, index }), vec![], (12, 144)),
+        ("latent sector", Some(Fault::LatentSector { disk, index }), vec![], (143, 144)),
         ("transient", Some(Fault::Transient { disk, ops: 1 }), vec![], (12, 12)),
         // Replanned with two columns lost: the dependency slice of a double decode.
         ("disk death", None, dies_at_the_fourth_read, (74, 74)),
@@ -439,7 +442,9 @@ fn a_fault_at_the_fourth_read_of_a_reconstructing_read_returns_the_right_bytes_o
 /// volume verifies once rebuilt, and the failed disks, the cache's
 /// `(dirty stripes, resident elements)`, the receipt's `(reads, writes,
 /// hits)` and the ledger growth are what `46cef8e`, which copied the
-/// slots into its scratch, reported for the same schedule.
+/// slots into its scratch, reported for the same schedule — but for the
+/// latent sector in the read phase, whose receipt now carries its repair
+/// and is the ledger's growth (`46cef8e` returned `(112, 150, 20)`).
 #[test]
 fn a_fault_anywhere_in_a_cached_flush_hands_every_lent_slot_back() {
     const CACHED: usize = 3;
@@ -523,7 +528,7 @@ fn a_fault_anywhere_in_a_cached_flush_hands_every_lent_slot_back() {
     // (failed disks, (dirty stripes, resident elements), (reads, writes,
     // hits), ledger growth) per phase: latent sector, transient, death.
     let parent = [
-        (0, (0, 155), (112, 150, 20), 406),
+        (0, (0, 155), (255, 151, 20), 406),
         (0, (0, 155), (112, 150, 20), 262),
         (1, (0, 155), (396, 157, 0), 553),
         (0, (0, 155), (112, 150, 20), 262),
