@@ -47,7 +47,7 @@ bench-ab:
 
 # Same decisions, same bytes: BASE (unpacked into target/ab-base, as
 # bench-ab does) and the working tree, both built in release mode, must
-# print byte-identical output for the five chaos-smoke campaigns,
+# print byte-identical output for the six chaos-smoke campaigns,
 # `hvraid lint --all --journal` and `repro --csv <dir> all` (its CSVs;
 # its stdout carries wall times),
 # with the same exit status: one same/DIFFERS line per command, exit 1
@@ -94,14 +94,18 @@ examples-smoke:
 # them. Seed 5 grants one spare for up to two dead disks: a rebuild
 # computes one lost column in the spare, or in the file backend's staging,
 # and the other in a scratch, four tiles an element, under faults and
-# crash sweeps (~15 s of the total). Deterministic and fast (<30 s);
-# failures print the reproducing seed.
+# crash sweeps (~15 s of the total). Seed 6 runs without the cache, the
+# only campaign whose writes store straight through: a multi-stripe
+# write that meets a fault retries the stripe it was storing, and its
+# crash sweep cuts that write at every journal point. Deterministic and
+# fast (<30 s); a failure prints the command that reproduces it.
 chaos-smoke:
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 1 --episodes 25
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 2 --episodes 25 --backend mem --spares 0
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 3 --episodes 25 --stripes 8
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 4 --episodes 10 --element 20000
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 5 --episodes 10 --element 65536 --stripes 8 --spares 1
+	$(CARGO) run -q --release -p hvraid -- chaos --seed 6 --episodes 25 --cache false
 
 # ThreadSanitizer over the service suites, whose concurrent clients share
 # one volume under its lock: the only multi-threaded code in the

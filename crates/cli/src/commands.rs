@@ -58,7 +58,7 @@ commands:
                                            writes, crash-at-every-journal-point sweeps
                                            including crash-with-dirty-cache flushes)
                                            verified against a shadow model; any failure
-                                           prints the seed that reproduces it;
+                                           prints the command that reproduces it;
                                            --cache false disables the write-back cache
   serve     --socket <path> [--code hv] [--p 5] [--stripes 16] [--element 64]
             [--dir <dir>] [--queue-depth 256]
@@ -659,11 +659,20 @@ fn chaos_campaign(parsed: &Parsed) -> Result<String, String> {
     if let Some(d) = scratch {
         let _ = std::fs::remove_dir_all(d);
     }
-    let report = result.map_err(|f| f.to_string())?;
+    let report = result.map_err(|f| chaos_failure(&f, parsed))?;
     Ok(format!(
         "{} at p = {p}, seed {seed}\n{report}\nreproduce with `hvraid chaos --seed {seed}`",
         code.name()
     ))
+}
+
+/// A campaign's failure message: the violation and the command that
+/// replays the campaign — every flag it was given, not just the seed.
+fn chaos_failure(failure: &chaos::ChaosFailure, parsed: &Parsed) -> String {
+    let rerun = parsed.flags.iter().fold("hvraid chaos".to_string(), |line, (flag, value)| {
+        format!("{line} --{flag} {value}")
+    });
+    format!("{failure}; reproduce with `{rerun}`")
 }
 
 fn lint(parsed: &Parsed) -> Result<String, String> {
@@ -1062,6 +1071,24 @@ mod tests {
         assert!(out.contains("3 episodes"), "{out}");
         assert!(out.contains("all consistent"), "{out}");
         assert!(out.contains("reproduce with `hvraid chaos --seed 11`"), "{out}");
+    }
+
+    #[test]
+    fn a_chaos_failure_names_every_flag_of_its_campaign() {
+        let line = "chaos --seed 5 --episodes 10 --element 65536 --stripes 8 --spares 1";
+        let parsed = parse(line.split(' ').map(String::from)).unwrap();
+        let failure = chaos::ChaosFailure {
+            seed: 5,
+            backend: "file",
+            phase: "episode 3".to_string(),
+            detail: "bytes differ".to_string(),
+        };
+        assert_eq!(
+            chaos_failure(&failure, &parsed),
+            "chaos integrity failure [file backend, episode 3, seed 5]: bytes differ; \
+             reproduce with `hvraid chaos --element 65536 --episodes 10 --seed 5 --spares 1 \
+             --stripes 8`"
+        );
     }
 
     #[test]

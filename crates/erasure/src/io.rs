@@ -119,11 +119,6 @@ impl RequestSet {
         self.counts.kind(READS)
     }
 
-    /// Per-disk write counts (data + parity).
-    pub fn writes_per_disk(&self) -> Vec<u64> {
-        self.counts.writes()
-    }
-
     /// Per-disk total requests (reads + writes) — what each spindle must
     /// serve for this operation.
     pub fn per_disk_totals(&self) -> Vec<u64> {
@@ -360,11 +355,6 @@ impl IoLedger {
     pub fn write_balance_rate(&self) -> f64 {
         balance(&self.writes())
     }
-
-    /// λ computed over total (read + write) requests.
-    pub fn total_balance_rate(&self) -> f64 {
-        balance(&self.per_disk_totals())
-    }
 }
 
 fn balance(counts: &[u64]) -> f64 {
@@ -417,7 +407,6 @@ mod tests {
         assert_eq!(rs.total_writes(), 3);
         assert_eq!(rs.total(), 8);
         assert_eq!(rs.per_disk_totals(), vec![5, 1, 2]);
-        assert_eq!(rs.writes_per_disk(), vec![0, 1, 2]);
         assert!(!rs.is_empty());
         assert!(RequestSet::new(2).is_empty());
     }
@@ -485,14 +474,6 @@ mod tests {
     fn merge_requires_same_shape() {
         let mut a = IoLedger::new(2);
         a.merge(&IoLedger::new(3));
-    }
-
-    #[test]
-    fn total_balance_combines_reads_and_writes() {
-        let mut t = IoLedger::new(2);
-        t.add_reads(0, 4);
-        t.add_data_writes(1, 2);
-        assert!((t.total_balance_rate() - 2.0).abs() < 1e-12);
     }
 
     #[test]

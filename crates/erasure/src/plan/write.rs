@@ -315,23 +315,6 @@ pub fn write_cost(layout: &Layout, plan: &WritePlan) -> WriteCost {
     WriteCost { rmw_reads, reconstruct_reads, cheaper }
 }
 
-/// Convenience for the evaluation: total induced writes for a whole trace
-/// of `(start, len)` patterns, each clipped to the stripe as the paper does
-/// (patterns wrap around the data space, see `raid-workloads`).
-pub fn trace_write_requests(
-    layout: &Layout,
-    patterns: impl IntoIterator<Item = (usize, usize)>,
-) -> (u64, IoLedger) {
-    let mut ledger = IoLedger::new(layout.cols());
-    let mut total = 0u64;
-    for (start, len) in patterns {
-        let plan = plan_partial_write(layout, start, len);
-        total += plan.total_writes() as u64;
-        plan.record(&mut ledger);
-    }
-    (total, ledger)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +371,13 @@ mod tests {
     #[test]
     fn ledger_and_trace() {
         let l = hv_like();
-        let (total, ledger) = trace_write_requests(&l, vec![(0, 2), (2, 2)]);
+        let mut ledger = IoLedger::new(l.cols());
+        let mut total = 0;
+        for (start, len) in [(0, 2), (2, 2)] {
+            let plan = plan_partial_write(&l, start, len);
+            total += plan.total_writes();
+            plan.record(&mut ledger);
+        }
         assert_eq!(total, 10);
         assert_eq!(ledger.total_writes(), 10);
         assert_eq!(ledger.data_writes(), 4);

@@ -189,8 +189,9 @@ impl fmt::Display for ChaosReport {
     }
 }
 
-/// An integrity violation found by a campaign. Carries everything needed
-/// to reproduce: the master seed, the backend, and the phase.
+/// An integrity violation found by a campaign: the master seed, the
+/// backend and the phase. Replaying it takes the seed and every other
+/// setting of the campaign's [`ChaosConfig`].
 #[derive(Debug, Clone)]
 pub struct ChaosFailure {
     /// The campaign's master seed.
@@ -207,9 +208,8 @@ impl fmt::Display for ChaosFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "chaos integrity failure [{} backend, {}]: {}; reproduce with \
-             `hvraid chaos --seed {}`",
-            self.backend, self.phase, self.detail, self.seed
+            "chaos integrity failure [{} backend, {}, seed {}]: {}",
+            self.backend, self.phase, self.seed, self.detail
         )
     }
 }

@@ -80,10 +80,10 @@ pub const MAX_LATENT_REPAIRS: u32 = 8;
 /// What the volume should do about one classified error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// Retry the same operation.
+    /// Retry the stripe step that failed.
     Retry,
     /// Reconstruct element `(disk, index)` from its parity chains and
-    /// rewrite it in place, then retry the operation.
+    /// rewrite it in place, then retry the stripe step.
     RepairLatent {
         /// Disk with the bad sector.
         disk: usize,
@@ -155,8 +155,9 @@ impl HealthMonitor {
         }
     }
 
-    /// A whole volume operation completed: every transient streak resets
-    /// (the conditions evidently cleared).
+    /// A stripe step of a volume operation succeeded (a store, a read
+    /// run, a scrubbed or rebuilt stripe), or the cache absorbed a write:
+    /// every transient streak resets (the conditions evidently cleared).
     pub fn note_op_ok(&mut self) {
         self.transient_streak.clear();
     }

@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use disk_sim::DiskError;
 use raid_core::io::IoLedger;
+use raid_core::scrub::ScrubReport;
 use raid_core::{ArrayCode, Cell, Stripe};
 
 use crate::addr::Addressing;
@@ -30,7 +31,7 @@ use crate::health::{HealthMonitor, HealthState, RecoveryAction};
 use crate::lower;
 use crate::pipeline::{DiskAddr, IoPipeline};
 
-/// Hard cap on recovery attempts per operation — a backstop against a
+/// Hard cap on recovery attempts per stripe step — a backstop against a
 /// fault source that never clears (the health policy normally escalates
 /// long before this).
 const MAX_OP_ATTEMPTS: usize = 64;
@@ -181,6 +182,7 @@ pub struct RaidVolume {
 /// and, from a cache entry, the clean old values it may use in place of
 /// disk reads. [`RaidVolume::store_stripe`] lends each to its op where it
 /// lives: the caller's buffer or the entry's slot.
+#[derive(Clone, Copy)]
 enum Dirty<'a> {
     /// An uncached write: the stripe's elements from ordinal `start` on.
     Caller { start: usize, bytes: &'a [u8], element_size: usize },
@@ -695,7 +697,10 @@ impl RaidVolume {
     /// parity chains and rewrites it in place — the write remaps the bad
     /// sector. Runs through the pipeline, so the repair I/O is accounted.
     /// Additional bad sectors discovered while reading the reconstruction
-    /// sources are folded into the same decode.
+    /// sources are folded into the same decode — which is why this keeps
+    /// its own loop instead of [`Self::with_recovery`]: handing such a
+    /// sector to [`Self::recover`] would start a second repair inside this
+    /// one, and the two would recurse between the sectors.
     fn repair_latent(&mut self, disk: usize, index: usize) -> Result<(), VolumeError> {
         let mut sectors = vec![(disk, index)];
         for _ in 0..MAX_OP_ATTEMPTS {
@@ -827,7 +832,8 @@ impl RaidVolume {
     /// Each touched stripe goes through `store_stripe`, straight
     /// from `data` (or, with the cache on, is absorbed and stored at flush
     /// time by the same lowering). A disk failing mid-write is rolled back
-    /// by the pipeline and the operation replans degraded automatically.
+    /// by the pipeline and the stripe it was storing replans degraded;
+    /// stripes already stored are not stored again.
     ///
     /// Returns the operation's receipt: the I/O and cache events it
     /// caused, flushes, retries and repairs included.
@@ -851,7 +857,16 @@ impl RaidVolume {
         self.pipeline.begin_op();
         match self.with_cache(|v, cache| v.write_cached(cache, start, len, data)) {
             Some(cached) => cached?,
-            None => self.with_recovery(|v| v.try_write(start, len, data))?,
+            None => {
+                let es = self.element_size;
+                let mut rest = data;
+                for seg in self.addressing.split(start, len) {
+                    let (bytes, tail) = rest.split_at(seg.len * es);
+                    rest = tail;
+                    let dirty = Dirty::Caller { start: seg.start, bytes, element_size: es };
+                    self.with_recovery(|v| v.store_stripe(seg.stripe, dirty))?;
+                }
+            }
         }
         Ok(self.pipeline.end_op())
     }
@@ -868,10 +883,14 @@ impl RaidVolume {
         Some(out)
     }
 
-    /// Runs `attempt` under the health policy: a backend error goes
-    /// through [`Self::recover`] (retry, latent repair, adopt the dead
-    /// disk) and the attempt is replanned against the new state, up to
-    /// [`MAX_OP_ATTEMPTS`] times.
+    /// Runs one stripe's step under the health policy — the volume's one
+    /// retry loop: a backend error goes through [`Self::recover`] (retry,
+    /// latent repair, adopt the dead disk) and the step is replanned
+    /// against the new state, up to [`MAX_OP_ATTEMPTS`] times. An op runs
+    /// one step per stripe (a write's or flush's store, a read's run, a
+    /// scrub's stripe, a rebuild's next stripe), so a retry repeats only
+    /// the stripe that failed, and a step that succeeds ends every
+    /// transient streak.
     fn with_recovery<T>(
         &mut self,
         mut attempt: impl FnMut(&mut Self) -> Result<T, VolumeError>,
@@ -889,25 +908,6 @@ impl RaidVolume {
                 }
             }
         }
-    }
-
-    /// One uncached write attempt: each touched stripe stores its segment
-    /// from the caller's buffer.
-    fn try_write(
-        &mut self,
-        start: usize,
-        len: usize,
-        data: &[u8],
-    ) -> Result<(), VolumeError> {
-        let es = self.element_size;
-        let mut rest = data;
-        for seg in self.addressing.split(start, len) {
-            let (bytes, tail) = rest.split_at(seg.len * es);
-            rest = tail;
-            let dirty = Dirty::Caller { start: seg.start, bytes, element_size: es };
-            self.store_stripe(seg.stripe, dirty)?;
-        }
-        Ok(())
     }
 
     /// Stores the `dirty` elements of one stripe — the one store path
@@ -1184,9 +1184,10 @@ impl RaidVolume {
 
     /// Drives the background healer: starts a spare-consuming rebuild if
     /// one is warranted and none is active, then rebuilds up to `budget`
-    /// stripes. Call repeatedly (e.g. between foreground operations) to
-    /// amortize rebuild I/O. Returns the step's receipt — empty when
-    /// there is nothing to do.
+    /// stripes of the active task, one retried step per stripe; a task
+    /// that finishes within the budget does not start the next. Call
+    /// repeatedly (e.g. between foreground operations) to amortize rebuild
+    /// I/O. Returns the step's receipt — empty when there is nothing to do.
     ///
     /// # Errors
     ///
@@ -1235,59 +1236,35 @@ impl RaidVolume {
         Ok(())
     }
 
-    /// Rebuilds up to `budget` stripes of the active task as one
-    /// operation, returning its receipt (see [`RaidVolume::maintain`] for
-    /// the call that also starts a task).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolumeError`] on backend errors or unsurvivable failures.
-    pub fn rebuild_step(&mut self, budget: usize) -> Result<IoLedger, VolumeError> {
-        self.pipeline.begin_op();
-        self.rebuild_stripes(budget)?;
-        Ok(self.pipeline.end_op())
-    }
-
-    /// Rebuilds up to `budget` stripes of the active task, if any,
-    /// persisting the checkpoint after each stripe and finishing the task
-    /// (failed set, checkpoint, health) when the last stripe lands. Errors
-    /// during a stripe go through the recovery policy — a fault can reset
-    /// or extend the task mid-step, which is why the task state is re-read
-    /// every iteration.
+    /// Rebuilds up to `budget` stripes of the active task, if any, one
+    /// [`Self::rebuild_next_stripe`] step each.
     fn rebuild_stripes(&mut self, budget: usize) -> Result<(), VolumeError> {
-        let mut done = 0usize;
-        let mut attempts = 0usize;
-        while done < budget {
-            let Some(task) = self.rebuild_task.as_ref() else { break };
-            if task.next_stripe >= self.stripes {
-                self.finish_rebuild()?;
+        for _ in 0..budget {
+            if self.rebuild_task.is_none() {
                 break;
             }
-            let idx = task.next_stripe;
+            self.with_recovery(Self::rebuild_next_stripe)?;
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the active task's next stripe, persists the advanced
+    /// checkpoint, and finishes the task (failed set, checkpoint, health)
+    /// when that was its last stripe. The task is read afresh on every
+    /// attempt: recovering from a failed one can reset it — a spare that
+    /// died restarts at stripe 0 — and advancing from a stale frontier
+    /// would mark stripes rebuilt that never were.
+    fn rebuild_next_stripe(&mut self) -> Result<(), VolumeError> {
+        let Some(task) = &self.rebuild_task else { return Ok(()) };
+        let idx = task.next_stripe;
+        if idx < self.stripes {
             let disks = task.disks.clone();
-            attempts += 1;
-            match self.rebuild_one_stripe(idx, &disks) {
-                Ok(()) => {
-                    self.health.note_op_ok();
-                    attempts = 0;
-                    done += 1;
-                    let task = self
-                        .rebuild_task
-                        .insert(RebuildCheckpoint { disks, next_stripe: idx + 1 });
-                    self.pipeline.backend_mut().save_checkpoint(Some(task))?;
-                    if idx + 1 >= self.stripes {
-                        self.finish_rebuild()?;
-                        break;
-                    }
-                }
-                Err(VolumeError::Backend(e)) => {
-                    if attempts >= MAX_OP_ATTEMPTS {
-                        return Err(VolumeError::Backend(e));
-                    }
-                    self.recover(e)?;
-                }
-                Err(e) => return Err(e),
-            }
+            self.rebuild_one_stripe(idx, &disks)?;
+            let task = self.rebuild_task.insert(RebuildCheckpoint { disks, next_stripe: idx + 1 });
+            self.pipeline.backend_mut().save_checkpoint(Some(task))?;
+        }
+        if idx + 1 >= self.stripes {
+            self.finish_rebuild()?;
         }
         Ok(())
     }
@@ -1387,19 +1364,30 @@ impl RaidVolume {
     /// and repairs are written back. Requires a healthy array — scrubbing
     /// a degraded volume cannot distinguish corruption from loss.
     ///
-    /// Returns one report per stripe that was *not* clean.
+    /// Returns one report per stripe that was *not* clean. Each stripe is
+    /// one step of the volume's retry loop: a fault retries that stripe
+    /// alone, so what the stripes before it found and repaired stays on
+    /// the report.
     ///
     /// # Errors
     ///
     /// Returns [`VolumeError::TooManyFailures`] if any disk is failed.
-    pub fn scrub(&mut self) -> Result<Vec<(usize, raid_core::scrub::ScrubReport)>, VolumeError> {
+    pub fn scrub(&mut self) -> Result<Vec<(usize, ScrubReport)>, VolumeError> {
         self.pipeline.begin_op();
-        self.with_recovery(Self::try_scrub)
+        let mut findings = Vec::new();
+        for idx in 0..self.stripes {
+            let report = self.with_recovery(|v| v.scrub_stripe(idx))?;
+            if report != ScrubReport::Clean {
+                findings.push((idx, report));
+            }
+        }
+        self.pipeline.end_op();
+        Ok(findings)
     }
 
-    /// One scrub attempt over every stripe (retried by [`RaidVolume::scrub`]).
-    fn try_scrub(&mut self) -> Result<Vec<(usize, raid_core::scrub::ScrubReport)>, VolumeError> {
-        use raid_core::scrub::ScrubReport;
+    /// Scrubs one stripe: fetches every element, localizes a corrupted
+    /// one and writes the repair back.
+    fn scrub_stripe(&mut self, idx: usize) -> Result<ScrubReport, VolumeError> {
         // Checked per attempt: recovery may have degraded the array, and
         // scrubbing a degraded volume cannot tell corruption from loss.
         if !self.failed.is_empty() {
@@ -1407,53 +1395,14 @@ impl RaidVolume {
         }
         let code = Arc::clone(&self.code);
         let layout = code.layout();
-        let mut findings = Vec::new();
-        for idx in 0..self.stripes {
-            let addr = self.addr_fn(idx);
-            let mut scratch = Stripe::for_layout(layout, self.element_size);
-            self.pipeline.execute(&lower::whole_stripe_read_op(layout, &addr), &mut scratch)?;
-            let report = raid_core::scrub::scrub(&mut scratch, layout);
-            if let ScrubReport::Repaired { cell } = report {
-                self.pipeline.execute(&lower::cell_write_op(layout, cell, &addr), &mut scratch)?;
-            }
-            if report != ScrubReport::Clean {
-                findings.push((idx, report));
-            }
+        let addr = self.addr_fn(idx);
+        let mut scratch = Stripe::for_layout(layout, self.element_size);
+        self.pipeline.execute(&lower::whole_stripe_read_op(layout, &addr), &mut scratch)?;
+        let report = raid_core::scrub::scrub(&mut scratch, layout);
+        if let ScrubReport::Repaired { cell } = report {
+            self.pipeline.execute(&lower::cell_write_op(layout, cell, &addr), &mut scratch)?;
         }
-        Ok(findings)
-    }
-
-    /// Migrates every data element onto a fresh in-memory volume built on
-    /// a different (or identical) code — the restriping path used when an
-    /// operator changes coding schemes. The source may be degraded (data
-    /// is recovered on the fly through degraded reads); the target is
-    /// sized with exactly enough stripes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolumeError`] if the source is beyond its failure
-    /// tolerance.
-    pub fn migrate_to(&mut self, code: Arc<dyn ArrayCode>) -> Result<RaidVolume, VolumeError> {
-        let elements = self.data_elements();
-        let per_stripe = code.layout().num_data_cells();
-        let stripes = elements.div_ceil(per_stripe);
-        let mut target = RaidVolume::with_rotation(
-            code,
-            stripes,
-            self.element_size,
-            self.addressing.rotates(),
-        );
-        // Stream stripe-sized extents; degraded sources reconstruct as
-        // they go.
-        let chunk = per_stripe.max(1);
-        let mut at = 0usize;
-        while at < elements {
-            let n = chunk.min(elements - at);
-            let (bytes, _) = self.read(at, n)?;
-            target.write(at, &bytes)?;
-            at += n;
-        }
-        Ok(target)
+        Ok(report)
     }
 
     /// Corrupts one byte of an element — test/chaos-engineering hook used
@@ -1755,28 +1704,6 @@ mod tests {
         let mut v = volume(false);
         v.fail_disk(0).unwrap();
         assert!(matches!(v.scrub(), Err(VolumeError::TooManyFailures { .. })));
-    }
-
-    #[test]
-    fn migration_between_codes_preserves_data() {
-        let mut src = volume(false); // HV p=7
-        let data = pattern(src.data_elements() * 16, 61);
-        src.write(0, &data).unwrap();
-
-        // Migrate to RDP — even while the source is degraded.
-        src.fail_disk(2).unwrap();
-        let mut dst = src
-            .migrate_to(Arc::new(RdpCode::new(5).unwrap()))
-            .unwrap();
-        assert!(dst.verify_all());
-        assert!(dst.data_elements() >= src.data_elements());
-        let (bytes, _) = dst.read(0, src.data_elements()).unwrap();
-        assert_eq!(bytes, data);
-
-        // And back to HV.
-        let mut back = dst.migrate_to(Arc::new(HvCode::new(7).unwrap())).unwrap();
-        let (bytes, _) = back.read(0, src.data_elements()).unwrap();
-        assert_eq!(&bytes[..data.len()], &data[..]);
     }
 
     #[test]
@@ -2530,11 +2457,93 @@ mod tests {
             receipted(v, "disable_cache", RaidVolume::disable_cache);
             v.set_spares(2);
             receipted(v, "maintain", |v| v.maintain(1));
-            receipted(v, "rebuild_step", |v| v.rebuild_step(1));
+            receipted(v, "maintain with a task active", |v| v.maintain(1));
             receipted(v, "rebuild", RaidVolume::rebuild);
             assert!(v.failed_disks().is_empty() && v.verify_all(), "{what}");
             assert_eq!(v.read(0, STRIPES * per).unwrap().0, expected, "{what}");
         }
+    }
+
+    /// A disk dying partway through a two-stripe write retries the stripe
+    /// being stored, not the write: the receipt is one store of each
+    /// stripe. Stripe 0 committed before the death, so it is stored
+    /// healthy; stripe 1 is stored degraded, or healthy where the death
+    /// came after its last request to the dying disk and went unseen.
+    #[test]
+    fn a_retried_write_stores_each_committed_stripe_once() {
+        use crate::backend::{FaultPoint, FaultyBackend};
+        const STRIPES: usize = 4;
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(7).unwrap());
+        let (rows, cols) = (code.layout().rows(), code.layout().cols());
+        let volume = |schedule: Vec<FaultPoint>| {
+            let inner = MemBackend::new(cols, STRIPES * rows, 16);
+            let faulty = FaultyBackend::new(Box::new(inner), schedule);
+            RaidVolume::new(Arc::clone(&code), STRIPES, 16, Box::new(faulty)).unwrap()
+        };
+        let ops = |v: &mut RaidVolume| v.backend_faulty_mut().unwrap().ops();
+        let per = code.layout().num_data_cells();
+        let shadow = pattern(STRIPES * per * 16, 41);
+        // Three elements at the end of stripe 0 and three at the start of
+        // stripe 1.
+        let (at, fresh) = (per - 3, pattern(6 * 16, 43));
+        let doomed = volume(Vec::new()).locate_data_element(per).unwrap().0;
+        // A fault-free write of `bytes` at `start` after the prefill, with
+        // `failed` failed first: its receipt and backend operations.
+        let unfaulted = |start: usize, bytes: &[u8], failed: Option<usize>| {
+            let v = &mut volume(Vec::new());
+            v.write(0, &shadow).unwrap();
+            if let Some(d) = failed {
+                v.fail_disk(d).unwrap();
+            }
+            let prefilled = ops(v);
+            let receipt = v.write(start, bytes).unwrap();
+            (receipt, prefilled, ops(v) - prefilled)
+        };
+        let (_, prefilled, write_ops) = unfaulted(at, &fresh, None);
+        let (stripe0, _, stripe0_ops) = unfaulted(at, &fresh[..3 * 16], None);
+        let (healthy1, _, _) = unfaulted(per, &fresh[3 * 16..], None);
+        let (degraded1, _, _) = unfaulted(per, &fresh[3 * 16..], Some(doomed));
+        let mut expected = shadow.clone();
+        expected[at * 16..(at + 6) * 16].copy_from_slice(&fresh);
+
+        let mut retried = 0;
+        for k in stripe0_ops + 1..=write_ops {
+            let v = &mut volume(vec![FaultPoint { at_op: prefilled + k, disk: doomed }]);
+            v.write(0, &shadow).unwrap();
+            let what = format!("disk {doomed} dying at the write's op {k}");
+            let receipt = receipted(v, &what, |v| v.write(at, &fresh));
+            let adopted = v.failed_disks() == [doomed];
+            let mut once = stripe0.clone();
+            once.merge(if adopted { &degraded1 } else { &healthy1 });
+            let totals = (receipt.total(), once.total());
+            assert_eq!(receipt, once, "{what}: {totals:?} I/Os, receipt vs one store each");
+            assert_eq!(v.read(0, STRIPES * per).unwrap().0, expected, "{what}");
+            retried += usize::from(adopted);
+        }
+        assert!(retried > 0, "some death must make stripe 1 retry");
+    }
+
+    /// A scrub that meets a fault retries the stripe it was on, not the
+    /// volume: the repair it made before the fault stays on its report.
+    #[test]
+    fn a_retried_scrub_keeps_the_repairs_of_the_stripes_before_it() {
+        use crate::backend::{Fault, FaultyBackend};
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(7).unwrap());
+        let (rows, cols) = (code.layout().rows(), code.layout().cols());
+        let inner = MemBackend::new(cols, 4 * rows, 16);
+        let faulty = FaultyBackend::new(Box::new(inner), Vec::new());
+        let mut v = RaidVolume::new(code, 4, 16, Box::new(faulty)).unwrap();
+        let data = pattern(v.data_elements() * 16, 67);
+        v.write(0, &data).unwrap();
+        v.inject_corruption(0, Cell::new(0, 0), 3).unwrap();
+        let per = v.addressing.data_per_stripe();
+        let (disk, index) = v.locate_data_element(2 * per + 1).unwrap();
+        v.backend_faulty_mut().unwrap().inject(Fault::LatentSector { disk, index });
+        let findings = v.scrub().unwrap();
+        assert_eq!(findings, vec![(0, ScrubReport::Repaired { cell: Cell::new(0, 0) })]);
+        assert_eq!(v.health().latent_repairs_total(), 1, "stripe 2's bad sector");
+        assert!(v.verify_all());
+        assert_eq!(v.read(0, v.data_elements()).unwrap().0, data);
     }
 
     /// A rebuild that runs two tasks — the spare's disk, then the one it
@@ -2552,7 +2561,7 @@ mod tests {
             (v, data)
         };
         let (mut twin, _) = two_failed();
-        twin.rebuild_step(usize::MAX).unwrap();
+        twin.maintain(usize::MAX).unwrap();
         let first = twin.last_op_busiest_elements();
         assert_eq!(twin.failed_disks(), vec![4]);
         twin.rebuild().unwrap();

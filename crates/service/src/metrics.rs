@@ -50,7 +50,7 @@ pub fn prometheus_text(stats: &ServiceStats) -> String {
     header(
         &mut out,
         "hvraid_write_balance_rate",
-        "Load-balancing rate lambda of Eq. 7 (max/min per-disk writes - 1).",
+        "Load-balancing rate lambda of Eq. 7 (max/min per-disk writes; 1 is balanced).",
         "gauge",
     );
     let _ = writeln!(out, "hvraid_write_balance_rate {:.6}", stats.ledger.write_balance_rate());

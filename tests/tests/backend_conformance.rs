@@ -591,10 +591,10 @@ fn rotated_double_rebuild_restores_every_code_with_the_same_io() {
     }
 }
 
-/// A bystander disk dying halfway through a `rebuild_step(usize::MAX)`:
-/// the step adopts the failure, re-cuts its scratch for the two-column
-/// decode and still lands its own disk. Failed set, checkpoint, I/O and
-/// bytes are `fc8f0f0`'s.
+/// A bystander disk dying halfway through a `maintain(usize::MAX)` of an
+/// active task: the step adopts the failure, re-cuts its scratch for the
+/// two-column decode and still lands its own disk. Failed set,
+/// checkpoint, I/O and bytes are `fc8f0f0`'s.
 #[test]
 fn a_bystander_death_mid_rebuild_step_is_adopted_and_the_step_completes() {
     const ROTATED: usize = 13;
@@ -611,12 +611,12 @@ fn a_bystander_death_mid_rebuild_step_is_adopted_and_the_step_completes() {
     };
     let mut twin = rebuilding(Vec::new());
     let setup_ops = twin.backend_faulty_mut().unwrap().ops();
-    let undisturbed = twin.rebuild_step(usize::MAX).unwrap();
+    let undisturbed = twin.maintain(usize::MAX).unwrap();
     // Element operations the step was served, journal pre-images included.
     let step_ops = twin.backend_faulty_mut().unwrap().ops() - setup_ops;
 
     let mut v = rebuilding(vec![FaultPoint { at_op: setup_ops + step_ops / 2, disk: BYSTANDER }]);
-    let receipt = v.rebuild_step(usize::MAX).unwrap();
+    let receipt = v.maintain(usize::MAX).unwrap();
     assert_eq!(v.failed_disks(), vec![BYSTANDER]);
     assert_eq!(v.rebuild_progress(), None);
     // 234 reads undisturbed; the stripes after the death decode two columns.
