@@ -487,7 +487,16 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
     // Opening replays the undo journal; remember what it did so the
     // operator learns a torn write was rolled back.
     let journal = backend.recovered_journal();
-    let mut volume = match RaidVolume::open(Arc::clone(&code), Box::new(backend), meta.rotate) {
+    // The geometry is `volume.meta`'s; a `shape.meta` that disagrees is a
+    // `BackendMismatch` naming the field, not a smaller volume.
+    let reopened = RaidVolume::with_backend(
+        Arc::clone(&code),
+        meta.stripes,
+        meta.element_size,
+        meta.rotate,
+        Box::new(backend),
+    );
+    let mut volume = match reopened {
         Ok(v) => v,
         Err(VolumeError::TooManyFailures { failed }) => {
             let detail =
@@ -782,8 +791,10 @@ fn lint(parsed: &Parsed) -> Result<String, String> {
 
 /// Serves a volume as a concurrent block service on a unix socket until
 /// a client sends `SHUTDOWN`. `--dir` persists to a file-backed volume
-/// (reopened when metadata already exists, created otherwise); without
-/// it the volume is in-memory and vanishes with the server.
+/// (reopened when `volume.meta` exists, created otherwise); without it
+/// the volume is in-memory and vanishes with the server. A `volume.meta`
+/// that does not load is an error: the directory is never recreated
+/// over it.
 fn serve(parsed: &Parsed) -> Result<String, String> {
     let name = parsed.get_or("code", "hv".to_string())?;
     let p = parsed.get_or("p", 5usize)?;
@@ -795,11 +806,18 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
 
     let volume = match parsed.flags.get("dir") {
         None => RaidVolume::in_memory(Arc::clone(&code), stripes, element),
-        Some(dir) if VolumeMeta::load(dir).is_ok() => {
+        Some(dir) if std::path::Path::new(dir).join("volume.meta").exists() => {
             let meta = VolumeMeta::load(dir).map_err(|e| format!("{dir}: {e}"))?;
             let code = build(&meta.code, meta.p)?;
             let backend = FileBackend::open(dir).map_err(|e| format!("{dir}: {e}"))?;
-            RaidVolume::open(code, Box::new(backend), meta.rotate).map_err(|e| e.to_string())?
+            RaidVolume::with_backend(
+                code,
+                meta.stripes,
+                meta.element_size,
+                meta.rotate,
+                Box::new(backend),
+            )
+            .map_err(|e| format!("{dir}: {e}"))?
         }
         Some(dir) => {
             let backend =
@@ -938,6 +956,60 @@ mod tests {
         assert!(out.contains("shut down cleanly"), "{out}");
         let _ = std::fs::remove_file(script_path);
         let _ = std::fs::remove_file(shutdown_script);
+    }
+
+    /// A `p = 5`, 2-stripe, 16 B volume under a fresh temp dir named `tag`,
+    /// with its data written.
+    fn on_disk_volume(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("hvraid-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        run_line(&[
+            "volume", "--code", "hv", "--p", "5", "--stripes", "2", "--element", "16",
+            "--dir", dir.to_str().unwrap(),
+        ])
+        .unwrap();
+        dir
+    }
+
+    #[test]
+    fn serve_refuses_a_damaged_volume_meta_and_keeps_the_disks() {
+        let dir = on_disk_volume("serve-damaged");
+        let meta = std::fs::read_to_string(dir.join("volume.meta")).unwrap();
+        std::fs::write(dir.join("volume.meta"), meta.replace("rotate=false", "rotate=maybe"))
+            .unwrap();
+        let disk = std::fs::read(dir.join("disk-00.dat")).unwrap();
+        assert!(disk.iter().any(|&b| b != 0), "fixture holds data");
+        let socket = dir.join("serve.sock");
+        let err = run_line(&[
+            "serve", "--dir", dir.to_str().unwrap(), "--socket", socket.to_str().unwrap(),
+        ])
+        .unwrap_err();
+        assert!(err.contains("rotate=\"maybe\""), "{err}");
+        assert!(!socket.exists(), "refused before binding");
+        assert_eq!(std::fs::read(dir.join("disk-00.dat")).unwrap(), disk, "disk wiped");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn fsck_takes_the_geometry_from_volume_meta() {
+        let dir = on_disk_volume("fsck-shape");
+        let shape = std::fs::read_to_string(dir.join("shape.meta")).unwrap();
+        std::fs::write(
+            dir.join("shape.meta"),
+            shape.replace("elements_per_disk=8", "elements_per_disk=4"),
+        )
+        .unwrap();
+        let err = run_line_status(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap_err();
+        assert!(err.contains("elements per disk"), "{err}");
+        // A stripe count whose element count wraps to the disk's (2⁶² + 2
+        // stripes × 4 rows ≡ 8 mod 2⁶⁴) is a mismatch too, not an overflow.
+        std::fs::write(dir.join("shape.meta"), shape).unwrap();
+        let meta = std::fs::read_to_string(dir.join("volume.meta")).unwrap();
+        let huge = format!("stripes={}", (1usize << 62) + 2);
+        std::fs::write(dir.join("volume.meta"), meta.replace("stripes=2", &huge)).unwrap();
+        let err = run_line_status(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap_err();
+        assert!(err.contains("elements per disk"), "{err}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -92,11 +92,7 @@ pub fn scrub(stripe: &mut Stripe, layout: &Layout) -> ScrubReport {
 fn violated_chains(stripe: &Stripe, layout: &Layout) -> BTreeSet<usize> {
     let mut violated = BTreeSet::new();
     for (idx, chain) in layout.chains().iter().enumerate() {
-        let mut acc = stripe.element(chain.parity).to_vec();
-        for m in &chain.members {
-            raid_math::xor::xor_into(&mut acc, stripe.element(*m));
-        }
-        if !raid_math::xor::is_zero(&acc) {
+        if !raid_math::xor::is_zero(&stripe.xor_of(chain.cells())) {
             violated.insert(idx);
         }
     }

@@ -1,14 +1,9 @@
 //! Stripe buffers and chain-driven encoding.
 
-use raid_math::xor::{is_zero, xor_into, xor_many_into};
+use raid_math::xor::{is_zero, xor_gather_into};
 
 use crate::geometry::Cell;
 use crate::layout::Layout;
-
-/// Source-slice batches at or below this size are gathered on the stack;
-/// longer ones (EVENODD-style long chains at large `p`) fall back to a heap
-/// gather. Covers every chain of every code in this workspace up to p ≈ 29.
-const STACK_GATHER: usize = 32;
 
 /// The element buffers of one stripe: a `rows × cols` grid of equally sized
 /// byte buffers.
@@ -190,42 +185,33 @@ impl Stripe {
         let order = encode_order(layout);
         for id in order {
             let chain = &layout.chains()[id];
-            // Compute into a scratch buffer to keep the borrow checker happy.
-            let mut acc = vec![0u8; self.element_size];
-            for m in &chain.members {
-                xor_into(&mut acc, self.element(*m));
-            }
+            let acc = self.xor_of(chain.members.iter().copied());
             self.set_element(chain.parity, &acc);
         }
     }
 
     /// Verifies every chain equation; returns the first violated chain's
-    /// parity cell, or `None` if all parities are consistent.
+    /// parity cell, or `None` if all parities are consistent. A chain holds
+    /// when the XOR of its parity and members is zero.
     pub fn verify(&self, layout: &Layout) -> Option<Cell> {
-        for chain in layout.chains() {
-            let mut acc = self.element(chain.parity).to_vec();
-            for m in &chain.members {
-                xor_into(&mut acc, self.element(*m));
-            }
-            if !is_zero(&acc) {
-                return Some(chain.parity);
-            }
-        }
-        None
+        layout
+            .chains()
+            .iter()
+            .find(|chain| !is_zero(&self.xor_of(chain.cells())))
+            .map(|chain| chain.parity)
     }
 
     /// XOR of an arbitrary set of elements, returned as a fresh buffer —
     /// the decoder's workhorse.
     pub fn xor_of(&self, cells: impl IntoIterator<Item = Cell>) -> Vec<u8> {
         let mut acc = vec![0u8; self.element_size];
-        for c in cells {
-            xor_into(&mut acc, self.element(c));
-        }
+        self.xor_of_into(cells, &mut acc);
         acc
     }
 
-    /// Allocation-free [`Stripe::xor_of`]: overwrites `out` with the XOR of
-    /// `cells`, letting hot loops reuse one scratch buffer across elements.
+    /// Overwrites `out` with the XOR of `cells` (zero for no cells), letting
+    /// a loop reuse one output buffer across elements. This is the one "XOR
+    /// of a cell set" helper: one `xor_gather_into` over the cells' slices.
     ///
     /// # Panics
     ///
@@ -233,20 +219,8 @@ impl Stripe {
     /// bounds.
     pub fn xor_of_into(&self, cells: impl IntoIterator<Item = Cell>, out: &mut [u8]) {
         assert_eq!(out.len(), self.element_size, "xor_of_into: scratch size mismatch");
-        out.fill(0);
-        let mut stack: [&[u8]; STACK_GATHER] = [&[]; STACK_GATHER];
-        let mut n = 0;
-        for c in cells {
-            if n == STACK_GATHER {
-                // Flush a full batch and keep gathering; order is
-                // irrelevant for XOR.
-                xor_many_into(out, &stack);
-                n = 0;
-            }
-            stack[n] = self.element(c);
-            n += 1;
-        }
-        xor_many_into(out, &stack[..n]);
+        let srcs: Vec<&[u8]> = cells.into_iter().map(|c| self.element(c)).collect();
+        xor_gather_into(out, &srcs);
     }
 
     /// Detaches the buffer at linear index `idx` so tiled plan execution

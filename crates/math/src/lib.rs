@@ -8,7 +8,8 @@
 //! * [`modp`] — the `⟨·⟩_p` modular arithmetic of the paper, including the
 //!   modular halving of Eq. (2) (`k := ⟨(j − 4i)/2⟩_p`) and modular division
 //!   `⟨i/j⟩_p`.
-//! * [`xor`] — wide XOR kernels used by every XOR-based array code.
+//! * [`xor`] — the one XOR kernel, `xor_gather_into` (`dst = ⊕ srcs`), with
+//!   AVX2, NEON and scalar backends; every XOR-based array code runs on it.
 //! * [`hex`] — hex text ⇄ bytes kernels, the block service's wire codec.
 //!
 //! # Examples

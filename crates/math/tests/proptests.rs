@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use raid_math::modp::{add_mod, div_mod, half_mod, inv_mod, mul_mod, pow_mod, reduce, sub_mod};
 use raid_math::prime::Prime;
-use raid_math::xor::{is_zero, xor_gather_into, xor_into};
+use raid_math::xor::{is_zero, xor_gather_into};
 
 fn primes() -> impl Strategy<Value = Prime> {
     prop::sample::select(vec![3usize, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -55,10 +55,11 @@ proptest! {
     fn xor_involution(data in prop::collection::vec(any::<u8>(), 0..256),
                       mask in prop::collection::vec(any::<u8>(), 0..256)) {
         let n = data.len().min(mask.len());
-        let mut buf = data[..n].to_vec();
-        xor_into(&mut buf, &mask[..n]);
-        xor_into(&mut buf, &mask[..n]);
-        prop_assert_eq!(&buf[..], &data[..n]);
+        let mut once = vec![0u8; n];
+        xor_gather_into(&mut once, &[&data[..n], &mask[..n]]);
+        let mut twice = vec![0xFFu8; n];
+        xor_gather_into(&mut twice, &[&once, &mask[..n]]);
+        prop_assert_eq!(&twice[..], &data[..n]);
     }
 
     #[test]

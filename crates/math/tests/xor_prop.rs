@@ -1,54 +1,17 @@
-//! Property tests pinning the dispatched SIMD XOR kernels to the scalar
+//! Property tests pinning the dispatched SIMD XOR kernel to the scalar
 //! reference implementation, byte for byte, across ragged lengths.
 
 use proptest::prelude::*;
 
-use raid_math::xor::{
-    active_backend, xor_gather_into, xor_gather_into_scalar, xor_into, xor_into_scalar,
-    xor_many_into, xor_many_into_scalar,
-};
+use raid_math::xor::{active_backend, xor_gather_into, xor_gather_into_scalar};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Pairwise XOR: the runtime-dispatched kernel equals the scalar
-    /// reference for every length 0..=4096, including tails that are not
-    /// a multiple of any vector width.
-    #[test]
-    fn xor_into_matches_scalar(
-        len in 0usize..=4096,
-        seed_a in any::<u64>(),
-        seed_b in any::<u64>(),
-    ) {
-        let src = bytes(len, seed_a);
-        let mut simd = bytes(len, seed_b);
-        let mut scalar = simd.clone();
-        xor_into(&mut simd, &src);
-        xor_into_scalar(&mut scalar, &src);
-        prop_assert_eq!(simd, scalar);
-    }
-
-    /// Multi-source XOR: the single-pass dispatched kernel equals the
-    /// scalar reference for 0..=6 sources at ragged lengths.
-    #[test]
-    fn xor_many_into_matches_scalar(
-        len in 0usize..=4096,
-        nsrcs in 0usize..=6,
-        seed in any::<u64>(),
-    ) {
-        let srcs: Vec<Vec<u8>> = (0..nsrcs).map(|i| bytes(len, seed ^ (i as u64 + 1))).collect();
-        let refs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
-        let mut simd = bytes(len, seed.rotate_left(17));
-        let mut scalar = simd.clone();
-        xor_many_into(&mut simd, &refs);
-        xor_many_into_scalar(&mut scalar, &refs);
-        prop_assert_eq!(simd, scalar);
-    }
-
-    /// Write-only gather: the dispatched kernel equals the scalar
-    /// reference for 0..=6 sources at ragged lengths, and also equals
-    /// zeroing the destination then accumulating with `xor_many_into`
-    /// (proving the destination's prior contents never leak through).
+    /// The dispatched kernel equals the scalar reference for 0..=6
+    /// sources at ragged lengths, and equals folding the sources in one
+    /// at a time from zero. Each side starts from a different `dst`, so
+    /// the destination's prior contents never leak through.
     #[test]
     fn xor_gather_into_matches_scalar_and_accumulate(
         len in 0usize..=4096,
@@ -59,17 +22,14 @@ proptest! {
         let refs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
         let mut simd = bytes(len, seed.rotate_left(9));
         let mut scalar = bytes(len, seed.rotate_left(33));
-        let mut accumulated = bytes(len, seed.rotate_left(47));
         xor_gather_into(&mut simd, &refs);
         xor_gather_into_scalar(&mut scalar, &refs);
-        accumulated.fill(0);
-        xor_many_into(&mut accumulated, &refs);
         prop_assert_eq!(&simd, &scalar);
-        prop_assert_eq!(&simd, &accumulated);
+        prop_assert_eq!(&simd, &folded(len, &refs));
     }
 
-    /// Folding sources one at a time through the pairwise kernel equals
-    /// the single-pass multi-source kernel.
+    /// One gather over every source equals folding the sources in pairwise,
+    /// `acc = acc ⊕ s`, one two-source gather at a time.
     #[test]
     fn single_pass_equals_folded_pairwise(
         len in 0usize..=1024,
@@ -79,12 +39,8 @@ proptest! {
         let srcs: Vec<Vec<u8>> = (0..nsrcs).map(|i| bytes(len, seed ^ (i as u64 + 11))).collect();
         let refs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
         let mut single = bytes(len, seed);
-        let mut folded = single.clone();
-        xor_many_into(&mut single, &refs);
-        for s in &refs {
-            xor_into(&mut folded, s);
-        }
-        prop_assert_eq!(single, folded);
+        xor_gather_into(&mut single, &refs);
+        prop_assert_eq!(single, folded(len, &refs));
     }
 }
 
@@ -95,13 +51,24 @@ proptest! {
 fn exhaustive_length_sweep_matches_scalar() {
     eprintln!("xor backend under test: {}", active_backend().name());
     for len in 0..=4096usize {
-        let src = bytes(len, len as u64 + 1);
-        let mut simd = bytes(len, !(len as u64));
+        let a = bytes(len, len as u64 + 1);
+        let b = bytes(len, !(len as u64));
+        let mut simd = bytes(len, len as u64 ^ 0x5A);
         let mut scalar = simd.clone();
-        xor_into(&mut simd, &src);
-        xor_into_scalar(&mut scalar, &src);
+        xor_gather_into(&mut simd, &[&a, &b]);
+        xor_gather_into_scalar(&mut scalar, &[&a, &b]);
         assert_eq!(simd, scalar, "len = {len}");
     }
+}
+
+/// `⊕ srcs` folded one source at a time from a zero accumulator, each step
+/// a two-source gather into a fresh buffer.
+fn folded(len: usize, srcs: &[&[u8]]) -> Vec<u8> {
+    srcs.iter().fold(vec![0u8; len], |acc, s| {
+        let mut next = vec![0xA5u8; len];
+        xor_gather_into(&mut next, &[&acc, s]);
+        next
+    })
 }
 
 fn bytes(len: usize, seed: u64) -> Vec<u8> {

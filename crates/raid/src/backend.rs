@@ -581,6 +581,18 @@ pub struct FileBackend {
 
 const JOURNAL_MAGIC: &[u8; 4] = b"HVJ1";
 
+/// Replaces `path` with `bytes` through `<path>.tmp`: write, `sync_all`,
+/// rename. A crash leaves either the old file or the new one, never a
+/// half-written mix.
+fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    fs::rename(&tmp, path)
+}
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -619,9 +631,10 @@ fn decode_journal(bytes: &[u8], element_size: usize) -> Option<Vec<JournalEntry>
     let u32_at = |at: usize| -> Option<u32> {
         Some(u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?))
     };
+    // The count is read off disk: it bounds the loop, never an allocation.
     let count = u32_at(at)? as usize;
     at += 4;
-    let mut entries = Vec::with_capacity(count);
+    let mut entries = Vec::new();
     for _ in 0..count {
         let disk = u32_at(at)? as usize;
         let index = u32_at(at + 4)? as usize;
@@ -710,28 +723,37 @@ impl FileBackend {
     ///
     /// # Errors
     ///
-    /// Returns an error if `shape.meta` is missing/malformed or a disk
+    /// Returns an error if `shape.meta` is missing or malformed, names a
+    /// zero dimension or a disk larger than the address space
+    /// ([`std::io::ErrorKind::InvalidData`], naming the field), or a disk
     /// file cannot be opened.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let shape = fs::read_to_string(dir.join("shape.meta"))?;
         let field = |key: &str| -> std::io::Result<usize> {
-            shape
+            let v = shape
                 .lines()
                 .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
                 .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("shape.meta missing {key}"),
-                    )
-                })
+                .ok_or_else(|| meta_err(format!("shape.meta missing {key}")))?;
+            if v == 0 {
+                return Err(meta_err(format!("shape.meta: field {key}=0 must be positive")));
+            }
+            Ok(v)
         };
         let disks = field("disks")?;
         let elements_per_disk = field("elements_per_disk")?;
         let element_size = field("element_size")?;
-        let mut files = Vec::with_capacity(disks);
-        let mut failed = Vec::with_capacity(disks);
+        if elements_per_disk.checked_mul(element_size).is_none() {
+            return Err(meta_err(format!(
+                "shape.meta: elements_per_disk={elements_per_disk} × \
+                 element_size={element_size} overflows a disk offset"
+            )));
+        }
+        // The counts are read off disk: they bound the loop, never an
+        // allocation, so a huge `disks` fails on the first missing file.
+        let mut files = Vec::new();
+        let mut failed = Vec::new();
         for disk in 0..disks {
             files.push(
                 OpenOptions::new().read(true).write(true).open(Self::data_path(&dir, disk))?,
@@ -869,17 +891,10 @@ impl DiskBackend for FileBackend {
         if entries.is_empty() {
             return Ok(());
         }
-        let bytes = encode_journal(entries);
-        let tmp = self.dir.join("undo.journal.tmp");
-        // fsync-then-rename: the journal is either absent or complete,
-        // never observably half-written.
-        let write = || -> std::io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, Self::journal_path(&self.dir))
-        };
-        write().map_err(|_| DiskError::Io { disk: 0 })
+        // The journal is either absent or complete, never observably
+        // half-written.
+        replace_file(&Self::journal_path(&self.dir), &encode_journal(entries))
+            .map_err(|_| DiskError::Io { disk: 0 })
     }
 
     fn journal_commit(&mut self) -> Result<(), DiskError> {
@@ -901,14 +916,7 @@ impl DiskBackend for FileBackend {
         if let Some(cp) = cp {
             body.push_str(&format!("rebuild_checkpoint={}\n", cp.encode()));
         }
-        let tmp = self.dir.join("volume.meta.tmp");
-        let write = || -> std::io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-            fs::rename(&tmp, &meta)
-        };
-        write().map_err(|_| DiskError::Io { disk: 0 })
+        replace_file(&meta, body.as_bytes()).map_err(|_| DiskError::Io { disk: 0 })
     }
 
     fn load_checkpoint(&self) -> Option<RebuildCheckpoint> {
@@ -1246,7 +1254,8 @@ fn meta_err(msg: impl Into<String>) -> std::io::Error {
 }
 
 impl VolumeMeta {
-    /// Writes `volume.meta` into `dir`.
+    /// Writes `volume.meta` into `dir`, atomically: a crash leaves the old
+    /// file or the new one.
     ///
     /// # Errors
     ///
@@ -1259,7 +1268,7 @@ impl VolumeMeta {
         if let Some(cp) = &self.rebuild_checkpoint {
             body.push_str(&format!("rebuild_checkpoint={}\n", cp.encode()));
         }
-        fs::write(dir.as_ref().join("volume.meta"), body)
+        replace_file(&dir.as_ref().join("volume.meta"), body.as_bytes())
     }
 
     /// Reads and validates `volume.meta` from `dir`.
@@ -1680,6 +1689,65 @@ mod tests {
         // Legacy pre-versioning files (no version line) still load.
         write("code=hv\np=5\nstripes=4\nelement_size=8\nrotate=true\n");
         assert!(VolumeMeta::load(&dir).is_ok());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Creates a 4 × 8 × 16 B array under a fresh temp dir named `tag`.
+    fn damaged_fixture(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hvraid-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        FileBackend::create(&dir, 4, 8, 16).unwrap();
+        dir
+    }
+
+    #[test]
+    fn open_refuses_a_zero_dimension_in_shape_meta() {
+        let dir = damaged_fixture("zero");
+        for (key, shape) in [
+            ("disks", "disks=0\nelements_per_disk=8\nelement_size=16\n"),
+            ("elements_per_disk", "disks=4\nelements_per_disk=0\nelement_size=16\n"),
+            ("element_size", "disks=4\nelements_per_disk=8\nelement_size=0\n"),
+        ] {
+            fs::write(dir.join("shape.meta"), shape).unwrap();
+            let err = FileBackend::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{key}: {err}");
+            assert!(err.to_string().contains(&format!("{key}=0")), "{err}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_sizes_nothing_from_shape_meta_disks() {
+        let dir = damaged_fixture("huge");
+        fs::write(dir.join("shape.meta"), "disks=1000000000000\nelements_per_disk=8\nelement_size=16\n")
+            .unwrap();
+        // Disks 0–3 exist; disk 4 does not, and that is the whole cost.
+        let err = FileBackend::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+        fs::write(
+            dir.join("shape.meta"),
+            format!("disks=4\nelements_per_disk={}\nelement_size=16\n", usize::MAX / 8),
+        )
+        .unwrap();
+        let err = FileBackend::open(&dir).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_forged_journal_count_is_discarded_not_allocated() {
+        let dir = damaged_fixture("forged");
+        // Magic, count u32::MAX, no entries, and a valid FNV-1a checksum:
+        // anyone can compute it, so it proves nothing about the count.
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let sum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(bytes.len(), 16);
+        fs::write(FileBackend::journal_path(&dir), bytes).unwrap();
+        let b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.recovered_journal(), Some(JournalRecovery::DiscardedTorn));
+        assert!(!FileBackend::journal_path(&dir).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

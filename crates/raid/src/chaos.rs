@@ -602,7 +602,7 @@ fn crash_write_sweep(
             report.journal_rollbacks += 1;
         }
         let mut v = ctx.check(
-            RaidVolume::open(Arc::clone(code), Box::new(be), false),
+            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
             "open after crash",
         )?;
         let (bytes, _) = ctx.check(v.read(0, capacity), "read after crash")?;
@@ -686,7 +686,7 @@ fn crash_rebuild_sweep(
         let faulty = FaultyBackend::new(Box::new(be), Vec::new())
             .with_faults([Fault::CrashAtOp { at_op: k }]);
         let mut v = ctx.check(
-            RaidVolume::open(Arc::clone(code), Box::new(faulty), false),
+            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(faulty)),
             "open for crash",
         )?;
         let rebuilt = v.rebuild().is_ok();
@@ -695,7 +695,7 @@ fn crash_rebuild_sweep(
 
         let be = FileBackend::open(&d).map_err(|e| ctx.fail(format!("recover: {e}")))?;
         let mut v = ctx.check(
-            RaidVolume::open(Arc::clone(code), Box::new(be), false),
+            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
             "open after crash",
         )?;
         if !rebuilt {
@@ -801,7 +801,7 @@ fn crash_dirty_cache_sweep(
         let faulty = FaultyBackend::new(Box::new(be), Vec::new())
             .with_faults([Fault::CrashAtOp { at_op: k }]);
         let mut v = ctx.check(
-            RaidVolume::open(Arc::clone(code), Box::new(faulty), false),
+            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(faulty)),
             "open for crash",
         )?;
         v.enable_cache(CacheConfig {
@@ -826,7 +826,7 @@ fn crash_dirty_cache_sweep(
             report.journal_rollbacks += 1;
         }
         let mut v = ctx.check(
-            RaidVolume::open(Arc::clone(code), Box::new(be), false),
+            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
             "open after crash",
         )?;
         let (bytes, _) = ctx.check(v.read(0, capacity), "read after crash")?;

@@ -323,10 +323,12 @@ impl RaidVolume {
                 got: backend.element_size(),
             });
         }
-        if backend.elements_per_disk() != stripes * layout.rows() {
+        // `stripes` may come off disk (`volume.meta`): no overflow panic.
+        let per_disk = stripes.saturating_mul(layout.rows());
+        if backend.elements_per_disk() != per_disk {
             return Err(VolumeError::BackendMismatch {
                 what: "elements per disk",
-                expected: stripes * layout.rows(),
+                expected: per_disk,
                 got: backend.elements_per_disk(),
             });
         }
@@ -386,32 +388,6 @@ impl RaidVolume {
         }
         self.rebuild_task = Some(cp);
         Ok(())
-    }
-
-    /// Opens an existing backend as a volume, deriving the stripe count
-    /// from the backend's geometry — the `hvraid fsck` entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolumeError::BackendMismatch`] if the backend's element
-    /// count is not a whole number of stripes for this code.
-    pub fn open(
-        code: Arc<dyn ArrayCode>,
-        backend: Box<dyn DiskBackend>,
-        rotate: bool,
-    ) -> Result<Self, VolumeError> {
-        let rows = code.layout().rows();
-        let epd = backend.elements_per_disk();
-        if epd == 0 || !epd.is_multiple_of(rows) {
-            return Err(VolumeError::BackendMismatch {
-                what: "elements per disk",
-                expected: rows,
-                got: epd,
-            });
-        }
-        let stripes = epd / rows;
-        let element_size = backend.element_size();
-        Self::with_backend(code, stripes, element_size, rotate, backend)
     }
 
     /// The array code in use.
@@ -2103,7 +2079,7 @@ mod tests {
             let be = FileBackend::open(&dir).unwrap();
             let faulty = FaultyBackend::new(Box::new(be), Vec::new())
                 .with_faults([Fault::CrashAtOp { at_op: 120 }]);
-            let mut v = RaidVolume::open(Arc::clone(&code), Box::new(faulty), false).unwrap();
+            let mut v = RaidVolume::new(Arc::clone(&code), 4, 16, Box::new(faulty)).unwrap();
             assert!(matches!(
                 v.rebuild(),
                 Err(VolumeError::Backend(DiskError::Crashed))
@@ -2112,7 +2088,7 @@ mod tests {
         // Reopen: the checkpoint resumes the task past stripe 0 — not
         // from scratch — and the rebuild completes.
         let be = FileBackend::open(&dir).unwrap();
-        let mut v = RaidVolume::open(Arc::clone(&code), Box::new(be), false).unwrap();
+        let mut v = RaidVolume::new(Arc::clone(&code), 4, 16, Box::new(be)).unwrap();
         let cp = v.rebuild_progress().expect("checkpoint resumed a task");
         assert_eq!(cp.disks, vec![3]);
         assert!(cp.next_stripe > 0, "must resume mid-volume, not at stripe 0");
@@ -2299,7 +2275,7 @@ mod tests {
             // No explicit flush: the drop barrier must write it out.
         }
         let be = FileBackend::open(&dir).unwrap();
-        let mut v = RaidVolume::open(code, Box::new(be), false).unwrap();
+        let mut v = RaidVolume::new(code, 4, 16, Box::new(be)).unwrap();
         assert!(v.verify_all());
         let (bytes, _) = v.read(3, 10).unwrap();
         assert_eq!(bytes, data, "dropped volume must have flushed");

@@ -255,13 +255,8 @@ impl SymState {
     pub fn predict_bytes(&self, cell: Cell, initial: &raid_core::Stripe) -> Vec<u8> {
         assert_eq!(initial.rows(), self.rows, "symbolic/stripe row mismatch");
         assert_eq!(initial.cols(), self.cols, "symbolic/stripe col mismatch");
-        let mut out = vec![0u8; initial.element_size()];
-        for i in self.expr(cell).iter() {
-            if i < self.rows * self.cols {
-                raid_math::xor::xor_into(&mut out, initial.element(Cell::from_index(i, self.cols)));
-            }
-        }
-        out
+        let cells = self.expr(cell).iter().filter(|&i| i < self.rows * self.cols);
+        initial.xor_of(cells.map(|i| Cell::from_index(i, self.cols)))
     }
 }
 

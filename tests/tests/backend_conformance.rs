@@ -657,7 +657,7 @@ fn file_backend_persists_across_reopen() {
     // Reopen: geometry, contents, and the failure marker all survive.
     let dir = std::env::temp_dir().join(format!("hvraid_conformance_{label}"));
     let backend = FileBackend::open(&dir).unwrap();
-    let mut v = RaidVolume::open(Arc::clone(&code), Box::new(backend), false).unwrap();
+    let mut v = RaidVolume::new(Arc::clone(&code), STRIPES, ELEMENT, Box::new(backend)).unwrap();
     assert_eq!(v.stripes(), STRIPES);
     assert_eq!(v.failed_disks(), vec![2], "failure flag must persist");
     let (bytes, _) = v.read(0, v.data_elements()).unwrap();

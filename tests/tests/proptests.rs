@@ -216,7 +216,7 @@ proptest! {
                 prop_assert!(fv.cache_dirty_stripes() > 0, "drop test needs dirty state");
                 drop(fv);
                 let be = FileBackend::open(dir).unwrap();
-                let mut fv = RaidVolume::open(Arc::clone(&code), Box::new(be), false).unwrap();
+                let mut fv = RaidVolume::new(Arc::clone(&code), stripes, element, Box::new(be)).unwrap();
                 let (persisted, _) = fv.read(0, cap).unwrap();
                 prop_assert_eq!(&truth, &persisted, "{} p={p} lost dirty cache on drop", code.name());
             }

@@ -312,7 +312,7 @@ fn crash_during_dispatch_into_the_cache_recovers_untorn() {
 
         // Recover: journal replay/rollback, then parity + containment.
         let be = FileBackend::open(dir).expect("recover");
-        let mut v = RaidVolume::open(Arc::clone(&code), Box::new(be), false).expect("open");
+        let mut v = RaidVolume::new(Arc::clone(&code), STRIPES, ELEMENT, Box::new(be)).expect("open");
         assert!(v.verify_all(), "crash at op {k}: parity inconsistent after recovery");
         let (bytes, _) = v.read(0, capacity).expect("read after recovery");
         for at in 0..capacity {
