@@ -47,7 +47,7 @@ bench-ab:
 
 # Same decisions, same bytes: BASE (unpacked into target/ab-base, as
 # bench-ab does) and the working tree, both built in release mode, must
-# print byte-identical output for the six chaos-smoke campaigns,
+# print byte-identical output for the seven chaos-smoke campaigns,
 # `hvraid lint --all --journal` and `repro --csv <dir> all` (its CSVs;
 # its stdout carries wall times),
 # with the same exit status: one same/DIFFERS line per command, exit 1
@@ -97,7 +97,9 @@ examples-smoke:
 # crash sweeps (~15 s of the total). Seed 6 runs without the cache, the
 # only campaign whose writes store straight through: a multi-stripe
 # write that meets a fault retries the stripe it was storing, and its
-# crash sweep cuts that write at every journal point. Deterministic and
+# crash sweep cuts that write at every journal point. Seed 7 runs RDP,
+# whose diagonal chains cover the row-parity column, so the sweeps see
+# parities that chain into parities. Deterministic and
 # fast (<30 s); a failure prints the command that reproduces it.
 chaos-smoke:
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 1 --episodes 25
@@ -106,6 +108,7 @@ chaos-smoke:
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 4 --episodes 10 --element 20000
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 5 --episodes 10 --element 65536 --stripes 8 --spares 1
 	$(CARGO) run -q --release -p hvraid -- chaos --seed 6 --episodes 25 --cache false
+	$(CARGO) run -q --release -p hvraid -- chaos --seed 7 --episodes 25 --code rdp --p 5
 
 # ThreadSanitizer over the service suites, whose concurrent clients share
 # one volume under its lock: the only multi-threaded code in the

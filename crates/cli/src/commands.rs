@@ -405,21 +405,7 @@ fn volume_lifecycle(parsed: &Parsed) -> Result<String, String> {
     let element = parsed.get_positive("element", 64)?;
     let layout = code.layout();
 
-    let file_backend =
-        FileBackend::create(dir, layout.cols(), stripes * layout.rows(), element)
-            .map_err(|e| format!("{dir}: {e}"))?;
-    VolumeMeta {
-        code: name.to_string(),
-        p,
-        stripes,
-        element_size: element,
-        rotate: false,
-        rebuild_checkpoint: None,
-    }
-    .save(dir)
-    .map_err(|e| format!("{dir}: {e}"))?;
-    let mut disk = RaidVolume::new(Arc::clone(&code), stripes, element, Box::new(file_backend))
-        .map_err(|e| e.to_string())?;
+    let mut disk = create_volume(dir, name, &code, stripes, element)?;
     let mut mem = RaidVolume::in_memory(Arc::clone(&code), stripes, element);
 
     // Identical operation trace against both volumes.
@@ -471,6 +457,61 @@ fn volume_lifecycle(parsed: &Parsed) -> Result<String, String> {
     Ok(out)
 }
 
+/// A file-backed volume reopened by [`open_volume`].
+struct Reopened {
+    /// Its `volume.meta`.
+    meta: VolumeMeta,
+    /// What the reopen's journal recovery did.
+    journal: Option<JournalRecovery>,
+    /// The volume, or why it did not open over the disks.
+    volume: Result<RaidVolume, VolumeError>,
+}
+
+/// Reopens the file-backed volume in `dir` with `volume.meta`'s code and
+/// geometry; a `shape.meta` that disagrees is a `BackendMismatch` naming
+/// the field, not a smaller volume. Opening the disks replays the undo
+/// journal.
+fn open_volume(dir: &str) -> Result<Reopened, String> {
+    let meta = VolumeMeta::load(dir).map_err(|e| format!("{dir}: {e}"))?;
+    let code = build(&meta.code, meta.p)?;
+    let backend = FileBackend::open(dir).map_err(|e| format!("{dir}: {e}"))?;
+    let journal = backend.recovered_journal();
+    let volume = RaidVolume::with_backend(
+        code,
+        meta.stripes,
+        meta.element_size,
+        meta.rotate,
+        Box::new(backend),
+    );
+    Ok(Reopened { meta, journal, volume })
+}
+
+/// Creates a file-backed volume of `code` (registered as `name`) in
+/// `dir`, with the `volume.meta` [`open_volume`] reopens it from.
+fn create_volume(
+    dir: &str,
+    name: &str,
+    code: &Arc<dyn ArrayCode>,
+    stripes: usize,
+    element: usize,
+) -> Result<RaidVolume, String> {
+    let layout = code.layout();
+    let backend = FileBackend::create(dir, layout.cols(), stripes * layout.rows(), element)
+        .map_err(|e| format!("{dir}: {e}"))?;
+    VolumeMeta {
+        code: name.to_string(),
+        p: code.prime().get(),
+        stripes,
+        element_size: element,
+        rotate: false,
+        rebuild_checkpoint: None,
+    }
+    .save(dir)
+    .map_err(|e| format!("{dir}: {e}"))?;
+    RaidVolume::new(Arc::clone(code), stripes, element, Box::new(backend))
+        .map_err(|e| e.to_string())
+}
+
 /// Reopens a file-backed volume and verifies it; `--repair true` rebuilds
 /// failed disks (resuming any checkpointed rebuild) and scrubs silent
 /// corruption first. Reports journal rollbacks performed by the reopen.
@@ -481,22 +522,10 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
     let dir = parsed.require("dir")?;
     let repair = parsed.get_or("repair", false)?;
     let json = parsed.get_or("json", false)?;
-    let meta = VolumeMeta::load(dir).map_err(|e| format!("{dir}: {e}"))?;
-    let code = build(&meta.code, meta.p)?;
-    let backend = FileBackend::open(dir).map_err(|e| format!("{dir}: {e}"))?;
-    // Opening replays the undo journal; remember what it did so the
-    // operator learns a torn write was rolled back.
-    let journal = backend.recovered_journal();
-    // The geometry is `volume.meta`'s; a `shape.meta` that disagrees is a
-    // `BackendMismatch` naming the field, not a smaller volume.
-    let reopened = RaidVolume::with_backend(
-        Arc::clone(&code),
-        meta.stripes,
-        meta.element_size,
-        meta.rotate,
-        Box::new(backend),
-    );
-    let mut volume = match reopened {
+    // The reopen replays the undo journal; `journal` is what it did, so
+    // the operator learns a torn write was rolled back.
+    let Reopened { meta, journal, volume } = open_volume(dir)?;
+    let mut volume = match volume {
         Ok(v) => v,
         Err(VolumeError::TooManyFailures { failed }) => {
             let detail =
@@ -575,7 +604,7 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
     }
     let mut out = format!(
         "{} at p = {}: {} stripes × {} B elements on {} disks ({dir})\n",
-        code.name(),
+        volume.code().name(),
         meta.p,
         volume.stripes(),
         volume.element_size(),
@@ -802,41 +831,15 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
     let stripes = parsed.get_positive("stripes", 16)?;
     let element = parsed.get_positive("element", 64)?;
     let socket = parsed.require("socket")?;
-    let layout = code.layout();
 
     let volume = match parsed.flags.get("dir") {
-        None => RaidVolume::in_memory(Arc::clone(&code), stripes, element),
+        None => RaidVolume::in_memory(code, stripes, element),
         Some(dir) if std::path::Path::new(dir).join("volume.meta").exists() => {
-            let meta = VolumeMeta::load(dir).map_err(|e| format!("{dir}: {e}"))?;
-            let code = build(&meta.code, meta.p)?;
-            let backend = FileBackend::open(dir).map_err(|e| format!("{dir}: {e}"))?;
-            RaidVolume::with_backend(
-                code,
-                meta.stripes,
-                meta.element_size,
-                meta.rotate,
-                Box::new(backend),
-            )
-            .map_err(|e| format!("{dir}: {e}"))?
+            open_volume(dir)?.volume.map_err(|e| format!("{dir}: {e}"))?
         }
-        Some(dir) => {
-            let backend =
-                FileBackend::create(dir, layout.cols(), stripes * layout.rows(), element)
-                    .map_err(|e| format!("{dir}: {e}"))?;
-            VolumeMeta {
-                code: name.to_string(),
-                p,
-                stripes,
-                element_size: element,
-                rotate: false,
-                rebuild_checkpoint: None,
-            }
-            .save(dir)
-            .map_err(|e| format!("{dir}: {e}"))?;
-            RaidVolume::new(Arc::clone(&code), stripes, element, Box::new(backend))
-                .map_err(|e| e.to_string())?
-        }
+        Some(dir) => create_volume(dir, &name, &code, stripes, element)?,
     };
+    let banner = listening_banner(socket, volume.code());
 
     let cfg = ServiceConfig {
         queue_depth: parsed.get_or("queue-depth", 256usize)?,
@@ -844,7 +847,7 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
     };
     let svc = Service::new(volume, cfg);
     let server_cfg = ServerConfig::new(socket);
-    eprintln!("hvraid serve: listening on {socket} ({} p={p})", code.name());
+    eprintln!("{banner}");
     raid_service::serve(&svc, &server_cfg).map_err(|e| e.to_string())?;
     let stats = svc.stats();
     Ok(format!(
@@ -852,6 +855,12 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
         stats.ops_total(),
         stats.tenants.len(),
     ))
+}
+
+/// What `serve` prints once it listens: the code and `p` of the volume
+/// it serves.
+fn listening_banner(socket: &str, code: &dyn ArrayCode) -> String {
+    format!("hvraid serve: listening on {socket} ({} p={})", code.name(), code.prime())
 }
 
 /// Drives a served volume through a scripted client session. The script
@@ -1009,6 +1018,33 @@ mod tests {
         std::fs::write(dir.join("volume.meta"), meta.replace("stripes=2", &huge)).unwrap();
         let err = run_line_status(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("elements per disk"), "{err}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_p_no_volume_can_address_is_refused_before_it_sizes_a_layout() {
+        let dir = on_disk_volume("fsck-huge-p");
+        let meta = std::fs::read_to_string(dir.join("volume.meta")).unwrap();
+        assert!(meta.contains("\np=5\n"), "{meta}");
+        std::fs::write(dir.join("volume.meta"), meta.replace("\np=5\n", "\np=1000000007\n"))
+            .unwrap();
+        let err = run_line_status(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap_err();
+        assert!(err.contains("p=1000000007") && err.contains("p above 180"), "{err}");
+        let err = run_line(&["info", "--code", "hv", "--p", "1000000007"]).unwrap_err();
+        assert!(err.contains("p above 180"), "{err}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn serve_announces_the_volume_it_reopens_not_its_flags() {
+        let dir = std::env::temp_dir().join(format!("hvraid-banner-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_str().unwrap();
+        run_line(&["volume", "--code", "rdp", "--p", "7", "--stripes", "1", "--dir", dir_arg])
+            .unwrap();
+        let reopened = open_volume(dir_arg).unwrap().volume.unwrap();
+        let banner = listening_banner("s.sock", reopened.code());
+        assert_eq!(banner, "hvraid serve: listening on s.sock (RDP p=7)");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -865,15 +865,12 @@ impl DiskBackend for FileBackend {
         Ok(())
     }
 
+    /// The spare keeps the failed disk's bytes: a rebuild rewrites every
+    /// element, and the volume reads none of them before it has.
     fn replace(&mut self, disk: usize) -> Result<(), DiskError> {
         if disk >= self.files.len() {
             return Err(DiskError::NoSuchDisk { disk });
         }
-        // A blank spare: truncate to zero and re-extend with zeroes.
-        let f = &mut self.files[disk];
-        f.set_len(0)
-            .and_then(|_| f.set_len((self.elements_per_disk * self.element_size) as u64))
-            .map_err(|_| DiskError::Io { disk })?;
         self.failed[disk] = false;
         let _ = fs::remove_file(Self::failed_path(&self.dir, disk));
         Ok(())
@@ -1438,6 +1435,22 @@ mod tests {
         }
         let b = FileBackend::open(&dir).unwrap();
         assert!(!b.is_failed(2), "replacement must clear the marker");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_backend_spare_keeps_the_failed_disks_bytes() {
+        let dir = std::env::temp_dir().join(format!("hvraid-fb-spare-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut b = FileBackend::create(&dir, 3, 4, 8).unwrap();
+        b.write(1, 2, &[0xC3; 8]).unwrap();
+        b.fail(1).unwrap();
+        b.replace(1).unwrap();
+        let mut buf = [0u8; 8];
+        b.read(1, 2, &mut buf).unwrap();
+        assert_eq!(buf, [0xC3; 8], "replace blanked the spare");
+        assert_eq!(fs::metadata(dir.join("disk-01.dat")).unwrap().len(), 32);
+        drop(b);
         let _ = fs::remove_dir_all(&dir);
     }
 

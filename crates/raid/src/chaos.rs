@@ -7,11 +7,17 @@
 //! reads, scrubs and rebuilds with injected faults from the whole
 //! [`disk_sim::ErrorClass`] taxonomy — transient read glitches, latent
 //! sectors, torn writes, dead disks (never more than RAID-6's two at
-//! once) — and, for file-backed volumes, a *crash sweep* that kills the
-//! simulated process at every single operation boundary of a
-//! multi-element write and of a rebuild, reopens the directory, and
-//! demands that journal recovery and the rebuild checkpoint leave the
-//! array consistent.
+//! once) — and, for file-backed volumes, *crash sweeps*.
+//!
+//! A crash sweep is one loop that kills the simulated process at every
+//! single operation boundary of an act: a multi-stripe write, a rebuild,
+//! and (with the cache on) a coalesced flush of scattered cached writes.
+//! At each crash point it writes a fresh baseline, runs the act under
+//! [`Fault::CrashAtOp`], reopens the directory (journal recovery, then a
+//! resumed rebuild from its checkpoint) and demands a consistent array:
+//! no failed disk, every stripe all old or all new, parity that verifies.
+//! Each act is a `CrashSweep` description; a new crash fault or a new
+//! invariant is one edit to that loop.
 //!
 //! Every episode is verified against a shadow model (the bytes a perfect
 //! volume would hold), and every receipt an operation returns against the
@@ -24,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use raid_core::io::IoLedger;
-use raid_core::ArrayCode;
+use raid_core::{ArrayCode, Cell};
 
 use crate::backend::{
     DiskBackend, Fault, FaultyBackend, FileBackend, JournalRecovery, MemBackend,
@@ -238,10 +244,18 @@ pub fn run(code: &Arc<dyn ArrayCode>, cfg: &ChaosConfig) -> Result<ChaosReport, 
             run_episode(code, cfg, ep, Some(dir), &mut report)?;
         }
         if cfg.crash_sweeps {
-            crash_write_sweep(code, cfg, dir, &mut report)?;
-            crash_rebuild_sweep(code, cfg, dir, &mut report)?;
+            let per_stripe = code.layout().num_data_cells();
+            crash_sweep(code, cfg, dir, write_sweep(per_stripe, cfg), &mut report)?;
+            crash_sweep(code, cfg, dir, rebuild_sweep(per_stripe, cfg), &mut report)?;
+            if report.resumed_rebuilds == 0 {
+                let ctx = Episode { cfg, backend: "file", phase: "crash-rebuild sweep".into() };
+                return Err(ctx.fail(
+                    "no crash point resumed from a checkpoint past stripe 0 — \
+                     rebuilds are restarting from scratch",
+                ));
+            }
             if cfg.cache {
-                crash_dirty_cache_sweep(code, cfg, dir, &mut report)?;
+                crash_sweep(code, cfg, dir, dirty_cache_sweep(per_stripe, cfg), &mut report)?;
             }
         }
     }
@@ -546,325 +560,227 @@ fn baseline(capacity: usize, es: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
-/// Crash-at-every-op sweep over a multi-stripe write: for each op count
-/// `k`, the process "crashes" at op `k` mid-write; the directory is then
-/// reopened (running journal recovery) and the array must be
-/// parity-consistent with every stripe's segment of the write atomically
-/// old or new — never torn.
-fn crash_write_sweep(
-    code: &Arc<dyn ArrayCode>,
-    cfg: &ChaosConfig,
-    dir: &Path,
-    report: &mut ChaosReport,
-) -> Result<(), ChaosFailure> {
-    let ctx = Episode { cfg, backend: "file", phase: "crash-write sweep".to_string() };
-    let layout = code.layout();
-    let epd = cfg.stripes * layout.rows();
+/// One crash sweep: an act on a file volume that [`crash_sweep`] kills at
+/// every op in turn. Which elements the act may change is not listed: it
+/// is where `want` differs from `old`.
+struct CrashSweep {
+    /// The phase a [`ChaosFailure`] names.
+    phase: &'static str,
+    /// Sub-directory of [`ChaosConfig::dir`] the volume lives in.
+    subdir: &'static str,
+    /// The contents written before every crash point.
+    old: Vec<u8>,
+    /// The contents once the act has completed.
+    want: Vec<u8>,
+    /// Runs on the baseline volume after its write.
+    setup: fn(&mut RaidVolume) -> Result<(), VolumeError>,
+    /// The act, run under the crash fault: whether it completed.
+    act: Box<dyn Fn(&mut RaidVolume) -> bool>,
+    /// Runs on the recovered volume, given what journal recovery did,
+    /// before its contents are checked; counts what the crash point
+    /// showed beyond [`ChaosReport::crash_points`].
+    after_recovery: AfterRecovery,
+}
+
+/// [`CrashSweep::after_recovery`].
+type AfterRecovery =
+    fn(&mut RaidVolume, Option<JournalRecovery>, &mut ChaosReport) -> Result<(), VolumeError>;
+
+/// A write of `[per_stripe − 2, +4)`: it crosses a stripe boundary, so
+/// it is two journaled segments.
+fn write_sweep(per_stripe: usize, cfg: &ChaosConfig) -> CrashSweep {
     let es = cfg.element_size;
-    let d = dir.join("crash-write");
-    let per_stripe = layout.num_data_cells();
-    let capacity = per_stripe * cfg.stripes;
-    let old = baseline(capacity, es, 3);
-    // A write that crosses a stripe boundary: two journaled segments.
+    let old = baseline(per_stripe * cfg.stripes, es, 3);
     let start = per_stripe - 2;
-    let len = 4.min(capacity - start);
+    let len = 4.min(per_stripe * cfg.stripes - start);
     let new: Vec<u8> = (0..len * es).map(|i| (i as u8).wrapping_mul(101) ^ 0x5A).collect();
-    let mut want_new = old.clone();
-    want_new[start * es..(start + len) * es].copy_from_slice(&new);
-
-    let mut k = 0u64;
-    loop {
-        // Fresh baseline for this crash point.
-        {
-            let be = FileBackend::create(&d, layout.cols(), epd, es)
-                .map_err(|e| ctx.fail(format!("create: {e}")))?;
-            let mut v = ctx.check(
-                RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
-                "open baseline",
-            )?;
-            ctx.check(v.write(0, &old), "baseline write")?;
-        }
-        // Crash at op k during the write.
-        let be = FileBackend::open(&d).map_err(|e| ctx.fail(format!("reopen: {e}")))?;
-        let faulty = FaultyBackend::new(Box::new(be), Vec::new())
-            .with_faults([Fault::CrashAtOp { at_op: k }]);
-        let mut v = ctx.check(
-            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(faulty)),
-            "open for crash",
-        )?;
-        let wrote = v.write(start, &new).is_ok();
-        drop(v);
-        report.crash_points += 1;
-
-        // Reopen: journal recovery runs, then the array must be sane.
-        let be = FileBackend::open(&d).map_err(|e| ctx.fail(format!("recover: {e}")))?;
-        if matches!(be.recovered_journal(), Some(JournalRecovery::RolledBack { .. })) {
-            report.journal_rollbacks += 1;
-        }
-        let mut v = ctx.check(
-            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
-            "open after crash",
-        )?;
-        let (bytes, _) = ctx.check(v.read(0, capacity), "read after crash")?;
-        if wrote && bytes != want_new {
-            return Err(ctx.fail(format!(
-                "crash point {k}: write reported success but contents differ"
-            )));
-        }
-        if !wrote {
-            // Each stripe's segment must be atomically old or new.
-            for stripe in 0..cfg.stripes {
-                let lo = (stripe * per_stripe).max(start);
-                let hi = ((stripe + 1) * per_stripe).min(start + len);
-                if lo >= hi {
-                    continue;
-                }
-                let got = &bytes[lo * es..hi * es];
-                if got != &old[lo * es..hi * es] && got != &want_new[lo * es..hi * es] {
-                    return Err(ctx.fail(format!(
-                        "crash point {k}: stripe {stripe} segment is torn \
-                         (neither fully old nor fully new)"
-                    )));
-                }
-            }
-            // Untouched elements must be exactly the baseline.
-            for at in (0..start).chain(start + len..capacity) {
-                if bytes[at * es..(at + 1) * es] != old[at * es..(at + 1) * es] {
-                    return Err(ctx.fail(format!(
-                        "crash point {k}: element {at} outside the write changed"
-                    )));
-                }
-            }
-        }
-        if !v.verify_all() {
-            return Err(ctx.fail(format!(
-                "crash point {k}: parity inconsistent after recovery"
-            )));
-        }
-        drop(v);
-        if wrote {
-            break; // the crash point is past the whole write
-        }
-        k += 1;
+    let mut want = old.clone();
+    want[start * es..(start + len) * es].copy_from_slice(&new);
+    CrashSweep {
+        phase: "crash-write sweep",
+        subdir: "crash-write",
+        old,
+        want,
+        setup: |_| Ok(()),
+        act: Box::new(move |v| v.write(start, &new).is_ok()),
+        after_recovery: |_, recovery, report| {
+            report.journal_rollbacks += rollbacks(recovery);
+            Ok(())
+        },
     }
-    let _ = std::fs::remove_dir_all(&d);
-    Ok(())
 }
 
-/// Crash-at-every-op sweep over a rebuild: for each op count `k`, a
-/// rebuild of a failed disk crashes at op `k`; reopening must resume from
-/// the persisted checkpoint (never restarting at stripe 0 once progress
-/// was checkpointed) and complete to a fully consistent array.
-fn crash_rebuild_sweep(
-    code: &Arc<dyn ArrayCode>,
-    cfg: &ChaosConfig,
-    dir: &Path,
-    report: &mut ChaosReport,
-) -> Result<(), ChaosFailure> {
-    let ctx = Episode { cfg, backend: "file", phase: "crash-rebuild sweep".to_string() };
-    let layout = code.layout();
-    let epd = cfg.stripes * layout.rows();
-    let es = cfg.element_size;
-    let d = dir.join("crash-rebuild");
-    let capacity = layout.num_data_cells() * cfg.stripes;
-    let old = baseline(capacity, es, 9);
-    let victim = 2 % layout.cols();
-
-    let mut k = 0u64;
-    loop {
-        {
-            let be = FileBackend::create(&d, layout.cols(), epd, es)
-                .map_err(|e| ctx.fail(format!("create: {e}")))?;
-            let mut v = ctx.check(
-                RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
-                "open baseline",
-            )?;
-            ctx.check(v.write(0, &old), "baseline write")?;
-            ctx.check(v.fail_disk(victim), "fail disk")?;
-        }
-        let be = FileBackend::open(&d).map_err(|e| ctx.fail(format!("reopen: {e}")))?;
-        let faulty = FaultyBackend::new(Box::new(be), Vec::new())
-            .with_faults([Fault::CrashAtOp { at_op: k }]);
-        let mut v = ctx.check(
-            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(faulty)),
-            "open for crash",
-        )?;
-        let rebuilt = v.rebuild().is_ok();
-        drop(v);
-        report.crash_points += 1;
-
-        let be = FileBackend::open(&d).map_err(|e| ctx.fail(format!("recover: {e}")))?;
-        let mut v = ctx.check(
-            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
-            "open after crash",
-        )?;
-        if !rebuilt {
-            // The interrupted rebuild must be resumable: either the crash
-            // hit before any progress (task restarts from 0 or the disk is
-            // simply still failed) or the checkpoint carries it forward.
-            if let Some(cp) = v.rebuild_progress() {
-                if cp.next_stripe > 0 {
-                    report.resumed_rebuilds += 1;
+/// A rebuild of disk `2 % cols`, failed after the baseline write. A
+/// spare keeps the failed disk's bytes, so the set-up first flips a byte
+/// of every element on it: only a rebuild that rewrites every stripe
+/// gives back the baseline. The reopen resumes the rebuild from its
+/// checkpoint; [`run`] fails the campaign if no crash point resumed past
+/// stripe 0, the sign of rebuilds restarting from scratch. Its journal
+/// rollbacks are not counted.
+fn rebuild_sweep(per_stripe: usize, cfg: &ChaosConfig) -> CrashSweep {
+    let old = baseline(per_stripe * cfg.stripes, cfg.element_size, 9);
+    CrashSweep {
+        phase: "crash-rebuild sweep",
+        subdir: "crash-rebuild",
+        want: old.clone(),
+        old,
+        setup: |v| {
+            let col = 2 % v.disks();
+            for stripe in 0..v.stripes() {
+                for row in 0..v.code().rows() {
+                    v.inject_corruption(stripe, Cell { row, col }, 0)?;
                 }
             }
-            ctx.check(v.rebuild(), "resume rebuild")?;
-        }
-        if !v.failed_disks().is_empty() {
-            return Err(ctx.fail(format!(
-                "crash point {k}: disk still failed after resumed rebuild"
-            )));
-        }
-        let (bytes, _) = ctx.check(v.read(0, capacity), "read after rebuild")?;
-        if bytes != old {
-            return Err(ctx.fail(format!(
-                "crash point {k}: contents diverged after crash-interrupted rebuild"
-            )));
-        }
-        if !v.verify_all() {
-            return Err(ctx.fail(format!(
-                "crash point {k}: parity inconsistent after resumed rebuild"
-            )));
-        }
-        drop(v);
-        if rebuilt {
-            break;
-        }
-        k += 1;
+            v.fail_disk(col)
+        },
+        act: Box::new(|v| v.rebuild().is_ok()),
+        after_recovery: |v, _, report| {
+            if v.rebuild_progress().is_some_and(|cp| cp.next_stripe > 0) {
+                report.resumed_rebuilds += 1;
+            }
+            v.rebuild().map(drop)
+        },
     }
-    if report.resumed_rebuilds == 0 {
-        return Err(ctx.fail(
-            "no crash point resumed from a checkpoint past stripe 0 — \
-             rebuilds are restarting from scratch"
-                .to_string(),
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&d);
-    Ok(())
 }
 
-/// Crash-at-every-op sweep over a coalesced dirty-cache flush: several
-/// scattered writes are absorbed by the write-back cache (touching no
-/// disk), then `flush()` pushes each dirty stripe out as one journaled
-/// coalesced op and the process "crashes" at op `k` mid-flush. Reopening
-/// must never expose a torn coalesced flush: per stripe, every dirty
-/// element is atomically all-old or all-new, untouched elements keep the
-/// baseline, and parity stays consistent.
-fn crash_dirty_cache_sweep(
-    code: &Arc<dyn ArrayCode>,
-    cfg: &ChaosConfig,
-    dir: &Path,
-    report: &mut ChaosReport,
-) -> Result<(), ChaosFailure> {
-    let ctx = Episode { cfg, backend: "file", phase: "crash-dirty-cache sweep".to_string() };
-    let layout = code.layout();
-    let epd = cfg.stripes * layout.rows();
-    let es = cfg.element_size;
-    let d = dir.join("crash-cache");
-    let per_stripe = layout.num_data_cells();
-    let capacity = per_stripe * cfg.stripes;
-    let old = baseline(capacity, es, 7);
-    // Scattered dirty extents across two stripes — non-contiguous within
-    // stripe 0 so the flush genuinely coalesces, plus a second stripe so
-    // the flush spans multiple journaled ops.
-    let extents: Vec<(usize, usize)> = vec![
+/// Scattered writes absorbed by the write-back cache (touching no disk),
+/// then `flush()`, which pushes each dirty stripe out as one journaled
+/// coalesced op. The extents are non-contiguous within stripe 0, so the
+/// flush really coalesces, and reach into stripe 1, so it is two ops.
+fn dirty_cache_sweep(per_stripe: usize, cfg: &ChaosConfig) -> CrashSweep {
+    let (es, stripes) = (cfg.element_size, cfg.stripes);
+    let old = baseline(per_stripe * stripes, es, 7);
+    let extents = [
         (0, 2),
         (per_stripe.saturating_sub(2).max(3), 2.min(per_stripe)),
-        (per_stripe + 1, 2.min(capacity - per_stripe - 1)),
+        (per_stripe + 1, 2.min(per_stripe * stripes - per_stripe - 1)),
     ];
-    let mut want_new = old.clone();
-    let mut dirty = vec![false; capacity];
-    for (i, &(start, len)) in extents.iter().enumerate() {
-        for at in start..start + len {
-            dirty[at] = true;
-            for b in 0..es {
-                want_new[at * es + b] = ((at * es + b) as u8).wrapping_mul(59) ^ (0x11 << i);
-            }
-        }
+    let writes: Vec<(usize, Vec<u8>)> = extents
+        .iter()
+        .enumerate()
+        .map(|(i, &(start, len))| {
+            let bytes = start * es..(start + len) * es;
+            (start, bytes.map(|at| (at as u8).wrapping_mul(59) ^ (0x11 << i)).collect())
+        })
+        .collect();
+    let mut want = old.clone();
+    for (start, bytes) in &writes {
+        want[start * es..][..bytes.len()].copy_from_slice(bytes);
     }
+    CrashSweep {
+        phase: "crash-dirty-cache sweep",
+        subdir: "crash-cache",
+        old,
+        want,
+        setup: |_| Ok(()),
+        act: Box::new(move |v| {
+            // A budget this generous flushes nothing early: every write
+            // below is pure cache traffic.
+            v.enable_cache(CacheConfig {
+                max_stripes: stripes + 2,
+                dirty_high_water: stripes + 2,
+            });
+            writes.iter().all(|(start, bytes)| v.write(*start, bytes).is_ok()) && v.flush().is_ok()
+        }),
+        after_recovery: |_, recovery, report| {
+            report.dirty_cache_crash_points += 1;
+            report.journal_rollbacks += rollbacks(recovery);
+            Ok(())
+        },
+    }
+}
 
-    let mut k = 0u64;
-    loop {
-        // Fresh baseline for this crash point.
-        {
-            let be = FileBackend::create(&d, layout.cols(), epd, es)
-                .map_err(|e| ctx.fail(format!("create: {e}")))?;
-            let mut v = ctx.check(
-                RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
-                "open baseline",
-            )?;
-            ctx.check(v.write(0, &old), "baseline write")?;
+/// 1 if journal recovery rolled a torn write back, else 0.
+fn rollbacks(recovery: Option<JournalRecovery>) -> u64 {
+    u64::from(matches!(recovery, Some(JournalRecovery::RolledBack { .. })))
+}
+
+/// How [`open_sweep_volume`] opens a sweep's directory.
+enum Open {
+    /// A new volume, created over whatever the directory held.
+    Baseline,
+    /// The volume on disk, its backend killed at op `at_op`.
+    CrashAt(u64),
+    /// The volume on disk, after journal recovery.
+    Recovered,
+}
+
+/// Opens the sweep volume in `d`, with what journal recovery did.
+fn open_sweep_volume(
+    ctx: &Episode<'_>,
+    code: &Arc<dyn ArrayCode>,
+    d: &Path,
+    how: Open,
+) -> Result<(RaidVolume, Option<JournalRecovery>), ChaosFailure> {
+    let (cfg, cols) = (ctx.cfg, code.layout().cols());
+    let backend = match how {
+        Open::Baseline => {
+            FileBackend::create(d, cols, cfg.stripes * code.layout().rows(), cfg.element_size)
         }
-        // Absorb the writes into the cache, then crash at op k during the
-        // coalesced flush. The budget is generous so nothing flushes early
-        // and every element write below is pure cache traffic.
-        let be = FileBackend::open(&d).map_err(|e| ctx.fail(format!("reopen: {e}")))?;
-        let faulty = FaultyBackend::new(Box::new(be), Vec::new())
-            .with_faults([Fault::CrashAtOp { at_op: k }]);
-        let mut v = ctx.check(
-            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(faulty)),
-            "open for crash",
-        )?;
-        v.enable_cache(CacheConfig {
-            max_stripes: cfg.stripes + 2,
-            dirty_high_water: cfg.stripes + 2,
-        });
-        let mut absorbed = true;
-        for &(start, len) in &extents {
-            if v.write(start, &want_new[start * es..(start + len) * es]).is_err() {
-                absorbed = false;
-                break;
-            }
-        }
-        let flushed = absorbed && v.flush().is_ok();
+        Open::CrashAt(_) | Open::Recovered => FileBackend::open(d),
+    }
+    .map_err(|e| ctx.fail(format!("open {}: {e}", d.display())))?;
+    let recovery = backend.recovered_journal();
+    let backend: Box<dyn DiskBackend> = match how {
+        Open::CrashAt(at_op) => Box::new(
+            FaultyBackend::new(Box::new(backend), Vec::new())
+                .with_faults([Fault::CrashAtOp { at_op }]),
+        ),
+        Open::Baseline | Open::Recovered => Box::new(backend),
+    };
+    let v = ctx.check(
+        RaidVolume::new(Arc::clone(code), cfg.stripes, cfg.element_size, backend),
+        "open volume",
+    )?;
+    Ok((v, recovery))
+}
+
+/// Runs `sweep` at every crash point `k = 0, 1, …` until its act
+/// completes: on a fresh baseline, the act is killed at op `k`; the
+/// reopen runs journal recovery, then `after_recovery`; then no disk may
+/// be failed, each stripe must hold all of its old contents or all of its
+/// new ones (all new once the act completed), and parity must verify.
+fn crash_sweep(
+    code: &Arc<dyn ArrayCode>,
+    cfg: &ChaosConfig,
+    dir: &Path,
+    sweep: CrashSweep,
+    report: &mut ChaosReport,
+) -> Result<(), ChaosFailure> {
+    let ctx = Episode { cfg, backend: "file", phase: sweep.phase.to_string() };
+    let d = dir.join(sweep.subdir);
+    let per_stripe = code.layout().num_data_cells();
+    let stripe_bytes = per_stripe * cfg.element_size;
+    for k in 0.. {
+        let (mut v, _) = open_sweep_volume(&ctx, code, &d, Open::Baseline)?;
+        ctx.check(v.write(0, &sweep.old), "baseline write")?;
+        ctx.check((sweep.setup)(&mut v), "set-up")?;
+        drop(v);
+
+        let (mut v, _) = open_sweep_volume(&ctx, code, &d, Open::CrashAt(k))?;
+        let completed = (sweep.act)(&mut v);
         drop(v);
         report.crash_points += 1;
-        report.dirty_cache_crash_points += 1;
 
-        // Reopen: journal recovery runs, then the array must be sane.
-        let be = FileBackend::open(&d).map_err(|e| ctx.fail(format!("recover: {e}")))?;
-        if matches!(be.recovered_journal(), Some(JournalRecovery::RolledBack { .. })) {
-            report.journal_rollbacks += 1;
+        let (mut v, recovery) = open_sweep_volume(&ctx, code, &d, Open::Recovered)?;
+        ctx.check((sweep.after_recovery)(&mut v, recovery, report), "after recovery")?;
+        let failed = v.failed_disks();
+        if !failed.is_empty() {
+            return Err(ctx.fail(format!("crash point {k}: disks {failed:?} still failed")));
         }
-        let mut v = ctx.check(
-            RaidVolume::new(Arc::clone(code), cfg.stripes, es, Box::new(be)),
-            "open after crash",
-        )?;
-        let (bytes, _) = ctx.check(v.read(0, capacity), "read after crash")?;
-        if flushed && bytes != want_new {
+        let (bytes, _) = ctx.check(v.read(0, per_stripe * cfg.stripes), "read after recovery")?;
+        if completed && bytes != sweep.want {
             return Err(ctx.fail(format!(
-                "crash point {k}: flush reported success but contents differ"
+                "crash point {k}: the act completed but the contents differ"
             )));
         }
-        if !flushed {
-            // Per stripe, the coalesced flush is one journaled op: every
-            // dirty element of the stripe must be atomically old or new.
-            for stripe in 0..cfg.stripes {
-                let ords: Vec<usize> = (stripe * per_stripe..(stripe + 1) * per_stripe)
-                    .filter(|&at| dirty[at])
-                    .collect();
-                if ords.is_empty() {
-                    continue;
-                }
-                let all_old = ords
-                    .iter()
-                    .all(|&at| bytes[at * es..(at + 1) * es] == old[at * es..(at + 1) * es]);
-                let all_new = ords.iter().all(|&at| {
-                    bytes[at * es..(at + 1) * es] == want_new[at * es..(at + 1) * es]
-                });
-                if !all_old && !all_new {
-                    return Err(ctx.fail(format!(
-                        "crash point {k}: stripe {stripe} coalesced flush is torn \
-                         (dirty set neither fully old nor fully new)"
-                    )));
-                }
-            }
-            // Untouched elements must be exactly the baseline.
-            for at in (0..capacity).filter(|&at| !dirty[at]) {
-                if bytes[at * es..(at + 1) * es] != old[at * es..(at + 1) * es] {
-                    return Err(ctx.fail(format!(
-                        "crash point {k}: element {at} outside the dirty set changed"
-                    )));
-                }
+        for stripe in 0..cfg.stripes {
+            let at = stripe * stripe_bytes..(stripe + 1) * stripe_bytes;
+            let got = &bytes[at.clone()];
+            if got != &sweep.old[at.clone()] && got != &sweep.want[at] {
+                return Err(ctx.fail(format!(
+                    "crash point {k}: stripe {stripe} is torn (neither all old nor all new)"
+                )));
             }
         }
         if !v.verify_all() {
@@ -872,11 +788,9 @@ fn crash_dirty_cache_sweep(
                 "crash point {k}: parity inconsistent after recovery"
             )));
         }
-        drop(v);
-        if flushed {
-            break; // the crash point is past the whole flush
+        if completed {
+            break; // the crash point is past the whole act
         }
-        k += 1;
     }
     let _ = std::fs::remove_dir_all(&d);
     Ok(())
@@ -960,5 +874,39 @@ mod tests {
             "the dirty-cache sweep must exercise crash points mid-flush"
         );
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Every counter of one file-backed campaign with all three crash
+    /// sweeps, pinned: a sweep that skipped a crash point, or counted a
+    /// rollback or resume it did not see, changes a number here.
+    #[test]
+    fn file_campaign_report_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("hv-chaos-pin-{}", std::process::id()));
+        let cfg = ChaosConfig { seed: 11, episodes: 2, dir: Some(dir.clone()), ..Default::default() };
+        let report = run(&code(), &cfg).unwrap_or_else(|f| panic!("{f}"));
+        let _ = std::fs::remove_dir_all(dir);
+        assert_eq!(
+            report,
+            ChaosReport {
+                episodes: 4,
+                steps: 48,
+                writes: 19,
+                reads: 6,
+                degraded_reads: 4,
+                scrubs: 2,
+                rebuilds: 4,
+                maintain_calls: 1,
+                faults_dead: 4,
+                faults_transient: 5,
+                faults_latent: 2,
+                faults_torn: 0,
+                crash_points: 118,
+                journal_rollbacks: 24,
+                resumed_rebuilds: 42,
+                cache_flushes: 11,
+                dirty_cache_crash_points: 34,
+                verifications: 4,
+            }
+        );
     }
 }

@@ -54,15 +54,32 @@ pub const CODE_NAMES: [&str; 8] =
 /// paper's evaluation range.
 pub const DEFAULT_PRIMES: [usize; 5] = [5, 7, 11, 13, 17];
 
+/// The largest `p` [`build`] accepts: 180, so 179 is the largest prime.
+///
+/// A stripe write runs over a double-height scratch (`2 × rows` by
+/// `cols`), and the scratch lends its cells through a slot table of
+/// `u16`s, which holds fewer than `u16::MAX` cells. The widest registered
+/// grid is Liberation's `p` rows by `p + 2` disks, and `2p(p + 2)` stays
+/// below `u16::MAX` up to `p = 180`.
+pub const MAX_P: usize = 180;
+
+const _: () = assert!(2 * MAX_P * (MAX_P + 2) < u16::MAX as usize);
+const _: () = assert!(2 * (MAX_P + 1) * (MAX_P + 3) >= u16::MAX as usize);
+
 /// Builds a registered code by name.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown names or invalid primes.
+/// Returns a human-readable message for unknown names, invalid primes
+/// and a `p` above [`MAX_P`], which is refused before anything is sized
+/// from it.
 pub fn build(name: &str, p: usize) -> Result<Arc<dyn ArrayCode>, String> {
     use hv_code::HvCode;
     use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
     let err = |e: &dyn std::fmt::Display| format!("cannot build {name} at p={p}: {e}");
+    if p > MAX_P {
+        return Err(err(&format!("p above {MAX_P}, the largest a volume can address")));
+    }
     match name {
         "hv" => HvCode::new(p).map(|c| Arc::new(c) as Arc<dyn ArrayCode>).map_err(|e| err(&e)),
         "rdp" => RdpCode::new(p).map(|c| Arc::new(c) as _).map_err(|e| err(&e)),
@@ -234,6 +251,14 @@ mod tests {
             for p in DEFAULT_PRIMES {
                 build(name, p).unwrap_or_else(|e| panic!("{e}"));
             }
+        }
+    }
+
+    #[test]
+    fn a_p_above_max_p_is_a_build_error() {
+        for name in CODE_NAMES {
+            let err = build(name, 181).err().unwrap_or_else(|| panic!("{name} built at 181"));
+            assert!(err.contains("p=181") && err.contains("p above 180"), "{err}");
         }
     }
 

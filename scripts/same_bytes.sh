@@ -2,7 +2,7 @@
 # Same decisions, same bytes: unpacks BASE into target/ab-base (`git
 # archive`, removed on exit) as scripts/ab.sh does, builds it and the
 # working tree in release mode, runs each deterministic command below on
-# both sides — the six chaos campaigns `make chaos-smoke` runs, the
+# both sides — the seven chaos campaigns `make chaos-smoke` runs, the
 # static analyzer's proofs and the paper's tables (`repro`'s CSVs: its
 # stdout carries wall times) — and compares their output and exit status
 # byte for byte. Prints one `same` or `DIFFERS` line per command. Each
@@ -31,6 +31,7 @@ chaos-3|stdout|hvraid chaos --seed 3 --episodes 25 --stripes 8
 chaos-4|stdout|hvraid chaos --seed 4 --episodes 10 --element 20000
 chaos-5|stdout|hvraid chaos --seed 5 --episodes 10 --element 65536 --stripes 8 --spares 1
 chaos-6|stdout|hvraid chaos --seed 6 --episodes 25 --cache false
+chaos-7|stdout|hvraid chaos --seed 7 --episodes 25 --code rdp --p 5
 lint|stdout|hvraid lint --all --journal
 repro|csv|repro --csv csv all'
 

@@ -3,7 +3,8 @@
 # socket over a file-backed volume, two concurrent scripted clients
 # proving byte identity through the line protocol, a Prometheus stats
 # scrape, a clean SHUTDOWN (final flush), then fsck over the directory
-# must exit 0.
+# must exit 0, and serving the directory again under another code's
+# flags must announce the volume it holds.
 set -eu
 
 CARGO=${CARGO:-cargo}
@@ -17,19 +18,22 @@ HV=target/release/hvraid
 
 P=5
 ELEMENT=16
+wait_for_socket() { # <socket>
+    i=0
+    while [ ! -S "$1" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "serve-smoke: socket never appeared" >&2
+            kill "$SERVE_PID" 2>/dev/null || true
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
+
 "$HV" serve --socket "$SOCK" --dir "$VOL" --p $P --stripes 4 --element $ELEMENT &
 SERVE_PID=$!
-
-i=0
-while [ ! -S "$SOCK" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "serve-smoke: socket never appeared" >&2
-        kill "$SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_for_socket "$SOCK"
 
 # Two clients at once, on disjoint stripes, so their sessions contend
 # for the volume lock over the socket. Each writes two elements of its
@@ -74,4 +78,17 @@ wait "$SERVE_PID"
 
 # The shutdown flush must leave the on-disk array parity-consistent.
 "$HV" fsck --dir "$VOL"
+
+# Reopened under other flags, the server serves the directory's own
+# volume, and its banner says so.
+"$HV" serve --socket "$TMP/again.sock" --dir "$VOL" --code rdp --p 7 2> "$TMP/again.err" &
+SERVE_PID=$!
+wait_for_socket "$TMP/again.sock"
+"$HV" connect --socket "$TMP/again.sock" --script "$TMP/down.txt"
+wait "$SERVE_PID"
+if ! grep -q "(HV Code p=$P)" "$TMP/again.err"; then
+    echo "serve-smoke: the reopened volume's banner is wrong:" >&2
+    cat "$TMP/again.err" >&2
+    exit 1
+fi
 echo "serve-smoke: OK"
