@@ -62,6 +62,13 @@ pub enum CodeError {
         /// The minimum supported prime.
         min: usize,
     },
+    /// The prime is too large for the code's representation.
+    TooLarge {
+        /// The rejected prime.
+        p: usize,
+        /// The largest supported prime.
+        max: usize,
+    },
 }
 
 impl fmt::Display for CodeError {
@@ -70,6 +77,9 @@ impl fmt::Display for CodeError {
             CodeError::NotPrime(e) => e.fmt(f),
             CodeError::TooSmall { p, min } => {
                 write!(f, "prime {p} too small for this code (minimum {min})")
+            }
+            CodeError::TooLarge { p, max } => {
+                write!(f, "prime {p} too large for this code (maximum {max})")
             }
         }
     }

@@ -22,7 +22,9 @@
 //! elimination (the MDS battery below and `raid-verify` are further
 //! proof; see DESIGN.md §2), and falls back to a first-fit backtracking
 //! search over all `w²` positions per disk if the battery ever fails
-//! (it holds for every prime `w ≤ 31`, beyond the supported range).
+//! (it holds for every prime `w ≤ 31`). A matrix row is one `u32`, so
+//! `w ≤ 31` is also the supported range: a larger prime is refused as
+//! [`CodeError::TooLarge`].
 //!
 //! Because a packet is just a row of the layout grid, the whole
 //! construction maps onto [`Layout`] — `w` rows, `k + 2` columns — and
@@ -36,6 +38,9 @@ use crate::CodeError;
 
 /// A `w × w` binary matrix stored as one `u32` bitmask per row.
 type BitMat = Vec<u32>;
+
+/// The largest prime `w = p` whose matrix rows fit one `u32` bitmask each.
+pub const MAX_P: usize = 31;
 
 fn identity(w: usize) -> BitMat {
     (0..w).map(|r| 1u32 << r).collect()
@@ -163,11 +168,14 @@ impl LiberationCode {
     ///
     /// # Errors
     ///
-    /// Returns [`CodeError`] if `p` is not prime or neither the closed
-    /// form nor the fallback search yields valid matrices (both succeed
-    /// for every prime the tests sweep).
+    /// Returns [`CodeError`] if `p` is not prime, exceeds [`MAX_P`], or
+    /// neither the closed form nor the fallback search yields valid
+    /// matrices (both succeed for every prime the tests sweep).
     pub fn new(p: usize) -> Result<Self, CodeError> {
         let prime = Prime::new(p)?;
+        if p > MAX_P {
+            return Err(CodeError::TooLarge { p, max: MAX_P });
+        }
         let w = p;
         let k = p;
         let mats = closed_form_matrices(w, k)
@@ -297,6 +305,17 @@ mod tests {
             let expected = 1.0 + (p as f64 * p as f64 + p as f64 - 1.0) / (p as f64 * p as f64);
             assert!((avg - expected).abs() < 1e-9, "p={p}: {avg} vs {expected}");
         }
+    }
+
+    /// A row is a `u32` mask, so p = 37 is refused by the limit it
+    /// exceeds — not reported as a prime too small for the code (release)
+    /// nor panicking on the shift (debug) — and p = 31 still builds.
+    #[test]
+    fn a_prime_past_the_row_width_is_refused_by_its_limit() {
+        let err = LiberationCode::new(37).unwrap_err();
+        assert_eq!(err, CodeError::TooLarge { p: 37, max: 31 });
+        assert_eq!(err.to_string(), "prime 37 too large for this code (maximum 31)");
+        assert_eq!(LiberationCode::new(31).unwrap().disks(), 33);
     }
 
     #[test]

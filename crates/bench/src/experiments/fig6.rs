@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use disk_sim::DiskProfile;
+use raid_array::DiskProfile;
 use raid_core::ArrayCode;
 use raid_workloads::{table2_trace, uniform_write_trace, WriteTrace};
 

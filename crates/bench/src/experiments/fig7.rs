@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use disk_sim::DiskProfile;
+use raid_array::DiskProfile;
 use raid_core::ArrayCode;
 use raid_workloads::degraded_read_patterns;
 

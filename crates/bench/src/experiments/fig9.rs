@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use disk_sim::DiskProfile;
+use raid_array::DiskProfile;
 use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
 use raid_core::schedule::double_failure_schedule;
 use raid_core::ArrayCode;

@@ -1,7 +1,7 @@
 //! Table III — the structural comparison between HV Code and the other
 //! MDS array codes, computed from the layouts rather than transcribed.
 
-use disk_sim::DiskProfile;
+use raid_array::DiskProfile;
 use raid_core::plan::update::update_complexity;
 use raid_core::schedule::double_failure_schedule;
 use raid_workloads::uniform_write_trace;

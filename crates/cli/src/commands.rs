@@ -3,9 +3,8 @@
 
 use std::sync::Arc;
 
-use disk_sim::DiskProfile;
 use raid_array::{
-    chaos, replay_write_trace, CacheConfig, ChaosConfig, DiskBackend, FileBackend,
+    chaos, replay_write_trace, CacheConfig, ChaosConfig, DiskBackend, DiskProfile, FileBackend,
     JournalRecovery, MemBackend, RaidVolume, VolumeError, VolumeMeta,
 };
 use raid_core::plan::update::update_complexity;

@@ -1,18 +1,15 @@
 //! Per-disk I/O accounting and the load-balancing rate λ of Eq. (7).
 //!
-//! Two types cover the whole workspace's accounting needs:
-//!
-//! * [`RequestSet`] — the per-disk element requests of **one** lowered
-//!   operation (one pipeline commit): how many element reads, data-element
-//!   writes and parity-element writes each disk must serve. Its busiest
-//!   disk's count ([`RequestSet::busiest_disk`]) is what the operation
-//!   costs in disk time, so timing and accounting read the same object.
-//! * [`IoLedger`] — cumulative counters built by absorbing request sets
-//!   and noting stripe-cache events: a ledger over one volume operation
-//!   is that operation's receipt, and a ledger over a whole replay is the
-//!   experiment's tally. The paper's λ (Eq. 7) derives from it. It counts
-//!   I/O only; the retries and repairs that healing costs are counted by
-//!   the health monitor that grants them.
+//! One type covers the whole workspace's accounting needs: [`IoLedger`],
+//! per-disk element reads, data-element writes and parity-element writes
+//! plus stripe-cache events. A ledger over one lowered operation (one
+//! pipeline commit) is its request set: what each disk must serve, and
+//! its busiest disk's count ([`IoLedger::busiest_disk`]) is what the
+//! operation costs in disk time, so timing and accounting read the same
+//! object. Merged, ledgers make a volume operation's receipt and a whole
+//! replay's tally. The paper's λ (Eq. 7) derives from it. It counts I/O
+//! only; the retries and repairs that healing costs are counted by the
+//! health monitor that grants them.
 
 use std::fmt;
 
@@ -73,109 +70,13 @@ impl PerDisk {
     }
 }
 
-/// Per-disk element requests of one lowered operation.
+/// Per-disk read/write counters: the single accounting type of the
+/// workspace (one ledger per lowered op is its request set, one per volume
+/// operation that operation's receipt, one per experiment its tally).
 ///
 /// Element requests are the paper's unit: one request = one element-sized
 /// transfer to or from one disk. Writes are split into data and parity so
 /// update-complexity accounting survives the lowering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestSet {
-    counts: PerDisk,
-}
-
-impl RequestSet {
-    /// An empty request set over `disks` disks.
-    pub fn new(disks: usize) -> Self {
-        RequestSet { counts: PerDisk::new(disks) }
-    }
-
-    /// Number of disks addressed.
-    pub fn disks(&self) -> usize {
-        self.counts.disks()
-    }
-
-    /// Records one element read on `disk`.
-    pub fn add_read(&mut self, disk: usize) {
-        self.counts.add(READS, disk, 1);
-    }
-
-    /// Records `n` element reads on `disk`.
-    pub fn add_reads(&mut self, disk: usize, n: u64) {
-        self.counts.add(READS, disk, n);
-    }
-
-    /// Records one data-element write on `disk`.
-    pub fn add_data_write(&mut self, disk: usize) {
-        self.counts.add(DATA_WRITES, disk, 1);
-    }
-
-    /// Records one parity-element write on `disk`.
-    pub fn add_parity_write(&mut self, disk: usize) {
-        self.counts.add(PARITY_WRITES, disk, 1);
-    }
-
-    /// Per-disk read counts.
-    pub fn reads(&self) -> &[u64] {
-        self.counts.kind(READS)
-    }
-
-    /// Per-disk total requests (reads + writes) — what each spindle must
-    /// serve for this operation.
-    pub fn per_disk_totals(&self) -> Vec<u64> {
-        self.counts.totals()
-    }
-
-    /// The element count of the busiest disk — the largest of
-    /// [`RequestSet::per_disk_totals`], 0 for an empty set. Every disk
-    /// serves its share in parallel, so this count × the element service
-    /// time is how long the set takes. Allocates nothing.
-    pub fn busiest_disk(&self) -> u64 {
-        self.counts.busiest()
-    }
-
-    /// Total element reads.
-    pub fn total_reads(&self) -> u64 {
-        self.counts.sum(READS)
-    }
-
-    /// Total data-element writes.
-    pub fn data_writes(&self) -> u64 {
-        self.counts.sum(DATA_WRITES)
-    }
-
-    /// Total parity-element writes.
-    pub fn parity_writes(&self) -> u64 {
-        self.counts.sum(PARITY_WRITES)
-    }
-
-    /// Total element writes (data + parity).
-    pub fn total_writes(&self) -> u64 {
-        self.data_writes() + self.parity_writes()
-    }
-
-    /// Total requests.
-    pub fn total(&self) -> u64 {
-        self.total_reads() + self.total_writes()
-    }
-
-    /// True if no request was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
-    /// Merges another request set into this one (same disk count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if disk counts differ.
-    pub fn merge(&mut self, other: &RequestSet) {
-        self.counts.merge(&other.counts, "request set");
-    }
-}
-
-/// Cumulative per-disk read/write counters: the single accounting type of
-/// the workspace (one ledger per operation is that operation's receipt; one
-/// ledger per experiment is its tally).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IoLedger {
     counts: PerDisk,
@@ -206,17 +107,7 @@ impl IoLedger {
         self.counts.disks()
     }
 
-    /// Absorbs one operation's request set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if disk counts differ.
-    pub fn absorb(&mut self, rs: &RequestSet) {
-        self.counts.merge(&rs.counts, "ledger");
-    }
-
-    /// Records `n` element reads on `disk` (planner-side accounting that
-    /// has no materialized [`RequestSet`]).
+    /// Records `n` element reads on `disk`.
     pub fn add_reads(&mut self, disk: usize, n: u64) {
         self.counts.add(READS, disk, n);
     }
@@ -281,9 +172,18 @@ impl IoLedger {
         self.counts.writes()
     }
 
-    /// Per-disk total requests (reads + writes).
+    /// Per-disk total requests (reads + writes) — what each spindle must
+    /// serve.
     pub fn per_disk_totals(&self) -> Vec<u64> {
         self.counts.totals()
+    }
+
+    /// The element count of the busiest disk — the largest of
+    /// [`IoLedger::per_disk_totals`], 0 for an empty ledger. Every disk
+    /// serves its share of one op in parallel, so this count × the element
+    /// service time is how long the op takes. Allocates nothing.
+    pub fn busiest_disk(&self) -> u64 {
+        self.counts.busiest()
     }
 
     /// Total reads across all disks.
@@ -309,6 +209,11 @@ impl IoLedger {
     /// Total requests (reads + writes).
     pub fn total(&self) -> u64 {
         self.total_reads() + self.total_writes()
+    }
+
+    /// True if no request was recorded (cache events aside).
+    pub fn is_empty(&self) -> bool {
+        self.total() == 0
     }
 
     /// Merges another ledger into this one.
@@ -395,12 +300,12 @@ mod tests {
 
     #[test]
     fn request_set_totals_and_split() {
-        let mut rs = RequestSet::new(3);
-        rs.add_read(0);
+        let mut rs = IoLedger::new(3);
+        rs.add_reads(0, 1);
         rs.add_reads(0, 4);
-        rs.add_data_write(1);
-        rs.add_parity_write(2);
-        rs.add_parity_write(2);
+        rs.add_data_writes(1, 1);
+        rs.add_parity_writes(2, 1);
+        rs.add_parity_writes(2, 1);
         assert_eq!(rs.total_reads(), 5);
         assert_eq!(rs.data_writes(), 1);
         assert_eq!(rs.parity_writes(), 2);
@@ -408,19 +313,19 @@ mod tests {
         assert_eq!(rs.total(), 8);
         assert_eq!(rs.per_disk_totals(), vec![5, 1, 2]);
         assert!(!rs.is_empty());
-        assert!(RequestSet::new(2).is_empty());
+        assert!(IoLedger::new(2).is_empty());
     }
 
     #[test]
     fn busiest_disk_counts_reads_and_writes_of_one_disk() {
-        assert_eq!(RequestSet::new(3).busiest_disk(), 0);
-        assert_eq!(RequestSet::new(0).busiest_disk(), 0);
-        let mut rs = RequestSet::new(3);
+        assert_eq!(IoLedger::new(3).busiest_disk(), 0);
+        assert_eq!(IoLedger::new(0).busiest_disk(), 0);
+        let mut rs = IoLedger::new(3);
         rs.add_reads(0, 2);
-        rs.add_read(1);
-        rs.add_data_write(1);
-        rs.add_parity_write(1);
-        rs.add_parity_write(2);
+        rs.add_reads(1, 1);
+        rs.add_data_writes(1, 1);
+        rs.add_parity_writes(1, 1);
+        rs.add_parity_writes(2, 1);
         // Disk 1's read, data write and parity write outweigh disk 0's
         // two reads.
         assert_eq!(rs.busiest_disk(), 3);
@@ -432,14 +337,11 @@ mod tests {
         let mut a = IoLedger::new(3);
         a.add_reads(0, 5);
         a.add_parity_writes(2, 7);
-        let mut rs = RequestSet::new(3);
-        rs.add_data_write(0);
-        rs.add_data_write(1);
-        rs.add_data_write(1);
-        rs.add_parity_write(2);
-        rs.add_parity_write(2);
-        rs.add_parity_write(2);
-        a.absorb(&rs);
+        let mut rs = IoLedger::new(3);
+        rs.add_data_writes(0, 1);
+        rs.add_data_writes(1, 2);
+        rs.add_parity_writes(2, 3);
+        a.merge(&rs);
         assert_eq!(a.total_reads(), 5);
         assert_eq!(a.total_writes(), 13);
         assert_eq!(a.total(), 18);

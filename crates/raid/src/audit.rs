@@ -6,13 +6,13 @@
 //! [`audit_lowered`] catches those classes statically, by walking the op's
 //! reads → plan → writes in order and tracking which scratch cells are
 //! *defined* at each point. [`predicted_request_set`] derives the
-//! [`RequestSet`] an op must commit, so the pipeline can assert that
-//! accounting agrees with execution ([`crate::pipeline::IoPipeline`] does
+//! request set (an [`IoLedger`]) an op must commit, so the pipeline can
+//! assert that accounting agrees with execution ([`crate::pipeline::IoPipeline`] does
 //! both under `debug_assertions`).
 
 use std::fmt;
 
-use raid_core::io::RequestSet;
+use raid_core::io::IoLedger;
 use raid_core::Cell;
 
 use crate::pipeline::LoweredOp;
@@ -235,20 +235,20 @@ pub fn audit_lowered(
     Ok(())
 }
 
-/// The [`RequestSet`] executing `op` commits — derived from the op alone,
-/// without touching any backend. The pipeline times and absorbs exactly
-/// this set once the op's I/O succeeded, pinning ledger accounting to the
-/// IR rather than to execution side effects.
-pub fn predicted_request_set(op: &LoweredOp, disks: usize) -> RequestSet {
-    let mut rs = RequestSet::new(disks);
+/// The request set executing `op` commits, as an [`IoLedger`] — derived
+/// from the op alone, without touching any backend. The pipeline times
+/// and merges exactly this set once the op's I/O succeeded, pinning
+/// ledger accounting to the IR rather than to execution side effects.
+pub fn predicted_request_set(op: &LoweredOp, disks: usize) -> IoLedger {
+    let mut rs = IoLedger::new(disks);
     for &(_, addr) in &op.reads {
-        rs.add_read(addr.disk);
+        rs.add_reads(addr.disk, 1);
     }
     for &(_, addr) in &op.data_writes {
-        rs.add_data_write(addr.disk);
+        rs.add_data_writes(addr.disk, 1);
     }
     for &(_, addr) in &op.parity_writes {
-        rs.add_parity_write(addr.disk);
+        rs.add_parity_writes(addr.disk, 1);
     }
     rs
 }

@@ -5,7 +5,7 @@
 //! survives faults it did not choose. This module is the adversary: a
 //! seeded, fully deterministic campaign that interleaves writes, degraded
 //! reads, scrubs and rebuilds with injected faults from the whole
-//! [`disk_sim::ErrorClass`] taxonomy — transient read glitches, latent
+//! [`crate::disk::ErrorClass`] taxonomy — transient read glitches, latent
 //! sectors, torn writes, dead disks (never more than RAID-6's two at
 //! once) — and, for file-backed volumes, *crash sweeps*.
 //!

@@ -1,4 +1,16 @@
-//! The errors a disk backend reports, and their recovery classes.
+//! The disk model: what a disk costs and how it fails.
+//!
+//! The HV paper's timing experiments (Fig. 6c, 7a, 9b) ran on a 16-spindle
+//! SAS array; this module is the synthetic stand-in (see DESIGN.md §2).
+//! Those results depend only on how many elements each disk serves and on
+//! how long the recovery chains are, so one constant carries the time:
+//! [`DiskProfile::element_service_ms`], the paper's `Re`. An operation's
+//! request sets are served one after another, each as fast as its busiest
+//! disk, so an op costs its busiest disks' element counts × `Re`; and a
+//! double-failure rebuild costs `Lc · Re` (§V-D).
+//!
+//! [`DiskError`] is what a backend reports when a disk refuses a transfer,
+//! and [`ErrorClass`] is how the volume's recovery driver dispatches on it.
 
 use std::fmt;
 
@@ -90,3 +102,63 @@ impl fmt::Display for DiskError {
 }
 
 impl std::error::Error for DiskError {}
+
+/// Service-time model of one disk.
+///
+/// An element request (read or write of one full element) costs
+/// `seek_latency_ms + element_mb / bandwidth`. With the paper's 16 MB
+/// elements the transfer term dominates, as on the real Savvio array.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DiskProfile {
+    /// Average positioning time per request, in milliseconds.
+    pub seek_latency_ms: f64,
+    /// Sustained transfer rate, MB/s.
+    pub bandwidth_mb_s: f64,
+    /// Element size, MB (the paper uses 16 MB).
+    pub element_mb: f64,
+}
+
+impl DiskProfile {
+    /// A Savvio-10K-like profile with the paper's 16 MB elements: ~5 ms
+    /// positioning, 160 MB/s sustained.
+    pub fn savvio_10k() -> Self {
+        DiskProfile { seek_latency_ms: 5.0, bandwidth_mb_s: 160.0, element_mb: 16.0 }
+    }
+
+    /// Cost of serving one element request, in milliseconds.
+    ///
+    /// ```
+    /// use raid_array::DiskProfile;
+    /// let p = DiskProfile::savvio_10k();
+    /// assert!((p.element_service_ms() - 105.0).abs() < 1e-9); // 5 + 16/160*1000
+    /// ```
+    pub fn element_service_ms(&self) -> f64 {
+        self.seek_latency_ms + self.element_mb / self.bandwidth_mb_s * 1000.0
+    }
+}
+
+impl Default for DiskProfile {
+    fn default() -> Self {
+        DiskProfile::savvio_10k()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_is_savvio() {
+        assert_eq!(DiskProfile::default(), DiskProfile::savvio_10k());
+    }
+
+    #[test]
+    fn service_time_scales_with_element_size() {
+        let mut p = DiskProfile::savvio_10k();
+        let t16 = p.element_service_ms();
+        p.element_mb = 32.0;
+        let t32 = p.element_service_ms();
+        assert!(t32 > t16);
+        assert!((t32 - t16 - 100.0).abs() < 1e-9); // extra 16 MB at 160 MB/s
+    }
+}

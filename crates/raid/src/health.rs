@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use disk_sim::{DiskError, ErrorClass};
+use crate::disk::{DiskError, ErrorClass};
 
 /// Array-level health, a function of how many disks hold invalid data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

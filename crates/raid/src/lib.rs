@@ -10,8 +10,8 @@
 //! Every operation is lowered by [`lower`] — the one module that builds
 //! [`pipeline::LoweredOp`]s — into the single [`pipeline::IoPipeline`]:
 //! element reads, a compiled [`raid_core::XorPlan`], element writes. The
-//! pipeline executes that form against the backend, absorbs the per-disk
-//! [`raid_core::io::RequestSet`] into the [`raid_core::io::IoLedger`] and
+//! pipeline executes that form against the backend, merges the op's
+//! per-disk request set into the cumulative [`raid_core::io::IoLedger`] and
 //! counts its busiest disk into the operation's disk time — so data
 //! movement, modeled time, and the paper's request accounting always
 //! agree.
@@ -33,6 +33,7 @@ pub mod audit;
 pub mod backend;
 pub mod cache;
 pub mod chaos;
+pub mod disk;
 pub mod health;
 pub mod lower;
 pub mod pipeline;
@@ -46,6 +47,7 @@ pub use backend::{
 };
 pub use cache::CacheConfig;
 pub use chaos::{ChaosConfig, ChaosReport};
+pub use disk::{DiskError, DiskProfile, ErrorClass};
 pub use health::{HealthMonitor, HealthState, RecoveryAction};
 pub use pipeline::{DiskAddr, IoPipeline, LoweredOp};
 pub use replay::{replay_read_patterns, replay_write_trace, ReadReplay, WriteReplay};

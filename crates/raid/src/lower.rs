@@ -417,7 +417,7 @@ mod tests {
     use crate::backend::{DiskBackend, MemBackend};
     use raid_core::plan::write::{plan_batched_write, write_cost};
     use crate::pipeline::IoPipeline;
-    use raid_core::io::RequestSet;
+    use raid_core::io::IoLedger;
 
     const ES: usize = 4;
     /// The ops under test address the last of these stripes, so rotation
@@ -534,7 +534,7 @@ mod tests {
             op: &LoweredOp,
             (rows, cols): (usize, usize),
             preset: &[(Cell, &[u8])],
-            on_dense: &RequestSet,
+            on_dense: &IoLedger,
             what: &str,
         ) {
             let on_in_place = if op.reconstructs_its_writes() {
@@ -565,7 +565,7 @@ mod tests {
             op: &LoweredOp,
             (rows, cols): (usize, usize),
             preset: &[(Cell, &[u8])],
-            (dense, on_dense): (&Stripe, &RequestSet),
+            (dense, on_dense): (&Stripe, &IoLedger),
             what: &str,
         ) {
             let computed: BTreeSet<Cell> = op.computed().collect();

@@ -4,9 +4,10 @@
 //! stripe: element **reads** (backend → scratch cells), a compiled
 //! [`XorPlan`] over the scratch, and element **writes** (scratch cells →
 //! backend, split data/parity). [`IoPipeline::execute`] runs that form
-//! against the [`DiskBackend`], absorbs the op's [`RequestSet`] into the
-//! [`IoLedger`] and adds its busiest disk's count to the volume
-//! operation's disk time ([`IoPipeline::op_busiest_elements`]) — so
+//! against the [`DiskBackend`], merges the op's request set (an
+//! [`IoLedger`] of its own) into the cumulative one and adds its busiest
+//! disk's count to the volume operation's disk time
+//! ([`IoPipeline::op_busiest_elements`]) — so
 //! execution, timing, and accounting can never disagree about what was
 //! issued. It is also where a volume operation is accounted: between
 //! [`IoPipeline::begin_op`] and [`IoPipeline::end_op`] every request set
@@ -30,12 +31,12 @@
 //! ([`DiskBackend::lend_mut`]: a slice of the backend's own storage, or a
 //! staging buffer the pipeline reuses and stores from).
 
-use disk_sim::DiskError;
-use raid_core::io::{IoLedger, RequestSet};
+use raid_core::io::IoLedger;
 use raid_core::xplan::{Lent, LentMut, PlanCell};
 use raid_core::{Cell, Stripe, XorPlan};
 
 use crate::backend::DiskBackend;
+use crate::disk::DiskError;
 
 /// A flat element address on the backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +206,7 @@ impl IoPipeline {
 
     /// The operation's disk time since [`IoPipeline::begin_op`], in
     /// element service times: each committed request set's
-    /// [`RequestSet::busiest_disk`], summed. The sets run one after
+    /// [`IoLedger::busiest_disk`], summed. The sets run one after
     /// another, and each finishes when its busiest disk does.
     pub fn op_busiest_elements(&self) -> u64 {
         self.op_busiest
@@ -235,7 +236,7 @@ impl IoPipeline {
     ///
     /// Panics if the op touches a cell that is neither read nor held by
     /// `scratch`, or targets one that `scratch` does not hold.
-    pub fn execute(&mut self, op: &LoweredOp, scratch: &mut Stripe) -> Result<RequestSet, DiskError> {
+    pub fn execute(&mut self, op: &LoweredOp, scratch: &mut Stripe) -> Result<IoLedger, DiskError> {
         self.run(op, scratch, &[], &[], &mut [])
     }
 
@@ -256,7 +257,7 @@ impl IoPipeline {
         op: &LoweredOp,
         scratch: &mut Stripe,
         lent: &[(Cell, &[u8])],
-    ) -> Result<RequestSet, DiskError> {
+    ) -> Result<IoLedger, DiskError> {
         self.run(op, scratch, lent, &[], &mut [])
     }
 
@@ -278,7 +279,7 @@ impl IoPipeline {
         scratch: &mut Stripe,
         cells: &[Cell],
         out: &mut [u8],
-    ) -> Result<RequestSet, DiskError> {
+    ) -> Result<IoLedger, DiskError> {
         self.run(op, scratch, &[], cells, out)
     }
 
@@ -290,7 +291,7 @@ impl IoPipeline {
         lent: &[(Cell, &[u8])],
         copy_out: &[Cell],
         out: &mut [u8],
-    ) -> Result<RequestSet, DiskError> {
+    ) -> Result<IoLedger, DiskError> {
         let (rows, cols, es) = (scratch.rows(), scratch.cols(), scratch.element_size());
         assert_eq!(out.len(), copy_out.len() * es, "one output element per copied cell");
         for &(cell, bytes) in lent {
@@ -341,7 +342,7 @@ impl IoPipeline {
     /// # Panics
     ///
     /// Panics if the op does not reconstruct its writes.
-    pub fn execute_in_place(&mut self, op: &LoweredOp) -> Result<RequestSet, DiskError> {
+    pub fn execute_in_place(&mut self, op: &LoweredOp) -> Result<IoLedger, DiskError> {
         assert!(
             op.reconstructs_its_writes(),
             "only an op that reconstructs its writes runs in place"
@@ -380,7 +381,7 @@ impl IoPipeline {
     ///
     /// Panics if `op` carries a plan or writes, or if `out` is not one
     /// element per read.
-    pub fn fetch(&mut self, op: &LoweredOp, out: &mut [u8]) -> Result<RequestSet, DiskError> {
+    pub fn fetch(&mut self, op: &LoweredOp, out: &mut [u8]) -> Result<IoLedger, DiskError> {
         assert!(
             op.plan.is_none() && op.data_writes.is_empty() && op.parity_writes.is_empty(),
             "only a plain fetch runs without a scratch"
@@ -430,10 +431,10 @@ impl IoPipeline {
     /// backend I/O succeeded: the request set — derived from the op alone
     /// — is noted on the ledger and its busiest disk's count added to the
     /// op's disk time.
-    fn commit(&mut self, op: &LoweredOp) -> RequestSet {
+    fn commit(&mut self, op: &LoweredOp) -> IoLedger {
         let rs = crate::audit::predicted_request_set(op, self.backend.disks());
         self.op_busiest += rs.busiest_disk();
-        self.note(|ledger| ledger.absorb(&rs));
+        self.note(|ledger| ledger.merge(&rs));
         rs
     }
 

@@ -9,10 +9,10 @@
 //! element service time `Re`. Operations run one after another, so no
 //! disk carries work from one pattern into the next.
 
-use disk_sim::DiskProfile;
 use raid_core::io::IoLedger;
 use raid_workloads::{ReadPattern, WriteTrace};
 
+use crate::disk::DiskProfile;
 use crate::volume::{RaidVolume, VolumeError};
 
 /// Outcome of replaying a write trace.

@@ -806,9 +806,8 @@ impl ServiceHandle {
 
 #[cfg(test)]
 mod tests {
-    use disk_sim::DiskError;
     use hv_code::HvCode;
-    use raid_array::{DiskBackend, MemBackend};
+    use raid_array::{DiskBackend, DiskError, MemBackend};
     use raid_core::ArrayCode;
 
     use super::*;

@@ -28,12 +28,14 @@
 //! `SHUTDOWN` from any client flags the server, force-closes every other
 //! live connection (threads blocked reading an idle client observe EOF
 //! instead of pinning the server open), wakes the acceptor with a
-//! self-connection, joins every thread, and then shuts the service down —
-//! no op is admitted after that and the volume is flushed — before
-//! [`serve`] returns: the clean-shutdown contract the serve-smoke gate
-//! asserts with a post-mortem `fsck`. Each connection's scheduler session
-//! is closed when the connection ends, so churning clients (stats scrapes
-//! included) don't accrete scheduler state.
+//! self-connection and shuts the service down — no op is admitted after
+//! that and the volume is flushed — and only then replies: `OK shutdown`
+//! if the final flush stored everything, its `ERR …` line if not. [`serve`]
+//! joins every thread and returns that same flush's result: the
+//! clean-shutdown contract the serve-smoke gate asserts with a post-mortem
+//! `fsck`. Each connection's scheduler session is closed when the
+//! connection ends, so churning clients (stats scrapes included) don't
+//! accrete scheduler state.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::Shutdown;
@@ -45,7 +47,7 @@ use std::thread;
 
 use crate::metrics::prometheus_text;
 use crate::proto::{self, Request};
-use crate::scheduler::{locked, Service, ServiceHandle};
+use crate::scheduler::{locked, Service, ServiceError, ServiceHandle};
 
 /// Where the server listens.
 #[derive(Debug, Clone)]
@@ -79,13 +81,16 @@ const READ_BUFFER: usize = 64 * 1024;
 ///
 /// # Errors
 ///
-/// Propagates socket bind/IO errors; per-connection errors only end that
-/// connection.
+/// Propagates socket bind/IO errors and the final flush's error — the one
+/// the `SHUTDOWN` client was answered with; per-connection errors only end
+/// that connection.
 pub fn serve(svc: &Arc<Service>, cfg: &ServerConfig) -> io::Result<()> {
     let _ = std::fs::remove_file(&cfg.socket);
     let listener = UnixListener::bind(&cfg.socket)?;
     let stop = AtomicBool::new(false);
     let registry = ConnRegistry::new();
+    // The service's shutdown, once a `SHUTDOWN` ran it: its flush's result.
+    let shut_down: Mutex<Option<Result<(), ServiceError>>> = Mutex::new(None);
 
     thread::scope(|scope| {
         // Acceptor: runs on the calling thread.
@@ -96,14 +101,23 @@ pub fn serve(svc: &Arc<Service>, cfg: &ServerConfig) -> io::Result<()> {
             let Ok(stream) = stream else { break };
             // Refused (at the cap, or stopping): dropped unserved.
             let Some(id) = registry.register(&stream) else { continue };
-            let (stop, registry) = (&stop, &registry);
-            let connection = move || {
-                let outcome = serve_connection(svc, &stream);
-                registry.deregister(id);
-                if outcome == Outcome::Shutdown {
+            let (stop, registry, shut_down) = (&stop, &registry, &shut_down);
+            // Stops every other connection and the acceptor, then shuts
+            // the service down, once: a second `SHUTDOWN` gets the first
+            // one's result.
+            let shutdown = move || {
+                let mut done = locked(shut_down);
+                let flushed = done.get_or_insert_with(|| {
+                    registry.deregister(id);
                     registry.stop_all();
                     request_stop(stop, &cfg.socket);
-                }
+                    svc.shutdown()
+                });
+                flushed.clone()
+            };
+            let connection = move || {
+                serve_connection(svc, &stream, &shutdown);
+                registry.deregister(id);
             };
             // A failed spawn drops the closure, closing the stream.
             if thread::Builder::new().spawn_scoped(scope, connection).is_err() {
@@ -113,7 +127,8 @@ pub fn serve(svc: &Arc<Service>, cfg: &ServerConfig) -> io::Result<()> {
     });
 
     let _ = std::fs::remove_file(&cfg.socket);
-    svc.shutdown().map_err(|e| io::Error::other(e.to_string()))
+    let flushed = locked(&shut_down).take().unwrap_or_else(|| svc.shutdown());
+    flushed.map_err(|e| io::Error::other(e.to_string()))
 }
 
 /// Flags the acceptor and wakes it with a throwaway connection.
@@ -181,84 +196,86 @@ impl ConnRegistry {
     }
 }
 
-#[derive(Debug, PartialEq, Eq)]
-enum Outcome {
-    Closed,
-    Shutdown,
-}
-
 /// Serves one client connection to completion — the line-in/line-out
 /// loop over the buffers the module docs describe; any I/O error ends it
-/// — and closes its scheduler session when the connection ends.
-fn serve_connection(svc: &Arc<Service>, mut stream: &UnixStream) -> Outcome {
+/// — and closes its scheduler session when the connection ends. A
+/// `SHUTDOWN` runs `shutdown` before its reply.
+fn serve_connection(
+    svc: &Arc<Service>,
+    mut stream: &UnixStream,
+    shutdown: &dyn Fn() -> Result<(), ServiceError>,
+) {
     let max_frame = proto::max_frame(svc.max_op_elements(), svc.element_size());
     let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
     let (mut frame, mut reply) = (Vec::new(), Vec::new());
     let mut session: Option<ServiceHandle> = None;
-    let outcome = loop {
+    loop {
         frame.clear();
         // One byte past the bound tells "too long" from "just fits"; the
         // frame grows as bytes arrive and is never reserved up front.
         let bound = (max_frame as u64).saturating_add(1);
         match reader.by_ref().take(bound).read_until(b'\n', &mut frame) {
-            Ok(0) | Err(_) => break Outcome::Closed,
+            Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
         // Within the bound and no newline: the stream ended mid-line. What
         // arrived is a prefix of a request — a `WRITE` cut on an element
         // boundary parses as a shorter write — so it is never executed.
         if frame.len() <= max_frame && frame.last() != Some(&b'\n') {
-            break Outcome::Closed;
+            break;
         }
         reply.clear();
-        let Ok(ends) = answer(svc, &frame, max_frame, &mut session, &mut reply) else {
-            break Outcome::Closed;
+        let Ok(ends) = answer(svc, &frame, max_frame, &mut session, shutdown, &mut reply) else {
+            break;
         };
         if !reply.is_empty() {
             reply.push(b'\n');
             if stream.write_all(&reply).is_err() {
-                break Outcome::Closed;
+                break;
             }
         }
-        if let Some(outcome) = ends {
-            break outcome;
+        if ends {
+            break;
         }
-    };
+    }
     if let Some(h) = session {
         h.close();
     }
-    outcome
 }
 
 /// Renders the reply to one frame into `reply` (nothing for a blank
-/// line) and says whether — and how — the connection ends after it.
+/// line) and says whether the connection ends after it.
 fn answer(
     svc: &Arc<Service>,
     frame: &[u8],
     max_frame: usize,
     session: &mut Option<ServiceHandle>,
+    shutdown: &dyn Fn() -> Result<(), ServiceError>,
     reply: &mut Vec<u8>,
-) -> io::Result<Option<Outcome>> {
+) -> io::Result<bool> {
     if frame.len() > max_frame {
         write!(reply, "ERR bad-request: frame exceeds {max_frame} bytes")?;
-        return Ok(Some(Outcome::Closed));
+        return Ok(true);
     }
     let Ok(line) = std::str::from_utf8(frame) else {
         write!(reply, "ERR bad-request: request is not UTF-8")?;
-        return Ok(Some(Outcome::Closed));
+        return Ok(true);
     };
     if line.trim().is_empty() {
-        return Ok(None);
+        return Ok(false);
     }
     match proto::parse(line) {
         Err(msg) => write!(reply, "ERR bad-request: {msg}")?,
         Ok(Request::Quit) => {
             write!(reply, "OK bye")?;
-            return Ok(Some(Outcome::Closed));
+            return Ok(true);
         }
         Ok(Request::Shutdown) => {
-            write!(reply, "OK shutdown")?;
-            return Ok(Some(Outcome::Shutdown));
+            match shutdown() {
+                Ok(()) => write!(reply, "OK shutdown")?,
+                Err(e) => reply.write_all(proto::err_line(&e).as_bytes())?,
+            }
+            return Ok(true);
         }
         Ok(Request::Hello { tenant, class }) => {
             // Re-HELLO replaces the session; retire the old one.
@@ -278,7 +295,7 @@ fn answer(
             Some(h) => respond(h, req, reply)?,
         },
     }
-    Ok(None)
+    Ok(false)
 }
 
 /// Executes a post-HELLO request and renders the response line(s).
@@ -429,7 +446,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use hv_code::HvCode;
-    use raid_array::RaidVolume;
+    use raid_array::{Fault, FaultyBackend, MemBackend, RaidVolume};
     use raid_core::ArrayCode;
 
     use crate::scheduler::{Service, ServiceConfig};
@@ -447,7 +464,13 @@ mod tests {
     impl Served {
         fn start(tag: &str) -> Served {
             let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
-            let svc = Service::new(RaidVolume::in_memory(code, 4, 8), ServiceConfig::default());
+            Served::over(RaidVolume::in_memory(code, 4, 8), tag)
+        }
+
+        /// [`Served::start`] over a volume of the same shape on any
+        /// backend.
+        fn over(volume: RaidVolume, tag: &str) -> Served {
+            let svc = Service::new(volume, ServiceConfig::default());
             let socket =
                 std::env::temp_dir().join(format!("hvraid-test-{tag}-{}.sock", std::process::id()));
             let cfg = ServerConfig::new(&socket);
@@ -528,6 +551,31 @@ mod tests {
         assert!(transcript.contains("# EXPECT ok"));
         assert!(transcript.contains("hvraid_service_ops_total{tenant=\"smoke\",class=\"writer\"}"));
         served.server.join().unwrap().expect("clean shutdown");
+        assert!(!served.socket.exists(), "socket file removed on shutdown");
+    }
+
+    /// `SHUTDOWN` is answered after the final flush, with its error when
+    /// it fails, and `serve` returns that same error. (The reply went out
+    /// before the flush ran: it read `OK shutdown` whatever the flush did.)
+    #[test]
+    fn shutdown_answers_with_the_final_flush_s_error() {
+        let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
+        let disks = MemBackend::new(code.layout().cols(), 4 * code.layout().rows(), 8);
+        let faulty = FaultyBackend::new(Box::new(disks), Vec::new());
+        let volume = RaidVolume::new(code, 4, 8, Box::new(faulty)).unwrap();
+        let served = Served::over(volume, "flush-err");
+        let mut c = served.session("writer");
+        assert_eq!(c.exchange(&format!("WRITE 0 {}", "5a".repeat(16))).unwrap(), "OK wrote 2");
+        served.svc.with_volume(|v| {
+            assert_eq!(v.cache_dirty_stripes(), 1, "the write waits in the cache");
+            let faults = v.backend_faulty_mut().expect("a faulty backend");
+            let at_op = faults.ops();
+            faults.inject(Fault::CrashAtOp { at_op });
+        });
+        let reply = c.exchange("SHUTDOWN").unwrap();
+        assert_eq!(reply, "ERR volume: backend: backend crashed mid-operation");
+        let err = served.server.join().unwrap().expect_err("the final flush failed");
+        assert_eq!(err.to_string(), "volume: backend: backend crashed mid-operation");
         assert!(!served.socket.exists(), "socket file removed on shutdown");
     }
 

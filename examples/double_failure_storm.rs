@@ -8,10 +8,9 @@
 
 use std::sync::Arc;
 
-use disk_sim::DiskProfile;
 use hv_code::HvCode;
 use hv_examples::{fingerprint, payload};
-use raid_array::RaidVolume;
+use raid_array::{DiskProfile, RaidVolume};
 use raid_baselines::{HCode, HdpCode, RdpCode, XCode};
 use raid_core::schedule::double_failure_schedule;
 use raid_core::ArrayCode;

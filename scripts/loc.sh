@@ -1,7 +1,8 @@
 #!/bin/sh
 # Non-test code size: non-blank, non-comment Rust lines per crate under
-# crates/, leaving out tests/, benches/ and examples/ directories and each
-# file's trailing `#[cfg(test)] mod tests` block. `//` line comments
+# crates/, leaving out tests/, benches/ and examples/ directories, a
+# module's `tests.rs` file and each file's trailing `#[cfg(test)] mod
+# tests` block (or `mod tests;` declaration). `//` line comments
 # (incl. `///`, `//!`) are not counted; the workspace has no block comments.
 #
 #   scripts/loc.sh [checkout-root]     (default: the current directory)
@@ -10,7 +11,8 @@ set -eu
 cd "${1:-.}"
 for crate in crates/*/; do
     find "$crate" -name '*.rs' \
-        -not -path '*/tests/*' -not -path '*/benches/*' -not -path '*/examples/*' -print |
+        -not -path '*/tests/*' -not -path '*/benches/*' -not -path '*/examples/*' \
+        -not -name tests.rs -print |
         sort | xargs awk -v crate="$(basename "$crate")" '
             FNR == 1 { in_tests = 0; pending = 0 }
             in_tests { next }

@@ -30,6 +30,10 @@
 //! payload and nothing else of size, a `READ` reply renders into a warm
 //! buffer without allocating, a `WRITE` through a handle copies nothing
 //! of its payload, and one over a live connection allocates its decode.
+//!
+//! And of the structs a set-up allocates: `RaidVolume`, `IoPipeline` and
+//! `Service` keep their sizes, which decide the allocator size class a
+//! set-up lands in (see `the_set_up_structs_keep_their_sizes`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,7 +42,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hv_code::HvCode;
 use integration::{payload, ServedSocket};
-use raid_array::{CacheConfig, RaidVolume};
+use raid_array::{CacheConfig, IoPipeline, RaidVolume};
 use raid_core::ArrayCode;
 use raid_service::{proto, Service, ServiceConfig, TenantClass};
 
@@ -584,4 +588,19 @@ fn a_handle_write_copies_nothing_and_a_socket_write_allocates_its_decode() {
         decode.contains(&through_socket),
         "{through_socket} bytes per socket WRITE, {through_handle} per handle write"
     );
+}
+
+/// The sizes of the structs a volume and a service set-up allocate, on
+/// x86_64 with the pinned toolchain. A volume 24 B smaller put the
+/// `Service` that owns it in a smaller allocator size class, and hvbench's
+/// `front_door_mixed` then set up about twice as slowly (glibc trims the
+/// dropped rig's disks and the next set-up faults them back); a change of
+/// `IoPipeline` by 48 B moved `setup_s` on two workloads by half. Until
+/// set-up timing no longer depends on the trim, a struct change that moves
+/// one of these is a change to that timing, and this says so.
+#[test]
+fn the_set_up_structs_keep_their_sizes() {
+    use std::mem::size_of;
+    let sizes = (size_of::<RaidVolume>(), size_of::<IoPipeline>(), size_of::<Service>());
+    assert_eq!(sizes, (536, 208, 720), "(RaidVolume, IoPipeline, Service) in bytes");
 }

@@ -73,7 +73,7 @@ fn on_every_volume(tag: &str, mut body: impl FnMut(&mut RaidVolume, &str)) {
 /// element as it was, and a store with no bad target lands whole.
 #[test]
 fn write_all_is_all_or_nothing_on_every_backend() {
-    use disk_sim::DiskError;
+    use raid_array::DiskError;
     const DISKS: usize = 4;
     const PER_DISK: usize = 3;
     let at = |disk, index| DiskAddr { disk, index };
@@ -129,7 +129,7 @@ fn write_all_is_all_or_nothing_on_every_backend() {
 /// injector's op counter ends where those reads leave it.
 #[test]
 fn lending_an_op_reads_it_address_by_address_on_every_backend() {
-    use disk_sim::DiskError;
+    use raid_array::DiskError;
     const DISKS: usize = 4;
     const PER_DISK: usize = 3;
     let at = |disk, index| DiskAddr { disk, index };
@@ -546,7 +546,7 @@ fn a_fault_anywhere_in_a_cached_flush_hands_every_lent_slot_back() {
     let resident = v.cache_resident_elements();
     let first_write = setup_ops + (r + w + 1) as u64;
     v.backend_faulty_mut().unwrap().inject(Fault::CrashAtOp { at_op: first_write });
-    assert_eq!(v.flush().map(drop), Err(VolumeError::Backend(disk_sim::DiskError::Crashed)));
+    assert_eq!(v.flush().map(drop), Err(VolumeError::Backend(raid_array::DiskError::Crashed)));
     assert_eq!((v.cache_dirty_stripes(), v.cache_resident_elements()), (CACHED, resident));
     for (stripe, (dirty, clean)) in sets.iter().enumerate() {
         for ord in dirty.iter().copied().chain(clean.clone()) {

@@ -29,9 +29,8 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use disk_sim::DiskProfile;
 use integration::{all_codes, payload};
-use raid_array::{lower, replay_write_trace, CacheConfig, DiskAddr, RaidVolume};
+use raid_array::{lower, replay_write_trace, CacheConfig, DiskAddr, DiskProfile, RaidVolume};
 use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
 use raid_workloads::skew::{hot_spot_trace, sequential_trace, zipf_write_trace};
 use raid_workloads::{table2_trace, WriteTrace};

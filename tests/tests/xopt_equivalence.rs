@@ -6,10 +6,15 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
+use hv_code::HvCode;
 use integration::all_codes;
 use raid_array::{lower, DiskAddr};
+use raid_baselines::{HCode, HdpCode, PCode, RdpCode, XCode};
 use raid_core::plan::degraded::{plan_degraded_read, plan_degraded_read_multi};
-use raid_core::{decoder, Cell, Stripe, XorPlan};
+use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
+use raid_core::{decoder, ArrayCode, Cell, Stripe, XorPlan};
 use raid_math::xor::L1_TILE_BYTES;
 use raid_verify::plan_check::prove_equivalent;
 
@@ -192,6 +197,68 @@ fn optimizer_saves_nothing_on_hv_degraded_read_plans() {
         }
     }
     assert_eq!((plans, before, after), (557, 27_240, 27_240));
+}
+
+/// ROADMAP's optimizer table, pinned as a count: for the paper's six
+/// codes at p ∈ {5, 7, 13}, the optimizer removes not one XOR source read
+/// from the compiled cascaded encode, from any single-column recovery
+/// (the hybrid plan, §V-C), from any column pair's decode, or from Fig. 7's
+/// per-request single-column read (L ∈ {1, 5, 10, 15}, every failed column
+/// and every in-stripe start). Any plan whose optimized form reads fewer
+/// sources fails by name; the totals pin the sweep itself.
+#[test]
+fn optimizer_saves_nothing_on_the_paper_s_six_codes() {
+    let mut saved: Vec<String> = Vec::new();
+    let (mut plans, mut reads) = (0usize, 0usize);
+    let mut check = |what: &dyn Fn() -> String, plan: XorPlan| {
+        let optimized = plan.optimized();
+        if optimized.num_source_reads() != plan.num_source_reads() {
+            saved.push(format!(
+                "{}: {} -> {}",
+                what(),
+                plan.num_source_reads(),
+                optimized.num_source_reads()
+            ));
+        }
+        plans += 1;
+        reads += plan.num_source_reads();
+    };
+    for p in [5usize, 7, 13] {
+        let codes: [Arc<dyn ArrayCode>; 6] = [
+            Arc::new(HvCode::new(p).unwrap()),
+            Arc::new(RdpCode::new(p).unwrap()),
+            Arc::new(XCode::new(p).unwrap()),
+            Arc::new(HCode::new(p).unwrap()),
+            Arc::new(HdpCode::new(p).unwrap()),
+            Arc::new(PCode::new(p).unwrap()),
+        ];
+        for code in codes {
+            let (name, layout) = (code.name(), code.layout());
+            check(&|| format!("{name} p={p} encode"), XorPlan::compile_encode(layout));
+            for col in 0..layout.cols() {
+                let recovery = plan_single_disk_recovery(layout, col, SearchStrategy::Auto);
+                let plan = XorPlan::compile_repairs(layout, &recovery.choices);
+                check(&|| format!("{name} p={p} recovery of {col}"), plan);
+                for other in col + 1..layout.cols() {
+                    let decode = layout.column_decode(&[col, other]).expect("two columns decode");
+                    let plan = XorPlan::compile_decode(layout, &decode);
+                    check(&|| format!("{name} p={p} decode of {col}+{other}"), plan);
+                }
+                for len in [1usize, 5, 10, 15] {
+                    for (start, requested) in layout.data_cells().windows(len).enumerate() {
+                        if !requested.iter().any(|c| c.col == col) {
+                            continue; // a plain fetch: no plan
+                        }
+                        let read = plan_degraded_read(layout, col, requested);
+                        let plan = XorPlan::compile_repairs(layout, &read.repairs);
+                        check(&|| format!("{name} p={p} read [{start}, +{len}) off {col}"), plan);
+                    }
+                }
+            }
+        }
+    }
+    assert!(saved.is_empty(), "{} plans the optimizer shrinks: {saved:#?}", saved.len());
+    assert_eq!((plans, reads), (22_293, 394_712));
 }
 
 /// Elements larger than the L1 tile force the chunked execution path;
