@@ -85,99 +85,6 @@ impl RdpCode {
     pub fn diag_parity_col(&self) -> usize {
         self.data_disks() + 1
     }
-
-    /// The textbook RDP double-data-disk repair: the zig-zag walk that
-    /// alternates diagonal and row chains, starting from the diagonals that
-    /// miss each failed column (Corbett et al., FAST'04). Repairs the
-    /// stripe in place and returns the reconstruction order.
-    ///
-    /// Only the both-data-disks case has the special structure; when a
-    /// parity disk is involved the repair is the generic peel, and this
-    /// method returns `None` so callers fall back to [`ArrayCode::decode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the columns are equal or out of range.
-    pub fn repair_double_data_disk(
-        &self,
-        stripe: &mut raid_core::Stripe,
-        a: usize,
-        b: usize,
-    ) -> Option<Vec<Cell>> {
-        let d = self.data_disks();
-        assert!(a != b && a < self.disks() && b < self.disks(), "bad disk pair");
-        if a >= d || b >= d {
-            return None; // parity disk involved: generic path
-        }
-        let (f1, f2) = if a < b { (a, b) } else { (b, a) };
-        let layout = self.layout();
-        let rows = layout.rows();
-        let pv = self.p.get();
-        let mut order = Vec::with_capacity(2 * rows);
-        let mut solved = vec![false; 2 * rows];
-        let idx_of = |cell: Cell| if cell.col == f1 { cell.row } else { rows + cell.row };
-
-        // One scratch buffer reused across the walk (see
-        // `Stripe::xor_of_into`) instead of an allocation per element.
-        let mut scratch = vec![0u8; stripe.element_size()];
-        let mut repair = |cell: Cell,
-                          chain_parity: Cell,
-                          stripe: &mut raid_core::Stripe,
-                          solved: &mut [bool],
-                          order: &mut Vec<Cell>| {
-            let chain = layout
-                .chain_of_parity(chain_parity)
-                .expect("parity cell owns its chain");
-            let sources = layout.chain(chain).cells().filter(|&m| m != cell);
-            stripe.xor_of_into(sources, &mut scratch);
-            stripe.set_element(cell, &scratch);
-            solved[idx_of(cell)] = true;
-            order.push(cell);
-        };
-
-        // Two zig-zags. Each starts at the diagonal that MISSES one failed
-        // column (g = other_col − 1 mod p), whose only lost cell is in the
-        // start column; the row chain then crosses to the other column, and
-        // the diagonal through that cell continues the walk. Cell of column
-        // c on diagonal g sits at row (g − c) mod p; row p − 1 and diagonal
-        // p − 1 do not exist and terminate the walk.
-        for (start_col, other_col) in [(f1, f2), (f2, f1)] {
-            let mut g = (other_col + pv - 1) % pv;
-            loop {
-                if g == pv - 1 {
-                    break; // the missing diagonal
-                }
-                let row = (g + pv - start_col) % pv;
-                if row >= rows || solved[idx_of(Cell::new(row, start_col))] {
-                    break;
-                }
-                // Diagonal g's only remaining unknown: (row, start_col).
-                repair(
-                    Cell::new(row, start_col),
-                    Cell::new(g, self.diag_parity_col()),
-                    stripe,
-                    &mut solved,
-                    &mut order,
-                );
-                // Row chain crosses to the other failed column.
-                let peer = Cell::new(row, other_col);
-                if !solved[idx_of(peer)] {
-                    repair(
-                        peer,
-                        Cell::new(row, self.row_parity_col()),
-                        stripe,
-                        &mut solved,
-                        &mut order,
-                    );
-                }
-                // Continue along the diagonal through `peer`; its other
-                // lost cell is back in `start_col`.
-                g = (row + other_col) % pv;
-            }
-        }
-
-        solved.iter().all(|&s| s).then_some(order)
-    }
 }
 
 impl ArrayCode for RdpCode {
@@ -313,54 +220,6 @@ mod tests {
     fn raid6_battery() {
         for p in [3usize, 5, 7, 11, 13] {
             assert_raid6_code(&RdpCode::new(p).unwrap());
-        }
-    }
-
-    #[test]
-    fn zigzag_fast_path_matches_generic_decoder() {
-        use raid_core::Stripe;
-        for p in [5usize, 7, 11, 13] {
-            let code = RdpCode::new(p).unwrap();
-            let layout = code.layout();
-            let mut pristine = Stripe::for_layout(layout, 16);
-            pristine.fill_data_seeded(layout, p as u64 + 3);
-            code.encode(&mut pristine);
-            let d = code.data_disks();
-            for f1 in 0..d {
-                for f2 in (f1 + 1)..d {
-                    let mut fast = pristine.clone();
-                    fast.erase_col(f1);
-                    fast.erase_col(f2);
-                    let order = code
-                        .repair_double_data_disk(&mut fast, f1, f2)
-                        .unwrap_or_else(|| panic!("p={p} ({f1},{f2}): walk incomplete"));
-                    assert_eq!(order.len(), 2 * layout.rows(), "p={p} ({f1},{f2})");
-                    assert_eq!(fast, pristine, "p={p} ({f1},{f2})");
-                }
-            }
-            // Parity-disk pairs take the generic path.
-            let mut s = pristine.clone();
-            assert!(code.repair_double_data_disk(&mut s, 0, code.row_parity_col()).is_none());
-        }
-    }
-
-    #[test]
-    fn zigzag_works_on_shortened_arrays() {
-        use raid_core::Stripe;
-        let code = RdpCode::with_data_disks(11, 6).unwrap();
-        let layout = code.layout();
-        let mut pristine = Stripe::for_layout(layout, 8);
-        pristine.fill_data_seeded(layout, 9);
-        code.encode(&mut pristine);
-        for f1 in 0..6 {
-            for f2 in (f1 + 1)..6 {
-                let mut s = pristine.clone();
-                s.erase_col(f1);
-                s.erase_col(f2);
-                code.repair_double_data_disk(&mut s, f1, f2)
-                    .unwrap_or_else(|| panic!("({f1},{f2}): walk incomplete"));
-                assert_eq!(s, pristine, "({f1},{f2})");
-            }
         }
     }
 

@@ -20,7 +20,7 @@ struct Options {
 }
 
 const USAGE: &str = "usage: repro [--p <prime>] [--seed <n>] [--csv <dir>] <target>...
-targets: traces fig6a fig6b fig6c fig7a fig7b fig8 fig9a fig9b table3 complexity ablation-recovery ablation-rotation all";
+targets: traces fig6a fig6b fig6c fig7a fig7b fig8 fig9a fig9b table3 complexity ablation-rotation all";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options { p: 13, seed: 20140623, csv_dir: None, targets: Vec::new() };
@@ -97,7 +97,6 @@ fn main() -> ExitCode {
             "fig9b",
             "table3",
             "complexity",
-            "ablation-recovery",
             "ablation-rotation",
         ]
         .iter()
@@ -169,11 +168,6 @@ fn main() -> ExitCode {
                 eprintln!("[run] Section IV complexity at p = {} ...", opts.p);
                 let rows = complexity::run(opts.p);
                 emit(&[complexity::table(opts.p, &rows)], &opts);
-            }
-            "ablation-recovery" => {
-                eprintln!("[run] recovery-search ablation at p = {} ...", opts.p.min(13));
-                let rows = ablation::recovery_search(opts.p.min(13));
-                emit(&[ablation::recovery_search_table(&rows)], &opts);
             }
             "ablation-rotation" => {
                 eprintln!("[run] rotation ablation at p = {} ...", opts.p);

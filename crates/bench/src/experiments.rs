@@ -5,8 +5,7 @@
 //! * [`fig8`] — the worked single-disk recovery plan of Fig. 8;
 //! * [`fig9`] — single- and double-failure recovery (Fig. 9a/9b);
 //! * [`table3`] — the structural comparison of Table III;
-//! * [`ablation`] — extra studies: recovery-search strategies and stripe
-//!   rotation vs parity spreading.
+//! * [`ablation`] — an extra study: stripe rotation vs parity spreading.
 
 pub mod ablation;
 pub mod complexity;

@@ -1,81 +1,17 @@
-//! Ablation studies beyond the paper's figures.
-//!
-//! * **recovery-search** — how close the greedy and annealing planners get
-//!   to exhaustive minimum-I/O single-disk recovery (justifies using the
-//!   heuristic at large `p` in Fig. 9a);
-//! * **rotation** — stripe rotation vs parity spreading: rotation fixes a
-//!   *uniform* workload's imbalance for dedicated-parity codes, but a
-//!   skewed (hot-spot) workload defeats it, exactly the paper's Section II
-//!   argument for spreading parities inside the stripe.
+//! Ablation beyond the paper's figures: stripe rotation vs parity
+//! spreading. Rotation fixes a *uniform* workload's imbalance for
+//! dedicated-parity codes, but a skewed (hot-spot) workload defeats it,
+//! exactly the paper's Section II argument for spreading parities inside
+//! the stripe.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use raid_array::RaidVolume;
-use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
 use raid_workloads::{uniform_write_trace, WritePattern, WriteTrace};
 
 use crate::codes::evaluated;
 use crate::experiments::{DATA_SPACE, ELEMENT_BYTES};
-use crate::report::{f2, f3, Table};
-
-/// One (code, strategy) ablation cell.
-#[derive(Debug, Clone)]
-pub struct RecoverySearchRow {
-    /// Code name.
-    pub code: String,
-    /// Strategy label.
-    pub strategy: String,
-    /// Average reads per repaired element over all failed disks.
-    pub reads_per_element: f64,
-    /// Wall-clock planning time (ms, whole sweep).
-    pub plan_ms: f64,
-}
-
-/// Compares recovery-search strategies at one prime.
-pub fn recovery_search(p: usize) -> Vec<RecoverySearchRow> {
-    let strategies: [(&str, SearchStrategy); 3] = [
-        ("exhaustive", SearchStrategy::Exhaustive),
-        ("greedy", SearchStrategy::Greedy),
-        ("anneal", SearchStrategy::Anneal { iters: 60_000, seed: 7 }),
-    ];
-    let mut rows = Vec::new();
-    for code in evaluated(p) {
-        let layout = code.layout();
-        for (label, strategy) in strategies {
-            let start = Instant::now();
-            let mut total = 0.0;
-            for failed in 0..layout.cols() {
-                total +=
-                    plan_single_disk_recovery(layout, failed, strategy).reads_per_element();
-            }
-            rows.push(RecoverySearchRow {
-                code: code.name().to_string(),
-                strategy: label.to_string(),
-                reads_per_element: total / layout.cols() as f64,
-                plan_ms: start.elapsed().as_secs_f64() * 1000.0,
-            });
-        }
-    }
-    rows
-}
-
-/// Renders the recovery-search ablation.
-pub fn recovery_search_table(rows: &[RecoverySearchRow]) -> Table {
-    let mut t = Table::new(
-        "Ablation — single-disk recovery search strategies",
-        &["code", "strategy", "reads/element", "plan ms"],
-    );
-    for r in rows {
-        t.push(vec![
-            r.code.clone(),
-            r.strategy.clone(),
-            f3(r.reads_per_element),
-            f2(r.plan_ms),
-        ]);
-    }
-    t
-}
+use crate::report::{f2, Table};
 
 /// One (code, rotation, trace) λ measurement.
 #[derive(Debug, Clone)]
@@ -158,23 +94,6 @@ pub fn rotation_table(rows: &[RotationRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn heuristics_close_to_exhaustive() {
-        let rows = recovery_search(7);
-        for code in ["RDP", "HDP", "X-Code", "H-Code", "HV Code"] {
-            let by = |s: &str| {
-                rows.iter()
-                    .find(|r| r.code == code && r.strategy == s)
-                    .unwrap()
-                    .reads_per_element
-            };
-            let ex = by("exhaustive");
-            assert!(by("anneal") <= ex * 1.05 + 1e-9, "{code}: anneal too far off");
-            assert!(by("greedy") <= ex * 1.25 + 1e-9, "{code}: greedy too far off");
-            assert!(ex <= by("greedy") + 1e-9, "{code}: exhaustive must be minimal");
-        }
-    }
 
     #[test]
     fn rotation_helps_uniform_but_not_hot_spot_for_rdp() {

@@ -6,7 +6,7 @@
 
 use hv_code::HvCode;
 use raid_core::layout::ParityClass;
-use raid_core::plan::single::SearchStrategy;
+use raid_core::plan::single::plan_single_disk_recovery;
 use raid_core::ArrayCode;
 
 use crate::report::Table;
@@ -29,8 +29,8 @@ pub struct Fig8Row {
 /// Panics if `p` is not a valid HV prime or the disk is out of range.
 pub fn run(p: usize, failed_disk: usize) -> (Vec<Fig8Row>, usize) {
     let code = HvCode::new(p).expect("prime p >= 5");
-    let plan = code.single_disk_plan(failed_disk, SearchStrategy::Exhaustive);
     let layout = code.layout();
+    let plan = plan_single_disk_recovery(layout, failed_disk);
     let rows = plan
         .choices
         .iter()

@@ -8,12 +8,9 @@
 //!   chain of the generic peeling scheduler, expectation over all failed
 //!   pairs.
 
-use std::sync::Arc;
-
 use raid_array::DiskProfile;
-use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
+use raid_core::plan::single::plan_single_disk_recovery;
 use raid_core::schedule::double_failure_schedule;
-use raid_core::ArrayCode;
 
 use crate::codes::evaluated;
 use crate::report::{f2, f3, Table};
@@ -44,26 +41,15 @@ pub struct Fig9bRow {
     pub time_ms: f64,
 }
 
-/// The strategy used per search-space size: exact below the bound, anneal
-/// above (documented in DESIGN.md; the ablation bench quantifies the gap).
-fn strategy_for(code: &Arc<dyn ArrayCode>) -> SearchStrategy {
-    if code.rows() <= 18 {
-        SearchStrategy::Exhaustive
-    } else {
-        SearchStrategy::Anneal { iters: 120_000, seed: 0x9A }
-    }
-}
-
 /// Runs Fig. 9a for the given primes.
 pub fn run_9a(primes: &[usize]) -> Vec<Fig9aRow> {
     let mut rows = Vec::new();
     for &p in primes {
         for code in evaluated(p) {
             let layout = code.layout();
-            let strategy = strategy_for(&code);
             let mut total = 0.0;
             for failed in 0..layout.cols() {
-                let plan = plan_single_disk_recovery(layout, failed, strategy);
+                let plan = plan_single_disk_recovery(layout, failed);
                 total += plan.reads_per_element();
             }
             rows.push(Fig9aRow {

@@ -1,8 +1,7 @@
 //! Analytical structures from the paper's proofs and property analysis:
 //! the Lemma-1 tuple sequence, the Theorem-1 start elements, and the
-//! minimum-I/O single-disk recovery of Section V-C / Fig. 8.
+//! Section IV XOR complexity.
 
-use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy, SingleRecoveryPlan};
 use raid_core::{ArrayCode, Cell};
 use raid_math::modp::{div_mod, half_mod, reduce};
 
@@ -79,18 +78,6 @@ impl HvCode {
             kind: StartKind::Vertical,
         };
         Ok([sh_f1, sh_f2, sv_f1, sv_f2])
-    }
-
-    /// Minimum-I/O plan for a single failed disk (Section V-C): one chain —
-    /// horizontal or vertical — is chosen per lost element so the union of
-    /// fetched elements is minimal, exactly Xiang et al.'s hybrid recovery
-    /// as prescribed by the paper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failed` is out of range.
-    pub fn single_disk_plan(&self, failed: usize, strategy: SearchStrategy) -> SingleRecoveryPlan {
-        plan_single_disk_recovery(self.layout(), failed, strategy)
     }
 }
 
@@ -244,7 +231,7 @@ mod tests {
         // Fig. 8: repairing disk #1 of the p = 7 array retrieves 18
         // elements — 3 per lost element.
         let code = HvCode::new(7).unwrap();
-        let plan = code.single_disk_plan(0, SearchStrategy::Exhaustive);
+        let plan = raid_core::plan::single::plan_single_disk_recovery(code.layout(), 0);
         assert_eq!(plan.total_reads(), 18);
         assert!((plan.reads_per_element() - 3.0).abs() < 1e-12);
         // And mixing chains is essential: an all-one-kind repair reads

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use raid_core::layout::{ElementKind, Layout, ParityClass};
+use raid_core::layout::{ElementKind, ParityClass};
 use raid_core::{ArrayCode, Cell, ChainId, Stripe, XorPlan};
 use raid_math::modp::{div_mod, half_mod, mul_mod};
 
@@ -69,33 +69,6 @@ impl DoubleRecovery {
     /// All steps in a valid serial execution order (chain by chain).
     pub fn steps(&self) -> impl Iterator<Item = &RecoveryStep> {
         self.chains.iter().flatten()
-    }
-
-    /// Lowers the whole plan (all chains, serial order) into one compiled
-    /// [`XorPlan`]: each step's sources — the other cells of its repair
-    /// chain — are resolved to buffer indices once, so executing the repair
-    /// against a stripe is pure plan interpretation.
-    pub fn compile(&self, layout: &Layout) -> XorPlan {
-        let sources: Vec<Vec<Cell>> = self
-            .steps()
-            .map(|step| {
-                layout.chain(step.chain).cells().filter(|&c| c != step.cell).collect()
-            })
-            .collect();
-        XorPlan::from_steps(
-            layout.rows(),
-            layout.cols(),
-            self.steps().zip(&sources).map(|(step, src)| (step.cell, src.as_slice())),
-        )
-    }
-
-    /// [`DoubleRecovery::compile`] run through the `xopt` middle-end:
-    /// prefixes shared between the four Algorithm-1 chains (and any other
-    /// repeated partial sums) are computed once into scratch temps. The
-    /// optimizer proves the rewrite equivalent over GF(2) and never
-    /// increases the read count.
-    pub fn compile_optimized(&self, layout: &Layout) -> XorPlan {
-        self.compile(layout).optimized()
     }
 }
 
@@ -212,7 +185,8 @@ impl HvCode {
         Ok(DoubleRecovery { f1, f2, chains })
     }
 
-    /// Repairs two failed disks in place by executing the Algorithm-1 plan.
+    /// Repairs two failed disks in place by executing the Algorithm-1 plan,
+    /// its steps compiled in serial order by [`XorPlan::compile_repairs`].
     ///
     /// The caller is expected to have zeroed (or otherwise invalidated) the
     /// two columns; every element of both columns is recomputed.
@@ -227,7 +201,8 @@ impl HvCode {
         b: usize,
     ) -> Result<DoubleRecovery, DoubleRecoveryError> {
         let plan = self.double_recovery_plan(a, b)?;
-        plan.compile_optimized(self.layout()).execute(stripe);
+        let repairs: Vec<(Cell, ChainId)> = plan.steps().map(|s| (s.cell, s.chain)).collect();
+        XorPlan::compile_repairs(self.layout(), &repairs).execute(stripe);
         Ok(plan)
     }
 
@@ -498,7 +473,8 @@ mod tests {
     fn compiled_plan_covers_every_lost_element_once() {
         let c = code(11);
         let plan = c.double_recovery_plan(1, 6).unwrap();
-        let compiled = plan.compile(c.layout());
+        let repairs: Vec<(Cell, ChainId)> = plan.steps().map(|s| (s.cell, s.chain)).collect();
+        let compiled = XorPlan::compile_repairs(c.layout(), &repairs);
         assert_eq!(compiled.num_ops(), plan.total_elements());
         let targets: std::collections::HashSet<Cell> = compiled.targets().collect();
         assert_eq!(targets.len(), plan.total_elements());

@@ -278,13 +278,12 @@ pub fn backward_slice(
 /// buffer indices, one arena) and interpreted, so execution allocates once
 /// for the compiled plan instead of one scratch buffer per step.
 pub fn apply_plan(stripe: &mut Stripe, plan: &DecodePlan) {
-    let compiled = crate::xplan::XorPlan::from_steps(
+    crate::xplan::XorPlan::from_steps(
         stripe.rows(),
         stripe.cols(),
         plan.steps.iter().map(|s| (s.target, s.sources.as_slice())),
     )
-    .optimized();
-    compiled.execute(stripe);
+    .execute(stripe);
 }
 
 /// Convenience: plan and apply in one call.

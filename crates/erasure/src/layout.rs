@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 use crate::decoder::{plan_decode, DecodePlan, NotDecodableError};
 use crate::geometry::Cell;
-use crate::plan::single::{plan_single_disk_recovery, SearchStrategy};
+use crate::plan::single::plan_single_disk_recovery;
 use crate::plan::write::WriteTable;
 use crate::xplan::XorPlan;
 
@@ -373,7 +373,7 @@ impl Layout {
             panic!("failed disk {col} out of range");
         };
         slot.recovery.get_or_init(|| {
-            let plan = plan_single_disk_recovery(self, col, SearchStrategy::Auto);
+            let plan = plan_single_disk_recovery(self, col);
             let program = XorPlan::compile_repairs(self, &plan.choices).optimized();
             ColumnRecovery { reads: plan.reads, plan: program }
         })

@@ -350,14 +350,14 @@ impl DiskBackend for FileBackend {
         // The journal is either absent or complete, never observably
         // half-written.
         replace_file(&Self::journal_path(&self.dir), &encode_journal(entries))
-            .map_err(|_| DiskError::Io { disk: 0 })
+            .map_err(|_| DiskError::Sidecar { file: "undo.journal" })
     }
 
     fn journal_commit(&mut self) -> Result<(), DiskError> {
         match fs::remove_file(Self::journal_path(&self.dir)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(_) => Err(DiskError::Io { disk: 0 }),
+            Err(_) => Err(DiskError::Sidecar { file: "undo.journal" }),
         }
     }
 
@@ -372,7 +372,8 @@ impl DiskBackend for FileBackend {
         if let Some(cp) = cp {
             body.push_str(&format!("rebuild_checkpoint={}\n", cp.encode()));
         }
-        replace_file(&meta, body.as_bytes()).map_err(|_| DiskError::Io { disk: 0 })
+        replace_file(&meta, body.as_bytes())
+            .map_err(|_| DiskError::Sidecar { file: "volume.meta" })
     }
 
     fn load_checkpoint(&self) -> Option<RebuildCheckpoint> {

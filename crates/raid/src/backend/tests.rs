@@ -3,6 +3,7 @@ use std::path::PathBuf;
 
 use super::file::{encode_journal, fnv1a64, JOURNAL_MAGIC};
 use super::*;
+use crate::disk::ErrorClass;
 
 fn roundtrip(backend: &mut dyn DiskBackend) {
     let es = backend.element_size();
@@ -256,6 +257,27 @@ fn file_backend_discards_torn_journal() {
     b.read(0, 1, &mut buf).unwrap();
     assert_eq!(buf, [4u8; 8], "torn journal must not clobber data");
     assert!(!FileBackend::journal_path(&dir).exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_sidecar_file_failure_names_the_file_not_a_disk() {
+    let dir = damaged_fixture("sidecar");
+    let mut b = FileBackend::open(&dir).unwrap();
+    // A directory where the atomic replace stages its temp file, or where
+    // the commit removes the journal, makes each step fail.
+    fs::create_dir(dir.join("undo.journal.tmp")).unwrap();
+    fs::create_dir(dir.join("volume.meta.tmp")).unwrap();
+    let entry = [JournalEntry { disk: 1, index: 0, data: vec![0u8; 16] }];
+    let journal = DiskError::Sidecar { file: "undo.journal" };
+    assert_eq!(b.journal_begin(&entry), Err(journal));
+    let meta = DiskError::Sidecar { file: "volume.meta" };
+    let cp = RebuildCheckpoint { disks: vec![2], next_stripe: 1 };
+    assert_eq!(b.save_checkpoint(Some(&cp)), Err(meta));
+    fs::create_dir(FileBackend::journal_path(&dir)).unwrap();
+    assert_eq!(b.journal_commit(), Err(journal));
+    assert_eq!(journal.class(), ErrorClass::Fatal);
+    assert_eq!(journal.to_string(), "I/O error on the volume's undo.journal");
     let _ = fs::remove_dir_all(&dir);
 }
 

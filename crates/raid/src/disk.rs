@@ -51,6 +51,12 @@ pub enum DiskError {
     /// The whole backend is gone mid-operation (simulated process crash):
     /// nothing further can be served until the volume is reopened.
     Crashed,
+    /// A volume-level sidecar file — the undo journal or `volume.meta` —
+    /// could not be written or removed. No disk is at fault.
+    Sidecar {
+        /// The file's name inside the volume directory.
+        file: &'static str,
+    },
 }
 
 /// The coarse failure class an error belongs to — what the volume's
@@ -79,7 +85,9 @@ impl DiskError {
             DiskError::LatentSector { .. } => ErrorClass::LatentSector,
             DiskError::DiskFailed { .. } => ErrorClass::DiskDead,
             DiskError::Crashed => ErrorClass::Crashed,
-            DiskError::NoSuchDisk { .. } | DiskError::Io { .. } => ErrorClass::Fatal,
+            DiskError::NoSuchDisk { .. } | DiskError::Io { .. } | DiskError::Sidecar { .. } => {
+                ErrorClass::Fatal
+            }
         }
     }
 }
@@ -97,6 +105,7 @@ impl fmt::Display for DiskError {
                 write!(f, "latent sector error on disk #{disk} element {index}")
             }
             DiskError::Crashed => write!(f, "backend crashed mid-operation"),
+            DiskError::Sidecar { file } => write!(f, "I/O error on the volume's {file}"),
         }
     }
 }

@@ -31,13 +31,13 @@
 //! A plan built for one request is **not** run through
 //! [`XorPlan::optimized`]: the optimiser costs more than the XORs it
 //! saves — ~40 µs per 4 KiB stripe write, 24–29 µs per two-column degraded
-//! read for not one source read saved. Stripe writes and two-column reads
-//! follow that rule. Plans that are facts of the layout — the encode plan,
-//! whole-column decode programs, §V-C column recovery — are optimised once
-//! and cached ([`Layout::column_program`]). The one exception is the
-//! single-column degraded read, which still plans and optimises per
-//! request until the benchmark's own op log is bounded: dropping that
-//! pass too lifts `volume_degraded_read`'s `peak_rss_mib` past its bound.
+//! read for not one source read saved. Stripe writes, two-column reads
+//! and latent repairs follow that rule. Plans that are facts of the
+//! layout — the encode plan, whole-column decode programs, §V-C column
+//! recovery — are optimised once and cached ([`Layout::column_program`]).
+//! The one exception is the single-column degraded read, which still
+//! plans and optimises per request until the benchmark's own op log is
+//! bounded: dropping it lifts `volume_degraded_read`'s RSS over its bound.
 
 use std::borrow::Cow;
 
@@ -339,11 +339,11 @@ fn level_among(layout: &Layout, marks: &BitSet, p: Cell) -> usize {
     below.map(|&q| level_among(layout, marks, q) + 1).max().unwrap_or(0)
 }
 
-/// The optimised plan rebuilding every cell of `failed_cols` plus the
-/// individually lost `bad` cells from the rest of the stripe: whole
-/// columns alone are the layout's cached program, a loss with bad cells
-/// is planned per call. `None` when the loss exceeds the code's erasure
-/// capability.
+/// The plan rebuilding every cell of `failed_cols` plus the individually
+/// lost `bad` cells from the rest of the stripe: whole columns alone are
+/// the layout's cached program, a loss with bad cells is planned per call
+/// (and, like every per-request plan, not optimised). `None` when the loss
+/// exceeds the code's erasure capability.
 fn decode_plan(layout: &Layout, failed_cols: &[usize], bad: &[Cell]) -> Option<XorPlan> {
     if bad.is_empty() {
         return layout.column_program(failed_cols).ok().map(Cow::into_owned);
@@ -351,7 +351,7 @@ fn decode_plan(layout: &Layout, failed_cols: &[usize], bad: &[Cell]) -> Option<X
     let mut lost: Vec<Cell> = failed_cols.iter().flat_map(|&c| layout.cells_in_col(c)).collect();
     lost.extend_from_slice(bad);
     let plan = decoder::plan_decode(layout, &lost).ok()?;
-    Some(XorPlan::compile_decode(layout, &plan).optimized())
+    Some(XorPlan::compile_decode(layout, &plan))
 }
 
 /// Fetch every surviving element, rebuild every cell of `failed_cols`

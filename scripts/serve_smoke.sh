@@ -4,7 +4,9 @@
 # proving byte identity through the line protocol, a Prometheus stats
 # scrape, a clean SHUTDOWN (final flush), then fsck over the directory
 # must exit 0, and serving the directory again under another code's
-# flags must announce the volume it holds.
+# flags must announce the volume it holds. Last, a SHUTDOWN whose final
+# flush cannot write the undo journal must answer ERR naming that file
+# and make serve exit non-zero, and the directory must still fsck clean.
 set -eu
 
 CARGO=${CARGO:-cargo}
@@ -91,4 +93,28 @@ if ! grep -q "(HV Code p=$P)" "$TMP/again.err"; then
     cat "$TMP/again.err" >&2
     exit 1
 fi
+
+# A failing last flush: one unflushed element, and a directory where the
+# journal's temp file must go, so the flush cannot begin its journal.
+"$HV" serve --socket "$TMP/fail.sock" --dir "$VOL" 2> /dev/null &
+SERVE_PID=$!
+wait_for_socket "$TMP/fail.sock"
+printf 'HELLO smoke3 writer\nWRITE 0 00112233445566778899aabbccddeeff\n' > "$TMP/dirty.txt"
+"$HV" connect --socket "$TMP/fail.sock" --script "$TMP/dirty.txt" > /dev/null
+mkdir "$VOL/undo.journal.tmp"
+if "$HV" connect --socket "$TMP/fail.sock" --script "$TMP/down.txt" 2> "$TMP/fail.err"; then
+    echo "serve-smoke: SHUTDOWN over an unwritable journal succeeded" >&2
+    exit 1
+fi
+if ! grep -q "^SHUTDOWN -> ERR .*I/O error on the volume's undo.journal" "$TMP/fail.err"; then
+    echo "serve-smoke: the failed flush is reported wrong:" >&2
+    cat "$TMP/fail.err" >&2
+    exit 1
+fi
+if wait "$SERVE_PID"; then
+    echo "serve-smoke: serve exited 0 after its last flush failed" >&2
+    exit 1
+fi
+rmdir "$VOL/undo.journal.tmp"
+"$HV" fsck --dir "$VOL"
 echo "serve-smoke: OK"

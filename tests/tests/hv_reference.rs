@@ -2,7 +2,7 @@
 //! reference machinery — the "fast path must equal slow path" contract.
 
 use hv_code::HvCode;
-use raid_core::{decoder, schedule, ArrayCode, Stripe};
+use raid_core::{decoder, schedule, ArrayCode, Cell, Stripe};
 
 #[test]
 fn algorithm1_equals_generic_decoder_bytes() {
@@ -48,6 +48,19 @@ fn algorithm1_parallelism_matches_scheduler() {
                 assert_eq!(sched.num_chains, 4, "p={p} ({f1},{f2})");
                 assert_eq!(plan.longest_chain(), sched.longest_chain, "p={p} ({f1},{f2})");
                 assert_eq!(plan.total_elements(), 2 * n, "p={p} ({f1},{f2})");
+                // Algorithm 1's chains are the generic peel's, cell for
+                // cell and in order; only the order of the four chains
+                // differs (start elements vs peel discovery), so both
+                // sides are sorted by their start cell.
+                let mut alg1: Vec<Vec<Cell>> = plan
+                    .chains()
+                    .iter()
+                    .map(|chain| chain.iter().map(|step| step.cell).collect())
+                    .collect();
+                let mut peel = sched.chains().expect("two-column peels are simple paths");
+                alg1.sort();
+                peel.sort();
+                assert_eq!(alg1, peel, "p={p} ({f1},{f2})");
             }
         }
     }

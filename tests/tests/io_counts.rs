@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use integration::{all_codes, payload};
 use raid_array::{lower, replay_write_trace, CacheConfig, DiskAddr, DiskProfile, RaidVolume};
-use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
+use raid_core::plan::single::plan_single_disk_recovery;
 use raid_workloads::skew::{hot_spot_trace, sequential_trace, zipf_write_trace};
 use raid_workloads::{table2_trace, WriteTrace};
 
@@ -229,7 +229,7 @@ fn single_disk_rebuild_reads_fig_9a_per_lost_element() {
                 v.fail_disk(disk).unwrap();
                 let reads = v.rebuild().unwrap().total_reads() as usize;
                 assert_eq!(v.read(0, v.data_elements()).unwrap().0, data);
-                let plan = plan_single_disk_recovery(layout, disk, SearchStrategy::Auto);
+                let plan = plan_single_disk_recovery(layout, disk);
                 let what = format!("{} p={p} disk {disk}", code.name());
                 assert_eq!(reads, STRIPES * plan.total_reads(), "{what}");
                 per_element += (reads / STRIPES) as f64 / layout.cells_in_col(disk).len() as f64;

@@ -9,7 +9,7 @@ use raid_array::DiskAddr;
 use raid_core::decoder::{self, DecodePlan, DecodeStep};
 use raid_core::layout::{ColumnRecovery, Layout};
 use raid_core::plan::degraded::{plan_degraded_read, plan_degraded_read_multi};
-use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
+use raid_core::plan::single::plan_single_disk_recovery;
 use raid_core::plan::update::parity_updates;
 use raid_core::plan::write::{
     plan_batched_write, plan_partial_write, write_cost, WriteCost, WriteMode, WritePlan,
@@ -114,30 +114,21 @@ fn single_disk_plans_repair_correctly() {
         code.encode(&mut pristine);
 
         for failed in 0..layout.cols() {
-            for strategy in [
-                SearchStrategy::Greedy,
-                SearchStrategy::Exhaustive,
-                SearchStrategy::Auto,
-            ] {
-                let plan = plan_single_disk_recovery(layout, failed, strategy);
-                assert_eq!(plan.choices.len(), layout.rows(), "{name}");
-                // Reads never touch the failed disk.
-                assert!(plan.reads.iter().all(|c| c.col != failed), "{name}");
+            let plan = plan_single_disk_recovery(layout, failed);
+            assert_eq!(plan.choices.len(), layout.rows(), "{name}");
+            // Reads never touch the failed disk.
+            assert!(plan.reads.iter().all(|c| c.col != failed), "{name}");
 
-                // Execute the plan and compare bytes.
-                let mut broken = pristine.clone();
-                broken.erase_col(failed);
-                for (cell, chain_id) in &plan.choices {
-                    let sources: Vec<_> = layout
-                        .chain(*chain_id)
-                        .cells()
-                        .filter(|c| c != cell)
-                        .collect();
-                    let val = broken.xor_of(sources);
-                    broken.set_element(*cell, &val);
-                }
-                assert_eq!(broken, pristine, "{name}: disk {failed} ({strategy:?})");
+            // Execute the plan and compare bytes.
+            let mut broken = pristine.clone();
+            broken.erase_col(failed);
+            for (cell, chain_id) in &plan.choices {
+                let sources: Vec<_> =
+                    layout.chain(*chain_id).cells().filter(|c| c != cell).collect();
+                let val = broken.xor_of(sources);
+                broken.set_element(*cell, &val);
             }
+            assert_eq!(broken, pristine, "{name}: disk {failed}");
         }
     }
 }
@@ -388,7 +379,7 @@ fn cached_column_plans_are_the_per_call_lowering_element_for_element() {
             };
             for b in 0..cols {
                 let what = format!("{} p={p} column {b}", code.name());
-                let plan = plan_single_disk_recovery(layout, b, SearchStrategy::Auto);
+                let plan = plan_single_disk_recovery(layout, b);
                 let sources: Vec<Vec<Cell>> = plan
                     .choices
                     .iter()

@@ -13,7 +13,7 @@ use integration::all_codes;
 use raid_array::{lower, DiskAddr};
 use raid_baselines::{HCode, HdpCode, PCode, RdpCode, XCode};
 use raid_core::plan::degraded::{plan_degraded_read, plan_degraded_read_multi};
-use raid_core::plan::single::{plan_single_disk_recovery, SearchStrategy};
+use raid_core::plan::single::plan_single_disk_recovery;
 use raid_core::{decoder, ArrayCode, Cell, Stripe, XorPlan};
 use raid_math::xor::L1_TILE_BYTES;
 use raid_verify::plan_check::prove_equivalent;
@@ -236,7 +236,7 @@ fn optimizer_saves_nothing_on_the_paper_s_six_codes() {
             let (name, layout) = (code.name(), code.layout());
             check(&|| format!("{name} p={p} encode"), XorPlan::compile_encode(layout));
             for col in 0..layout.cols() {
-                let recovery = plan_single_disk_recovery(layout, col, SearchStrategy::Auto);
+                let recovery = plan_single_disk_recovery(layout, col);
                 let plan = XorPlan::compile_repairs(layout, &recovery.choices);
                 check(&|| format!("{name} p={p} recovery of {col}"), plan);
                 for other in col + 1..layout.cols() {
