@@ -327,19 +327,25 @@ fn backend_from(
     element: usize,
 ) -> Result<Box<dyn DiskBackend>, String> {
     let kind = parsed.get_or("backend", "mem".to_string())?;
-    let layout = code.layout();
+    let (disks, per_disk) = (code.layout().cols(), elements_per_disk(code, stripes)?);
     match kind.as_str() {
-        "mem" => {
-            Ok(Box::new(MemBackend::new(layout.cols(), stripes * layout.rows(), element)))
-        }
+        "mem" => Ok(Box::new(MemBackend::new(disks, per_disk, element))),
         "file" => {
             let dir = parsed.require("dir")?;
-            let b = FileBackend::create(dir, layout.cols(), stripes * layout.rows(), element)
+            let b = FileBackend::create(dir, disks, per_disk, element)
                 .map_err(|e| format!("{dir}: {e}"))?;
             Ok(Box::new(b))
         }
         other => Err(format!("unknown backend '{other}' (expected mem or file)")),
     }
+}
+
+/// The elements each disk holds for `stripes` stripes of `code`; a count
+/// that overflows is refused, not wrapped.
+fn elements_per_disk(code: &Arc<dyn ArrayCode>, stripes: usize) -> Result<usize, String> {
+    let rows = code.layout().rows();
+    let overflow = || format!("--stripes {stripes} × {rows} rows overflows a disk's elements");
+    stripes.checked_mul(rows).ok_or_else(overflow)
 }
 
 /// A deterministic payload for the lifecycle/batch demos.
@@ -456,37 +462,39 @@ fn volume_lifecycle(parsed: &Parsed) -> Result<String, String> {
     Ok(out)
 }
 
-/// A file-backed volume reopened by [`open_volume`].
+/// What [`open_volume`] found in a volume directory besides the volume.
 struct Reopened {
     /// Its `volume.meta`.
     meta: VolumeMeta,
+    /// Stripes, from the backend's elements per disk.
+    stripes: usize,
+    /// Element size, the backend's.
+    element_size: usize,
     /// What the reopen's journal recovery did.
     journal: Option<JournalRecovery>,
-    /// The volume, or why it did not open over the disks.
-    volume: Result<RaidVolume, VolumeError>,
 }
 
-/// Reopens the file-backed volume in `dir` with `volume.meta`'s code and
-/// geometry; a `shape.meta` that disagrees is a `BackendMismatch` naming
-/// the field, not a smaller volume. Opening the disks replays the undo
-/// journal.
-fn open_volume(dir: &str) -> Result<Reopened, String> {
+/// Reopens the file-backed volume in `dir`: `volume.meta` gives the code
+/// and its addressing, the backend's `disks.meta` the element size and,
+/// over the code's rows, the stripe count. A disk count or an element
+/// count the code does not divide is a `BackendMismatch` naming the
+/// field. Opening the disks replays the undo journal.
+fn open_volume(dir: &str) -> Result<(Reopened, Result<RaidVolume, VolumeError>), String> {
     let meta = VolumeMeta::load(dir).map_err(|e| format!("{dir}: {e}"))?;
     let code = build(&meta.code, meta.p)?;
     let backend = FileBackend::open(dir).map_err(|e| format!("{dir}: {e}"))?;
-    let journal = backend.recovered_journal();
-    let volume = RaidVolume::with_backend(
-        code,
-        meta.stripes,
-        meta.element_size,
-        meta.rotate,
-        Box::new(backend),
-    );
-    Ok(Reopened { meta, journal, volume })
+    // Rounded up: a disk shorter than one stripe is a mismatch, not a
+    // volume of no stripes.
+    let stripes = backend.elements_per_disk().div_ceil(code.layout().rows());
+    let (element_size, journal) = (backend.element_size(), backend.recovered_journal());
+    let volume =
+        RaidVolume::with_backend(code, stripes, element_size, meta.rotate, Box::new(backend));
+    Ok((Reopened { meta, stripes, element_size, journal }, volume))
 }
 
 /// Creates a file-backed volume of `code` (registered as `name`) in
-/// `dir`, with the `volume.meta` [`open_volume`] reopens it from.
+/// `dir`, and writes the one `volume.meta` [`open_volume`] reopens it
+/// with.
 fn create_volume(
     dir: &str,
     name: &str,
@@ -494,19 +502,12 @@ fn create_volume(
     stripes: usize,
     element: usize,
 ) -> Result<RaidVolume, String> {
-    let layout = code.layout();
-    let backend = FileBackend::create(dir, layout.cols(), stripes * layout.rows(), element)
+    let per_disk = elements_per_disk(code, stripes)?;
+    let backend = FileBackend::create(dir, code.layout().cols(), per_disk, element)
         .map_err(|e| format!("{dir}: {e}"))?;
-    VolumeMeta {
-        code: name.to_string(),
-        p: code.prime().get(),
-        stripes,
-        element_size: element,
-        rotate: false,
-        rebuild_checkpoint: None,
-    }
-    .save(dir)
-    .map_err(|e| format!("{dir}: {e}"))?;
+    VolumeMeta { code: name.to_string(), p: code.prime().get(), rotate: false }
+        .save(dir)
+        .map_err(|e| format!("{dir}: {e}"))?;
     RaidVolume::new(Arc::clone(code), stripes, element, Box::new(backend))
         .map_err(|e| e.to_string())
 }
@@ -523,14 +524,14 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
     let json = parsed.get_or("json", false)?;
     // The reopen replays the undo journal; `journal` is what it did, so
     // the operator learns a torn write was rolled back.
-    let Reopened { meta, journal, volume } = open_volume(dir)?;
+    let (reopened, volume) = open_volume(dir)?;
     let mut volume = match volume {
         Ok(v) => v,
         Err(VolumeError::TooManyFailures { failed }) => {
             let detail =
                 format!("{failed} failed disks exceed RAID-6's two-erasure tolerance");
             return Ok(if json {
-                (fsck_json(&meta, &[], journal.as_ref(), None, 0, false, "unrecoverable"), 3)
+                (fsck_json(&reopened, &[], None, 0, false, "unrecoverable"), 3)
             } else {
                 (format!("fsck: UNRECOVERABLE — {detail} ✘"), 3)
             });
@@ -540,7 +541,7 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
     let checkpoint = volume.rebuild_progress();
 
     let mut notes = Vec::new();
-    match &journal {
+    match &reopened.journal {
         Some(JournalRecovery::RolledBack { elements }) => {
             notes.push(format!("rolled back a torn write ({elements} journaled elements)"));
         }
@@ -576,7 +577,7 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
     }
 
     let consistent = volume.verify_all();
-    let repaired = journal.is_some() || rebuilt || scrub_repairs > 0;
+    let repaired = reopened.journal.is_some() || rebuilt || scrub_repairs > 0;
     let (status, exit) = if consistent && !repaired {
         ("clean", 0u8)
     } else if consistent {
@@ -590,9 +591,8 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
     if json {
         return Ok((
             fsck_json(
-                &meta,
+                &reopened,
                 &volume.failed_disks(),
-                journal.as_ref(),
                 checkpoint.as_ref(),
                 scrub_repairs,
                 rebuilt,
@@ -604,7 +604,7 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
     let mut out = format!(
         "{} at p = {}: {} stripes × {} B elements on {} disks ({dir})\n",
         volume.code().name(),
-        meta.p,
+        reopened.meta.p,
         volume.stripes(),
         volume.element_size(),
         volume.disks(),
@@ -623,9 +623,8 @@ fn fsck(parsed: &Parsed) -> Result<(String, u8), String> {
 
 /// The machine-readable fsck report (hand-rolled, dependency-free JSON).
 fn fsck_json(
-    meta: &VolumeMeta,
+    reopened: &Reopened,
     failed: &[usize],
-    journal: Option<&JournalRecovery>,
     checkpoint: Option<&raid_array::RebuildCheckpoint>,
     scrub_repairs: usize,
     rebuilt: bool,
@@ -634,7 +633,7 @@ fn fsck_json(
     let list = |xs: &[usize]| {
         xs.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(",")
     };
-    let journal = match journal {
+    let journal = match reopened.journal {
         None => "null".to_string(),
         Some(JournalRecovery::RolledBack { elements }) => {
             format!("{{\"rolled_back_elements\":{elements}}}")
@@ -654,10 +653,10 @@ fn fsck_json(
          \"failed_disks\":[{}],\"journal_recovery\":{journal},\
          \"rebuild_checkpoint\":{checkpoint},\"rebuilt\":{rebuilt},\
          \"scrub_repairs\":{scrub_repairs},\"status\":\"{status}\"}}",
-        meta.code,
-        meta.p,
-        meta.stripes,
-        meta.element_size,
+        reopened.meta.code,
+        reopened.meta.p,
+        reopened.stripes,
+        reopened.element_size,
         list(failed),
     )
 }
@@ -834,7 +833,7 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
     let volume = match parsed.flags.get("dir") {
         None => RaidVolume::in_memory(code, stripes, element),
         Some(dir) if std::path::Path::new(dir).join("volume.meta").exists() => {
-            open_volume(dir)?.volume.map_err(|e| format!("{dir}: {e}"))?
+            open_volume(dir)?.1.map_err(|e| format!("{dir}: {e}"))?
         }
         Some(dir) => create_volume(dir, &name, &code, stripes, element)?,
     };
@@ -999,24 +998,72 @@ mod tests {
     }
 
     #[test]
-    fn fsck_takes_the_geometry_from_volume_meta() {
-        let dir = on_disk_volume("fsck-shape");
-        let shape = std::fs::read_to_string(dir.join("shape.meta")).unwrap();
-        std::fs::write(
-            dir.join("shape.meta"),
-            shape.replace("elements_per_disk=8", "elements_per_disk=4"),
-        )
-        .unwrap();
-        let err = run_line_status(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap_err();
-        assert!(err.contains("elements per disk"), "{err}");
-        // A stripe count whose element count wraps to the disk's (2⁶² + 2
-        // stripes × 4 rows ≡ 8 mod 2⁶⁴) is a mismatch too, not an overflow.
-        std::fs::write(dir.join("shape.meta"), shape).unwrap();
+    fn a_volume_directory_holds_one_file_per_owner() {
+        let dir = on_disk_volume("one-file");
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let disks = (0..4).map(|d| format!("disk-{d:02}.dat"));
+        let want: Vec<String> =
+            disks.chain(["disks.meta".to_string(), "volume.meta".to_string()]).collect();
+        assert_eq!(names, want);
         let meta = std::fs::read_to_string(dir.join("volume.meta")).unwrap();
-        let huge = format!("stripes={}", (1usize << 62) + 2);
-        std::fs::write(dir.join("volume.meta"), meta.replace("stripes=2", &huge)).unwrap();
-        let err = run_line_status(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap_err();
-        assert!(err.contains("elements per disk"), "{err}");
+        assert_eq!(meta, "version=2\ncode=hv\np=5\nrotate=false\n");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn fsck_takes_the_geometry_from_disks_meta() {
+        let dir = on_disk_volume("fsck-shape");
+        let (out, status) = run_line_status(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap();
+        assert!(out.contains("2 stripes × 16 B elements on 4 disks"), "{out}");
+        assert_eq!(status, 0, "{out}");
+        let record = std::fs::read_to_string(dir.join("disks.meta")).unwrap();
+        // A disk count or an element count that is not whole stripes of
+        // the code is a mismatch, not a smaller volume.
+        for (from, to, per_disk) in [
+            ("disks=4", "disks=3", 8),
+            ("elements_per_disk=8", "elements_per_disk=7", 7),
+            ("elements_per_disk=8", "elements_per_disk=2", 2),
+        ] {
+            std::fs::write(dir.join("disks.meta"), record.replace(from, to)).unwrap();
+            for d in 0..4 {
+                let f = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(dir.join(format!("disk-{d:02}.dat")))
+                    .unwrap();
+                f.set_len(per_disk * 16).unwrap();
+            }
+            let err = run_line_status(&["fsck", "--dir", dir.to_str().unwrap()]).unwrap_err();
+            let what = if to == "disks=3" { "disk count" } else { "elements per disk" };
+            assert!(err.contains(what), "{to}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_stripe_count_that_overflows_a_disk_is_refused() {
+        let dir = std::env::temp_dir().join(format!("hvraid-overflow-{}", std::process::id()));
+        let dir_arg = dir.to_str().unwrap();
+        for (stripes, element, named) in [
+            ("4611686018427387904", "8", "overflows a disk's elements"),
+            ("1152921504606846976", "8", "overflows a disk offset"),
+        ] {
+            let err = run_line(&[
+                "volume", "--code", "hv", "--p", "5", "--dir", dir_arg, "--stripes", stripes,
+                "--element", element,
+            ])
+            .unwrap_err();
+            assert!(err.contains(named), "{stripes}: {err}");
+            let err = run_line(&[
+                "batch", "--code", "hv", "--p", "5", "--backend", "file", "--dir", dir_arg,
+                "--stripes", stripes, "--element", element,
+            ])
+            .unwrap_err();
+            assert!(err.contains(named), "{stripes}: {err}");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1041,7 +1088,7 @@ mod tests {
         let dir_arg = dir.to_str().unwrap();
         run_line(&["volume", "--code", "rdp", "--p", "7", "--stripes", "1", "--dir", dir_arg])
             .unwrap();
-        let reopened = open_volume(dir_arg).unwrap().volume.unwrap();
+        let reopened = open_volume(dir_arg).unwrap().1.unwrap();
         let banner = listening_banner("s.sock", reopened.code());
         assert_eq!(banner, "hvraid serve: listening on s.sock (RDP p=7)");
         let _ = std::fs::remove_dir_all(dir);

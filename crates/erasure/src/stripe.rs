@@ -201,26 +201,18 @@ impl Stripe {
             .map(|chain| chain.parity)
     }
 
-    /// XOR of an arbitrary set of elements, returned as a fresh buffer —
-    /// the decoder's workhorse.
-    pub fn xor_of(&self, cells: impl IntoIterator<Item = Cell>) -> Vec<u8> {
-        let mut acc = vec![0u8; self.element_size];
-        self.xor_of_into(cells, &mut acc);
-        acc
-    }
-
-    /// Overwrites `out` with the XOR of `cells` (zero for no cells), letting
-    /// a loop reuse one output buffer across elements. This is the one "XOR
-    /// of a cell set" helper: one `xor_gather_into` over the cells' slices.
+    /// XOR of an arbitrary set of elements (zero for no cells), returned
+    /// as a fresh buffer — the decoder's workhorse, and the one "XOR of a
+    /// cell set" helper: one `xor_gather_into` over the cells' slices.
     ///
     /// # Panics
     ///
-    /// Panics if `out` is not `element_size` bytes or a cell is out of
-    /// bounds.
-    pub fn xor_of_into(&self, cells: impl IntoIterator<Item = Cell>, out: &mut [u8]) {
-        assert_eq!(out.len(), self.element_size, "xor_of_into: scratch size mismatch");
+    /// Panics if a cell is out of bounds.
+    pub fn xor_of(&self, cells: impl IntoIterator<Item = Cell>) -> Vec<u8> {
+        let mut acc = vec![0u8; self.element_size];
         let srcs: Vec<&[u8]> = cells.into_iter().map(|c| self.element(c)).collect();
-        xor_gather_into(out, &srcs);
+        xor_gather_into(&mut acc, &srcs);
+        acc
     }
 
     /// Detaches the buffer at linear index `idx` so tiled plan execution

@@ -1,6 +1,7 @@
-//! [`FileBackend`]: one file per disk in a directory, its undo-journal
-//! codec, and the [`VolumeMeta`] persisted beside it — the persistence the
-//! `hvraid` CLI mounts.
+//! [`FileBackend`]: one file per disk in a directory, the one record of
+//! what the backend owns (`disks.meta`), its undo-journal codec, and the
+//! [`VolumeMeta`] persisted beside them — the persistence the `hvraid`
+//! CLI mounts.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -23,20 +24,30 @@ pub enum JournalRecovery {
     DiscardedTorn,
 }
 
-/// One file per disk (`disk-NN.dat`) in a directory, plus `shape.meta`
-/// recording the geometry and `disk-NN.failed` marker files so failure
-/// state survives reopening. Two durability sidecars ride along:
-/// `undo.journal` (pre-images of an in-flight multi-element write, written
-/// with fsync-then-rename ordering so it is either absent or complete) and
-/// a `rebuild_checkpoint=` line in `volume.meta`.
+/// One file per disk (`disk-NN.dat`) in a directory, plus `disks.meta`:
+/// the one record of everything the backend owns — its shape, its failed
+/// disks and the rebuild checkpoint — rewritten whole and atomically (temp
+/// file, `sync_all`, rename) on every change, so a restart finds all three
+/// as they last were, or the change is reported as an error.
+/// `undo.journal` rides along: the pre-images of an in-flight
+/// multi-element write, written the same way so it is either absent or
+/// complete.
+#[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
     element_size: usize,
     elements_per_disk: usize,
     files: Vec<File>,
     failed: Vec<bool>,
+    checkpoint: Option<RebuildCheckpoint>,
     recovered: Option<JournalRecovery>,
 }
+
+/// The record of a [`FileBackend`]'s shape, failed disks and checkpoint.
+const DISKS_META: &str = "disks.meta";
+
+/// The `disks.meta` format version this build reads and writes.
+const DISKS_META_VERSION: usize = 1;
 
 pub(super) const JOURNAL_MAGIC: &[u8; 4] = b"HVJ1";
 
@@ -111,24 +122,9 @@ fn decode_journal(bytes: &[u8], element_size: usize) -> Option<Vec<JournalEntry>
     Some(entries)
 }
 
-impl std::fmt::Debug for FileBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileBackend")
-            .field("dir", &self.dir)
-            .field("disks", &self.files.len())
-            .field("elements_per_disk", &self.elements_per_disk)
-            .field("element_size", &self.element_size)
-            .finish()
-    }
-}
-
 impl FileBackend {
     fn data_path(dir: &Path, disk: usize) -> PathBuf {
         dir.join(format!("disk-{disk:02}.dat"))
-    }
-
-    fn failed_path(dir: &Path, disk: usize) -> PathBuf {
-        dir.join(format!("disk-{disk:02}.failed"))
     }
 
     pub(super) fn journal_path(dir: &Path) -> PathBuf {
@@ -136,99 +132,159 @@ impl FileBackend {
     }
 
     /// Creates a fresh zero-filled array under `dir` (created if missing;
-    /// existing disk files are truncated).
+    /// existing disk files are truncated), every disk healthy and no
+    /// rebuild checkpoint recorded.
     ///
     /// # Errors
     ///
-    /// Returns the underlying error if the directory or files cannot be
-    /// created.
+    /// [`std::io::ErrorKind::InvalidInput`], naming the field, for a zero
+    /// dimension or a disk larger than the address space; otherwise the
+    /// underlying error if the directory, a disk file or `disks.meta`
+    /// cannot be written.
     pub fn create(
         dir: impl AsRef<Path>,
         disks: usize,
         elements_per_disk: usize,
         element_size: usize,
     ) -> std::io::Result<Self> {
-        assert!(disks > 0 && elements_per_disk > 0 && element_size > 0);
+        let len = disk_len(disks, elements_per_disk, element_size)
+            .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let shape = format!("disks={disks}\nelements_per_disk={elements_per_disk}\nelement_size={element_size}\n");
-        fs::write(dir.join("shape.meta"), shape)?;
         let _ = fs::remove_file(Self::journal_path(&dir));
         let _ = fs::remove_file(dir.join("undo.journal.tmp"));
         let mut files = Vec::with_capacity(disks);
         for disk in 0..disks {
-            let _ = fs::remove_file(Self::failed_path(&dir, disk));
             let f = OpenOptions::new()
                 .read(true)
                 .write(true)
                 .create(true)
                 .truncate(true)
                 .open(Self::data_path(&dir, disk))?;
-            f.set_len((elements_per_disk * element_size) as u64)?;
+            f.set_len(len)?;
             files.push(f);
         }
-        Ok(FileBackend {
+        let backend = FileBackend {
             dir,
             element_size,
             elements_per_disk,
             files,
             failed: vec![false; disks],
+            checkpoint: None,
             recovered: None,
-        })
+        };
+        backend.persist()?;
+        Ok(backend)
     }
 
-    /// Reopens an array previously written by [`FileBackend::create`],
-    /// restoring the failure flags from the marker files.
+    /// Reopens an array previously written by [`FileBackend::create`].
+    /// This is `disks.meta`'s one parser: every field is checked before
+    /// anything is sized from it, and the failed disks and the checkpoint
+    /// it records are the backend's from then on.
     ///
     /// # Errors
     ///
-    /// Returns an error if `shape.meta` is missing or malformed, names a
-    /// zero dimension or a disk larger than the address space
-    /// ([`std::io::ErrorKind::InvalidData`], naming the field), or a disk
-    /// file cannot be opened.
+    /// [`std::io::ErrorKind::InvalidData`], naming the field, if
+    /// `disks.meta` has another version, lacks a field, holds a
+    /// non-number, a zero dimension, a disk larger than the address
+    /// space, a failed or checkpointed disk outside the array, or a
+    /// checkpoint that is not `disks@next_stripe`; the same kind, naming
+    /// the file, for a disk file whose length is not
+    /// `elements_per_disk × element_size`; otherwise the underlying error
+    /// if a file cannot be read or opened.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        let shape = fs::read_to_string(dir.join("shape.meta"))?;
-        let field = |key: &str| -> std::io::Result<usize> {
-            let v = shape
-                .lines()
+        let body = fs::read_to_string(dir.join(DISKS_META))
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{DISKS_META}: {e}")))?;
+        let bad = |msg: String| meta_err(format!("{DISKS_META}: {msg}"));
+        let field = |key: &str| {
+            body.lines()
                 .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| meta_err(format!("shape.meta missing {key}")))?;
-            if v == 0 {
-                return Err(meta_err(format!("shape.meta: field {key}=0 must be positive")));
-            }
-            Ok(v)
+                .map(str::trim)
+                .ok_or_else(|| bad(format!("missing field {key}")))
         };
-        let disks = field("disks")?;
-        let elements_per_disk = field("elements_per_disk")?;
-        let element_size = field("element_size")?;
-        if elements_per_disk.checked_mul(element_size).is_none() {
-            return Err(meta_err(format!(
-                "shape.meta: elements_per_disk={elements_per_disk} × \
-                 element_size={element_size} overflows a disk offset"
+        let num = |key: &str| -> std::io::Result<usize> {
+            let v = field(key)?;
+            v.parse().map_err(|_| bad(format!("field {key}={v:?} is not a number")))
+        };
+        let version = num("version")?;
+        if version != DISKS_META_VERSION {
+            return Err(bad(format!(
+                "unsupported format version {version} \
+                 (this build understands version {DISKS_META_VERSION})"
             )));
         }
+        let disks = num("disks")?;
+        let elements_per_disk = num("elements_per_disk")?;
+        let element_size = num("element_size")?;
+        let len = disk_len(disks, elements_per_disk, element_size).map_err(bad)?;
+        // `d0+d1+…`, each a disk of the array.
+        let disk_list = |v: &str| -> Option<Vec<usize>> {
+            v.split('+').map(|d| d.parse().ok().filter(|&d| d < disks)).collect()
+        };
+        let untrusted = |key: &str, v: &str, form: &str| {
+            bad(format!("field {key}={v:?} is not {form} with disks below {disks}"))
+        };
+        let failed_disks = match field("failed")? {
+            "" => Vec::new(),
+            v => disk_list(v).ok_or_else(|| untrusted("failed", v, "d0+d1+…"))?,
+        };
+        let checkpoint = match field("rebuild_checkpoint")? {
+            "" => None,
+            v => Some(
+                v.split_once('@')
+                    .and_then(|(list, next)| {
+                        Some(RebuildCheckpoint {
+                            disks: disk_list(list)?,
+                            next_stripe: next.parse().ok()?,
+                        })
+                    })
+                    .ok_or_else(|| untrusted("rebuild_checkpoint", v, "d0+d1+…@next_stripe"))?,
+            ),
+        };
         // The counts are read off disk: they bound the loop, never an
         // allocation, so a huge `disks` fails on the first missing file.
         let mut files = Vec::new();
-        let mut failed = Vec::new();
         for disk in 0..disks {
-            files.push(
-                OpenOptions::new().read(true).write(true).open(Self::data_path(&dir, disk))?,
-            );
-            failed.push(Self::failed_path(&dir, disk).exists());
+            let file =
+                OpenOptions::new().read(true).write(true).open(Self::data_path(&dir, disk))?;
+            let got = file.metadata()?.len();
+            if got != len {
+                return Err(meta_err(format!(
+                    "disk-{disk:02}.dat holds {got} bytes, {DISKS_META} gives {len}"
+                )));
+            }
+            files.push(file);
         }
         let mut backend = FileBackend {
             dir,
             element_size,
             elements_per_disk,
             files,
-            failed,
+            failed: (0..disks).map(|d| failed_disks.contains(&d)).collect(),
+            checkpoint,
             recovered: None,
         };
         backend.recover_journal()?;
         Ok(backend)
+    }
+
+    /// Rewrites `disks.meta` whole from the backend's fields, through
+    /// [`replace_file`]: the record's one writer.
+    fn persist(&self) -> std::io::Result<()> {
+        let failed: Vec<String> =
+            (0..self.files.len()).filter(|&d| self.failed[d]).map(|d| d.to_string()).collect();
+        let checkpoint =
+            self.checkpoint.as_ref().map_or_else(String::new, RebuildCheckpoint::encode);
+        let body = format!(
+            "version={DISKS_META_VERSION}\ndisks={}\nelements_per_disk={}\nelement_size={}\n\
+             failed={}\nrebuild_checkpoint={checkpoint}\n",
+            self.files.len(),
+            self.elements_per_disk,
+            self.element_size,
+            failed.join("+"),
+        );
+        replace_file(&self.dir.join(DISKS_META), body.as_bytes())
     }
 
     /// Crash recovery: a leftover `undo.journal` means a multi-element
@@ -315,13 +371,15 @@ impl DiskBackend for FileBackend {
             .map_err(|_| DiskError::Io { disk })
     }
 
+    /// The flag is set even when `disks.meta` cannot be rewritten — the
+    /// disk is dead either way — and the error says a restart would not
+    /// know it.
     fn fail(&mut self, disk: usize) -> Result<(), DiskError> {
         if disk >= self.files.len() {
             return Err(DiskError::NoSuchDisk { disk });
         }
         self.failed[disk] = true;
-        let _ = fs::write(Self::failed_path(&self.dir, disk), b"failed\n");
-        Ok(())
+        self.persist().map_err(record_err)
     }
 
     /// The spare keeps the failed disk's bytes: a rebuild rewrites every
@@ -331,8 +389,7 @@ impl DiskBackend for FileBackend {
             return Err(DiskError::NoSuchDisk { disk });
         }
         self.failed[disk] = false;
-        let _ = fs::remove_file(Self::failed_path(&self.dir, disk));
-        Ok(())
+        self.persist().map_err(record_err)
     }
 
     fn is_failed(&self, disk: usize) -> bool {
@@ -362,25 +419,41 @@ impl DiskBackend for FileBackend {
     }
 
     fn save_checkpoint(&mut self, cp: Option<&RebuildCheckpoint>) -> Result<(), DiskError> {
-        let meta = self.dir.join("volume.meta");
-        let mut body: String = fs::read_to_string(&meta)
-            .unwrap_or_else(|_| String::from("version=1\n"))
-            .lines()
-            .filter(|l| !l.starts_with("rebuild_checkpoint="))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        if let Some(cp) = cp {
-            body.push_str(&format!("rebuild_checkpoint={}\n", cp.encode()));
-        }
-        replace_file(&meta, body.as_bytes())
-            .map_err(|_| DiskError::Sidecar { file: "volume.meta" })
+        self.checkpoint = cp.cloned();
+        self.persist().map_err(record_err)
     }
 
+    /// The checkpoint [`FileBackend::open`] parsed, or the last one saved.
     fn load_checkpoint(&self) -> Option<RebuildCheckpoint> {
-        let body = fs::read_to_string(self.dir.join("volume.meta")).ok()?;
-        let v = body.lines().find_map(|l| l.strip_prefix("rebuild_checkpoint="))?;
-        RebuildCheckpoint::decode(v.trim())
+        self.checkpoint.clone()
     }
+}
+
+/// A `disks.meta` that could not be rewritten: the record, not a disk,
+/// is at fault.
+fn record_err(_: std::io::Error) -> DiskError {
+    DiskError::Sidecar { file: DISKS_META }
+}
+
+/// The byte length of a disk of `elements_per_disk` elements of
+/// `element_size` bytes — the one shape check [`FileBackend::create`] and
+/// [`FileBackend::open`] share: every dimension positive, and no disk
+/// offset past the address space.
+fn disk_len(disks: usize, elements_per_disk: usize, element_size: usize) -> Result<u64, String> {
+    for (key, v) in
+        [("disks", disks), ("elements_per_disk", elements_per_disk), ("element_size", element_size)]
+    {
+        if v == 0 {
+            return Err(format!("field {key}=0 must be positive"));
+        }
+    }
+    let len = elements_per_disk.checked_mul(element_size).ok_or_else(|| {
+        format!(
+            "elements_per_disk={elements_per_disk} × element_size={element_size} \
+             overflows a disk offset"
+        )
+    })?;
+    Ok(len as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -388,27 +461,22 @@ impl DiskBackend for FileBackend {
 // ---------------------------------------------------------------------------
 
 /// The `volume.meta` format version this build reads and writes.
-pub const VOLUME_META_VERSION: usize = 1;
+pub const VOLUME_META_VERSION: usize = 2;
 
-/// Volume-level metadata persisted next to a [`FileBackend`]'s disk files
-/// (`volume.meta`), so `hvraid fsck`/reopen can rebuild the same
-/// code + addressing without re-deriving them from the shape. Also carries
-/// the rebuild checkpoint, so a crash mid-rebuild resumes where it left
-/// off instead of restarting from stripe 0.
+/// What only the volume knows about itself, persisted next to a
+/// [`FileBackend`]'s disk files (`volume.meta`), so `hvraid fsck`/reopen
+/// can rebuild the same code and addressing. The stripe count and element
+/// size are the backend's (`disks.meta`), and so are the failed disks and
+/// the rebuild checkpoint; `hvraid` writes this file once, when it creates
+/// the volume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VolumeMeta {
     /// Code name as registered in the CLI registry (e.g. `"hv"`).
     pub code: String,
     /// The code's prime parameter.
     pub p: usize,
-    /// Stripes in the volume.
-    pub stripes: usize,
-    /// Element size in bytes.
-    pub element_size: usize,
     /// Whether stripe rotation is enabled.
     pub rotate: bool,
-    /// In-flight background rebuild, if one was interrupted.
-    pub rebuild_checkpoint: Option<RebuildCheckpoint>,
 }
 
 fn meta_err(msg: impl Into<String>) -> std::io::Error {
@@ -423,13 +491,10 @@ impl VolumeMeta {
     ///
     /// Returns the underlying I/O error.
     pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
-        let mut body = format!(
-            "version={VOLUME_META_VERSION}\ncode={}\np={}\nstripes={}\nelement_size={}\nrotate={}\n",
-            self.code, self.p, self.stripes, self.element_size, self.rotate
+        let body = format!(
+            "version={VOLUME_META_VERSION}\ncode={}\np={}\nrotate={}\n",
+            self.code, self.p, self.rotate
         );
-        if let Some(cp) = &self.rebuild_checkpoint {
-            body.push_str(&format!("rebuild_checkpoint={}\n", cp.encode()));
-        }
         replace_file(&dir.as_ref().join("volume.meta"), body.as_bytes())
     }
 
@@ -439,9 +504,8 @@ impl VolumeMeta {
     ///
     /// Every malformation gets a descriptive [`std::io::ErrorKind::InvalidData`]
     /// error naming the offending field and value: unknown/future format
-    /// versions, missing fields, non-numeric or out-of-range numbers, a
-    /// `rotate` that is neither `true` nor `false`, and an undecodable
-    /// rebuild checkpoint.
+    /// versions, missing fields, a non-numeric or out-of-range `p`, and a
+    /// `rotate` that is neither `true` nor `false`.
     pub fn load(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let body = fs::read_to_string(dir.as_ref().join("volume.meta"))?;
         let raw = |key: &str| -> Option<String> {
@@ -452,7 +516,7 @@ impl VolumeMeta {
         // Files written before versioning carry no `version` line; they
         // are exactly the version-1 field set, so absence means 1.
         let version = match raw("version") {
-            None => VOLUME_META_VERSION,
+            None => 1,
             Some(v) => v.parse::<usize>().map_err(|_| {
                 meta_err(format!("volume.meta: version {v:?} is not a number"))
             })?,
@@ -466,18 +530,13 @@ impl VolumeMeta {
         let field = |key: &str| -> std::io::Result<String> {
             raw(key).ok_or_else(|| meta_err(format!("volume.meta: missing field {key}")))
         };
-        let num = |key: &str, min: usize| -> std::io::Result<usize> {
-            let v = field(key)?;
-            let n: usize = v.parse().map_err(|_| {
-                meta_err(format!("volume.meta: field {key}={v:?} is not a number"))
-            })?;
-            if n < min {
-                return Err(meta_err(format!(
-                    "volume.meta: field {key}={n} is out of range (minimum {min})"
-                )));
-            }
-            Ok(n)
-        };
+        let p = field("p")?;
+        let p: usize = p
+            .parse()
+            .map_err(|_| meta_err(format!("volume.meta: field p={p:?} is not a number")))?;
+        if p < 2 {
+            return Err(meta_err(format!("volume.meta: field p={p} is out of range (minimum 2)")));
+        }
         let rotate = match field("rotate")?.as_str() {
             "true" => true,
             "false" => false,
@@ -487,21 +546,6 @@ impl VolumeMeta {
                 )))
             }
         };
-        let rebuild_checkpoint = match raw("rebuild_checkpoint") {
-            None => None,
-            Some(v) => Some(RebuildCheckpoint::decode(&v).ok_or_else(|| {
-                meta_err(format!(
-                    "volume.meta: rebuild_checkpoint={v:?} is not disks@next_stripe"
-                ))
-            })?),
-        };
-        Ok(VolumeMeta {
-            code: field("code")?,
-            p: num("p", 2)?,
-            stripes: num("stripes", 1)?,
-            element_size: num("element_size", 1)?,
-            rotate,
-            rebuild_checkpoint,
-        })
+        Ok(VolumeMeta { code: field("code")?, p, rotate })
     }
 }

@@ -7,8 +7,10 @@
 //! reproduction's needs:
 //!
 //! * [`MemBackend`] — RAM-resident, the default for experiments and tests;
-//! * [`FileBackend`] — one file per disk in a directory, real persistence
-//!   for the `hvraid` CLI (plus `volume.meta` so a volume can be reopened);
+//! * [`FileBackend`] — one file per disk in a directory plus one record
+//!   of its shape, failed disks and rebuild checkpoint (`disks.meta`):
+//!   real persistence for the `hvraid` CLI, which adds `volume.meta` so a
+//!   volume can be reopened;
 //! * [`FaultyBackend`] — wraps any backend and injects the full error
 //!   taxonomy at deterministic points: whole-disk death, transient errors,
 //!   latent bad sectors, torn writes, and crash-at-op-K.
@@ -24,8 +26,8 @@
 //! [`DiskBackend::load_checkpoint`]) so an interrupted rebuild resumes
 //! where it left off. Volatile backends ignore both (nothing of theirs
 //! survives a crash anyway); [`FileBackend`] persists the journal as an
-//! fsync-ordered sidecar file and the checkpoint as a line in
-//! `volume.meta`. [`MemBackend`] cannot fail once its targets check out,
+//! fsync-ordered sidecar file and the checkpoint in `disks.meta`.
+//! [`MemBackend`] cannot fail once its targets check out,
 //! so its `write_all` checks them all and then copies each element once,
 //! its [`DiskBackend::lend`] checks an op's sources and then lends
 //! slices of its own storage instead of copying them out, and its
@@ -73,18 +75,6 @@ impl RebuildCheckpoint {
     pub fn encode(&self) -> String {
         let disks: Vec<String> = self.disks.iter().map(|d| d.to_string()).collect();
         format!("{}@{}", disks.join("+"), self.next_stripe)
-    }
-
-    /// Parses the [`RebuildCheckpoint::encode`] form.
-    pub fn decode(s: &str) -> Option<Self> {
-        let (disks, next) = s.split_once('@')?;
-        let disks: Option<Vec<usize>> =
-            disks.split('+').map(|d| d.trim().parse().ok()).collect();
-        let disks = disks?;
-        if disks.is_empty() {
-            return None;
-        }
-        Some(RebuildCheckpoint { disks, next_stripe: next.trim().parse().ok()? })
     }
 }
 
@@ -278,7 +268,9 @@ pub trait DiskBackend: Send {
     ///
     /// # Errors
     ///
-    /// Returns [`DiskError::NoSuchDisk`] for a bad index.
+    /// Returns [`DiskError::NoSuchDisk`] for a bad index, and
+    /// [`DiskError::Sidecar`] if a persistent backend cannot record the
+    /// failure.
     fn fail(&mut self, disk: usize) -> Result<(), DiskError>;
 
     /// Swaps in a spare for `disk`: clears the failure flag. The spare's
@@ -288,7 +280,7 @@ pub trait DiskBackend: Send {
     ///
     /// # Errors
     ///
-    /// Returns [`DiskError::NoSuchDisk`] for a bad index.
+    /// As [`DiskBackend::fail`].
     fn replace(&mut self, disk: usize) -> Result<(), DiskError>;
 
     /// True if `disk` is currently failed.

@@ -1,5 +1,5 @@
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use super::file::{encode_journal, fnv1a64, JOURNAL_MAGIC};
 use super::*;
@@ -86,7 +86,7 @@ fn file_backend_persists_across_reopen() {
         assert_eq!(b.disks(), 3);
         assert_eq!(b.elements_per_disk(), 4);
         assert_eq!(b.element_size(), 8);
-        assert!(b.is_failed(2), "failure marker must survive reopen");
+        assert!(b.is_failed(2), "the failure must survive reopen");
         let mut buf = [0u8; 8];
         b.read(1, 3, &mut buf).unwrap();
         assert_eq!(buf.to_vec(), (0..8u8).collect::<Vec<_>>());
@@ -94,7 +94,7 @@ fn file_backend_persists_across_reopen() {
         assert!(!b.is_failed(2));
     }
     let b = FileBackend::open(&dir).unwrap();
-    assert!(!b.is_failed(2), "replacement must clear the marker");
+    assert!(!b.is_failed(2), "the replacement must survive reopen");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -267,17 +267,26 @@ fn a_sidecar_file_failure_names_the_file_not_a_disk() {
     // A directory where the atomic replace stages its temp file, or where
     // the commit removes the journal, makes each step fail.
     fs::create_dir(dir.join("undo.journal.tmp")).unwrap();
-    fs::create_dir(dir.join("volume.meta.tmp")).unwrap();
+    fs::create_dir(dir.join("disks.meta.tmp")).unwrap();
     let entry = [JournalEntry { disk: 1, index: 0, data: vec![0u8; 16] }];
     let journal = DiskError::Sidecar { file: "undo.journal" };
     assert_eq!(b.journal_begin(&entry), Err(journal));
-    let meta = DiskError::Sidecar { file: "volume.meta" };
+    let record = DiskError::Sidecar { file: "disks.meta" };
     let cp = RebuildCheckpoint { disks: vec![2], next_stripe: 1 };
-    assert_eq!(b.save_checkpoint(Some(&cp)), Err(meta));
+    assert_eq!(b.save_checkpoint(Some(&cp)), Err(record));
+    assert_eq!(b.fail(2), Err(record));
+    assert_eq!(b.replace(2), Err(record));
     fs::create_dir(FileBackend::journal_path(&dir)).unwrap();
     assert_eq!(b.journal_commit(), Err(journal));
     assert_eq!(journal.class(), ErrorClass::Fatal);
     assert_eq!(journal.to_string(), "I/O error on the volume's undo.journal");
+    // Nothing of it reached the record.
+    drop(b);
+    fs::remove_dir(dir.join("disks.meta.tmp")).unwrap();
+    fs::remove_dir(FileBackend::journal_path(&dir)).unwrap();
+    let b = FileBackend::open(&dir).unwrap();
+    assert!(!b.is_failed(2));
+    assert_eq!(b.load_checkpoint(), None);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -307,47 +316,14 @@ fn volume_meta_roundtrip() {
     let dir = std::env::temp_dir().join(format!("hvraid-vm-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    let mut meta = VolumeMeta {
-        code: "hv".into(),
-        p: 7,
-        stripes: 4,
-        element_size: 16,
-        rotate: true,
-        rebuild_checkpoint: None,
-    };
+    let meta = VolumeMeta { code: "hv".into(), p: 7, rotate: true };
     meta.save(&dir).unwrap();
     assert_eq!(VolumeMeta::load(&dir).unwrap(), meta);
-    // The rebuild-checkpoint field round-trips too.
-    meta.rebuild_checkpoint =
-        Some(RebuildCheckpoint { disks: vec![2, 5], next_stripe: 9 });
-    meta.save(&dir).unwrap();
-    assert_eq!(VolumeMeta::load(&dir).unwrap(), meta);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn volume_meta_checkpoint_shared_with_backend_hooks() {
-    // The volume writes volume.meta; the backend's save_checkpoint
-    // edits only the checkpoint line. Both views must agree.
-    let dir = std::env::temp_dir().join(format!("hvraid-vmcp-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let mut b = FileBackend::create(&dir, 4, 4, 8).unwrap();
-    let meta = VolumeMeta {
-        code: "hv".into(),
-        p: 5,
-        stripes: 4,
-        element_size: 8,
-        rotate: false,
-        rebuild_checkpoint: None,
-    };
-    meta.save(&dir).unwrap();
-    let cp = RebuildCheckpoint { disks: vec![1], next_stripe: 3 };
-    b.save_checkpoint(Some(&cp)).unwrap();
-    let loaded = VolumeMeta::load(&dir).unwrap();
-    assert_eq!(loaded.rebuild_checkpoint, Some(cp));
-    assert_eq!(loaded.code, meta.code, "other fields must be preserved");
-    b.save_checkpoint(None).unwrap();
-    assert_eq!(VolumeMeta::load(&dir).unwrap(), meta);
+    assert_eq!(
+        fs::read_to_string(dir.join("volume.meta")).unwrap(),
+        "version=2\ncode=hv\np=7\nrotate=true\n",
+        "the geometry and the checkpoint are the backend's"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -359,30 +335,27 @@ fn volume_meta_rejects_bad_files() {
     let write = |body: &str| fs::write(dir.join("volume.meta"), body).unwrap();
     let load_err = || VolumeMeta::load(&dir).unwrap_err().to_string();
 
-    write("version=2\ncode=hv\np=5\nstripes=4\nelement_size=8\nrotate=true\n");
-    assert!(load_err().contains("unsupported format version 2"), "{}", load_err());
+    write("version=3\ncode=hv\np=5\nrotate=true\n");
+    assert!(load_err().contains("unsupported format version 3"), "{}", load_err());
 
-    write("version=1\ncode=hv\np=banana\nstripes=4\nelement_size=8\nrotate=true\n");
+    // A version-1 directory, and one from before versioning, are refused
+    // rather than read without their geometry.
+    write("version=1\ncode=hv\np=5\nstripes=4\nelement_size=8\nrotate=true\n");
+    assert!(load_err().contains("volume.meta: unsupported format version 1"), "{}", load_err());
+    write("code=hv\np=5\nstripes=4\nelement_size=8\nrotate=true\n");
+    assert!(load_err().contains("unsupported format version 1"), "{}", load_err());
+
+    write("version=2\ncode=hv\np=banana\nrotate=true\n");
     assert!(load_err().contains("p=\"banana\""), "{}", load_err());
 
-    write("version=1\ncode=hv\np=0\nstripes=4\nelement_size=8\nrotate=true\n");
+    write("version=2\ncode=hv\np=0\nrotate=true\n");
     assert!(load_err().contains("out of range"), "{}", load_err());
 
-    write("version=1\ncode=hv\np=5\nstripes=4\nelement_size=8\nrotate=maybe\n");
+    write("version=2\ncode=hv\np=5\nrotate=maybe\n");
     assert!(load_err().contains("must be true or false"), "{}", load_err());
 
-    write("version=1\ncode=hv\np=5\nstripes=4\nelement_size=8\n");
+    write("version=2\ncode=hv\np=5\n");
     assert!(load_err().contains("missing field rotate"), "{}", load_err());
-
-    write(
-        "version=1\ncode=hv\np=5\nstripes=4\nelement_size=8\nrotate=true\n\
-         rebuild_checkpoint=oops\n",
-    );
-    assert!(load_err().contains("rebuild_checkpoint"), "{}", load_err());
-
-    // Legacy pre-versioning files (no version line) still load.
-    write("code=hv\np=5\nstripes=4\nelement_size=8\nrotate=true\n");
-    assert!(VolumeMeta::load(&dir).is_ok());
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -394,38 +367,102 @@ fn damaged_fixture(tag: &str) -> PathBuf {
     dir
 }
 
+/// Rewrites `dir`'s `disks.meta` with `from` replaced by `to`.
+fn edit_record(dir: &Path, from: &str, to: &str) {
+    let body = fs::read_to_string(dir.join("disks.meta")).unwrap();
+    assert!(body.contains(from), "{body}");
+    fs::write(dir.join("disks.meta"), body.replacen(from, to, 1)).unwrap();
+}
+
 #[test]
-fn open_refuses_a_zero_dimension_in_shape_meta() {
-    let dir = damaged_fixture("zero");
-    for (key, shape) in [
-        ("disks", "disks=0\nelements_per_disk=8\nelement_size=16\n"),
-        ("elements_per_disk", "disks=4\nelements_per_disk=0\nelement_size=16\n"),
-        ("element_size", "disks=4\nelements_per_disk=8\nelement_size=0\n"),
-    ] {
-        fs::write(dir.join("shape.meta"), shape).unwrap();
-        let err = FileBackend::open(&dir).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{key}: {err}");
-        assert!(err.to_string().contains(&format!("{key}=0")), "{err}");
-    }
+fn the_record_holds_the_shape_failures_and_checkpoint_and_nothing_else_is_written() {
+    let dir = damaged_fixture("record");
+    let mut b = FileBackend::open(&dir).unwrap();
+    b.fail(3).unwrap();
+    b.fail(1).unwrap();
+    b.save_checkpoint(Some(&RebuildCheckpoint { disks: vec![1], next_stripe: 5 })).unwrap();
+    assert_eq!(
+        fs::read_to_string(dir.join("disks.meta")).unwrap(),
+        "version=1\ndisks=4\nelements_per_disk=8\nelement_size=16\nfailed=1+3\n\
+         rebuild_checkpoint=1@5\n"
+    );
+    let mut names: Vec<String> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["disk-00.dat", "disk-01.dat", "disk-02.dat", "disk-03.dat", "disks.meta"]);
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn open_sizes_nothing_from_shape_meta_disks() {
+fn open_refuses_a_zero_dimension_in_disks_meta() {
+    for (key, value) in [("disks", 4), ("elements_per_disk", 8), ("element_size", 16)] {
+        let dir = damaged_fixture("zero");
+        edit_record(&dir, &format!("\n{key}={value}\n"), &format!("\n{key}=0\n"));
+        let err = FileBackend::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{key}: {err}");
+        assert!(err.to_string().contains(&format!("disks.meta: field {key}=0")), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn open_sizes_nothing_from_disks_meta() {
     let dir = damaged_fixture("huge");
-    fs::write(dir.join("shape.meta"), "disks=1000000000000\nelements_per_disk=8\nelement_size=16\n")
-        .unwrap();
+    edit_record(&dir, "disks=4", "disks=1000000000000");
     // Disks 0–3 exist; disk 4 does not, and that is the whole cost.
     let err = FileBackend::open(&dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
-    fs::write(
-        dir.join("shape.meta"),
-        format!("disks=4\nelements_per_disk={}\nelement_size=16\n", usize::MAX / 8),
-    )
-    .unwrap();
+    edit_record(&dir, "disks=1000000000000\nelements_per_disk=8", &format!(
+        "disks=4\nelements_per_disk={}", usize::MAX / 8
+    ));
     let err = FileBackend::open(&dir).unwrap_err();
     assert!(err.to_string().contains("overflows"), "{err}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn open_refuses_a_field_it_cannot_trust_naming_it() {
+    for (from, to, named) in [
+        ("rebuild_checkpoint=", "rebuild_checkpoint=1?1", "rebuild_checkpoint=\"1?1\""),
+        ("rebuild_checkpoint=", "rebuild_checkpoint=4@0", "rebuild_checkpoint=\"4@0\""),
+        ("failed=", "failed=1+9", "failed=\"1+9\""),
+        ("failed=\n", "", "missing field failed"),
+        ("version=1", "version=2", "unsupported format version 2"),
+        ("elements_per_disk=8", "elements_per_disk=4", "disk-00.dat holds 128 bytes"),
+    ] {
+        let dir = damaged_fixture("distrust");
+        edit_record(&dir, from, to);
+        let err = FileBackend::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{to}: {err}");
+        assert!(err.to_string().contains(named), "{to}: {err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+    // A directory without the record — one written before it existed —
+    // is refused, naming the file.
+    let dir = damaged_fixture("no-record");
+    fs::remove_file(dir.join("disks.meta")).unwrap();
+    let err = FileBackend::open(&dir).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    assert!(err.to_string().starts_with("disks.meta: "), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn create_refuses_a_shape_it_cannot_size() {
+    let dir = std::env::temp_dir().join(format!("hvraid-badshape-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    for (disks, epd, es, named) in [
+        (0, 8, 16, "disks=0"),
+        (4, 0, 16, "elements_per_disk=0"),
+        (4, usize::MAX / 8, 16, "overflows"),
+    ] {
+        let err = FileBackend::create(&dir, disks, epd, es).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(named), "{err}");
+    }
+    assert!(!dir.exists(), "refused before anything is created");
 }
 
 #[test]

@@ -51,8 +51,9 @@ pub enum DiskError {
     /// The whole backend is gone mid-operation (simulated process crash):
     /// nothing further can be served until the volume is reopened.
     Crashed,
-    /// A volume-level sidecar file — the undo journal or `volume.meta` —
-    /// could not be written or removed. No disk is at fault.
+    /// A volume-level sidecar file — the undo journal or the record of
+    /// failed disks and rebuild checkpoint, `disks.meta` — could not be
+    /// written or removed. No disk is at fault.
     Sidecar {
         /// The file's name inside the volume directory.
         file: &'static str,

@@ -17,14 +17,13 @@ impl RaidVolume {
     /// rebuilt) and *not* restarting at stripe 0. The one exception: a
     /// disk the checkpoint names that the backend still reports failed
     /// (crash fell between checkpoint-write and spare-swap, which implies
-    /// `next_stripe == 0`) gets its spare now.
+    /// `next_stripe == 0`) gets its spare now. A checkpoint naming a disk
+    /// or a stripe the volume does not have is refused, not dropped: the
+    /// disks it names may hold invalid data, and nothing says which.
     pub(super) fn resume_rebuild_checkpoint(&mut self) -> Result<(), VolumeError> {
         let Some(cp) = self.pipeline.backend().load_checkpoint() else { return Ok(()) };
         if cp.disks.iter().any(|&d| d >= self.disks()) || cp.next_stripe > self.shape.stripes {
-            // A checkpoint for a different geometry: drop it rather than
-            // scribble on the wrong disks.
-            self.pipeline.backend_mut().save_checkpoint(None)?;
-            return Ok(());
+            return Err(VolumeError::CheckpointOutOfRange(cp));
         }
         for &d in &cp.disks {
             if self.pipeline.backend().is_failed(d) {
@@ -43,18 +42,18 @@ impl RaidVolume {
     ///
     /// # Errors
     ///
-    /// Returns [`VolumeError`] if the disk does not exist or a third disk
-    /// would be failed.
+    /// Returns [`VolumeError`] if the disk does not exist, a third disk
+    /// would be failed, or the backend cannot record the failure
+    /// ([`DiskError::Sidecar`]; the volume's failed set is then unchanged).
     pub fn fail_disk(&mut self, disk: usize) -> Result<(), VolumeError> {
         if disk >= self.disks() {
             return Err(VolumeError::NoSuchDisk { disk });
         }
-        self.healing.failed.insert(disk);
-        if self.healing.failed.len() > 2 {
-            self.healing.failed.remove(&disk);
+        if self.healing.failed.len() >= 2 && !self.healing.failed.contains(&disk) {
             return Err(VolumeError::TooManyFailures { failed: 3 });
         }
         self.pipeline.backend_mut().fail(disk)?;
+        self.healing.failed.insert(disk);
         self.after_failure();
         Ok(())
     }
@@ -156,7 +155,9 @@ impl RaidVolume {
 
     /// Records a failure the backend reported on its own (e.g. a
     /// [`crate::backend::FaultyBackend`] fault) so the operation can be
-    /// replanned degraded. Errors if the failure is not survivable.
+    /// replanned degraded. Errors if the failure is not survivable, or if
+    /// the backend cannot record it: a restart would not know the disk is
+    /// dead, so nothing may be stored degraded around it.
     fn adopt_failure(&mut self, disk: usize, source: DiskError) -> Result<(), VolumeError> {
         if disk >= self.disks() {
             return Err(VolumeError::Backend(source));
@@ -178,8 +179,8 @@ impl RaidVolume {
         if self.healing.failed.len() >= 2 {
             return Err(VolumeError::TooManyFailures { failed: self.healing.failed.len() + 1 });
         }
+        self.pipeline.backend_mut().fail(disk)?;
         self.healing.failed.insert(disk);
-        let _ = self.pipeline.backend_mut().fail(disk);
         self.after_failure();
         Ok(())
     }

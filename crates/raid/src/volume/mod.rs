@@ -97,6 +97,9 @@ pub enum VolumeError {
     },
     /// The backend rejected a request.
     Backend(DiskError),
+    /// The backend's rebuild checkpoint names a disk or a stripe the
+    /// volume does not have.
+    CheckpointOutOfRange(RebuildCheckpoint),
     /// The backend's shape does not fit the volume.
     BackendMismatch {
         /// The mismatched dimension.
@@ -131,6 +134,9 @@ impl fmt::Display for VolumeError {
                 write!(f, "spare pool exhausted: {failed} failed disks uncovered, {spares} spares")
             }
             VolumeError::Backend(e) => write!(f, "backend: {e}"),
+            VolumeError::CheckpointOutOfRange(cp) => {
+                write!(f, "rebuild checkpoint {} is outside the volume", cp.encode())
+            }
             VolumeError::BackendMismatch { what, expected, got } => {
                 write!(f, "backend {what} is {got}, volume needs {expected}")
             }
@@ -281,9 +287,10 @@ impl RaidVolume {
     ///
     /// # Errors
     ///
-    /// Returns [`VolumeError::BackendMismatch`] on shape mismatches, or
+    /// Returns [`VolumeError::BackendMismatch`] on shape mismatches,
     /// [`VolumeError::TooManyFailures`] if the backend reports more than
-    /// two failed disks.
+    /// two failed disks, or [`VolumeError::CheckpointOutOfRange`] if its
+    /// rebuild checkpoint does not fit the volume.
     ///
     /// # Panics
     ///
@@ -312,7 +319,7 @@ impl RaidVolume {
                 got: backend.element_size(),
             });
         }
-        // `stripes` may come off disk (`volume.meta`): no overflow panic.
+        // A caller's `stripes` may be anything: no overflow panic.
         let per_disk = stripes.saturating_mul(layout.rows());
         if backend.elements_per_disk() != per_disk {
             return Err(VolumeError::BackendMismatch {

@@ -645,6 +645,122 @@ fn crash_interrupted_rebuild_resumes_from_checkpoint() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An HV p = 5, 4-stripe, 16 B volume on a fresh file backend under a
+/// temp dir named `tag`, with its whole data space written; and that data.
+fn file_volume(tag: &str, faulty: bool) -> (std::path::PathBuf, RaidVolume, Vec<u8>) {
+    use crate::backend::{FaultyBackend, FileBackend};
+    let dir = std::env::temp_dir().join(format!("hvraid-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let code: Arc<dyn ArrayCode> = Arc::new(HvCode::new(5).unwrap());
+    let be = FileBackend::create(&dir, code.layout().cols(), 4 * code.layout().rows(), 16)
+        .unwrap();
+    let be: Box<dyn DiskBackend> =
+        if faulty { Box::new(FaultyBackend::new(Box::new(be), Vec::new())) } else { Box::new(be) };
+    let mut v = RaidVolume::new(code, 4, 16, be).unwrap();
+    let data = pattern(v.data_elements() * 16, 41);
+    v.write(0, &data).unwrap();
+    (dir, v, data)
+}
+
+/// The volume in `dir` reopened as [`file_volume`] made it.
+fn reopen_file_volume(dir: &std::path::Path) -> Result<RaidVolume, VolumeError> {
+    let be = crate::backend::FileBackend::open(dir).unwrap();
+    RaidVolume::new(Arc::new(HvCode::new(5).unwrap()), 4, 16, Box::new(be))
+}
+
+/// [`file_volume`] left mid-rebuild of disk 1, its checkpoint at stripe
+/// 1, as a crash would leave it.
+fn crashed_mid_rebuild(tag: &str) -> (std::path::PathBuf, Vec<u8>) {
+    let (dir, mut v, data) = file_volume(tag, false);
+    v.fail_disk(1).unwrap();
+    v.set_spares(1);
+    v.maintain(1).unwrap();
+    assert_eq!(v.rebuild_progress(), Some(RebuildCheckpoint { disks: vec![1], next_stripe: 1 }));
+    drop(v);
+    (dir, data)
+}
+
+#[test]
+fn a_garbled_checkpoint_refuses_open_naming_the_field() {
+    use std::io::{Seek, SeekFrom, Write};
+    let (dir, _) = crashed_mid_rebuild("garbled-cp");
+    let record = std::fs::read_to_string(dir.join("disks.meta")).unwrap();
+    assert!(record.contains("rebuild_checkpoint=1@1\n"), "{record}");
+    std::fs::write(dir.join("disks.meta"), record.replace("1@1", "1?1")).unwrap();
+    // The spare past the frontier holds garbage: trusting it loses data.
+    let rows = HvCode::new(5).unwrap().layout().rows();
+    let mut spare =
+        std::fs::OpenOptions::new().write(true).open(dir.join("disk-01.dat")).unwrap();
+    spare.seek(SeekFrom::Start((rows * 16) as u64)).unwrap();
+    spare.write_all(&vec![0xA5; 3 * rows * 16]).unwrap();
+    let err = crate::backend::FileBackend::open(&dir).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("rebuild_checkpoint=\"1?1\""), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_checkpoint_outside_the_volume_is_refused_not_dropped() {
+    let (dir, data) = crashed_mid_rebuild("forged-cp");
+    let record = std::fs::read_to_string(dir.join("disks.meta")).unwrap();
+    std::fs::write(dir.join("disks.meta"), record.replace("1@1", "1@999")).unwrap();
+    let forged = RebuildCheckpoint { disks: vec![1], next_stripe: 999 };
+    assert_eq!(reopen_file_volume(&dir).unwrap_err(), VolumeError::CheckpointOutOfRange(forged));
+    // Refused, not deleted: the true frontier still resumes.
+    std::fs::write(dir.join("disks.meta"), record).unwrap();
+    let mut v = reopen_file_volume(&dir).unwrap();
+    assert_eq!(v.rebuild_progress().map(|cp| cp.next_stripe), Some(1));
+    v.rebuild().unwrap();
+    assert_eq!(v.read(0, v.data_elements()).unwrap().0, data);
+    drop(v);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_failure_that_cannot_be_recorded_fails_and_a_restart_keeps_the_bytes() {
+    let (dir, mut v, data) = file_volume("unrecorded-fail", false);
+    std::fs::create_dir(dir.join("disks.meta.tmp")).unwrap();
+    let unrecorded = VolumeError::Backend(DiskError::Sidecar { file: "disks.meta" });
+    assert_eq!(v.fail_disk(1), Err(unrecorded.clone()));
+    assert!(v.failed_disks().is_empty(), "the volume adopted an unrecorded failure");
+    // The disk is dead to this process all the same: a write that meets
+    // it cannot record it either, and stores nothing degraded.
+    let newer = pattern(data.len(), 99);
+    assert_eq!(v.write(0, &newer).map(drop), Err(unrecorded));
+    drop(v);
+    std::fs::remove_dir(dir.join("disks.meta.tmp")).unwrap();
+    let mut v = reopen_file_volume(&dir).unwrap();
+    assert!(v.failed_disks().is_empty());
+    assert!(v.verify_all());
+    assert_eq!(v.read(0, v.data_elements()).unwrap().0, data);
+    drop(v);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_adopted_failure_that_cannot_be_recorded_fails_the_op() {
+    use crate::backend::Fault;
+    let (dir, mut v, data) = file_volume("unrecorded-adopt", true);
+    std::fs::create_dir(dir.join("disks.meta.tmp")).unwrap();
+    v.backend_faulty_mut().unwrap().inject(Fault::Dead { disk: 1 });
+    let newer = pattern(data.len(), 99);
+    assert_eq!(
+        v.write(0, &newer).map(drop),
+        Err(VolumeError::Backend(DiskError::Sidecar { file: "disks.meta" }))
+    );
+    assert!(v.failed_disks().is_empty());
+    // Once the record can be written, the next op adopts the failure.
+    std::fs::remove_dir(dir.join("disks.meta.tmp")).unwrap();
+    v.write(0, &newer).unwrap();
+    assert_eq!(v.failed_disks(), vec![1]);
+    drop(v);
+    let mut v = reopen_file_volume(&dir).unwrap();
+    assert_eq!(v.failed_disks(), vec![1], "the restart knows the disk is dead");
+    assert_eq!(v.read(0, v.data_elements()).unwrap().0, newer);
+    drop(v);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn cached_writes_coalesce_parity_io() {
     // N separate writes into one stripe: uncached pays N parity

@@ -654,7 +654,7 @@ fn file_backend_persists_across_reopen() {
     v.fail_disk(2).unwrap();
     drop(v);
 
-    // Reopen: geometry, contents, and the failure marker all survive.
+    // Reopen: geometry, contents, and the recorded failure all survive.
     let dir = std::env::temp_dir().join(format!("hvraid_conformance_{label}"));
     let backend = FileBackend::open(&dir).unwrap();
     let mut v = RaidVolume::new(Arc::clone(&code), STRIPES, ELEMENT, Box::new(backend)).unwrap();

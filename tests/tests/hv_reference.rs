@@ -1,8 +1,12 @@
 //! Cross-validation of HV Code's specialized paths against the generic
 //! reference machinery — the "fast path must equal slow path" contract.
 
+use std::collections::HashMap;
+
 use hv_code::HvCode;
-use raid_core::{decoder, schedule, ArrayCode, Cell, Stripe};
+use integration::all_codes;
+use raid_core::xplan::PlanCell;
+use raid_core::{decoder, schedule, ArrayCode, Cell, Stripe, XorPlan};
 
 #[test]
 fn algorithm1_equals_generic_decoder_bytes() {
@@ -61,6 +65,100 @@ fn algorithm1_parallelism_matches_scheduler() {
                 alg1.sort();
                 peel.sort();
                 assert_eq!(alg1, peel, "p={p} ({f1},{f2})");
+            }
+        }
+    }
+}
+
+/// The op dependency graph of `program`: an op depends on the op that
+/// last wrote a buffer it reads. Returns its connected components, each
+/// as the grid cells its ops produce in execution order, and its longest
+/// path counted in grid cells (a scratch temp is a step inside a chain,
+/// not an element of it).
+fn op_components(program: &XorPlan) -> (Vec<Vec<Cell>>, usize) {
+    let n = program.num_ops();
+    let mut root: Vec<usize> = (0..n).collect();
+    fn find(root: &mut [usize], mut i: usize) -> usize {
+        while root[i] != i {
+            root[i] = root[root[i]];
+            i = root[i];
+        }
+        i
+    }
+    let (mut writer, mut depth) = (HashMap::new(), HashMap::new());
+    let mut longest = 0;
+    for (i, step) in program.step_views().enumerate() {
+        let mut d = 0;
+        for s in step.srcs {
+            if let Some(&w) = writer.get(s) {
+                let (a, b) = (find(&mut root, i), find(&mut root, w));
+                root[a] = b;
+                d = d.max(depth[s]);
+            }
+        }
+        if let PlanCell::Grid(_) = program.plan_cell(step.dst) {
+            d += 1;
+            longest = longest.max(d);
+        }
+        writer.insert(step.dst, i);
+        depth.insert(step.dst, d);
+    }
+    let mut components: Vec<Vec<Cell>> = Vec::new();
+    let mut slot = HashMap::new();
+    for (i, step) in program.step_views().enumerate() {
+        let r = find(&mut root, i);
+        let k = *slot.entry(r).or_insert_with(|| {
+            components.push(Vec::new());
+            components.len() - 1
+        });
+        if let PlanCell::Grid(cell) = program.plan_cell(step.dst) {
+            components[k].push(cell);
+        }
+    }
+    (components, longest)
+}
+
+/// The program a double rebuild runs, `Layout::column_program`, has Fig.
+/// 9(b)'s structure: its longest path is the peel's `Lc` for every code,
+/// and for every code but EVENODD and Liberation its components are the
+/// peel's chains. Those two are outside Fig. 9(b): their programs share
+/// XOR subexpressions (EVENODD's adjuster, Liberation's dense decode)
+/// between cells the peel solves independently, and EVENODD's peel is not
+/// a union of paths, so components undercount their chains. For HV the
+/// components are Algorithm 1's four chains, cell for cell.
+#[test]
+fn the_executed_double_rebuild_has_fig9b_chains() {
+    for p in [5usize, 7, 13] {
+        let hv = HvCode::new(p).unwrap();
+        for code in all_codes(p) {
+            let layout = code.layout();
+            let n = layout.cols();
+            let shares_subexpressions = ["EVENODD", "Liberation"].contains(&code.name());
+            for f1 in 0..n {
+                for f2 in (f1 + 1)..n {
+                    let ctx = format!("{} p={p} ({f1},{f2})", code.name());
+                    let program = layout.column_program(&[f1, f2]).unwrap();
+                    let (mut components, longest) = op_components(&program);
+                    let sched = schedule::double_failure_schedule(layout, f1, f2).unwrap();
+                    assert_eq!(longest, sched.longest_chain, "{ctx}");
+                    if !shares_subexpressions {
+                        assert_eq!(components.len(), sched.num_chains, "{ctx}");
+                    }
+                    if code.name() != hv.name() {
+                        continue;
+                    }
+                    // Both sides sorted by start cell, as above.
+                    let mut alg1: Vec<Vec<Cell>> = hv
+                        .double_recovery_plan(f1, f2)
+                        .unwrap()
+                        .chains()
+                        .iter()
+                        .map(|chain| chain.iter().map(|step| step.cell).collect())
+                        .collect();
+                    alg1.sort();
+                    components.sort();
+                    assert_eq!(components, alg1, "{ctx}");
+                }
             }
         }
     }
