@@ -42,29 +42,8 @@ impl EvenOddCode {
     ///
     /// Returns [`CodeError`] if `p` is not prime.
     pub fn new(p: usize) -> Result<Self, CodeError> {
-        Self::with_data_disks(p, p)
-    }
-
-    /// Builds a **shortened** EVENODD array with `data_disks ≤ p` data
-    /// disks: the missing data columns are imagined all-zero and drop out
-    /// of every chain (including the S adjuster diagonal), preserving the
-    /// MDS property — how EVENODD supports arbitrary widths in practice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError`] if `p` is not prime or `data_disks` is zero or
-    /// exceeds `p`.
-    pub fn with_data_disks(p: usize, data_disks: usize) -> Result<Self, CodeError> {
         let prime = Prime::new(p)?;
-        if data_disks == 0 || data_disks > p {
-            return Err(CodeError::TooSmall { p, min: 3 });
-        }
-        Ok(EvenOddCode { p: prime, layout: build_layout(prime, data_disks) })
-    }
-
-    /// Number of data disks (equals `p` unless shortened).
-    pub fn data_disks(&self) -> usize {
-        self.layout.cols() - 2
+        Ok(EvenOddCode { p: prime, layout: build_layout(prime) })
     }
 }
 
@@ -82,11 +61,11 @@ impl ArrayCode for EvenOddCode {
     }
 }
 
-fn build_layout(p: Prime, data_disks: usize) -> Layout {
+fn build_layout(p: Prime) -> Layout {
     let pv = p.get();
     let rows = pv - 1;
-    let cols = data_disks + 2;
-    let (rp_col, dp_col) = (data_disks, data_disks + 1);
+    let cols = pv + 2;
+    let (rp_col, dp_col) = (pv, pv + 1);
 
     let mut kinds = vec![ElementKind::Data; rows * cols];
     for r in 0..rows {
@@ -94,10 +73,9 @@ fn build_layout(p: Prime, data_disks: usize) -> Layout {
         kinds[Cell::new(r, dp_col).index(cols)] = ElementKind::Parity(ParityClass::Diagonal);
     }
 
-    // Cells of diagonal `d` among the *present* data columns (virtual
-    // columns data_disks..p−1 are all-zero and dropped).
+    // Cells of diagonal `d`: (r + c) mod p = d over the data columns.
     let diag_cells = |d: usize| -> Vec<Cell> {
-        (0..data_disks)
+        (0..pv)
             .filter_map(|c| {
                 let r = (d + pv - c) % pv;
                 (r < rows).then_some(Cell::new(r, c))
@@ -111,7 +89,7 @@ fn build_layout(p: Prime, data_disks: usize) -> Layout {
         chains.push(Chain {
             class: ParityClass::Horizontal,
             parity: Cell::new(r, rp_col),
-            members: (0..data_disks).map(|c| Cell::new(r, c)).collect(),
+            members: (0..pv).map(|c| Cell::new(r, c)).collect(),
         });
     }
     for d in 0..rows {
@@ -184,18 +162,5 @@ mod tests {
         for p in [3usize, 5, 7, 11] {
             assert_raid6_code(&EvenOddCode::new(p).unwrap());
         }
-    }
-
-    #[test]
-    fn shortened_arrays_stay_mds() {
-        for p in [5usize, 7] {
-            for d in 1..=p {
-                let code = EvenOddCode::with_data_disks(p, d).unwrap();
-                assert_eq!(code.disks(), d + 2, "p={p} d={d}");
-                assert_raid6_code(&code);
-            }
-        }
-        assert!(EvenOddCode::with_data_disks(7, 0).is_err());
-        assert!(EvenOddCode::with_data_disks(7, 8).is_err());
     }
 }

@@ -13,9 +13,7 @@
 //! * [`hdp::HdpCode`] — HDP (Wu et al., DSN'11), `p − 1` disks,
 //!   horizontal-diagonal + anti-diagonal parity;
 //! * [`pcode::PCode`] — P-Code (Jin et al., ICS'09), `p` disks, vertical
-//!   parity driven by the `i + j ≡ k (mod p)` pairing rule;
-//! * [`liberation::LiberationCode`] — a Liberation-style minimum-density
-//!   bit-matrix code (Plank, FAST'08), `p + 2` disks, packets-as-rows.
+//!   parity driven by the `i + j ≡ k (mod p)` pairing rule.
 //!
 //! Each code implements [`raid_core::ArrayCode`]; the exhaustive MDS tests
 //! in every module and the shared structural checks in `testutil` (test
@@ -30,7 +28,6 @@
 pub mod evenodd;
 pub mod hcode;
 pub mod hdp;
-pub mod liberation;
 pub mod pcode;
 pub mod rdp;
 pub mod xcode;
@@ -41,7 +38,6 @@ pub(crate) mod testutil;
 pub use evenodd::EvenOddCode;
 pub use hcode::HCode;
 pub use hdp::HdpCode;
-pub use liberation::LiberationCode;
 pub use pcode::PCode;
 pub use rdp::RdpCode;
 pub use xcode::XCode;
@@ -62,13 +58,6 @@ pub enum CodeError {
         /// The minimum supported prime.
         min: usize,
     },
-    /// The prime is too large for the code's representation.
-    TooLarge {
-        /// The rejected prime.
-        p: usize,
-        /// The largest supported prime.
-        max: usize,
-    },
 }
 
 impl fmt::Display for CodeError {
@@ -77,9 +66,6 @@ impl fmt::Display for CodeError {
             CodeError::NotPrime(e) => e.fmt(f),
             CodeError::TooSmall { p, min } => {
                 write!(f, "prime {p} too small for this code (minimum {min})")
-            }
-            CodeError::TooLarge { p, max } => {
-                write!(f, "prime {p} too large for this code (maximum {max})")
             }
         }
     }

@@ -50,40 +50,8 @@ impl RdpCode {
     /// Returns [`CodeError`] if `p` is not prime (3 already yields a valid,
     /// if tiny, 4-disk array).
     pub fn new(p: usize) -> Result<Self, CodeError> {
-        Self::with_data_disks(p, p - 1)
-    }
-
-    /// Builds a **shortened** RDP array: `data_disks ≤ p − 1` data disks
-    /// plus the two parity disks. Shortening imagines the missing data
-    /// columns as all-zero (they simply drop out of every chain), which is
-    /// how RDP deployments support arbitrary array widths; the MDS property
-    /// is inherited from the full-width code and re-verified by tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError`] if `p` is not prime or `data_disks` is zero or
-    /// exceeds `p − 1`.
-    pub fn with_data_disks(p: usize, data_disks: usize) -> Result<Self, CodeError> {
         let prime = Prime::new(p)?;
-        if data_disks == 0 || data_disks > p - 1 {
-            return Err(CodeError::TooSmall { p, min: 3 });
-        }
-        Ok(RdpCode { p: prime, layout: build_layout(prime, data_disks) })
-    }
-
-    /// Number of data disks (equals `p − 1` unless shortened).
-    pub fn data_disks(&self) -> usize {
-        self.layout.cols() - 2
-    }
-
-    /// Column of the dedicated row-parity disk.
-    pub fn row_parity_col(&self) -> usize {
-        self.data_disks()
-    }
-
-    /// Column of the dedicated diagonal-parity disk.
-    pub fn diag_parity_col(&self) -> usize {
-        self.data_disks() + 1
+        Ok(RdpCode { p: prime, layout: build_layout(prime) })
     }
 }
 
@@ -101,11 +69,11 @@ impl ArrayCode for RdpCode {
     }
 }
 
-fn build_layout(p: Prime, data_disks: usize) -> Layout {
+fn build_layout(p: Prime) -> Layout {
     let pv = p.get();
     let rows = pv - 1;
-    let cols = data_disks + 2;
-    let (rp_col, dp_col) = (data_disks, data_disks + 1);
+    let cols = pv + 1;
+    let (rp_col, dp_col) = (pv - 1, pv);
 
     let mut kinds = vec![ElementKind::Data; rows * cols];
     for r in 0..rows {
@@ -113,38 +81,22 @@ fn build_layout(p: Prime, data_disks: usize) -> Layout {
         kinds[Cell::new(r, dp_col).index(cols)] = ElementKind::Parity(ParityClass::Diagonal);
     }
 
-    // Physical column of full-width virtual column `v` (virtual data
-    // columns `data_disks..p−1` are all-zero and dropped; the row-parity
-    // column keeps its virtual index p−1 for the diagonal geometry).
-    let physical = |v: usize| -> Option<usize> {
-        if v < data_disks {
-            Some(v)
-        } else if v == pv - 1 {
-            Some(rp_col)
-        } else {
-            None
-        }
-    };
-
     let mut chains = Vec::with_capacity(2 * rows);
-    // Row parity: XOR of the (present) data cells of row r.
+    // Row parity: XOR of the data cells of row r.
     for r in 0..rows {
         chains.push(Chain {
             class: ParityClass::Horizontal,
             parity: Cell::new(r, rp_col),
-            members: (0..data_disks).map(|c| Cell::new(r, c)).collect(),
+            members: (0..rp_col).map(|c| Cell::new(r, c)).collect(),
         });
     }
-    // Diagonal parity: cells with (r + v) mod p = d over virtual columns
-    // 0..p−1 (including the row-parity column at virtual p−1).
+    // Diagonal parity: cells with (r + c) mod p = d over columns 0..p−1,
+    // the row-parity column included.
     for d in 0..rows {
         let members: Vec<Cell> = (0..pv)
-            .filter_map(|v| {
-                let r = (d + pv - v) % pv;
-                if r >= rows {
-                    return None;
-                }
-                physical(v).map(|c| Cell::new(r, c))
+            .filter_map(|c| {
+                let r = (d + pv - c) % pv;
+                (r < rows).then_some(Cell::new(r, c))
             })
             .collect();
         chains.push(Chain {
@@ -177,8 +129,6 @@ mod tests {
         let code = RdpCode::new(5).unwrap();
         assert_eq!(code.disks(), 6);
         assert_eq!(code.rows(), 4);
-        assert_eq!(code.row_parity_col(), 4);
-        assert_eq!(code.diag_parity_col(), 5);
         assert_eq!(invariants::parities_per_column(code.layout()), vec![0, 0, 0, 0, 4, 4]);
         // Paper example: the diagonal chain of E1,6 (1-based) is
         // {E1,1, E4,3, E3,4, E2,5} — 0-based {E[0][0], E[3][2], E[2][3], E[1][4]}.
@@ -221,25 +171,5 @@ mod tests {
         for p in [3usize, 5, 7, 11, 13] {
             assert_raid6_code(&RdpCode::new(p).unwrap());
         }
-    }
-
-    #[test]
-    fn shortened_arrays_stay_mds() {
-        // Every shortened width of the p = 7 and p = 11 arrays.
-        for p in [7usize, 11] {
-            for d in 1..p {
-                let code = RdpCode::with_data_disks(p, d).unwrap();
-                assert_eq!(code.disks(), d + 2, "p={p} d={d}");
-                assert_eq!(code.data_disks(), d);
-                assert_raid6_code(&code);
-            }
-        }
-    }
-
-    #[test]
-    fn shortening_validates_width() {
-        assert!(RdpCode::with_data_disks(7, 0).is_err());
-        assert!(RdpCode::with_data_disks(7, 7).is_err());
-        assert!(RdpCode::with_data_disks(7, 6).is_ok());
     }
 }

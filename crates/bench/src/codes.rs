@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use hv_code::HvCode;
-use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
+use raid_baselines::{EvenOddCode, HCode, HdpCode, PCode, RdpCode, XCode};
 use raid_core::ArrayCode;
 
 /// The five codes of the paper's headline figures, in the paper's plotting
@@ -32,7 +32,6 @@ pub fn extended(p: usize) -> Vec<Arc<dyn ArrayCode>> {
     let mut v = evaluated(p);
     v.push(Arc::new(EvenOddCode::new(p).expect("prime p")));
     v.push(Arc::new(PCode::new(p).expect("prime p")));
-    v.push(Arc::new(LiberationCode::new(p).expect("prime p")));
     v
 }
 
@@ -52,9 +51,8 @@ mod tests {
     #[test]
     fn extended_adds_background_codes() {
         let codes = extended(7);
-        assert_eq!(codes.len(), 8);
+        assert_eq!(codes.len(), 7);
         assert_eq!(codes[5].name(), "EVENODD");
         assert_eq!(codes[6].name(), "P-Code");
-        assert_eq!(codes[7].name(), "Liberation");
     }
 }

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use raid_array::{
-    chaos, replay_write_trace, CacheConfig, ChaosConfig, DiskBackend, DiskProfile, FileBackend,
-    JournalRecovery, MemBackend, RaidVolume, VolumeError, VolumeMeta,
+    chaos, disk_extent, replay_write_trace, CacheConfig, ChaosConfig, DiskBackend, DiskProfile,
+    FileBackend, JournalRecovery, MemBackend, RaidVolume, VolumeError, VolumeMeta,
 };
 use raid_core::plan::update::update_complexity;
 use raid_core::schedule::double_failure_schedule;
@@ -89,7 +89,7 @@ commands:
                                            specification's XOR reads; --journal
                                            itemizes crash-prefix counts
 
-codes: hv rdp evenodd xcode hcode hdp pcode liberation";
+codes: hv rdp evenodd xcode hcode hdp pcode";
 
 /// Dispatches a parsed command line, returning the text to print.
 ///
@@ -283,9 +283,11 @@ fn replay(parsed: &Parsed) -> Result<String, String> {
     let path = parsed.require("trace")?;
     let stripes = parsed.get_positive("stripes", 8)?;
     let cache_stripes = parsed.get_or("cache", 0usize)?;
+    let element = 64;
+    elements_per_disk(&code, stripes, element)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let trace = parse_trace(&text).map_err(|e| e.to_string())?;
-    let mut volume = RaidVolume::in_memory(Arc::clone(&code), stripes, 64);
+    let mut volume = RaidVolume::in_memory(Arc::clone(&code), stripes, element);
     if cache_stripes > 0 {
         volume.enable_cache(CacheConfig {
             max_stripes: cache_stripes,
@@ -327,7 +329,7 @@ fn backend_from(
     element: usize,
 ) -> Result<Box<dyn DiskBackend>, String> {
     let kind = parsed.get_or("backend", "mem".to_string())?;
-    let (disks, per_disk) = (code.layout().cols(), elements_per_disk(code, stripes)?);
+    let (disks, per_disk) = (code.layout().cols(), elements_per_disk(code, stripes, element)?);
     match kind.as_str() {
         "mem" => Ok(Box::new(MemBackend::new(disks, per_disk, element))),
         "file" => {
@@ -340,12 +342,15 @@ fn backend_from(
     }
 }
 
-/// The elements each disk holds for `stripes` stripes of `code`; a count
-/// that overflows is refused, not wrapped.
-fn elements_per_disk(code: &Arc<dyn ArrayCode>, stripes: usize) -> Result<usize, String> {
-    let rows = code.layout().rows();
-    let overflow = || format!("--stripes {stripes} × {rows} rows overflows a disk's elements");
-    stripes.checked_mul(rows).ok_or_else(overflow)
+/// The elements each disk holds for `stripes` stripes of `code` at
+/// `element` bytes an element ([`disk_extent`]); a shape whose elements
+/// or bytes overflow is refused, not wrapped.
+fn elements_per_disk(
+    code: &Arc<dyn ArrayCode>,
+    stripes: usize,
+    element: usize,
+) -> Result<usize, String> {
+    disk_extent(code.layout(), stripes, element).map_err(|e| format!("--stripes {stripes}: {e}"))
 }
 
 /// A deterministic payload for the lifecycle/batch demos.
@@ -502,7 +507,7 @@ fn create_volume(
     stripes: usize,
     element: usize,
 ) -> Result<RaidVolume, String> {
-    let per_disk = elements_per_disk(code, stripes)?;
+    let per_disk = elements_per_disk(code, stripes, element)?;
     let backend = FileBackend::create(dir, code.layout().cols(), per_disk, element)
         .map_err(|e| format!("{dir}: {e}"))?;
     VolumeMeta { code: name.to_string(), p: code.prime().get(), rotate: false }
@@ -690,6 +695,7 @@ fn chaos_campaign(parsed: &Parsed) -> Result<String, String> {
         crash_sweeps: parsed.get_or("sweeps", defaults.crash_sweeps)?,
         cache: parsed.get_or("cache", defaults.cache)?,
     };
+    elements_per_disk(&code, cfg.stripes, cfg.element_size)?;
     let scratch = cfg.dir.clone().filter(|_| !parsed.flags.contains_key("dir"));
     let result = chaos::run(&code, &cfg);
     if let Some(d) = scratch {
@@ -831,7 +837,10 @@ fn serve(parsed: &Parsed) -> Result<String, String> {
     let socket = parsed.require("socket")?;
 
     let volume = match parsed.flags.get("dir") {
-        None => RaidVolume::in_memory(code, stripes, element),
+        None => {
+            elements_per_disk(&code, stripes, element)?;
+            RaidVolume::in_memory(code, stripes, element)
+        }
         Some(dir) if std::path::Path::new(dir).join("volume.meta").exists() => {
             open_volume(dir)?.1.map_err(|e| format!("{dir}: {e}"))?
         }

@@ -42,8 +42,8 @@ use crate::xplan::XorPlan;
 /// A set of buffer indices as packed words — the optimizer's working
 /// representation. Intersection, subset and difference are a handful of
 /// `u64` ops, which is what keeps the greedy sharing search fast on the
-/// large decode plans (EVENODD and Liberation at p = 17 compile to ops
-/// with ~2p sources each). `Ord` is lexicographic on the word vector,
+/// large decode plans (EVENODD at p = 17 compiles to ops with ~2p
+/// sources each). `Ord` is lexicographic on the word vector,
 /// giving the candidate walk a deterministic order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
 struct Mask {

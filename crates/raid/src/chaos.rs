@@ -37,7 +37,7 @@ use crate::backend::{
 };
 use crate::cache::CacheConfig;
 use crate::health::MAX_RETRIES;
-use crate::volume::{RaidVolume, VolumeError};
+use crate::volume::{disk_extent, RaidVolume, VolumeError};
 
 // ---------------------------------------------------------------------------
 // Deterministic PRNG (splitmix64) — no external dependency, identical
@@ -329,7 +329,7 @@ fn run_episode(
     };
     let mut rng = Rng::new(episode_seed(cfg.seed, ep, dir.is_some()));
     let layout = code.layout();
-    let epd = cfg.stripes * layout.rows();
+    let epd = ctx.check(disk_extent(layout, cfg.stripes, cfg.element_size), "size disks")?;
     let ep_dir = dir.map(|d| d.join(format!("ep-{ep:04}")));
     let inner: Box<dyn DiskBackend> = match &ep_dir {
         Some(d) => Box::new(
@@ -715,7 +715,8 @@ fn open_sweep_volume(
     let (cfg, cols) = (ctx.cfg, code.layout().cols());
     let backend = match how {
         Open::Baseline => {
-            FileBackend::create(d, cols, cfg.stripes * code.layout().rows(), cfg.element_size)
+            let per_disk = disk_extent(code.layout(), cfg.stripes, cfg.element_size);
+            FileBackend::create(d, cols, ctx.check(per_disk, "size disks")?, cfg.element_size)
         }
         Open::CrashAt(_) | Open::Recovered => FileBackend::open(d),
     }
@@ -841,6 +842,15 @@ mod tests {
         let report = run(&code(), &cfg).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(report.episodes, 4);
         assert_eq!(report.cache_flushes, 0);
+    }
+
+    #[test]
+    fn a_shape_no_disk_can_hold_fails_the_episode_instead_of_wrapping() {
+        // 2⁶² stripes × 4 rows is 2⁶⁴ elements per disk: 0 once wrapped.
+        let cfg = ChaosConfig { episodes: 1, stripes: 1 << 62, ..Default::default() };
+        let failure = run(&code(), &cfg).unwrap_err();
+        assert_eq!((failure.backend, failure.phase.as_str()), ("mem", "episode 0"));
+        assert!(failure.detail.starts_with("size disks: "), "{failure}");
     }
 
     #[test]

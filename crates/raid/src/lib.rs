@@ -51,4 +51,4 @@ pub use disk::{DiskError, DiskProfile, ErrorClass};
 pub use health::{HealthMonitor, HealthState, RecoveryAction};
 pub use pipeline::{DiskAddr, IoPipeline, LoweredOp};
 pub use replay::{replay_read_patterns, replay_write_trace, ReadReplay, WriteReplay};
-pub use volume::{RaidVolume, VolumeError};
+pub use volume::{disk_extent, RaidVolume, VolumeError};

@@ -410,7 +410,7 @@ mod tests {
     use std::sync::Arc;
 
     use hv_code::HvCode;
-    use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
+    use raid_baselines::{EvenOddCode, HCode, HdpCode, PCode, RdpCode, XCode};
     use raid_core::{ArrayCode, Stripe};
 
     use super::*;
@@ -434,7 +434,6 @@ mod tests {
             Arc::new(HCode::new(p).unwrap()),
             Arc::new(HdpCode::new(p).unwrap()),
             Arc::new(PCode::new(p).unwrap()),
-            Arc::new(LiberationCode::new(p).unwrap()),
         ]
     }
 

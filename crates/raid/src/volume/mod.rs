@@ -32,7 +32,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use raid_core::io::IoLedger;
-use raid_core::{ArrayCode, Cell};
+use raid_core::{ArrayCode, Cell, Layout};
 
 use crate::addr::Addressing;
 use crate::backend::{DiskBackend, FaultyBackend, MemBackend, RebuildCheckpoint};
@@ -100,6 +100,16 @@ pub enum VolumeError {
     /// The backend's rebuild checkpoint names a disk or a stripe the
     /// volume does not have.
     CheckpointOutOfRange(RebuildCheckpoint),
+    /// No disk can hold this shape: a zero dimension, or a disk whose
+    /// element or byte count overflows.
+    BadShape {
+        /// Stripes asked for.
+        stripes: usize,
+        /// Rows per stripe of the code.
+        rows: usize,
+        /// Bytes per element asked for.
+        element_size: usize,
+    },
     /// The backend's shape does not fit the volume.
     BackendMismatch {
         /// The mismatched dimension.
@@ -136,6 +146,16 @@ impl fmt::Display for VolumeError {
             VolumeError::Backend(e) => write!(f, "backend: {e}"),
             VolumeError::CheckpointOutOfRange(cp) => {
                 write!(f, "rebuild checkpoint {} is outside the volume", cp.encode())
+            }
+            VolumeError::BadShape { stripes, rows, element_size } => {
+                let what = if *stripes == 0 || *element_size == 0 {
+                    "has a zero dimension"
+                } else if stripes.checked_mul(*rows).is_none() {
+                    "overflows a disk's elements"
+                } else {
+                    "overflows a disk offset"
+                };
+                write!(f, "{stripes} stripes × {rows} rows × {element_size} B elements {what}")
             }
             VolumeError::BackendMismatch { what, expected, got } => {
                 write!(f, "backend {what} is {got}, volume needs {expected}")
@@ -226,18 +246,37 @@ impl fmt::Debug for RaidVolume {
     }
 }
 
+/// The elements each disk holds for `stripes` stripes of `layout` at
+/// `element_size` bytes an element — the one size check every constructor
+/// and the CLI share, so no backend is sized from a product that wrapped.
+///
+/// # Errors
+///
+/// Returns [`VolumeError::BadShape`] if `stripes` or `element_size` is
+/// zero, or if a disk's elements or bytes overflow: past `isize::MAX`
+/// bytes, no allocation or file offset can address it.
+pub fn disk_extent(
+    layout: &Layout,
+    stripes: usize,
+    element_size: usize,
+) -> Result<usize, VolumeError> {
+    let bad = VolumeError::BadShape { stripes, rows: layout.rows(), element_size };
+    let elements = stripes.checked_mul(layout.rows()).ok_or_else(|| bad.clone())?;
+    match elements.checked_mul(element_size) {
+        Some(bytes) if bytes > 0 && bytes <= isize::MAX as usize => Ok(elements),
+        _ => Err(bad),
+    }
+}
+
 impl RaidVolume {
     /// Creates a volume of `stripes` stripes over the given backend
     /// (no stripe rotation).
     ///
     /// # Errors
     ///
-    /// Returns [`VolumeError::BackendMismatch`] if the backend's shape
+    /// Returns [`VolumeError::BadShape`] if [`disk_extent`] refuses the
+    /// shape, or [`VolumeError::BackendMismatch`] if the backend's shape
     /// does not fit the code and stripe count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes` or `element_size` is zero.
     pub fn new(
         code: Arc<dyn ArrayCode>,
         stripes: usize,
@@ -252,7 +291,7 @@ impl RaidVolume {
     ///
     /// # Panics
     ///
-    /// Panics if `stripes` or `element_size` is zero.
+    /// Panics if [`disk_extent`] refuses the shape.
     pub fn in_memory(code: Arc<dyn ArrayCode>, stripes: usize, element_size: usize) -> Self {
         Self::with_rotation(code, stripes, element_size, false)
     }
@@ -262,18 +301,17 @@ impl RaidVolume {
     ///
     /// # Panics
     ///
-    /// Panics if `stripes` or `element_size` is zero.
+    /// Panics if [`disk_extent`] refuses the shape.
     pub fn with_rotation(
         code: Arc<dyn ArrayCode>,
         stripes: usize,
         element_size: usize,
         rotate: bool,
     ) -> Self {
-        assert!(stripes > 0, "volume needs at least one stripe");
-        assert!(element_size > 0, "element size must be positive");
         let layout = code.layout();
-        let backend =
-            MemBackend::new(layout.cols(), stripes * layout.rows(), element_size);
+        let per_disk = disk_extent(layout, stripes, element_size)
+            .unwrap_or_else(|e| panic!("in-memory volume: {e}"));
+        let backend = MemBackend::new(layout.cols(), per_disk, element_size);
         Self::with_backend(code, stripes, element_size, rotate, Box::new(backend))
             .expect("in-memory backend matches by construction")
     }
@@ -287,14 +325,11 @@ impl RaidVolume {
     ///
     /// # Errors
     ///
-    /// Returns [`VolumeError::BackendMismatch`] on shape mismatches,
+    /// Returns [`VolumeError::BadShape`] if [`disk_extent`] refuses the
+    /// shape, [`VolumeError::BackendMismatch`] on shape mismatches,
     /// [`VolumeError::TooManyFailures`] if the backend reports more than
     /// two failed disks, or [`VolumeError::CheckpointOutOfRange`] if its
     /// rebuild checkpoint does not fit the volume.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes` or `element_size` is zero.
     pub fn with_backend(
         code: Arc<dyn ArrayCode>,
         stripes: usize,
@@ -302,9 +337,8 @@ impl RaidVolume {
         rotate: bool,
         backend: Box<dyn DiskBackend>,
     ) -> Result<Self, VolumeError> {
-        assert!(stripes > 0, "volume needs at least one stripe");
-        assert!(element_size > 0, "element size must be positive");
         let layout = code.layout();
+        let per_disk = disk_extent(layout, stripes, element_size)?;
         if backend.disks() != layout.cols() {
             return Err(VolumeError::BackendMismatch {
                 what: "disk count",
@@ -319,8 +353,6 @@ impl RaidVolume {
                 got: backend.element_size(),
             });
         }
-        // A caller's `stripes` may be anything: no overflow panic.
-        let per_disk = stripes.saturating_mul(layout.rows());
         if backend.elements_per_disk() != per_disk {
             return Err(VolumeError::BackendMismatch {
                 what: "elements per disk",

@@ -1,5 +1,5 @@
 use hv_code::HvCode;
-use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
+use raid_baselines::{EvenOddCode, HCode, HdpCode, PCode, RdpCode, XCode};
 use raid_core::scrub::ScrubReport;
 
 use super::*;
@@ -285,7 +285,6 @@ fn registry(p: usize) -> Vec<Arc<dyn ArrayCode>> {
         Arc::new(HCode::new(p).unwrap()),
         Arc::new(HdpCode::new(p).unwrap()),
         Arc::new(PCode::new(p).unwrap()),
-        Arc::new(LiberationCode::new(p).unwrap()),
     ]
 }
 
@@ -818,7 +817,6 @@ fn cached_writes_coalesce_parity_io() {
             Arc::new(HCode::new(p).unwrap()),
             Arc::new(HdpCode::new(p).unwrap()),
             Arc::new(PCode::new(p).unwrap()),
-            Arc::new(LiberationCode::new(p).unwrap()),
         ];
         for code in codes {
             for failures in [&[][..], &[1], &[0, 2]] {

@@ -47,8 +47,7 @@ use raid_core::XorPlan;
 use report::{diff_expectation, paper_expectation, CodeMetrics, CodeReport};
 
 /// Codes the analyzer (and the CLI, which delegates here) knows.
-pub const CODE_NAMES: [&str; 8] =
-    ["hv", "rdp", "evenodd", "xcode", "hcode", "hdp", "pcode", "liberation"];
+pub const CODE_NAMES: [&str; 7] = ["hv", "rdp", "evenodd", "xcode", "hcode", "hdp", "pcode"];
 
 /// The primes every code is verified at by [`check_all`]; matches the
 /// paper's evaluation range.
@@ -59,12 +58,12 @@ pub const DEFAULT_PRIMES: [usize; 5] = [5, 7, 11, 13, 17];
 /// A stripe write runs over a double-height scratch (`2 × rows` by
 /// `cols`), and the scratch lends its cells through a slot table of
 /// `u16`s, which holds fewer than `u16::MAX` cells. The widest registered
-/// grid is Liberation's `p` rows by `p + 2` disks, and `2p(p + 2)` stays
-/// below `u16::MAX` up to `p = 180`.
+/// grid is EVENODD's `p − 1` rows by `p + 2` disks, and `2(p − 1)(p + 2)`
+/// stays below `u16::MAX` up to `p = 180`.
 pub const MAX_P: usize = 180;
 
-const _: () = assert!(2 * MAX_P * (MAX_P + 2) < u16::MAX as usize);
-const _: () = assert!(2 * (MAX_P + 1) * (MAX_P + 3) >= u16::MAX as usize);
+const _: () = assert!(2 * (MAX_P - 1) * (MAX_P + 2) < u16::MAX as usize);
+const _: () = assert!(2 * MAX_P * (MAX_P + 3) >= u16::MAX as usize);
 
 /// Builds a registered code by name.
 ///
@@ -75,7 +74,7 @@ const _: () = assert!(2 * (MAX_P + 1) * (MAX_P + 3) >= u16::MAX as usize);
 /// from it.
 pub fn build(name: &str, p: usize) -> Result<Arc<dyn ArrayCode>, String> {
     use hv_code::HvCode;
-    use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
+    use raid_baselines::{EvenOddCode, HCode, HdpCode, PCode, RdpCode, XCode};
     let err = |e: &dyn std::fmt::Display| format!("cannot build {name} at p={p}: {e}");
     if p > MAX_P {
         return Err(err(&format!("p above {MAX_P}, the largest a volume can address")));
@@ -88,9 +87,6 @@ pub fn build(name: &str, p: usize) -> Result<Arc<dyn ArrayCode>, String> {
         "hcode" => HCode::new(p).map(|c| Arc::new(c) as _).map_err(|e| err(&e)),
         "hdp" => HdpCode::new(p).map(|c| Arc::new(c) as _).map_err(|e| err(&e)),
         "pcode" => PCode::new(p).map(|c| Arc::new(c) as _).map_err(|e| err(&e)),
-        "liberation" => {
-            LiberationCode::new(p).map(|c| Arc::new(c) as _).map_err(|e| err(&e))
-        }
         other => Err(format!(
             "unknown code '{other}' (expected one of {})",
             CODE_NAMES.join(", ")

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use hv_code::HvCode;
-use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
+use raid_baselines::{EvenOddCode, HCode, HdpCode, PCode, RdpCode, XCode};
 use raid_core::invariants;
 use raid_core::plan::update::update_complexity;
 use raid_core::schedule::double_failure_schedule;
@@ -24,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::new(XCode::new(p)?),
         Arc::new(HCode::new(p)?),
         Arc::new(PCode::new(p)?),
-        Arc::new(LiberationCode::new(p)?),
         Arc::new(HvCode::new(p)?),
     ];
 

@@ -9,7 +9,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use hv_code::HvCode;
-use raid_baselines::{EvenOddCode, HCode, HdpCode, LiberationCode, PCode, RdpCode, XCode};
+use raid_baselines::{EvenOddCode, HCode, HdpCode, PCode, RdpCode, XCode};
 use raid_core::ArrayCode;
 use raid_service::{serve, ServerConfig, Service};
 
@@ -27,7 +27,6 @@ pub fn all_codes(p: usize) -> Vec<Arc<dyn ArrayCode>> {
         Arc::new(HCode::new(p).expect("prime p >= 5")),
         Arc::new(HdpCode::new(p).expect("prime p >= 5")),
         Arc::new(PCode::new(p).expect("prime")),
-        Arc::new(LiberationCode::new(p).expect("prime")),
     ]
 }
 

@@ -1,12 +1,14 @@
 //! Cross-validation of HV Code's specialized paths against the generic
 //! reference machinery — the "fast path must equal slow path" contract.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use hv_code::HvCode;
 use integration::all_codes;
+use raid_core::layout::ParityClass;
 use raid_core::xplan::PlanCell;
-use raid_core::{decoder, schedule, ArrayCode, Cell, Stripe, XorPlan};
+use raid_core::{decoder, schedule, ArrayCode, Cell, Layout, Stripe, XorPlan};
+use raid_math::prime::odd_primes_in;
 
 #[test]
 fn algorithm1_equals_generic_decoder_bytes() {
@@ -120,11 +122,10 @@ fn op_components(program: &XorPlan) -> (Vec<Vec<Cell>>, usize) {
 
 /// The program a double rebuild runs, `Layout::column_program`, has Fig.
 /// 9(b)'s structure: its longest path is the peel's `Lc` for every code,
-/// and for every code but EVENODD and Liberation its components are the
-/// peel's chains. Those two are outside Fig. 9(b): their programs share
-/// XOR subexpressions (EVENODD's adjuster, Liberation's dense decode)
-/// between cells the peel solves independently, and EVENODD's peel is not
-/// a union of paths, so components undercount their chains. For HV the
+/// and for every code but EVENODD its components are the peel's chains.
+/// EVENODD is outside Fig. 9(b): its program shares its adjuster's XOR
+/// subexpressions between cells the peel solves independently, and its
+/// peel is not a union of paths, so components undercount its chains. For HV the
 /// components are Algorithm 1's four chains, cell for cell.
 #[test]
 fn the_executed_double_rebuild_has_fig9b_chains() {
@@ -133,7 +134,7 @@ fn the_executed_double_rebuild_has_fig9b_chains() {
         for code in all_codes(p) {
             let layout = code.layout();
             let n = layout.cols();
-            let shares_subexpressions = ["EVENODD", "Liberation"].contains(&code.name());
+            let shares_subexpressions = code.name() == "EVENODD";
             for f1 in 0..n {
                 for f2 in (f1 + 1)..n {
                     let ctx = format!("{} p={p} ({f1},{f2})", code.name());
@@ -218,5 +219,127 @@ fn hv_supports_large_primes() {
         stripe.erase_col(p / 2);
         code.repair_double_disk(&mut stripe, 0, p / 2).unwrap();
         assert_eq!(stripe, pristine, "p={p}");
+    }
+}
+
+/// A layout's chains as a set: each chain's class, parity and sorted
+/// members.
+fn chain_set(layout: &Layout) -> BTreeSet<(ParityClass, Cell, Vec<Cell>)> {
+    layout
+        .chains()
+        .iter()
+        .map(|ch| {
+            let mut members = ch.members.clone();
+            members.sort_unstable();
+            (ch.class, ch.parity, members)
+        })
+        .collect()
+}
+
+/// Whether `map` — a cell map that yields `None` off the grid — is an
+/// automorphism of `layout`: it keeps every cell on the grid and its
+/// kind, and it sends the chain set onto itself.
+fn is_automorphism(layout: &Layout, map: &dyn Fn(Cell) -> Option<Cell>) -> bool {
+    let (rows, cols) = (layout.rows(), layout.cols());
+    let on_grid = |c: Cell| map(c).filter(|m| m.row < rows && m.col < cols);
+    let mut cells = (0..layout.num_cells()).map(|i| Cell::from_index(i, cols));
+    if !cells.all(|c| on_grid(c).is_some_and(|m| layout.kind(m) == layout.kind(c))) {
+        return false;
+    }
+    let image: Option<BTreeSet<_>> = chain_set(layout)
+        .into_iter()
+        .map(|(class, parity, members)| {
+            let mut members: Vec<Cell> = members.into_iter().map(on_grid).collect::<Option<_>>()?;
+            members.sort_unstable();
+            Some((class, on_grid(parity)?, members))
+        })
+        .collect();
+    image == Some(chain_set(layout))
+}
+
+/// (r, c) ↦ (u·r, u·c) mod p on 1-based indices: the action of u ∈ Z_p^*
+/// behind HV's ⟨2i⟩ / ⟨4i⟩ parity placement.
+fn scale(p: usize, u: usize) -> impl Fn(Cell) -> Option<Cell> {
+    move |c: Cell| {
+        let (r, c) = (u * (c.row + 1) % p, u * (c.col + 1) % p);
+        (r > 0 && c > 0).then(|| Cell::new(r - 1, c - 1))
+    }
+}
+
+/// The cyclic shift of every column by `s` on a `cols`-wide grid.
+fn shift(cols: usize, s: usize) -> impl Fn(Cell) -> Option<Cell> {
+    move |c: Cell| Some(Cell::new(c.row, (c.col + s) % cols))
+}
+
+/// The smallest generator of Z_p^*.
+fn primitive_root(p: usize) -> usize {
+    let mut factors = Vec::new();
+    let (mut n, mut q) = (p - 1, 2);
+    while n > 1 {
+        if n % q == 0 {
+            factors.push(q);
+            while n % q == 0 {
+                n /= q;
+            }
+        }
+        q += 1;
+    }
+    let pow = |g: usize, mut e: usize| {
+        let (mut acc, mut base) = (1, g % p);
+        while e > 0 {
+            if e & 1 == 1 {
+                acc = acc * base % p;
+            }
+            base = base * base % p;
+            e >>= 1;
+        }
+        acc
+    };
+    (2..p).find(|&g| factors.iter().all(|&q| pow(g, (p - 1) / q) != 1)).expect("p is prime")
+}
+
+/// ROADMAP 10(a): balance as a theorem for every buildable p. For every
+/// prime 5 ≤ p ≤ `MAX_P`, HV's and HDP's layouts are invariant under
+/// Z_p^*'s generator acting on (row, column), and X-Code's under the
+/// column shift by 1. Both groups are cyclic and act transitively on the
+/// columns, so every column holds the same parities and costs the same to
+/// rebuild — Table III's load balancing, for every p a volume can build.
+/// RDP, EVENODD, H-Code and P-Code have no such map at p ∈ {5, 7, 11, 13}:
+/// their balance claims are facts per p, not theorems.
+#[test]
+fn hv_hdp_and_xcode_are_symmetric_at_every_buildable_p() {
+    for p in odd_primes_in(5, raid_verify::MAX_P).iter().map(|p| p.get()) {
+        let u = primitive_root(p);
+        for name in ["hv", "hdp"] {
+            let code = raid_verify::build(name, p).unwrap();
+            assert!(is_automorphism(code.layout(), &scale(p, u)), "{name} p={p} u={u}");
+        }
+        let xcode = raid_verify::build("xcode", p).unwrap();
+        assert!(is_automorphism(xcode.layout(), &shift(p, 1)), "xcode p={p}");
+    }
+    for p in [5usize, 7, 11, 13] {
+        let symmetric: Vec<String> = raid_verify::CODE_NAMES
+            .iter()
+            .filter_map(|&name| {
+                let code = raid_verify::build(name, p).unwrap();
+                let layout = code.layout();
+                let scaled = (2..p).any(|u| is_automorphism(layout, &scale(p, u)));
+                let cols = layout.cols();
+                let shifted = (1..cols).any(|s| is_automorphism(layout, &shift(cols, s)));
+                match (scaled, shifted) {
+                    (false, false) => None,
+                    _ => Some(format!("{name}: scale {scaled}, shift {shifted}")),
+                }
+            })
+            .collect();
+        assert_eq!(
+            symmetric,
+            [
+                "hv: scale true, shift false",
+                "xcode: scale false, shift true",
+                "hdp: scale true, shift false",
+            ],
+            "p={p}"
+        );
     }
 }

@@ -12,9 +12,7 @@ fn small_prime() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![5usize, 7, 11, 13, 17])
 }
 
-/// The codes under test at prime `p` — every registered code, Liberation
-/// included now that its constructor uses the closed-form matrices
-/// instead of a multi-second backtracking search.
+/// The codes under test at prime `p` — every registered code.
 fn codes(p: usize) -> Vec<Arc<dyn ArrayCode>> {
     integration::all_codes(p)
 }

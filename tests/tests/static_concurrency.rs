@@ -7,10 +7,10 @@ use raid_verify::journal::{
     prove_layout_journal, prove_op_atomicity, volume_op_lists, JournalCoverage, JournalError,
 };
 
-/// The headline acceptance check: all 8 codes × p ∈ {5, 7} prove
-/// all-old-or-all-new crash atomicity (every crash prefix, one journal
-/// unit per op) of the full-stripe write, the single-column recovery and
-/// the two-column decode. The full default-prime sweep runs in
+/// The headline acceptance check: every registered code × p ∈ {5, 7}
+/// proves all-old-or-all-new crash atomicity (every crash prefix, one
+/// journal unit per op) of the full-stripe write, the single-column
+/// recovery and the two-column decode. The full default-prime sweep runs in
 /// `make lint` via `hvraid lint --all --journal`.
 #[test]
 fn every_code_proves_crash_atomicity_of_the_ops_it_executes() {
